@@ -46,7 +46,6 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
   }
 
   cluster->max_sessions_ = options.max_sessions;
-  cluster->engine_ = options.engine;
   cluster->metadata_cache_ttl_ = options.metadata_cache_ttl;
 
   client::RemoteMetadataOptions remote_options;
@@ -60,7 +59,6 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
   } else if (options.start_metadata_service) {
     metad::MetadOptions metad_options;
     metad_options.max_sessions = options.max_sessions;
-    metad_options.engine = options.engine;
     DPFS_ASSIGN_OR_RETURN(
         cluster->metad_,
         metad::MetadService::Start(cluster->sharded_db_, metad_options));
@@ -76,7 +74,6 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
     server_options.root_dir =
         cluster->root_ / ("server" + std::to_string(i));
     server_options.max_sessions = options.max_sessions;
-    server_options.engine = options.engine;
     DPFS_ASSIGN_OR_RETURN(std::unique_ptr<server::IoServer> server,
                           server::IoServer::Start(std::move(server_options)));
 
@@ -123,7 +120,6 @@ Status LocalCluster::RestartServer(std::size_t index) {
   server_options.root_dir = root_ / ("server" + std::to_string(index));
   server_options.port = endpoint.port;  // keep the registered endpoint valid
   server_options.max_sessions = max_sessions_;
-  server_options.engine = engine_;
   DPFS_ASSIGN_OR_RETURN(servers_[index],
                         server::IoServer::Start(std::move(server_options)));
   return Status::Ok();
@@ -142,7 +138,6 @@ Status LocalCluster::RestartMetad() {
   metad::MetadOptions options;
   options.port = endpoint.port;  // clients redial the endpoint they know
   options.max_sessions = max_sessions_;
-  options.engine = engine_;
   DPFS_ASSIGN_OR_RETURN(metad_,
                         metad::MetadService::Start(sharded_db_, options));
   // Cached records may predate whatever interrupted the old incarnation.

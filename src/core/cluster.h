@@ -40,9 +40,6 @@ struct ClusterOptions {
   /// Concurrent session cap per server (0 = unlimited); see
   /// ServerOptions::max_sessions.
   std::size_t max_sessions = 0;
-  /// Connection-handling engine for every server in the cluster (the
-  /// DPFS_SERVER_ENGINE env var still overrides; see ServerOptions::engine).
-  server::ServerEngine engine = server::ServerEngine::kThreadPerConnection;
   /// Run an in-process dpfs-metad owning the metadata database; the
   /// cluster's FileSystem then talks to it over the wire (extension:
   /// `metadata_endpoint`). Default off — embedded metadata, byte-identical
@@ -115,7 +112,6 @@ class LocalCluster {
   std::optional<TempDir> owned_root_;
   std::filesystem::path root_;
   std::size_t max_sessions_ = 0;
-  server::ServerEngine engine_ = server::ServerEngine::kThreadPerConnection;
   std::chrono::milliseconds metadata_cache_ttl_{250};
   std::vector<std::unique_ptr<server::IoServer>> servers_;
   std::shared_ptr<metadb::ShardedDatabase> sharded_db_;

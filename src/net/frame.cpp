@@ -15,49 +15,6 @@ Status SendFrame(TcpSocket& socket, ByteSpan payload) {
   return socket.SendAll(payload);
 }
 
-Result<Bytes> EncodeFrame(ByteSpan payload) {
-  if (payload.size() > kMaxFrameBytes) {
-    return InvalidArgumentError("frame exceeds maximum size");
-  }
-  BinaryWriter frame;
-  frame.WriteU32(static_cast<std::uint32_t>(payload.size()));
-  frame.WriteU32(Crc32c(payload));
-  frame.WriteRaw(payload);
-  return std::move(frame).TakeBuffer();
-}
-
-void FrameDecoder::Append(ByteSpan data) {
-  // Reclaim the consumed prefix before growing: steady-state request
-  // streams keep the buffer at roughly one frame.
-  if (consumed_ > 0 && (consumed_ == buffer_.size() ||
-                        consumed_ >= (64u << 10))) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
-}
-
-Result<bool> FrameDecoder::Next(Bytes& payload) {
-  const std::size_t available = buffer_.size() - consumed_;
-  if (available < 8) return false;
-  BinaryReader reader(ByteSpan(buffer_).subspan(consumed_, 8));
-  DPFS_ASSIGN_OR_RETURN(const std::uint32_t length, reader.ReadU32());
-  DPFS_ASSIGN_OR_RETURN(const std::uint32_t crc, reader.ReadU32());
-  if (length > kMaxFrameBytes) {
-    return ProtocolError("frame length " + std::to_string(length) +
-                         " exceeds maximum");
-  }
-  if (available < 8 + static_cast<std::size_t>(length)) return false;
-  const ByteSpan body = ByteSpan(buffer_).subspan(consumed_ + 8, length);
-  if (Crc32c(body) != crc) {
-    return DataLossError("frame checksum mismatch");
-  }
-  payload.assign(body.begin(), body.end());
-  consumed_ += 8 + static_cast<std::size_t>(length);
-  return true;
-}
-
 Status RecvFrame(TcpSocket& socket, Bytes& payload) {
   std::uint8_t header[8];
   DPFS_RETURN_IF_ERROR(socket.RecvExact({header, sizeof(header)}));

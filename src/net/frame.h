@@ -20,41 +20,4 @@ Status SendFrame(TcpSocket& socket, ByteSpan payload);
 /// before any byte of a frame, kDataLoss on checksum mismatch.
 Status RecvFrame(TcpSocket& socket, Bytes& payload);
 
-/// Encodes one frame (header + payload) into a single contiguous buffer.
-/// The event-loop server queues these on per-connection write buffers so a
-/// partial send can resume mid-frame (docs/ASYNC_SERVER.md); SendFrame's
-/// two-part send is equivalent on the wire.
-Result<Bytes> EncodeFrame(ByteSpan payload);
-
-/// Incremental frame decoder for nonblocking sockets: feed whatever bytes
-/// arrive with Append(), pull complete payloads with Next(). Byte-at-a-time
-/// delivery, frames split at any boundary, and several frames per Append all
-/// decode identically to RecvFrame (tests/net/socket_frame_test.cpp pins
-/// this; tests/server/protocol_fuzz_test.cpp fragments live traffic).
-class FrameDecoder {
- public:
-  /// Buffers `data` for decoding.
-  void Append(ByteSpan data);
-
-  /// Extracts the next complete frame into `payload`. Ok(true): one frame
-  /// produced (call again — Append may have completed several). Ok(false):
-  /// need more bytes. kProtocolError on an over-cap length, kDataLoss on a
-  /// checksum mismatch; both poison the stream (no resynchronization), so
-  /// the caller must drop the connection.
-  Result<bool> Next(Bytes& payload);
-
-  /// True when a frame is partially buffered — a peer close now is a
-  /// mid-message truncation, not a clean boundary disconnect.
-  [[nodiscard]] bool mid_frame() const noexcept {
-    return buffer_.size() > consumed_;
-  }
-  [[nodiscard]] std::size_t buffered_bytes() const noexcept {
-    return buffer_.size() - consumed_;
-  }
-
- private:
-  Bytes buffer_;
-  std::size_t consumed_ = 0;  // prefix of buffer_ already handed out
-};
-
 }  // namespace dpfs::net

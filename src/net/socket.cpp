@@ -1,7 +1,6 @@
 #include "net/socket.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -158,16 +157,6 @@ Status TcpSocket::RecvExact(MutableByteSpan data) {
   return Status::Ok();
 }
 
-Status TcpSocket::SetNonBlocking(bool enabled) {
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (flags < 0) return IoErrnoError("fcntl F_GETFL", std::to_string(fd_));
-  const int updated = enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (::fcntl(fd_, F_SETFL, updated) != 0) {
-    return IoErrnoError("fcntl F_SETFL", std::to_string(fd_));
-  }
-  return Status::Ok();
-}
-
 Result<TcpSocket::SomeIo> TcpSocket::RecvSome(MutableByteSpan data) {
   std::size_t limit = data.size();
   if (auto fp = failpoint::Check("net.recv_some")) {
@@ -176,8 +165,8 @@ Result<TcpSocket::SomeIo> TcpSocket::RecvSome(MutableByteSpan data) {
         return fp->status;
       case failpoint::Action::kShortIo:
         // Deliver at most `arg` bytes this call; arg=0 is a spurious
-        // would-block wakeup. Either way the caller must cope with less
-        // data than the kernel actually has queued.
+        // wakeup. Either way the caller must cope with less data than the
+        // kernel actually has queued.
         if (fp->arg == 0) return SomeIo{0, false};
         limit = std::min<std::size_t>(limit,
                                       static_cast<std::size_t>(fp->arg));
@@ -191,51 +180,15 @@ Result<TcpSocket::SomeIo> TcpSocket::RecvSome(MutableByteSpan data) {
     }
   }
   for (;;) {
-    // dpfs:blocking-ok(event-engine fds are O_NONBLOCK: recv returns
-    // EAGAIN instead of parking the loop)
+    // dpfs:blocking-ok(only the metrics HTTP endpoint calls RecvSome, on
+    // its own thread, off every request path)
     const ssize_t n = ::recv(fd_, data.data(), limit, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return SomeIo{0, false};
       return UnavailableError(std::string("recv: ") + std::strerror(errno));
     }
     if (n == 0) return SomeIo{0, true};
     return SomeIo{static_cast<std::size_t>(n), false};
-  }
-}
-
-Result<std::size_t> TcpSocket::SendSome(ByteSpan data) {
-  std::size_t limit = data.size();
-  if (auto fp = failpoint::Check("net.send_some")) {
-    switch (fp->action) {
-      case failpoint::Action::kReturnError:
-        return fp->status;
-      case failpoint::Action::kShortIo:
-        // Accept at most `arg` bytes this call; arg=0 reports a full socket
-        // buffer (would-block) without transferring anything.
-        if (fp->arg == 0) return std::size_t{0};
-        limit = std::min<std::size_t>(limit,
-                                      static_cast<std::size_t>(fp->arg));
-        break;
-      case failpoint::Action::kDisconnect:
-        SendBestEffort(fd_, data.first(std::min<std::size_t>(
-                                 static_cast<std::size_t>(fp->arg),
-                                 data.size())));
-        Close();
-        return UnavailableError("send: connection reset (" +
-                                fp->status.message() + ")");
-      default:
-        break;
-    }
-  }
-  for (;;) {
-    const ssize_t n = ::send(fd_, data.data(), limit, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return std::size_t{0};
-      return UnavailableError(std::string("send: ") + std::strerror(errno));
-    }
-    return static_cast<std::size_t>(n);
   }
 }
 
@@ -292,38 +245,6 @@ Result<TcpListener> TcpListener::Bind(std::uint16_t port) {
   }
   listener.port_ = ntohs(bound.sin_port);
   return listener;
-}
-
-Status TcpListener::SetNonBlocking() {
-  const int listen_fd = fd_.load(std::memory_order_acquire);
-  if (listen_fd < 0) return UnavailableError("listener closed");
-  const int flags = ::fcntl(listen_fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(listen_fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return IoErrnoError("fcntl O_NONBLOCK", "listener");
-  }
-  return Status::Ok();
-}
-
-Result<std::optional<TcpSocket>> TcpListener::AcceptNonBlocking() {
-  const int listen_fd = fd_.load(std::memory_order_acquire);
-  if (listen_fd < 0) {
-    return UnavailableError("accept: listener closed");
-  }
-  for (;;) {
-    // dpfs:blocking-ok(the event engine sets the listener O_NONBLOCK
-    // before binding it to the loop: accept returns EAGAIN, never parks)
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return std::optional<TcpSocket>{};
-      }
-      return UnavailableError(std::string("accept: ") + std::strerror(errno));
-    }
-    TcpSocket sock(fd);
-    DPFS_RETURN_IF_ERROR(sock.SetNoDelay());
-    return std::optional<TcpSocket>(std::move(sock));
-  }
 }
 
 Result<TcpSocket> TcpListener::Accept() {

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "common/bytes.h"
@@ -39,28 +38,17 @@ class TcpSocket {
   /// (0 bytes read so far) and kProtocolError on mid-message close.
   Status RecvExact(MutableByteSpan data);
 
-  /// Outcome of one nonblocking receive (RecvSome).
+  /// Outcome of one receive (RecvSome).
   struct SomeIo {
     std::size_t bytes = 0;  // bytes actually transferred this call
     bool closed = false;    // the peer closed the stream (recv returned 0)
   };
 
-  /// One nonblocking recv: transfers whatever the kernel has, up to
-  /// data.size(). {0, false} means the socket would block (no data yet);
-  /// {0, true} means the peer closed. Only meaningful after
-  /// SetNonBlocking(true) — on a blocking socket this degenerates to a
-  /// single blocking recv. Failpoint site "net.recv_some"
-  /// (docs/FAULT_INJECTION.md).
+  /// One recv: transfers whatever the kernel has, up to data.size(),
+  /// waiting for at least one byte. {0, true} means the peer closed;
+  /// {0, false} (a failpoint's spurious wakeup) means nothing arrived.
+  /// Failpoint site "net.recv_some" (docs/FAULT_INJECTION.md).
   Result<SomeIo> RecvSome(MutableByteSpan data);
-
-  /// One nonblocking send: writes as much as the socket buffer accepts and
-  /// returns the count; 0 means the socket would block. Failpoint site
-  /// "net.send_some" (docs/FAULT_INJECTION.md).
-  Result<std::size_t> SendSome(ByteSpan data);
-
-  /// Toggles O_NONBLOCK (the event-loop server runs every accepted
-  /// connection nonblocking; see docs/ASYNC_SERVER.md).
-  Status SetNonBlocking(bool enabled);
 
   /// Disables Nagle; our request/response protocol is latency-sensitive.
   Status SetNoDelay();
@@ -92,19 +80,6 @@ class TcpListener {
   /// Blocks until a connection arrives. Returns kUnavailable if the
   /// listener has been closed (the server's shutdown path).
   Result<TcpSocket> Accept();
-
-  /// Nonblocking accept (listener must be in nonblocking mode): an empty
-  /// optional means no connection is pending right now. The event-loop
-  /// server polls the listener fd and drains pending connections with this.
-  Result<std::optional<TcpSocket>> AcceptNonBlocking();
-
-  /// Puts the listening fd in O_NONBLOCK mode (event-loop engine).
-  Status SetNonBlocking();
-
-  /// The raw listening fd for readiness polling (epoll); -1 once closed.
-  [[nodiscard]] int fd() const noexcept {
-    return fd_.load(std::memory_order_acquire);
-  }
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] bool valid() const noexcept {

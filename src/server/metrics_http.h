@@ -6,10 +6,10 @@
 // MetadOptions::metrics_port (the --metrics-port flag); off by default.
 //
 // Thread model: one dedicated blocking accept thread, one request per
-// connection (HTTP/1.0 close semantics). This listener is deliberately NOT
-// part of either server engine's reactor — a slow scraper must never sit
-// on the data path — so none of the deep-lint reactor-root rules apply to
-// it.
+// connection (HTTP/1.0 close semantics). This listener is deliberately
+// outside the servers' frame transport — a slow scraper must never hold a
+// session slot or sit on the data path — so none of the deep-lint
+// reactor-root rules apply to it.
 #pragma once
 
 #include <atomic>

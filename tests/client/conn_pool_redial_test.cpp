@@ -1,8 +1,8 @@
-// Pool eviction × retry/backoff across a server restart, on both
-// connection-handling engines: idle pooled connections to a restarted
-// server are stale, Acquire must probe and redial (counting
-// `conn_pool.redials`) instead of handing the dead stream to a caller, and
-// EnsureFreshConnection gives long-held connections the same probe.
+// Pool eviction × retry/backoff across a server restart: idle pooled
+// connections to a restarted server are stale, Acquire must probe and
+// redial (counting `conn_pool.redials`) instead of handing the dead stream
+// to a caller, and EnsureFreshConnection gives long-held connections the
+// same probe.
 #include "client/conn_pool.h"
 
 #include <gtest/gtest.h>
@@ -22,8 +22,7 @@ metrics::Counter& Redials() {
   return metrics::GetCounter("conn_pool.redials");
 }
 
-class ConnPoolRedialTest
-    : public ::testing::TestWithParam<server::ServerEngine> {
+class ConnPoolRedialTest : public ::testing::Test {
  protected:
   ConnPoolRedialTest() : dir_(TempDir::Create("dpfs-redial").value()) {
     server_ = StartServer(0);
@@ -33,7 +32,6 @@ class ConnPoolRedialTest
     server::ServerOptions options;
     options.root_dir = dir_.path();
     options.port = port;
-    options.engine = GetParam();
     return server::IoServer::Start(std::move(options)).value();
   }
 
@@ -51,7 +49,7 @@ class ConnPoolRedialTest
   ConnectionPool pool_;
 };
 
-TEST_P(ConnPoolRedialTest, StalePooledConnectionIsEvictedAndRedialed) {
+TEST_F(ConnPoolRedialTest, StalePooledConnectionIsEvictedAndRedialed) {
   {
     PooledConnection conn = pool_.Acquire(server_->endpoint()).value();
     ASSERT_TRUE(conn->Ping().ok());
@@ -69,7 +67,7 @@ TEST_P(ConnPoolRedialTest, StalePooledConnectionIsEvictedAndRedialed) {
   EXPECT_EQ(server_->stats().sessions_accepted.load(), 1u);
 }
 
-TEST_P(ConnPoolRedialTest, HealthyPooledConnectionIsNotRedialed) {
+TEST_F(ConnPoolRedialTest, HealthyPooledConnectionIsNotRedialed) {
   {
     PooledConnection conn = pool_.Acquire(server_->endpoint()).value();
     ASSERT_TRUE(conn->Ping().ok());
@@ -81,7 +79,7 @@ TEST_P(ConnPoolRedialTest, HealthyPooledConnectionIsNotRedialed) {
   EXPECT_EQ(server_->stats().sessions_accepted.load(), 1u);  // pool hit
 }
 
-TEST_P(ConnPoolRedialTest, EnsureFreshConnectionRedialsAcrossRestart) {
+TEST_F(ConnPoolRedialTest, EnsureFreshConnectionRedialsAcrossRestart) {
   std::optional<net::ServerConnection> conn;
   ASSERT_TRUE(EnsureFreshConnection(conn, server_->endpoint()).ok());
   ASSERT_TRUE(conn.has_value());
@@ -100,27 +98,13 @@ TEST_P(ConnPoolRedialTest, EnsureFreshConnectionRedialsAcrossRestart) {
   EXPECT_EQ(Redials().value() - redials_before, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothEngines, ConnPoolRedialTest,
-    ::testing::Values(server::ServerEngine::kThreadPerConnection,
-                      server::ServerEngine::kEventLoop),
-    [](const ::testing::TestParamInfo<server::ServerEngine>& param) {
-      return param.param == server::ServerEngine::kThreadPerConnection
-                 ? "ThreadPerConnection"
-                 : "EventLoop";
-    });
-
 // Retry/backoff composed with pool eviction, through the full client: a
 // server restart mid-workload leaves the FileSystem's pooled connections
 // stale; follow-up accesses must evict, redial, and (with retries) succeed
 // without surfacing an error.
-class RetryPoolEvictionTest
-    : public ::testing::TestWithParam<server::ServerEngine> {};
-
-TEST_P(RetryPoolEvictionTest, RestartedServerIsRedialedUnderRetries) {
+TEST(RetryPoolEvictionTest, RestartedServerIsRedialedUnderRetries) {
   core::ClusterOptions options;
   options.num_servers = 2;
-  options.engine = GetParam();
   auto cluster = core::LocalCluster::Start(std::move(options)).value();
   auto fs = cluster->fs();
 
@@ -146,16 +130,6 @@ TEST_P(RetryPoolEvictionTest, RestartedServerIsRedialedUnderRetries) {
   // than burning the caller's retry budget on dead streams.
   EXPECT_GE(Redials().value() - redials_before, 2u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothEngines, RetryPoolEvictionTest,
-    ::testing::Values(server::ServerEngine::kThreadPerConnection,
-                      server::ServerEngine::kEventLoop),
-    [](const ::testing::TestParamInfo<server::ServerEngine>& param) {
-      return param.param == server::ServerEngine::kThreadPerConnection
-                 ? "ThreadPerConnection"
-                 : "EventLoop";
-    });
 
 }  // namespace
 }  // namespace dpfs::client

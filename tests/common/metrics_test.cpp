@@ -122,21 +122,21 @@ TEST(RegistryTest, EmptySnapshotIsEmpty) {
   EXPECT_EQ(registry.TextSnapshot(), "");
 }
 
-TEST(RegistryTest, ServerEngineInstrumentsExposeWithCatalogKinds) {
-  // The event-engine instruments (docs/OBSERVABILITY.md) render with the
-  // kinds the catalog declares; the dump file and `metrics` opcode both
-  // carry exactly these lines.
+TEST(RegistryTest, ServerTransportInstrumentsExposeWithCatalogKinds) {
+  // The server transport's session instruments (docs/OBSERVABILITY.md)
+  // render with the kinds the catalog declares; the dump file and
+  // `metrics` opcode both carry exactly these lines.
   Registry registry;
   registry.GetGauge("io_server.inflight_sessions").Add(2);
-  registry.GetHistogram("io_server.batch_size").Observe(4);
-  registry.GetCounter("io_server.epoll_wake").Add(9);
-  registry.GetCounter("io_server.coalesced_fragments").Add(3);
+  registry.GetCounter("io_server.busy_rejects").Add(9);
+  registry.GetCounter("io_server.bad_requests").Add(3);
+  registry.GetHistogram("io_server.service_time_us.read").Observe(4);
   EXPECT_EQ(registry.TextSnapshot(),
-            "histogram io_server.batch_size count=1 sum=4 p50=4 p95=4 "
-            "p99=4 max=4\n"
-            "counter io_server.coalesced_fragments 3\n"
-            "counter io_server.epoll_wake 9\n"
-            "gauge io_server.inflight_sessions 2\n");
+            "counter io_server.bad_requests 3\n"
+            "counter io_server.busy_rejects 9\n"
+            "gauge io_server.inflight_sessions 2\n"
+            "histogram io_server.service_time_us.read count=1 sum=4 p50=4 "
+            "p95=4 p99=4 max=4\n");
 }
 
 TEST(RegistryTest, MetadataInstrumentsExposeWithCatalogKinds) {

@@ -24,12 +24,11 @@ using client::MetadataService;
 
 constexpr std::size_t kShards = 4;
 
-class MetadChaosTest : public ::testing::TestWithParam<server::ServerEngine> {
+class MetadChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     core::ClusterOptions options;
     options.num_servers = 2;
-    options.engine = GetParam();
     options.start_metadata_service = true;
     options.metadb_shards = kShards;  // cross-shard mutations exist
     // Cache off: every lookup goes to the wire, so each assertion below
@@ -98,7 +97,7 @@ class MetadChaosTest : public ::testing::TestWithParam<server::ServerEngine> {
   std::shared_ptr<client::FileSystem> fs_;
 };
 
-TEST_P(MetadChaosTest, DroppedReplySurfacesUnavailableThenRecovers) {
+TEST_F(MetadChaosTest, DroppedReplySurfacesUnavailableThenRecovers) {
   // metad.reply kDisconnect: the request is handled but the reply never
   // leaves. The client sees the retryable "fate unknown" outcome and its
   // next operation transparently redials.
@@ -117,7 +116,7 @@ TEST_P(MetadChaosTest, DroppedReplySurfacesUnavailableThenRecovers) {
   EXPECT_TRUE(fs_->metadata().FileExists("/drop.bin").value());
 }
 
-TEST_P(MetadChaosTest, FaultedReplyKeepsSessionUsable) {
+TEST_F(MetadChaosTest, FaultedReplyKeepsSessionUsable) {
   // metad.reply kReturnError swaps the real reply for an error envelope;
   // unlike the disconnect, the connection survives and the next request on
   // it succeeds.
@@ -138,7 +137,7 @@ TEST_P(MetadChaosTest, FaultedReplyKeepsSessionUsable) {
   EXPECT_TRUE(fs_->metadata().FileExists("/fault.bin").value());
 }
 
-TEST_P(MetadChaosTest, CrashFailpointStopsServiceAndRestartRevives) {
+TEST_F(MetadChaosTest, CrashFailpointStopsServiceAndRestartRevives) {
   (void)fs_->Create("/crash.bin", LinearFile()).value();
 
   failpoint::Spec spec;
@@ -158,7 +157,7 @@ TEST_P(MetadChaosTest, CrashFailpointStopsServiceAndRestartRevives) {
   EXPECT_TRUE(fs_->metadata().FileExists("/crash.bin").value());
 }
 
-TEST_P(MetadChaosTest, CrashBetweenShardCommitsRepairsOnRestart) {
+TEST_F(MetadChaosTest, CrashBetweenShardCommitsRepairsOnRestart) {
   // The tentpole sequence: a cross-shard create half-commits inside the
   // metad (home shard has rows + intent, the directory's shard does not),
   // the metad is killed, a successor attaches to the same database and
@@ -197,7 +196,7 @@ TEST_P(MetadChaosTest, CrashBetweenShardCommitsRepairsOnRestart) {
   ExpectConsistentOverTheWire({victim});
 }
 
-TEST_P(MetadChaosTest, DeleteTornByCrashRepairsOnRestart) {
+TEST_F(MetadChaosTest, DeleteTornByCrashRepairsOnRestart) {
   const std::string victim = CrossShardChild("gone");
   (void)fs_->Create(victim, LinearFile()).value();
 
@@ -224,16 +223,6 @@ TEST_P(MetadChaosTest, DeleteTornByCrashRepairsOnRestart) {
   EXPECT_FALSE(Listed(victim.substr(1)));
   ExpectConsistentOverTheWire({victim});
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, MetadChaosTest,
-    ::testing::Values(server::ServerEngine::kThreadPerConnection,
-                      server::ServerEngine::kEventLoop),
-    [](const ::testing::TestParamInfo<server::ServerEngine>& param_info) {
-      return param_info.param == server::ServerEngine::kEventLoop
-                 ? "EventLoop"
-                 : "ThreadPerConnection";
-    });
 
 }  // namespace
 }  // namespace dpfs

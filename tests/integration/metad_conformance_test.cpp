@@ -4,7 +4,7 @@
 // the semantics a shared namespace must honor: cross-client visibility of
 // every mutation, the bounded staleness window of the lookup cache,
 // invalidate-on-own-write, and exactly-one-winner under concurrent
-// same-path creates. Runs against both connection engines.
+// same-path creates.
 //
 // The suite name contains "Metad" so the asan-faults/tsan-faults ctest
 // presets pick it up.
@@ -12,11 +12,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/cluster.h"
+#include "net/connection.h"
 
 namespace dpfs {
 namespace {
@@ -25,13 +28,11 @@ using client::CreateOptions;
 using client::FileHandle;
 using client::MetadataService;
 
-class MetadConformanceTest
-    : public ::testing::TestWithParam<server::ServerEngine> {
+class MetadConformanceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     core::ClusterOptions options;
     options.num_servers = 3;
-    options.engine = GetParam();
     options.start_metadata_service = true;
     options.metadata_cache_ttl = kTtl;
     cluster_ = core::LocalCluster::Start(std::move(options)).value();
@@ -73,7 +74,7 @@ class MetadConformanceTest
   std::shared_ptr<client::FileSystem> fs_b_;
 };
 
-TEST_P(MetadConformanceTest, RemoteModeHasNoEmbeddedDatabase) {
+TEST_F(MetadConformanceTest, RemoteModeHasNoEmbeddedDatabase) {
   // The remote FileSystem must not hold the metadata database — that is the
   // whole point of the service. (The embedded default is pinned by every
   // other integration suite, which runs without start_metadata_service.)
@@ -82,7 +83,7 @@ TEST_P(MetadConformanceTest, RemoteModeHasNoEmbeddedDatabase) {
   EXPECT_NE(cluster_->metad(), nullptr);
 }
 
-TEST_P(MetadConformanceTest, CreateIsVisibleToOtherClientsWithData) {
+TEST_F(MetadConformanceTest, CreateIsVisibleToOtherClientsWithData) {
   FileHandle wh = fs_a_->Create("/shared.bin", LinearFile()).value();
   Bytes data(256);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -97,7 +98,7 @@ TEST_P(MetadConformanceTest, CreateIsVisibleToOtherClientsWithData) {
   EXPECT_EQ(read, data);
 }
 
-TEST_P(MetadConformanceTest, DirectoryOperationsAreShared) {
+TEST_F(MetadConformanceTest, DirectoryOperationsAreShared) {
   ASSERT_TRUE(fs_a_->metadata().MakeDirectory("/proj").ok());
   EXPECT_TRUE(fs_b_->metadata().DirectoryExists("/proj").value());
 
@@ -109,7 +110,7 @@ TEST_P(MetadConformanceTest, DirectoryOperationsAreShared) {
   EXPECT_EQ(listing.files, (std::vector<std::string>{"a.dat", "b.dat"}));
 }
 
-TEST_P(MetadConformanceTest, RemovalIsVisibleToOtherClients) {
+TEST_F(MetadConformanceTest, RemovalIsVisibleToOtherClients) {
   (void)fs_a_->Create("/doomed.bin", LinearFile()).value();
   ASSERT_TRUE(fs_b_->metadata().FileExists("/doomed.bin").value());
   ASSERT_TRUE(fs_b_->Remove("/doomed.bin").ok());
@@ -118,7 +119,7 @@ TEST_P(MetadConformanceTest, RemovalIsVisibleToOtherClients) {
   EXPECT_FALSE(fs_a_->Open("/doomed.bin").ok());
 }
 
-TEST_P(MetadConformanceTest, StaleCacheServesUntilInvalidated) {
+TEST_F(MetadConformanceTest, StaleCacheServesUntilInvalidated) {
   // A generous TTL makes the staleness deterministic: B's cached record
   // must survive A's mutation until B explicitly invalidates.
   const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
@@ -139,7 +140,7 @@ TEST_P(MetadConformanceTest, StaleCacheServesUntilInvalidated) {
             0600u);
 }
 
-TEST_P(MetadConformanceTest, TtlExpiryPublishesOtherClientsWrites) {
+TEST_F(MetadConformanceTest, TtlExpiryPublishesOtherClientsWrites) {
   (void)fs_a_->Create("/ttl.bin", LinearFile()).value();
   EXPECT_EQ(fs_b_->metadata().LookupFile("/ttl.bin").value().meta.permission,
             0644u);
@@ -154,7 +155,7 @@ TEST_P(MetadConformanceTest, TtlExpiryPublishesOtherClientsWrites) {
             0400u);
 }
 
-TEST_P(MetadConformanceTest, OwnWritesInvalidateImmediately) {
+TEST_F(MetadConformanceTest, OwnWritesInvalidateImmediately) {
   const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
   (void)fs_c->Create("/own.bin", LinearFile()).value();
   EXPECT_EQ(fs_c->metadata().LookupFile("/own.bin").value().meta.permission,
@@ -165,7 +166,7 @@ TEST_P(MetadConformanceTest, OwnWritesInvalidateImmediately) {
             0751u);
 }
 
-TEST_P(MetadConformanceTest, RenameIsVisibleEverywhere) {
+TEST_F(MetadConformanceTest, RenameIsVisibleEverywhere) {
   (void)fs_a_->Create("/before.bin", LinearFile()).value();
   (void)fs_b_->metadata().LookupFile("/before.bin").value();  // warm B cache
   ASSERT_TRUE(fs_a_->Rename("/before.bin", "/after.bin").ok());
@@ -176,7 +177,7 @@ TEST_P(MetadConformanceTest, RenameIsVisibleEverywhere) {
   EXPECT_EQ(handle.meta().path, "/after.bin");
 }
 
-TEST_P(MetadConformanceTest, CacheCountersMove) {
+TEST_F(MetadConformanceTest, CacheCountersMove) {
   const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
   (void)fs_a_->Create("/counted.bin", LinearFile()).value();
   const client::FileSystem::CacheStats before = fs_c->metadata_cache_stats();
@@ -187,7 +188,7 @@ TEST_P(MetadConformanceTest, CacheCountersMove) {
   EXPECT_EQ(after.hits, before.hits + 1);
 }
 
-TEST_P(MetadConformanceTest, ConcurrentWritersShareTheNamespace) {
+TEST_F(MetadConformanceTest, ConcurrentWritersShareTheNamespace) {
   // N clients, each its own connection, hammer the namespace concurrently:
   // disjoint creates must all land, and every surviving path must be fully
   // resolvable from a late-joining client.
@@ -240,7 +241,7 @@ TEST_P(MetadConformanceTest, ConcurrentWritersShareTheNamespace) {
   }
 }
 
-TEST_P(MetadConformanceTest, SamePathCreateRaceHasExactlyOneWinner) {
+TEST_F(MetadConformanceTest, SamePathCreateRaceHasExactlyOneWinner) {
   constexpr int kRacers = 4;
   std::vector<std::shared_ptr<client::FileSystem>> clients;
   for (int r = 0; r < kRacers; ++r) {
@@ -272,7 +273,7 @@ TEST_P(MetadConformanceTest, SamePathCreateRaceHasExactlyOneWinner) {
   EXPECT_TRUE(fs_a_->Open("/contested.bin").ok());
 }
 
-TEST_P(MetadConformanceTest, MetadMetricsCountNamespaceTraffic) {
+TEST_F(MetadConformanceTest, MetadMetricsCountNamespaceTraffic) {
   (void)fs_a_->Create("/metered.bin", LinearFile()).value();
   (void)fs_b_->Open("/metered.bin").value();
 
@@ -289,15 +290,44 @@ TEST_P(MetadConformanceTest, MetadMetricsCountNamespaceTraffic) {
       std::string::npos);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, MetadConformanceTest,
-    ::testing::Values(server::ServerEngine::kThreadPerConnection,
-                      server::ServerEngine::kEventLoop),
-    [](const ::testing::TestParamInfo<server::ServerEngine>& param_info) {
-      return param_info.param == server::ServerEngine::kEventLoop
-                 ? "EventLoop"
-                 : "ThreadPerConnection";
-    });
+// MetadOptions::max_sessions through the shared transport: the busy reply,
+// and every session instrument under the metad.* prefix, not io_server.*.
+TEST(MetadSessionCapTest, OverCapSessionGetsBusyUnderTheMetadPrefix) {
+  metad::MetadOptions options;
+  options.max_sessions = 1;
+  std::unique_ptr<metad::MetadService> service =
+      metad::MetadService::Start(
+          metadb::ShardedDatabase::OpenInMemory(1).value(), options)
+          .value();
+  const metrics::Counter& metad_busy =
+      metrics::GetCounter("metad.busy_rejects");
+  const metrics::Counter& io_busy =
+      metrics::GetCounter("io_server.busy_rejects");
+  const metrics::Gauge& inflight =
+      metrics::GetGauge("metad.inflight_sessions");
+  const std::uint64_t metad_busy_before = metad_busy.value();
+  const std::uint64_t io_busy_before = io_busy.value();
+  const std::int64_t inflight_before = inflight.value();
+
+  std::optional<net::ServerConnection> held =
+      net::ServerConnection::Connect(service->endpoint()).value();
+  ASSERT_TRUE(held->Ping().ok());  // occupies the single slot
+  EXPECT_EQ(inflight.value(), inflight_before + 1);
+
+  net::ServerConnection over =
+      net::ServerConnection::Connect(service->endpoint()).value();
+  EXPECT_EQ(over.Ping().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(metad_busy.value(), metad_busy_before + 1);
+  EXPECT_EQ(io_busy.value(), io_busy_before);
+  EXPECT_EQ(service->stats().sessions_rejected_busy.load(), 1u);
+  EXPECT_EQ(inflight.value(), inflight_before + 1);
+
+  held.reset();
+  for (int i = 0; i < 400 && inflight.value() != inflight_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(inflight.value(), inflight_before);
+}
 
 }  // namespace
 }  // namespace dpfs

@@ -155,142 +155,7 @@ TEST(EndpointTest, ToStringFormat) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental decoding (FrameDecoder) — must match RecvFrame byte for byte
-// no matter how the stream is sliced.
-
-Bytes TestFrame(std::size_t size, std::uint8_t seed) {
-  Bytes payload(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    payload[i] = static_cast<std::uint8_t>(seed + i);
-  }
-  return EncodeFrame(payload).value();
-}
-
-TEST(FrameDecoderTest, ByteAtATimeProducesIdenticalPayloads) {
-  const Bytes payload = {1, 2, 3, 4, 5};
-  const Bytes frame = EncodeFrame(payload).value();
-  FrameDecoder decoder;
-  Bytes out;
-  for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
-    decoder.Append({&frame[i], 1});
-    EXPECT_FALSE(decoder.Next(out).value());
-    EXPECT_TRUE(decoder.mid_frame());
-  }
-  decoder.Append({&frame.back(), 1});
-  ASSERT_TRUE(decoder.Next(out).value());
-  EXPECT_EQ(out, payload);
-  EXPECT_FALSE(decoder.mid_frame());
-  EXPECT_EQ(decoder.buffered_bytes(), 0u);
-}
-
-TEST(FrameDecoderTest, SeveralFramesInOneAppend) {
-  Bytes wire = TestFrame(10, 1);
-  const Bytes second = TestFrame(0, 0);
-  const Bytes third = TestFrame(100, 7);
-  wire.insert(wire.end(), second.begin(), second.end());
-  wire.insert(wire.end(), third.begin(), third.end());
-
-  FrameDecoder decoder;
-  decoder.Append(wire);
-  Bytes out;
-  ASSERT_TRUE(decoder.Next(out).value());
-  EXPECT_EQ(out.size(), 10u);
-  ASSERT_TRUE(decoder.Next(out).value());
-  EXPECT_TRUE(out.empty());
-  ASSERT_TRUE(decoder.Next(out).value());
-  EXPECT_EQ(out.size(), 100u);
-  EXPECT_EQ(out[0], 7);
-  EXPECT_FALSE(decoder.Next(out).value());
-}
-
-TEST(FrameDecoderTest, ChecksumMismatchIsDataLoss) {
-  Bytes frame = TestFrame(16, 3);
-  frame.back() ^= 0xFF;  // corrupt the payload, keep the length
-  FrameDecoder decoder;
-  decoder.Append(frame);
-  Bytes out;
-  const Result<bool> next = decoder.Next(out);
-  EXPECT_EQ(next.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(FrameDecoderTest, OversizeLengthIsProtocolError) {
-  BinaryWriter writer;
-  writer.WriteU32(0xFFFFFFFF);
-  writer.WriteU32(0);
-  FrameDecoder decoder;
-  decoder.Append(writer.buffer());
-  Bytes out;
-  const Result<bool> next = decoder.Next(out);
-  EXPECT_EQ(next.status().code(), StatusCode::kProtocolError);
-}
-
-TEST(FrameDecoderTest, SteadyStateCompactionKeepsDecoding) {
-  // Enough traffic to trigger the consumed-prefix compaction repeatedly.
-  FrameDecoder decoder;
-  Bytes out;
-  for (int i = 0; i < 200; ++i) {
-    const Bytes frame = TestFrame(1024, static_cast<std::uint8_t>(i));
-    decoder.Append(frame);
-    ASSERT_TRUE(decoder.Next(out).value());
-    ASSERT_EQ(out.size(), 1024u);
-    ASSERT_EQ(out[0], static_cast<std::uint8_t>(i));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Nonblocking socket primitives (RecvSome / SendSome) and their failpoints.
-
-TEST(NonBlockingSocketTest, RecvSomeWouldBlockThenDelivers) {
-  TcpListener listener = TcpListener::Bind(0).value();
-  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
-  TcpSocket served = listener.Accept().value();
-  ASSERT_TRUE(served.SetNonBlocking(true).ok());
-
-  std::uint8_t buf[64];
-  // Nothing sent yet: would-block, not an error, not a close.
-  Result<TcpSocket::SomeIo> got = served.RecvSome({buf, sizeof(buf)});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().bytes, 0u);
-  EXPECT_FALSE(got.value().closed);
-
-  ASSERT_TRUE(client.SendAll(Bytes{1, 2, 3}).ok());
-  for (int i = 0; i < 200; ++i) {
-    got = served.RecvSome({buf, sizeof(buf)});
-    ASSERT_TRUE(got.ok());
-    if (got.value().bytes > 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(got.value().bytes, 3u);
-  EXPECT_EQ(buf[0], 1);
-
-  client.Close();
-  for (int i = 0; i < 200; ++i) {
-    got = served.RecvSome({buf, sizeof(buf)});
-    ASSERT_TRUE(got.ok());
-    if (got.value().closed) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_TRUE(got.value().closed);
-}
-
-TEST(NonBlockingSocketTest, SendSomeEventuallyWouldBlocks) {
-  TcpListener listener = TcpListener::Bind(0).value();
-  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
-  TcpSocket served = listener.Accept().value();
-  ASSERT_TRUE(served.SetNonBlocking(true).ok());
-
-  // The peer never reads: with bounded socket buffers, a nonblocking sender
-  // must hit the 0-byte would-block result instead of hanging.
-  const Bytes chunk(64 << 10, 0xCD);
-  bool would_block = false;
-  for (int i = 0; i < 1000 && !would_block; ++i) {
-    const Result<std::size_t> sent = served.SendSome(chunk);
-    ASSERT_TRUE(sent.ok());
-    would_block = sent.value() == 0;
-  }
-  EXPECT_TRUE(would_block);
-  (void)client;
-}
+// RecvSome (the metrics HTTP endpoint's read) and its failpoint.
 
 class NonBlockingFailpointTest : public ::testing::Test {
  protected:
@@ -322,7 +187,7 @@ TEST_F(NonBlockingFailpointTest, RecvSomeSpuriousWakeupAndError) {
 
   failpoint::Spec spurious;
   spurious.action = failpoint::Action::kShortIo;
-  spurious.arg = 0;  // arg=0: report would-block despite queued bytes
+  spurious.arg = 0;  // arg=0: a spurious wakeup despite queued bytes
   spurious.count = 1;
   failpoint::Arm("net.recv_some", spurious);
   std::uint8_t buf[8];
@@ -337,35 +202,6 @@ TEST_F(NonBlockingFailpointTest, RecvSomeSpuriousWakeupAndError) {
   failpoint::Arm("net.recv_some", error);
   got = served.RecvSome({buf, sizeof(buf)});
   EXPECT_EQ(got.status().code(), StatusCode::kIoError);
-}
-
-TEST_F(NonBlockingFailpointTest, SendSomeShortIoAndDisconnect) {
-  TcpListener listener = TcpListener::Bind(0).value();
-  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
-  TcpSocket served = listener.Accept().value();
-
-  failpoint::Spec spec;
-  spec.action = failpoint::Action::kShortIo;
-  spec.arg = 4;
-  spec.count = 1;
-  failpoint::Arm("net.send_some", spec);
-  Result<std::size_t> sent = served.SendSome(Bytes(100, 2));
-  ASSERT_TRUE(sent.ok());
-  EXPECT_EQ(sent.value(), 4u);
-
-  failpoint::Spec cut;
-  cut.action = failpoint::Action::kDisconnect;
-  cut.arg = 2;  // flush 2 bytes, then sever
-  failpoint::Arm("net.send_some", cut);
-  sent = served.SendSome(Bytes(100, 3));
-  EXPECT_EQ(sent.status().code(), StatusCode::kUnavailable);
-
-  // The peer observes 4 + 2 bytes then EOF.
-  Bytes received(6);
-  EXPECT_TRUE(client.RecvExact({received.data(), received.size()}).ok());
-  EXPECT_EQ(received, (Bytes{2, 2, 2, 2, 3, 3}));
-  std::uint8_t extra = 0;
-  EXPECT_FALSE(client.RecvExact({&extra, 1}).ok());
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Wire-protocol robustness: a live server must survive malformed frames,
 // garbage bytes, truncated messages, and abrupt disconnects — replying with
 // errors where it can and dropping the session where it cannot, but never
-// crashing or wedging. The whole suite runs against both engines (the
-// thread-per-connection default and the epoll reactor).
+// crashing or wedging.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -23,14 +22,23 @@
 namespace dpfs::server {
 namespace {
 
-class ProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
+/// One ping request as raw wire bytes: [u32 length][u32 crc32c][payload].
+Bytes PingFrame() {
+  const Bytes payload = net::EncodeRequest(net::MessageType::kPing, {});
+  BinaryWriter frame;
+  frame.WriteU32(static_cast<std::uint32_t>(payload.size()));
+  frame.WriteU32(Crc32c(payload));
+  frame.WriteRaw(payload);
+  return std::move(frame).TakeBuffer();
+}
+
+class ProtocolFuzzTest : public ::testing::Test {
  protected:
   ProtocolFuzzTest() : dir_(TempDir::Create("dpfs-fuzz").value()) {}
 
   void SetUp() override {
     ServerOptions options;
     options.root_dir = dir_.path();
-    options.engine = GetParam();
     server_ = IoServer::Start(std::move(options)).value();
   }
 
@@ -57,7 +65,7 @@ class ProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
   std::unique_ptr<IoServer> server_;
 };
 
-TEST_P(ProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
+TEST_F(ProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   const Bytes garbage = {0xde, 0xad, 0xbe, 0xef, 0x01, 0x02};
@@ -66,7 +74,7 @@ TEST_P(ProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, FrameWithAbsurdLength) {
+TEST_F(ProtocolFuzzTest, FrameWithAbsurdLength) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter writer;
@@ -77,7 +85,7 @@ TEST_P(ProtocolFuzzTest, FrameWithAbsurdLength) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
+TEST_F(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   const Bytes payload = {0x7F};  // not a MessageType
@@ -89,7 +97,7 @@ TEST_P(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, TruncatedRequestBodyGetsErrorReply) {
+TEST_F(ProtocolFuzzTest, TruncatedRequestBodyGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   // kRead with a body that claims a subfile string longer than the frame.
@@ -103,7 +111,7 @@ TEST_P(ProtocolFuzzTest, TruncatedRequestBodyGetsErrorReply) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, MidFrameDisconnect) {
+TEST_F(ProtocolFuzzTest, MidFrameDisconnect) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter writer;
@@ -115,7 +123,7 @@ TEST_P(ProtocolFuzzTest, MidFrameDisconnect) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, RandomFrameStorm) {
+TEST_F(ProtocolFuzzTest, RandomFrameStorm) {
   SplitMix64 rng(12345);
   for (int trial = 0; trial < 40; ++trial) {
     Result<net::TcpSocket> socket =
@@ -143,7 +151,7 @@ TEST_P(ProtocolFuzzTest, RandomFrameStorm) {
   EXPECT_GE(server_->stats().sessions_accepted.load(), 40u);
 }
 
-TEST_P(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
+TEST_F(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
   // net.send_all kDisconnect severs the client's stream after `arg` bytes —
   // a deterministic mid-frame disconnect instead of the hand-rolled one
   // above. The server sees a truncated frame (kProtocolError, not a clean
@@ -169,7 +177,7 @@ TEST_P(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, FailpointCutInsidePayloadAlsoCounts) {
+TEST_F(ProtocolFuzzTest, FailpointCutInsidePayloadAlsoCounts) {
   // Cut inside the payload (header fully delivered) — the server is waiting
   // on the body when the stream dies.
   const std::uint64_t errors_before = server_->stats().errors.load();
@@ -193,7 +201,7 @@ TEST_P(ProtocolFuzzTest, FailpointCutInsidePayloadAlsoCounts) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, OversizedLengthJustPastTheCapDropsSession) {
+TEST_F(ProtocolFuzzTest, OversizedLengthJustPastTheCapDropsSession) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter writer;
@@ -206,7 +214,7 @@ TEST_P(ProtocolFuzzTest, OversizedLengthJustPastTheCapDropsSession) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ServerDropsReplyMidSessionClientSeesUnavailable) {
+TEST_F(ProtocolFuzzTest, ServerDropsReplyMidSessionClientSeesUnavailable) {
   // server.before_reply kDisconnect: the request was handled but the reply
   // never leaves. The client observes a connection that died at a frame
   // boundary — kUnavailable, the retryable "fate unknown" outcome.
@@ -225,7 +233,7 @@ TEST_P(ProtocolFuzzTest, ServerDropsReplyMidSessionClientSeesUnavailable) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ServerErrorReplyFailpointKeepsSessionUsable) {
+TEST_F(ProtocolFuzzTest, ServerErrorReplyFailpointKeepsSessionUsable) {
   // server.before_reply kReturnError swaps the real reply for an error
   // envelope; unlike the disconnect, the session survives.
   net::ServerConnection conn =
@@ -245,7 +253,7 @@ TEST_P(ProtocolFuzzTest, ServerErrorReplyFailpointKeepsSessionUsable) {
   EXPECT_TRUE(conn.Ping().ok());
 }
 
-TEST_P(ProtocolFuzzTest, StopJoinsAllSessionsAfterFaultStorm) {
+TEST_F(ProtocolFuzzTest, StopJoinsAllSessionsAfterFaultStorm) {
   // A storm of misbehaving sessions — truncated frames, dropped replies —
   // must leave no wedged session thread behind: Stop() joins everything
   // (the test would hang past its timeout on a leak).
@@ -288,7 +296,7 @@ TEST_P(ProtocolFuzzTest, StopJoinsAllSessionsAfterFaultStorm) {
   server_->Stop();  // joins every session thread or the test times out
 }
 
-TEST_P(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
+TEST_F(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
   // kMetrics returns the process-wide text snapshot; after real traffic the
   // server-side per-opcode counters must appear with nonzero values.
   net::ServerConnection conn =
@@ -310,7 +318,7 @@ TEST_P(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
             std::string::npos);
 }
 
-TEST_P(ProtocolFuzzTest, MetricsOpcodeIgnoresTrailingBodyBytes) {
+TEST_F(ProtocolFuzzTest, MetricsOpcodeIgnoresTrailingBodyBytes) {
   // The request body is empty by contract; extra bytes must not confuse the
   // handler or wedge the session.
   net::TcpSocket socket =
@@ -325,7 +333,7 @@ TEST_P(ProtocolFuzzTest, MetricsOpcodeIgnoresTrailingBodyBytes) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, InterleavedGoodAndBadClients) {
+TEST_F(ProtocolFuzzTest, InterleavedGoodAndBadClients) {
   // A well-behaved client keeps working while another session misbehaves.
   net::ServerConnection good =
       net::ServerConnection::Connect(server_->endpoint()).value();
@@ -342,14 +350,12 @@ TEST_P(ProtocolFuzzTest, InterleavedGoodAndBadClients) {
   EXPECT_TRUE(good.Ping().ok());
 }
 
-TEST_P(ProtocolFuzzTest, ByteAtATimeDelivery) {
+TEST_F(ProtocolFuzzTest, ByteAtATimeDelivery) {
   // TCP may deliver a frame in arbitrarily small pieces; one byte per
-  // segment is the worst case. Both engines must reassemble it.
+  // segment is the worst case. The session must reassemble it.
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
-  const Bytes frame =
-      net::EncodeFrame(net::EncodeRequest(net::MessageType::kPing, {}))
-          .value();
+  const Bytes frame = PingFrame();
   for (const std::uint8_t byte : frame) {
     ASSERT_TRUE(socket.SendAll({&byte, 1}).ok());
   }
@@ -359,14 +365,12 @@ TEST_P(ProtocolFuzzTest, ByteAtATimeDelivery) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, TwoFramesSplitAtEveryBoundary) {
+TEST_F(ProtocolFuzzTest, TwoFramesSplitAtEveryBoundary) {
   // Two back-to-back ping frames, split into two sends at every possible
   // byte position — covering splits inside the header, inside the payload,
   // and exactly on the frame boundary. Each split must produce exactly two
   // in-order replies.
-  const Bytes one =
-      net::EncodeFrame(net::EncodeRequest(net::MessageType::kPing, {}))
-          .value();
+  const Bytes one = PingFrame();
   Bytes wire = one;
   wire.insert(wire.end(), one.begin(), one.end());
 
@@ -392,7 +396,7 @@ TEST_P(ProtocolFuzzTest, TwoFramesSplitAtEveryBoundary) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
+TEST_F(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
   // A client that dials the wrong port must get a protocol error, not a
   // crash or an OOB metric-array index: the kMeta* range is valid at the
   // envelope layer but refused by the I/O server's handler.
@@ -415,7 +419,7 @@ TEST_P(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
 
 // --- list I/O opcodes (docs/WIRE_PROTOCOL.md "List I/O") -------------------
 
-TEST_P(ProtocolFuzzTest, ListRoundTripOnBothEngines) {
+TEST_F(ProtocolFuzzTest, ListRoundTrip) {
   // Happy path first: a scattered list write then a list read of the same
   // extents must hand back exactly the batched payload.
   net::ServerConnection conn =
@@ -428,7 +432,7 @@ TEST_P(ProtocolFuzzTest, ListRoundTripOnBothEngines) {
   EXPECT_EQ(conn.Read("/lst", {{64, 4}}).value(), (Bytes{5, 6, 7, 8}));
 }
 
-TEST_P(ProtocolFuzzTest, ListReadTruncatedExtentListGetsErrorReply) {
+TEST_F(ProtocolFuzzTest, ListReadTruncatedExtentListGetsErrorReply) {
   // A count that promises more extents than the body carries must be
   // rejected by the length guard, never allocated for.
   net::TcpSocket socket =
@@ -447,7 +451,7 @@ TEST_P(ProtocolFuzzTest, ListReadTruncatedExtentListGetsErrorReply) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ListReadOverlappingExtentsRejected) {
+TEST_F(ProtocolFuzzTest, ListReadOverlappingExtentsRejected) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter payload;
@@ -466,7 +470,7 @@ TEST_P(ProtocolFuzzTest, ListReadOverlappingExtentsRejected) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ListWritePayloadMismatchRejectedAndNothingWritten) {
+TEST_F(ProtocolFuzzTest, ListWritePayloadMismatchRejectedAndNothingWritten) {
   // The payload must equal the extent sum; a short payload is refused at
   // decode, before any byte reaches the store.
   net::ServerConnection conn =
@@ -494,7 +498,7 @@ TEST_P(ProtocolFuzzTest, ListWritePayloadMismatchRejectedAndNothingWritten) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ListOpcodeFrameStorm) {
+TEST_F(ProtocolFuzzTest, ListOpcodeFrameStorm) {
   // Random bodies behind the two list opcodes specifically: every frame
   // must draw an error reply (or a clean drop), never a crash.
   SplitMix64 rng(777);
@@ -516,31 +520,19 @@ TEST_P(ProtocolFuzzTest, ListOpcodeFrameStorm) {
   ExpectServerAlive();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ProtocolFuzzTest,
-    ::testing::Values(ServerEngine::kThreadPerConnection,
-                      ServerEngine::kEventLoop),
-    [](const ::testing::TestParamInfo<ServerEngine>& param_info) {
-      return param_info.param == ServerEngine::kEventLoop
-                 ? "EventLoop"
-                 : "ThreadPerConnection";
-    });
 
 // --- the metadata server under the same storm ------------------------------
 //
-// dpfs-metad shares the frame/envelope code with the I/O servers but has
-// its own session loops and its own dispatch; the robustness contract is
-// identical, so it faces the same suite shape on both engines. ("ProtocolFuzz"
-// in the name keeps it inside the asan-faults/tsan-faults preset globs.)
-class MetadProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
+// dpfs-metad shares the transport with the I/O servers but has its own
+// dispatch; the robustness contract is identical, so it faces the same
+// suite shape. ("ProtocolFuzz" in the name keeps it inside the
+// asan-faults/tsan-faults preset globs.)
+class MetadProtocolFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
     std::unique_ptr<metadb::ShardedDatabase> db =
         metadb::ShardedDatabase::OpenInMemory(2).value();
-    metad::MetadOptions options;
-    options.engine = GetParam();
-    service_ =
-        metad::MetadService::Start(std::move(db), std::move(options)).value();
+    service_ = metad::MetadService::Start(std::move(db)).value();
   }
 
   void TearDown() override { failpoint::DisarmAll(); }
@@ -555,7 +547,7 @@ class MetadProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
   std::unique_ptr<metad::MetadService> service_;
 };
 
-TEST_P(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
+TEST_F(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
   const Bytes garbage = {0xde, 0xad, 0xbe, 0xef, 0x01, 0x02};
@@ -564,7 +556,7 @@ TEST_P(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
+TEST_F(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
   for (const std::uint8_t bad :
@@ -581,7 +573,7 @@ TEST_P(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, TruncatedMetadataBodyGetsErrorReply) {
+TEST_F(MetadProtocolFuzzTest, TruncatedMetadataBodyGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
   // kMetaLookupFile whose path string claims more bytes than the frame has.
@@ -596,7 +588,7 @@ TEST_P(MetadProtocolFuzzTest, TruncatedMetadataBodyGetsErrorReply) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
+TEST_F(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
   // The mirror image of the I/O-server test above: kRead is in range at
   // the envelope layer but this service does not serve it.
   net::TcpSocket socket =
@@ -613,7 +605,7 @@ TEST_P(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
+TEST_F(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
   // The list I/O opcodes are in range at the envelope layer but metad does
   // not serve them: same "I/O opcode" refusal as kRead, no metad changes.
   net::TcpSocket socket =
@@ -634,7 +626,7 @@ TEST_P(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, MidFrameDisconnect) {
+TEST_F(MetadProtocolFuzzTest, MidFrameDisconnect) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
   BinaryWriter writer;
@@ -646,12 +638,10 @@ TEST_P(MetadProtocolFuzzTest, MidFrameDisconnect) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, TwoFramesSplitInsideTheHeader) {
+TEST_F(MetadProtocolFuzzTest, TwoFramesSplitInsideTheHeader) {
   // Worst-case reassembly across the shared frame reader: a ping split in
   // the middle of its length header, then a second whole ping.
-  const Bytes one =
-      net::EncodeFrame(net::EncodeRequest(net::MessageType::kPing, {}))
-          .value();
+  const Bytes one = PingFrame();
   Bytes wire = one;
   wire.insert(wire.end(), one.begin(), one.end());
   net::TcpSocket socket =
@@ -667,7 +657,7 @@ TEST_P(MetadProtocolFuzzTest, TwoFramesSplitInsideTheHeader) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, RandomFrameStorm) {
+TEST_F(MetadProtocolFuzzTest, RandomFrameStorm) {
   SplitMix64 rng(54321);
   for (int trial = 0; trial < 40; ++trial) {
     Result<net::TcpSocket> socket =
@@ -692,7 +682,7 @@ TEST_P(MetadProtocolFuzzTest, RandomFrameStorm) {
   EXPECT_GE(service_->stats().sessions_accepted.load(), 40u);
 }
 
-TEST_P(MetadProtocolFuzzTest, StopJoinsSessionsWithClientsMidRecv) {
+TEST_F(MetadProtocolFuzzTest, StopJoinsSessionsWithClientsMidRecv) {
   // Idle sessions blocked in RecvFrame must not wedge Stop().
   std::vector<net::TcpSocket> idle;
   for (int i = 0; i < 4; ++i) {
@@ -708,15 +698,6 @@ TEST_P(MetadProtocolFuzzTest, StopJoinsSessionsWithClientsMidRecv) {
   service_->Stop();  // joins every session thread or the test times out
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, MetadProtocolFuzzTest,
-    ::testing::Values(ServerEngine::kThreadPerConnection,
-                      ServerEngine::kEventLoop),
-    [](const ::testing::TestParamInfo<ServerEngine>& param_info) {
-      return param_info.param == ServerEngine::kEventLoop
-                 ? "EventLoop"
-                 : "ThreadPerConnection";
-    });
 
 }  // namespace
 }  // namespace dpfs::server

@@ -31,6 +31,12 @@ both directions, so the doc tables stay the authoritative inventory:
                 rows may abbreviate siblings (`x.hits` / `.misses`) and use
                 `<op>` placeholders for dynamic suffixes (matching source
                 names that end with a dot).
+
+                The server transport (src/server/frame_server.cpp) takes
+                both from its owners: it checks the sites they name as
+                `*_failpoint = "site"` options, and registers
+                `metric_prefix + ".suffix"` for every `metric_prefix = "p"`
+                an owner passes. Both forms count as source sites.
   opcode-undocumented / opcode-ghost
                 every enumerator of `enum class MessageType` in
                 src/net/messages.h must have a row (matching number AND
@@ -154,6 +160,12 @@ _CODE_STRIP_RE = re.compile(
 FAILPOINT_CALL_RE = re.compile(
     r'(?:failpoint::Check|DPFS_FAILPOINT\w*)\(\s*"([^"]+)"')
 METRIC_CALL_RE = re.compile(r'Get(?:Counter|Gauge|Histogram)\(\s*"([^"]+)"')
+# The transport's indirect forms (see the module docstring).
+FAILPOINT_OPTION_RE = re.compile(r'\b\w+_failpoint\s*=\s*"([^"]+)"')
+METRIC_PREFIX_RE = re.compile(r'\bmetric_prefix\s*=\s*"([a-z_]+)"')
+PREFIXED_METRIC_CALL_RE = re.compile(
+    r'Get(?:Counter|Gauge|Histogram)\(\s*[\w.>-]*metric_prefix\s*\+\s*'
+    r'"([^"]+)"')
 
 # A catalog row's first cell: `| `name` | ...` where name is dotted
 # lowercase (which is what keeps the action/status tables out).
@@ -179,6 +191,21 @@ def scan_src_calls(root: Path, pattern: re.Pattern[str]
             name = m.group(1)
             lineno = code.count("\n", 0, m.start()) + 1
             sites.setdefault(name, (path.relative_to(root), lineno))
+    return sites
+
+
+def scan_src_failpoints(root: Path) -> dict[str, tuple[Path, int]]:
+    sites = scan_src_calls(root, FAILPOINT_OPTION_RE)
+    sites.update(scan_src_calls(root, FAILPOINT_CALL_RE))
+    return sites
+
+
+def scan_src_metrics(root: Path) -> dict[str, tuple[Path, int]]:
+    sites = scan_src_calls(root, METRIC_CALL_RE)
+    suffixes = scan_src_calls(root, PREFIXED_METRIC_CALL_RE)
+    for prefix in scan_src_calls(root, METRIC_PREFIX_RE):
+        for suffix, where in suffixes.items():
+            sites.setdefault(prefix + suffix, where)
     return sites
 
 
@@ -308,14 +335,14 @@ def lint_catalogs(root: Path) -> list[Violation]:
     fault_doc = root / "docs/FAULT_INJECTION.md"
     if fault_doc.is_file():
         out.extend(cross_check(
-            scan_src_calls(root, FAILPOINT_CALL_RE),
+            scan_src_failpoints(root),
             doc_catalog_names(fault_doc),
             Path("docs/FAULT_INJECTION.md"), "failpoint",
             "site checked in src/"))
     obs_doc = root / "docs/OBSERVABILITY.md"
     if obs_doc.is_file():
         out.extend(cross_check(
-            scan_src_calls(root, METRIC_CALL_RE),
+            scan_src_metrics(root),
             doc_catalog_names(obs_doc),
             Path("docs/OBSERVABILITY.md"), "metric",
             "instrument registered in src/"))
@@ -372,14 +399,20 @@ def run_self_test(fixtures: Path) -> int:
     # The clean fixture references real files and external links; any
     # violation on it is a false positive. Likewise the cataloged halves of
     # the cross-check pairs must not be reported from either direction.
+    documented = ("fixture.documented", "fix.documented",
+                  "fixture.option_documented", "fixprefix.documented")
     for v in violations:
         if v.path.as_posix() == "docs/good.md":
             failures.append(f"self-test: false positive on clean fixture: "
                             f"{v}")
-        if "'fixture.documented'" in v.message or \
-                "'fix.documented'" in v.message:
+        if any(f"'{name}'" in v.message for name in documented):
             failures.append(f"self-test: false positive on cataloged name: "
                             f"{v}")
+    # The transport's indirect forms are checked like literal call sites.
+    for name in ("fixture.option_undocumented", "fixprefix.undocumented"):
+        if not any(f"'{name}'" in v.message for v in violations):
+            failures.append(f"self-test: uncataloged '{name}' was not "
+                            "reported")
     for line in failures:
         print(line, file=sys.stderr)
     if failures:

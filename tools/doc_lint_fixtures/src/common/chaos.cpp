@@ -16,4 +16,17 @@ void Touch() {
   metrics::GetCounter("fix.undocumented").Increment();
 }
 
+// The server transport's indirect forms: failpoint sites named in options,
+// and instruments registered under a prefix the owner passes.
+struct Options {
+  std::string metric_prefix = "fixprefix";
+  const char* session_failpoint = "fixture.option_documented";
+  const char* reply_failpoint = "fixture.option_undocumented";
+};
+
+void TouchPrefixed(const Options& options) {
+  metrics::GetCounter(options.metric_prefix + ".documented").Increment();
+  metrics::GetCounter(options.metric_prefix + ".undocumented").Increment();
+}
+
 }  // namespace dpfs::common

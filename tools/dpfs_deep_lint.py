@@ -15,13 +15,13 @@ sets, call edges) and enforces three invariants on it:
                         many instances of one lock class in a loop) is a
                         self-edge and needs a dpfs:lock-order-ok waiver
                         stating the total order that makes it safe.
-  reactor-blocking      No call path from a reactor root (EventLoop::Run
-                        and the handler entry points it invokes) may reach
+  reactor-blocking      No call path from a reactor root (the request
+                        handlers the servers' transport invokes) may reach
                         a cataloged blocking primitive (flock, sleep_for,
                         blocking connect/accept/recv/send, CondVar::Wait,
                         metadb::Database mutation entry points) without a
-                        dpfs:blocking-ok waiver. One blocked wakeup stalls
-                        every connection the loop serves.
+                        dpfs:blocking-ok waiver, so a handler blocks only
+                        where a waiver says why.
   unchecked-status      Every `(void)`-discard of a Status/Result-returning
                         call carries a dpfs:unchecked(reason) waiver. The
                         discard is scanned on blanked code, so string or
@@ -79,15 +79,14 @@ SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc"}
 # --- configuration: roots, blocking catalog, lock guards ---------------------
 
 # Call-graph roots for the reactor-blocking check, matched as qualified-name
-# suffixes. EventLoop::Run is the loop itself; the Handler std::function it
-# invokes is opaque to any AST, so the two functions bound into it at
-# EventLoop::Start call sites are listed explicitly (they run on the loop
-# thread). Every root must resolve to a parsed function definition — a
-# rename fails the lint instead of silently analyzing nothing.
+# suffixes. The transport (server::FrameServer) reaches each server's
+# handler through an opaque std::function, so the two functions bound into
+# it are listed explicitly. Every root must resolve to a parsed function
+# definition — a rename fails the lint instead of silently analyzing
+# nothing.
 REACTOR_ROOTS = (
-    "server::EventLoop::Run",
-    "server::IoServer::HandleRequest",
-    "metad::MetadService::HandleRequest",
+    "server::IoServer::Dispatch",
+    "metad::MetadService::Dispatch",
 )
 # In --self-test the fixture tree defines its own miniature reactor.
 SELF_TEST_ROOTS = ("server::EventLoop::Run",)
@@ -106,8 +105,8 @@ BLOCKING_CALLEES = {
     "nanosleep": None,
     "poll": None,
     "select": None,
-    # Blocking socket surface (the *Some / *NonBlocking variants are the
-    # nonblocking ones and are not listed).
+    # Blocking socket surface (RecvSome, which only the metrics HTTP
+    # endpoint calls, is not listed).
     "Connect": "TcpSocket",
     "SendAll": "TcpSocket",
     "RecvExact": "TcpSocket",

@@ -5,7 +5,7 @@
 //         [--metadb /shared/dpfs-meta] [--metadb-shards 1]
 //         [--metad host:port]
 //         [--capacity 536870912]
-//         [--performance 1] [--engine thread|event]
+//         [--performance 1]
 //         [--metrics-dump-ms 0] [--metrics-dump-path FILE]
 //         [--metrics-port 0]
 //
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
                  "             [--metadb DIR] [--metadb-shards N] "
                  "[--metad HOST:PORT] "
                  "[--capacity BYTES] [--performance N] [--max-sessions N]\n"
-                 "             [--engine thread|event] [--metrics-dump-ms N] "
+                 "             [--metrics-dump-ms N] "
                  "[--metrics-dump-path FILE] [--metrics-port N]\n");
     return 2;
   }
@@ -91,13 +91,6 @@ int main(int argc, char** argv) {
   server_options.port = static_cast<std::uint16_t>(opts.GetInt("port", 0));
   server_options.max_sessions =
       static_cast<std::size_t>(opts.GetInt("max-sessions", 0));
-  const std::string engine = opts.GetString("engine", "thread");
-  if (engine == "event") {
-    server_options.engine = server::ServerEngine::kEventLoop;
-  } else if (engine != "thread") {
-    std::fprintf(stderr, "dpfsd: --engine must be 'thread' or 'event'\n");
-    return 2;
-  }
   server_options.metrics_dump_interval =
       std::chrono::milliseconds(opts.GetInt("metrics-dump-ms", 0));
   server_options.metrics_dump_path = opts.GetString("metrics-dump-path", "");

@@ -2,7 +2,7 @@
 // `metadata_endpoint`; docs/METADATA_SCHEMA.md "Remote access").
 //
 //   dpfs-metad --metadb /shared/dpfs-meta [--metadb-shards 1] [--port 7060]
-//              [--max-sessions 0] [--engine thread|event] [--metrics-port 0]
+//              [--max-sessions 0] [--metrics-port 0]
 //
 // Owns the metadata database (and its advisory flock) and serves the
 // kMeta* namespace opcodes; dpfsd registers through it with --metad, and
@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: dpfs-metad --metadb DIR [--metadb-shards N] "
                  "[--port N]\n"
-                 "                  [--max-sessions N] "
-                 "[--engine thread|event] [--metrics-port N]\n");
+                 "                  [--max-sessions N] [--metrics-port N]\n");
     return 2;
   }
 
@@ -47,13 +46,6 @@ int main(int argc, char** argv) {
   options.port = static_cast<std::uint16_t>(opts.GetInt("port", 0));
   options.max_sessions =
       static_cast<std::size_t>(opts.GetInt("max-sessions", 0));
-  const std::string engine = opts.GetString("engine", "thread");
-  if (engine == "event") {
-    options.engine = server::ServerEngine::kEventLoop;
-  } else if (engine != "thread") {
-    std::fprintf(stderr, "dpfs-metad: --engine must be 'thread' or 'event'\n");
-    return 2;
-  }
   options.metrics_port =
       static_cast<std::uint16_t>(opts.GetInt("metrics-port", 0));
 
