@@ -31,12 +31,10 @@ struct ClientMetricsT {
   // List-I/O (IoOptions::list_io) wire requests, a subset of
   // client.requests (docs/NONCONTIGUOUS_IO.md).
   metrics::Counter& list_requests = metrics::GetCounter("client.list_requests");
-  // Metadata (file-record) cache effectiveness, aggregated across
-  // instances; per-instance numbers stay on metadata_cache_stats().
-  metrics::Counter& metadata_cache_hits =
-      metrics::GetCounter("client.metadata_cache.hits");
-  metrics::Counter& metadata_cache_misses =
-      metrics::GetCounter("client.metadata_cache.misses");
+  // Datatype accesses that asked for list I/O on a replicated file and took
+  // the per-extent path instead (docs/REPLICATION.md "Composition limits").
+  metrics::Counter& list_io_fallbacks =
+      metrics::GetCounter("client.list_io_fallbacks");
   // Replication extension (docs/REPLICATION.md): reads served by a replica
   // rank > 0, and write-side replica requests that failed while the brick
   // stayed durable on another rank.
@@ -50,13 +48,6 @@ ClientMetricsT& ClientMetrics() {
   return m;
 }
 }  // namespace
-
-Result<std::shared_ptr<FileSystem>> FileSystem::Connect(
-    std::shared_ptr<metadb::Database> db) {
-  DPFS_ASSIGN_OR_RETURN(std::unique_ptr<MetadataManager> metadata,
-                        MetadataManager::Attach(std::move(db)));
-  return std::shared_ptr<FileSystem>(new FileSystem(std::move(metadata)));
-}
 
 Result<std::shared_ptr<FileSystem>> FileSystem::Connect(
     std::shared_ptr<metadb::ShardedDatabase> db) {
@@ -195,50 +186,15 @@ Result<FileHandle> FileSystem::Create(const std::string& path,
   handle.record.distribution = std::move(ranks[0]);
   handle.record.replicas = std::move(replicas);
   handle.map = std::move(map);
-  if (remote_ == nullptr) {
-    MutexLock lock(cache_mu_);
-    record_cache_[handle.record.meta.path] = handle.record;
-  }
   return handle;
 }
 
 Result<FileHandle> FileSystem::Open(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  if (remote_ != nullptr) {
-    // Remote mode: the RemoteMetadataManager owns record caching (TTL +
-    // invalidate-on-own-write) so staleness is bounded even when *other*
-    // processes mutate the namespace; a second instance-level cache here
-    // would reintroduce the unbounded window.
-    DPFS_ASSIGN_OR_RETURN(FileRecord record, metadata_->LookupFile(normalized));
-    DPFS_ASSIGN_OR_RETURN(layout::BrickMap map, record.meta.MakeBrickMap());
-    FileHandle handle;
-    handle.record = std::move(record);
-    handle.map = std::move(map);
-    return handle;
-  }
-  {
-    MutexLock lock(cache_mu_);
-    const auto it = record_cache_.find(normalized);
-    if (it != record_cache_.end()) {
-      ++cache_hits_;
-      ClientMetrics().metadata_cache_hits.Add();
-      FileHandle handle;
-      handle.record = it->second;
-      DPFS_ASSIGN_OR_RETURN(handle.map, handle.record.meta.MakeBrickMap());
-      return handle;
-    }
-    ++cache_misses_;
-    ClientMetrics().metadata_cache_misses.Add();
-  }
-  DPFS_ASSIGN_OR_RETURN(FileRecord record, metadata_->LookupFile(normalized));
+  DPFS_ASSIGN_OR_RETURN(FileRecord record, metadata_->LookupFile(path));
   DPFS_ASSIGN_OR_RETURN(layout::BrickMap map, record.meta.MakeBrickMap());
   FileHandle handle;
   handle.record = std::move(record);
   handle.map = std::move(map);
-  {
-    MutexLock lock(cache_mu_);
-    record_cache_[normalized] = handle.record;
-  }
   return handle;
 }
 
@@ -259,7 +215,6 @@ Status FileSystem::Remove(const std::string& path) {
       }
     }
   }
-  InvalidateMetadataCache(record.meta.path);
   if (brick_cache_ != nullptr) brick_cache_->InvalidateFile(record.meta.path);
   return metadata_->DeleteFile(path);
 }
@@ -379,8 +334,6 @@ Status FileSystem::Rename(const std::string& from, const std::string& to) {
     }
     return failure;
   }
-  InvalidateMetadataCache(src);
-  InvalidateMetadataCache(dst);
   if (brick_cache_ != nullptr) {
     brick_cache_->InvalidateFile(src);
     brick_cache_->InvalidateFile(dst);
@@ -452,35 +405,6 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
     }
   }
   return report;
-}
-
-void FileSystem::InvalidateMetadataCache() {
-  if (remote_ != nullptr) {
-    remote_->InvalidateCache();
-    return;
-  }
-  MutexLock lock(cache_mu_);
-  record_cache_.clear();
-}
-
-void FileSystem::InvalidateMetadataCache(const std::string& path) {
-  if (remote_ != nullptr) {
-    remote_->InvalidateCache(path);
-    return;
-  }
-  const Result<std::string> normalized = NormalizePath(path);
-  if (!normalized.ok()) return;
-  MutexLock lock(cache_mu_);
-  record_cache_.erase(normalized.value());
-}
-
-FileSystem::CacheStats FileSystem::metadata_cache_stats() const {
-  if (remote_ != nullptr) {
-    const RemoteMetadataManager::CacheStats stats = remote_->cache_stats();
-    return CacheStats{stats.hits, stats.misses};
-  }
-  MutexLock lock(cache_mu_);
-  return CacheStats{cache_hits_, cache_misses_};
 }
 
 // ---------------------------------------------------------------------------
@@ -1160,11 +1084,13 @@ Status FileSystem::WriteType(FileHandle& handle, std::uint64_t base_offset,
   }
   // List I/O does not compose with replication (a list plan's extents are
   // absolute rank-0 subfile offsets); replicated files fall back to the
-  // per-extent path, which fans out and fails over per docs/REPLICATION.md.
+  // per-extent path, which fans out and fails over per docs/REPLICATION.md,
+  // and count the fallback.
   if (options.list_io && handle.record.replication() == 1) {
     return ExecuteListAccess(handle, base_offset, type.extents(), data, {},
                              layout::IoDirection::kWrite, options, report);
   }
+  if (options.list_io) ClientMetrics().list_io_fallbacks.Add();
   // One access per coalesced extent keeps the semantics simple; the extents
   // are already merged, so this matches what MPI-IO data sieving would issue
   // without read-modify-write.
@@ -1189,12 +1115,13 @@ Status FileSystem::ReadType(FileHandle& handle, std::uint64_t base_offset,
   if (base_offset + type.extent() > handle.map.total_bytes()) {
     return OutOfRangeError("datatype read past end of file");
   }
-  // Same replication fallback as WriteType: per-extent accesses get read
-  // failover, list plans would not.
+  // Same counted replication fallback as WriteType: per-extent accesses get
+  // read failover, list plans would not.
   if (options.list_io && handle.record.replication() == 1) {
     return ExecuteListAccess(handle, base_offset, type.extents(), {}, out,
                              layout::IoDirection::kRead, options, report);
   }
+  if (options.list_io) ClientMetrics().list_io_fallbacks.Add();
   std::uint64_t buffer_cursor = 0;
   for (const ByteExtent& extent : type.extents()) {
     DPFS_RETURN_IF_ERROR(ReadBytes(

@@ -135,18 +135,17 @@ struct IoReport {
 
 class FileSystem {
  public:
-  /// Binds to (and initializes if needed) the metadata database.
-  static Result<std::shared_ptr<FileSystem>> Connect(
-      std::shared_ptr<metadb::Database> db);
-  /// Sharded variant (`metadb_shards` extension): same semantics, metadata
-  /// rows are spread across the facade's path-hash shards.
+  /// Binds to (and initializes if needed) the metadata database. One shard
+  /// (ShardedDatabase::Open(dir, 1) or OpenInMemory(1)) is the paper's
+  /// single database; more spread the rows across path-hash shards
+  /// (`metadb_shards` extension).
   static Result<std::shared_ptr<FileSystem>> Connect(
       std::shared_ptr<metadb::ShardedDatabase> db);
   /// Remote variant (`metadata_endpoint` extension): namespace operations
   /// go to a dpfs-metad service instead of an embedded database, so many
-  /// client processes share one mutable namespace. Record caching moves to
-  /// the RemoteMetadataManager (TTL + invalidate-on-own-write); embedded
-  /// connects are byte-identical to before this extension existed.
+  /// client processes share one mutable namespace. The RemoteMetadataManager
+  /// caches lookups (TTL + invalidate-on-own-write); embedded connects are
+  /// byte-identical to before this extension existed.
   static Result<std::shared_ptr<FileSystem>> ConnectRemote(
       const net::Endpoint& endpoint, RemoteMetadataOptions options = {});
 
@@ -157,14 +156,18 @@ class FileSystem {
   [[nodiscard]] MetadataManager* embedded_metadata() noexcept {
     return embedded_;
   }
+  /// The remote manager, or nullptr with embedded metadata. Owns the
+  /// client's only record cache (cache_stats, InvalidateCache).
+  [[nodiscard]] RemoteMetadataManager* remote_metadata() noexcept {
+    return remote_;
+  }
 
   // --- lifecycle (§6 API) -------------------------------------------------
   Result<FileHandle> Create(const std::string& path,
                             const CreateOptions& options);
-  /// Opens a file. Records are cached per FileSystem instance (brick
-  /// placement is immutable after creation, so the cache can only go stale
-  /// through out-of-band deletion by another client — call
-  /// InvalidateMetadataCache after such events).
+  /// DPFS-Open (§6): one LookupFile for the file's rows, then its brick
+  /// map. Embedded metadata reads the database every time; a remote client
+  /// may be served from its lookup cache (see remote_metadata.h).
   Result<FileHandle> Open(const std::string& path);
   /// DPFS-Close (§6). Handles are RAII values, so this only resets the
   /// handle; provided for API parity with the paper and for making the end
@@ -179,15 +182,6 @@ class FileSystem {
   /// Renames a file without moving data bytes: subfiles are renamed on each
   /// server, then the metadata rows are updated in one transaction.
   Status Rename(const std::string& from, const std::string& to);
-
-  /// Drops every cached file record (or one path's).
-  void InvalidateMetadataCache();
-  void InvalidateMetadataCache(const std::string& path);
-  struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  [[nodiscard]] CacheStats metadata_cache_stats() const;
 
   // --- element-region access (multidim / array / linear-array files) ------
   Status WriteRegion(FileHandle& handle, const layout::Region& region,
@@ -326,12 +320,6 @@ class FileSystem {
   // Created once under dispatch_mu_, never reset; the returned reference
   // outlives the lock because the pointee is immutable after creation.
   std::unique_ptr<ThreadPool> dispatch_pool_ DPFS_GUARDED_BY(dispatch_mu_);
-
-  mutable Mutex cache_mu_;
-  std::map<std::string, FileRecord> record_cache_
-      DPFS_GUARDED_BY(cache_mu_);  // key: normalized path
-  std::uint64_t cache_hits_ DPFS_GUARDED_BY(cache_mu_) = 0;
-  std::uint64_t cache_misses_ DPFS_GUARDED_BY(cache_mu_) = 0;
 
   Mutex suspect_mu_;
   /// endpoint key ("host:port") → when the suspicion expires.

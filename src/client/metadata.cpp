@@ -373,12 +373,6 @@ Result<std::unique_ptr<MetadataManager>> MetadataManager::Attach(
   return manager;
 }
 
-Result<std::unique_ptr<MetadataManager>> MetadataManager::Attach(
-    std::shared_ptr<metadb::Database> db) {
-  return Attach(std::shared_ptr<metadb::ShardedDatabase>(
-      metadb::ShardedDatabase::Adopt(std::move(db))));
-}
-
 Status MetadataManager::EnsureTables() {
   static constexpr const char* kDdl[] = {
       "CREATE TABLE IF NOT EXISTS DPFS_SERVER ("

@@ -62,9 +62,6 @@ class MetadataManager final : public MetadataService {
   /// records a crash left behind.
   static Result<std::unique_ptr<MetadataManager>> Attach(
       std::shared_ptr<metadb::ShardedDatabase> db);
-  /// Single-database compatibility shim: adopts `db` as a 1-shard facade.
-  static Result<std::unique_ptr<MetadataManager>> Attach(
-      std::shared_ptr<metadb::Database> db);
 
   // --- DPFS_SERVER -------------------------------------------------------
   Status RegisterServer(const ServerInfo& server) override;

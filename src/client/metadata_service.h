@@ -94,6 +94,9 @@ class MetadataService {
       const FileMeta& meta, const std::vector<std::string>& server_names,
       const layout::BrickDistribution& distribution,
       const std::vector<layout::BrickDistribution>& replicas = {}) = 0;
+  /// The file's rows — all FileSystem::Open reads. MetadataManager queries
+  /// the database on every call; RemoteMetadataManager may answer from its
+  /// TTL cache, the client's only record cache.
   virtual Result<FileRecord> LookupFile(const std::string& path) = 0;
   virtual Status UpdateFileSize(const std::string& path,
                                 std::uint64_t size_bytes) = 0;

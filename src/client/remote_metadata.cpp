@@ -13,8 +13,8 @@ namespace dpfs::client {
 
 namespace {
 
-// Same instruments the embedded record cache feeds (file_system.cpp): one
-// process-wide hit/miss pair regardless of which cache implementation runs.
+// The process-wide hit/miss pair of the client's one record cache, summed
+// over every RemoteMetadataManager.
 struct CacheMetricsT {
   metrics::Counter& hits = metrics::GetCounter("client.metadata_cache.hits");
   metrics::Counter& misses =

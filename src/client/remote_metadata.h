@@ -11,8 +11,9 @@
 // Caching: LookupFile results are cached with a TTL and invalidated by this
 // manager's own mutations (create/delete/rename/resize/chmod/chown). Writes
 // from *other* clients surface after at most cache_ttl — the staleness
-// window the conformance suite pins. Hits and misses feed the same
-// client.metadata_cache.hits/misses instruments the embedded cache uses.
+// window the conformance suite pins. This is the client's only record
+// cache: embedded metadata reads the database on every lookup. Hits and
+// misses feed client.metadata_cache.hits/misses.
 #pragma once
 
 #include <chrono>
@@ -80,7 +81,7 @@ class RemoteMetadataManager final : public MetadataService {
   Status Ping();
 
   /// Drops every cached file record (or one path's) — for out-of-band
-  /// events, mirroring FileSystem::InvalidateMetadataCache.
+  /// events such as a metad restart (LocalCluster::RestartMetad).
   void InvalidateCache();
   void InvalidateCache(const std::string& path);
 

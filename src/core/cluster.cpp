@@ -46,7 +46,6 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
   }
 
   cluster->max_sessions_ = options.max_sessions;
-  cluster->metadata_cache_ttl_ = options.metadata_cache_ttl;
 
   client::RemoteMetadataOptions remote_options;
   remote_options.cache_ttl = options.metadata_cache_ttl;
@@ -141,7 +140,7 @@ Status LocalCluster::RestartMetad() {
   DPFS_ASSIGN_OR_RETURN(metad_,
                         metad::MetadService::Start(sharded_db_, options));
   // Cached records may predate whatever interrupted the old incarnation.
-  if (fs_ != nullptr) fs_->InvalidateMetadataCache();
+  if (fs_ != nullptr) fs_->remote_metadata()->InvalidateCache();
   return Status::Ok();
 }
 

@@ -112,7 +112,6 @@ class LocalCluster {
   std::optional<TempDir> owned_root_;
   std::filesystem::path root_;
   std::size_t max_sessions_ = 0;
-  std::chrono::milliseconds metadata_cache_ttl_{250};
   std::vector<std::unique_ptr<server::IoServer>> servers_;
   std::shared_ptr<metadb::ShardedDatabase> sharded_db_;
   std::unique_ptr<metad::MetadService> metad_;

@@ -51,9 +51,9 @@ class ShardedDatabase {
   static Result<std::unique_ptr<ShardedDatabase>> OpenInMemory(
       std::size_t num_shards);
 
-  /// Wraps an already-open single Database as a 1-shard facade — the
-  /// backward-compatible path for callers that still hand
-  /// MetadataManager::Attach a plain Database.
+  /// Wraps an already-open single Database as a 1-shard facade, so the
+  /// plain engine can run the same metadata workload as Open(dir, 1) (the
+  /// byte-identical layout check in tests/metadb/sharded_database_test.cpp).
   static std::unique_ptr<ShardedDatabase> Adopt(std::shared_ptr<Database> db);
 
   /// FNV-1a 64-bit hash of `path`, the routing function. Deterministic

@@ -673,21 +673,24 @@ TEST_F(FileSystemTest, RenameOfNeverWrittenFileWorks) {
   EXPECT_EQ(read, Bytes(64, 0));  // unwritten bytes are zero
 }
 
-TEST_F(FileSystemTest, MetadataCacheServesRepeatOpens) {
+TEST_F(FileSystemTest, OwnMetadataWritesReachOpen) {
+  // Open reads the metadata database every time, so attribute changes and
+  // deletes made through this client's own metadata() show up at once.
   CreateOptions options;
   options.total_bytes = 512;
-  ASSERT_TRUE(fs_->Create("/cached.bin", options).ok());
-  const auto before = fs_->metadata_cache_stats();
-  // Create primed the cache, so the first Open already hits.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(fs_->Open("/cached.bin").ok());
-  }
-  const auto after = fs_->metadata_cache_stats();
-  EXPECT_EQ(after.hits, before.hits + 5);
-  EXPECT_EQ(after.misses, before.misses);
-  // Path normalization feeds the same cache entry.
-  ASSERT_TRUE(fs_->Open("//cached.bin").ok());
-  EXPECT_EQ(fs_->metadata_cache_stats().hits, after.hits + 1);
+  ASSERT_TRUE(fs_->Create("/own.bin", options).ok());
+  ASSERT_TRUE(fs_->Open("/own.bin").ok());
+
+  ASSERT_TRUE(fs_->metadata().SetPermission("/own.bin", 0600).ok());
+  ASSERT_TRUE(fs_->metadata().SetOwner("/own.bin", "alice").ok());
+  const FileHandle handle = fs_->Open("/own.bin").value();
+  EXPECT_EQ(handle.meta().permission, 0600u);
+  EXPECT_EQ(handle.meta().owner, "alice");
+
+  ASSERT_TRUE(fs_->metadata().DeleteFile("/own.bin").ok());
+  const Result<FileHandle> reopened = fs_->Open("/own.bin");
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(FileSystemTest, RemoveInvalidatesMetadataCache) {
@@ -697,21 +700,6 @@ TEST_F(FileSystemTest, RemoveInvalidatesMetadataCache) {
   ASSERT_TRUE(fs_->WriteBytes(handle, 0, Bytes(512, 1)).ok());
   ASSERT_TRUE(fs_->Remove("/gone2.bin").ok());
   EXPECT_FALSE(fs_->Open("/gone2.bin").ok());
-}
-
-TEST_F(FileSystemTest, ExplicitInvalidationForcesRelookup) {
-  CreateOptions options;
-  options.total_bytes = 512;
-  ASSERT_TRUE(fs_->Create("/inv.bin", options).ok());
-  fs_->InvalidateMetadataCache();
-  const auto before = fs_->metadata_cache_stats();
-  ASSERT_TRUE(fs_->Open("/inv.bin").ok());
-  EXPECT_EQ(fs_->metadata_cache_stats().misses, before.misses + 1);
-  // Out-of-band deletion in the DB is visible after invalidation.
-  ASSERT_TRUE(fs_->metadata().DeleteFile("/inv.bin").ok());
-  ASSERT_TRUE(fs_->Open("/inv.bin").ok());  // stale cache still answers
-  fs_->InvalidateMetadataCache("/inv.bin");
-  EXPECT_FALSE(fs_->Open("/inv.bin").ok());  // now it does not
 }
 
 TEST_F(FileSystemTest, CapacityAwarePlacementHonorsAdvertisedSpace) {

@@ -8,7 +8,8 @@ namespace {
 class MetadataTest : public ::testing::Test {
  protected:
   MetadataTest() {
-    std::shared_ptr<metadb::Database> db = metadb::Database::OpenInMemory();
+    std::shared_ptr<metadb::ShardedDatabase> db =
+        metadb::ShardedDatabase::OpenInMemory(1).value();
     manager_ = MetadataManager::Attach(db).value();
   }
 
@@ -45,7 +46,8 @@ TEST_F(MetadataTest, TablesCreatedOnAttach) {
 
 TEST_F(MetadataTest, AttachIsIdempotent) {
   // Re-attach to the same database must not fail on existing tables.
-  std::shared_ptr<metadb::Database> db = metadb::Database::OpenInMemory();
+  std::shared_ptr<metadb::ShardedDatabase> db =
+      metadb::ShardedDatabase::OpenInMemory(1).value();
   auto first = MetadataManager::Attach(db);
   ASSERT_TRUE(first.ok());
   auto second = MetadataManager::Attach(db);

@@ -80,6 +80,7 @@ TEST_F(MetadConformanceTest, RemoteModeHasNoEmbeddedDatabase) {
   // other integration suite, which runs without start_metadata_service.)
   EXPECT_EQ(fs_a_->embedded_metadata(), nullptr);
   EXPECT_EQ(fs_b_->embedded_metadata(), nullptr);
+  EXPECT_NE(fs_a_->remote_metadata(), nullptr);
   EXPECT_NE(cluster_->metad(), nullptr);
 }
 
@@ -132,10 +133,9 @@ TEST_F(MetadConformanceTest, StaleCacheServesUntilInvalidated) {
   // Stale serve: the cached record still says 0644.
   EXPECT_EQ(fs_c->metadata().LookupFile("/perm.bin").value().meta.permission,
             0644u);
-  const client::FileSystem::CacheStats stats = fs_c->metadata_cache_stats();
-  EXPECT_GE(stats.hits, 1u);
+  EXPECT_GE(fs_c->remote_metadata()->cache_stats().hits, 1u);
 
-  fs_c->InvalidateMetadataCache("/perm.bin");
+  fs_c->remote_metadata()->InvalidateCache("/perm.bin");
   EXPECT_EQ(fs_c->metadata().LookupFile("/perm.bin").value().meta.permission,
             0600u);
 }
@@ -180,10 +180,12 @@ TEST_F(MetadConformanceTest, RenameIsVisibleEverywhere) {
 TEST_F(MetadConformanceTest, CacheCountersMove) {
   const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
   (void)fs_a_->Create("/counted.bin", LinearFile()).value();
-  const client::FileSystem::CacheStats before = fs_c->metadata_cache_stats();
+  client::RemoteMetadataManager& remote = *fs_c->remote_metadata();
+  const client::RemoteMetadataManager::CacheStats before = remote.cache_stats();
   (void)fs_c->metadata().LookupFile("/counted.bin").value();  // miss + fetch
-  (void)fs_c->metadata().LookupFile("/counted.bin").value();  // hit
-  const client::FileSystem::CacheStats after = fs_c->metadata_cache_stats();
+  // Open's lookup normalizes the path, so an alias hits the same entry.
+  (void)fs_c->Open("//counted.bin").value();  // hit
+  const client::RemoteMetadataManager::CacheStats after = remote.cache_stats();
   EXPECT_EQ(after.misses, before.misses + 1);
   EXPECT_EQ(after.hits, before.hits + 1);
 }

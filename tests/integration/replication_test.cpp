@@ -199,11 +199,19 @@ TEST_F(ReplicationTest, InjectedReplicaFailuresAreTolerated) {
 
 TEST_F(ReplicationTest, ListIoFallsBackForReplicatedFiles) {
   // List I/O does not compose with replication; IoOptions::list_io on a
-  // replicated file silently takes the per-extent path and must still
-  // round-trip bytes through both ranks.
+  // replicated file takes the per-extent path, counts one
+  // client.list_io_fallbacks per access, and must still round-trip bytes
+  // through both ranks.
   StartCluster(3);
   FileHandle handle = CreateReplicated("/list.bin", 2, 4096, 64);
   ASSERT_TRUE(fs_->WriteBytes(handle, 0, SeededBytes(4096, 7)).ok());
+
+  metrics::Counter& fallbacks =
+      metrics::GetCounter("client.list_io_fallbacks");
+  metrics::Counter& list_requests =
+      metrics::GetCounter("client.list_requests");
+  const std::uint64_t fallbacks_before = fallbacks.value();
+  const std::uint64_t list_requests_before = list_requests.value();
 
   const Datatype pattern =
       Datatype::Vector(32, 10, 24, Datatype::Bytes(1)).value();
@@ -222,6 +230,10 @@ TEST_F(ReplicationTest, ListIoFallsBackForReplicatedFiles) {
   Bytes survived(pattern.size());
   ASSERT_TRUE(fs_->ReadType(handle, 5, pattern, survived, degraded).ok());
   EXPECT_EQ(survived, payload);
+
+  // Write, read and degraded read: one fallback each, no list request.
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 3u);
+  EXPECT_EQ(list_requests.value(), list_requests_before);
 }
 
 TEST_F(ReplicationTest, RemoveAndRenameCoverReplicaSubfiles) {

@@ -162,7 +162,8 @@ TEST(ShardedDatabaseTest, SingleShardLayoutIsByteIdenticalToPlainDatabase) {
   };
 
   {
-    std::shared_ptr<Database> db = Database::Open(plain_dir).value();
+    std::shared_ptr<ShardedDatabase> db =
+        ShardedDatabase::Adopt(Database::Open(plain_dir).value());
     auto meta = client::MetadataManager::Attach(db).value();
     run_workload(*meta);
   }

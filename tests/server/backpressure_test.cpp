@@ -104,9 +104,9 @@ TEST(BackpressureTest, RetriesExhaustEventually) {
   ASSERT_TRUE(holder.Ping().ok());
 
   // A FileSystem pointed at this server gives up after its retries.
-  auto db = metadb::Database::OpenInMemory();
-  std::shared_ptr<metadb::Database> shared = std::move(db);
-  auto fs = client::FileSystem::Connect(shared).value();
+  std::shared_ptr<metadb::ShardedDatabase> db =
+      metadb::ShardedDatabase::OpenInMemory(1).value();
+  auto fs = client::FileSystem::Connect(db).value();
   client::ServerInfo info;
   info.name = "busy";
   info.endpoint = server->endpoint();

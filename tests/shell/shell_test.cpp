@@ -136,6 +136,21 @@ TEST_F(ShellTest, CpCopiesWithinDpfs) {
   EXPECT_EQ(buffer.str(), payload);
 }
 
+TEST_F(ShellTest, CpCopiesAttributesSetEarlierInTheSession) {
+  // cp copies owner and mode from the source's record, so it must see the
+  // chmod/chown this same session just made.
+  const TempDir local = TempDir::Create("dpfs-shell").value();
+  const std::string src = (local.path() / "f").string();
+  std::ofstream(src) << "x";
+  Run("import " + src + " /f");
+  Run("chmod 600 /f");
+  Run("chown xhshen /f");
+  Run("cp /f /g");
+  const std::string out = Run("stat /g");
+  EXPECT_NE(out.find("owner:      xhshen"), std::string::npos) << out;
+  EXPECT_NE(out.find("permission: 600"), std::string::npos) << out;
+}
+
 TEST_F(ShellTest, RmRemovesFile) {
   const TempDir local = TempDir::Create("dpfs-shell").value();
   const std::string src = (local.path() / "f").string();
