@@ -87,17 +87,14 @@ int main(int argc, char** argv) {
                  failures.load());
     return 1;
   }
+  const std::uint64_t server_requests =
+      metrics::GetCounter("io_server.requests.read").value() +
+      metrics::GetCounter("io_server.requests.write").value();
   std::printf("moved %s in %.2f s  (%.1f MB/s application bytes, "
               "%llu server requests)\n",
               FormatByteSize(bytes_moved.load()).c_str(), seconds,
               static_cast<double>(bytes_moved.load()) / (1 << 20) / seconds,
-              static_cast<unsigned long long>([&] {
-                std::uint64_t total = 0;
-                for (std::size_t s = 0; s < cluster->num_servers(); ++s) {
-                  total += cluster->server(s).stats().requests.load();
-                }
-                return total;
-              }()));
+              static_cast<unsigned long long>(server_requests));
 
   // Verification: a full read through a fresh handle must succeed and agree
   // between combined and uncombined paths.

@@ -26,11 +26,9 @@ std::optional<Bytes> BrickCache::Get(const std::string& file,
   MutexLock lock(mu_);
   const auto it = entries_.find({file, brick});
   if (it == entries_.end()) {
-    ++misses_;
     Metrics().misses.Add();
     return std::nullopt;
   }
-  ++hits_;
   Metrics().hits.Add();
   lru_.erase(it->second.lru_pos);
   lru_.push_front(it->first);
@@ -107,14 +105,6 @@ void BrickCache::Clear() {
 std::uint64_t BrickCache::size_bytes() const {
   MutexLock lock(mu_);
   return used_bytes_;
-}
-std::uint64_t BrickCache::hits() const {
-  MutexLock lock(mu_);
-  return hits_;
-}
-std::uint64_t BrickCache::misses() const {
-  MutexLock lock(mu_);
-  return misses_;
 }
 
 }  // namespace dpfs::client

@@ -40,8 +40,6 @@ class BrickCache {
   void Clear();
 
   [[nodiscard]] std::uint64_t size_bytes() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
 
  private:
   using Key = std::pair<std::string, layout::BrickId>;
@@ -54,8 +52,6 @@ class BrickCache {
   mutable Mutex mu_;
   const std::uint64_t capacity_bytes_;  // immutable after construction
   std::uint64_t used_bytes_ DPFS_GUARDED_BY(mu_) = 0;
-  std::uint64_t hits_ DPFS_GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ DPFS_GUARDED_BY(mu_) = 0;
   std::map<Key, Entry> entries_ DPFS_GUARDED_BY(mu_);
   std::list<Key> lru_ DPFS_GUARDED_BY(mu_);  // front = most recent
 };

@@ -125,7 +125,7 @@ Status CollectiveFile::Transfer(std::uint32_t rank, ByteSpan write_data,
     Metrics().transfers.Add();
     Metrics().requests.Add(report.requests);
     Metrics().combined_requests.Add(report.combined_requests);
-    Metrics().retries.Add(report.retries + report.busy_retries);
+    Metrics().retries.Add(report.retries);
     MutexLock lock(mu_);
     total_report_.requests += report.requests;
     total_report_.combined_requests += report.combined_requests;
@@ -134,6 +134,8 @@ Status CollectiveFile::Transfer(std::uint32_t rank, ByteSpan write_data,
     total_report_.retries += report.retries;
     total_report_.busy_retries += report.busy_retries;
     total_report_.backoff_ms += report.backoff_ms;
+    total_report_.failover_reads += report.failover_reads;
+    total_report_.replica_write_failures += report.replica_write_failures;
   }
   if (!my_status.ok()) phase_failed_[rank] = 1;
 

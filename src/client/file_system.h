@@ -157,7 +157,7 @@ class FileSystem {
     return embedded_;
   }
   /// The remote manager, or nullptr with embedded metadata. Owns the
-  /// client's only record cache (cache_stats, InvalidateCache).
+  /// client's only record cache (InvalidateCache).
   [[nodiscard]] RemoteMetadataManager* remote_metadata() noexcept {
     return remote_;
   }

@@ -145,11 +145,9 @@ Result<FileRecord> RemoteMetadataManager::LookupFile(const std::string& path) {
     const auto it = cache_.find(normalized);
     if (it != cache_.end() &&
         std::chrono::steady_clock::now() < it->second.expires) {
-      ++cache_hits_;
       CacheMetrics().hits.Add();
       return it->second.record;
     }
-    ++cache_misses_;
     CacheMetrics().misses.Add();
   }
   meta_wire::PathRequest request;
@@ -352,11 +350,6 @@ void RemoteMetadataManager::InvalidateCache(const std::string& path) {
   if (!normalized.ok()) return;
   MutexLock lock(cache_mu_);
   cache_.erase(normalized.value());
-}
-
-RemoteMetadataManager::CacheStats RemoteMetadataManager::cache_stats() const {
-  MutexLock lock(cache_mu_);
-  return CacheStats{cache_hits_, cache_misses_};
 }
 
 }  // namespace dpfs::client

@@ -85,12 +85,6 @@ class RemoteMetadataManager final : public MetadataService {
   void InvalidateCache();
   void InvalidateCache(const std::string& path);
 
-  struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  [[nodiscard]] CacheStats cache_stats() const;
-
   [[nodiscard]] const net::Endpoint& endpoint() const noexcept {
     return endpoint_;
   }
@@ -113,10 +107,8 @@ class RemoteMetadataManager final : public MetadataService {
     FileRecord record;
     std::chrono::steady_clock::time_point expires;
   };
-  mutable Mutex cache_mu_;
+  Mutex cache_mu_;
   std::map<std::string, CacheEntry> cache_ DPFS_GUARDED_BY(cache_mu_);
-  std::uint64_t cache_hits_ DPFS_GUARDED_BY(cache_mu_) = 0;
-  std::uint64_t cache_misses_ DPFS_GUARDED_BY(cache_mu_) = 0;
 };
 
 }  // namespace dpfs::client

@@ -6,6 +6,7 @@
 
 #include "client/meta_wire.h"
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "layout/placement.h"
 #include "net/messages.h"
 
@@ -94,7 +95,7 @@ Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
     // The service dies under this request: stop serving and answer
     // kUnavailable so the client's view matches an abrupt process death
     // followed by connection refusal.
-    transport_.stats().errors.fetch_add(1, std::memory_order_relaxed);
+    metrics::GetCounter("metad.errors").Add();
     transport_.StopAccepting();
     return StatusReply(
         UnavailableError("metadata server crashed (failpoint metad.crash)"));

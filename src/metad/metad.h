@@ -55,9 +55,6 @@ class MetadService {
   [[nodiscard]] net::Endpoint endpoint() const noexcept {
     return transport_.endpoint();
   }
-  [[nodiscard]] const server::ServerStats& stats() const noexcept {
-    return transport_.stats();
-  }
   /// Bound HTTP scrape port (metrics_port != 0 only); 0 when disabled.
   [[nodiscard]] std::uint16_t metrics_http_port() const noexcept {
     return transport_.metrics_http_port();

@@ -135,12 +135,6 @@ Result<StatReply> ServerConnection::Stat(const std::string& subfile) {
   return stat;
 }
 
-Result<StatsReply> ServerConnection::Stats() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kStats, {}));
-  BinaryReader reader(reply);
-  return StatsReply::Decode(reader);
-}
-
 Result<std::string> ServerConnection::Metrics() {
   DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kMetrics, {}));
   BinaryReader reader(reply);

@@ -60,8 +60,6 @@ class ServerConnection {
                    bool sync = false);
 
   Result<StatReply> Stat(const std::string& subfile);
-  /// Server-wide counters (ops telemetry; shell `df`).
-  Result<StatsReply> Stats();
   /// The server process's full metrics text snapshot (docs/OBSERVABILITY.md).
   Result<std::string> Metrics();
   Status Delete(const std::string& subfile);

@@ -11,7 +11,6 @@ std::string_view MessageTypeName(MessageType type) noexcept {
     case MessageType::kDelete: return "delete";
     case MessageType::kTruncate: return "truncate";
     case MessageType::kShutdown: return "shutdown";
-    case MessageType::kStats: return "stats";
     case MessageType::kRename: return "rename";
     case MessageType::kList: return "list";
     case MessageType::kMetrics: return "metrics";
@@ -38,30 +37,6 @@ std::string_view MessageTypeName(MessageType type) noexcept {
     case MessageType::kListWrite: return "list_write";
   }
   return "unknown";
-}
-
-void StatsReply::Encode(BinaryWriter& writer) const {
-  writer.WriteU64(requests);
-  writer.WriteU64(bytes_read);
-  writer.WriteU64(bytes_written);
-  writer.WriteU64(sessions_accepted);
-  writer.WriteU64(errors);
-  writer.WriteU64(fd_cache_hits);
-  writer.WriteU64(fd_cache_misses);
-  writer.WriteU64(stored_bytes);
-}
-
-Result<StatsReply> StatsReply::Decode(BinaryReader& reader) {
-  StatsReply stats;
-  DPFS_ASSIGN_OR_RETURN(stats.requests, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(stats.bytes_read, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(stats.bytes_written, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(stats.sessions_accepted, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(stats.errors, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(stats.fd_cache_hits, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(stats.fd_cache_misses, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(stats.stored_bytes, reader.ReadU64());
-  return stats;
 }
 
 std::uint64_t ReadRequest::total_bytes() const noexcept {
@@ -240,7 +215,8 @@ Bytes EncodeReply(const Status& status, ByteSpan body) {
 Result<DecodedRequest> DecodeRequest(ByteSpan payload) {
   BinaryReader reader(payload);
   DPFS_ASSIGN_OR_RETURN(const std::uint8_t type, reader.ReadU8());
-  if (type < 1 || type > kMaxMessageType) {
+  if (type < 1 || type > kMaxMessageType ||
+      MessageTypeName(static_cast<MessageType>(type)) == "unknown") {
     return ProtocolError("bad message type " + std::to_string(type));
   }
   return DecodedRequest{static_cast<MessageType>(type),

@@ -29,7 +29,8 @@ enum class MessageType : std::uint8_t {
   kDelete = 5,
   kTruncate = 6,
   kShutdown = 7,
-  kStats = 8,    // server-wide statistics (fixed counter struct)
+  // 8 is unassigned: DecodeRequest rejects it like any byte with no
+  // enumerator.
   kRename = 9,   // rename a subfile (body: old name string, new name string)
   kList = 10,    // list all subfiles (fsck support)
   kMetrics = 11, // full metrics text snapshot (docs/OBSERVABILITY.md)
@@ -67,7 +68,7 @@ enum class MessageType : std::uint8_t {
   kListWrite = 32,
 };
 
-/// Highest valid MessageType value; DecodeRequest rejects anything above.
+/// Highest MessageType value; DecodeRequest rejects anything above.
 inline constexpr std::uint8_t kMaxMessageType =
     static_cast<std::uint8_t>(MessageType::kListWrite);
 
@@ -85,6 +86,8 @@ struct SubfileInfo {
   friend bool operator==(const SubfileInfo&, const SubfileInfo&) = default;
 };
 
+/// The opcode's name in metrics and logs; "unknown" for a value with no
+/// enumerator.
 std::string_view MessageTypeName(MessageType type) noexcept;
 
 /// One contiguous piece of a subfile.
@@ -155,21 +158,6 @@ struct StatReply {
   std::uint64_t size = 0;
 };
 
-/// Server-wide counters returned by kStats.
-struct StatsReply {
-  std::uint64_t requests = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t sessions_accepted = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t fd_cache_hits = 0;
-  std::uint64_t fd_cache_misses = 0;
-  std::uint64_t stored_bytes = 0;
-
-  void Encode(BinaryWriter& writer) const;
-  static Result<StatsReply> Decode(BinaryReader& reader);
-};
-
 /// Envelope helpers.
 Bytes EncodeRequest(MessageType type, ByteSpan body);
 Bytes EncodeReply(const Status& status, ByteSpan body);
@@ -178,6 +166,8 @@ struct DecodedRequest {
   MessageType type;
   ByteSpan body;  // view into the frame buffer
 };
+/// A type byte with no MessageType enumerator is a kProtocolError ("bad
+/// message type N").
 Result<DecodedRequest> DecodeRequest(ByteSpan payload);
 
 struct DecodedReply {

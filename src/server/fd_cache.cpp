@@ -34,12 +34,10 @@ Result<SharedFdPtr> FdCache::Acquire(const std::string& path, bool create) {
     MutexLock lock(mu_);
     const auto it = entries_.find(path);
     if (it != entries_.end()) {
-      ++hits_;
       Metrics().hits.Add();
       TouchLocked(it->second, path);
       return it->second.fd;
     }
-    ++misses_;
     Metrics().misses.Add();
   }
 
@@ -121,16 +119,6 @@ void FdCache::Clear() {
 std::size_t FdCache::size() const {
   MutexLock lock(mu_);
   return entries_.size();
-}
-
-std::uint64_t FdCache::hits() const {
-  MutexLock lock(mu_);
-  return hits_;
-}
-
-std::uint64_t FdCache::misses() const {
-  MutexLock lock(mu_);
-  return misses_;
 }
 
 }  // namespace dpfs::server

@@ -51,10 +51,6 @@ class FdCache {
 
   void Clear();
   [[nodiscard]] std::size_t size() const;
-  // Counter reads take the lock: sessions serve Stats() concurrently with
-  // sessions updating the counters (was an unlocked read — a data race).
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
 
  private:
   struct Entry {
@@ -68,8 +64,6 @@ class FdCache {
   const std::size_t capacity_;  // immutable after construction
   std::map<std::string, Entry> entries_ DPFS_GUARDED_BY(mu_);
   std::list<std::string> lru_ DPFS_GUARDED_BY(mu_);  // front = most recent
-  std::uint64_t hits_ DPFS_GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ DPFS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace dpfs::server

@@ -18,6 +18,9 @@ FrameServer::FrameServer(Options options, Dispatch dispatch)
           metrics::GetCounter(options_.metric_prefix + ".bad_requests")),
       busy_rejects_(
           metrics::GetCounter(options_.metric_prefix + ".busy_rejects")),
+      sessions_accepted_(
+          metrics::GetCounter(options_.metric_prefix + ".sessions_accepted")),
+      errors_(metrics::GetCounter(options_.metric_prefix + ".errors")),
       inflight_sessions_(
           metrics::GetGauge(options_.metric_prefix + ".inflight_sessions")) {
   std::vector<net::MessageType> served = {net::MessageType::kPing,
@@ -91,7 +94,7 @@ void FrameServer::AcceptLoop() {
       }
       return;
     }
-    stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
+    sessions_accepted_.Add();
     std::vector<std::thread> finished;
     {
       MutexLock lock(mu_);
@@ -141,7 +144,6 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
   if (reject_busy) {
     // §4.2's overloaded server: answer one request with "busy" so the
     // client backs off and retries, then drop the session.
-    stats_.sessions_rejected_busy.fetch_add(1, std::memory_order_relaxed);
     busy_rejects_.Add();
     if (net::RecvFrame(socket, frame).ok()) {
       // dpfs:unchecked(best-effort courtesy reply before dropping the
@@ -166,7 +168,7 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
     if (!received.ok()) {
       // kUnavailable at a frame boundary is a normal client disconnect.
       if (received.code() != StatusCode::kUnavailable) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
+        errors_.Add();
         DPFS_LOG_DEBUG << options_.metric_prefix
                        << " session recv: " << received.ToString();
       }
@@ -177,27 +179,26 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
       if (fp->action == failpoint::Action::kDisconnect) {
         // Drop the session with the reply unsent: the client sees a dead
         // connection after a request it cannot know the fate of.
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
+        errors_.Add();
         return;
       }
       if (fp->action == failpoint::Action::kReturnError) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
+        errors_.Add();
         reply = net::EncodeReply(fp->status, {});
       }
     }
     const Status sent = net::SendFrame(socket, reply);
     if (!sent.ok()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      errors_.Add();
       return;
     }
   }
 }
 
 Bytes FrameServer::HandleRequest(ByteSpan frame) {
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
   const Result<net::DecodedRequest> decoded = net::DecodeRequest(frame);
   if (!decoded.ok()) {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    errors_.Add();
     bad_requests_.Add();
     return net::EncodeReply(decoded.status(), {});
   }
@@ -206,7 +207,7 @@ Bytes FrameServer::HandleRequest(ByteSpan frame) {
   if (requests_[op] == nullptr) {
     // Decodes fine but belongs to the other kind of server (a kMeta*
     // opcode at an I/O server, or an I/O opcode at the metadata server).
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    errors_.Add();
     bad_requests_.Add();
     const bool meta =
         op >= static_cast<std::size_t>(net::MessageType::kMetaRegisterServer) &&

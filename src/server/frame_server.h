@@ -7,9 +7,9 @@
 // RecvFrame → decode → dispatch → SendFrame. Everything the two servers
 // share lives here: accepting, the max_sessions "server busy" reply (§4.2),
 // the session and reply failpoints, kPing / kShutdown / kMetrics,
-// per-opcode request and service-time metrics under the owner's prefix,
-// the /metrics HTTP endpoint, and Stop. The owner supplies the dispatch for
-// its own opcodes.
+// per-opcode request and service-time metrics and the session and error
+// counters under the owner's prefix, the /metrics HTTP endpoint, and Stop.
+// The owner supplies the dispatch for its own opcodes.
 #pragma once
 
 #include <array>
@@ -38,16 +38,6 @@ class MetricsHttpServer;
 /// Sentinel for ServerOptions/MetadOptions::metrics_port: start the HTTP
 /// endpoint on an ephemeral port (query it via metrics_http_port()).
 inline constexpr std::uint16_t kEphemeralMetricsPort = 0xffff;
-
-/// Monotonic counters exposed for tests and the shell's `df`.
-struct ServerStats {
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> bytes_read{0};     // payload bytes served
-  std::atomic<std::uint64_t> bytes_written{0};  // payload bytes stored
-  std::atomic<std::uint64_t> sessions_accepted{0};
-  std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> sessions_rejected_busy{0};
-};
 
 class FrameServer {
  public:
@@ -98,8 +88,6 @@ class FrameServer {
   [[nodiscard]] net::Endpoint endpoint() const noexcept { return endpoint_; }
   /// Bound HTTP scrape port (metrics_port != 0 only); 0 when disabled.
   [[nodiscard]] std::uint16_t metrics_http_port() const noexcept;
-  [[nodiscard]] ServerStats& stats() noexcept { return stats_; }
-  [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
 
  private:
   struct LiveSession {
@@ -118,13 +106,14 @@ class FrameServer {
 
   const Options options_;
   const Dispatch dispatch_;
-  ServerStats stats_;
   // Per-opcode instruments indexed by MessageType; null = not served.
   std::array<metrics::Counter*, net::kMaxMessageType + 1> requests_{};
   std::array<metrics::Histogram*, net::kMaxMessageType + 1>
       service_time_us_{};
   metrics::Counter& bad_requests_;
   metrics::Counter& busy_rejects_;
+  metrics::Counter& sessions_accepted_;
+  metrics::Counter& errors_;
   metrics::Gauge& inflight_sessions_;
 
   net::TcpListener listener_;

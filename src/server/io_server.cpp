@@ -1,38 +1,23 @@
 #include "server/io_server.h"
 
-#include <fstream>
-
-#include "common/log.h"
 #include "common/metrics.h"
 #include "net/messages.h"
 
 namespace dpfs::server {
 
 namespace {
-/// Atomic (tmp + rename) text-snapshot dump; partial files never appear at
-/// the published path.
-void DumpSnapshot(const std::filesystem::path& path) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      DPFS_LOG_WARN << "metrics dump: cannot open " << tmp.string();
-      return;
-    }
-    out << metrics::Registry::Global().TextSnapshot();
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    DPFS_LOG_WARN << "metrics dump: rename to " << path.string() << ": "
-                  << ec.message();
-  }
-}
-
 metrics::Counter& ListExtents() {
   static metrics::Counter& counter =
       metrics::GetCounter("io_server.list_extents");
   return counter;
+}
+
+/// A failed store operation's reply; it counts into the transport's
+/// io_server.errors.
+Bytes StoreErrorReply(const Status& status) {
+  static metrics::Counter& errors = metrics::GetCounter("io_server.errors");
+  errors.Add();
+  return net::EncodeReply(status, {});
 }
 }  // namespace
 
@@ -43,29 +28,22 @@ Result<std::unique_ptr<IoServer>> IoServer::Start(ServerOptions options) {
     return IoError("create server root '" + options.root_dir.string() +
                    "': " + ec.message());
   }
-  std::unique_ptr<IoServer> server(new IoServer(std::move(options)));
+  std::unique_ptr<IoServer> server(new IoServer(options));
   DPFS_RETURN_IF_ERROR(server->transport_.Start());
-  if (server->options_.metrics_dump_interval.count() > 0) {
-    server->dump_thread_ = std::thread([raw = server.get()] {
-      raw->MetricsDumpLoop();
-    });
-  }
   return server;
 }
 
-IoServer::IoServer(ServerOptions options)
-    : options_(std::move(options)),
-      store_(options_.root_dir),
+IoServer::IoServer(const ServerOptions& options)
+    : store_(options.root_dir),
       transport_(
-          {.port = options_.port,
-           .max_sessions = options_.max_sessions,
-           .metrics_port = options_.metrics_port,
+          {.port = options.port,
+           .max_sessions = options.max_sessions,
+           .metrics_port = options.metrics_port,
            .metric_prefix = "io_server",
            .opcodes = {net::MessageType::kRead, net::MessageType::kWrite,
                        net::MessageType::kStat, net::MessageType::kDelete,
-                       net::MessageType::kTruncate, net::MessageType::kStats,
-                       net::MessageType::kRename, net::MessageType::kList,
-                       net::MessageType::kListRead,
+                       net::MessageType::kTruncate, net::MessageType::kRename,
+                       net::MessageType::kList, net::MessageType::kListRead,
                        net::MessageType::kListWrite},
            .session_failpoint = "server.session",
            .reply_failpoint = "server.before_reply"},
@@ -75,20 +53,9 @@ IoServer::IoServer(ServerOptions options)
 
 IoServer::~IoServer() { Stop(); }
 
-void IoServer::Stop() {
-  if (dump_thread_.joinable()) {
-    {
-      MutexLock lock(dump_mu_);
-      dump_stop_ = true;
-    }
-    dump_cv_.NotifyAll();
-    dump_thread_.join();
-  }
-  transport_.Stop();
-}
+void IoServer::Stop() { transport_.Stop(); }
 
 Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
-  ServerStats& counters = transport_.stats();
   switch (type) {
     case net::MessageType::kRead: {
       Result<net::ReadRequest> request = net::ReadRequest::Decode(reader);
@@ -96,27 +63,17 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       Result<Bytes> data =
           store_.ReadFragments(request.value().subfile,
                                request.value().fragments);
-      if (!data.ok()) {
-        counters.errors.fetch_add(1, std::memory_order_relaxed);
-        return net::EncodeReply(data.status(), {});
-      }
-      counters.bytes_read.fetch_add(data.value().size(),
-                                    std::memory_order_relaxed);
+      if (!data.ok()) return StoreErrorReply(data.status());
       return net::EncodeReply(Status::Ok(), data.value());
     }
 
     case net::MessageType::kWrite: {
       Result<net::WriteRequest> request = net::WriteRequest::Decode(reader);
       if (!request.ok()) return net::EncodeReply(request.status(), {});
-      const std::uint64_t payload = request.value().total_bytes();
       const Status written = store_.WriteFragments(request.value().subfile,
                                                    request.value().fragments,
                                                    request.value().sync);
-      if (!written.ok()) {
-        counters.errors.fetch_add(1, std::memory_order_relaxed);
-        return net::EncodeReply(written, {});
-      }
-      counters.bytes_written.fetch_add(payload, std::memory_order_relaxed);
+      if (!written.ok()) return StoreErrorReply(written);
       return net::EncodeReply(Status::Ok(), {});
     }
 
@@ -130,12 +87,7 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       ListExtents().Add(request.value().extents.size());
       Result<Bytes> data = store_.ReadFragments(request.value().subfile,
                                                 request.value().extents);
-      if (!data.ok()) {
-        counters.errors.fetch_add(1, std::memory_order_relaxed);
-        return net::EncodeReply(data.status(), {});
-      }
-      counters.bytes_read.fetch_add(data.value().size(),
-                                    std::memory_order_relaxed);
+      if (!data.ok()) return StoreErrorReply(data.status());
       return net::EncodeReply(Status::Ok(), data.value());
     }
 
@@ -144,7 +96,6 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
           net::ListWriteRequest::Decode(reader);
       if (!request.ok()) return net::EncodeReply(request.status(), {});
       ListExtents().Add(request.value().extents.size());
-      const std::uint64_t payload = request.value().total_bytes();
       // Scatter the batched payload into per-extent fragments (the decoder
       // guarantees the payload size equals the extent sum); the store's
       // write path is shared with kWrite from here.
@@ -163,11 +114,7 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       }
       const Status written = store_.WriteFragments(
           request.value().subfile, fragments, request.value().sync);
-      if (!written.ok()) {
-        counters.errors.fetch_add(1, std::memory_order_relaxed);
-        return net::EncodeReply(written, {});
-      }
-      counters.bytes_written.fetch_add(payload, std::memory_order_relaxed);
+      if (!written.ok()) return StoreErrorReply(written);
       return net::EncodeReply(Status::Ok(), {});
     }
 
@@ -218,47 +165,12 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       return net::EncodeReply(store_.Rename(from.value(), to.value()), {});
     }
 
-    case net::MessageType::kStats: {
-      net::StatsReply stats;
-      stats.requests = counters.requests.load(std::memory_order_relaxed);
-      stats.bytes_read = counters.bytes_read.load(std::memory_order_relaxed);
-      stats.bytes_written =
-          counters.bytes_written.load(std::memory_order_relaxed);
-      stats.sessions_accepted =
-          counters.sessions_accepted.load(std::memory_order_relaxed);
-      stats.errors = counters.errors.load(std::memory_order_relaxed);
-      stats.fd_cache_hits = store_.fd_cache().hits();
-      stats.fd_cache_misses = store_.fd_cache().misses();
-      const Result<std::uint64_t> stored = store_.TotalBytesStored();
-      stats.stored_bytes = stored.ok() ? stored.value() : 0;
-      BinaryWriter body;
-      stats.Encode(body);
-      return net::EncodeReply(Status::Ok(), body.buffer());
-    }
-
     default:
       // Opcodes outside Options::opcodes never reach Dispatch; the switch
       // must stay total under -Wswitch.
       break;
   }
   return net::EncodeReply(ProtocolError("unhandled message type"), {});
-}
-
-void IoServer::MetricsDumpLoop() {
-  const std::filesystem::path path = options_.metrics_dump_path.empty()
-                                         ? options_.root_dir / "metrics.txt"
-                                         : options_.metrics_dump_path;
-  {
-    MutexLock lock(dump_mu_);
-    while (!dump_stop_) {
-      if (dump_cv_.WaitFor(dump_mu_, options_.metrics_dump_interval)) {
-        continue;  // notified: re-check dump_stop_
-      }
-      DumpSnapshot(path);
-    }
-  }
-  // Final snapshot on shutdown so even a short run leaves one behind.
-  DumpSnapshot(path);
 }
 
 }  // namespace dpfs::server

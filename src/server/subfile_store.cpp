@@ -170,19 +170,6 @@ Status SubfileStore::Rename(const std::string& from, const std::string& to) {
   return Status::Ok();
 }
 
-Result<std::uint64_t> SubfileStore::TotalBytesStored() const {
-  std::uint64_t total = 0;
-  std::error_code ec;
-  if (!std::filesystem::exists(root_, ec)) return total;
-  for (auto it = std::filesystem::recursive_directory_iterator(root_, ec);
-       it != std::filesystem::recursive_directory_iterator(); ++it) {
-    if (it->is_regular_file(ec)) {
-      total += it->file_size(ec);
-    }
-  }
-  return total;
-}
-
 Result<std::vector<net::SubfileInfo>> SubfileStore::ListSubfiles() const {
   std::vector<net::SubfileInfo> out;
   std::error_code ec;

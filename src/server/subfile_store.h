@@ -45,14 +45,9 @@ class SubfileStore {
     return root_;
   }
 
-  /// Total bytes stored under the root (shell `df`).
-  Result<std::uint64_t> TotalBytesStored() const;
-
   /// All subfiles under the root with their sizes, names normalized to
   /// DPFS form ("/dir/file"), sorted — fsck's ground truth.
   Result<std::vector<net::SubfileInfo>> ListSubfiles() const;
-
-  [[nodiscard]] const FdCache& fd_cache() const noexcept { return fd_cache_; }
 
  private:
   /// Maps a subfile name to a local path, rejecting escapes from the root.

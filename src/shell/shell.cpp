@@ -208,18 +208,20 @@ Status Shell::CmdStat(const std::vector<std::string>& args,
 Status Shell::CmdDf(std::ostream& out) {
   DPFS_ASSIGN_OR_RETURN(const std::vector<client::ServerInfo> servers,
                         fs_->metadata().ListServers());
-  out << "server  capacity  performance  used  requests\n";
+  out << "server  capacity  performance  used\n";
   for (const client::ServerInfo& server : servers) {
     out << server.name << "  " << FormatByteSize(server.capacity_bytes)
         << "  " << server.performance;
-    // Live usage via the kStats RPC; unreachable servers degrade gracefully.
+    // Live usage: the sizes of the server's own subfile listing; unreachable
+    // servers degrade gracefully.
     auto conn = fs_->connections().Acquire(server.endpoint);
     if (conn.ok()) {
       auto pooled = std::move(conn).value();
-      const auto stats = pooled->Stats();
-      if (stats.ok()) {
-        out << "  " << FormatByteSize(stats.value().stored_bytes) << "  "
-            << stats.value().requests;
+      const auto listing = pooled->List();
+      if (listing.ok()) {
+        std::uint64_t used = 0;
+        for (const net::SubfileInfo& info : listing.value()) used += info.size;
+        out << "  " << FormatByteSize(used);
       } else {
         pooled.Poison();
         out << "  <unreachable>";

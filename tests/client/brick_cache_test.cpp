@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/cluster.h"
 
 namespace dpfs::client {
@@ -10,6 +11,10 @@ namespace {
 // --- Unit tests on the cache itself ----------------------------------------
 
 TEST(BrickCacheTest, PutGetRoundTrip) {
+  const metrics::Counter& hits = metrics::GetCounter("brick_cache.hits");
+  const metrics::Counter& misses = metrics::GetCounter("brick_cache.misses");
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t misses_before = misses.value();
   BrickCache cache(1024);
   cache.Put("/f", 3, Bytes{1, 2, 3});
   const std::optional<Bytes> hit = cache.Get("/f", 3);
@@ -17,8 +22,8 @@ TEST(BrickCacheTest, PutGetRoundTrip) {
   EXPECT_EQ(*hit, (Bytes{1, 2, 3}));
   EXPECT_FALSE(cache.Get("/f", 4).has_value());
   EXPECT_FALSE(cache.Get("/g", 3).has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(hits.value() - hits_before, 1u);
+  EXPECT_EQ(misses.value() - misses_before, 2u);
 }
 
 TEST(BrickCacheTest, EvictsLruByByteBudget) {
@@ -83,12 +88,9 @@ class CachedFileSystemTest : public ::testing::Test {
     fs_->EnableBrickCache(1 << 20);
   }
 
-  std::uint64_t ServerBytesRead() {
-    std::uint64_t total = 0;
-    for (std::size_t s = 0; s < cluster_->num_servers(); ++s) {
-      total += cluster_->server(s).stats().bytes_read.load();
-    }
-    return total;
+  /// Bytes both servers served: they share the process's registry.
+  static std::uint64_t ServerBytesRead() {
+    return metrics::GetCounter("subfile_store.bytes_read").value();
   }
 
   std::unique_ptr<core::LocalCluster> cluster_;
@@ -110,12 +112,14 @@ TEST_F(CachedFileSystemTest, RepeatReadsSkipTheNetwork) {
   ASSERT_TRUE(fs_->ReadBytes(handle, 0, first).ok());
   EXPECT_EQ(first, data);
   const std::uint64_t wire_after_first = ServerBytesRead();
+  const metrics::Counter& hits = metrics::GetCounter("brick_cache.hits");
+  const std::uint64_t hits_before = hits.value();
 
   Bytes second(4096);
   ASSERT_TRUE(fs_->ReadBytes(handle, 0, second).ok());
   EXPECT_EQ(second, data);
   EXPECT_EQ(ServerBytesRead(), wire_after_first);  // zero wire bytes
-  EXPECT_GE(fs_->brick_cache()->hits(), 8u);
+  EXPECT_GE(hits.value() - hits_before, 8u);  // one per brick
 }
 
 TEST_F(CachedFileSystemTest, WritesInvalidateAffectedBricksOnly) {

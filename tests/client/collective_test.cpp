@@ -5,6 +5,8 @@
 
 #include <thread>
 
+#include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/cluster.h"
 
@@ -28,6 +30,8 @@ class CollectiveTest : public ::testing::Test {
     cluster_ = core::LocalCluster::Start(std::move(options)).value();
     fs_ = cluster_->fs();
   }
+
+  void TearDown() override { failpoint::DisarmAll(); }
 
   std::unique_ptr<CollectiveFile> MakeFile(std::uint32_t ranks,
                                            std::uint64_t dim = 64) {
@@ -147,6 +151,27 @@ TEST_F(CollectiveTest, ServerFailureAbortsAllRanksWithoutDeadlock) {
   for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
     EXPECT_FALSE(statuses[rank].ok()) << "rank " << rank;
   }
+}
+
+TEST_F(CollectiveTest, RetriesCountEachRetryOnce) {
+  // A busy rejection is one retry: IoReport::busy_retries is the busy
+  // subset of retries, so collective.retries moves by retries alone.
+  auto file = MakeFile(1);
+  ASSERT_TRUE(file->SetView(0, {{0, 0}, {64, 64}}).ok());
+  fs_->connections().Clear();  // every request dials a new session
+  failpoint::Spec busy;
+  busy.action = failpoint::Action::kBusy;
+  busy.count = 2;
+  failpoint::Arm("server.session", busy);
+  const metrics::Counter& retries = metrics::GetCounter("collective.retries");
+  const std::uint64_t retries_before = retries.value();
+
+  ASSERT_TRUE(file->WriteAll(0, Bytes(64 * 64, 7)).ok());
+  EXPECT_EQ(failpoint::HitCount("server.session"), 2u);
+  const IoReport report = file->report();
+  EXPECT_EQ(report.retries, 2u);
+  EXPECT_EQ(report.busy_retries, 2u);
+  EXPECT_EQ(retries.value() - retries_before, report.retries);
 }
 
 TEST_F(CollectiveTest, SequentialPhasesKeepConsistentData) {

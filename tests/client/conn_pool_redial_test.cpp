@@ -22,6 +22,10 @@ metrics::Counter& Redials() {
   return metrics::GetCounter("conn_pool.redials");
 }
 
+metrics::Counter& SessionsAccepted() {
+  return metrics::GetCounter("io_server.sessions_accepted");
+}
+
 class ConnPoolRedialTest : public ::testing::Test {
  protected:
   ConnPoolRedialTest() : dir_(TempDir::Create("dpfs-redial").value()) {
@@ -58,16 +62,19 @@ TEST_F(ConnPoolRedialTest, StalePooledConnectionIsEvictedAndRedialed) {
 
   const std::uint64_t redials_before = Redials().value();
   RestartServer();
+  const std::uint64_t accepted_before = SessionsAccepted().value();
   // Give the dead server's FIN time to reach the pooled socket.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   PooledConnection conn = pool_.Acquire(server_->endpoint()).value();
   EXPECT_TRUE(conn->Ping().ok());  // fresh stream, not the stale one
   EXPECT_EQ(Redials().value() - redials_before, 1u);
-  EXPECT_EQ(server_->stats().sessions_accepted.load(), 1u);
+  // The restarted server's only session.
+  EXPECT_EQ(SessionsAccepted().value() - accepted_before, 1u);
 }
 
 TEST_F(ConnPoolRedialTest, HealthyPooledConnectionIsNotRedialed) {
+  const std::uint64_t accepted_before = SessionsAccepted().value();
   {
     PooledConnection conn = pool_.Acquire(server_->endpoint()).value();
     ASSERT_TRUE(conn->Ping().ok());
@@ -76,10 +83,11 @@ TEST_F(ConnPoolRedialTest, HealthyPooledConnectionIsNotRedialed) {
   PooledConnection conn = pool_.Acquire(server_->endpoint()).value();
   EXPECT_TRUE(conn->Ping().ok());
   EXPECT_EQ(Redials().value(), redials_before);
-  EXPECT_EQ(server_->stats().sessions_accepted.load(), 1u);  // pool hit
+  EXPECT_EQ(SessionsAccepted().value() - accepted_before, 1u);  // pool hit
 }
 
 TEST_F(ConnPoolRedialTest, EnsureFreshConnectionRedialsAcrossRestart) {
+  const std::uint64_t accepted_before = SessionsAccepted().value();
   std::optional<net::ServerConnection> conn;
   ASSERT_TRUE(EnsureFreshConnection(conn, server_->endpoint()).ok());
   ASSERT_TRUE(conn.has_value());
@@ -89,7 +97,7 @@ TEST_F(ConnPoolRedialTest, EnsureFreshConnectionRedialsAcrossRestart) {
   const std::uint64_t redials_before = Redials().value();
   ASSERT_TRUE(EnsureFreshConnection(conn, server_->endpoint()).ok());
   EXPECT_EQ(Redials().value(), redials_before);
-  EXPECT_EQ(server_->stats().sessions_accepted.load(), 1u);
+  EXPECT_EQ(SessionsAccepted().value() - accepted_before, 1u);
 
   RestartServer();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

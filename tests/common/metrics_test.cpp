@@ -124,26 +124,30 @@ TEST(RegistryTest, EmptySnapshotIsEmpty) {
 
 TEST(RegistryTest, ServerTransportInstrumentsExposeWithCatalogKinds) {
   // The server transport's session instruments (docs/OBSERVABILITY.md)
-  // render with the kinds the catalog declares; the dump file and
-  // `metrics` opcode both carry exactly these lines.
+  // render with the kinds the catalog declares; the `metrics` opcode and
+  // the HTTP endpoint both carry exactly these lines.
   Registry registry;
   registry.GetGauge("io_server.inflight_sessions").Add(2);
   registry.GetCounter("io_server.busy_rejects").Add(9);
   registry.GetCounter("io_server.bad_requests").Add(3);
+  registry.GetCounter("io_server.sessions_accepted").Add(12);
+  registry.GetCounter("io_server.errors").Add(1);
   registry.GetHistogram("io_server.service_time_us.read").Observe(4);
   EXPECT_EQ(registry.TextSnapshot(),
             "counter io_server.bad_requests 3\n"
             "counter io_server.busy_rejects 9\n"
+            "counter io_server.errors 1\n"
             "gauge io_server.inflight_sessions 2\n"
             "histogram io_server.service_time_us.read count=1 sum=4 p50=4 "
-            "p95=4 p99=4 max=4\n");
+            "p95=4 p99=4 max=4\n"
+            "counter io_server.sessions_accepted 12\n");
 }
 
 TEST(RegistryTest, MetadataInstrumentsExposeWithCatalogKinds) {
   // The sharded-metadb and client-cache instruments (docs/OBSERVABILITY.md):
   // per-shard statement counts carry a {shard=N} label baked into the
-  // metric name, and the FileSystem metadata cache exposes hit/miss
-  // counters alongside its per-instance stats.
+  // metric name, and the client's metadata record cache counts its hits
+  // and misses.
   Registry registry;
   registry.GetCounter("client.metadata_cache.hits").Add(5);
   registry.GetCounter("client.metadata_cache.misses").Add(2);

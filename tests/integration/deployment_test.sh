@@ -53,15 +53,27 @@ head -c 300000 /dev/urandom > "$WORK/input.bin"
   || fail "export"
 cmp -s "$WORK/input.bin" "$WORK/output.bin" || fail "round-trip mismatch"
 
-# Both servers actually stored bricks (round-robin striping).
-"$DPFS" --metadb "$WORK/meta" --c "df" | grep -q node0 || fail "df node0"
+# Both servers actually stored bricks (round-robin striping), and `df`
+# reports a non-zero `used` for each: its last column sums the server's
+# own subfile listing.
+DF="$("$DPFS" --metadb "$WORK/meta" --c "df")" || fail "df"
+for node in node0 node1; do
+  echo "$DF" | grep "^$node " | grep -Eq '  [1-9][0-9.]* (B|KB|MB)$' \
+    || fail "df shows no used bytes on $node: $DF"
+done
 [ -n "$(find "$WORK/s0" -type f 2>/dev/null)" ] || fail "node0 stored nothing"
 [ -n "$(find "$WORK/s1" -type f 2>/dev/null)" ] || fail "node1 stored nothing"
 
 "$DPFS" --metadb "$WORK/meta" --c "rm /data/renamed" || fail "rm"
 
+# On SIGTERM each daemon logs its metrics registry's final snapshot.
 kill $PIDS 2>/dev/null
 wait $PIDS 2>/dev/null
+PIDS=""
+for log in d0 d1; do
+  grep -q "^counter subfile_store.bytes_written [1-9]" "$WORK/$log.log" \
+    || { cat "$WORK/$log.log" >&2; fail "$log.log has no registry snapshot"; }
+done
 rm -rf "$WORK"
 echo "deployment smoke test passed"
 exit 0

@@ -108,16 +108,16 @@ TEST(ModelValidationTest, RequestCountEffectAgreesWithSimulator) {
   ASSERT_TRUE(fs->WriteRegion(handle, {{0, 0}, {kDim, kDim}}, data).ok());
 
   const layout::Region column{{0, 9}, {kDim, 4}};
+  // Both servers' bytes: they share the process's registry.
+  const metrics::Counter& bytes_read =
+      metrics::GetCounter("subfile_store.bytes_read");
   const auto measure_real = [&](bool whole) {
-    const std::uint64_t before =
-        cluster->server(0).stats().bytes_read.load() +
-        cluster->server(1).stats().bytes_read.load();
+    const std::uint64_t before = bytes_read.value();
     IoOptions io;
     io.whole_brick_reads = whole;
     Bytes out(column.num_elements());
     EXPECT_TRUE(fs->ReadRegion(handle, column, out, io).ok());
-    return cluster->server(0).stats().bytes_read.load() +
-           cluster->server(1).stats().bytes_read.load() - before;
+    return bytes_read.value() - before;
   };
   const std::uint64_t real_whole = measure_real(true);
   const std::uint64_t real_sieve = measure_real(false);
@@ -144,7 +144,8 @@ TEST(ModelValidationTest, ListIoPlanAgreesWithSimulator) {
   // List I/O (docs/NONCONTIGUOUS_IO.md): the executor must move exactly the
   // bytes and wire extents the plan says, which is what the simulator
   // charges (simnet RequestFragments uses list_extents). Pin both: wire
-  // bytes via ServerStats, extent count via io_server.list_extents.
+  // bytes via subfile_store.bytes_read, extent count via
+  // io_server.list_extents.
   constexpr std::uint64_t kDim = 256;
   core::ClusterOptions cluster_options;
   cluster_options.num_servers = 2;
@@ -169,9 +170,9 @@ TEST(ModelValidationTest, ListIoPlanAgreesWithSimulator) {
 
   metrics::Counter& list_extents_metric =
       metrics::GetCounter("io_server.list_extents");
-  const std::uint64_t bytes_before =
-      cluster->server(0).stats().bytes_read.load() +
-      cluster->server(1).stats().bytes_read.load();
+  const metrics::Counter& bytes_read =
+      metrics::GetCounter("subfile_store.bytes_read");
+  const std::uint64_t bytes_before = bytes_read.value();
   const std::uint64_t extents_before = list_extents_metric.value();
 
   IoOptions io;
@@ -180,9 +181,7 @@ TEST(ModelValidationTest, ListIoPlanAgreesWithSimulator) {
   client::IoReport report;
   ASSERT_TRUE(fs->ReadType(handle, 9, column, out, io, &report).ok());
 
-  const std::uint64_t real_bytes =
-      cluster->server(0).stats().bytes_read.load() +
-      cluster->server(1).stats().bytes_read.load() - bytes_before;
+  const std::uint64_t real_bytes = bytes_read.value() - bytes_before;
   const std::uint64_t real_extents =
       list_extents_metric.value() - extents_before;
 

@@ -256,6 +256,44 @@ TEST_F(ReplicationTest, RemoveAndRenameCoverReplicaSubfiles) {
   EXPECT_TRUE(fs_->Fsck().value().clean());
 }
 
+TEST_F(ReplicationTest, CollectiveReportCarriesReplicaCounters) {
+  // CollectiveFile::report() sums every field of each rank's IoReport: with
+  // server 0's copies gone, its replication counters agree with the
+  // registry's over the same window.
+  StartCluster(4);
+  CreateOptions create;
+  create.level = layout::FileLevel::kMultidim;
+  create.array_shape = {64, 64};
+  create.brick_shape = {16, 16};
+  create.replication = 2;
+  std::unique_ptr<CollectiveFile> collective =
+      CollectiveFile::Create(fs_, "/report-r2.dpfs", create, 1).value();
+  ASSERT_TRUE(collective->SetView(0, {{0, 0}, {64, 64}}).ok());
+
+  const metrics::Counter& write_failures =
+      metrics::GetCounter("client.replica_write_failures");
+  const metrics::Counter& failovers =
+      metrics::GetCounter("client.failover_reads");
+  const std::uint64_t write_failures_before = write_failures.value();
+  const std::uint64_t failovers_before = failovers.value();
+
+  cluster_->server(0).Stop();
+  IoOptions io;
+  io.max_retries = 0;
+  const Bytes data = SeededBytes(64 * 64, 9);
+  ASSERT_TRUE(collective->WriteAll(0, data, io).ok());
+  Bytes read(64 * 64);
+  ASSERT_TRUE(collective->ReadAll(0, read, io).ok());
+  EXPECT_EQ(read, data);
+
+  const IoReport report = collective->report();
+  EXPECT_GE(report.replica_write_failures, 1u);
+  EXPECT_GE(report.failover_reads, 1u);
+  EXPECT_EQ(report.replica_write_failures,
+            write_failures.value() - write_failures_before);
+  EXPECT_EQ(report.failover_reads, failovers.value() - failovers_before);
+}
+
 TEST_F(ReplicationTest, ChaosServerKilledMidCollectiveWriteLosesNoData) {
   // The acceptance scenario: an R=2 collective file, one server killed and
   // restarted mid-write. Retry + backoff spans the gap (writes only report

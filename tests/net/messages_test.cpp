@@ -60,6 +60,11 @@ TEST(EnvelopeTest, BadTypeRejected) {
   EXPECT_FALSE(DecodeRequest(frame).ok());
   Bytes empty;
   EXPECT_FALSE(DecodeRequest(empty).ok());
+  // Inside the range but with no enumerator.
+  Bytes unassigned = {8};
+  const Status status = DecodeRequest(unassigned).status();
+  EXPECT_EQ(status.code(), StatusCode::kProtocolError);
+  EXPECT_EQ(status.message(), "bad message type 8");
 }
 
 TEST(EnvelopeTest, FirstTypePastTheRangeRejected) {
@@ -70,10 +75,12 @@ TEST(EnvelopeTest, FirstTypePastTheRangeRejected) {
   EXPECT_FALSE(DecodeRequest(frame).ok());
   Bytes zero = {0};
   EXPECT_FALSE(DecodeRequest(zero).ok());
-  // Every type up to the max decodes (the body is opaque at this layer).
+  // Every type up to the max decodes (the body is opaque at this layer),
+  // except the unassigned 8.
   for (std::uint8_t type = 1; type <= kMaxMessageType; ++type) {
     Bytes in_range = {type};
-    EXPECT_TRUE(DecodeRequest(in_range).ok()) << static_cast<int>(type);
+    EXPECT_EQ(DecodeRequest(in_range).ok(), type != 8)
+        << static_cast<int>(type);
   }
 }
 
@@ -96,8 +103,8 @@ TEST(EnvelopeTest, AllMessageTypesDecodable) {
   for (const MessageType type :
        {MessageType::kPing, MessageType::kRead, MessageType::kWrite,
         MessageType::kStat, MessageType::kDelete, MessageType::kTruncate,
-        MessageType::kShutdown, MessageType::kStats, MessageType::kRename,
-        MessageType::kList, MessageType::kMetrics, MessageType::kListRead,
+        MessageType::kShutdown, MessageType::kRename, MessageType::kList,
+        MessageType::kMetrics, MessageType::kListRead,
         MessageType::kListWrite}) {
     const Bytes frame = EncodeRequest(type, {});
     EXPECT_EQ(DecodeRequest(frame).value().type, type);

@@ -3,11 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <functional>
 #include <optional>
-#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -16,6 +17,19 @@
 
 namespace dpfs::server {
 namespace {
+
+/// How far one registry counter moved since construction. Each test's
+/// server is the only one in the process, so that is the server's count.
+class Delta {
+ public:
+  explicit Delta(const std::string& name)
+      : counter_(metrics::GetCounter(name)), before_(counter_.value()) {}
+  std::uint64_t operator()() const { return counter_.value() - before_; }
+
+ private:
+  const metrics::Counter& counter_;
+  const std::uint64_t before_;
+};
 
 bool WaitFor(const std::function<bool()>& pred) {
   for (int i = 0; i < 400; ++i) {
@@ -95,6 +109,7 @@ TEST_F(IoServerTest, PathEscapeReturnsErrorNotCrash) {
 }
 
 TEST_F(IoServerTest, ConcurrentClients) {
+  const Delta accepted("io_server.sessions_accepted");
   constexpr int kClients = 8;
   constexpr int kOpsPerClient = 20;
   std::vector<std::thread> threads;
@@ -129,36 +144,29 @@ TEST_F(IoServerTest, ConcurrentClients) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(server_->stats().sessions_accepted.load(), 8u);
+  EXPECT_GE(accepted(), 8u);
 }
 
 TEST_F(IoServerTest, StatsCountBytes) {
+  const Delta bytes_written("subfile_store.bytes_written");
+  const Delta bytes_read("subfile_store.bytes_read");
+  const Delta write_requests("io_server.requests.write");
+  const Delta read_requests("io_server.requests.read");
+  const Delta fd_misses("fd_cache.misses");
+  const Delta fd_hits("fd_cache.hits");
   net::ServerConnection conn = Connect();
   std::vector<net::WriteFragment> writes;
   writes.push_back({0, Bytes(1000, 1)});
   ASSERT_TRUE(conn.Write("/f", std::move(writes)).ok());
   ASSERT_TRUE(conn.Read("/f", {{0, 400}}).ok());
-  EXPECT_EQ(server_->stats().bytes_written.load(), 1000u);
-  EXPECT_EQ(server_->stats().bytes_read.load(), 400u);
-  EXPECT_GE(server_->stats().requests.load(), 2u);
-}
-
-TEST_F(IoServerTest, StatsRpcReportsCounters) {
-  net::ServerConnection conn = Connect();
-  std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes(500, 3)});
-  ASSERT_TRUE(conn.Write("/s", std::move(writes)).ok());
-  ASSERT_TRUE(conn.Read("/s", {{0, 200}}).ok());
-
-  const net::StatsReply stats = conn.Stats().value();
-  EXPECT_EQ(stats.bytes_written, 500u);
-  EXPECT_EQ(stats.bytes_read, 200u);
-  EXPECT_GE(stats.requests, 3u);  // write + read + stats
-  EXPECT_GE(stats.sessions_accepted, 1u);
-  EXPECT_EQ(stats.stored_bytes, 500u);
-  // The fd cache served the read without a second open.
-  EXPECT_GE(stats.fd_cache_hits, 1u);
-  EXPECT_GE(stats.fd_cache_misses, 1u);
+  EXPECT_EQ(bytes_written(), 1000u);
+  EXPECT_EQ(bytes_read(), 400u);
+  EXPECT_EQ(write_requests(), 1u);
+  EXPECT_EQ(read_requests(), 1u);
+  // The fd cache opened the subfile for the write and served the read
+  // without a second open.
+  EXPECT_EQ(fd_misses(), 1u);
+  EXPECT_EQ(fd_hits(), 1u);
 }
 
 TEST_F(IoServerTest, StopIsIdempotentAndUnblocksClients) {
@@ -179,6 +187,12 @@ TEST_F(IoServerTest, ShutdownMessageStopsAccepting) {
 }
 
 TEST_F(IoServerTest, AllOpcodesRoundTrip) {
+  const Delta accepted("io_server.sessions_accepted");
+  std::vector<std::pair<std::string, Delta>> served;
+  for (const char* op : {"ping", "write", "read", "stat", "truncate",
+                         "rename", "list", "delete"}) {
+    served.emplace_back(op, Delta(std::string("io_server.requests.") + op));
+  }
   net::ServerConnection conn = Connect();
   EXPECT_TRUE(conn.Ping().ok());
 
@@ -198,9 +212,9 @@ TEST_F(IoServerTest, AllOpcodesRoundTrip) {
   EXPECT_EQ(listing[0].size, 4u);
   EXPECT_TRUE(conn.Delete("/renamed").ok());
 
-  const net::StatsReply stats = conn.Stats().value();
-  EXPECT_GE(stats.requests, 8u);
-  EXPECT_GE(stats.sessions_accepted, 1u);
+  // Each of the eight opcodes above was served once, on one session.
+  for (const auto& [op, delta] : served) EXPECT_EQ(delta(), 1u) << op;
+  EXPECT_EQ(accepted(), 1u);
   const std::string metrics_text = conn.Metrics().value();
   EXPECT_NE(metrics_text.find("io_server.requests.rename"), std::string::npos);
 }
@@ -273,46 +287,6 @@ TEST(IoServerStopTest, StopLeavesReusedDescriptorsAlone) {
     EXPECT_TRUE(to_b[static_cast<std::size_t>(i)].Ping().ok())
         << "connection " << i << " to the other server was cut";
   }
-}
-
-// Periodic metrics dump (docs/OBSERVABILITY.md).
-
-TEST(MetricsDumpTest, WritesSnapshotsWhileRunningAndOnStop) {
-  const TempDir dir = TempDir::Create("dpfs-dump").value();
-  const std::filesystem::path path = dir.path() / "snap.txt";
-  ServerOptions options;
-  options.root_dir = dir.path() / "root";
-  options.metrics_dump_interval = std::chrono::milliseconds(10);
-  options.metrics_dump_path = path;
-  std::unique_ptr<IoServer> server =
-      IoServer::Start(std::move(options)).value();
-
-  net::ServerConnection conn =
-      net::ServerConnection::Connect(server->endpoint()).value();
-  ASSERT_TRUE(conn.Ping().ok());
-  ASSERT_TRUE(WaitFor([&] { return std::filesystem::exists(path); }));
-  server->Stop();  // final snapshot lands before Stop returns
-
-  std::ifstream in(path);
-  std::stringstream contents;
-  contents << in.rdbuf();
-  const std::string text = contents.str();
-  EXPECT_NE(text.find("counter io_server.requests.ping"), std::string::npos);
-  EXPECT_NE(text.find("gauge io_server.inflight_sessions"),
-            std::string::npos);
-  // Atomic publication: the tmp file never lingers.
-  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
-}
-
-TEST(MetricsDumpTest, DefaultsToMetricsTxtUnderRoot) {
-  const TempDir dir = TempDir::Create("dpfs-dump2").value();
-  ServerOptions options;
-  options.root_dir = dir.path();
-  options.metrics_dump_interval = std::chrono::milliseconds(10);
-  std::unique_ptr<IoServer> server =
-      IoServer::Start(std::move(options)).value();
-  server->Stop();
-  EXPECT_TRUE(std::filesystem::exists(dir.path() / "metrics.txt"));
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "client/meta_wire.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/temp_dir.h"
 #include "metad/metad.h"
@@ -30,6 +32,12 @@ Bytes PingFrame() {
   frame.WriteU32(Crc32c(payload));
   frame.WriteRaw(payload);
   return std::move(frame).TakeBuffer();
+}
+
+/// One counter of the process's registry, e.g. Instrument("io_server",
+/// "errors") for the I/O servers' transport errors.
+std::uint64_t Instrument(const std::string& prefix, const std::string& name) {
+  return metrics::GetCounter(prefix + "." + name).value();
 }
 
 class ProtocolFuzzTest : public ::testing::Test {
@@ -55,10 +63,10 @@ class ProtocolFuzzTest : public ::testing::Test {
   /// Session teardown is asynchronous; poll the counter instead of sleeping.
   void WaitForErrors(std::uint64_t at_least) {
     for (int i = 0; i < 200; ++i) {
-      if (server_->stats().errors.load() >= at_least) return;
+      if (Instrument("io_server", "errors") >= at_least) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    EXPECT_GE(server_->stats().errors.load(), at_least);
+    EXPECT_GE(Instrument("io_server", "errors"), at_least);
   }
 
   TempDir dir_;
@@ -88,12 +96,19 @@ TEST_F(ProtocolFuzzTest, FrameWithAbsurdLength) {
 TEST_F(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
-  const Bytes payload = {0x7F};  // not a MessageType
-  ASSERT_TRUE(net::SendFrame(socket, payload).ok());
-  Bytes reply;
-  ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  const net::DecodedReply decoded = net::DecodeReply(reply).value();
-  EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError);
+  // Neither is a MessageType: 0x7F is past the range, 8 is unassigned.
+  for (const std::uint8_t bad : {std::uint8_t{0x7F}, std::uint8_t{8}}) {
+    const std::uint64_t bad_before = Instrument("io_server", "bad_requests");
+    const Bytes payload = {bad};
+    ASSERT_TRUE(net::SendFrame(socket, payload).ok());
+    Bytes reply;
+    ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
+    const net::DecodedReply decoded = net::DecodeReply(reply).value();
+    EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError);
+    EXPECT_EQ(decoded.status.message(),
+              "bad message type " + std::to_string(bad));
+    EXPECT_EQ(Instrument("io_server", "bad_requests"), bad_before + 1);
+  }
   ExpectServerAlive();
 }
 
@@ -124,6 +139,8 @@ TEST_F(ProtocolFuzzTest, MidFrameDisconnect) {
 }
 
 TEST_F(ProtocolFuzzTest, RandomFrameStorm) {
+  const std::uint64_t accepted_before =
+      Instrument("io_server", "sessions_accepted");
   SplitMix64 rng(12345);
   for (int trial = 0; trial < 40; ++trial) {
     Result<net::TcpSocket> socket =
@@ -148,7 +165,8 @@ TEST_F(ProtocolFuzzTest, RandomFrameStorm) {
     }
   }
   ExpectServerAlive();
-  EXPECT_GE(server_->stats().sessions_accepted.load(), 40u);
+  EXPECT_GE(Instrument("io_server", "sessions_accepted") - accepted_before,
+            40u);
 }
 
 TEST_F(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
@@ -156,7 +174,7 @@ TEST_F(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
   // a deterministic mid-frame disconnect instead of the hand-rolled one
   // above. The server sees a truncated frame (kProtocolError, not a clean
   // boundary close), counts it, and exits the session cleanly.
-  const std::uint64_t errors_before = server_->stats().errors.load();
+  const std::uint64_t errors_before = Instrument("io_server", "errors");
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
 
@@ -180,7 +198,7 @@ TEST_F(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
 TEST_F(ProtocolFuzzTest, FailpointCutInsidePayloadAlsoCounts) {
   // Cut inside the payload (header fully delivered) — the server is waiting
   // on the body when the stream dies.
-  const std::uint64_t errors_before = server_->stats().errors.load();
+  const std::uint64_t errors_before = Instrument("io_server", "errors");
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
 
@@ -218,7 +236,7 @@ TEST_F(ProtocolFuzzTest, ServerDropsReplyMidSessionClientSeesUnavailable) {
   // server.before_reply kDisconnect: the request was handled but the reply
   // never leaves. The client observes a connection that died at a frame
   // boundary — kUnavailable, the retryable "fate unknown" outcome.
-  const std::uint64_t errors_before = server_->stats().errors.load();
+  const std::uint64_t errors_before = Instrument("io_server", "errors");
   net::ServerConnection conn =
       net::ServerConnection::Connect(server_->endpoint()).value();
 
@@ -229,7 +247,7 @@ TEST_F(ProtocolFuzzTest, ServerDropsReplyMidSessionClientSeesUnavailable) {
 
   const Status ping = conn.Ping();
   EXPECT_EQ(ping.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(server_->stats().errors.load(), errors_before + 1);
+  EXPECT_EQ(Instrument("io_server", "errors"), errors_before + 1);
   ExpectServerAlive();
 }
 
@@ -257,6 +275,8 @@ TEST_F(ProtocolFuzzTest, StopJoinsAllSessionsAfterFaultStorm) {
   // A storm of misbehaving sessions — truncated frames, dropped replies —
   // must leave no wedged session thread behind: Stop() joins everything
   // (the test would hang past its timeout on a leak).
+  const std::uint64_t accepted_before =
+      Instrument("io_server", "sessions_accepted");
   failpoint::Spec drop;
   drop.action = failpoint::Action::kDisconnect;
   drop.skip = 1;  // every session gets one good reply, then a drop
@@ -288,17 +308,21 @@ TEST_F(ProtocolFuzzTest, StopJoinsAllSessionsAfterFaultStorm) {
   }
   // The accept loop drains the TCP backlog asynchronously; make sure every
   // session exists before asking Stop() to join them all.
-  for (int i = 0; i < 200 && server_->stats().sessions_accepted.load() < 12u;
-       ++i) {
+  const auto accepted = [&] {
+    return Instrument("io_server", "sessions_accepted") - accepted_before;
+  };
+  for (int i = 0; i < 200 && accepted() < 12u; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_GE(server_->stats().sessions_accepted.load(), 12u);
+  ASSERT_GE(accepted(), 12u);
   server_->Stop();  // joins every session thread or the test times out
 }
 
 TEST_F(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
   // kMetrics returns the process-wide text snapshot; after real traffic the
   // server-side per-opcode counters must appear with nonzero values.
+  const std::uint64_t written_before =
+      Instrument("subfile_store", "bytes_written");
   net::ServerConnection conn =
       net::ServerConnection::Connect(server_->endpoint()).value();
   std::vector<net::WriteFragment> writes;
@@ -314,7 +338,9 @@ TEST_F(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
             std::string::npos);
   EXPECT_NE(snapshot.value().find("histogram io_server.service_time_us.read "),
             std::string::npos);
-  EXPECT_NE(snapshot.value().find("subfile_store.bytes_written 3"),
+  // The live value, which other tests in this process may have moved too.
+  EXPECT_NE(snapshot.value().find("counter subfile_store.bytes_written " +
+                                  std::to_string(written_before + 3) + "\n"),
             std::string::npos);
 }
 
@@ -559,16 +585,22 @@ TEST_F(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
 TEST_F(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
+  // The unassigned 8 inside the range draws the same reply.
   for (const std::uint8_t bad :
        {static_cast<std::uint8_t>(net::kMaxMessageType + 1),
-        static_cast<std::uint8_t>(0x7F), static_cast<std::uint8_t>(0)}) {
+        static_cast<std::uint8_t>(0x7F), static_cast<std::uint8_t>(0),
+        static_cast<std::uint8_t>(8)}) {
+    const std::uint64_t bad_before = Instrument("metad", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, payload).ok());
     Bytes reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-    EXPECT_EQ(net::DecodeReply(reply).value().status.code(),
-              StatusCode::kProtocolError)
+    const net::DecodedReply decoded = net::DecodeReply(reply).value();
+    EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError)
         << static_cast<int>(bad);
+    EXPECT_EQ(decoded.status.message(),
+              "bad message type " + std::to_string(bad));
+    EXPECT_EQ(Instrument("metad", "bad_requests"), bad_before + 1);
   }
   ExpectServiceAlive();
 }
@@ -658,6 +690,8 @@ TEST_F(MetadProtocolFuzzTest, TwoFramesSplitInsideTheHeader) {
 }
 
 TEST_F(MetadProtocolFuzzTest, RandomFrameStorm) {
+  const std::uint64_t accepted_before =
+      Instrument("metad", "sessions_accepted");
   SplitMix64 rng(54321);
   for (int trial = 0; trial < 40; ++trial) {
     Result<net::TcpSocket> socket =
@@ -679,22 +713,26 @@ TEST_F(MetadProtocolFuzzTest, RandomFrameStorm) {
     }
   }
   ExpectServiceAlive();
-  EXPECT_GE(service_->stats().sessions_accepted.load(), 40u);
+  EXPECT_GE(Instrument("metad", "sessions_accepted") - accepted_before, 40u);
 }
 
 TEST_F(MetadProtocolFuzzTest, StopJoinsSessionsWithClientsMidRecv) {
   // Idle sessions blocked in RecvFrame must not wedge Stop().
+  const std::uint64_t accepted_before =
+      Instrument("metad", "sessions_accepted");
   std::vector<net::TcpSocket> idle;
   for (int i = 0; i < 4; ++i) {
     idle.push_back(
         net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port)
             .value());
   }
-  for (int i = 0; i < 200 && service_->stats().sessions_accepted.load() < 4u;
-       ++i) {
+  const auto accepted = [&] {
+    return Instrument("metad", "sessions_accepted") - accepted_before;
+  };
+  for (int i = 0; i < 200 && accepted() < 4u; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_GE(service_->stats().sessions_accepted.load(), 4u);
+  ASSERT_GE(accepted(), 4u);
   service_->Stop();  // joins every session thread or the test times out
 }
 

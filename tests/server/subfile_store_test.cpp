@@ -104,13 +104,18 @@ TEST_F(SubfileStoreTest, SyncWriteSucceeds) {
   EXPECT_TRUE(store_.WriteFragments("/durable", writes, true).ok());
 }
 
-TEST_F(SubfileStoreTest, TotalBytesStored) {
-  EXPECT_EQ(store_.TotalBytesStored().value(), 0u);
+TEST_F(SubfileStoreTest, ListSubfilesGivesNestedNamesAndSizes) {
+  EXPECT_TRUE(store_.ListSubfiles().value().empty());
   std::vector<net::WriteFragment> writes;
   writes.push_back({0, Bytes(100, 1)});
   ASSERT_TRUE(store_.WriteFragments("/a", writes, false).ok());
   ASSERT_TRUE(store_.WriteFragments("/sub/b", writes, false).ok());
-  EXPECT_EQ(store_.TotalBytesStored().value(), 200u);
+  // A write past the end leaves a hole that still counts in the size.
+  writes[0].offset = 50;
+  ASSERT_TRUE(store_.WriteFragments("/sub/deep/c", writes, false).ok());
+  EXPECT_EQ(store_.ListSubfiles().value(),
+            (std::vector<net::SubfileInfo>{
+                {"/a", 100}, {"/sub/b", 100}, {"/sub/deep/c", 150}}));
 }
 
 TEST_F(SubfileStoreTest, RenameMovesContents) {

@@ -173,9 +173,17 @@ TEST_F(ShellTest, LsLongFormatShowsAttributes) {
 }
 
 TEST_F(ShellTest, DfAndServersListRegisteredNodes) {
+  const TempDir local = TempDir::Create("dpfs-shell").value();
+  const std::string src = (local.path() / "f").string();
+  std::ofstream(src) << std::string(2048, 'z');
+  Run("import " + src + " /f");
   const std::string df = Run("df");
   EXPECT_NE(df.find("ionode000.dpfs.local"), std::string::npos);
   EXPECT_NE(df.find("ionode001.dpfs.local"), std::string::npos);
+  // `used` sums the subfiles each server lists: the one brick of the
+  // 2048-byte file lives on one of the two servers, none on the other.
+  EXPECT_NE(df.find("  2.0 KB\n"), std::string::npos) << df;
+  EXPECT_NE(df.find("  0 B\n"), std::string::npos) << df;
   const std::string servers = Run("servers");
   EXPECT_NE(servers.find("127.0.0.1:"), std::string::npos);
 }

@@ -6,14 +6,14 @@
 //         [--metad host:port]
 //         [--capacity 536870912]
 //         [--performance 1]
-//         [--metrics-dump-ms 0] [--metrics-dump-path FILE]
 //         [--metrics-port 0]
 //
 // With --metadb, the server registers itself in the DPFS_SERVER table so
 // clients can find it (re-registering replaces a stale row). With --metad,
 // registration goes over the wire to a dpfs-metad process instead — the
 // metad owns the database flock, so opening the directory here would
-// block. Runs until SIGINT/SIGTERM.
+// block. Runs until SIGINT/SIGTERM, then prints the metrics registry's
+// text snapshot (docs/OBSERVABILITY.md) so the last numbers land in the log.
 #include <csignal>
 #include <cstdio>
 
@@ -24,6 +24,7 @@
 #include "client/metadata.h"
 #include "client/remote_metadata.h"
 #include "common/log.h"
+#include "common/metrics.h"
 #include "common/options.h"
 #include "server/io_server.h"
 
@@ -75,8 +76,7 @@ int main(int argc, char** argv) {
                  "             [--metadb DIR] [--metadb-shards N] "
                  "[--metad HOST:PORT] "
                  "[--capacity BYTES] [--performance N] [--max-sessions N]\n"
-                 "             [--metrics-dump-ms N] "
-                 "[--metrics-dump-path FILE] [--metrics-port N]\n");
+                 "             [--metrics-port N]\n");
     return 2;
   }
   if (opts.Has("metadb") && opts.Has("metad")) {
@@ -91,9 +91,6 @@ int main(int argc, char** argv) {
   server_options.port = static_cast<std::uint16_t>(opts.GetInt("port", 0));
   server_options.max_sessions =
       static_cast<std::size_t>(opts.GetInt("max-sessions", 0));
-  server_options.metrics_dump_interval =
-      std::chrono::milliseconds(opts.GetInt("metrics-dump-ms", 0));
-  server_options.metrics_dump_path = opts.GetString("metrics-dump-path", "");
   server_options.metrics_port =
       static_cast<std::uint16_t>(opts.GetInt("metrics-port", 0));
 
@@ -143,12 +140,8 @@ int main(int argc, char** argv) {
   while (!g_stop.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
-  std::printf("dpfsd: shutting down (%llu requests served, %s read, %s "
-              "written)\n",
-              static_cast<unsigned long long>(
-                  io_server->stats().requests.load()),
-              std::to_string(io_server->stats().bytes_read.load()).c_str(),
-              std::to_string(io_server->stats().bytes_written.load()).c_str());
+  std::printf("dpfsd: shutting down\n");
   io_server->Stop();
+  std::fputs(metrics::Registry::Global().TextSnapshot().c_str(), stdout);
   return 0;
 }

@@ -7,7 +7,8 @@
 // Owns the metadata database (and its advisory flock) and serves the
 // kMeta* namespace opcodes; dpfsd registers through it with --metad, and
 // any number of dpfs / application clients share the namespace it exports.
-// Runs until SIGINT/SIGTERM.
+// Runs until SIGINT/SIGTERM, then prints the metrics registry's text
+// snapshot (docs/OBSERVABILITY.md) so the last numbers land in the log.
 #include <csignal>
 #include <cstdio>
 
@@ -16,6 +17,7 @@
 #include <thread>
 
 #include "common/log.h"
+#include "common/metrics.h"
 #include "common/options.h"
 #include "metad/metad.h"
 
@@ -80,9 +82,8 @@ int main(int argc, char** argv) {
   while (!g_stop.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
-  std::printf("dpfs-metad: shutting down (%llu requests served)\n",
-              static_cast<unsigned long long>(
-                  service->stats().requests.load()));
+  std::printf("dpfs-metad: shutting down\n");
   service->Stop();
+  std::fputs(metrics::Registry::Global().TextSnapshot().c_str(), stdout);
   return 0;
 }
