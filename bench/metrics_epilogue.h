@@ -3,7 +3,7 @@
 // The figure numbers come from simnet replay (pure simulation, no sockets),
 // which exercises the planner but none of the runtime hot paths. To make
 // every bench run end with a *live* metrics snapshot — nonzero io_server
-// per-opcode histograms, brick_cache hits/misses, metadb latencies — the
+// per-opcode histograms, client request counters, metadb latencies — the
 // epilogue drives a small real workload through an in-process LocalCluster
 // (real TCP on loopback, real subfile I/O, real metadata transactions) and
 // then prints the process-wide registry. How to read the output:
@@ -18,8 +18,8 @@
 
 namespace dpfs::bench {
 
-/// Runs write + cold read + cached read against a 2-server cluster, then
-/// prints the global metrics text snapshot between marker lines.
+/// Runs a write and a read against a 2-server cluster, then prints the
+/// global metrics text snapshot between marker lines.
 inline void PrintMetricsEpilogue() {
   const auto fail = [](const Status& status) {
     std::fprintf(stderr, "metrics epilogue workload failed: %s\n",
@@ -36,7 +36,6 @@ inline void PrintMetricsEpilogue() {
       return;
     }
     const std::shared_ptr<client::FileSystem> fs = cluster.value()->fs();
-    fs->EnableBrickCache(8ull << 20);
 
     client::CreateOptions create;
     create.total_bytes = 1ull << 20;
@@ -51,9 +50,6 @@ inline void PrintMetricsEpilogue() {
     std::iota(data.begin(), data.end(), 0);
     Bytes readback(create.total_bytes);
     Status status = fs->WriteBytes(*handle, 0, data, {}, nullptr);
-    // First read fills the brick cache over the wire; second is served from
-    // it, so both brick_cache.misses and brick_cache.hits move.
-    if (status.ok()) status = fs->ReadBytes(*handle, 0, readback);
     if (status.ok()) status = fs->ReadBytes(*handle, 0, readback);
     if (!status.ok()) {
       fail(status);

@@ -1,6 +1,9 @@
 // Micro-benchmarks of the real TCP data path: a live in-process cluster,
 // measuring wire throughput of reads/writes through the full client stack
-// (planner → connection pool → framing → server → subfile store).
+// (planner → connection pool → framing → server → subfile store). The rows
+// that go over TCP time wall-clock (UseRealTime), so bytes_per_second is a
+// wall-clock rate: the calling thread's CPU time leaves out the server
+// threads and the waits on the socket.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -48,7 +51,7 @@ void BM_WriteThroughput(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(chunk));
 }
-BENCHMARK(BM_WriteThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WriteThroughput)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ReadThroughput(benchmark::State& state) {
   const std::uint64_t chunk = 1 << 20;
@@ -64,7 +67,7 @@ void BM_ReadThroughput(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(chunk));
 }
-BENCHMARK(BM_ReadThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReadThroughput)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CombinedVsGeneralRead(benchmark::State& state) {
   // range(0): 0 = general (per-brick requests), 1 = combined.
@@ -84,29 +87,11 @@ void BM_CombinedVsGeneralRead(benchmark::State& state) {
                           static_cast<std::int64_t>(chunk));
   state.SetLabel(options.combine ? "combined" : "general");
 }
-BENCHMARK(BM_CombinedVsGeneralRead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_CachedVsUncachedRead(benchmark::State& state) {
-  // range(0): 0 = no client brick cache, 1 = cache enabled (hot after the
-  // first iteration).
-  const std::uint64_t chunk = 1 << 20;
-  Fixture fixture = Fixture::Make(4, chunk, 64 * 1024);
-  const Bytes data(chunk, 0x42);
-  (void)fixture.cluster->fs()->WriteBytes(fixture.handle, 0, data);
-  if (state.range(0) == 1) {
-    fixture.cluster->fs()->EnableBrickCache(8 << 20);
-  }
-  Bytes out(chunk);
-  for (auto _ : state) {
-    const dpfs::Status status =
-        fixture.cluster->fs()->ReadBytes(fixture.handle, 0, out);
-    if (!status.ok()) state.SkipWithError(status.ToString().c_str());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(chunk));
-  state.SetLabel(state.range(0) == 1 ? "cached" : "uncached");
-}
-BENCHMARK(BM_CachedVsUncachedRead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CombinedVsGeneralRead)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SmallRegionRead(benchmark::State& state) {
   // Latency of a small strided region read through the multidim path.
@@ -128,7 +113,7 @@ void BM_SmallRegionRead(benchmark::State& state) {
     if (!status.ok()) state.SkipWithError(status.ToString().c_str());
   }
 }
-BENCHMARK(BM_SmallRegionRead)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SmallRegionRead)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_OpenFromMetadata(benchmark::State& state) {
   Fixture fixture = Fixture::Make(4, 1 << 20, 64 * 1024);

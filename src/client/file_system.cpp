@@ -1,7 +1,7 @@
 #include "client/file_system.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <atomic>
 #include <set>
 #include <chrono>
 #include <thread>
@@ -215,60 +215,7 @@ Status FileSystem::Remove(const std::string& path) {
       }
     }
   }
-  if (brick_cache_ != nullptr) brick_cache_->InvalidateFile(record.meta.path);
   return metadata_->DeleteFile(path);
-}
-
-void FileSystem::EnableBrickCache(std::uint64_t capacity_bytes) {
-  brick_cache_ = std::make_unique<BrickCache>(capacity_bytes);
-}
-
-Result<std::string> FileSystem::AdviseLevel(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const FileRecord record, metadata_->LookupFile(path));
-  DPFS_ASSIGN_OR_RETURN(const MetadataManager::AccessSummary summary,
-                        metadata_->SummarizeAccess(path));
-  const FileMeta& meta = record.meta;
-  if (summary.accesses == 0) {
-    return std::string(
-        "no access observations yet — enable SetAccessLogging(true) and run "
-        "the workload");
-  }
-  const double efficiency = summary.efficiency();
-  const double requests_per_access =
-      static_cast<double>(summary.requests) /
-      static_cast<double>(summary.accesses);
-  char stats[160];
-  std::snprintf(stats, sizeof(stats),
-                "%llu accesses, %.1f requests/access, %.1f%% wire efficiency: ",
-                static_cast<unsigned long long>(summary.accesses),
-                requests_per_access, efficiency * 100.0);
-  std::string advice(stats);
-
-  if (meta.level == layout::FileLevel::kLinear && efficiency < 0.5 &&
-      !meta.array_shape.empty()) {
-    advice +=
-        "whole-brick reads discard most of each linear brick (the Fig 5 "
-        "pathology) — recreate at level=multidim with a square tile, or use "
-        "sieve reads (IoOptions::whole_brick_reads = false)";
-  } else if (meta.level != layout::FileLevel::kArray &&
-             requests_per_access >
-                 4.0 * static_cast<double>(record.servers.size()) &&
-             efficiency > 0.9) {
-    advice +=
-        "access is efficient but chatty — enable request combination, or if "
-        "each client reads one HPF chunk, recreate at level=array";
-  } else if (efficiency > 0.9 &&
-             requests_per_access <=
-                 static_cast<double>(record.servers.size())) {
-    advice += "the current level=";
-    advice += layout::FileLevelName(meta.level);
-    advice += " fits this workload";
-  } else {
-    advice +=
-        "mixed pattern — consider a multidim tile sized to the smaller "
-        "access dimension (see bench/ablation_brick_size)";
-  }
-  return advice;
 }
 
 Status FileSystem::RemoveDirectory(const std::string& path, bool recursive) {
@@ -333,10 +280,6 @@ Status FileSystem::Rename(const std::string& from, const std::string& to) {
       }
     }
     return failure;
-  }
-  if (brick_cache_ != nullptr) {
-    brick_cache_->InvalidateFile(src);
-    brick_cache_->InvalidateFile(dst);
   }
   return Status::Ok();
 }
@@ -555,13 +498,6 @@ Status FileSystem::ExecutePlan(const FileHandle& handle,
     report->transfer_bytes += plan.transfer_bytes();
     report->useful_bytes += plan.useful_bytes();
   }
-  if (access_logging_.load(std::memory_order_relaxed)) {
-    // dpfs:unchecked(access logging is advisory telemetry; a failed log
-    // write must not fail the I/O it describes)
-    (void)metadata_->LogAccess(handle.record.meta.path, is_write,
-                               plan.num_requests(), plan.transfer_bytes(),
-                               plan.useful_bytes());
-  }
   return Status::Ok();
 }
 
@@ -678,11 +614,6 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
         }
         begin = end;
       }
-      if (is_write && brick_cache_ != nullptr) {
-        for (const layout::BrickRequest& brick : request.bricks) {
-          brick_cache_->Invalidate(record.meta.path, brick.brick);
-        }
-      }
     } else if (is_write) {
       // Adjacent runs within a brick coalesce into one fragment: a fully
       // covered brick travels as a single contiguous write even though its
@@ -732,43 +663,15 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
         }
         begin = end;
       }
-      if (brick_cache_ != nullptr) {
-        for (const layout::BrickRequest& brick : request.bricks) {
-          brick_cache_->Invalidate(record.meta.path, brick.brick);
-        }
-      }
     } else if (options.whole_brick_reads) {
       // Reads move whole bricks (§3.2 semantics); the useful runs are
-      // scattered out of the returned brick images. Cached bricks are
-      // served locally and skipped on the wire.
-      const auto scatter = [&](const layout::BrickRequest& brick,
-                               ByteSpan image) {
-        const auto it = runs.find(brick.brick);
-        if (it == runs.end()) return;
-        for (const layout::BrickRun& run : it->second) {
-          std::copy_n(
-              image.begin() + static_cast<std::ptrdiff_t>(run.offset_in_brick),
-              run.length,
-              read_buffer.begin() +
-                  static_cast<std::ptrdiff_t>(run.buffer_offset));
-        }
-      };
-
+      // scattered out of the returned brick images; fragment i is brick i.
       std::vector<net::ReadFragment> fragments;
-      std::vector<const layout::BrickRequest*> fetched;
       for (const layout::BrickRequest& brick : request.bricks) {
-        if (brick_cache_ != nullptr) {
-          if (const std::optional<Bytes> image =
-                  brick_cache_->Get(record.meta.path, brick.brick)) {
-            scatter(brick, *image);
-            continue;
-          }
-        }
         net::ReadFragment fragment;
         fragment.offset = dist.slot_for(brick.brick) * slot_bytes;
         fragment.length = handle.map.brick_fetch_bytes(brick.brick);
         fragments.push_back(fragment);
-        fetched.push_back(&brick);
       }
       std::size_t begin = 0;
       while (begin < fragments.size()) {
@@ -790,12 +693,16 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
         }
         std::uint64_t image_base = 0;
         for (std::size_t i = begin; i < end; ++i) {
-          const ByteSpan image =
-              ByteSpan(data.value()).subspan(image_base, fragments[i].length);
-          scatter(*fetched[i], image);
-          if (brick_cache_ != nullptr) {
-            brick_cache_->Put(record.meta.path, fetched[i]->brick,
-                              Bytes(image.begin(), image.end()));
+          const auto it = runs.find(request.bricks[i].brick);
+          if (it != runs.end()) {
+            for (const layout::BrickRun& run : it->second) {
+              std::copy_n(data.value().begin() +
+                              static_cast<std::ptrdiff_t>(
+                                  image_base + run.offset_in_brick),
+                          run.length,
+                          read_buffer.begin() +
+                              static_cast<std::ptrdiff_t>(run.buffer_offset));
+            }
           }
           image_base += fragments[i].length;
         }

@@ -9,7 +9,6 @@
 // starting servers (§4.2).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -19,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "client/brick_cache.h"
 #include "client/conn_pool.h"
 #include "client/datatype.h"
 #include "client/metadata.h"
@@ -208,22 +206,6 @@ class FileSystem {
 
   [[nodiscard]] ConnectionPool& connections() noexcept { return pool_; }
 
-  /// Enables the client-side whole-brick cache (extension; see
-  /// brick_cache.h). Idempotent; replaces any existing cache. Whole-brick
-  /// reads are served locally on hit; writes invalidate the bricks they
-  /// touch; Remove/Rename invalidate the file.
-  void EnableBrickCache(std::uint64_t capacity_bytes);
-
-  /// Extension: record every access's request/transfer/useful counters in
-  /// the DPFS_ACCESS_LOG table, enabling AdviseLevel.
-  void SetAccessLogging(bool enabled) noexcept {
-    access_logging_.store(enabled, std::memory_order_relaxed);
-  }
-  /// Human-readable striping advice for `path` based on its observed
-  /// accesses (wire efficiency and request counts) — the data-driven
-  /// counterpart of the §6 hint structure.
-  Result<std::string> AdviseLevel(const std::string& path);
-
   /// Consistency check between the metadata database and the servers'
   /// actual subfiles. Orphans (subfiles with no DPFS_FILE_ATTR row —
   /// leftovers of interrupted deletes) are reported and, with `repair`,
@@ -246,10 +228,6 @@ class FileSystem {
     }
   };
   Result<FsckReport> Fsck(bool repair = false);
-  /// nullptr when not enabled.
-  [[nodiscard]] BrickCache* brick_cache() noexcept {
-    return brick_cache_.get();
-  }
 
  private:
   explicit FileSystem(std::unique_ptr<MetadataManager> metadata)
@@ -314,8 +292,6 @@ class FileSystem {
   MetadataManager* embedded_ = nullptr;
   RemoteMetadataManager* remote_ = nullptr;
   ConnectionPool pool_;
-  std::unique_ptr<BrickCache> brick_cache_;
-  std::atomic<bool> access_logging_{false};
   Mutex dispatch_mu_;
   // Created once under dispatch_mu_, never reset; the returned reference
   // outlives the lock because the pointee is immutable after creation.

@@ -219,24 +219,6 @@ Result<RenameRequest> RenameRequest::Decode(BinaryReader& reader) {
   return request;
 }
 
-void LogAccessRequest::Encode(BinaryWriter& writer) const {
-  writer.WriteString(path);
-  writer.WriteBool(is_write);
-  writer.WriteU64(requests);
-  writer.WriteU64(transfer_bytes);
-  writer.WriteU64(useful_bytes);
-}
-
-Result<LogAccessRequest> LogAccessRequest::Decode(BinaryReader& reader) {
-  LogAccessRequest request;
-  DPFS_ASSIGN_OR_RETURN(request.path, reader.ReadString());
-  DPFS_ASSIGN_OR_RETURN(request.is_write, reader.ReadBool());
-  DPFS_ASSIGN_OR_RETURN(request.requests, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(request.transfer_bytes, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(request.useful_bytes, reader.ReadU64());
-  return request;
-}
-
 void RemoveDirectoryRequest::Encode(BinaryWriter& writer) const {
   writer.WriteString(path);
   writer.WriteBool(recursive);
@@ -341,22 +323,6 @@ void BoolReply::Encode(BinaryWriter& writer) const { writer.WriteBool(value); }
 Result<BoolReply> BoolReply::Decode(BinaryReader& reader) {
   BoolReply reply;
   DPFS_ASSIGN_OR_RETURN(reply.value, reader.ReadBool());
-  return reply;
-}
-
-void AccessSummaryReply::Encode(BinaryWriter& writer) const {
-  writer.WriteU64(summary.accesses);
-  writer.WriteU64(summary.requests);
-  writer.WriteU64(summary.transfer_bytes);
-  writer.WriteU64(summary.useful_bytes);
-}
-
-Result<AccessSummaryReply> AccessSummaryReply::Decode(BinaryReader& reader) {
-  AccessSummaryReply reply;
-  DPFS_ASSIGN_OR_RETURN(reply.summary.accesses, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(reply.summary.requests, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(reply.summary.transfer_bytes, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(reply.summary.useful_bytes, reader.ReadU64());
   return reply;
 }
 

@@ -48,8 +48,8 @@ struct NameRequest {
 };
 
 /// kMetaLookupFile / kMetaDeleteFile / kMetaFileExists /
-/// kMetaSummarizeAccess / kMetaClearAccessLog / kMetaMakeDirectory /
-/// kMetaDirectoryExists / kMetaListDirectory (body: the DPFS path).
+/// kMetaMakeDirectory / kMetaDirectoryExists / kMetaListDirectory (body: the
+/// DPFS path).
 struct PathRequest {
   std::string path;
 
@@ -108,18 +108,6 @@ struct RenameRequest {
   static Result<RenameRequest> Decode(BinaryReader& reader);
 };
 
-/// kMetaLogAccess.
-struct LogAccessRequest {
-  std::string path;
-  bool is_write = false;
-  std::uint64_t requests = 0;
-  std::uint64_t transfer_bytes = 0;
-  std::uint64_t useful_bytes = 0;
-
-  void Encode(BinaryWriter& writer) const;
-  static Result<LogAccessRequest> Decode(BinaryReader& reader);
-};
-
 /// kMetaRemoveDirectory.
 struct RemoveDirectoryRequest {
   std::string path;
@@ -157,14 +145,6 @@ struct BoolReply {
 
   void Encode(BinaryWriter& writer) const;
   static Result<BoolReply> Decode(BinaryReader& reader);
-};
-
-/// kMetaSummarizeAccess reply.
-struct AccessSummaryReply {
-  MetadataService::AccessSummary summary;
-
-  void Encode(BinaryWriter& writer) const;
-  static Result<AccessSummaryReply> Decode(BinaryReader& reader);
 };
 
 /// kMetaListDirectory reply.

@@ -16,7 +16,6 @@ constexpr const char* kServerTable = "DPFS_SERVER";
 constexpr const char* kDistTable = "DPFS_FILE_DISTRIBUTION";
 constexpr const char* kDirTable = "DPFS_DIRECTORY";
 constexpr const char* kAttrTable = "DPFS_FILE_ATTR";
-constexpr const char* kAccessTable = "DPFS_ACCESS_LOG";
 constexpr const char* kIntentTable = "DPFS_INTENT";
 
 /// Separator between serialized statements in a rename intent payload;
@@ -125,9 +124,6 @@ struct HotStatements {
       MakeSelect(kDistTable, {"server", "server_index", "bricklist", "replica"},
                  metadb::OrderBy{"server_index", false});
   metadb::SelectStmt dist_all = MakeSelect(kDistTable, {});
-  metadb::SelectStmt access_all = MakeSelect(kAccessTable, {});
-  metadb::SelectStmt access_by_file =
-      MakeSelect(kAccessTable, {"requests", "transfer", "useful"});
   metadb::SelectStmt server_by_name = MakeSelect(kServerTable, {});
   metadb::SelectStmt servers_ordered =
       MakeSelect(kServerTable, {}, metadb::OrderBy{"server_name", false});
@@ -262,8 +258,7 @@ Result<std::string> BuildRenamePayload(metadb::Database& db,
     const metadb::SelectStmt* all;
   };
   const TableSelect tables[] = {{kAttrTable, &hot.attr_all},
-                                {kDistTable, &hot.dist_all},
-                                {kAccessTable, &hot.access_all}};
+                                {kDistTable, &hot.dist_all}};
   std::vector<std::string> statements;
   for (const TableSelect& t : tables) {
     DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet rows,
@@ -274,7 +269,7 @@ Result<std::string> BuildRenamePayload(metadb::Database& db,
       sql += " VALUES (";
       for (std::size_t col = 0; col < row.size(); ++col) {
         if (col > 0) sql += ", ";
-        // Column 0 is `filename` in all three tables.
+        // Column 0 is `filename` in both tables.
         sql += col == 0 ? Quote(dst) : ValueSqlLiteral(row[col]);
       }
       sql += ")";
@@ -370,6 +365,16 @@ Result<std::unique_ptr<MetadataManager>> MetadataManager::Attach(
   if (manager->db_->num_shards() > 1) {
     DPFS_RETURN_IF_ERROR(manager->RepairIntents());
   }
+  // Databases written before the access log was retired still hold its
+  // table. Drop it only after the repair pass: a pending rename intent from
+  // such a database carries INSERTs into it in its payload.
+  for (std::size_t i = 0; i < manager->db_->num_shards(); ++i) {
+    metadb::Database& shard = manager->Shard(i);
+    if (shard.HasTable("DPFS_ACCESS_LOG")) {
+      DPFS_RETURN_IF_ERROR(
+          shard.Execute("DROP TABLE DPFS_ACCESS_LOG").status());
+    }
+  }
   return manager;
 }
 
@@ -387,10 +392,6 @@ Status MetadataManager::EnsureTables() {
       "  filename TEXT PRIMARY KEY, owner TEXT, permission INT, size INT,"
       "  filelevel TEXT, elemsize INT, dims INT, dimsize TEXT,"
       "  brickbytes INT, stripe TEXT, pattern TEXT, grid TEXT)",
-      // Extension: per-access observations feeding level advice.
-      "CREATE TABLE IF NOT EXISTS DPFS_ACCESS_LOG ("
-      "  filename TEXT, direction TEXT, requests INT,"
-      "  transfer INT, useful INT)",
   };
   // Pending cross-shard mutations (docs/METADATA_SCHEMA.md "Sharding");
   // only exists on sharded databases so the single-shard on-disk layout
@@ -409,10 +410,8 @@ Status MetadataManager::EnsureTables() {
       DPFS_RETURN_IF_ERROR(shard.Execute(kIntentDdl).status());
     }
     // Distribution rows are keyed by filename (one row per server per
-    // file); index them so DPFS-Open's lookup is a probe, not a scan. Same
-    // for the access log's per-file summaries.
+    // file); index them so DPFS-Open's lookup is a probe, not a scan.
     DPFS_RETURN_IF_ERROR(shard.CreateIndex(kDistTable, "filename"));
-    DPFS_RETURN_IF_ERROR(shard.CreateIndex(kAccessTable, "filename"));
   }
 
   // The root directory always exists (on its home shard).
@@ -524,8 +523,6 @@ Status MetadataManager::ApplyRenamePayload(metadb::Database& db,
       DeleteEq(db, kAttrTable, hot.filename_col, dst).status());
   DPFS_RETURN_IF_ERROR(
       DeleteEq(db, kDistTable, hot.filename_col, dst).status());
-  DPFS_RETURN_IF_ERROR(
-      DeleteEq(db, kAccessTable, hot.filename_col, dst).status());
   for (const std::string& sql : SplitString(payload, kPayloadSep)) {
     if (sql.empty()) continue;
     DPFS_RETURN_IF_ERROR(db.Execute(sql).status());
@@ -638,54 +635,6 @@ Result<std::vector<ServerInfo>> MetadataManager::ListServers() {
 
 Result<ServerInfo> MetadataManager::LookupServer(const std::string& name) {
   return ServerByName(Shard(0), name);
-}
-
-// ---------------------------------------------------------------------------
-// Access log (extension; rows co-locate on the file's home shard)
-
-Status MetadataManager::LogAccess(const std::string& path, bool is_write,
-                                  std::uint64_t requests,
-                                  std::uint64_t transfer_bytes,
-                                  std::uint64_t useful_bytes) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  const std::size_t home = ShardOf(normalized);
-  ShardLocks locks(*this, {home});
-  return InsertRow(Shard(home), kAccessTable,
-                   {normalized, is_write ? "write" : "read",
-                    static_cast<std::int64_t>(requests),
-                    static_cast<std::int64_t>(transfer_bytes),
-                    static_cast<std::int64_t>(useful_bytes)});
-}
-
-Result<MetadataManager::AccessSummary> MetadataManager::SummarizeAccess(
-    const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet rows,
-      SelectEq(Shard(ShardOf(normalized)), Hot().access_by_file,
-               Hot().filename_col, normalized));
-  AccessSummary summary;
-  summary.accesses = rows.size();
-  for (std::size_t row = 0; row < rows.size(); ++row) {
-    DPFS_ASSIGN_OR_RETURN(const std::int64_t requests,
-                          rows.GetInt(row, "requests"));
-    DPFS_ASSIGN_OR_RETURN(const std::int64_t transfer,
-                          rows.GetInt(row, "transfer"));
-    DPFS_ASSIGN_OR_RETURN(const std::int64_t useful,
-                          rows.GetInt(row, "useful"));
-    summary.requests += static_cast<std::uint64_t>(requests);
-    summary.transfer_bytes += static_cast<std::uint64_t>(transfer);
-    summary.useful_bytes += static_cast<std::uint64_t>(useful);
-  }
-  return summary;
-}
-
-Status MetadataManager::ClearAccessLog(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  const std::size_t home = ShardOf(normalized);
-  ShardLocks locks(*this, {home});
-  return DeleteEq(Shard(home), kAccessTable, Hot().filename_col, normalized)
-      .status();
 }
 
 // ---------------------------------------------------------------------------
@@ -1156,11 +1105,8 @@ Status MetadataManager::RenameFile(const std::string& from,
     DPFS_RETURN_IF_ERROR(UpdateEq(db, kAttrTable, {{"filename", dst}},
                                   Hot().filename_col, src)
                              .status());
-    DPFS_RETURN_IF_ERROR(UpdateEq(db, kDistTable, {{"filename", dst}},
-                                  Hot().filename_col, src)
-                             .status());
-    return UpdateEq(db, kAccessTable, {{"filename", dst}},
-                    Hot().filename_col, src)
+    return UpdateEq(db, kDistTable, {{"filename", dst}}, Hot().filename_col,
+                    src)
         .status();
   };
 
@@ -1192,9 +1138,6 @@ Status MetadataManager::RenameFile(const std::string& from,
           DeleteEq(Shard(hs), kAttrTable, Hot().filename_col, src).status());
       DPFS_RETURN_IF_ERROR(
           DeleteEq(Shard(hs), kDistTable, Hot().filename_col, src).status());
-      DPFS_RETURN_IF_ERROR(
-          DeleteEq(Shard(hs), kAccessTable, Hot().filename_col, src)
-              .status());
     }
     if (ds == hs) {
       DPFS_RETURN_IF_ERROR(UnlinkName(Shard(hs), src_parent, src_name, true));
@@ -1244,11 +1187,7 @@ Status MetadataManager::DeleteFile(const std::string& path) {
     DPFS_RETURN_IF_ERROR(
         DeleteEq(Shard(home), kAttrTable, Hot().filename_col, normalized)
             .status());
-    DPFS_RETURN_IF_ERROR(
-        DeleteEq(Shard(home), kDistTable, Hot().filename_col, normalized)
-            .status());
-    return DeleteEq(Shard(home), kAccessTable, Hot().filename_col,
-                    normalized)
+    return DeleteEq(Shard(home), kDistTable, Hot().filename_col, normalized)
         .status();
   };
 

@@ -18,11 +18,11 @@
 // in the first place.
 //
 // Sharding (extension, docs/METADATA_SCHEMA.md "Sharding"): the manager
-// runs on a metadb::ShardedDatabase. A file's DPFS_FILE_ATTR,
-// DPFS_FILE_DISTRIBUTION, and DPFS_ACCESS_LOG rows co-locate on its
-// path-hash home shard; a directory's DPFS_DIRECTORY row lives on the
-// directory's own shard; DPFS_SERVER is tiny and read-mostly, so it is
-// replicated to every shard on register (lookups stay single-shard).
+// runs on a metadb::ShardedDatabase. A file's DPFS_FILE_ATTR and
+// DPFS_FILE_DISTRIBUTION rows co-locate on its path-hash home shard; a
+// directory's DPFS_DIRECTORY row lives on the directory's own shard;
+// DPFS_SERVER is tiny and read-mostly, so it is replicated to every shard on
+// register (lookups stay single-shard).
 // Mutations spanning shards commit in ascending shard order behind a
 // persisted intent record on the home shard; a crash between shard commits
 // is rolled forward by the idempotent repair pass in Attach. If a
@@ -58,8 +58,9 @@ namespace dpfs::client {
 class MetadataManager final : public MetadataService {
  public:
   /// Wraps an open (possibly sharded) database: creates the DPFS tables on
-  /// every shard if missing, then rolls forward any cross-shard intent
-  /// records a crash left behind.
+  /// every shard if missing, rolls forward any cross-shard intent records a
+  /// crash left behind, then drops the retired access-log table from
+  /// databases that still have it.
   static Result<std::unique_ptr<MetadataManager>> Attach(
       std::shared_ptr<metadb::ShardedDatabase> db);
 
@@ -83,13 +84,6 @@ class MetadataManager final : public MetadataService {
   Status DeleteFile(const std::string& path) override;
   Result<bool> FileExists(const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
-
-  // --- access log (extension) ---------------------------------------------
-  Status LogAccess(const std::string& path, bool is_write,
-                   std::uint64_t requests, std::uint64_t transfer_bytes,
-                   std::uint64_t useful_bytes) override;
-  Result<AccessSummary> SummarizeAccess(const std::string& path) override;
-  Status ClearAccessLog(const std::string& path) override;
 
   // --- directories -------------------------------------------------------
   Status MakeDirectory(const std::string& path) override;

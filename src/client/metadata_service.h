@@ -111,28 +111,6 @@ class MetadataService {
   /// too — FileSystem::Rename orchestrates both.
   virtual Status RenameFile(const std::string& from, const std::string& to) = 0;
 
-  // --- access log (extension) --------------------------------------------
-  /// Appends one access observation (called by FileSystem when access
-  /// logging is on).
-  virtual Status LogAccess(const std::string& path, bool is_write,
-                           std::uint64_t requests,
-                           std::uint64_t transfer_bytes,
-                           std::uint64_t useful_bytes) = 0;
-  struct AccessSummary {
-    std::uint64_t accesses = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t transfer_bytes = 0;
-    std::uint64_t useful_bytes = 0;
-
-    [[nodiscard]] double efficiency() const noexcept {
-      return transfer_bytes == 0 ? 1.0
-                                 : static_cast<double>(useful_bytes) /
-                                       static_cast<double>(transfer_bytes);
-    }
-  };
-  virtual Result<AccessSummary> SummarizeAccess(const std::string& path) = 0;
-  virtual Status ClearAccessLog(const std::string& path) = 0;
-
   // --- directories -------------------------------------------------------
   virtual Status MakeDirectory(const std::string& path) = 0;
   /// Fails on non-empty directories unless `recursive`.

@@ -246,46 +246,6 @@ Status RemoteMetadataManager::RenameFile(const std::string& from,
   return renamed;
 }
 
-// --- access log ------------------------------------------------------------
-
-Status RemoteMetadataManager::LogAccess(const std::string& path, bool is_write,
-                                        std::uint64_t requests,
-                                        std::uint64_t transfer_bytes,
-                                        std::uint64_t useful_bytes) {
-  meta_wire::LogAccessRequest request;
-  request.path = path;
-  request.is_write = is_write;
-  request.requests = requests;
-  request.transfer_bytes = transfer_bytes;
-  request.useful_bytes = useful_bytes;
-  BinaryWriter body;
-  request.Encode(body);
-  return Call(net::MessageType::kMetaLogAccess, body.buffer()).status();
-}
-
-Result<MetadataService::AccessSummary>
-RemoteMetadataManager::SummarizeAccess(const std::string& path) {
-  meta_wire::PathRequest request;
-  request.path = path;
-  BinaryWriter body;
-  request.Encode(body);
-  DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
-      Call(net::MessageType::kMetaSummarizeAccess, body.buffer()));
-  BinaryReader reader(reply);
-  DPFS_ASSIGN_OR_RETURN(const meta_wire::AccessSummaryReply decoded,
-                        meta_wire::AccessSummaryReply::Decode(reader));
-  return decoded.summary;
-}
-
-Status RemoteMetadataManager::ClearAccessLog(const std::string& path) {
-  meta_wire::PathRequest request;
-  request.path = path;
-  BinaryWriter body;
-  request.Encode(body);
-  return Call(net::MessageType::kMetaClearAccessLog, body.buffer()).status();
-}
-
 // --- directories -----------------------------------------------------------
 
 Status RemoteMetadataManager::MakeDirectory(const std::string& path) {

@@ -65,12 +65,6 @@ class RemoteMetadataManager final : public MetadataService {
   Result<bool> FileExists(const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
 
-  Status LogAccess(const std::string& path, bool is_write,
-                   std::uint64_t requests, std::uint64_t transfer_bytes,
-                   std::uint64_t useful_bytes) override;
-  Result<AccessSummary> SummarizeAccess(const std::string& path) override;
-  Status ClearAccessLog(const std::string& path) override;
-
   Status MakeDirectory(const std::string& path) override;
   Status RemoveDirectory(const std::string& path, bool recursive) override;
   Result<bool> DirectoryExists(const std::string& path) override;

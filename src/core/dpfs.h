@@ -12,7 +12,6 @@
 //   * dpfs::core::LocalCluster             — in-process cluster bootstrap
 #pragma once
 
-#include "client/brick_cache.h"  // IWYU pragma: export
 #include "client/collective.h"   // IWYU pragma: export
 #include "client/datatype.h"     // IWYU pragma: export
 #include "client/file_system.h"  // IWYU pragma: export

@@ -14,12 +14,10 @@ namespace dpfs::metad {
 
 namespace {
 
-using client::meta_wire::AccessSummaryReply;
 using client::meta_wire::BoolReply;
 using client::meta_wire::CreateFileRequest;
 using client::meta_wire::FileRecordReply;
 using client::meta_wire::ListingReply;
-using client::meta_wire::LogAccessRequest;
 using client::meta_wire::NameRequest;
 using client::meta_wire::PathRequest;
 using client::meta_wire::RemoveDirectoryRequest;
@@ -30,11 +28,13 @@ using client::meta_wire::SetOwnerRequest;
 using client::meta_wire::SetPermissionRequest;
 using client::meta_wire::UpdateSizeRequest;
 
+/// The kMeta* block, minus the unassigned type bytes inside it.
 std::vector<net::MessageType> MetaOpcodes() {
   std::vector<net::MessageType> opcodes;
   for (int op = static_cast<int>(net::MessageType::kMetaRegisterServer);
        op <= net::kMaxMetaMessageType; ++op) {
-    opcodes.push_back(static_cast<net::MessageType>(op));
+    const auto type = static_cast<net::MessageType>(op);
+    if (net::MessageTypeName(type) != "unknown") opcodes.push_back(type);
   }
   return opcodes;
 }
@@ -230,33 +230,6 @@ Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
       if (!request.ok()) return StatusReply(request.status());
       return StatusReply(
           metadata_->RenameFile(request.value().from, request.value().to));
-    }
-
-    case net::MessageType::kMetaLogAccess: {
-      const Result<LogAccessRequest> request =
-          LogAccessRequest::Decode(reader);
-      if (!request.ok()) return StatusReply(request.status());
-      return StatusReply(metadata_->LogAccess(
-          request.value().path, request.value().is_write,
-          request.value().requests, request.value().transfer_bytes,
-          request.value().useful_bytes));
-    }
-
-    case net::MessageType::kMetaSummarizeAccess: {
-      const Result<PathRequest> request = PathRequest::Decode(reader);
-      if (!request.ok()) return StatusReply(request.status());
-      Result<client::MetadataService::AccessSummary> summary =
-          metadata_->SummarizeAccess(request.value().path);
-      if (!summary.ok()) return StatusReply(summary.status());
-      AccessSummaryReply reply;
-      reply.summary = summary.value();
-      return BodyReply(reply);
-    }
-
-    case net::MessageType::kMetaClearAccessLog: {
-      const Result<PathRequest> request = PathRequest::Decode(reader);
-      if (!request.ok()) return StatusReply(request.status());
-      return StatusReply(metadata_->ClearAccessLog(request.value().path));
     }
 
     case net::MessageType::kMetaMakeDirectory: {

@@ -26,9 +26,6 @@ std::string_view MessageTypeName(MessageType type) noexcept {
     case MessageType::kMetaDeleteFile: return "meta_delete_file";
     case MessageType::kMetaFileExists: return "meta_file_exists";
     case MessageType::kMetaRenameFile: return "meta_rename_file";
-    case MessageType::kMetaLogAccess: return "meta_log_access";
-    case MessageType::kMetaSummarizeAccess: return "meta_summarize_access";
-    case MessageType::kMetaClearAccessLog: return "meta_clear_access_log";
     case MessageType::kMetaMakeDirectory: return "meta_make_directory";
     case MessageType::kMetaRemoveDirectory: return "meta_remove_directory";
     case MessageType::kMetaDirectoryExists: return "meta_directory_exists";

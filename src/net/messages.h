@@ -52,9 +52,7 @@ enum class MessageType : std::uint8_t {
   kMetaDeleteFile = 21,
   kMetaFileExists = 22,
   kMetaRenameFile = 23,
-  kMetaLogAccess = 24,
-  kMetaSummarizeAccess = 25,
-  kMetaClearAccessLog = 26,
+  // 24-26 are unassigned, like 8.
   kMetaMakeDirectory = 27,
   kMetaRemoveDirectory = 28,
   kMetaDirectoryExists = 29,
@@ -72,9 +70,9 @@ enum class MessageType : std::uint8_t {
 inline constexpr std::uint8_t kMaxMessageType =
     static_cast<std::uint8_t>(MessageType::kListWrite);
 
-/// Last opcode of the contiguous kMeta* block. The metadata server serves
-/// [kMetaRegisterServer, kMaxMetaMessageType] (plus ping/shutdown/metrics)
-/// and refuses everything else as an I/O opcode.
+/// Last opcode of the kMeta* block. The metadata server serves the assigned
+/// types in [kMetaRegisterServer, kMaxMetaMessageType] (plus
+/// ping/shutdown/metrics) and refuses everything else as an I/O opcode.
 inline constexpr std::uint8_t kMaxMetaMessageType =
     static_cast<std::uint8_t>(MessageType::kMetaListDirectory);
 

@@ -74,16 +74,9 @@ Status Shell::Execute(std::string_view line, std::ostream& out) {
                            : repair ? "repaired\n" : "issues found\n");
     return Status::Ok();
   }
-  if (cmd == "advise") {
-    DPFS_RETURN_IF_ERROR(NeedArgs(args, 1, "advise <file>"));
-    DPFS_ASSIGN_OR_RETURN(const std::string path, Resolve(args[0]));
-    DPFS_ASSIGN_OR_RETURN(const std::string advice, fs_->AdviseLevel(path));
-    out << advice << "\n";
-    return Status::Ok();
-  }
   if (cmd == "help") {
     out << "commands: pwd cd ls mkdir rmdir rm mv stat du df servers cp "
-           "import export cat chmod chown advise fsck sql help\n";
+           "import export cat chmod chown fsck sql help\n";
     return Status::Ok();
   }
   return InvalidArgumentError("unknown command '" + cmd +

@@ -572,55 +572,6 @@ TEST_F(FileSystemTest, RequestBatchingSplitsLargeTransfers) {
   EXPECT_EQ(sieve_read, data);
 }
 
-TEST_F(FileSystemTest, AccessLoggingFeedsLevelAdvice) {
-  fs_->SetAccessLogging(true);
-  // The Fig 5 pathology: a linear-array file read by columns.
-  CreateOptions options;
-  options.level = layout::FileLevel::kLinear;
-  options.array_shape = {64, 64};
-  options.brick_bytes = 64;
-  FileHandle handle = fs_->Create("/pathological", options).value();
-  const Bytes all = PatternBytes(64 * 64, 88);
-  ASSERT_TRUE(fs_->WriteRegion(handle, {{0, 0}, {64, 64}}, all).ok());
-  Bytes column(64);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(fs_->ReadRegion(handle, {{0, 10}, {64, 1}}, column).ok());
-  }
-  const std::string advice = fs_->AdviseLevel("/pathological").value();
-  EXPECT_NE(advice.find("multidim"), std::string::npos) << advice;
-
-  // The matching workload gets a clean bill.
-  CreateOptions good;
-  good.level = layout::FileLevel::kMultidim;
-  good.array_shape = {64, 64};
-  good.brick_shape = {16, 16};
-  FileHandle grid = fs_->Create("/matched", good).value();
-  ASSERT_TRUE(fs_->WriteRegion(grid, {{0, 0}, {64, 64}}, all).ok());
-  Bytes quarter(32 * 32);
-  ASSERT_TRUE(fs_->ReadRegion(grid, {{0, 0}, {32, 32}}, quarter).ok());
-  const std::string good_advice = fs_->AdviseLevel("/matched").value();
-  EXPECT_NE(good_advice.find("fits this workload"), std::string::npos)
-      << good_advice;
-
-  // With logging off, nothing accumulates.
-  fs_->SetAccessLogging(false);
-  CreateOptions quiet;
-  quiet.total_bytes = 64;
-  FileHandle q = fs_->Create("/quiet", quiet).value();
-  ASSERT_TRUE(fs_->WriteBytes(q, 0, Bytes(64, 1)).ok());
-  const std::string no_data = fs_->AdviseLevel("/quiet").value();
-  EXPECT_NE(no_data.find("no access observations"), std::string::npos);
-
-  // The summary aggregates correctly.
-  const auto summary =
-      fs_->metadata().SummarizeAccess("/pathological").value();
-  EXPECT_EQ(summary.accesses, 4u);  // 1 write + 3 reads
-  EXPECT_LT(summary.efficiency(), 0.5);
-  ASSERT_TRUE(fs_->metadata().ClearAccessLog("/pathological").ok());
-  EXPECT_EQ(fs_->metadata().SummarizeAccess("/pathological").value().accesses,
-            0u);
-}
-
 TEST_F(FileSystemTest, RenameMovesMetadataNotBytes) {
   CreateOptions options;
   options.total_bytes = 2048;
@@ -646,6 +597,28 @@ TEST_F(FileSystemTest, RenameMovesMetadataNotBytes) {
   EXPECT_TRUE(fs_->metadata().ListDirectory("/").value().files.empty());
   EXPECT_EQ(fs_->metadata().ListDirectory("/archive").value().files.size(),
             1u);
+}
+
+TEST_F(FileSystemTest, RenameAndRemoveRunPinnedStatementCounts) {
+  // The SQL statements one rename and one remove run on the embedded
+  // 1-shard database: the lookups, the checks, the row updates or deletes in
+  // the file's two tables and the directory links. Pinned exactly, so a
+  // statement added to either path shows up here.
+  CreateOptions options;
+  options.total_bytes = 2048;
+  options.brick_bytes = 256;
+  FileHandle handle = fs_->Create("/counted.bin", options).value();
+  ASSERT_TRUE(fs_->WriteBytes(handle, 0, PatternBytes(2048, 9)).ok());
+  const metrics::Counter& statements =
+      metrics::GetCounter("metadb.statements");
+
+  std::uint64_t before = statements.value();
+  ASSERT_TRUE(fs_->Rename("/counted.bin", "/renamed.bin").ok());
+  EXPECT_EQ(statements.value() - before, 19u);
+
+  before = statements.value();
+  ASSERT_TRUE(fs_->Remove("/renamed.bin").ok());
+  EXPECT_EQ(statements.value() - before, 13u);
 }
 
 TEST_F(FileSystemTest, RenamePreconditionsChecked) {

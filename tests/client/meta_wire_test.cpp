@@ -220,24 +220,6 @@ TEST(MetaWireRequests, RenameRequestRoundTrip) {
   EXPECT_EQ(decoded.to, request.to);
 }
 
-TEST(MetaWireRequests, LogAccessRequestRoundTrip) {
-  LogAccessRequest request;
-  request.path = "/a";
-  request.is_write = true;
-  request.requests = 7;
-  request.transfer_bytes = 4096;
-  request.useful_bytes = 1024;
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  const LogAccessRequest decoded = LogAccessRequest::Decode(reader).value();
-  EXPECT_EQ(decoded.path, request.path);
-  EXPECT_EQ(decoded.is_write, request.is_write);
-  EXPECT_EQ(decoded.requests, request.requests);
-  EXPECT_EQ(decoded.transfer_bytes, request.transfer_bytes);
-  EXPECT_EQ(decoded.useful_bytes, request.useful_bytes);
-}
-
 TEST(MetaWireRequests, RemoveDirectoryRequestRoundTrip) {
   RemoveDirectoryRequest request;
   request.path = "/dir";
@@ -305,23 +287,6 @@ TEST(MetaWireReplies, BoolReplyRoundTrip) {
     BinaryReader reader(writer.buffer());
     EXPECT_EQ(BoolReply::Decode(reader).value().value, value);
   }
-}
-
-TEST(MetaWireReplies, AccessSummaryReplyRoundTrip) {
-  AccessSummaryReply reply;
-  reply.summary.accesses = 3;
-  reply.summary.requests = 12;
-  reply.summary.transfer_bytes = 8192;
-  reply.summary.useful_bytes = 2048;
-  BinaryWriter writer;
-  reply.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  const AccessSummaryReply decoded = AccessSummaryReply::Decode(reader).value();
-  EXPECT_EQ(decoded.summary.accesses, reply.summary.accesses);
-  EXPECT_EQ(decoded.summary.requests, reply.summary.requests);
-  EXPECT_EQ(decoded.summary.transfer_bytes, reply.summary.transfer_bytes);
-  EXPECT_EQ(decoded.summary.useful_bytes, reply.summary.useful_bytes);
-  EXPECT_DOUBLE_EQ(decoded.summary.efficiency(), 0.25);
 }
 
 TEST(MetaWireReplies, ListingReplyRoundTrip) {

@@ -17,6 +17,7 @@
 #include "common/strings.h"
 #include "common/temp_dir.h"
 #include "metadb/sharded_database.h"
+#include "metadb/sql_ast.h"
 
 namespace dpfs::client {
 namespace {
@@ -212,6 +213,61 @@ TEST_F(MetadataShardChaosTest, RenameCrashBetweenFollowerCommits) {
   EXPECT_TRUE(manager_->LookupFile(dst).ok());
   EXPECT_FALSE(manager_->FileExists(src).value());
   ExpectConsistent();
+}
+
+TEST_F(MetadataShardChaosTest, AttachReplaysOldRenameIntentThenDropsAccessLog) {
+  // A database from before the access log was retired: every shard has a
+  // DPFS_ACCESS_LOG table, and a cross-shard rename stopped after its home
+  // commit. In that format the intent payload carries the file's access-log
+  // rows after its attribute and distribution rows. Attach must replay the
+  // rename while the table still exists, then drop the table.
+  const std::string src = CrossShardChild("/", "src");
+  const std::string dst = PathAvoidingShardsOf(src, "/", "dst");
+  ASSERT_TRUE(CreateTestFile(src).ok());
+  ASSERT_TRUE(CreateTestFile("/kept").ok());
+  for (std::size_t i = 0; i < kShards; ++i) {
+    ASSERT_TRUE(db_->shard(i)
+                    .Execute("CREATE TABLE DPFS_ACCESS_LOG (filename TEXT, "
+                             "direction TEXT, requests INT, transfer INT, "
+                             "useful INT)")
+                    .ok());
+  }
+  ASSERT_TRUE(db_->shard(db_->ShardForPath("/kept"))
+                  .Execute("INSERT INTO DPFS_ACCESS_LOG VALUES "
+                           "('/kept', 'read', 1, 64, 64)")
+                  .ok());
+
+  ArmShardCommitCrash();
+  EXPECT_FALSE(manager_->RenameFile(src, dst).ok());
+  metadb::Database& home = db_->shard(db_->ShardForPath(src));
+  const metadb::ResultSet intent =
+      home.Execute("SELECT payload FROM DPFS_INTENT").value();
+  ASSERT_EQ(intent.size(), 1u);
+  const std::string payload = intent.GetText(0, "payload").value() + '\x1e' +
+                              "INSERT INTO DPFS_ACCESS_LOG VALUES ('" + dst +
+                              "', 'read', 4, 4096, 4096)";
+  ASSERT_TRUE(home.Execute("DELETE FROM DPFS_INTENT").ok());
+  metadb::InsertStmt old_intent;
+  old_intent.table = "DPFS_INTENT";
+  old_intent.rows.push_back({src, "rename", dst, payload});
+  ASSERT_TRUE(home.ExecuteStatement(std::move(old_intent)).ok());
+
+  CrashAndRecover();
+  EXPECT_TRUE(manager_->LookupFile(dst).ok());
+  EXPECT_FALSE(manager_->FileExists(src).value());
+  EXPECT_TRUE(Listed("/", dst.substr(1), /*file=*/true));
+  EXPECT_TRUE(manager_->LookupFile("/kept").ok());
+  ExpectConsistent();
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_FALSE(db_->shard(i).HasTable("DPFS_ACCESS_LOG")) << "shard " << i;
+  }
+
+  // The drop is durable: the next attach finds the four tables only.
+  CrashAndRecover();
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_FALSE(db_->shard(i).HasTable("DPFS_ACCESS_LOG")) << "shard " << i;
+  }
+  EXPECT_TRUE(manager_->LookupFile(dst).ok());
 }
 
 TEST_F(MetadataShardChaosTest, MakeDirectoryRollsForwardAfterCrash) {

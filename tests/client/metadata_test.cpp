@@ -1,5 +1,9 @@
 #include "client/metadata.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace dpfs::client {
@@ -38,10 +42,23 @@ class MetadataTest : public ::testing::Test {
 };
 
 TEST_F(MetadataTest, TablesCreatedOnAttach) {
-  EXPECT_TRUE(manager_->db().HasTable("DPFS_SERVER"));
-  EXPECT_TRUE(manager_->db().HasTable("DPFS_FILE_DISTRIBUTION"));
-  EXPECT_TRUE(manager_->db().HasTable("DPFS_DIRECTORY"));
-  EXPECT_TRUE(manager_->db().HasTable("DPFS_FILE_ATTR"));
+  // Every shard of a fresh database holds exactly the paper's four tables;
+  // a sharded database adds only the cross-shard intent table.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    std::shared_ptr<metadb::ShardedDatabase> db =
+        metadb::ShardedDatabase::OpenInMemory(shards).value();
+    ASSERT_TRUE(MetadataManager::Attach(db).ok());
+    std::vector<std::string> expected = {"DPFS_DIRECTORY", "DPFS_FILE_ATTR",
+                                         "DPFS_FILE_DISTRIBUTION",
+                                         "DPFS_SERVER"};
+    if (shards > 1) expected.push_back("DPFS_INTENT");
+    std::sort(expected.begin(), expected.end());
+    for (std::size_t i = 0; i < shards; ++i) {
+      std::vector<std::string> names = db->shard(i).TableNames();
+      std::sort(names.begin(), names.end());
+      EXPECT_EQ(names, expected) << "shard " << i << " of " << shards;
+    }
+  }
 }
 
 TEST_F(MetadataTest, AttachIsIdempotent) {
@@ -243,27 +260,6 @@ TEST_F(MetadataTest, RecursiveRemoveDirectoryDeletesFiles) {
   EXPECT_FALSE(manager_->DirectoryExists("/proj").value());
   EXPECT_FALSE(manager_->FileExists("/proj/f1").value());
   EXPECT_FALSE(manager_->FileExists("/proj/sub/f2").value());
-}
-
-TEST_F(MetadataTest, AccessLogFollowsRenameAndDelete) {
-  ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();
-  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/f"), {"s0"}, dist).ok());
-  ASSERT_TRUE(manager_->LogAccess("/f", false, 4, 1000, 500).ok());
-  ASSERT_TRUE(manager_->LogAccess("/f", true, 2, 500, 500).ok());
-  EXPECT_EQ(manager_->SummarizeAccess("/f").value().accesses, 2u);
-
-  // Rename moves the observations to the new name.
-  ASSERT_TRUE(manager_->RenameFile("/f", "/g").ok());
-  EXPECT_EQ(manager_->SummarizeAccess("/f").value().accesses, 0u);
-  const auto summary = manager_->SummarizeAccess("/g").value();
-  EXPECT_EQ(summary.accesses, 2u);
-  EXPECT_EQ(summary.transfer_bytes, 1500u);
-  EXPECT_EQ(summary.useful_bytes, 1000u);
-
-  // Delete drops them.
-  ASSERT_TRUE(manager_->DeleteFile("/g").ok());
-  EXPECT_EQ(manager_->SummarizeAccess("/g").value().accesses, 0u);
 }
 
 TEST_F(MetadataTest, MetadataRenameUpdatesAllTables) {

@@ -1,5 +1,5 @@
 // Chaos: every feature at once, and fault-schedule scenarios. Collective
-// phases, independent cached readers, sieve readers, parallel-dispatch
+// phases, independent whole-brick and sieve readers, parallel-dispatch
 // writers, renames, fsck, and metadata traffic all share one FileSystem
 // against one live cluster; then failpoint-driven schedules (busy storms,
 // dropped connections, a server restarted mid-access) hit a mixed
@@ -31,8 +31,6 @@ TEST(ChaosTest, AllFeaturesConcurrently) {
   cluster_options.num_servers = 4;
   auto cluster = core::LocalCluster::Start(std::move(cluster_options)).value();
   auto fs = cluster->fs();
-  fs->EnableBrickCache(2 << 20);
-  fs->SetAccessLogging(true);
 
   ASSERT_TRUE(fs->metadata().MakeDirectory("/chaos").ok());
 
@@ -51,7 +49,7 @@ TEST(ChaosTest, AllFeaturesConcurrently) {
   grid.grid = {2, 2};
   ASSERT_TRUE(collective.value()->SetHpfViews(pattern, grid).ok());
 
-  // A hot shared read-only file for the cached readers.
+  // A hot shared read-only file for the independent readers.
   CreateOptions hot_create;
   hot_create.total_bytes = 64 * 1024;
   hot_create.brick_bytes = 4 * 1024;
@@ -89,7 +87,7 @@ TEST(ChaosTest, AllFeaturesConcurrently) {
     });
   }
 
-  // 3 cached readers hammering the hot file with mixed options.
+  // 3 independent readers hammering the hot file with mixed options.
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
       SplitMix64 rng(100 + t);
@@ -151,8 +149,6 @@ TEST(ChaosTest, AllFeaturesConcurrently) {
   FileHandle hot2 = fs->Open("/chaos/hot.bin").value();
   ASSERT_TRUE(fs->ReadBytes(hot2, 0, final_hot).ok());
   EXPECT_EQ(final_hot, hot_data);
-  const auto advice = fs->AdviseLevel("/chaos/hot.bin");
-  EXPECT_TRUE(advice.ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 // FileSystem instances — each with its own RemoteMetadataManager and TTL
 // cache — share one namespace through a single dpfs-metad. The suite pins
 // the semantics a shared namespace must honor: cross-client visibility of
-// every mutation, the bounded staleness window of the lookup cache,
-// invalidate-on-own-write, and exactly-one-winner under concurrent
-// same-path creates.
+// every mutation and of overwritten bytes, the bounded staleness window of
+// the lookup cache, invalidate-on-own-write, and exactly-one-winner under
+// concurrent same-path creates.
 //
 // The suite name contains "Metad" so the asan-faults/tsan-faults ctest
 // presets pick it up.
@@ -97,6 +97,45 @@ TEST_F(MetadConformanceTest, CreateIsVisibleToOtherClientsWithData) {
   Bytes read(256);
   ASSERT_TRUE(fs_b_->ReadBytes(rh, 0, read).ok());
   EXPECT_EQ(read, data);
+}
+
+TEST_F(MetadConformanceTest, OverwriteReachesAnEarlierReader) {
+  // An acknowledged write is never served stale to a different client. B
+  // reads v1, A overwrites every byte with v2, and B must then read v2
+  // through the handle it opened before the write and through a fresh Open
+  // once its lookup cache has expired.
+  constexpr std::size_t kBytes = 64 * 1024;
+  CreateOptions create;
+  create.total_bytes = kBytes;
+  create.brick_bytes = 4096;
+  FileHandle writer = fs_a_->Create("/overwritten.bin", create).value();
+  Bytes v1(kBytes);
+  Bytes v2(kBytes);
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    v1[i] = static_cast<std::uint8_t>(i * 7);
+    v2[i] = static_cast<std::uint8_t>(i * 7 + 1);  // differs from v1 everywhere
+  }
+  const auto stale_bytes = [&v2](const Bytes& read) {
+    std::size_t stale = 0;
+    for (std::size_t i = 0; i < kBytes; ++i) stale += read[i] != v2[i];
+    return stale;
+  };
+  ASSERT_TRUE(fs_a_->WriteBytes(writer, 0, v1).ok());
+
+  FileHandle reader = fs_b_->Open("/overwritten.bin").value();
+  Bytes read(kBytes);
+  ASSERT_TRUE(fs_b_->ReadBytes(reader, 0, read).ok());
+  ASSERT_EQ(read, v1);
+
+  ASSERT_TRUE(fs_a_->WriteBytes(writer, 0, v2).ok());
+  ASSERT_TRUE(fs_b_->ReadBytes(reader, 0, read).ok());
+  EXPECT_EQ(stale_bytes(read), 0u);
+
+  std::this_thread::sleep_for(kTtl * 3);
+  FileHandle reopened = fs_b_->Open("/overwritten.bin").value();
+  Bytes fresh(kBytes);
+  ASSERT_TRUE(fs_b_->ReadBytes(reopened, 0, fresh).ok());
+  EXPECT_EQ(stale_bytes(fresh), 0u);
 }
 
 TEST_F(MetadConformanceTest, DirectoryOperationsAreShared) {
@@ -299,6 +338,10 @@ TEST_F(MetadConformanceTest, MetadMetricsCountNamespaceTraffic) {
   EXPECT_NE(
       snapshot.find("histogram metad.service_time_us.meta_lookup_file "),
       std::string::npos);
+  // The metad registers its per-opcode instruments by walking the kMeta*
+  // block; the unassigned bytes 24-26 inside it must not become
+  // `metad.requests.unknown` or `metad.service_time_us.unknown`.
+  EXPECT_EQ(snapshot.find(".unknown"), std::string::npos);
 }
 
 // MetadOptions::max_sessions through the shared transport: the busy reply,

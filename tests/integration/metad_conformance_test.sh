@@ -14,7 +14,6 @@ DPFSD="$2"
 DPFS="$3"
 WORK="$(mktemp -d)"
 PIDS=""
-PORT=$(( 20000 + (RANDOM % 20000) ))
 
 fail() {
   echo "FAIL: $1" >&2
@@ -24,19 +23,20 @@ fail() {
   exit 1
 }
 
-"$METAD" --metadb "$WORK/meta" --port "$PORT" > "$WORK/metad.log" 2>&1 &
+# No --port: the metad binds a free port itself and prints it on its
+# (line-buffered) "serving" line, so parallel tests cannot collide on one.
+"$METAD" --metadb "$WORK/meta" > "$WORK/metad.log" 2>&1 &
 PIDS="$!"
 
 # The metad must be serving before anything can register through it.
-ready=""
+PORT=""
 for i in $(seq 1 100); do
-  if grep -q "dpfs-metad: serving" "$WORK/metad.log" 2>/dev/null; then
-    ready=1
-    break
-  fi
+  PORT="$(sed -n 's/^dpfs-metad: serving .* on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' \
+          "$WORK/metad.log" 2>/dev/null)"
+  [ -n "$PORT" ] && break
   sleep 0.1
 done
-[ -n "$ready" ] || fail "metad never came up"
+[ -n "$PORT" ] || fail "metad never came up"
 
 # The metad holds the database flock; daemons and CLIs go over the wire.
 "$DPFSD" --root "$WORK/s0" --name node0 --metad "127.0.0.1:$PORT" \

@@ -152,7 +152,6 @@ TEST(ShardedDatabaseTest, SingleShardLayoutIsByteIdenticalToPlainDatabase) {
     ASSERT_TRUE(meta.CreateFile(file, {"s0", "s1"}, dist).ok());
     ASSERT_TRUE(meta.UpdateFileSize("/home/data.bin", 96).ok());
     ASSERT_TRUE(meta.RenameFile("/home/data.bin", "/home/data2.bin").ok());
-    ASSERT_TRUE(meta.LogAccess("/home/data2.bin", false, 4, 4096, 4096).ok());
 
     file.path = "/home/doomed.bin";
     ASSERT_TRUE(meta.CreateFile(file, {"s0", "s1"}, dist).ok());

@@ -585,11 +585,12 @@ TEST_F(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
 TEST_F(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
-  // The unassigned 8 inside the range draws the same reply.
+  // The unassigned 8 and 24-26 inside the range draw the same reply.
   for (const std::uint8_t bad :
        {static_cast<std::uint8_t>(net::kMaxMessageType + 1),
         static_cast<std::uint8_t>(0x7F), static_cast<std::uint8_t>(0),
-        static_cast<std::uint8_t>(8)}) {
+        static_cast<std::uint8_t>(8), static_cast<std::uint8_t>(24),
+        static_cast<std::uint8_t>(25), static_cast<std::uint8_t>(26)}) {
     const std::uint64_t bad_before = Instrument("metad", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, payload).ok());

@@ -249,17 +249,6 @@ TEST_F(ShellTest, FsckDetectsPlantedOrphan) {
   EXPECT_EQ(Run("cat /real"), "real file");  // the real file is untouched
 }
 
-TEST_F(ShellTest, AdviseCommand) {
-  const TempDir local = TempDir::Create("dpfs-shell").value();
-  const std::string src = (local.path() / "f").string();
-  std::ofstream(src) << std::string(4096, 'z');
-  Run("import " + src + " /observed");
-  const std::string advice = Run("advise /observed");
-  EXPECT_NE(advice.find("no access observations"), std::string::npos)
-      << advice;
-  EXPECT_FALSE(RunStatus("advise /missing").ok());
-}
-
 TEST_F(ShellTest, ChmodChownUpdateAttributes) {
   const TempDir local = TempDir::Create("dpfs-shell").value();
   const std::string src = (local.path() / "f").string();
