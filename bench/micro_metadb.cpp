@@ -172,6 +172,7 @@ ShardedBenchState MakeShardedBench(std::size_t shards, int threads,
       meta.path = dir + "/f" + std::to_string(j);
       if (bench.db->ShardForPath(meta.path) != want) continue;
       ++i;
+      meta.subfile = client::NewSubfileId().value();
       meta.owner = "bench";
       meta.permission = 0644;
       meta.level = layout::FileLevel::kLinear;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/log.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "layout/replication.h"
@@ -42,6 +43,11 @@ struct ClientMetricsT {
       metrics::GetCounter("client.failover_reads");
   metrics::Counter& replica_write_failures =
       metrics::GetCounter("client.replica_write_failures");
+  // Subfiles a Remove left on a server after its metadata commit (each
+  // (server, rank) delete that failed with anything but not-found); fsck
+  // reports and reclaims them as orphans.
+  metrics::Counter& orphaned_subfiles =
+      metrics::GetCounter("client.orphaned_subfiles");
 };
 ClientMetricsT& ClientMetrics() {
   static ClientMetricsT m;
@@ -72,6 +78,7 @@ Result<FileMeta> BuildMeta(const std::string& path,
                            const CreateOptions& options) {
   FileMeta meta;
   DPFS_ASSIGN_OR_RETURN(meta.path, NormalizePath(path));
+  DPFS_ASSIGN_OR_RETURN(meta.subfile, NewSubfileId());
   meta.owner = options.owner;
   meta.permission = options.permission;
   meta.level = options.level;
@@ -199,23 +206,32 @@ Result<FileHandle> FileSystem::Open(const std::string& path) {
 }
 
 Status FileSystem::Remove(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const FileRecord record, metadata_->LookupFile(path));
+  // Metadata first: once DeleteFile commits, the file is gone, and a
+  // subfile left behind below is an orphan for fsck, never a hole in a live
+  // file.
+  DPFS_ASSIGN_OR_RETURN(const FileRecord record, metadata_->DeleteFile(path));
   for (const ServerInfo& server : record.servers) {
-    DPFS_ASSIGN_OR_RETURN(PooledConnection conn,
-                          pool_.Acquire(server.endpoint));
-    // Every replica rank stores its own subfile name (rank 0 is the plain
-    // path); a server that never received a brick write for a rank has no
-    // subfile for it, which is fine.
+    Result<PooledConnection> conn = pool_.Acquire(server.endpoint);
+    // Once a delete fails, the server's remaining ranks are not tried.
+    Status failed = conn.status();
+    // Every replica rank has its own subfile; a server that never received
+    // a brick write for a rank has none, which is fine.
     for (std::uint32_t rank = 0; rank < record.replication(); ++rank) {
-      const Status deleted =
-          conn->Delete(layout::ReplicaSubfileName(record.meta.path, rank));
-      if (!deleted.ok() && deleted.code() != StatusCode::kNotFound) {
-        conn.Poison();
-        return deleted.WithContext("delete subfile on " + server.name);
+      const std::string subfile =
+          layout::ReplicaSubfileName(record.meta.subfile, rank);
+      if (failed.ok()) {
+        const Status deleted = conn.value()->Delete(subfile);
+        if (deleted.ok() || deleted.code() == StatusCode::kNotFound) continue;
+        conn.value().Poison();
+        failed = deleted;
       }
+      ClientMetrics().orphaned_subfiles.Add();
+      DPFS_LOG_WARN << "remove " << record.meta.path << ": subfile "
+                    << subfile << " left on " << server.name << ": "
+                    << failed.ToString();
     }
   }
-  return metadata_->DeleteFile(path);
+  return Status::Ok();
 }
 
 Status FileSystem::RemoveDirectory(const std::string& path, bool recursive) {
@@ -235,53 +251,7 @@ Status FileSystem::RemoveDirectory(const std::string& path, bool recursive) {
 }
 
 Status FileSystem::Rename(const std::string& from, const std::string& to) {
-  DPFS_ASSIGN_OR_RETURN(const std::string src, NormalizePath(from));
-  DPFS_ASSIGN_OR_RETURN(const std::string dst, NormalizePath(to));
-  DPFS_ASSIGN_OR_RETURN(const FileRecord record, metadata_->LookupFile(src));
-  // Validate the metadata preconditions before touching any subfile, so a
-  // doomed rename does not strand data under the new name.
-  DPFS_ASSIGN_OR_RETURN(const bool dst_exists, metadata_->FileExists(dst));
-  if (dst_exists) return AlreadyExistsError("file '" + dst + "' exists");
-
-  // (server, replica rank) pairs renamed so far, for rollback on failure.
-  std::vector<std::pair<const ServerInfo*, std::uint32_t>> renamed;
-  Status failure;
-  for (const ServerInfo& server : record.servers) {
-    DPFS_ASSIGN_OR_RETURN(PooledConnection conn,
-                          pool_.Acquire(server.endpoint));
-    for (std::uint32_t rank = 0; rank < record.replication(); ++rank) {
-      const Status status =
-          conn->Rename(layout::ReplicaSubfileName(src, rank),
-                       layout::ReplicaSubfileName(dst, rank));
-      // A server that never received a brick write has no subfile to rename.
-      if (status.ok()) {
-        renamed.push_back({&server, rank});
-      } else if (status.code() != StatusCode::kNotFound) {
-        conn.Poison();
-        failure = status.WithContext("rename subfile on " + server.name);
-        break;
-      }
-    }
-    if (!failure.ok()) break;
-  }
-  if (failure.ok()) {
-    failure = metadata_->RenameFile(src, dst);
-  }
-  if (!failure.ok()) {
-    // Best-effort rollback of the subfiles already renamed.
-    for (const auto& [server, rank] : renamed) {
-      Result<PooledConnection> conn = pool_.Acquire(server->endpoint);
-      if (conn.ok()) {
-        PooledConnection pooled = std::move(conn).value();
-        // dpfs:unchecked(best-effort rollback: the original failure is
-        // what the caller must see, not a secondary undo error)
-        (void)pooled->Rename(layout::ReplicaSubfileName(dst, rank),
-                             layout::ReplicaSubfileName(src, rank));
-      }
-    }
-    return failure;
-  }
-  return Status::Ok();
+  return metadata_->RenameFile(from, to);
 }
 
 Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
@@ -291,23 +261,25 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
         "run it on the host that owns the metadata database");
   }
   FsckReport report;
-  // Expected file set from DPFS_FILE_ATTR, unioned across every shard.
+  // Expected subfile names, unioned across every shard: each file's
+  // subfile id, plus "<subfile>#r<rank>" for each replica distribution row
+  // (docs/REPLICATION.md). A file's two tables share its home shard.
   metadb::ShardedDatabase& db = embedded_->sharded_db();
   std::set<std::string> expected;
   for (std::size_t shard = 0; shard < db.num_shards(); ++shard) {
     DPFS_ASSIGN_OR_RETURN(
         const metadb::ResultSet attr,
-        db.shard(shard).Execute("SELECT filename FROM DPFS_FILE_ATTR"));
+        db.shard(shard).Execute(
+            "SELECT filename, subfile FROM DPFS_FILE_ATTR"));
+    std::map<std::string, std::string> subfiles;  // filename -> subfile id
     for (std::size_t row = 0; row < attr.size(); ++row) {
       DPFS_ASSIGN_OR_RETURN(std::string name, attr.GetText(row, "filename"));
-      expected.insert(std::move(name));
+      DPFS_ASSIGN_OR_RETURN(std::string subfile,
+                            attr.GetText(row, "subfile"));
+      expected.insert(subfile);
+      subfiles.emplace(std::move(name), std::move(subfile));
     }
-  }
-  report.files_checked = expected.size();
-  // Replicated files (docs/REPLICATION.md) also legitimately own per-rank
-  // subfiles named "<path>#r<rank>"; learn the ranks from the distribution
-  // rows so replicas are not misreported as orphans.
-  for (std::size_t shard = 0; shard < db.num_shards(); ++shard) {
+    report.files_checked += attr.size();
     DPFS_ASSIGN_OR_RETURN(
         const metadb::ResultSet dist,
         db.shard(shard).Execute(
@@ -316,9 +288,10 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
       DPFS_ASSIGN_OR_RETURN(const std::int64_t rank,
                             dist.GetInt(row, "replica"));
       if (rank <= 0) continue;
-      DPFS_ASSIGN_OR_RETURN(std::string name, dist.GetText(row, "filename"));
+      DPFS_ASSIGN_OR_RETURN(const std::string name,
+                            dist.GetText(row, "filename"));
       expected.insert(layout::ReplicaSubfileName(
-          name, static_cast<std::uint32_t>(rank)));
+          subfiles[name], static_cast<std::uint32_t>(rank)));
     }
   }
 
@@ -542,12 +515,12 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
   const std::uint64_t slot_bytes = handle.map.brick_bytes();
   // Replica rank selection (docs/REPLICATION.md): the request's rank picks
   // both the slot layout and the on-server subfile name. Rank 0 is the
-  // primary — plain path, primary distribution — so unreplicated requests
-  // are byte-identical to the pre-replication wire traffic.
+  // primary — plain subfile id, primary distribution — so unreplicated
+  // requests are byte-identical to the pre-replication wire traffic.
   const layout::BrickDistribution& dist =
       record.rank_distribution(request.replica);
   const std::string subfile =
-      layout::ReplicaSubfileName(record.meta.path, request.replica);
+      layout::ReplicaSubfileName(record.meta.subfile, request.replica);
   {
     const ServerInfo& server = record.servers[request.server];
     DPFS_ASSIGN_OR_RETURN(PooledConnection conn,

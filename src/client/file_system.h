@@ -171,14 +171,19 @@ class FileSystem {
   /// handle; provided for API parity with the paper and for making the end
   /// of a handle's life explicit in application code.
   static void Close(FileHandle& handle) noexcept { handle = FileHandle{}; }
-  /// Deletes subfiles on every server, then the metadata rows.
+  /// Deletes the metadata rows in one transaction (DeleteFile), then the
+  /// file's subfiles on every server, by the deleted record's subfile id.
+  /// Ok once the metadata commit succeeded: a subfile that cannot be
+  /// deleted is logged and counted (client.orphaned_subfiles), and Fsck
+  /// reclaims it.
   Status Remove(const std::string& path);
   /// Removes a directory; with `recursive`, removes contained files (with
   /// their subfiles) and subdirectories first. Prefer this over
   /// MetadataManager::RemoveDirectory, which touches metadata only.
   Status RemoveDirectory(const std::string& path, bool recursive);
-  /// Renames a file without moving data bytes: subfiles are renamed on each
-  /// server, then the metadata rows are updated in one transaction.
+  /// Renames a file: one metadata transaction (RenameFile). Subfiles are
+  /// named by the file's immutable subfile id, so no server is involved and
+  /// handles opened before the rename keep addressing the same bytes.
   Status Rename(const std::string& from, const std::string& to);
 
   // --- element-region access (multidim / array / linear-array files) ------
@@ -207,10 +212,10 @@ class FileSystem {
   [[nodiscard]] ConnectionPool& connections() noexcept { return pool_; }
 
   /// Consistency check between the metadata database and the servers'
-  /// actual subfiles. Orphans (subfiles with no DPFS_FILE_ATTR row —
-  /// leftovers of interrupted deletes) are reported and, with `repair`,
-  /// removed. A missing subfile is NOT an error: never-written files are
-  /// legitimately absent (sparse semantics).
+  /// actual subfiles. Orphans (subfiles no DPFS_FILE_ATTR row names —
+  /// left by a Remove that could not reach a server) are reported and, with
+  /// `repair`, removed. A missing subfile is NOT an error: never-written
+  /// files are legitimately absent (sparse semantics).
   struct FsckReport {
     struct Orphan {
       std::string server;

@@ -61,6 +61,7 @@ Result<ServerInfo> DecodeServerInfo(BinaryReader& reader) {
 
 void EncodeFileMeta(const FileMeta& meta, BinaryWriter& writer) {
   writer.WriteString(meta.path);
+  writer.WriteString(meta.subfile);
   writer.WriteString(meta.owner);
   writer.WriteU32(meta.permission);
   writer.WriteU64(meta.size_bytes);
@@ -77,6 +78,7 @@ void EncodeFileMeta(const FileMeta& meta, BinaryWriter& writer) {
 Result<FileMeta> DecodeFileMeta(BinaryReader& reader) {
   FileMeta meta;
   DPFS_ASSIGN_OR_RETURN(meta.path, reader.ReadString());
+  DPFS_ASSIGN_OR_RETURN(meta.subfile, reader.ReadString());
   DPFS_ASSIGN_OR_RETURN(meta.owner, reader.ReadString());
   DPFS_ASSIGN_OR_RETURN(meta.permission, reader.ReadU32());
   DPFS_ASSIGN_OR_RETURN(meta.size_bytes, reader.ReadU64());

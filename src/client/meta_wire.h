@@ -127,7 +127,8 @@ struct ServerListReply {
   static Result<ServerListReply> Decode(BinaryReader& reader);
 };
 
-/// kMetaLookupFile reply. `num_bricks` travels explicitly so the decoder
+/// kMetaLookupFile and kMetaDeleteFile reply (the deleted file's record).
+/// `num_bricks` travels explicitly so the decoder
 /// rebuilds the exact BrickDistribution without re-deriving the brick map.
 /// Replica ranks (record.replicas) ride in a trailing section that
 /// unreplicated records omit, keeping their frames byte-identical to the

@@ -1,6 +1,9 @@
 #include "client/metadata.h"
 
+#include <sys/random.h>
+
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <utility>
 
@@ -17,6 +20,26 @@ constexpr const char* kDistTable = "DPFS_FILE_DISTRIBUTION";
 constexpr const char* kDirTable = "DPFS_DIRECTORY";
 constexpr const char* kAttrTable = "DPFS_FILE_ATTR";
 constexpr const char* kIntentTable = "DPFS_INTENT";
+
+// The two file tables' DDL, shared by EnsureTables and the in-place
+// upgrades in Attach (WidenTable).
+constexpr const char* kDistDdl =
+    "CREATE TABLE IF NOT EXISTS DPFS_FILE_DISTRIBUTION ("
+    "  filename TEXT, server TEXT, server_index INT, bricklist TEXT,"
+    "  replica INT)";
+constexpr const char* kAttrDdl =
+    "CREATE TABLE IF NOT EXISTS DPFS_FILE_ATTR ("
+    "  filename TEXT PRIMARY KEY, owner TEXT, permission INT, size INT,"
+    "  filelevel TEXT, elemsize INT, dims INT, dimsize TEXT,"
+    "  brickbytes INT, stripe TEXT, pattern TEXT, grid TEXT, subfile TEXT)";
+
+/// The NewSubfileId shape: "/" and 32 lowercase hex digits. The id arrives
+/// over the wire through dpfs-metad and becomes a file name on every
+/// server, so no other shape is stored.
+bool IsSubfileId(std::string_view id) {
+  return id.size() == 33 && id[0] == '/' &&
+         id.find_first_not_of("0123456789abcdef", 1) == std::string_view::npos;
+}
 
 /// Separator between serialized statements in a rename intent payload;
 /// ASCII record separator, which cannot appear in a normalized path.
@@ -281,6 +304,18 @@ Result<std::string> BuildRenamePayload(metadb::Database& db,
 
 }  // namespace
 
+Result<std::string> NewSubfileId() {
+  // Up to 256 bytes, getrandom fills the buffer in one call.
+  std::uint64_t bits[2];
+  if (::getrandom(bits, sizeof(bits), 0) != sizeof(bits)) {
+    return IoErrnoError("getrandom", "subfile id");
+  }
+  char id[34];
+  std::snprintf(id, sizeof(id), "/%016" PRIx64 "%016" PRIx64, bits[0],
+                bits[1]);
+  return std::string(id);
+}
+
 Result<layout::BrickMap> FileMeta::MakeBrickMap() const {
   switch (level) {
     case layout::FileLevel::kLinear:
@@ -365,15 +400,28 @@ Result<std::unique_ptr<MetadataManager>> MetadataManager::Attach(
   if (manager->db_->num_shards() > 1) {
     DPFS_RETURN_IF_ERROR(manager->RepairIntents());
   }
-  // Databases written before the access log was retired still hold its
-  // table. Drop it only after the repair pass: a pending rename intent from
-  // such a database carries INSERTs into it in its payload.
+  // Upgrade older layouts only after the repair pass: a pending rename
+  // intent's payload INSERTs rows in the layout that wrote it (12 values
+  // into DPFS_FILE_ATTR, rows into the retired access-log table).
   for (std::size_t i = 0; i < manager->db_->num_shards(); ++i) {
     metadb::Database& shard = manager->Shard(i);
+    // Pre-replication rows become replica rank 0.
+    DPFS_RETURN_IF_ERROR(manager->WidenTable(
+        shard, kDistTable, "replica", kDistDdl, [](const metadb::Row&) {
+          return metadb::Value(static_cast<std::int64_t>(0));
+        }));
+    // Files from before subfile ids keep their path-named subfiles: the
+    // id is the filename, and no server is touched.
+    DPFS_RETURN_IF_ERROR(manager->WidenTable(
+        shard, kAttrTable, "subfile", kAttrDdl,
+        [](const metadb::Row& row) { return row[0]; }));
     if (shard.HasTable("DPFS_ACCESS_LOG")) {
       DPFS_RETURN_IF_ERROR(
           shard.Execute("DROP TABLE DPFS_ACCESS_LOG").status());
     }
+    // Distribution rows are keyed by filename (one row per server per
+    // file); index them so DPFS-Open's lookup is a probe, not a scan.
+    DPFS_RETURN_IF_ERROR(shard.CreateIndex(kDistTable, "filename"));
   }
   return manager;
 }
@@ -383,15 +431,10 @@ Status MetadataManager::EnsureTables() {
       "CREATE TABLE IF NOT EXISTS DPFS_SERVER ("
       "  server_name TEXT PRIMARY KEY, host TEXT, port INT,"
       "  capacity INT, performance INT)",
-      "CREATE TABLE IF NOT EXISTS DPFS_FILE_DISTRIBUTION ("
-      "  filename TEXT, server TEXT, server_index INT, bricklist TEXT,"
-      "  replica INT)",
+      kDistDdl,
       "CREATE TABLE IF NOT EXISTS DPFS_DIRECTORY ("
       "  main_dir TEXT PRIMARY KEY, sub_dirs TEXT, files TEXT)",
-      "CREATE TABLE IF NOT EXISTS DPFS_FILE_ATTR ("
-      "  filename TEXT PRIMARY KEY, owner TEXT, permission INT, size INT,"
-      "  filelevel TEXT, elemsize INT, dims INT, dimsize TEXT,"
-      "  brickbytes INT, stripe TEXT, pattern TEXT, grid TEXT)",
+      kAttrDdl,
   };
   // Pending cross-shard mutations (docs/METADATA_SCHEMA.md "Sharding");
   // only exists on sharded databases so the single-shard on-disk layout
@@ -405,13 +448,9 @@ Status MetadataManager::EnsureTables() {
     for (const char* ddl : kDdl) {
       DPFS_RETURN_IF_ERROR(shard.Execute(ddl).status());
     }
-    DPFS_RETURN_IF_ERROR(MigrateDistributionTable(shard));
     if (db_->num_shards() > 1) {
       DPFS_RETURN_IF_ERROR(shard.Execute(kIntentDdl).status());
     }
-    // Distribution rows are keyed by filename (one row per server per
-    // file); index them so DPFS-Open's lookup is a probe, not a scan.
-    DPFS_RETURN_IF_ERROR(shard.CreateIndex(kDistTable, "filename"));
   }
 
   // The root directory always exists (on its home shard).
@@ -424,29 +463,26 @@ Status MetadataManager::EnsureTables() {
   return Status::Ok();
 }
 
-Status MetadataManager::MigrateDistributionTable(metadb::Database& shard) {
+Status MetadataManager::WidenTable(
+    metadb::Database& shard, const char* table, std::string_view column,
+    const char* ddl,
+    const std::function<metadb::Value(const metadb::Row&)>& fill) {
   DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet probe,
-                        SelectAll(shard, Hot().dist_all));
-  for (const std::string& column : probe.columns) {
-    if (EqualsIgnoreCase(column, "replica")) return Status::Ok();
+                        SelectAll(shard, MakeSelect(table, {})));
+  for (const std::string& name : probe.columns) {
+    if (EqualsIgnoreCase(name, column)) return Status::Ok();
   }
-  // Pre-replication 4-column table: rebuild it with every existing row as
-  // replica rank 0. DDL participates in transactions (undo restores the
-  // dropped table), so a crash mid-migration leaves the old schema intact.
+  // DDL participates in transactions (undo restores the dropped table), so
+  // a crash mid-upgrade leaves the old schema intact.
   Transaction txn(shard);
   DPFS_RETURN_IF_ERROR(txn.Begin());
   DPFS_RETURN_IF_ERROR(
-      shard.Execute("DROP TABLE DPFS_FILE_DISTRIBUTION").status());
-  DPFS_RETURN_IF_ERROR(
-      shard
-          .Execute("CREATE TABLE DPFS_FILE_DISTRIBUTION ("
-                   "  filename TEXT, server TEXT, server_index INT,"
-                   "  bricklist TEXT, replica INT)")
-          .status());
+      shard.Execute(std::string("DROP TABLE ") + table).status());
+  DPFS_RETURN_IF_ERROR(shard.Execute(ddl).status());
   for (const metadb::Row& row : probe.rows) {
     std::vector<metadb::Value> widened = row;
-    widened.emplace_back(static_cast<std::int64_t>(0));
-    DPFS_RETURN_IF_ERROR(InsertRow(shard, kDistTable, std::move(widened)));
+    widened.push_back(fill(row));
+    DPFS_RETURN_IF_ERROR(InsertRow(shard, table, std::move(widened)));
   }
   return txn.Commit();
 }
@@ -739,7 +775,7 @@ Status MetadataManager::RemoveDirectory(const std::string& path,
   }
   if (recursive) {
     for (const std::string& file : listing.files) {
-      DPFS_RETURN_IF_ERROR(DeleteFile(normalized + "/" + file));
+      DPFS_RETURN_IF_ERROR(DeleteFile(normalized + "/" + file).status());
     }
     for (const std::string& dir : listing.directories) {
       DPFS_RETURN_IF_ERROR(RemoveDirectory(normalized + "/" + dir, true));
@@ -811,6 +847,9 @@ Status MetadataManager::CreateFile(
                         NormalizePath(meta.path));
   const auto [parent, name] = SplitPath(normalized);
   if (name.empty()) return InvalidArgumentError("file path must name a file");
+  if (!IsSubfileId(meta.subfile)) {
+    return InvalidArgumentError("bad subfile id '" + meta.subfile + "'");
+  }
 
   const std::size_t home = ShardOf(normalized);
   const std::size_t parent_shard = ShardOf(parent);
@@ -851,7 +890,8 @@ Status MetadataManager::CreateFile(
       EncodeShape(meta.brick_shape),
       meta.pattern.has_value() ? metadb::Value(meta.pattern->ToString())
                                : metadb::Value::Null(),
-      EncodeShape(meta.chunk_grid)};
+      EncodeShape(meta.chunk_grid),
+      meta.subfile};
 
   const auto insert_file_rows = [&]() -> Status {
     DPFS_RETURN_IF_ERROR(
@@ -936,6 +976,7 @@ Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {
   }
   DPFS_ASSIGN_OR_RETURN(const std::string grid, attr.GetText(0, "grid"));
   DPFS_ASSIGN_OR_RETURN(meta.chunk_grid, DecodeShape(grid));
+  DPFS_ASSIGN_OR_RETURN(meta.subfile, attr.GetText(0, "subfile"));
 
   // Distribution rows, ordered by server_index; DPFS_SERVER is replicated,
   // so the joined server rows come from the same (home) shard.
@@ -1172,16 +1213,16 @@ Status MetadataManager::RenameFile(const std::string& from,
   return DeleteIntent(Shard(hs), src);
 }
 
-Status MetadataManager::DeleteFile(const std::string& path) {
+Result<FileRecord> MetadataManager::DeleteFile(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
   const auto [parent, name] = SplitPath(normalized);
   const std::size_t home = ShardOf(normalized);
   const std::size_t parent_shard = ShardOf(parent);
   ShardLocks locks(*this, {home, parent_shard});
 
-  DPFS_ASSIGN_OR_RETURN(const bool exists,
-                        FileExistsIn(Shard(home), normalized));
-  if (!exists) return NotFoundError("no such file '" + normalized + "'");
+  // Read under the delete's locks (LookupFile takes none), so the record
+  // returned is exactly the one deleted.
+  DPFS_ASSIGN_OR_RETURN(FileRecord record, LookupFile(normalized));
 
   const auto delete_file_rows = [&]() -> Status {
     DPFS_RETURN_IF_ERROR(
@@ -1196,7 +1237,8 @@ Status MetadataManager::DeleteFile(const std::string& path) {
     DPFS_RETURN_IF_ERROR(txn.Begin());
     DPFS_RETURN_IF_ERROR(delete_file_rows());
     DPFS_RETURN_IF_ERROR(UnlinkName(Shard(parent_shard), parent, name, true));
-    return txn.Commit();
+    DPFS_RETURN_IF_ERROR(txn.Commit());
+    return record;
   }
 
   {
@@ -1210,7 +1252,8 @@ Status MetadataManager::DeleteFile(const std::string& path) {
   DPFS_SHARD_COMMIT_GATE();
   DPFS_RETURN_IF_ERROR(UnlinkName(Shard(parent_shard), parent, name, true));
   DPFS_SHARD_COMMIT_GATE();
-  return DeleteIntent(Shard(home), normalized);
+  DPFS_RETURN_IF_ERROR(DeleteIntent(Shard(home), normalized));
+  return record;
 }
 
 }  // namespace dpfs::client

@@ -4,14 +4,15 @@
 //   DPFS_SERVER            — one row per I/O server: name, endpoint,
 //                            capacity, normalized performance number.
 //   DPFS_FILE_DISTRIBUTION — one row per (file, server, replica rank): the
-//                            subfile name and the bricklist text
+//                            file's path and the bricklist text
 //                            ("0,2,6,..."). Rank 0 is the paper's row;
 //                            ranks >= 1 exist only for replicated files
 //                            (extension, docs/REPLICATION.md).
 //   DPFS_DIRECTORY         — one row per directory: sub-dirs and files as
 //                            comma-separated lists.
 //   DPFS_FILE_ATTR         — one row per file: owner, permission, size,
-//                            filelevel, striping geometry, HPF pattern.
+//                            filelevel, striping geometry, HPF pattern, and
+//                            the subfile id that names its subfiles.
 //
 // All multi-row mutations (file creation touches three tables) run inside a
 // database transaction, which is the paper's argument for using a database
@@ -36,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,8 +61,11 @@ class MetadataManager final : public MetadataService {
  public:
   /// Wraps an open (possibly sharded) database: creates the DPFS tables on
   /// every shard if missing, rolls forward any cross-shard intent records a
-  /// crash left behind, then drops the retired access-log table from
-  /// databases that still have it.
+  /// crash left behind, then upgrades older layouts in place: widens
+  /// DPFS_FILE_DISTRIBUTION by `replica` and DPFS_FILE_ATTR by `subfile`,
+  /// and drops the retired access-log table. The upgrades wait for the
+  /// repair pass because a pending intent's payload INSERTs rows of the
+  /// layout that wrote it.
   static Result<std::unique_ptr<MetadataManager>> Attach(
       std::shared_ptr<metadb::ShardedDatabase> db);
 
@@ -81,7 +86,7 @@ class MetadataManager final : public MetadataService {
   Status SetPermission(const std::string& path,
                        std::uint32_t permission) override;
   Status SetOwner(const std::string& path, const std::string& owner) override;
-  Status DeleteFile(const std::string& path) override;
+  Result<FileRecord> DeleteFile(const std::string& path) override;
   Result<bool> FileExists(const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
 
@@ -110,10 +115,14 @@ class MetadataManager final : public MetadataService {
   }
 
   Status EnsureTables();
-  /// Upgrades a pre-replication DPFS_FILE_DISTRIBUTION table (4 columns)
-  /// in place: existing rows become replica rank 0. metadb has no ALTER
-  /// TABLE, so this is a transactional read → drop → recreate → re-insert.
-  Status MigrateDistributionTable(metadb::Database& shard);
+  /// Adds `column` as the last column of `table` on one shard unless it is
+  /// already there; each existing row gets fill(row). metadb has no ALTER
+  /// TABLE, so this is a transactional read → drop → recreate from `ddl` →
+  /// re-insert.
+  Status WidenTable(
+      metadb::Database& shard, const char* table, std::string_view column,
+      const char* ddl,
+      const std::function<metadb::Value(const metadb::Row&)>& fill);
   /// Rolls forward every pending cross-shard intent (idempotent; called
   /// from Attach before the manager is shared, so it takes no locks).
   Status RepairIntents();

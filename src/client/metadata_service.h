@@ -39,6 +39,12 @@ struct ServerInfo {
 /// Everything needed to address a file's bricks.
 struct FileMeta {
   std::string path;  // normalized DPFS path, e.g. "/home/xhshen/dpfs.test"
+  /// The file's subfile id, drawn once at create and never changed: every
+  /// server stores the file's bricks under
+  /// layout::ReplicaSubfileName(subfile, rank), so a rename touches no
+  /// server. "/" and 32 lowercase hex digits (NewSubfileId); files from a
+  /// database that named subfiles by path keep that path here.
+  std::string subfile;
   std::string owner;
   std::uint32_t permission = 0644;
   std::uint64_t size_bytes = 0;
@@ -53,6 +59,10 @@ struct FileMeta {
   /// Rebuilds the BrickMap this metadata describes.
   [[nodiscard]] Result<layout::BrickMap> MakeBrickMap() const;
 };
+
+/// A fresh subfile id: "/" and 32 lowercase hex digits, 128 bits drawn from
+/// the OS (getrandom), so ids do not repeat across processes.
+Result<std::string> NewSubfileId();
 
 /// A file's metadata joined with its brick placement and server info,
 /// everything DPFS-Open() needs.
@@ -86,10 +96,11 @@ class MetadataService {
 
   // --- files -------------------------------------------------------------
   /// Creates attribute + distribution rows and links the file into its
-  /// parent directory, atomically. `server_names[i]` is the server holding
-  /// distribution bricklist i. `replicas` carries replica ranks 1..R-1
-  /// (replication extension); each rank stores one distribution row per
-  /// server, exactly like the primary.
+  /// parent directory, atomically. `meta.subfile` must be a NewSubfileId
+  /// shape (kInvalidArgument otherwise). `server_names[i]` is the server
+  /// holding distribution bricklist i. `replicas` carries replica ranks
+  /// 1..R-1 (replication extension); each rank stores one distribution row
+  /// per server, exactly like the primary.
   virtual Status CreateFile(
       const FileMeta& meta, const std::vector<std::string>& server_names,
       const layout::BrickDistribution& distribution,
@@ -104,11 +115,15 @@ class MetadataService {
                                std::uint32_t permission) = 0;
   virtual Status SetOwner(const std::string& path,
                           const std::string& owner) = 0;
-  virtual Status DeleteFile(const std::string& path) = 0;
+  /// Deletes the file's attribute + distribution rows and its directory
+  /// link atomically, and returns the record it deleted, read under the
+  /// same shard locks. The subfiles stay on the servers:
+  /// FileSystem::Remove deletes them by the returned record's subfile id.
+  virtual Result<FileRecord> DeleteFile(const std::string& path) = 0;
   virtual Result<bool> FileExists(const std::string& path) = 0;
-  /// Renames a file's metadata (attribute + distribution rows + directory
-  /// links) atomically. Callers must rename the subfiles on every server
-  /// too — FileSystem::Rename orchestrates both.
+  /// Renames a file (attribute + distribution rows + directory links)
+  /// atomically. Subfiles are named by the file's immutable subfile id, so
+  /// this is the whole rename: no server is involved.
   virtual Status RenameFile(const std::string& from, const std::string& to) = 0;
 
   // --- directories -------------------------------------------------------

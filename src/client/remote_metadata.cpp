@@ -207,15 +207,20 @@ Status RemoteMetadataManager::SetOwner(const std::string& path,
   return set;
 }
 
-Status RemoteMetadataManager::DeleteFile(const std::string& path) {
+Result<FileRecord> RemoteMetadataManager::DeleteFile(
+    const std::string& path) {
   meta_wire::PathRequest request;
   request.path = path;
   BinaryWriter body;
   request.Encode(body);
-  const Status deleted =
-      Call(net::MessageType::kMetaDeleteFile, body.buffer()).status();
+  const Result<Bytes> reply =
+      Call(net::MessageType::kMetaDeleteFile, body.buffer());
   InvalidateCache(path);
-  return deleted;
+  DPFS_RETURN_IF_ERROR(reply.status());
+  BinaryReader reader(reply.value());
+  DPFS_ASSIGN_OR_RETURN(meta_wire::FileRecordReply decoded,
+                        meta_wire::FileRecordReply::Decode(reader));
+  return std::move(decoded.record);
 }
 
 Result<bool> RemoteMetadataManager::FileExists(const std::string& path) {

@@ -61,7 +61,7 @@ class RemoteMetadataManager final : public MetadataService {
   Status SetPermission(const std::string& path,
                        std::uint32_t permission) override;
   Status SetOwner(const std::string& path, const std::string& owner) override;
-  Status DeleteFile(const std::string& path) override;
+  Result<FileRecord> DeleteFile(const std::string& path) override;
   Result<bool> FileExists(const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
 

@@ -186,9 +186,10 @@ Result<std::vector<ServerRequest>> RemapRequestToRank(
   return out;
 }
 
-std::string ReplicaSubfileName(const std::string& path, std::uint32_t rank) {
-  if (rank == 0) return path;
-  return path + "#r" + std::to_string(rank);
+std::string ReplicaSubfileName(const std::string& subfile,
+                               std::uint32_t rank) {
+  if (rank == 0) return subfile;
+  return subfile + "#r" + std::to_string(rank);
 }
 
 }  // namespace dpfs::layout

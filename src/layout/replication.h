@@ -92,10 +92,11 @@ Result<std::vector<ServerRequest>> RemapRequestToRank(
     const ServerRequest& request, const BrickDistribution& rank_dist,
     std::uint32_t rank);
 
-/// The wire/store name of a brick's subfile at a replica rank: rank 0 is
-/// the file path itself (byte-identical to the unreplicated system), rank
-/// r >= 1 appends "#r<r>" so a server holding both a primary and a replica
-/// subfile of one file keeps them apart.
-std::string ReplicaSubfileName(const std::string& path, std::uint32_t rank);
+/// The wire/store name of a brick's subfile at a replica rank. `subfile`
+/// is the file's subfile id (FileMeta::subfile), fixed at create. Rank 0 is
+/// the id itself (byte-identical to the unreplicated system), rank r >= 1
+/// appends "#r<r>" so a server holding both a primary and a replica subfile
+/// of one file keeps them apart.
+std::string ReplicaSubfileName(const std::string& subfile, std::uint32_t rank);
 
 }  // namespace dpfs::layout

@@ -212,7 +212,12 @@ Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
     case net::MessageType::kMetaDeleteFile: {
       const Result<PathRequest> request = PathRequest::Decode(reader);
       if (!request.ok()) return StatusReply(request.status());
-      return StatusReply(metadata_->DeleteFile(request.value().path));
+      Result<client::FileRecord> record =
+          metadata_->DeleteFile(request.value().path);
+      if (!record.ok()) return StatusReply(record.status());
+      FileRecordReply reply;
+      reply.record = std::move(record).value();
+      return BodyReply(reply);
     }
 
     case net::MessageType::kMetaFileExists: {

@@ -123,18 +123,6 @@ Status ServerConnection::ListWrite(const std::string& subfile,
   return Call(MessageType::kListWrite, body.buffer()).status();
 }
 
-Result<StatReply> ServerConnection::Stat(const std::string& subfile) {
-  BinaryWriter body;
-  body.WriteString(subfile);
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kStat,
-                                                body.buffer()));
-  BinaryReader reader(reply);
-  StatReply stat;
-  DPFS_ASSIGN_OR_RETURN(stat.exists, reader.ReadBool());
-  DPFS_ASSIGN_OR_RETURN(stat.size, reader.ReadU64());
-  return stat;
-}
-
 Result<std::string> ServerConnection::Metrics() {
   DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kMetrics, {}));
   BinaryReader reader(reply);
@@ -145,22 +133,6 @@ Status ServerConnection::Delete(const std::string& subfile) {
   BinaryWriter body;
   body.WriteString(subfile);
   return Call(MessageType::kDelete, body.buffer()).status();
-}
-
-Status ServerConnection::Truncate(const std::string& subfile,
-                                  std::uint64_t size) {
-  BinaryWriter body;
-  body.WriteString(subfile);
-  body.WriteU64(size);
-  return Call(MessageType::kTruncate, body.buffer()).status();
-}
-
-Status ServerConnection::Rename(const std::string& from,
-                                const std::string& to) {
-  BinaryWriter body;
-  body.WriteString(from);
-  body.WriteString(to);
-  return Call(MessageType::kRename, body.buffer()).status();
 }
 
 Result<std::vector<SubfileInfo>> ServerConnection::List() {

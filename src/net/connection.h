@@ -59,12 +59,9 @@ class ServerConnection {
                    const std::vector<ReadFragment>& extents, Bytes data,
                    bool sync = false);
 
-  Result<StatReply> Stat(const std::string& subfile);
   /// The server process's full metrics text snapshot (docs/OBSERVABILITY.md).
   Result<std::string> Metrics();
   Status Delete(const std::string& subfile);
-  Status Truncate(const std::string& subfile, std::uint64_t size);
-  Status Rename(const std::string& from, const std::string& to);
   /// Every subfile the server stores (fsck's ground truth).
   Result<std::vector<SubfileInfo>> List();
   Status Ping();

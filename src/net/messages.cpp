@@ -7,11 +7,8 @@ std::string_view MessageTypeName(MessageType type) noexcept {
     case MessageType::kPing: return "ping";
     case MessageType::kRead: return "read";
     case MessageType::kWrite: return "write";
-    case MessageType::kStat: return "stat";
     case MessageType::kDelete: return "delete";
-    case MessageType::kTruncate: return "truncate";
     case MessageType::kShutdown: return "shutdown";
-    case MessageType::kRename: return "rename";
     case MessageType::kList: return "list";
     case MessageType::kMetrics: return "metrics";
     case MessageType::kMetaRegisterServer: return "meta_register_server";

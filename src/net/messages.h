@@ -25,13 +25,10 @@ enum class MessageType : std::uint8_t {
   kPing = 1,
   kRead = 2,
   kWrite = 3,
-  kStat = 4,
+  // 4, 6, 8 and 9 are unassigned (retired opcodes, never renumbered):
+  // DecodeRequest rejects them like any byte with no enumerator.
   kDelete = 5,
-  kTruncate = 6,
   kShutdown = 7,
-  // 8 is unassigned: DecodeRequest rejects it like any byte with no
-  // enumerator.
-  kRename = 9,   // rename a subfile (body: old name string, new name string)
   kList = 10,    // list all subfiles (fsck support)
   kMetrics = 11, // full metrics text snapshot (docs/OBSERVABILITY.md)
 
@@ -52,7 +49,7 @@ enum class MessageType : std::uint8_t {
   kMetaDeleteFile = 21,
   kMetaFileExists = 22,
   kMetaRenameFile = 23,
-  // 24-26 are unassigned, like 8.
+  // 24-26 are unassigned, like 4, 6, 8 and 9.
   kMetaMakeDirectory = 27,
   kMetaRemoveDirectory = 28,
   kMetaDirectoryExists = 29,
@@ -78,7 +75,7 @@ inline constexpr std::uint8_t kMaxMetaMessageType =
 
 /// One entry of a kList reply.
 struct SubfileInfo {
-  std::string name;  // normalized ("/home/x/file")
+  std::string name;  // normalized, e.g. a subfile id "/0f3a...9c"
   std::uint64_t size = 0;
 
   friend bool operator==(const SubfileInfo&, const SubfileInfo&) = default;
@@ -149,11 +146,6 @@ struct ListWriteRequest {
   [[nodiscard]] std::uint64_t total_bytes() const noexcept;
   void Encode(BinaryWriter& writer) const;
   static Result<ListWriteRequest> Decode(BinaryReader& reader);
-};
-
-struct StatReply {
-  bool exists = false;
-  std::uint64_t size = 0;
 };
 
 /// Envelope helpers.

@@ -41,9 +41,8 @@ IoServer::IoServer(const ServerOptions& options)
            .metrics_port = options.metrics_port,
            .metric_prefix = "io_server",
            .opcodes = {net::MessageType::kRead, net::MessageType::kWrite,
-                       net::MessageType::kStat, net::MessageType::kDelete,
-                       net::MessageType::kTruncate, net::MessageType::kRename,
-                       net::MessageType::kList, net::MessageType::kListRead,
+                       net::MessageType::kDelete, net::MessageType::kList,
+                       net::MessageType::kListRead,
                        net::MessageType::kListWrite},
            .session_failpoint = "server.session",
            .reply_failpoint = "server.before_reply"},
@@ -118,30 +117,10 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       return net::EncodeReply(Status::Ok(), {});
     }
 
-    case net::MessageType::kStat: {
-      const Result<std::string> subfile = reader.ReadString();
-      if (!subfile.ok()) return net::EncodeReply(subfile.status(), {});
-      const Result<net::StatReply> stat = store_.Stat(subfile.value());
-      if (!stat.ok()) return net::EncodeReply(stat.status(), {});
-      BinaryWriter body;
-      body.WriteBool(stat.value().exists);
-      body.WriteU64(stat.value().size);
-      return net::EncodeReply(Status::Ok(), body.buffer());
-    }
-
     case net::MessageType::kDelete: {
       const Result<std::string> subfile = reader.ReadString();
       if (!subfile.ok()) return net::EncodeReply(subfile.status(), {});
       return net::EncodeReply(store_.Delete(subfile.value()), {});
-    }
-
-    case net::MessageType::kTruncate: {
-      const Result<std::string> subfile = reader.ReadString();
-      if (!subfile.ok()) return net::EncodeReply(subfile.status(), {});
-      const Result<std::uint64_t> size = reader.ReadU64();
-      if (!size.ok()) return net::EncodeReply(size.status(), {});
-      return net::EncodeReply(
-          store_.Truncate(subfile.value(), size.value()), {});
     }
 
     case net::MessageType::kList: {
@@ -155,14 +134,6 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
         body.WriteU64(info.size);
       }
       return net::EncodeReply(Status::Ok(), body.buffer());
-    }
-
-    case net::MessageType::kRename: {
-      const Result<std::string> from = reader.ReadString();
-      if (!from.ok()) return net::EncodeReply(from.status(), {});
-      const Result<std::string> to = reader.ReadString();
-      if (!to.ok()) return net::EncodeReply(to.status(), {});
-      return net::EncodeReply(store_.Rename(from.value(), to.value()), {});
     }
 
     default:

@@ -15,9 +15,12 @@ namespace dpfs::server {
 namespace {
 // Global-registry instruments, resolved once (docs/OBSERVABILITY.md).
 // bytes_read counts bytes returned to clients (zero-filled holes included);
-// bytes_written counts payload bytes put to disk.
+// bytes_written counts payload bytes put to disk; missing_reads counts the
+// reads of a subfile that does not exist, served as zeroes.
 struct StoreMetrics {
   metrics::Counter& reads = metrics::GetCounter("subfile_store.reads");
+  metrics::Counter& missing_reads =
+      metrics::GetCounter("subfile_store.missing_reads");
   metrics::Counter& writes = metrics::GetCounter("subfile_store.writes");
   metrics::Counter& bytes_read =
       metrics::GetCounter("subfile_store.bytes_read");
@@ -55,6 +58,7 @@ Result<Bytes> SubfileStore::ReadFragments(
   if (!fd.ok()) {
     if (fd.status().code() == StatusCode::kNotFound) {
       // A never-written subfile is all holes; zeroes are correct.
+      Metrics().missing_reads.Add();
       Metrics().bytes_read.Add(total);
       return out;
     }
@@ -115,21 +119,6 @@ Status SubfileStore::WriteFragments(
   return Status::Ok();
 }
 
-Result<net::StatReply> SubfileStore::Stat(const std::string& subfile) {
-  DPFS_ASSIGN_OR_RETURN(const std::filesystem::path path,
-                        ResolvePath(subfile));
-  net::StatReply reply;
-  std::error_code ec;
-  const std::uint64_t size = std::filesystem::file_size(path, ec);
-  if (ec) {
-    reply.exists = false;
-    return reply;  // missing file is not an error for stat
-  }
-  reply.exists = true;
-  reply.size = size;
-  return reply;
-}
-
 Status SubfileStore::Delete(const std::string& subfile) {
   DPFS_ASSIGN_OR_RETURN(const std::filesystem::path path,
                         ResolvePath(subfile));
@@ -140,33 +129,6 @@ Status SubfileStore::Delete(const std::string& subfile) {
   if (!removed) {
     return NotFoundError("subfile '" + subfile + "' does not exist");
   }
-  return Status::Ok();
-}
-
-Status SubfileStore::Truncate(const std::string& subfile, std::uint64_t size) {
-  DPFS_ASSIGN_OR_RETURN(const std::filesystem::path path,
-                        ResolvePath(subfile));
-  DPFS_ASSIGN_OR_RETURN(const SharedFdPtr fd,
-                        fd_cache_.Acquire(path.string(), true));
-  if (::ftruncate(fd->get(), static_cast<off_t>(size)) != 0) {
-    return IoErrnoError("ftruncate subfile", path.string());
-  }
-  return Status::Ok();
-}
-
-Status SubfileStore::Rename(const std::string& from, const std::string& to) {
-  DPFS_ASSIGN_OR_RETURN(const std::filesystem::path src, ResolvePath(from));
-  DPFS_ASSIGN_OR_RETURN(const std::filesystem::path dst, ResolvePath(to));
-  std::error_code ec;
-  if (!std::filesystem::exists(src, ec)) {
-    return NotFoundError("subfile '" + from + "' does not exist");
-  }
-  std::filesystem::create_directories(dst.parent_path(), ec);
-  if (ec) return IoError("create rename dirs: " + ec.message());
-  fd_cache_.Invalidate(src.string());
-  fd_cache_.Invalidate(dst.string());
-  std::filesystem::rename(src, dst, ec);
-  if (ec) return IoError("rename subfile: " + ec.message());
   return Status::Ok();
 }
 

@@ -3,9 +3,10 @@
 // DPFS is deliberately layered on the storage node's local file system (§2
 // footnote: "DPFS is built on top of the local file system ... and can take
 // advantage of I/O optimizations such as caching and prefetching"). A
-// subfile named "/home/user/data.dpfs" maps to <root>/home/user/data.dpfs;
-// brick slots are addressed by (offset, length) fragments. Unwritten slots
-// are holes: reads past EOF return zeroes, matching sparse local files.
+// subfile named by its file's id, "/3f9c...e1" (FileMeta::subfile), maps to
+// <root>/3f9c...e1; brick slots are addressed by (offset, length)
+// fragments. Unwritten slots are holes: reads past EOF return zeroes,
+// matching sparse local files.
 #pragma once
 
 #include <cstdint>
@@ -34,12 +35,8 @@ class SubfileStore {
                         const std::vector<net::WriteFragment>& fragments,
                         bool sync);
 
-  Result<net::StatReply> Stat(const std::string& subfile);
+  /// kNotFound if the subfile does not exist.
   Status Delete(const std::string& subfile);
-  Status Truncate(const std::string& subfile, std::uint64_t size);
-  /// Atomic local rename (creates the destination's parents). kNotFound if
-  /// the source subfile does not exist.
-  Status Rename(const std::string& from, const std::string& to);
 
   [[nodiscard]] const std::filesystem::path& root() const noexcept {
     return root_;

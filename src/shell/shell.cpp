@@ -381,8 +381,8 @@ Status Shell::CmdMv(const std::vector<std::string>& args, std::ostream& out) {
   DPFS_RETURN_IF_ERROR(NeedArgs(args, 2, "mv <src> <dst>"));
   DPFS_ASSIGN_OR_RETURN(const std::string src, Resolve(args[0]));
   DPFS_ASSIGN_OR_RETURN(const std::string dst, Resolve(args[1]));
-  // A true rename: subfiles move on each server, metadata updates in one
-  // transaction — no data bytes cross the wire.
+  // A true rename: one metadata transaction. Subfiles are named by the
+  // file's immutable id, so no server is involved.
   DPFS_RETURN_IF_ERROR(fs_->Rename(src, dst));
   out << "renamed " << src << " -> " << dst << "\n";
   return Status::Ok();

@@ -2,6 +2,8 @@
 // travels over loopback TCP to IoServer subfile stores.
 #include "client/file_system.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
@@ -24,9 +26,8 @@ Bytes PatternBytes(std::size_t n, std::uint64_t seed) {
 /// opcode they serve, plus the ones that failed to decode.
 std::uint64_t IoServerRequests() {
   std::uint64_t total = metrics::GetCounter("io_server.bad_requests").value();
-  for (const char* op :
-       {"ping", "read", "write", "stat", "delete", "truncate", "shutdown",
-        "rename", "list", "metrics", "list_read", "list_write"}) {
+  for (const char* op : {"ping", "read", "write", "delete", "shutdown", "list",
+                         "metrics", "list_read", "list_write"}) {
     total +=
         metrics::GetCounter(std::string("io_server.requests.") + op).value();
   }
@@ -366,11 +367,23 @@ TEST_F(FileSystemTest, RemoveDeletesSubfilesAndMetadata) {
   options.brick_bytes = 64;
   FileHandle handle = fs_->Create("/gone", options).value();
   ASSERT_TRUE(fs_->WriteBytes(handle, 0, Bytes(1024, 7)).ok());
+  // Every server holds a subfile named by the file's id, not its path...
+  const auto stores_subfile = [&](std::size_t s) {
+    const std::vector<net::SubfileInfo> listing =
+        cluster_->server(s).store().ListSubfiles().value();
+    return std::any_of(listing.begin(), listing.end(),
+                       [&](const net::SubfileInfo& info) {
+                         return info.name == handle.meta().subfile;
+                       });
+  };
+  for (std::size_t s = 0; s < cluster_->num_servers(); ++s) {
+    EXPECT_TRUE(stores_subfile(s)) << "server " << s;
+  }
   ASSERT_TRUE(fs_->Remove("/gone").ok());
   EXPECT_FALSE(fs_->Open("/gone").ok());
-  // Server-side subfiles are removed too.
+  // ...and the remove deletes it on each of them.
   for (std::size_t s = 0; s < cluster_->num_servers(); ++s) {
-    EXPECT_FALSE(cluster_->server(s).store().Stat("/gone").value().exists);
+    EXPECT_FALSE(stores_subfile(s)) << "server " << s;
   }
   // Removing twice fails cleanly.
   EXPECT_FALSE(fs_->Remove("/gone").ok());
@@ -601,9 +614,14 @@ TEST_F(FileSystemTest, RenameMovesMetadataNotBytes) {
 
 TEST_F(FileSystemTest, RenameAndRemoveRunPinnedStatementCounts) {
   // The SQL statements one rename and one remove run on the embedded
-  // 1-shard database: the lookups, the checks, the row updates or deletes in
-  // the file's two tables and the directory links. Pinned exactly, so a
-  // statement added to either path shows up here.
+  // 1-shard database, pinned exactly so a statement added to either path
+  // shows up here. Rename is RenameFile alone: four checks (the source
+  // file, a file or a directory at the target, the target's parent),
+  // BEGIN, the row updates in the file's two tables, the unlink and link
+  // (a SELECT and an UPDATE each), COMMIT = 12. Remove is DeleteFile: the
+  // record read (attribute, distribution and the four servers' rows),
+  // BEGIN, the deletes in the two tables, the unlink's SELECT and UPDATE,
+  // COMMIT = 12.
   CreateOptions options;
   options.total_bytes = 2048;
   options.brick_bytes = 256;
@@ -614,11 +632,36 @@ TEST_F(FileSystemTest, RenameAndRemoveRunPinnedStatementCounts) {
 
   std::uint64_t before = statements.value();
   ASSERT_TRUE(fs_->Rename("/counted.bin", "/renamed.bin").ok());
-  EXPECT_EQ(statements.value() - before, 19u);
+  EXPECT_EQ(statements.value() - before, 12u);
 
   before = statements.value();
   ASSERT_TRUE(fs_->Remove("/renamed.bin").ok());
-  EXPECT_EQ(statements.value() - before, 13u);
+  EXPECT_EQ(statements.value() - before, 12u);
+}
+
+TEST_F(FileSystemTest, MissingSubfileReadsAreCounted) {
+  // A read of a subfile that does not exist is served as zeroes and
+  // counted; a read of a written file is not.
+  CreateOptions options;
+  options.total_bytes = 4096;
+  options.brick_bytes = 256;
+  FileHandle never = fs_->Create("/never.bin", options).value();
+  FileHandle written = fs_->Create("/written.bin", options).value();
+  ASSERT_TRUE(fs_->WriteBytes(written, 0, PatternBytes(4096, 12)).ok());
+  const metrics::Counter& missing =
+      metrics::GetCounter("subfile_store.missing_reads");
+
+  std::uint64_t before = missing.value();
+  IoReport report;
+  Bytes read(4096);
+  ASSERT_TRUE(fs_->ReadBytes(never, 0, read, {}, &report).ok());
+  EXPECT_EQ(read, Bytes(4096, 0));
+  EXPECT_EQ(missing.value() - before, report.requests);
+  EXPECT_EQ(report.requests, 4u);
+
+  before = missing.value();
+  ASSERT_TRUE(fs_->ReadBytes(written, 0, read).ok());
+  EXPECT_EQ(missing.value(), before);
 }
 
 TEST_F(FileSystemTest, RenamePreconditionsChecked) {

@@ -28,6 +28,7 @@ ServerInfo MakeServer(const std::string& name, std::uint16_t port) {
 FileMeta MakeArrayMeta() {
   FileMeta meta;
   meta.path = "/data/climate.dat";
+  meta.subfile = "/0123456789abcdef0123456789abcdef";
   meta.owner = "xhshen";
   meta.permission = 0640;
   meta.size_bytes = 4096;
@@ -50,6 +51,7 @@ void ExpectServerInfoEq(const ServerInfo& a, const ServerInfo& b) {
 
 void ExpectFileMetaEq(const FileMeta& a, const FileMeta& b) {
   EXPECT_EQ(a.path, b.path);
+  EXPECT_EQ(a.subfile, b.subfile);
   EXPECT_EQ(a.owner, b.owner);
   EXPECT_EQ(a.permission, b.permission);
   EXPECT_EQ(a.size_bytes, b.size_bytes);
@@ -77,6 +79,7 @@ TEST(MetaWireFieldCodecs, ServerInfoRoundTrip) {
 TEST(MetaWireFieldCodecs, LinearFileMetaRoundTrip) {
   FileMeta meta;
   meta.path = "/a/b.dat";
+  meta.subfile = "/fedcba9876543210fedcba9876543210";
   meta.owner = "alice";
   meta.size_bytes = 123456789;
   meta.brick_bytes = 65536;
@@ -103,11 +106,13 @@ TEST(MetaWireFieldCodecs, FileMetaBadLevelRejected) {
   BinaryWriter writer;
   EncodeFileMeta(meta, writer);
   Bytes body = writer.buffer();
-  // The level byte follows path, owner, permission(u32), size(u64); easier
-  // to corrupt by re-encoding than by offset arithmetic: scan for the known
-  // level value is fragile, so re-encode with a raw writer instead.
+  // The level byte follows path, subfile, owner, permission(u32),
+  // size(u64); easier to corrupt by re-encoding than by offset arithmetic:
+  // scan for the known level value is fragile, so re-encode with a raw
+  // writer instead.
   BinaryWriter corrupt;
   corrupt.WriteString(meta.path);
+  corrupt.WriteString(meta.subfile);
   corrupt.WriteString(meta.owner);
   corrupt.WriteU32(meta.permission);
   corrupt.WriteU64(meta.size_bytes);

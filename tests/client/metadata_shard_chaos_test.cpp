@@ -88,6 +88,7 @@ class MetadataShardChaosTest : public ::testing::Test {
   FileMeta MakeLinearMeta(const std::string& path) {
     FileMeta meta;
     meta.path = path;
+    meta.subfile = NewSubfileId().value();
     meta.owner = "xhshen";
     meta.permission = 0744;
     meta.level = layout::FileLevel::kLinear;

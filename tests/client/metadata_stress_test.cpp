@@ -39,6 +39,7 @@ class MetadataStressTest : public ::testing::TestWithParam<std::size_t> {
   FileMeta MakeLinearMeta(const std::string& path) {
     FileMeta meta;
     meta.path = path;
+    meta.subfile = NewSubfileId().value();
     meta.owner = "xhshen";
     meta.permission = 0744;
     meta.level = layout::FileLevel::kLinear;

@@ -30,6 +30,7 @@ class MetadataTest : public ::testing::Test {
   FileMeta MakeLinearMeta(const std::string& path) {
     FileMeta meta;
     meta.path = path;
+    meta.subfile = NewSubfileId().value();
     meta.owner = "xhshen";
     meta.permission = 0744;
     meta.level = layout::FileLevel::kLinear;
@@ -166,6 +167,7 @@ TEST_F(MetadataTest, MultidimFileRoundTrip) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
   FileMeta meta;
   meta.path = "/array.dpfs";
+  meta.subfile = NewSubfileId().value();
   meta.owner = "me";
   meta.level = layout::FileLevel::kMultidim;
   meta.element_size = 8;
@@ -189,6 +191,7 @@ TEST_F(MetadataTest, ArrayFileRoundTripWithPattern) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
   FileMeta meta;
   meta.path = "/chunked.dpfs";
+  meta.subfile = NewSubfileId().value();
   meta.owner = "me";
   meta.level = layout::FileLevel::kArray;
   meta.element_size = 1;

@@ -29,6 +29,7 @@ class ReplicationMetadataTest : public ::testing::Test {
   FileMeta MakeMeta(const std::string& path) {
     FileMeta meta;
     meta.path = path;
+    meta.subfile = NewSubfileId().value();
     meta.owner = "xhshen";
     meta.permission = 0644;
     meta.level = layout::FileLevel::kLinear;

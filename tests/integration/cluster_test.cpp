@@ -94,8 +94,9 @@ TEST(LocalClusterTest, ServersShareNothing) {
   writes.push_back({0, Bytes{1, 2, 3}});
   ASSERT_TRUE(
       cluster->server(0).store().WriteFragments("/x", writes, false).ok());
-  EXPECT_TRUE(cluster->server(0).store().Stat("/x").value().exists);
-  EXPECT_FALSE(cluster->server(1).store().Stat("/x").value().exists);
+  EXPECT_EQ(cluster->server(0).store().ListSubfiles().value(),
+            (std::vector<net::SubfileInfo>{{"/x", 3}}));
+  EXPECT_TRUE(cluster->server(1).store().ListSubfiles().value().empty());
 }
 
 }  // namespace

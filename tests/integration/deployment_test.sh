@@ -49,6 +49,13 @@ head -c 300000 /dev/urandom > "$WORK/input.bin"
 "$DPFS" --metadb "$WORK/meta" --c "stat /data/blob" | grep -q "size:       300000" \
   || fail "stat size"
 "$DPFS" --metadb "$WORK/meta" --c "mv /data/blob /data/renamed" || fail "mv"
+# Subfiles are named by the file's immutable id, not its path: no file under
+# either server root is named after the old or the new path, because the
+# rename touched no server.
+for root in "$WORK/s0" "$WORK/s1"; do
+  [ -z "$(find "$root" -name blob -o -name renamed 2>/dev/null)" ] \
+    || fail "a subfile under $root is named after a path"
+done
 "$DPFS" --metadb "$WORK/meta" --c "export /data/renamed $WORK/output.bin" \
   || fail "export"
 cmp -s "$WORK/input.bin" "$WORK/output.bin" || fail "round-trip mismatch"
@@ -65,6 +72,11 @@ done
 [ -n "$(find "$WORK/s1" -type f 2>/dev/null)" ] || fail "node1 stored nothing"
 
 "$DPFS" --metadb "$WORK/meta" --c "rm /data/renamed" || fail "rm"
+# The remove deleted every subfile by id: neither root holds a regular file.
+for root in "$WORK/s0" "$WORK/s1"; do
+  [ -z "$(find "$root" -type f 2>/dev/null)" ] \
+    || fail "rm left subfiles under $root: $(find "$root" -type f)"
+done
 
 # On SIGTERM each daemon logs its metrics registry's final snapshot.
 kill $PIDS 2>/dev/null

@@ -2,6 +2,7 @@
 // consistency after partial failures.
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/cluster.h"
 
 namespace dpfs {
@@ -100,10 +101,15 @@ TEST(FailureTest, MetadataSurvivesFailedCreateOnDeadCluster) {
   EXPECT_TRUE(fs->metadata().FileExists("/late.bin").value());
   FileHandle late = fs->Open("/late.bin").value();
   EXPECT_FALSE(fs->WriteBytes(late, 0, Bytes(512, 1)).ok());
-  // Remove of a file with unreachable servers fails on the data step...
-  EXPECT_FALSE(fs->Remove("/late.bin").ok());
-  // ...and leaves the metadata intact (no half-deleted state).
-  EXPECT_TRUE(fs->metadata().FileExists("/late.bin").value());
+  // Remove commits the metadata first, so it succeeds with every server
+  // down; each (server, rank) subfile delete it could not send is counted
+  // as an orphan for fsck, never left as a live file with holes.
+  const metrics::Counter& orphaned =
+      metrics::GetCounter("client.orphaned_subfiles");
+  const std::uint64_t orphaned_before = orphaned.value();
+  ASSERT_TRUE(fs->Remove("/late.bin").ok());
+  EXPECT_FALSE(fs->metadata().FileExists("/late.bin").value());
+  EXPECT_EQ(orphaned.value() - orphaned_before, 2u);
 }
 
 TEST(FailureTest, CorruptedSubfileStillServesReadsByteForByte) {
@@ -125,9 +131,10 @@ TEST(FailureTest, CorruptedSubfileStillServesReadsByteForByte) {
   // Flip a byte directly in the subfile behind the server's back.
   std::vector<net::WriteFragment> writes;
   writes.push_back({10, Bytes{0x55}});
-  ASSERT_TRUE(
-      cluster->server(0).store().WriteFragments("/rot.bin", writes, false)
-          .ok());
+  ASSERT_TRUE(cluster->server(0)
+                  .store()
+                  .WriteFragments(handle.meta().subfile, writes, false)
+                  .ok());
 
   Bytes read(64);
   ASSERT_TRUE(fs->ReadBytes(handle, 0, read).ok());

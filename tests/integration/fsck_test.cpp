@@ -1,4 +1,6 @@
 // Fsck: metadata vs server-side reality, with orphan repair.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
@@ -26,6 +28,15 @@ class FsckTest : public ::testing::Test {
     FileHandle handle = fs_->Create(path, create).value();
     EXPECT_TRUE(fs_->WriteBytes(handle, 0, Bytes(bytes, 0x11)).ok());
     return handle;
+  }
+
+  /// Whether server `s` stores a subfile named `name`.
+  bool Stores(std::size_t s, const std::string& name) {
+    const std::vector<net::SubfileInfo> listing =
+        cluster_->server(s).store().ListSubfiles().value();
+    return std::any_of(
+        listing.begin(), listing.end(),
+        [&](const net::SubfileInfo& info) { return info.name == name; });
   }
 
   std::unique_ptr<core::LocalCluster> cluster_;
@@ -70,9 +81,8 @@ TEST_F(FsckTest, DetectsAndRepairsOrphans) {
   report = fs_->Fsck(/*repair=*/true).value();
   EXPECT_EQ(report.orphans.size(), 2u);
   EXPECT_EQ(report.repaired, 2u);
-  EXPECT_FALSE(cluster_->server(0).store().Stat("/ghost").value().exists);
-  EXPECT_FALSE(
-      cluster_->server(2).store().Stat("/dir/zombie").value().exists);
+  EXPECT_FALSE(Stores(0, "/ghost"));
+  EXPECT_FALSE(Stores(2, "/dir/zombie"));
 
   // And the system is clean afterwards, with the real file untouched.
   EXPECT_TRUE(fs_->Fsck().value().clean());
@@ -95,17 +105,18 @@ TEST_F(FsckTest, ReportsUnreachableServers) {
 TEST_F(FsckTest, InterruptedDeleteLeavesOrphanThatFsckFinds) {
   // Simulate the real failure mode: metadata rows removed but one server's
   // subfile delete was lost (here: recreate it behind DPFS's back).
-  FileHandle handle = MakeFile("/doomed", 1024);
-  (void)handle;
+  const FileHandle handle = MakeFile("/doomed", 1024);
   ASSERT_TRUE(fs_->Remove("/doomed").ok());
   std::vector<net::WriteFragment> writes;
   writes.push_back({0, Bytes(64, 1)});
-  ASSERT_TRUE(
-      cluster_->server(1).store().WriteFragments("/doomed", writes, false).ok());
+  ASSERT_TRUE(cluster_->server(1)
+                  .store()
+                  .WriteFragments(handle.meta().subfile, writes, false)
+                  .ok());
 
   const FileSystem::FsckReport report = fs_->Fsck(true).value();
   ASSERT_EQ(report.orphans.size(), 1u);
-  EXPECT_EQ(report.orphans[0].subfile, "/doomed");
+  EXPECT_EQ(report.orphans[0].subfile, handle.meta().subfile);
   EXPECT_EQ(report.repaired, 1u);
 }
 

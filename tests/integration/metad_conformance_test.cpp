@@ -220,6 +220,54 @@ TEST_F(MetadConformanceTest, RenameIsVisibleEverywhere) {
   EXPECT_EQ(handle.meta().path, "/after.bin");
 }
 
+TEST_F(MetadConformanceTest, WriteThroughCachedRecordSurvivesOtherRename) {
+  // Client C's cached record outlives B's rename (its TTL is longer than
+  // the test): C's Open of the old path is served from the cache, and the
+  // write it acknowledges must be what B then reads under the new path.
+  constexpr std::size_t kBytes = 4096;
+  const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
+  FileHandle created = fs_c->Create("/src.bin", LinearFile(kBytes)).value();
+  ASSERT_TRUE(fs_c->WriteBytes(created, 0, Bytes(kBytes, 0x11)).ok());
+  (void)fs_c->metadata().LookupFile("/src.bin").value();  // warm C's cache
+  ASSERT_TRUE(fs_b_->Rename("/src.bin", "/dst.bin").ok());
+
+  const metrics::Counter& hits =
+      metrics::GetCounter("client.metadata_cache.hits");
+  const std::uint64_t hits_before = hits.value();
+  FileHandle stale = fs_c->Open("/src.bin").value();
+  EXPECT_EQ(hits.value(), hits_before + 1);
+  ASSERT_TRUE(fs_c->WriteBytes(stale, 0, Bytes(kBytes, 0x22)).ok());
+
+  FileHandle renamed = fs_b_->Open("/dst.bin").value();
+  Bytes read(kBytes);
+  ASSERT_TRUE(fs_b_->ReadBytes(renamed, 0, read).ok());
+  EXPECT_EQ(read, Bytes(kBytes, 0x22));
+}
+
+TEST_F(MetadConformanceTest, CreateWithMalformedSubfileIdIsRejected) {
+  // The subfile id becomes a file name on every I/O server, so dpfs-metad
+  // refuses a create_file whose id is not "/" and 32 lowercase hex digits.
+  client::FileMeta meta;
+  meta.path = "/bad-id.bin";
+  meta.size_bytes = 256;
+  meta.brick_bytes = 64;
+  const layout::BrickDistribution dist =
+      layout::BrickDistribution::RoundRobin(4, 1).value();
+  const std::string server =
+      fs_a_->metadata().ListServers().value().front().name;
+  for (const std::string& id :
+       {std::string(), std::string("/"), std::string("/../x"),
+        "/" + std::string(31, 'a')}) {
+    meta.subfile = id;
+    EXPECT_EQ(fs_a_->metadata().CreateFile(meta, {server}, dist).code(),
+              StatusCode::kInvalidArgument)
+        << "'" << id << "'";
+  }
+  EXPECT_FALSE(fs_a_->metadata().FileExists("/bad-id.bin").value());
+  meta.subfile = client::NewSubfileId().value();
+  EXPECT_TRUE(fs_a_->metadata().CreateFile(meta, {server}, dist).ok());
+}
+
 TEST_F(MetadConformanceTest, CacheCountersMove) {
   const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
   (void)fs_a_->Create("/counted.bin", LinearFile()).value();

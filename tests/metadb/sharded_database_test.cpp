@@ -143,6 +143,8 @@ TEST(ShardedDatabaseTest, SingleShardLayoutIsByteIdenticalToPlainDatabase) {
 
     client::FileMeta file;
     file.path = "/home/data.bin";
+    // A fixed id: both databases must log byte-identical rows.
+    file.subfile = "/00000000000000000000000000000001";
     file.owner = "xhshen";
     file.permission = 0744;
     file.level = layout::FileLevel::kLinear;
@@ -154,6 +156,7 @@ TEST(ShardedDatabaseTest, SingleShardLayoutIsByteIdenticalToPlainDatabase) {
     ASSERT_TRUE(meta.RenameFile("/home/data.bin", "/home/data2.bin").ok());
 
     file.path = "/home/doomed.bin";
+    file.subfile = "/00000000000000000000000000000002";
     ASSERT_TRUE(meta.CreateFile(file, {"s0", "s1"}, dist).ok());
     ASSERT_TRUE(meta.DeleteFile("/home/doomed.bin").ok());
     ASSERT_TRUE(meta.MakeDirectory("/tmp").ok());

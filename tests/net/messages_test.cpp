@@ -60,8 +60,8 @@ TEST(EnvelopeTest, RequestRoundTrip) {
 }
 
 /// Type bytes inside [1, kMaxMessageType] with no enumerator: retired
-/// opcodes, never renumbered.
-constexpr std::uint8_t kUnassignedTypes[] = {8, 24, 25, 26};
+/// opcodes, never renumbered (4 stat, 6 truncate and 9 rename among them).
+constexpr std::uint8_t kUnassignedTypes[] = {4, 6, 8, 9, 24, 25, 26};
 
 TEST(EnvelopeTest, BadTypeRejected) {
   Bytes frame = {0x7F};
@@ -115,8 +115,7 @@ TEST(EnvelopeTest, ErrorReplyCarriesCodeAndMessage) {
 TEST(EnvelopeTest, AllMessageTypesDecodable) {
   for (const MessageType type :
        {MessageType::kPing, MessageType::kRead, MessageType::kWrite,
-        MessageType::kStat, MessageType::kDelete, MessageType::kTruncate,
-        MessageType::kShutdown, MessageType::kRename, MessageType::kList,
+        MessageType::kDelete, MessageType::kShutdown, MessageType::kList,
         MessageType::kMetrics, MessageType::kListRead,
         MessageType::kListWrite}) {
     const Bytes frame = EncodeRequest(type, {});

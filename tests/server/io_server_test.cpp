@@ -82,22 +82,13 @@ TEST_F(IoServerTest, MultiFragmentReadConcatenates) {
 
 TEST_F(IoServerTest, StatAndDelete) {
   net::ServerConnection conn = Connect();
-  EXPECT_FALSE(conn.Stat("/f").value().exists);
   std::vector<net::WriteFragment> writes;
   writes.push_back({0, Bytes{1, 2, 3}});
   ASSERT_TRUE(conn.Write("/f", std::move(writes)).ok());
-  const net::StatReply stat = conn.Stat("/f").value();
-  EXPECT_TRUE(stat.exists);
-  EXPECT_EQ(stat.size, 3u);
+  ASSERT_EQ(conn.List().value().size(), 1u);
   EXPECT_TRUE(conn.Delete("/f").ok());
-  EXPECT_FALSE(conn.Stat("/f").value().exists);
+  EXPECT_TRUE(conn.List().value().empty());
   EXPECT_EQ(conn.Delete("/f").code(), StatusCode::kNotFound);
-}
-
-TEST_F(IoServerTest, Truncate) {
-  net::ServerConnection conn = Connect();
-  ASSERT_TRUE(conn.Truncate("/f", 512).ok());
-  EXPECT_EQ(conn.Stat("/f").value().size, 512u);
 }
 
 TEST_F(IoServerTest, PathEscapeReturnsErrorNotCrash) {
@@ -189,8 +180,7 @@ TEST_F(IoServerTest, ShutdownMessageStopsAccepting) {
 TEST_F(IoServerTest, AllOpcodesRoundTrip) {
   const Delta accepted("io_server.sessions_accepted");
   std::vector<std::pair<std::string, Delta>> served;
-  for (const char* op : {"ping", "write", "read", "stat", "truncate",
-                         "rename", "list", "delete"}) {
+  for (const char* op : {"ping", "write", "read", "list", "delete"}) {
     served.emplace_back(op, Delta(std::string("io_server.requests.") + op));
   }
   net::ServerConnection conn = Connect();
@@ -201,22 +191,17 @@ TEST_F(IoServerTest, AllOpcodesRoundTrip) {
   ASSERT_TRUE(conn.Write("/data", std::move(writes)).ok());
   EXPECT_EQ(conn.Read("/data", {{2, 4}}).value(), (Bytes{3, 4, 5, 6}));
 
-  const net::StatReply stat = conn.Stat("/data").value();
-  EXPECT_TRUE(stat.exists);
-  EXPECT_EQ(stat.size, 8u);
-  EXPECT_TRUE(conn.Truncate("/data", 4).ok());
-  EXPECT_TRUE(conn.Rename("/data", "/renamed").ok());
   const std::vector<net::SubfileInfo> listing = conn.List().value();
   ASSERT_EQ(listing.size(), 1u);
-  EXPECT_EQ(listing[0].name, "/renamed");
-  EXPECT_EQ(listing[0].size, 4u);
-  EXPECT_TRUE(conn.Delete("/renamed").ok());
+  EXPECT_EQ(listing[0].name, "/data");
+  EXPECT_EQ(listing[0].size, 8u);
+  EXPECT_TRUE(conn.Delete("/data").ok());
 
-  // Each of the eight opcodes above was served once, on one session.
+  // Each of the five opcodes above was served once, on one session.
   for (const auto& [op, delta] : served) EXPECT_EQ(delta(), 1u) << op;
   EXPECT_EQ(accepted(), 1u);
   const std::string metrics_text = conn.Metrics().value();
-  EXPECT_NE(metrics_text.find("io_server.requests.rename"), std::string::npos);
+  EXPECT_NE(metrics_text.find("io_server.requests.delete"), std::string::npos);
 }
 
 TEST_F(IoServerTest, InflightGaugeTracksSessions) {

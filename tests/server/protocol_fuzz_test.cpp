@@ -96,8 +96,11 @@ TEST_F(ProtocolFuzzTest, FrameWithAbsurdLength) {
 TEST_F(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
-  // Neither is a MessageType: 0x7F is past the range, 8 is unassigned.
-  for (const std::uint8_t bad : {std::uint8_t{0x7F}, std::uint8_t{8}}) {
+  // None is a MessageType: 0x7F is past the range, 8 is unassigned, and 4,
+  // 6 and 9 are the retired stat, truncate and rename.
+  for (const std::uint8_t bad :
+       {std::uint8_t{0x7F}, std::uint8_t{4}, std::uint8_t{6}, std::uint8_t{8},
+        std::uint8_t{9}}) {
     const std::uint64_t bad_before = Instrument("io_server", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, payload).ok());
