@@ -1,7 +1,8 @@
 // Micro-benchmark: noncontiguous access served three ways — whole-brick
-// fetches, data sieving (one bounding-span transfer), and list I/O
-// (kListRead/kListWrite) — over the PVFS list-I/O paper's vector and
-// subarray patterns (Ching et al., docs/NONCONTIGUOUS_IO.md).
+// fetches, data sieving (one bounding-span transfer), and list I/O (one
+// combined plan whose read and write fragments carry only the listed
+// bytes) — over the PVFS list-I/O paper's vector and subarray patterns
+// (Ching et al., docs/NONCONTIGUOUS_IO.md).
 //
 // The sweep varies access density (block/stride). Dense patterns favour
 // sieving: the holes are small, and one contiguous transfer amortizes the

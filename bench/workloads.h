@@ -145,7 +145,7 @@ inline Result<layout::IoPlan> BuildStripingAlgPlan(
 enum class NoncontigStrategy {
   kWholeBrick,  // fetch every touched brick whole, discard the holes
   kSieve,       // one contiguous read of the bounding span, extract client-side
-  kListIo,      // kListRead/kListWrite: only the listed extents cross the wire
+  kListIo,      // one combined sieve plan: only the listed bytes cross the wire
 };
 
 inline const char* NoncontigStrategyName(NoncontigStrategy strategy) {
@@ -197,8 +197,10 @@ inline Result<layout::IoPlan> BuildNoncontigPlan(const NoncontigConfig& config,
         for (std::uint64_t i = 0; i < config.count; ++i) {
           extents.push_back({base + i * config.stride, config.block});
         }
+        PlanOptions sieve = options;
+        sieve.whole_brick_reads = false;
         DPFS_ASSIGN_OR_RETURN(client,
-                              PlanListAccess(map, dist, c, extents, options));
+                              PlanListAccess(map, dist, c, extents, sieve));
         break;
       }
       case NoncontigStrategy::kSieve: {

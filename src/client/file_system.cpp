@@ -29,13 +29,6 @@ struct ClientMetricsT {
   metrics::Counter& busy_retries = metrics::GetCounter("client.busy_retries");
   metrics::Counter& failed_accesses =
       metrics::GetCounter("client.failed_accesses");
-  // List-I/O (IoOptions::list_io) wire requests, a subset of
-  // client.requests (docs/NONCONTIGUOUS_IO.md).
-  metrics::Counter& list_requests = metrics::GetCounter("client.list_requests");
-  // Datatype accesses that asked for list I/O on a replicated file and took
-  // the per-extent path instead (docs/REPLICATION.md "Composition limits").
-  metrics::Counter& list_io_fallbacks =
-      metrics::GetCounter("client.list_io_fallbacks");
   // Replication extension (docs/REPLICATION.md): reads served by a replica
   // rank > 0, and write-side replica requests that failed while the brick
   // stayed durable on another rank.
@@ -354,7 +347,7 @@ Status FileSystem::ExecutePlan(const FileHandle& handle,
   // file fans every request out to all ranks before dispatch, so the
   // executor below sees replica requests as ordinary requests. Reads keep
   // the rank-0 plan and fail over per request.
-  const bool replicated_write = is_write && factor > 1 && !plan_in.list_io;
+  const bool replicated_write = is_write && factor > 1;
   layout::ClientPlan expanded;
   if (replicated_write) {
     std::vector<layout::BrickDistribution> ranks;
@@ -378,7 +371,7 @@ Status FileSystem::ExecutePlan(const FileHandle& handle,
 
   RetryTally tally;
   const auto run_one = [&](const layout::ServerRequest& request) -> Status {
-    if (!is_write && factor > 1 && request.list_extents.empty()) {
+    if (!is_write && factor > 1) {
       return ExecuteReadWithFailover(handle, request, runs, read_buffer,
                                      options, tally);
     }
@@ -464,7 +457,6 @@ Status FileSystem::ExecutePlan(const FileHandle& handle,
   ClientMetrics().combined_requests.Add(combined);
   ClientMetrics().transfer_bytes.Add(plan.transfer_bytes());
   ClientMetrics().useful_bytes.Add(plan.useful_bytes());
-  if (plan.list_io) ClientMetrics().list_requests.Add(plan.num_requests());
   if (report != nullptr) {
     report->requests += plan.num_requests();
     report->combined_requests += combined;
@@ -506,6 +498,25 @@ Status FileSystem::ExecuteOneRequest(const FileHandle& handle,
   return last;
 }
 
+namespace {
+
+/// Fragments [begin, end) of `fragments` ride in one wire request: as many
+/// as fit in `max_bytes`, and at least one.
+template <typename Fragment, typename LengthOf>
+std::size_t BatchEnd(const std::vector<Fragment>& fragments, std::size_t begin,
+                     std::uint64_t max_bytes, LengthOf length_of) {
+  std::uint64_t bytes = length_of(fragments[begin]);
+  std::size_t end = begin + 1;
+  while (end < fragments.size() &&
+         bytes + length_of(fragments[end]) <= max_bytes) {
+    bytes += length_of(fragments[end]);
+    ++end;
+  }
+  return end;
+}
+
+}  // namespace
+
 Status FileSystem::TryOneRequest(const FileHandle& handle,
                                  const layout::ServerRequest& request,
                                  const RunsByBrick& runs, ByteSpan write_data,
@@ -521,228 +532,120 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
       record.rank_distribution(request.replica);
   const std::string subfile =
       layout::ReplicaSubfileName(record.meta.subfile, request.replica);
-  {
-    const ServerInfo& server = record.servers[request.server];
-    DPFS_ASSIGN_OR_RETURN(PooledConnection conn,
-                          pool_.Acquire(server.endpoint));
+  const ServerInfo& server = record.servers[request.server];
+  DPFS_ASSIGN_OR_RETURN(PooledConnection conn, pool_.Acquire(server.endpoint));
 
-    if (!request.list_extents.empty()) {
-      // List I/O (docs/NONCONTIGUOUS_IO.md): the plan already carries the
-      // wire extents (subfile offset/length plus the packed-buffer offset),
-      // so each batch ships them verbatim as one list_read/list_write —
-      // `runs` is not consulted on this path.
-      const std::vector<layout::ListExtent>& extents = request.list_extents;
-      std::size_t begin = 0;
-      while (begin < extents.size()) {
-        std::size_t end = begin;
-        std::uint64_t batch_bytes = 0;
-        while (end < extents.size() &&
-               (end == begin || batch_bytes + extents[end].length <=
-                                    options.max_request_bytes)) {
-          batch_bytes += extents[end].length;
-          ++end;
+  if (is_write) {
+    // Adjacent runs within a brick coalesce into one fragment: a fully
+    // covered brick travels as a single contiguous write even though its
+    // bytes are gathered from many places in the user's buffer.
+    std::vector<net::WriteFragment> fragments;
+    for (const layout::BrickRequest& brick : request.bricks) {
+      const std::uint64_t slot = dist.slot_for(brick.brick) * slot_bytes;
+      const auto it = runs.find(brick.brick);
+      if (it == runs.end()) continue;
+      for (const layout::BrickRun& run : it->second) {
+        const bool extends =
+            !fragments.empty() &&
+            fragments.back().offset + fragments.back().data.size() ==
+                slot + run.offset_in_brick;
+        if (!extends) {
+          net::WriteFragment fragment;
+          fragment.offset = slot + run.offset_in_brick;
+          fragments.push_back(std::move(fragment));
         }
-        std::vector<net::ReadFragment> wire;
-        wire.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          wire.push_back({extents[i].subfile_offset, extents[i].length});
-        }
-        if (is_write) {
-          // Gather the batched payload in extent order; its size must equal
-          // the extent sum (the server rejects mismatches at decode time).
-          Bytes payload;
-          payload.reserve(static_cast<std::size_t>(batch_bytes));
-          for (std::size_t i = begin; i < end; ++i) {
-            payload.insert(
-                payload.end(),
-                write_data.begin() +
-                    static_cast<std::ptrdiff_t>(extents[i].buffer_offset),
-                write_data.begin() +
-                    static_cast<std::ptrdiff_t>(extents[i].buffer_offset +
-                                                extents[i].length));
-          }
-          const Status written = conn->ListWrite(subfile, wire,
-                                                 std::move(payload),
-                                                 options.sync);
-          if (!written.ok()) {
-            conn.Poison();
-            return written.WithContext("list write to " + server.name);
-          }
-        } else {
-          const Result<Bytes> data = conn->ListRead(subfile, wire);
-          if (!data.ok()) {
-            conn.Poison();
-            return data.status().WithContext("list read from " + server.name);
-          }
-          // The reply is the batch's extent bytes concatenated in order.
-          std::uint64_t cursor = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            std::copy_n(
-                data.value().begin() + static_cast<std::ptrdiff_t>(cursor),
-                extents[i].length,
-                read_buffer.begin() +
-                    static_cast<std::ptrdiff_t>(extents[i].buffer_offset));
-            cursor += extents[i].length;
-          }
-        }
-        begin = end;
-      }
-    } else if (is_write) {
-      // Adjacent runs within a brick coalesce into one fragment: a fully
-      // covered brick travels as a single contiguous write even though its
-      // bytes are gathered from many places in the user's buffer.
-      std::vector<net::WriteFragment> fragments;
-      for (const layout::BrickRequest& brick : request.bricks) {
-        const std::uint64_t slot =
-            dist.slot_for(brick.brick) * slot_bytes;
-        const auto it = runs.find(brick.brick);
-        if (it == runs.end()) continue;
-        for (const layout::BrickRun& run : it->second) {
-          const bool extends =
-              !fragments.empty() &&
-              fragments.back().offset + fragments.back().data.size() ==
-                  slot + run.offset_in_brick;
-          if (!extends) {
-            net::WriteFragment fragment;
-            fragment.offset = slot + run.offset_in_brick;
-            fragments.push_back(std::move(fragment));
-          }
-          fragments.back().data.insert(
-              fragments.back().data.end(),
-              write_data.begin() +
-                  static_cast<std::ptrdiff_t>(run.buffer_offset),
-              write_data.begin() +
-                  static_cast<std::ptrdiff_t>(run.buffer_offset + run.length));
-        }
-      }
-      // Ship in batches bounded by max_request_bytes (one frame each).
-      std::size_t begin = 0;
-      while (begin < fragments.size()) {
-        std::size_t end = begin;
-        std::uint64_t batch_bytes = 0;
-        std::vector<net::WriteFragment> batch;
-        while (end < fragments.size() &&
-               (end == begin || batch_bytes + fragments[end].data.size() <=
-                                    options.max_request_bytes)) {
-          batch_bytes += fragments[end].data.size();
-          batch.push_back(std::move(fragments[end]));
-          ++end;
-        }
-        const Status written =
-            conn->Write(subfile, std::move(batch), options.sync);
-        if (!written.ok()) {
-          conn.Poison();
-          return written.WithContext("write to " + server.name);
-        }
-        begin = end;
-      }
-    } else if (options.whole_brick_reads) {
-      // Reads move whole bricks (§3.2 semantics); the useful runs are
-      // scattered out of the returned brick images; fragment i is brick i.
-      std::vector<net::ReadFragment> fragments;
-      for (const layout::BrickRequest& brick : request.bricks) {
-        net::ReadFragment fragment;
-        fragment.offset = dist.slot_for(brick.brick) * slot_bytes;
-        fragment.length = handle.map.brick_fetch_bytes(brick.brick);
-        fragments.push_back(fragment);
-      }
-      std::size_t begin = 0;
-      while (begin < fragments.size()) {
-        std::size_t end = begin;
-        std::uint64_t batch_bytes = 0;
-        while (end < fragments.size() &&
-               (end == begin || batch_bytes + fragments[end].length <=
-                                    options.max_request_bytes)) {
-          batch_bytes += fragments[end].length;
-          ++end;
-        }
-        const std::vector<net::ReadFragment> batch(
-            fragments.begin() + static_cast<std::ptrdiff_t>(begin),
-            fragments.begin() + static_cast<std::ptrdiff_t>(end));
-        const Result<Bytes> data = conn->Read(subfile, batch);
-        if (!data.ok()) {
-          conn.Poison();
-          return data.status().WithContext("read from " + server.name);
-        }
-        std::uint64_t image_base = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto it = runs.find(request.bricks[i].brick);
-          if (it != runs.end()) {
-            for (const layout::BrickRun& run : it->second) {
-              std::copy_n(data.value().begin() +
-                              static_cast<std::ptrdiff_t>(
-                                  image_base + run.offset_in_brick),
-                          run.length,
-                          read_buffer.begin() +
-                              static_cast<std::ptrdiff_t>(run.buffer_offset));
-            }
-          }
-          image_base += fragments[i].length;
-        }
-        begin = end;
-      }
-    } else {
-      // Sieve reads (extension): fetch only the useful runs, coalescing
-      // adjacent runs into single fragments; the reply byte stream equals
-      // the runs' bytes in order, so scattering walks a cursor.
-      std::vector<net::ReadFragment> fragments;
-      std::vector<const layout::BrickRun*> fragment_runs;
-      std::vector<std::size_t> fragment_first_run;  // index into fragment_runs
-      for (const layout::BrickRequest& brick : request.bricks) {
-        const std::uint64_t slot =
-            dist.slot_for(brick.brick) * slot_bytes;
-        const auto it = runs.find(brick.brick);
-        if (it == runs.end()) continue;
-        for (const layout::BrickRun& run : it->second) {
-          const bool extends =
-              !fragments.empty() &&
-              fragments.back().offset + fragments.back().length ==
-                  slot + run.offset_in_brick;
-          if (extends) {
-            fragments.back().length += run.length;
-          } else {
-            fragments.push_back({slot + run.offset_in_brick, run.length});
-            fragment_first_run.push_back(fragment_runs.size());
-          }
-          fragment_runs.push_back(&run);
-        }
-      }
-      std::size_t begin = 0;
-      while (begin < fragments.size()) {
-        std::size_t end = begin;
-        std::uint64_t batch_bytes = 0;
-        while (end < fragments.size() &&
-               (end == begin || batch_bytes + fragments[end].length <=
-                                    options.max_request_bytes)) {
-          batch_bytes += fragments[end].length;
-          ++end;
-        }
-        const std::vector<net::ReadFragment> batch(
-            fragments.begin() + static_cast<std::ptrdiff_t>(begin),
-            fragments.begin() + static_cast<std::ptrdiff_t>(end));
-        const Result<Bytes> data = conn->Read(subfile, batch);
-        if (!data.ok()) {
-          conn.Poison();
-          return data.status().WithContext("read from " + server.name);
-        }
-        // The reply equals the batch's runs' bytes in order.
-        const std::size_t run_begin = fragment_first_run[begin];
-        const std::size_t run_end = end < fragments.size()
-                                        ? fragment_first_run[end]
-                                        : fragment_runs.size();
-        std::uint64_t cursor = 0;
-        for (std::size_t r = run_begin; r < run_end; ++r) {
-          const layout::BrickRun* run = fragment_runs[r];
-          std::copy_n(
-              data.value().begin() + static_cast<std::ptrdiff_t>(cursor),
-              run->length,
-              read_buffer.begin() +
-                  static_cast<std::ptrdiff_t>(run->buffer_offset));
-          cursor += run->length;
-        }
-        begin = end;
+        fragments.back().data.insert(
+            fragments.back().data.end(),
+            write_data.begin() + static_cast<std::ptrdiff_t>(run.buffer_offset),
+            write_data.begin() +
+                static_cast<std::ptrdiff_t>(run.buffer_offset + run.length));
       }
     }
+    // Ship in batches bounded by max_request_bytes (one frame each).
+    for (std::size_t begin = 0, end = 0; begin < fragments.size();
+         begin = end) {
+      end = BatchEnd(fragments, begin, options.max_request_bytes,
+                     [](const net::WriteFragment& f) { return f.data.size(); });
+      std::vector<net::WriteFragment> batch(
+          std::make_move_iterator(fragments.begin() +
+                                  static_cast<std::ptrdiff_t>(begin)),
+          std::make_move_iterator(fragments.begin() +
+                                  static_cast<std::ptrdiff_t>(end)));
+      const Status written =
+          conn->Write(subfile, std::move(batch), options.sync);
+      if (!written.ok()) {
+        conn.Poison();
+        return written.WithContext("write to " + server.name);
+      }
+    }
+    return Status::Ok();
+  }
+
+  // Reads. Whole-brick reads fetch each brick's slot (§3.2 semantics: the
+  // client discards what it did not ask for); sieve reads (extension) fetch
+  // only the useful runs, coalescing adjacent ones. Either way the reply is
+  // the fragments' bytes back to back, and each run is scattered from its
+  // offset in that stream.
+  struct Piece {
+    const layout::BrickRun* run;
+    std::uint64_t at;  // offset of the run's bytes in the reply stream
+  };
+  std::vector<net::ReadFragment> fragments;
+  std::vector<std::size_t> first_piece;  // per fragment, into `pieces`
+  std::vector<Piece> pieces;
+  std::uint64_t stream = 0;
+  for (const layout::BrickRequest& brick : request.bricks) {
+    const std::uint64_t slot = dist.slot_for(brick.brick) * slot_bytes;
+    const auto it = runs.find(brick.brick);
+    if (options.whole_brick_reads) {
+      fragments.push_back({slot, handle.map.brick_fetch_bytes(brick.brick)});
+      first_piece.push_back(pieces.size());
+      if (it != runs.end()) {
+        for (const layout::BrickRun& run : it->second) {
+          pieces.push_back({&run, stream + run.offset_in_brick});
+        }
+      }
+      stream += fragments.back().length;
+      continue;
+    }
+    if (it == runs.end()) continue;
+    for (const layout::BrickRun& run : it->second) {
+      const std::uint64_t offset = slot + run.offset_in_brick;
+      if (!fragments.empty() &&
+          fragments.back().offset + fragments.back().length == offset) {
+        fragments.back().length += run.length;
+      } else {
+        fragments.push_back({offset, run.length});
+        first_piece.push_back(pieces.size());
+      }
+      pieces.push_back({&run, stream});
+      stream += run.length;
+    }
+  }
+  std::uint64_t batch_start = 0;  // stream offset of fragment `begin`
+  for (std::size_t begin = 0, end = 0; begin < fragments.size();
+       begin = end) {
+    end = BatchEnd(fragments, begin, options.max_request_bytes,
+                   [](const net::ReadFragment& f) { return f.length; });
+    const std::vector<net::ReadFragment> batch(
+        fragments.begin() + static_cast<std::ptrdiff_t>(begin),
+        fragments.begin() + static_cast<std::ptrdiff_t>(end));
+    const Result<Bytes> data = conn->Read(subfile, batch);
+    if (!data.ok()) {
+      conn.Poison();
+      return data.status().WithContext("read from " + server.name);
+    }
+    const std::size_t piece_end =
+        end < fragments.size() ? first_piece[end] : pieces.size();
+    for (std::size_t p = first_piece[begin]; p < piece_end; ++p) {
+      const layout::BrickRun& run = *pieces[p].run;
+      std::copy_n(data.value().begin() +
+                      static_cast<std::ptrdiff_t>(pieces[p].at - batch_start),
+                  run.length,
+                  read_buffer.begin() +
+                      static_cast<std::ptrdiff_t>(run.buffer_offset));
+    }
+    batch_start += data.value().size();
   }
   return Status::Ok();
 }
@@ -906,7 +809,7 @@ Status FileSystem::ReadRegion(FileHandle& handle, const layout::Region& region,
 }
 
 // ---------------------------------------------------------------------------
-// Byte access
+// Byte and derived-datatype access
 
 Status FileSystem::WriteBytes(FileHandle& handle, std::uint64_t offset,
                               ByteSpan data, const IoOptions& options,
@@ -915,17 +818,10 @@ Status FileSystem::WriteBytes(FileHandle& handle, std::uint64_t offset,
     return OutOfRangeError("write past end of file (capacity " +
                            std::to_string(handle.map.total_bytes()) + ")");
   }
-  DPFS_ASSIGN_OR_RETURN(
-      const layout::ClientPlan plan,
-      layout::PlanByteAccess(handle.map, handle.record.distribution,
-                             handle.client_id, offset, data.size(),
-                             ToPlanOptions(options,
-                                           layout::IoDirection::kWrite)));
-  RunsByBrick runs;
-  DPFS_RETURN_IF_ERROR(handle.map.ForEachByteRun(
-      offset, data.size(),
-      [&runs](const layout::BrickRun& run) { runs[run.brick].push_back(run); }));
-  return ExecutePlan(handle, plan, runs, data, {}, options, report);
+  std::vector<layout::FileExtent> extents;
+  if (!data.empty()) extents.push_back({offset, data.size()});
+  return ExecuteExtents(handle, extents, data, {}, layout::IoDirection::kWrite,
+                        options, report);
 }
 
 Status FileSystem::ReadBytes(FileHandle& handle, std::uint64_t offset,
@@ -935,21 +831,25 @@ Status FileSystem::ReadBytes(FileHandle& handle, std::uint64_t offset,
     return OutOfRangeError("read past end of file (size " +
                            std::to_string(handle.map.total_bytes()) + ")");
   }
-  DPFS_ASSIGN_OR_RETURN(
-      const layout::ClientPlan plan,
-      layout::PlanByteAccess(handle.map, handle.record.distribution,
-                             handle.client_id, offset, out.size(),
-                             ToPlanOptions(options,
-                                           layout::IoDirection::kRead)));
-  RunsByBrick runs;
-  DPFS_RETURN_IF_ERROR(handle.map.ForEachByteRun(
-      offset, out.size(),
-      [&runs](const layout::BrickRun& run) { runs[run.brick].push_back(run); }));
-  return ExecutePlan(handle, plan, runs, {}, out, options, report);
+  std::vector<layout::FileExtent> extents;
+  if (!out.empty()) extents.push_back({offset, out.size()});
+  return ExecuteExtents(handle, extents, {}, out, layout::IoDirection::kRead,
+                        options, report);
 }
 
-// ---------------------------------------------------------------------------
-// Derived-datatype access
+namespace {
+
+std::vector<layout::FileExtent> ShiftExtents(const Datatype& type,
+                                             std::uint64_t base_offset) {
+  std::vector<layout::FileExtent> extents;
+  extents.reserve(type.num_extents());
+  for (const ByteExtent& extent : type.extents()) {
+    extents.push_back({base_offset + extent.offset, extent.length});
+  }
+  return extents;
+}
+
+}  // namespace
 
 Status FileSystem::WriteType(FileHandle& handle, std::uint64_t base_offset,
                              const Datatype& type, ByteSpan data,
@@ -962,26 +862,8 @@ Status FileSystem::WriteType(FileHandle& handle, std::uint64_t base_offset,
   if (base_offset + type.extent() > handle.map.total_bytes()) {
     return OutOfRangeError("datatype write past end of file");
   }
-  // List I/O does not compose with replication (a list plan's extents are
-  // absolute rank-0 subfile offsets); replicated files fall back to the
-  // per-extent path, which fans out and fails over per docs/REPLICATION.md,
-  // and count the fallback.
-  if (options.list_io && handle.record.replication() == 1) {
-    return ExecuteListAccess(handle, base_offset, type.extents(), data, {},
-                             layout::IoDirection::kWrite, options, report);
-  }
-  if (options.list_io) ClientMetrics().list_io_fallbacks.Add();
-  // One access per coalesced extent keeps the semantics simple; the extents
-  // are already merged, so this matches what MPI-IO data sieving would issue
-  // without read-modify-write.
-  std::uint64_t buffer_cursor = 0;
-  for (const ByteExtent& extent : type.extents()) {
-    DPFS_RETURN_IF_ERROR(WriteBytes(
-        handle, base_offset + extent.offset,
-        data.subspan(buffer_cursor, extent.length), options, report));
-    buffer_cursor += extent.length;
-  }
-  return Status::Ok();
+  return ExecuteExtents(handle, ShiftExtents(type, base_offset), data, {},
+                        layout::IoDirection::kWrite, options, report);
 }
 
 Status FileSystem::ReadType(FileHandle& handle, std::uint64_t base_offset,
@@ -995,44 +877,34 @@ Status FileSystem::ReadType(FileHandle& handle, std::uint64_t base_offset,
   if (base_offset + type.extent() > handle.map.total_bytes()) {
     return OutOfRangeError("datatype read past end of file");
   }
-  // Same counted replication fallback as WriteType: per-extent accesses get
-  // read failover, list plans would not.
-  if (options.list_io && handle.record.replication() == 1) {
-    return ExecuteListAccess(handle, base_offset, type.extents(), {}, out,
-                             layout::IoDirection::kRead, options, report);
-  }
-  if (options.list_io) ClientMetrics().list_io_fallbacks.Add();
-  std::uint64_t buffer_cursor = 0;
-  for (const ByteExtent& extent : type.extents()) {
-    DPFS_RETURN_IF_ERROR(ReadBytes(
-        handle, base_offset + extent.offset,
-        out.subspan(buffer_cursor, extent.length), options, report));
-    buffer_cursor += extent.length;
-  }
-  return Status::Ok();
+  return ExecuteExtents(handle, ShiftExtents(type, base_offset), {}, out,
+                        layout::IoDirection::kRead, options, report);
 }
 
-Status FileSystem::ExecuteListAccess(const FileHandle& handle,
-                                     std::uint64_t base_offset,
-                                     const std::vector<ByteExtent>& extents,
-                                     ByteSpan write_data,
-                                     MutableByteSpan read_buffer,
-                                     layout::IoDirection direction,
-                                     const IoOptions& options,
-                                     IoReport* report) {
-  std::vector<layout::FileExtent> file_extents;
-  file_extents.reserve(extents.size());
-  for (const ByteExtent& extent : extents) {
-    file_extents.push_back(
-        layout::FileExtent{base_offset + extent.offset, extent.length});
-  }
+Status FileSystem::ExecuteExtents(
+    const FileHandle& handle, const std::vector<layout::FileExtent>& extents,
+    ByteSpan write_data, MutableByteSpan read_buffer,
+    layout::IoDirection direction, const IoOptions& options,
+    IoReport* report) {
   DPFS_ASSIGN_OR_RETURN(
       const layout::ClientPlan plan,
       layout::PlanListAccess(handle.map, handle.record.distribution,
-                             handle.client_id, file_extents,
+                             handle.client_id, extents,
                              ToPlanOptions(options, direction)));
-  return ExecutePlan(handle, plan, RunsByBrick{}, write_data, read_buffer,
-                     options, report);
+  // Each extent's runs, shifted to where its bytes sit in the packed buffer.
+  RunsByBrick runs;
+  std::uint64_t packed = 0;
+  for (const layout::FileExtent& extent : extents) {
+    DPFS_RETURN_IF_ERROR(handle.map.ForEachByteRun(
+        extent.offset, extent.length, [&](const layout::BrickRun& run) {
+          layout::BrickRun shifted = run;
+          shifted.buffer_offset += packed;
+          runs[run.brick].push_back(shifted);
+        }));
+    packed += extent.length;
+  }
+  return ExecutePlan(handle, plan, runs, write_data, read_buffer, options,
+                     report);
 }
 
 }  // namespace dpfs::client

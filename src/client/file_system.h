@@ -81,12 +81,6 @@ struct IoOptions {
   /// dispatch threads instead of the paper's sequential loop. Most useful
   /// with combine=true, where one client talks to every server.
   bool parallel_dispatch = false;
-  /// Extension: serve derived-datatype accesses (WriteType/ReadType on
-  /// linear files) as list I/O — one list_read/list_write request per server
-  /// naming every extent, instead of one access per coalesced extent
-  /// (docs/NONCONTIGUOUS_IO.md). Ignores whole_brick_reads and combine (a
-  /// list plan always combines and moves only the listed bytes).
-  bool list_io = false;
   /// Transient-failure retries per request ("the un-handled requests have
   /// to try again later", §4.2): busy servers and refused connections are
   /// retried with linear backoff; other errors are not.
@@ -202,6 +196,10 @@ class FileSystem {
                    IoReport* report = nullptr);
 
   // --- derived-datatype access (linear files, §6) --------------------------
+  // One plan for the whole access (docs/NONCONTIGUOUS_IO.md): every touched
+  // brick appears once, so with `combine` each server gets one request,
+  // and a sieve read (whole_brick_reads = false) moves only the type's
+  // bytes.
   Status WriteType(FileHandle& handle, std::uint64_t base_offset,
                    const Datatype& type, ByteSpan data,
                    const IoOptions& options = {}, IoReport* report = nullptr);
@@ -282,14 +280,14 @@ class FileSystem {
   /// is deprioritized (not excluded) for kSuspectTtl.
   void MarkSuspect(const std::string& endpoint_key);
   [[nodiscard]] bool IsSuspect(const std::string& endpoint_key);
-  /// List-I/O execution of a flattened datatype access (IoOptions::list_io):
-  /// builds one PlanListAccess plan over the extents (shifted by
-  /// base_offset) and executes it as list_read/list_write requests.
-  Status ExecuteListAccess(const FileHandle& handle, std::uint64_t base_offset,
-                           const std::vector<ByteExtent>& extents,
-                           ByteSpan write_data, MutableByteSpan read_buffer,
-                           layout::IoDirection direction,
-                           const IoOptions& options, IoReport* report);
+  /// Byte-extent access to a linear file: one PlanListAccess plan over
+  /// `extents` (absolute, sorted, non-overlapping), whose bytes are packed
+  /// back to back in write_data or read_buffer, per `direction`.
+  Status ExecuteExtents(const FileHandle& handle,
+                        const std::vector<layout::FileExtent>& extents,
+                        ByteSpan write_data, MutableByteSpan read_buffer,
+                        layout::IoDirection direction,
+                        const IoOptions& options, IoReport* report);
   ThreadPool& DispatchPool();
 
   std::unique_ptr<MetadataService> metadata_;

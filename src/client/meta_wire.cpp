@@ -14,7 +14,6 @@ void EncodeShape(const layout::Shape& shape, BinaryWriter& writer) {
 Result<layout::Shape> DecodeShape(BinaryReader& reader) {
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.ReadU32());
   layout::Shape shape;
-  shape.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     DPFS_ASSIGN_OR_RETURN(const std::uint64_t dim, reader.ReadU64());
     shape.push_back(dim);
@@ -31,7 +30,6 @@ void EncodeStrings(const std::vector<std::string>& strings,
 Result<std::vector<std::string>> DecodeStrings(BinaryReader& reader) {
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.ReadU32());
   std::vector<std::string> strings;
-  strings.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     DPFS_ASSIGN_OR_RETURN(std::string s, reader.ReadString());
     strings.push_back(std::move(s));
@@ -158,7 +156,6 @@ Result<CreateFileRequest> CreateFileRequest::Decode(BinaryReader& reader) {
   }
   if (!reader.AtEnd()) {
     DPFS_ASSIGN_OR_RETURN(const std::uint32_t ranks, reader.ReadU32());
-    request.replica_bricklists.reserve(ranks);
     for (std::uint32_t r = 0; r < ranks; ++r) {
       DPFS_ASSIGN_OR_RETURN(std::vector<std::string> rank,
                             DecodeStrings(reader));
@@ -169,18 +166,6 @@ Result<CreateFileRequest> CreateFileRequest::Decode(BinaryReader& reader) {
       request.replica_bricklists.push_back(std::move(rank));
     }
   }
-  return request;
-}
-
-void UpdateSizeRequest::Encode(BinaryWriter& writer) const {
-  writer.WriteString(path);
-  writer.WriteU64(size_bytes);
-}
-
-Result<UpdateSizeRequest> UpdateSizeRequest::Decode(BinaryReader& reader) {
-  UpdateSizeRequest request;
-  DPFS_ASSIGN_OR_RETURN(request.path, reader.ReadString());
-  DPFS_ASSIGN_OR_RETURN(request.size_bytes, reader.ReadU64());
   return request;
 }
 
@@ -242,7 +227,6 @@ void ServerListReply::Encode(BinaryWriter& writer) const {
 Result<ServerListReply> ServerListReply::Decode(BinaryReader& reader) {
   ServerListReply reply;
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.ReadU32());
-  reply.servers.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     DPFS_ASSIGN_OR_RETURN(ServerInfo server, DecodeServerInfo(reader));
     reply.servers.push_back(std::move(server));
@@ -280,7 +264,6 @@ Result<FileRecordReply> FileRecordReply::Decode(BinaryReader& reader) {
   FileRecordReply reply;
   DPFS_ASSIGN_OR_RETURN(reply.record.meta, DecodeFileMeta(reader));
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t server_count, reader.ReadU32());
-  reply.record.servers.reserve(server_count);
   for (std::uint32_t i = 0; i < server_count; ++i) {
     DPFS_ASSIGN_OR_RETURN(ServerInfo server, DecodeServerInfo(reader));
     reply.record.servers.push_back(std::move(server));
@@ -288,7 +271,6 @@ Result<FileRecordReply> FileRecordReply::Decode(BinaryReader& reader) {
   DPFS_ASSIGN_OR_RETURN(const std::uint64_t num_bricks, reader.ReadU64());
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t list_count, reader.ReadU32());
   std::vector<std::vector<layout::BrickId>> bricklists;
-  bricklists.reserve(list_count);
   for (std::uint32_t i = 0; i < list_count; ++i) {
     DPFS_ASSIGN_OR_RETURN(const std::string text, reader.ReadString());
     DPFS_ASSIGN_OR_RETURN(std::vector<layout::BrickId> bricks,
@@ -303,7 +285,6 @@ Result<FileRecordReply> FileRecordReply::Decode(BinaryReader& reader) {
     DPFS_ASSIGN_OR_RETURN(const std::uint32_t ranks, reader.ReadU32());
     for (std::uint32_t r = 0; r < ranks; ++r) {
       std::vector<std::vector<layout::BrickId>> rank_lists;
-      rank_lists.reserve(list_count);
       for (std::uint32_t i = 0; i < list_count; ++i) {
         DPFS_ASSIGN_OR_RETURN(const std::string text, reader.ReadString());
         DPFS_ASSIGN_OR_RETURN(

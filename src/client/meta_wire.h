@@ -9,7 +9,10 @@
 // round-trip suite (tests/client/meta_wire_test.cpp) pins that, and the
 // wire layout itself is documented in docs/WIRE_PROTOCOL.md ("Metadata
 // protocol"). Bricklists travel in the DPFS_FILE_DISTRIBUTION text encoding
-// ("0,2,6,...") so the wire and the table speak the same dialect.
+// ("0,2,6,...") so the wire and the table speak the same dialect. Decoders
+// reserve nothing by a wire count: a count the body cannot back fails as
+// truncated input, so one frame cannot make the metad allocate more than
+// it received.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +42,7 @@ struct ServerRequest {
   static Result<ServerRequest> Decode(BinaryReader& reader);
 };
 
-/// kMetaUnregisterServer / kMetaLookupServer (body: the server name).
+/// kMetaUnregisterServer (body: the server name).
 struct NameRequest {
   std::string name;
 
@@ -70,15 +73,6 @@ struct CreateFileRequest {
 
   void Encode(BinaryWriter& writer) const;
   static Result<CreateFileRequest> Decode(BinaryReader& reader);
-};
-
-/// kMetaUpdateSize.
-struct UpdateSizeRequest {
-  std::string path;
-  std::uint64_t size_bytes = 0;
-
-  void Encode(BinaryWriter& writer) const;
-  static Result<UpdateSizeRequest> Decode(BinaryReader& reader);
 };
 
 /// kMetaSetPermission.

@@ -141,8 +141,6 @@ struct HotStatements {
 
   metadb::SelectStmt attr_all = MakeSelect(kAttrTable, {});
   metadb::SelectStmt attr_exists = MakeSelect(kAttrTable, {"filename"});
-  metadb::SelectStmt attr_size =
-      MakeSelect(kAttrTable, {"size", "filelevel", "brickbytes"});
   metadb::SelectStmt dist_by_file =
       MakeSelect(kDistTable, {"server", "server_index", "bricklist", "replica"},
                  metadb::OrderBy{"server_index", false});
@@ -669,10 +667,6 @@ Result<std::vector<ServerInfo>> MetadataManager::ListServers() {
   return servers;
 }
 
-Result<ServerInfo> MetadataManager::LookupServer(const std::string& name) {
-  return ServerByName(Shard(0), name);
-}
-
 // ---------------------------------------------------------------------------
 // Directories
 
@@ -1041,44 +1035,6 @@ Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {
     record.replicas.push_back(std::move(replica));
   }
   return record;
-}
-
-Status MetadataManager::UpdateFileSize(const std::string& path,
-                                       std::uint64_t size_bytes) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  const std::size_t home = ShardOf(normalized);
-  ShardLocks locks(*this, {home});
-  // A file's brick count is fixed at creation (the bricklists are already
-  // placed); the logical size may only move within the striped capacity.
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet attr,
-      SelectEq(Shard(home), Hot().attr_size, Hot().filename_col,
-               normalized));
-  if (attr.empty()) return NotFoundError("no such file '" + normalized + "'");
-  DPFS_ASSIGN_OR_RETURN(const std::string level, attr.GetText(0, "filelevel"));
-  if (level == "linear") {
-    DPFS_ASSIGN_OR_RETURN(const std::int64_t old_size, attr.GetInt(0, "size"));
-    DPFS_ASSIGN_OR_RETURN(const std::int64_t brick_bytes,
-                          attr.GetInt(0, "brickbytes"));
-    const std::uint64_t capacity =
-        layout::CeilDiv(static_cast<std::uint64_t>(old_size),
-                        static_cast<std::uint64_t>(brick_bytes)) *
-        static_cast<std::uint64_t>(brick_bytes);
-    if (size_bytes > capacity) {
-      return OutOfRangeError("new size " + std::to_string(size_bytes) +
-                             " exceeds striped capacity " +
-                             std::to_string(capacity));
-    }
-  }
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet result,
-      UpdateEq(Shard(home), kAttrTable,
-               {{"size", static_cast<std::int64_t>(size_bytes)}},
-               Hot().filename_col, normalized));
-  if (result.affected_rows == 0) {
-    return NotFoundError("no such file '" + normalized + "'");
-  }
-  return Status::Ok();
 }
 
 Status MetadataManager::SetPermission(const std::string& path,

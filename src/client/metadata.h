@@ -73,7 +73,6 @@ class MetadataManager final : public MetadataService {
   Status RegisterServer(const ServerInfo& server) override;
   Status UnregisterServer(const std::string& name) override;
   Result<std::vector<ServerInfo>> ListServers() override;
-  Result<ServerInfo> LookupServer(const std::string& name) override;
 
   // --- files -------------------------------------------------------------
   Status CreateFile(
@@ -81,8 +80,6 @@ class MetadataManager final : public MetadataService {
       const layout::BrickDistribution& distribution,
       const std::vector<layout::BrickDistribution>& replicas = {}) override;
   Result<FileRecord> LookupFile(const std::string& path) override;
-  Status UpdateFileSize(const std::string& path,
-                        std::uint64_t size_bytes) override;
   Status SetPermission(const std::string& path,
                        std::uint32_t permission) override;
   Status SetOwner(const std::string& path, const std::string& owner) override;

@@ -92,7 +92,6 @@ class MetadataService {
   virtual Status RegisterServer(const ServerInfo& server) = 0;
   virtual Status UnregisterServer(const std::string& name) = 0;
   virtual Result<std::vector<ServerInfo>> ListServers() = 0;
-  virtual Result<ServerInfo> LookupServer(const std::string& name) = 0;
 
   // --- files -------------------------------------------------------------
   /// Creates attribute + distribution rows and links the file into its
@@ -109,8 +108,6 @@ class MetadataService {
   /// the database on every call; RemoteMetadataManager may answer from its
   /// TTL cache, the client's only record cache.
   virtual Result<FileRecord> LookupFile(const std::string& path) = 0;
-  virtual Status UpdateFileSize(const std::string& path,
-                                std::uint64_t size_bytes) = 0;
   virtual Status SetPermission(const std::string& path,
                                std::uint32_t permission) = 0;
   virtual Status SetOwner(const std::string& path,

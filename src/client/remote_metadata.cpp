@@ -92,19 +92,6 @@ Result<std::vector<ServerInfo>> RemoteMetadataManager::ListServers() {
   return std::move(decoded.servers);
 }
 
-Result<ServerInfo> RemoteMetadataManager::LookupServer(
-    const std::string& name) {
-  meta_wire::NameRequest request;
-  request.name = name;
-  BinaryWriter body;
-  request.Encode(body);
-  DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
-      Call(net::MessageType::kMetaLookupServer, body.buffer()));
-  BinaryReader reader(reply);
-  return meta_wire::DecodeServerInfo(reader);
-}
-
 // --- files -----------------------------------------------------------------
 
 Status RemoteMetadataManager::CreateFile(
@@ -166,19 +153,6 @@ Result<FileRecord> RemoteMetadataManager::LookupFile(const std::string& path) {
         decoded.record, std::chrono::steady_clock::now() + options_.cache_ttl};
   }
   return std::move(decoded.record);
-}
-
-Status RemoteMetadataManager::UpdateFileSize(const std::string& path,
-                                             std::uint64_t size_bytes) {
-  meta_wire::UpdateSizeRequest request;
-  request.path = path;
-  request.size_bytes = size_bytes;
-  BinaryWriter body;
-  request.Encode(body);
-  const Status updated =
-      Call(net::MessageType::kMetaUpdateSize, body.buffer()).status();
-  InvalidateCache(path);
-  return updated;
 }
 
 Status RemoteMetadataManager::SetPermission(const std::string& path,

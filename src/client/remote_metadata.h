@@ -49,15 +49,12 @@ class RemoteMetadataManager final : public MetadataService {
   Status RegisterServer(const ServerInfo& server) override;
   Status UnregisterServer(const std::string& name) override;
   Result<std::vector<ServerInfo>> ListServers() override;
-  Result<ServerInfo> LookupServer(const std::string& name) override;
 
   Status CreateFile(
       const FileMeta& meta, const std::vector<std::string>& server_names,
       const layout::BrickDistribution& distribution,
       const std::vector<layout::BrickDistribution>& replicas = {}) override;
   Result<FileRecord> LookupFile(const std::string& path) override;
-  Status UpdateFileSize(const std::string& path,
-                        std::uint64_t size_bytes) override;
   Status SetPermission(const std::string& path,
                        std::uint32_t permission) override;
   Status SetOwner(const std::string& path, const std::string& owner) override;

@@ -174,6 +174,18 @@ Result<BrickDistribution> BrickDistribution::Create(
 
 Result<BrickDistribution> BrickDistribution::FromBrickLists(
     std::uint64_t num_bricks, std::vector<std::vector<BrickId>> server_bricks) {
+  // Every brick is listed exactly once (Finalize), so the lists' length
+  // bounds num_bricks before it sizes anything: a count from a metadata
+  // frame cannot allocate more than the frame listed.
+  std::uint64_t listed = 0;
+  for (const std::vector<BrickId>& bricks : server_bricks) {
+    listed += bricks.size();
+  }
+  if (listed != num_bricks) {
+    return InvalidArgumentError(std::to_string(listed) +
+                                " bricks listed for a file of " +
+                                std::to_string(num_bricks));
+  }
   BrickDistribution dist;
   dist.server_bricks_ = std::move(server_bricks);
   dist.brick_to_server_.resize(num_bricks);

@@ -119,17 +119,23 @@ ClientPlan BuildPlan(const BrickMap& map, const BrickDistribution& dist,
   return plan;
 }
 
+Status CheckDistributionCoversFile(const BrickMap& map,
+                                   const BrickDistribution& dist) {
+  if (dist.num_bricks() < map.num_bricks()) {
+    return InvalidArgumentError(
+        "distribution covers " + std::to_string(dist.num_bricks()) +
+        " bricks but file has " + std::to_string(map.num_bricks()));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<ClientPlan> PlanRegionAccess(const BrickMap& map,
                                     const BrickDistribution& dist,
                                     std::uint32_t client, const Region& region,
                                     const PlanOptions& options) {
-  if (dist.num_bricks() < map.num_bricks()) {
-    return InvalidArgumentError(
-        "distribution covers " + std::to_string(dist.num_bricks()) +
-        " bricks but file has " + std::to_string(map.num_bricks()));
-  }
+  DPFS_RETURN_IF_ERROR(CheckDistributionCoversFile(map, dist));
   DPFS_ASSIGN_OR_RETURN(const auto usage, map.SummarizeRegion(region));
   return BuildPlan(map, dist, client, usage, options);
 }
@@ -139,14 +145,9 @@ Result<ClientPlan> PlanByteAccess(const BrickMap& map,
                                   std::uint32_t client, std::uint64_t offset,
                                   std::uint64_t length,
                                   const PlanOptions& options) {
-  if (dist.num_bricks() < map.num_bricks()) {
-    return InvalidArgumentError(
-        "distribution covers " + std::to_string(dist.num_bricks()) +
-        " bricks but file has " + std::to_string(map.num_bricks()));
-  }
-  DPFS_ASSIGN_OR_RETURN(const auto usage,
-                        map.SummarizeByteRange(offset, length));
-  return BuildPlan(map, dist, client, usage, options);
+  std::vector<FileExtent> extents;
+  if (length > 0) extents.push_back({offset, length});
+  return PlanListAccess(map, dist, client, extents, options);
 }
 
 Result<ClientPlan> PlanListAccess(const BrickMap& map,
@@ -155,115 +156,51 @@ Result<ClientPlan> PlanListAccess(const BrickMap& map,
                                   const std::vector<FileExtent>& extents,
                                   const PlanOptions& options) {
   if (map.level() != FileLevel::kLinear) {
-    return InvalidArgumentError("list I/O requires a linear file");
+    return InvalidArgumentError("byte-extent access requires a linear file");
   }
-  if (dist.num_bricks() < map.num_bricks()) {
-    return InvalidArgumentError(
-        "distribution covers " + std::to_string(dist.num_bricks()) +
-        " bricks but file has " + std::to_string(map.num_bricks()));
-  }
-  const std::uint64_t brick_bytes = map.brick_bytes();
-  std::uint64_t prev_end = 0;
+  DPFS_RETURN_IF_ERROR(CheckDistributionCoversFile(map, dist));
+  // Merge touching extents first, so a brick counts one fragment per
+  // separate piece of it the access needs, then sum each merged extent's
+  // per-brick usage.
+  std::vector<FileExtent> merged;
   for (const FileExtent& extent : extents) {
     if (extent.length == 0) {
       return InvalidArgumentError("list extents must be non-empty");
     }
-    if (prev_end > 0 && extent.offset < prev_end) {
-      return InvalidArgumentError(
-          "list extents must be sorted by offset and non-overlapping");
+    if (!merged.empty()) {
+      const std::uint64_t end = merged.back().offset + merged.back().length;
+      if (extent.offset < end) {
+        return InvalidArgumentError(
+            "list extents must be sorted by offset and non-overlapping");
+      }
+      if (extent.offset == end) {
+        merged.back().length += extent.length;
+        continue;
+      }
     }
-    prev_end = extent.offset + extent.length;
+    merged.push_back(extent);
   }
-  if (prev_end > 0) {
-    const BrickId last_brick = (prev_end - 1) / brick_bytes;
+  if (!merged.empty()) {
+    const BrickId last_brick =
+        (merged.back().offset + merged.back().length - 1) / map.brick_bytes();
     if (last_brick >= dist.num_bricks()) {
       return InvalidArgumentError(
           "distribution covers " + std::to_string(dist.num_bricks()) +
           " bricks but the access reaches brick " + std::to_string(last_brick));
     }
   }
-
-  ClientPlan plan;
-  plan.client = client;
-  plan.direction = options.direction;
-  plan.whole_brick_reads = false;  // a list transfer moves only listed bytes
-  plan.parallel_dispatch = options.parallel_dispatch;
-  plan.list_io = true;
-
-  // Walk the extents in file order (so bricks — and, per brick, brick-local
-  // offsets — only grow), splitting at brick boundaries. The packed buffer
-  // cursor advances with every byte taken, extent gaps notwithstanding.
-  std::map<ServerId, ServerRequest> grouped;
-  std::map<BrickId, std::uint64_t> fragment_end;
-  std::uint64_t buffer_offset = 0;
-  for (const FileExtent& extent : extents) {
-    std::uint64_t offset = extent.offset;
-    std::uint64_t remaining = extent.length;
-    while (remaining > 0) {
-      const BrickId brick = offset / brick_bytes;
-      const std::uint64_t within = offset % brick_bytes;
-      const std::uint64_t take = std::min(brick_bytes - within, remaining);
-      const ServerId server = dist.server_for(brick);
-      const std::uint64_t subfile_offset =
-          dist.slot_for(brick) * brick_bytes + within;
-      ServerRequest& request = grouped[server];
-      request.server = server;
-      // Per-brick accounting: useful == transfer (sieve-style), fragments
-      // counted in brick space exactly as SummarizeByteRange would.
-      if (request.bricks.empty() || request.bricks.back().brick != brick) {
-        request.bricks.push_back(BrickRequest{brick, 0, 0, 0, 0});
-      }
-      BrickRequest& usage = request.bricks.back();
-      usage.useful_bytes += take;
-      usage.transfer_bytes += take;
-      usage.num_runs += 1;
-      const auto end_it = fragment_end.find(brick);
-      if (end_it == fragment_end.end() || end_it->second != within) {
-        usage.fragments += 1;
-      }
-      fragment_end[brick] = within + take;
-      // Wire extents: extend the server's last extent when both the subfile
-      // and the packed buffer continue exactly (this also merges across
-      // consecutive slots of one subfile); otherwise start a new fragment.
-      if (!request.list_extents.empty() &&
-          request.list_extents.back().subfile_offset +
-                  request.list_extents.back().length ==
-              subfile_offset &&
-          request.list_extents.back().buffer_offset +
-                  request.list_extents.back().length ==
-              buffer_offset) {
-        request.list_extents.back().length += take;
-      } else {
-        request.list_extents.push_back(
-            ListExtent{subfile_offset, buffer_offset, take});
-      }
-      offset += take;
-      buffer_offset += take;
-      remaining -= take;
+  std::map<BrickId, BrickUsage> usage;
+  for (const FileExtent& extent : merged) {
+    DPFS_ASSIGN_OR_RETURN(const auto pieces,
+                          map.SummarizeByteRange(extent.offset, extent.length));
+    for (const auto& [brick, piece] : pieces) {
+      BrickUsage& total = usage[brick];
+      total.useful_bytes += piece.useful_bytes;
+      total.num_runs += piece.num_runs;
+      total.fragments += piece.fragments;
     }
   }
-
-  std::vector<ServerRequest> requests;
-  requests.reserve(grouped.size());
-  for (auto& [server, request] : grouped) {
-    // The wire requires strictly ascending extents. The walk above emits
-    // them in file order, which is subfile order for every placement whose
-    // slots grow with brick id (all built-in policies); a hand-built
-    // distribution (FromBrickLists) may permute slots, so sort to be sure.
-    std::sort(request.list_extents.begin(), request.list_extents.end(),
-              [](const ListExtent& a, const ListExtent& b) {
-                return a.subfile_offset < b.subfile_offset;
-              });
-    requests.push_back(std::move(request));
-  }
-  // Same §4.2 staggering as combined plans: client c starts on a different
-  // server than client c+1.
-  if (options.rotate_start && !requests.empty()) {
-    const std::size_t shift = client % requests.size();
-    std::rotate(requests.begin(), requests.begin() + shift, requests.end());
-  }
-  plan.requests = std::move(requests);
-  return plan;
+  return BuildPlan(map, dist, client, usage, options);
 }
 
 Result<IoPlan> PlanCollectiveAccess(const BrickMap& map,

@@ -35,18 +35,6 @@ struct FileExtent {
   friend bool operator==(const FileExtent&, const FileExtent&) = default;
 };
 
-/// One wire fragment of a list request: a contiguous subfile byte range
-/// paired with where those bytes live in the caller's packed access buffer.
-/// This is exactly the (offset, length) pair the list_read/list_write wire
-/// bodies carry (docs/WIRE_PROTOCOL.md); buffer_offset stays client-side.
-struct ListExtent {
-  std::uint64_t subfile_offset = 0;  // bytes from the subfile's start
-  std::uint64_t buffer_offset = 0;   // bytes into the packed access buffer
-  std::uint64_t length = 0;          // bytes
-
-  friend bool operator==(const ListExtent&, const ListExtent&) = default;
-};
-
 /// One brick's worth of a request.
 struct BrickRequest {
   BrickId brick = 0;
@@ -67,10 +55,6 @@ struct ServerRequest {
   /// unreplicated plans ever carry.
   std::uint32_t replica = 0;
   std::vector<BrickRequest> bricks;
-  /// List-I/O plans only (PlanListAccess): the exact subfile extents this
-  /// request names on the wire, in subfile-offset order, merged where both
-  /// the subfile and the packed buffer continue. Empty for every other plan.
-  std::vector<ListExtent> list_extents;
 
   [[nodiscard]] std::uint64_t transfer_bytes() const noexcept;
   [[nodiscard]] std::uint64_t useful_bytes() const noexcept;
@@ -85,10 +69,6 @@ struct ClientPlan {
   /// Extension: issue every request concurrently (one dispatch thread per
   /// server) instead of the paper's sequential client loop.
   bool parallel_dispatch = false;
-  /// Extension: this plan carries per-request subfile extent lists
-  /// (ServerRequest::list_extents) and executes as list_read/list_write
-  /// wire requests (docs/NONCONTIGUOUS_IO.md). Built by PlanListAccess.
-  bool list_io = false;
   std::vector<ServerRequest> requests;
 
   [[nodiscard]] std::size_t num_requests() const noexcept {
@@ -132,24 +112,20 @@ Result<ClientPlan> PlanRegionAccess(const BrickMap& map,
                                     std::uint32_t client, const Region& region,
                                     const PlanOptions& options);
 
-/// Plans one client's access to a raw byte extent (linear files).
+/// Plans one client's access to a raw byte extent (linear files): the
+/// one-extent case of PlanListAccess. An empty extent is an empty plan.
 Result<ClientPlan> PlanByteAccess(const BrickMap& map,
                                   const BrickDistribution& dist,
                                   std::uint32_t client, std::uint64_t offset,
                                   std::uint64_t length,
                                   const PlanOptions& options);
 
-/// Plans one client's list-I/O access to a set of byte extents of a linear
-/// file (a flattened noncontiguous `Datatype` access). Every extent is split
-/// at brick boundaries, each piece is mapped to its absolute subfile offset
-/// (slot * brick_bytes + offset-in-brick), and all pieces bound for one
-/// server ride in a single list request — list I/O always combines, so
-/// `options.combine` is ignored and `options.whole_brick_reads` does not
-/// apply (a list transfer moves exactly the listed bytes, like sieve).
-/// `options.rotate_start` and `options.parallel_dispatch` behave as in the
-/// other planners. Extents must be non-empty, sorted by offset, and
-/// non-overlapping (adjacent is fine — adjacent pieces merge). Pure math,
-/// like the rest of this layer.
+/// Plans one client's access to a set of byte extents of a linear file (a
+/// flattened noncontiguous `Datatype` access) as one ordinary plan: each
+/// touched brick appears once, with its usage summed over the extents, so
+/// `combine` gives one request per server for the whole access and every
+/// option means what it means for a region. Extents must be non-empty,
+/// sorted by offset and non-overlapping; touching extents merge.
 Result<ClientPlan> PlanListAccess(const BrickMap& map,
                                   const BrickDistribution& dist,
                                   std::uint32_t client,

@@ -133,10 +133,6 @@ Result<ReplicatedDistribution> ReplicatedDistribution::FromRanks(
 Result<ClientPlan> ExpandWritePlan(const ClientPlan& plan,
                                    const ReplicatedDistribution& dist) {
   if (dist.factor() <= 1) return plan;
-  if (plan.list_io) {
-    return UnimplementedError(
-        "write replication does not compose with list-I/O plans");
-  }
   ClientPlan expanded = plan;
   expanded.requests.clear();
   for (const ServerRequest& request : plan.requests) {
@@ -156,10 +152,6 @@ Result<ClientPlan> ExpandWritePlan(const ClientPlan& plan,
 Result<std::vector<ServerRequest>> RemapRequestToRank(
     const ServerRequest& request, const BrickDistribution& rank_dist,
     std::uint32_t rank) {
-  if (!request.list_extents.empty()) {
-    return UnimplementedError(
-        "list-I/O requests cannot be remapped to a replica rank");
-  }
   std::vector<ServerRequest> out;
   for (const BrickRequest& brick : request.bricks) {
     if (brick.brick >= rank_dist.num_bricks()) {

@@ -78,9 +78,7 @@ class ReplicatedDistribution {
 /// after each original (rank 0) request, one request per replica rank
 /// carrying the same bricks regrouped by that rank's server, with
 /// ServerRequest::replica set. With factor 1 the plan is returned
-/// unchanged. List-I/O plans cannot be expanded (the extension composes
-/// write replication with contiguous and collective plans only — see
-/// docs/REPLICATION.md).
+/// unchanged.
 Result<ClientPlan> ExpandWritePlan(const ClientPlan& plan,
                                    const ReplicatedDistribution& dist);
 

@@ -26,13 +26,12 @@ using client::meta_wire::ServerListReply;
 using client::meta_wire::ServerRequest;
 using client::meta_wire::SetOwnerRequest;
 using client::meta_wire::SetPermissionRequest;
-using client::meta_wire::UpdateSizeRequest;
 
 /// The kMeta* block, minus the unassigned type bytes inside it.
 std::vector<net::MessageType> MetaOpcodes() {
   std::vector<net::MessageType> opcodes;
   for (int op = static_cast<int>(net::MessageType::kMetaRegisterServer);
-       op <= net::kMaxMetaMessageType; ++op) {
+       op <= net::kMaxMessageType; ++op) {
     const auto type = static_cast<net::MessageType>(op);
     if (net::MessageTypeName(type) != "unknown") opcodes.push_back(type);
   }
@@ -122,17 +121,6 @@ Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
       return BodyReply(reply);
     }
 
-    case net::MessageType::kMetaLookupServer: {
-      const Result<NameRequest> request = NameRequest::Decode(reader);
-      if (!request.ok()) return StatusReply(request.status());
-      Result<client::ServerInfo> server =
-          metadata_->LookupServer(request.value().name);
-      if (!server.ok()) return StatusReply(server.status());
-      BinaryWriter body;
-      client::meta_wire::EncodeServerInfo(server.value(), body);
-      return net::EncodeReply(Status::Ok(), body.buffer());
-    }
-
     case net::MessageType::kMetaCreateFile: {
       const Result<CreateFileRequest> request =
           CreateFileRequest::Decode(reader);
@@ -184,14 +172,6 @@ Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
       FileRecordReply reply;
       reply.record = std::move(record).value();
       return BodyReply(reply);
-    }
-
-    case net::MessageType::kMetaUpdateSize: {
-      const Result<UpdateSizeRequest> request =
-          UpdateSizeRequest::Decode(reader);
-      if (!request.ok()) return StatusReply(request.status());
-      return StatusReply(metadata_->UpdateFileSize(
-          request.value().path, request.value().size_bytes));
     }
 
     case net::MessageType::kMetaSetPermission: {

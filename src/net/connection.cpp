@@ -85,7 +85,17 @@ Result<Bytes> ServerConnection::Read(
   request.fragments = fragments;
   BinaryWriter body;
   request.Encode(body);
-  return Call(MessageType::kRead, body.buffer());
+  DPFS_ASSIGN_OR_RETURN(Bytes data, Call(MessageType::kRead, body.buffer()));
+  // Callers scatter the reply by the requested lengths; a short or long
+  // reply must not reach them.
+  const std::uint64_t requested = request.total_bytes();
+  if (data.size() != requested) {
+    return ProtocolError("read reply from " + endpoint_.ToString() +
+                         " carries " + std::to_string(data.size()) +
+                         " bytes for " + std::to_string(requested) +
+                         " requested");
+  }
+  return data;
 }
 
 Status ServerConnection::Write(const std::string& subfile,
@@ -98,29 +108,6 @@ Status ServerConnection::Write(const std::string& subfile,
   BinaryWriter body;
   request.Encode(body);
   return Call(MessageType::kWrite, body.buffer()).status();
-}
-
-Result<Bytes> ServerConnection::ListRead(
-    const std::string& subfile, const std::vector<ReadFragment>& extents) {
-  ListReadRequest request;
-  request.subfile = subfile;
-  request.extents = extents;
-  BinaryWriter body;
-  request.Encode(body);
-  return Call(MessageType::kListRead, body.buffer());
-}
-
-Status ServerConnection::ListWrite(const std::string& subfile,
-                                   const std::vector<ReadFragment>& extents,
-                                   Bytes data, bool sync) {
-  ListWriteRequest request;
-  request.subfile = subfile;
-  request.sync = sync;
-  request.extents = extents;
-  request.data = std::move(data);
-  BinaryWriter body;
-  request.Encode(body);
-  return Call(MessageType::kListWrite, body.buffer()).status();
 }
 
 Result<std::string> ServerConnection::Metrics() {
@@ -140,7 +127,6 @@ Result<std::vector<SubfileInfo>> ServerConnection::List() {
   BinaryReader reader(reply);
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.ReadU32());
   std::vector<SubfileInfo> out;
-  out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     SubfileInfo info;
     DPFS_ASSIGN_OR_RETURN(info.name, reader.ReadString());

@@ -38,26 +38,14 @@ class ServerConnection {
 
   /// Reads the fragments of `subfile`; returns their bytes concatenated in
   /// request order. Fragments past EOF read as zeroes (unwritten brick
-  /// slots are holes in the sparse subfile).
+  /// slots are holes in the sparse subfile). A reply whose size is not the
+  /// sum of the fragment lengths is a kProtocolError.
   Result<Bytes> Read(const std::string& subfile,
                      const std::vector<ReadFragment>& fragments);
 
   /// Writes all fragments; `sync` forces fsync before the reply.
   Status Write(const std::string& subfile,
                std::vector<WriteFragment> fragments, bool sync = false);
-
-  /// List read (docs/NONCONTIGUOUS_IO.md): fetches the extents of `subfile`
-  /// in one round trip; returns their bytes concatenated in extent order.
-  /// Extents must obey the wire rules (non-empty, strictly ascending,
-  /// non-overlapping) or the server rejects the request at decode time.
-  Result<Bytes> ListRead(const std::string& subfile,
-                         const std::vector<ReadFragment>& extents);
-
-  /// List write: scatters one batched payload (its size must equal the sum
-  /// of the extent lengths) into the extents of `subfile` in order.
-  Status ListWrite(const std::string& subfile,
-                   const std::vector<ReadFragment>& extents, Bytes data,
-                   bool sync = false);
 
   /// The server process's full metrics text snapshot (docs/OBSERVABILITY.md).
   Result<std::string> Metrics();

@@ -40,10 +40,9 @@ enum class MessageType : std::uint8_t {
   kMetaRegisterServer = 12,
   kMetaUnregisterServer = 13,
   kMetaListServers = 14,
-  kMetaLookupServer = 15,
+  // 15 and 18 are unassigned, like 4, 6, 8 and 9.
   kMetaCreateFile = 16,
   kMetaLookupFile = 17,
-  kMetaUpdateSize = 18,
   kMetaSetPermission = 19,
   kMetaSetOwner = 20,
   kMetaDeleteFile = 21,
@@ -54,23 +53,16 @@ enum class MessageType : std::uint8_t {
   kMetaRemoveDirectory = 28,
   kMetaDirectoryExists = 29,
   kMetaListDirectory = 30,
-
-  // List-I/O opcodes (extension, docs/NONCONTIGUOUS_IO.md): one request
-  // names many (offset, length) extents of a subfile — a noncontiguous
-  // access in a single round trip, with one batched payload for writes.
-  // Served by I/O servers; the metadata server refuses them.
-  kListRead = 31,
-  kListWrite = 32,
+  // 31 and 32 (the retired list I/O pair) lie past the range: a
+  // noncontiguous access travels as kRead/kWrite fragment lists
+  // (docs/NONCONTIGUOUS_IO.md).
 };
 
-/// Highest MessageType value; DecodeRequest rejects anything above.
-inline constexpr std::uint8_t kMaxMessageType =
-    static_cast<std::uint8_t>(MessageType::kListWrite);
-
-/// Last opcode of the kMeta* block. The metadata server serves the assigned
-/// types in [kMetaRegisterServer, kMaxMetaMessageType] (plus
+/// Highest MessageType value; DecodeRequest rejects anything above. The
+/// kMeta* block ends the range: the metadata server serves the assigned
+/// types in [kMetaRegisterServer, kMaxMessageType] (plus
 /// ping/shutdown/metrics) and refuses everything else as an I/O opcode.
-inline constexpr std::uint8_t kMaxMetaMessageType =
+inline constexpr std::uint8_t kMaxMessageType =
     static_cast<std::uint8_t>(MessageType::kMetaListDirectory);
 
 /// One entry of a kList reply.
@@ -93,6 +85,10 @@ struct ReadFragment {
   friend bool operator==(const ReadFragment&, const ReadFragment&) = default;
 };
 
+/// The fragments may name any offsets in any order (whole-brick and
+/// replica-rank requests name slots out of order). Decode allocates nothing
+/// sized by the wire count, and rejects a request whose lengths add up to
+/// more than one reply frame can carry.
 struct ReadRequest {
   std::string subfile;
   std::vector<ReadFragment> fragments;
@@ -117,35 +113,6 @@ struct WriteRequest {
   [[nodiscard]] std::uint64_t total_bytes() const noexcept;
   void Encode(BinaryWriter& writer) const;
   static Result<WriteRequest> Decode(BinaryReader& reader);
-};
-
-/// Noncontiguous list read: fetch every extent of `subfile` in order; the
-/// reply body is the concatenated extent bytes (past-EOF bytes read back as
-/// zeroes, like kRead). Decode enforces the docs/WIRE_PROTOCOL.md rejection
-/// rules: at least one extent, no zero-length extents, offsets strictly
-/// ascending and non-overlapping.
-struct ListReadRequest {
-  std::string subfile;
-  std::vector<ReadFragment> extents;
-
-  [[nodiscard]] std::uint64_t total_bytes() const noexcept;
-  void Encode(BinaryWriter& writer) const;
-  static Result<ListReadRequest> Decode(BinaryReader& reader);
-};
-
-/// Noncontiguous list write: scatter one batched payload into the extents of
-/// `subfile` in order. Same extent rules as ListReadRequest; additionally the
-/// payload size must equal the sum of the extent lengths (count-mismatch
-/// rejection, like meta_create_file's bricklist count).
-struct ListWriteRequest {
-  std::string subfile;
-  bool sync = false;  // fsync after writing
-  std::vector<ReadFragment> extents;
-  Bytes data;  // batched payload, scattered in extent order
-
-  [[nodiscard]] std::uint64_t total_bytes() const noexcept;
-  void Encode(BinaryWriter& writer) const;
-  static Result<ListWriteRequest> Decode(BinaryReader& reader);
 };
 
 /// Envelope helpers.

@@ -210,8 +210,7 @@ Bytes FrameServer::HandleRequest(ByteSpan frame) {
     errors_.Add();
     bad_requests_.Add();
     const bool meta =
-        op >= static_cast<std::size_t>(net::MessageType::kMetaRegisterServer) &&
-        op <= net::kMaxMetaMessageType;
+        op >= static_cast<std::size_t>(net::MessageType::kMetaRegisterServer);
     return net::EncodeReply(
         ProtocolError(std::string(net::MessageTypeName(type)) +
                       (meta ? " is a metadata opcode" : " is an I/O opcode") +

@@ -6,12 +6,6 @@
 namespace dpfs::server {
 
 namespace {
-metrics::Counter& ListExtents() {
-  static metrics::Counter& counter =
-      metrics::GetCounter("io_server.list_extents");
-  return counter;
-}
-
 /// A failed store operation's reply; it counts into the transport's
 /// io_server.errors.
 Bytes StoreErrorReply(const Status& status) {
@@ -41,9 +35,7 @@ IoServer::IoServer(const ServerOptions& options)
            .metrics_port = options.metrics_port,
            .metric_prefix = "io_server",
            .opcodes = {net::MessageType::kRead, net::MessageType::kWrite,
-                       net::MessageType::kDelete, net::MessageType::kList,
-                       net::MessageType::kListRead,
-                       net::MessageType::kListWrite},
+                       net::MessageType::kDelete, net::MessageType::kList},
            .session_failpoint = "server.session",
            .reply_failpoint = "server.before_reply"},
           [this](net::MessageType type, BinaryReader& reader) {
@@ -72,47 +64,6 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       const Status written = store_.WriteFragments(request.value().subfile,
                                                    request.value().fragments,
                                                    request.value().sync);
-      if (!written.ok()) return StoreErrorReply(written);
-      return net::EncodeReply(Status::Ok(), {});
-    }
-
-    case net::MessageType::kListRead: {
-      // Noncontiguous list read (docs/NONCONTIGUOUS_IO.md): the decoder has
-      // already enforced the extent rules, so the store can iterate the
-      // extents directly — same fragment machinery as kRead, one reply.
-      Result<net::ListReadRequest> request =
-          net::ListReadRequest::Decode(reader);
-      if (!request.ok()) return net::EncodeReply(request.status(), {});
-      ListExtents().Add(request.value().extents.size());
-      Result<Bytes> data = store_.ReadFragments(request.value().subfile,
-                                                request.value().extents);
-      if (!data.ok()) return StoreErrorReply(data.status());
-      return net::EncodeReply(Status::Ok(), data.value());
-    }
-
-    case net::MessageType::kListWrite: {
-      Result<net::ListWriteRequest> request =
-          net::ListWriteRequest::Decode(reader);
-      if (!request.ok()) return net::EncodeReply(request.status(), {});
-      ListExtents().Add(request.value().extents.size());
-      // Scatter the batched payload into per-extent fragments (the decoder
-      // guarantees the payload size equals the extent sum); the store's
-      // write path is shared with kWrite from here.
-      std::vector<net::WriteFragment> fragments;
-      fragments.reserve(request.value().extents.size());
-      std::size_t cursor = 0;
-      for (const net::ReadFragment& extent : request.value().extents) {
-        net::WriteFragment fragment;
-        fragment.offset = extent.offset;
-        fragment.data.assign(
-            request.value().data.begin() + static_cast<std::ptrdiff_t>(cursor),
-            request.value().data.begin() +
-                static_cast<std::ptrdiff_t>(cursor + extent.length));
-        cursor += extent.length;
-        fragments.push_back(std::move(fragment));
-      }
-      const Status written = store_.WriteFragments(
-          request.value().subfile, fragments, request.value().sync);
       if (!written.ok()) return StoreErrorReply(written);
       return net::EncodeReply(Status::Ok(), {});
     }

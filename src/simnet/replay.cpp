@@ -40,15 +40,9 @@ struct ServerState {
 };
 
 /// Fragments in one request: whole-brick reads fetch one fragment per
-/// brick; sieve reads and writes move the coalesced brick-space fragments;
-/// a list request moves exactly the wire extents its plan carries, which
-/// keeps the simulator pinned to what the executor sends
-/// (tests/integration/model_validation_test.cpp).
+/// brick; sieve reads and writes move the coalesced brick-space fragments.
 std::uint64_t RequestFragments(const layout::ServerRequest& request,
                                const layout::ClientPlan& client) {
-  if (client.list_io) {
-    return std::max<std::uint64_t>(1, request.list_extents.size());
-  }
   if (client.direction == layout::IoDirection::kRead &&
       client.whole_brick_reads) {
     return request.bricks.size();

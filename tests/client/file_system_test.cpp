@@ -26,8 +26,8 @@ Bytes PatternBytes(std::size_t n, std::uint64_t seed) {
 /// opcode they serve, plus the ones that failed to decode.
 std::uint64_t IoServerRequests() {
   std::uint64_t total = metrics::GetCounter("io_server.bad_requests").value();
-  for (const char* op : {"ping", "read", "write", "delete", "shutdown", "list",
-                         "metrics", "list_read", "list_write"}) {
+  for (const char* op :
+       {"ping", "read", "write", "delete", "shutdown", "list", "metrics"}) {
     total +=
         metrics::GetCounter(std::string("io_server.requests.") + op).value();
   }
@@ -273,10 +273,11 @@ TEST_F(FileSystemTest, SubarrayDatatypeMatchesRegionRead) {
 }
 
 TEST_F(FileSystemTest, ListIoAgreesWithPerExtentPath) {
-  // The same datatype access with and without IoOptions::list_io must
-  // produce identical bytes; list I/O only changes how the extents travel
-  // (docs/NONCONTIGUOUS_IO.md). Stride 24 over 64-byte bricks makes the
-  // extents split across bricks, servers, and batch boundaries.
+  // A datatype access is one plan over all its extents
+  // (docs/NONCONTIGUOUS_IO.md). Whole-brick and sieve reads of it must
+  // return the bytes that reading each extent on its own returns, and with
+  // combination no server gets more than one request. Stride 24 over
+  // 64-byte bricks splits the extents across bricks and servers.
   CreateOptions options;
   options.total_bytes = 4096;
   options.brick_bytes = 64;
@@ -287,31 +288,49 @@ TEST_F(FileSystemTest, ListIoAgreesWithPerExtentPath) {
   const Datatype pattern =
       Datatype::Vector(128, 10, 24, Datatype::Bytes(1)).value();
   Bytes per_extent(pattern.size());
-  ASSERT_TRUE(fs_->ReadType(handle, 5, pattern, per_extent).ok());
-  IoOptions list;
-  list.list_io = true;
-  Bytes via_list(pattern.size());
-  IoReport report;
-  ASSERT_TRUE(fs_->ReadType(handle, 5, pattern, via_list, list, &report).ok());
-  EXPECT_EQ(via_list, per_extent);
-  // Combined per-server requests: at most one per server here.
-  EXPECT_LE(report.requests, 4u);
+  std::uint64_t cursor = 0;
+  for (const ByteExtent& extent : pattern.extents()) {
+    ASSERT_TRUE(fs_->ReadBytes(handle, 5 + extent.offset,
+                               MutableByteSpan(per_extent)
+                                   .subspan(cursor, extent.length))
+                    .ok());
+    cursor += extent.length;
+  }
+  for (const bool whole : {true, false}) {
+    IoOptions io;
+    io.whole_brick_reads = whole;
+    Bytes typed(pattern.size());
+    IoReport report;
+    ASSERT_TRUE(fs_->ReadType(handle, 5, pattern, typed, io, &report).ok());
+    EXPECT_EQ(typed, per_extent) << "whole_brick_reads=" << whole;
+    EXPECT_LE(report.requests, 4u);
+    // Whole-brick reads fetch each touched brick (bytes 5-3062 touch
+    // bricks 0-47) once; sieve reads move only the type's bytes.
+    EXPECT_EQ(report.transfer_bytes, whole ? 48u * 64 : pattern.size());
+  }
 
-  // Writes through both paths land identically.
+  // Writes through the datatype and extent by extent land identically.
   const Bytes payload = PatternBytes(pattern.size(), 78);
-  ASSERT_TRUE(fs_->WriteType(handle, 5, pattern, payload, list).ok());
-  Bytes after_list(4096);
-  ASSERT_TRUE(fs_->ReadBytes(handle, 0, after_list).ok());
-  ASSERT_TRUE(fs_->WriteBytes(handle, 0, base).ok());
   ASSERT_TRUE(fs_->WriteType(handle, 5, pattern, payload).ok());
-  Bytes after_plain(4096);
-  ASSERT_TRUE(fs_->ReadBytes(handle, 0, after_plain).ok());
-  EXPECT_EQ(after_list, after_plain);
+  Bytes after_type(4096);
+  ASSERT_TRUE(fs_->ReadBytes(handle, 0, after_type).ok());
+  ASSERT_TRUE(fs_->WriteBytes(handle, 0, base).ok());
+  cursor = 0;
+  for (const ByteExtent& extent : pattern.extents()) {
+    ASSERT_TRUE(fs_->WriteBytes(handle, 5 + extent.offset,
+                                ByteSpan(payload).subspan(cursor,
+                                                          extent.length))
+                    .ok());
+    cursor += extent.length;
+  }
+  Bytes after_extents(4096);
+  ASSERT_TRUE(fs_->ReadBytes(handle, 0, after_extents).ok());
+  EXPECT_EQ(after_type, after_extents);
 }
 
 TEST_F(FileSystemTest, ListIoRespectsRequestBatching) {
-  // A tiny max_request_bytes forces the executor to split one server's
-  // extent list into several wire requests; bytes must still round-trip.
+  // A tiny max_request_bytes splits one server's request for a datatype
+  // access into several wire requests; bytes must still round-trip.
   CreateOptions options;
   options.total_bytes = 8192;
   options.brick_bytes = 1024;
@@ -320,21 +339,26 @@ TEST_F(FileSystemTest, ListIoRespectsRequestBatching) {
 
   const Datatype pattern =
       Datatype::Vector(64, 16, 128, Datatype::Bytes(1)).value();
-  IoOptions list;
-  list.list_io = true;
-  list.max_request_bytes = 64;  // 4 extents per wire request
+  IoOptions tiny;
+  tiny.max_request_bytes = 64;  // 4 blocks per wire request
   const Bytes payload = PatternBytes(pattern.size(), 79);
   metrics::Counter& wire_writes =
-      metrics::GetCounter("io_server.requests.list_write");
+      metrics::GetCounter("io_server.requests.write");
   const std::uint64_t writes_before = wire_writes.value();
-  ASSERT_TRUE(fs_->WriteType(handle, 0, pattern, payload, list).ok());
-  // 64 extents over 4 servers at 4 extents per frame: more wire requests
-  // than servers proves the executor split the batches.
-  EXPECT_GT(wire_writes.value() - writes_before, 4u);
+  IoReport report;
+  ASSERT_TRUE(fs_->WriteType(handle, 0, pattern, payload, tiny, &report).ok());
+  // 64 blocks over 4 servers at 4 blocks per frame: 4 plan requests, and
+  // more wire requests than servers proves the executor split them.
+  EXPECT_EQ(report.requests, 4u);
+  EXPECT_EQ(wire_writes.value() - writes_before, 16u);
 
-  Bytes back(pattern.size());
-  ASSERT_TRUE(fs_->ReadType(handle, 0, pattern, back, list).ok());
-  EXPECT_EQ(back, payload);
+  for (const bool whole : {true, false}) {
+    IoOptions read = tiny;
+    read.whole_brick_reads = whole;
+    Bytes back(pattern.size());
+    ASSERT_TRUE(fs_->ReadType(handle, 0, pattern, back, read).ok());
+    EXPECT_EQ(back, payload) << "whole_brick_reads=" << whole;
+  }
 }
 
 TEST_F(FileSystemTest, ListIoRejectsNonLinearFiles) {
@@ -344,10 +368,11 @@ TEST_F(FileSystemTest, ListIoRejectsNonLinearFiles) {
   options.brick_shape = {4, 4};
   FileHandle handle = fs_->Create("/md", options).value();
   const Datatype type = Datatype::Vector(4, 2, 8, Datatype::Bytes(1)).value();
-  IoOptions list;
-  list.list_io = true;
   Bytes buf(type.size());
-  EXPECT_FALSE(fs_->ReadType(handle, 0, type, buf, list).ok());
+  EXPECT_EQ(fs_->ReadType(handle, 0, type, buf).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs_->WriteType(handle, 0, type, buf).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(FileSystemTest, DatatypeExtentBoundsChecked) {

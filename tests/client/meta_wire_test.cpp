@@ -176,18 +176,6 @@ TEST(MetaWireRequests, CreateFileRequestMismatchedListsRejected) {
   EXPECT_FALSE(CreateFileRequest::Decode(reader).ok());
 }
 
-TEST(MetaWireRequests, UpdateSizeRequestRoundTrip) {
-  UpdateSizeRequest request;
-  request.path = "/a";
-  request.size_bytes = 0xDEADBEEFCAFEull;
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  const UpdateSizeRequest decoded = UpdateSizeRequest::Decode(reader).value();
-  EXPECT_EQ(decoded.path, request.path);
-  EXPECT_EQ(decoded.size_bytes, request.size_bytes);
-}
-
 TEST(MetaWireRequests, SetPermissionRequestRoundTrip) {
   SetPermissionRequest request;
   request.path = "/a";

@@ -79,9 +79,7 @@ TEST_F(MetadataTest, RegisterListLookupServers) {
   ASSERT_EQ(servers.size(), 2u);
   EXPECT_EQ(servers[0].name, "alpha.dpfs");  // sorted by name
   EXPECT_EQ(servers[1].performance, 3u);
-  const ServerInfo looked_up = manager_->LookupServer("beta.dpfs").value();
-  EXPECT_EQ(looked_up.capacity_bytes, 500'000'000u);
-  EXPECT_FALSE(manager_->LookupServer("gamma.dpfs").ok());
+  EXPECT_EQ(servers[1].capacity_bytes, 500'000'000u);
 }
 
 TEST_F(MetadataTest, DuplicateServerRejected) {
@@ -220,19 +218,6 @@ TEST_F(MetadataTest, GreedyDistributionBricklistSurvivesRoundTrip) {
     EXPECT_EQ(record.distribution.server_for(brick), dist.server_for(brick));
     EXPECT_EQ(record.distribution.slot_for(brick), dist.slot_for(brick));
   }
-}
-
-TEST_F(MetadataTest, UpdateFileSize) {
-  ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();
-  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/f"), {"s0"}, dist).ok());
-  ASSERT_TRUE(manager_->UpdateFileSize("/f", 100).ok());
-  EXPECT_EQ(manager_->LookupFile("/f").value().meta.size_bytes, 100u);
-  // Growing past the striped capacity (2 bricks x 64 bytes) is rejected —
-  // bricklists are fixed at creation.
-  EXPECT_EQ(manager_->UpdateFileSize("/f", 999).code(),
-            StatusCode::kOutOfRange);
-  EXPECT_FALSE(manager_->UpdateFileSize("/nope", 1).ok());
 }
 
 TEST_F(MetadataTest, DeleteFileCleansAllTables) {

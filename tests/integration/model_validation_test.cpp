@@ -141,11 +141,11 @@ TEST(ModelValidationTest, RequestCountEffectAgreesWithSimulator) {
 }
 
 TEST(ModelValidationTest, ListIoPlanAgreesWithSimulator) {
-  // List I/O (docs/NONCONTIGUOUS_IO.md): the executor must move exactly the
-  // bytes and wire extents the plan says, which is what the simulator
-  // charges (simnet RequestFragments uses list_extents). Pin both: wire
-  // bytes via subfile_store.bytes_read, extent count via
-  // io_server.list_extents.
+  // A datatype access is one PlanListAccess plan (docs/NONCONTIGUOUS_IO.md):
+  // the executor must move exactly the bytes and requests that plan says,
+  // which is what the simulator charges. Pin all three: wire bytes via
+  // subfile_store.bytes_read, requests via the report and
+  // io_server.requests.read.
   constexpr std::uint64_t kDim = 256;
   core::ClusterOptions cluster_options;
   cluster_options.num_servers = 2;
@@ -168,39 +168,36 @@ TEST(ModelValidationTest, ListIoPlanAgreesWithSimulator) {
       client::Datatype::Vector(kDim, 4, kDim, client::Datatype::Bytes(1))
           .value();
 
-  metrics::Counter& list_extents_metric =
-      metrics::GetCounter("io_server.list_extents");
-  const metrics::Counter& bytes_read =
-      metrics::GetCounter("subfile_store.bytes_read");
-  const std::uint64_t bytes_before = bytes_read.value();
-  const std::uint64_t extents_before = list_extents_metric.value();
-
-  IoOptions io;
-  io.list_io = true;
-  Bytes out(column.size());
-  client::IoReport report;
-  ASSERT_TRUE(fs->ReadType(handle, 9, column, out, io, &report).ok());
-
-  const std::uint64_t real_bytes = bytes_read.value() - bytes_before;
-  const std::uint64_t real_extents =
-      list_extents_metric.value() - extents_before;
-
-  // The same plan the executor ran, built directly in layout.
+  // The same plan the executor runs, built directly in layout: a sieve
+  // read, combined, one request per server.
   std::vector<layout::FileExtent> extents;
   for (const client::ByteExtent& extent : column.extents()) {
     extents.push_back({9 + extent.offset, extent.length});
   }
+  layout::PlanOptions sieve;
+  sieve.combine = true;
+  sieve.whole_brick_reads = false;
   const layout::ClientPlan plan =
       layout::PlanListAccess(handle.map, handle.record.distribution, 0,
-                             extents, layout::PlanOptions{})
+                             extents, sieve)
           .value();
-  std::uint64_t plan_extents = 0;
-  for (const layout::ServerRequest& request : plan.requests) {
-    plan_extents += request.list_extents.size();
-  }
+  ASSERT_EQ(plan.num_requests(), 2u);
+  EXPECT_EQ(plan.transfer_bytes(), column.size());
 
-  EXPECT_EQ(real_bytes, plan.transfer_bytes());
-  EXPECT_EQ(real_extents, plan_extents);
+  const metrics::Counter& bytes_read =
+      metrics::GetCounter("subfile_store.bytes_read");
+  const metrics::Counter& wire_reads =
+      metrics::GetCounter("io_server.requests.read");
+  const std::uint64_t bytes_before = bytes_read.value();
+  const std::uint64_t reads_before = wire_reads.value();
+  IoOptions io;
+  io.whole_brick_reads = false;
+  Bytes out(column.size());
+  client::IoReport report;
+  ASSERT_TRUE(fs->ReadType(handle, 9, column, out, io, &report).ok());
+
+  EXPECT_EQ(bytes_read.value() - bytes_before, plan.transfer_bytes());
+  EXPECT_EQ(wire_reads.value() - reads_before, plan.num_requests());
   EXPECT_EQ(report.transfer_bytes, plan.transfer_bytes());
   EXPECT_EQ(report.requests, plan.num_requests());
 
@@ -211,18 +208,20 @@ TEST(ModelValidationTest, ListIoPlanAgreesWithSimulator) {
     }
   }
 
-  // And the simulator accepts/charges the same plan shape.
+  // And the simulator charges the same plan.
   layout::IoPlan sim_plan;
   sim_plan.clients.push_back(plan);
   const auto sim = simnet::Replay(
       sim_plan, std::vector<simnet::StorageClassModel>(2, simnet::Class1()));
   ASSERT_TRUE(sim.ok());
   EXPECT_EQ(sim.value().transfer_bytes, plan.transfer_bytes());
+  EXPECT_EQ(sim.value().total_requests, plan.num_requests());
 }
 
-TEST(ModelValidationTest, ListWriteRoundTripsThroughRealCluster) {
-  // A strided list write followed by a contiguous read: the scattered
-  // bytes must land at exactly the planned subfile offsets.
+TEST(ModelValidationTest, DatatypeWriteRoundTripsThroughRealCluster) {
+  // A strided datatype write followed by a contiguous read: the scattered
+  // bytes must land at exactly the planned subfile offsets, in one write
+  // request per server, moving only the type's bytes.
   constexpr std::uint64_t kTotal = 64 * 1024;
   core::ClusterOptions cluster_options;
   cluster_options.num_servers = 3;
@@ -245,9 +244,19 @@ TEST(ModelValidationTest, ListWriteRoundTripsThroughRealCluster) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i ^ 0x5A);
   }
-  IoOptions io;
-  io.list_io = true;
-  ASSERT_TRUE(fs->WriteType(handle, 17, pattern, payload, io).ok());
+  const metrics::Counter& bytes_written =
+      metrics::GetCounter("subfile_store.bytes_written");
+  const metrics::Counter& wire_writes =
+      metrics::GetCounter("io_server.requests.write");
+  const std::uint64_t bytes_before = bytes_written.value();
+  const std::uint64_t writes_before = wire_writes.value();
+  client::IoReport report;
+  ASSERT_TRUE(
+      fs->WriteType(handle, 17, pattern, payload, IoOptions{}, &report).ok());
+  EXPECT_EQ(report.requests, 3u);
+  EXPECT_EQ(wire_writes.value() - writes_before, 3u);
+  EXPECT_EQ(bytes_written.value() - bytes_before, pattern.size());
+  EXPECT_EQ(report.transfer_bytes, pattern.size());
 
   Bytes all(kTotal);
   ASSERT_TRUE(fs->ReadBytes(handle, 0, all).ok());

@@ -197,43 +197,34 @@ TEST_F(ReplicationTest, InjectedReplicaFailuresAreTolerated) {
             StatusCode::kUnavailable);
 }
 
-TEST_F(ReplicationTest, ListIoFallsBackForReplicatedFiles) {
-  // List I/O does not compose with replication; IoOptions::list_io on a
-  // replicated file takes the per-extent path, counts one
-  // client.list_io_fallbacks per access, and must still round-trip bytes
-  // through both ranks.
+TEST_F(ReplicationTest, DatatypeReadFailsOverLikeAnyRead) {
+  // A datatype access is an ordinary plan: on a replicated file its sieve
+  // write fans out to both ranks, and with a server stopped its read fails
+  // over to the surviving copy.
   StartCluster(3);
   FileHandle handle = CreateReplicated("/list.bin", 2, 4096, 64);
   ASSERT_TRUE(fs_->WriteBytes(handle, 0, SeededBytes(4096, 7)).ok());
 
-  metrics::Counter& fallbacks =
-      metrics::GetCounter("client.list_io_fallbacks");
-  metrics::Counter& list_requests =
-      metrics::GetCounter("client.list_requests");
-  const std::uint64_t fallbacks_before = fallbacks.value();
-  const std::uint64_t list_requests_before = list_requests.value();
-
   const Datatype pattern =
       Datatype::Vector(32, 10, 24, Datatype::Bytes(1)).value();
-  IoOptions list;
-  list.list_io = true;
+  IoOptions sieve;
+  sieve.whole_brick_reads = false;
   const Bytes payload = SeededBytes(pattern.size(), 8);
-  ASSERT_TRUE(fs_->WriteType(handle, 5, pattern, payload, list).ok());
-  Bytes back(pattern.size());
-  ASSERT_TRUE(fs_->ReadType(handle, 5, pattern, back, list).ok());
-  EXPECT_EQ(back, payload);
+  IoReport write_report;
+  ASSERT_TRUE(
+      fs_->WriteType(handle, 5, pattern, payload, sieve, &write_report).ok());
+  EXPECT_EQ(write_report.replica_write_failures, 0u);
 
-  // And the degraded read still works for the fallback path.
   cluster_->server(0).Stop();
-  IoOptions degraded = list;
+  IoOptions degraded = sieve;
   degraded.max_retries = 0;
   Bytes survived(pattern.size());
-  ASSERT_TRUE(fs_->ReadType(handle, 5, pattern, survived, degraded).ok());
+  IoReport read_report;
+  ASSERT_TRUE(fs_->ReadType(handle, 5, pattern, survived, degraded,
+                            &read_report)
+                  .ok());
   EXPECT_EQ(survived, payload);
-
-  // Write, read and degraded read: one fallback each, no list request.
-  EXPECT_EQ(fallbacks.value() - fallbacks_before, 3u);
-  EXPECT_EQ(list_requests.value(), list_requests_before);
+  EXPECT_GT(read_report.failover_reads, 0u);
 }
 
 TEST_F(ReplicationTest, RemoveAndRenameCoverReplicaSubfiles) {

@@ -205,6 +205,11 @@ TEST(FromBrickListsTest, RejectsInconsistentLists) {
   EXPECT_FALSE(BrickDistribution::FromBrickLists(4, {{0, 1}, {1, 2, 3}}).ok());
   // Out-of-range brick.
   EXPECT_FALSE(BrickDistribution::FromBrickLists(4, {{0, 1}, {2, 7}}).ok());
+  // A brick count far beyond the lists (a metadata frame's claim) is
+  // refused before it sizes the per-brick tables.
+  EXPECT_EQ(
+      BrickDistribution::FromBrickLists(1ull << 50, {{0}}).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(DistributionPropertyTest, EveryBrickAssignedExactlyOnce) {

@@ -171,73 +171,93 @@ TEST_F(PlanTest, EmptyAccessYieldsEmptyPlan) {
 
 // --- list I/O (PlanListAccess, docs/NONCONTIGUOUS_IO.md) -------------------
 
-TEST_F(PlanTest, ListAccessOneRequestPerServer) {
-  // A strided pattern touching bricks 0..7 (one 2-byte piece each): list
-  // I/O always combines, so 4 requests cover 4 servers.
+/// What the datatype path asks for: combined, sieve reads, no rotation.
+PlanOptions SieveCombined() {
   PlanOptions options;
+  options.combine = true;
   options.rotate_start = false;
+  options.whole_brick_reads = false;
+  return options;
+}
+
+TEST_F(PlanTest, ListAccessOneRequestPerServer) {
+  // A strided pattern touching bricks 0..7 (one 2-byte piece each): with
+  // combination, 4 requests cover 4 servers, each carrying its two bricks.
   std::vector<FileExtent> extents;
   for (std::uint64_t i = 0; i < 8; ++i) extents.push_back({i * 8, 2});
   const ClientPlan plan =
-      PlanListAccess(map_, dist_, 0, extents, options).value();
-  EXPECT_TRUE(plan.list_io);
+      PlanListAccess(map_, dist_, 0, extents, SieveCombined()).value();
   EXPECT_FALSE(plan.whole_brick_reads);
   ASSERT_EQ(plan.num_requests(), 4u);
   for (std::size_t s = 0; s < 4; ++s) {
     const ServerRequest& request = plan.requests[s];
     EXPECT_EQ(request.server, s);
-    // Bricks s and s+4 → subfile slots 0 and 1 → extents at 0 and 8.
-    ASSERT_EQ(request.list_extents.size(), 2u);
-    EXPECT_EQ(request.list_extents[0], (ListExtent{0, 2 * s, 2}));
-    EXPECT_EQ(request.list_extents[1], (ListExtent{8, 2 * (s + 4), 2}));
     ASSERT_EQ(request.bricks.size(), 2u);
-    EXPECT_EQ(request.bricks[0].brick, s);
-    EXPECT_EQ(request.bricks[1].brick, s + 4);
+    EXPECT_EQ(request.bricks[0], (BrickRequest{s, 2, 2, 1, 1}));
+    EXPECT_EQ(request.bricks[1], (BrickRequest{s + 4, 2, 2, 1, 1}));
   }
-  // List transfers move exactly the useful bytes.
+  // Sieve reads move exactly the useful bytes...
   EXPECT_EQ(plan.transfer_bytes(), 16u);
   EXPECT_EQ(plan.useful_bytes(), 16u);
+  // ...whole-brick reads fetch each touched brick once, and without
+  // combination each brick is its own request.
+  PlanOptions whole = SieveCombined();
+  whole.whole_brick_reads = true;
+  EXPECT_EQ(PlanListAccess(map_, dist_, 0, extents, whole)
+                .value()
+                .transfer_bytes(),
+            64u);
+  PlanOptions uncombined = SieveCombined();
+  uncombined.combine = false;
+  EXPECT_EQ(PlanListAccess(map_, dist_, 0, extents, uncombined)
+                .value()
+                .num_requests(),
+            8u);
 }
 
 TEST_F(PlanTest, ListAccessMergesAdjacentPieces) {
-  // Two touching extents inside one brick merge to one wire extent; a
-  // whole-brick-spanning extent also merges across consecutive slots of the
-  // same subfile (bricks 0 and 4 are slots 0 and 1 on server 0).
-  PlanOptions options;
-  options.rotate_start = false;
+  // Two touching extents inside one brick are one piece of it.
   const ClientPlan touching =
-      PlanListAccess(map_, dist_, 0, {{0, 3}, {3, 2}}, options).value();
+      PlanListAccess(map_, dist_, 0, {{0, 3}, {3, 2}}, SieveCombined())
+          .value();
   ASSERT_EQ(touching.num_requests(), 1u);
-  ASSERT_EQ(touching.requests[0].list_extents.size(), 1u);
-  EXPECT_EQ(touching.requests[0].list_extents[0], (ListExtent{0, 0, 5}));
-  EXPECT_EQ(touching.requests[0].bricks[0].fragments, 1u);
+  EXPECT_EQ(touching.requests[0].bricks,
+            (std::vector<BrickRequest>{{0, 5, 5, 1, 1}}));
 
-  // Bytes 0..48 touch bricks 0..5; server 0's pieces (bricks 0 and 4 →
-  // slots 0 and 1) are adjacent in the subfile but NOT in the packed
-  // buffer (bricks 1..3 sit between them), so they must stay separate.
+  // stride == block: 8 touching 2-byte extents are one fragment per brick,
+  // not one per extent.
+  std::vector<FileExtent> packed;
+  for (std::uint64_t i = 0; i < 8; ++i) packed.push_back({i * 2, 2});
+  const ClientPlan dense =
+      PlanListAccess(map_, dist_, 0, packed, SieveCombined()).value();
+  ASSERT_EQ(dense.num_requests(), 2u);
+  EXPECT_EQ(dense.requests[0].bricks,
+            (std::vector<BrickRequest>{{0, 8, 8, 1, 1}}));
+  EXPECT_EQ(dense.requests[1].bricks,
+            (std::vector<BrickRequest>{{1, 8, 8, 1, 1}}));
+
+  // One extent over bricks 0..5: server 0 carries bricks 0 and 4, one
+  // fragment each.
   const ClientPlan spanning =
-      PlanListAccess(map_, dist_, 0, {{0, 48}}, options).value();
+      PlanListAccess(map_, dist_, 0, {{0, 48}}, SieveCombined()).value();
   ASSERT_EQ(spanning.num_requests(), 4u);
-  EXPECT_EQ(spanning.requests[0].list_extents.size(), 2u);
-  EXPECT_EQ(spanning.requests[0].list_extents[0], (ListExtent{0, 0, 8}));
-  EXPECT_EQ(spanning.requests[0].list_extents[1], (ListExtent{8, 32, 8}));
+  EXPECT_EQ(spanning.requests[0].bricks,
+            (std::vector<BrickRequest>{{0, 8, 8, 1, 1}, {4, 8, 8, 1, 1}}));
 }
 
-TEST_F(PlanTest, ListAccessSingleServerMergesAcrossSlots) {
-  // With one server every brick lands on it consecutively: a contiguous
-  // file range becomes ONE wire extent spanning slots.
+TEST_F(PlanTest, ListAccessSingleServerGetsOneRequest) {
+  // With one server every brick lands on it, in consecutive slots: a
+  // contiguous range is one request carrying its three bricks.
   const BrickDistribution one = BrickDistribution::RoundRobin(32, 1).value();
-  PlanOptions options;
   const ClientPlan plan =
-      PlanListAccess(map_, one, 0, {{0, 24}}, options).value();
+      PlanListAccess(map_, one, 0, {{0, 24}}, SieveCombined()).value();
   ASSERT_EQ(plan.num_requests(), 1u);
-  ASSERT_EQ(plan.requests[0].list_extents.size(), 1u);
-  EXPECT_EQ(plan.requests[0].list_extents[0], (ListExtent{0, 0, 24}));
-  EXPECT_EQ(plan.requests[0].bricks.size(), 3u);
+  ASSERT_EQ(plan.requests[0].bricks.size(), 3u);
+  EXPECT_EQ(plan.transfer_bytes(), 24u);
 }
 
 TEST_F(PlanTest, ListAccessRotationStaggersStartServers) {
-  PlanOptions options;
+  PlanOptions options = SieveCombined();
   options.rotate_start = true;
   std::vector<FileExtent> extents;
   for (std::uint64_t i = 0; i < 8; ++i) extents.push_back({i * 8, 2});
@@ -250,7 +270,7 @@ TEST_F(PlanTest, ListAccessRotationStaggersStartServers) {
 }
 
 TEST_F(PlanTest, ListAccessValidatesExtents) {
-  PlanOptions options;
+  const PlanOptions options = SieveCombined();
   // Zero-length extent.
   EXPECT_FALSE(PlanListAccess(map_, dist_, 0, {{0, 0}}, options).ok());
   // Overlap.
@@ -259,9 +279,10 @@ TEST_F(PlanTest, ListAccessValidatesExtents) {
   // Out of order.
   EXPECT_FALSE(
       PlanListAccess(map_, dist_, 0, {{64, 4}, {0, 4}}, options).ok());
-  // Past the distribution's bricks.
+  // Past the distribution's bricks, also as a plain byte access.
   EXPECT_FALSE(
       PlanListAccess(map_, dist_, 0, {{32 * 8, 4}}, options).ok());
+  EXPECT_FALSE(PlanByteAccess(map_, dist_, 0, 32 * 8, 4, options).ok());
   // Adjacent extents are legal (they merge).
   EXPECT_TRUE(PlanListAccess(map_, dist_, 0, {{0, 4}, {4, 4}}, options).ok());
 }
@@ -270,30 +291,33 @@ TEST_F(PlanTest, ListAccessRequiresLinearFile) {
   const BrickMap tiled = BrickMap::Multidim({8, 8}, {4, 4}, 1).value();
   const BrickDistribution dist =
       BrickDistribution::RoundRobin(tiled.num_bricks(), 2).value();
-  PlanOptions options;
-  EXPECT_FALSE(PlanListAccess(tiled, dist, 0, {{0, 4}}, options).ok());
+  EXPECT_FALSE(PlanListAccess(tiled, dist, 0, {{0, 4}}, SieveCombined()).ok());
 }
 
 TEST_F(PlanTest, ListAccessEmptyExtentsYieldEmptyPlan) {
-  PlanOptions options;
-  const ClientPlan plan = PlanListAccess(map_, dist_, 0, {}, options).value();
-  EXPECT_TRUE(plan.list_io);
+  const ClientPlan plan =
+      PlanListAccess(map_, dist_, 0, {}, SieveCombined()).value();
   EXPECT_EQ(plan.num_requests(), 0u);
 }
 
 TEST_F(PlanTest, ListAccessAccountingMatchesSievePlan) {
-  // A list plan's per-brick useful/transfer accounting equals the sieve
-  // (non-whole-brick) plan for the same single extent.
-  PlanOptions sieve;
-  sieve.combine = true;
-  sieve.rotate_start = false;
-  sieve.whole_brick_reads = false;
-  PlanOptions list = sieve;
-  const ClientPlan a = PlanByteAccess(map_, dist_, 0, 4, 40, sieve).value();
-  const ClientPlan b = PlanListAccess(map_, dist_, 0, {{4, 40}}, list).value();
-  EXPECT_EQ(a.transfer_bytes(), b.transfer_bytes());
-  EXPECT_EQ(a.useful_bytes(), b.useful_bytes());
-  EXPECT_EQ(a.num_requests(), b.num_requests());
+  // Per brick, usage sums over the extents: bytes 1-2, 4-5, 9-11, 14-19
+  // leave two pieces in brick 0 (4 bytes), two in brick 1 (5 bytes) and
+  // one in brick 2 (4 bytes).
+  const std::vector<FileExtent> extents = {{1, 2}, {4, 2}, {9, 3}, {14, 6}};
+  PlanOptions options = SieveCombined();
+  options.combine = false;
+  const ClientPlan sieve =
+      PlanListAccess(map_, dist_, 0, extents, options).value();
+  ASSERT_EQ(sieve.num_requests(), 3u);
+  EXPECT_EQ(sieve.requests[0].bricks[0], (BrickRequest{0, 4, 4, 2, 2}));
+  EXPECT_EQ(sieve.requests[1].bricks[0], (BrickRequest{1, 5, 5, 2, 2}));
+  EXPECT_EQ(sieve.requests[2].bricks[0], (BrickRequest{2, 4, 4, 1, 1}));
+  // Whole-brick reads keep the usage and move whole bricks.
+  options.whole_brick_reads = true;
+  const ClientPlan whole =
+      PlanListAccess(map_, dist_, 0, extents, options).value();
+  EXPECT_EQ(whole.requests[1].bricks[0], (BrickRequest{1, 5, 8, 2, 2}));
 }
 
 }  // namespace

@@ -248,17 +248,6 @@ TEST_F(ExpandPlanTest, ReplicaRequestsFollowTheirOriginal) {
   }
 }
 
-TEST_F(ExpandPlanTest, ListIoPlansAreRejected) {
-  PlanOptions options;
-  options.direction = IoDirection::kWrite;
-  const ClientPlan list_plan =
-      PlanListAccess(map_, dist_.primary(), 0,
-                     {{0, 512}, {8192, 512}}, options)
-          .value();
-  EXPECT_EQ(ExpandWritePlan(list_plan, dist_).status().code(),
-            StatusCode::kUnimplemented);
-}
-
 TEST_F(ExpandPlanTest, RemapPreservesBytesAndRegroupsByRankServer) {
   PlanOptions options;
   options.direction = IoDirection::kRead;

@@ -152,7 +152,7 @@ TEST(ShardedDatabaseTest, SingleShardLayoutIsByteIdenticalToPlainDatabase) {
     file.brick_bytes = 64;
     const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
     ASSERT_TRUE(meta.CreateFile(file, {"s0", "s1"}, dist).ok());
-    ASSERT_TRUE(meta.UpdateFileSize("/home/data.bin", 96).ok());
+    ASSERT_TRUE(meta.SetPermission("/home/data.bin", 0600).ok());
     ASSERT_TRUE(meta.RenameFile("/home/data.bin", "/home/data2.bin").ok());
 
     file.path = "/home/doomed.bin";

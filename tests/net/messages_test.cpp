@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/frame.h"
+
 namespace dpfs::net {
 namespace {
 
@@ -33,6 +35,80 @@ TEST(ReadRequestTest, EmptyFragments) {
   EXPECT_EQ(decoded.total_bytes(), 0u);
 }
 
+TEST(ReadRequestTest, AcceptsUnorderedAndOverlappingFragments) {
+  // Whole-brick and replica-rank requests name slots in plan order, not
+  // subfile order, so decode imposes no ordering rule.
+  ReadRequest request;
+  request.subfile = "f";
+  request.fragments = {{4096, 64}, {0, 64}, {32, 64}, {32, 0}};
+  BinaryWriter writer;
+  request.Encode(writer);
+  BinaryReader reader(writer.buffer());
+  EXPECT_EQ(ReadRequest::Decode(reader).value().fragments, request.fragments);
+}
+
+TEST(ReadRequestTest, RejectsLyingCountBeforeAllocating) {
+  // A count of 2^32 - 1 backed by one fragment: decode must fail on the
+  // missing bytes, not reserve 64 GiB for fragments that never arrive.
+  BinaryWriter writer;
+  writer.WriteString("f");
+  writer.WriteU32(0xFFFFFFFFu);
+  writer.WriteU64(0);
+  writer.WriteU64(8);
+  BinaryReader reader(writer.buffer());
+  EXPECT_EQ(ReadRequest::Decode(reader).status().code(),
+            StatusCode::kProtocolError);
+}
+
+TEST(ReadRequestTest, RejectsTruncatedFragmentList) {
+  ReadRequest request;
+  request.subfile = "f";
+  request.fragments = {{0, 8}, {16, 8}};
+  BinaryWriter writer;
+  request.Encode(writer);
+  const ByteSpan whole(writer.buffer());
+  BinaryReader reader(whole.subspan(0, whole.size() - 5));
+  EXPECT_EQ(ReadRequest::Decode(reader).status().code(),
+            StatusCode::kProtocolError);
+}
+
+TEST(ReadRequestTest, RejectsMoreThanOneReplyFrame) {
+  // The reply must carry every requested byte in one frame.
+  ReadRequest request;
+  request.subfile = "f";
+  request.fragments = {{0, 1ull << 40}};  // 1 TiB
+  BinaryWriter writer;
+  request.Encode(writer);
+  BinaryReader reader(writer.buffer());
+  EXPECT_EQ(ReadRequest::Decode(reader).status().code(),
+            StatusCode::kProtocolError);
+
+  // The largest read whose ok reply still fits kMaxFrameBytes decodes.
+  request.fragments = {{0, kMaxFrameBytes - 6}, {0, 1}};
+  BinaryWriter fits;
+  request.Encode(fits);
+  BinaryReader fits_reader(fits.buffer());
+  EXPECT_TRUE(ReadRequest::Decode(fits_reader).ok());
+  request.fragments.push_back({0, 1});
+  BinaryWriter over;
+  request.Encode(over);
+  BinaryReader over_reader(over.buffer());
+  EXPECT_FALSE(ReadRequest::Decode(over_reader).ok());
+}
+
+TEST(ReadRequestTest, RejectsLengthsThatWrapTheSum) {
+  // 2^63 + (2^63 + 16) wraps a u64 sum to 16: a store sizing its reply by
+  // the wrapped total would read past a 16-byte buffer.
+  ReadRequest request;
+  request.subfile = "f";
+  request.fragments = {{0, 1ull << 63}, {0, (1ull << 63) + 16}};
+  BinaryWriter writer;
+  request.Encode(writer);
+  BinaryReader reader(writer.buffer());
+  EXPECT_EQ(ReadRequest::Decode(reader).status().code(),
+            StatusCode::kProtocolError);
+}
+
 TEST(WriteRequestTest, EncodeDecodeRoundTrip) {
   WriteRequest request;
   request.subfile = "/a/b";
@@ -51,6 +127,18 @@ TEST(WriteRequestTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.total_bytes(), 5u);
 }
 
+TEST(WriteRequestTest, RejectsLyingCountBeforeAllocating) {
+  BinaryWriter writer;
+  writer.WriteString("f");
+  writer.WriteBool(false);
+  writer.WriteU32(0xFFFFFFFFu);
+  writer.WriteU64(0);
+  writer.WriteBytes(Bytes{1, 2, 3});  // one fragment, not 4 billion
+  BinaryReader reader(writer.buffer());
+  EXPECT_EQ(WriteRequest::Decode(reader).status().code(),
+            StatusCode::kProtocolError);
+}
+
 TEST(EnvelopeTest, RequestRoundTrip) {
   const Bytes body = {10, 20, 30};
   const Bytes frame = EncodeRequest(MessageType::kRead, body);
@@ -60,16 +148,18 @@ TEST(EnvelopeTest, RequestRoundTrip) {
 }
 
 /// Type bytes inside [1, kMaxMessageType] with no enumerator: retired
-/// opcodes, never renumbered (4 stat, 6 truncate and 9 rename among them).
-constexpr std::uint8_t kUnassignedTypes[] = {4, 6, 8, 9, 24, 25, 26};
+/// opcodes, never renumbered (4 stat, 6 truncate, 9 rename, 15
+/// meta_lookup_server and 18 meta_update_size among them).
+constexpr std::uint8_t kUnassignedTypes[] = {4, 6, 8, 9, 15, 18, 24, 25, 26};
 
 TEST(EnvelopeTest, BadTypeRejected) {
   Bytes frame = {0x7F};
   EXPECT_FALSE(DecodeRequest(frame).ok());
   Bytes empty;
   EXPECT_FALSE(DecodeRequest(empty).ok());
-  // Inside the range but with no enumerator.
-  for (const std::uint8_t type : kUnassignedTypes) {
+  // Inside the range but with no enumerator, and the retired list_read and
+  // list_write (31, 32) just past it.
+  for (const std::uint8_t type : {4, 6, 8, 9, 15, 18, 24, 25, 26, 31, 32}) {
     Bytes unassigned = {type};
     const Status status = DecodeRequest(unassigned).status();
     EXPECT_EQ(status.code(), StatusCode::kProtocolError);
@@ -78,7 +168,7 @@ TEST(EnvelopeTest, BadTypeRejected) {
 }
 
 TEST(EnvelopeTest, FirstTypePastTheRangeRejected) {
-  // One past kMaxMessageType (currently kListWrite): keeps the
+  // One past kMaxMessageType (currently kMetaListDirectory): keeps the
   // DecodeRequest range check honest when a new opcode is added (bump the
   // check, then extend this test).
   Bytes frame = {static_cast<std::uint8_t>(kMaxMessageType + 1)};
@@ -116,162 +206,11 @@ TEST(EnvelopeTest, AllMessageTypesDecodable) {
   for (const MessageType type :
        {MessageType::kPing, MessageType::kRead, MessageType::kWrite,
         MessageType::kDelete, MessageType::kShutdown, MessageType::kList,
-        MessageType::kMetrics, MessageType::kListRead,
-        MessageType::kListWrite}) {
+        MessageType::kMetrics}) {
     const Bytes frame = EncodeRequest(type, {});
     EXPECT_EQ(DecodeRequest(frame).value().type, type);
     EXPECT_NE(MessageTypeName(type), "unknown");
   }
-}
-
-// --- list I/O (docs/WIRE_PROTOCOL.md "List I/O") ---------------------------
-
-TEST(ListReadRequestTest, EncodeDecodeRoundTrip) {
-  ListReadRequest request;
-  request.subfile = "/home/x/data.dpfs";
-  request.extents = {{0, 16}, {64, 8}, {4096, 128}};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  const ListReadRequest decoded = ListReadRequest::Decode(reader).value();
-  EXPECT_EQ(decoded.subfile, request.subfile);
-  EXPECT_EQ(decoded.extents, request.extents);
-  EXPECT_EQ(decoded.total_bytes(), 152u);
-}
-
-TEST(ListReadRequestTest, AdjacentExtentsAccepted) {
-  // Adjacent (touching) extents are legal — only overlap is rejected.
-  ListReadRequest request;
-  request.subfile = "f";
-  request.extents = {{0, 8}, {8, 8}};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_TRUE(ListReadRequest::Decode(reader).ok());
-}
-
-TEST(ListReadRequestTest, RejectsEmptyExtentList) {
-  ListReadRequest request;
-  request.subfile = "f";
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_EQ(ListReadRequest::Decode(reader).status().code(),
-            StatusCode::kProtocolError);
-}
-
-TEST(ListReadRequestTest, RejectsZeroLengthExtent) {
-  ListReadRequest request;
-  request.subfile = "f";
-  request.extents = {{0, 8}, {32, 0}};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(ListReadRequest::Decode(reader).ok());
-}
-
-TEST(ListReadRequestTest, RejectsOverlappingExtents) {
-  ListReadRequest request;
-  request.subfile = "f";
-  request.extents = {{0, 16}, {8, 16}};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(ListReadRequest::Decode(reader).ok());
-}
-
-TEST(ListReadRequestTest, RejectsDescendingExtents) {
-  ListReadRequest request;
-  request.subfile = "f";
-  request.extents = {{64, 8}, {0, 8}};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(ListReadRequest::Decode(reader).ok());
-}
-
-TEST(ListReadRequestTest, RejectsExtentOverflowingOffsetSpace) {
-  ListReadRequest request;
-  request.subfile = "f";
-  request.extents = {{~std::uint64_t{0} - 4, 8}};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(ListReadRequest::Decode(reader).ok());
-}
-
-TEST(ListReadRequestTest, RejectsLyingCountBeforeAllocating) {
-  // A count claiming far more extents than the body holds must fail the
-  // remaining-bytes check, not attempt a giant reserve.
-  BinaryWriter writer;
-  writer.WriteString("f");
-  writer.WriteU32(0xFFFFFFFFu);
-  writer.WriteU64(0);  // one extent's worth of bytes, not 4 billion
-  writer.WriteU64(8);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(ListReadRequest::Decode(reader).ok());
-}
-
-TEST(ListReadRequestTest, RejectsTruncatedExtentList) {
-  ListReadRequest request;
-  request.subfile = "f";
-  request.extents = {{0, 8}, {16, 8}};
-  BinaryWriter writer;
-  request.Encode(writer);
-  const ByteSpan whole(writer.buffer());
-  BinaryReader reader(whole.subspan(0, whole.size() - 5));
-  EXPECT_FALSE(ListReadRequest::Decode(reader).ok());
-}
-
-TEST(ListWriteRequestTest, EncodeDecodeRoundTrip) {
-  ListWriteRequest request;
-  request.subfile = "/a/b";
-  request.sync = true;
-  request.extents = {{128, 4}, {256, 2}};
-  request.data = {1, 2, 3, 4, 9, 8};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  const ListWriteRequest decoded = ListWriteRequest::Decode(reader).value();
-  EXPECT_EQ(decoded.subfile, "/a/b");
-  EXPECT_TRUE(decoded.sync);
-  EXPECT_EQ(decoded.extents, request.extents);
-  EXPECT_EQ(decoded.data, request.data);
-  EXPECT_EQ(decoded.total_bytes(), 6u);
-}
-
-TEST(ListWriteRequestTest, RejectsPayloadShorterThanExtentSum) {
-  ListWriteRequest request;
-  request.subfile = "f";
-  request.extents = {{0, 8}};
-  request.data = {1, 2, 3};  // 3 bytes for 8 bytes of extents
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_EQ(ListWriteRequest::Decode(reader).status().code(),
-            StatusCode::kProtocolError);
-}
-
-TEST(ListWriteRequestTest, RejectsPayloadLongerThanExtentSum) {
-  ListWriteRequest request;
-  request.subfile = "f";
-  request.extents = {{0, 2}};
-  request.data = {1, 2, 3};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(ListWriteRequest::Decode(reader).ok());
-}
-
-TEST(ListWriteRequestTest, RejectsOverlappingExtents) {
-  ListWriteRequest request;
-  request.subfile = "f";
-  request.extents = {{0, 4}, {2, 4}};
-  request.data = {1, 2, 3, 4, 5, 6, 7, 8};
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(ListWriteRequest::Decode(reader).ok());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "client/meta_wire.h"
+#include "client/remote_metadata.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -19,6 +20,7 @@
 #include "net/connection.h"
 #include "net/frame.h"
 #include "net/messages.h"
+#include "server/frame_server.h"
 #include "server/io_server.h"
 
 namespace dpfs::server {
@@ -96,11 +98,12 @@ TEST_F(ProtocolFuzzTest, FrameWithAbsurdLength) {
 TEST_F(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
-  // None is a MessageType: 0x7F is past the range, 8 is unassigned, and 4,
-  // 6 and 9 are the retired stat, truncate and rename.
+  // None is a MessageType: 0x7F is past the range, 8 is unassigned, 4, 6
+  // and 9 are the retired stat, truncate and rename, 15 and 18 the retired
+  // meta_lookup_server and meta_update_size, and 31 and 32 the retired
+  // list_read and list_write.
   for (const std::uint8_t bad :
-       {std::uint8_t{0x7F}, std::uint8_t{4}, std::uint8_t{6}, std::uint8_t{8},
-        std::uint8_t{9}}) {
+       {0x7F, 4, 6, 8, 9, 15, 18, 24, 25, 26, 31, 32}) {
     const std::uint64_t bad_before = Instrument("io_server", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, payload).ok());
@@ -446,90 +449,104 @@ TEST_F(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
   ExpectServerAlive();
 }
 
-// --- list I/O opcodes (docs/WIRE_PROTOCOL.md "List I/O") -------------------
+// --- read and write decoding (docs/WIRE_PROTOCOL.md "Read and write") -----
 
-TEST_F(ProtocolFuzzTest, ListRoundTrip) {
-  // Happy path first: a scattered list write then a list read of the same
-  // extents must hand back exactly the batched payload.
-  net::ServerConnection conn =
-      net::ServerConnection::Connect(server_->endpoint()).value();
-  const std::vector<net::ReadFragment> extents = {{0, 4}, {64, 4}, {1024, 8}};
-  Bytes payload = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
-  ASSERT_TRUE(conn.ListWrite("/lst", extents, payload).ok());
-  EXPECT_EQ(conn.ListRead("/lst", extents).value(), payload);
-  // The non-list read path sees the same bytes at the scattered offsets.
-  EXPECT_EQ(conn.Read("/lst", {{64, 4}}).value(), (Bytes{5, 6, 7, 8}));
+/// Sends one request payload on a fresh connection and returns the reply's
+/// status.
+Status SendRawRequest(const net::Endpoint& endpoint,
+                      const BinaryWriter& payload) {
+  net::TcpSocket socket =
+      net::TcpSocket::Connect("127.0.0.1", endpoint.port).value();
+  DPFS_RETURN_IF_ERROR(net::SendFrame(socket, payload.buffer()));
+  Bytes reply;
+  DPFS_RETURN_IF_ERROR(net::RecvFrame(socket, reply));
+  DPFS_ASSIGN_OR_RETURN(const net::DecodedReply decoded,
+                        net::DecodeReply(reply));
+  return decoded.status;
 }
 
-TEST_F(ProtocolFuzzTest, ListReadTruncatedExtentListGetsErrorReply) {
-  // A count that promises more extents than the body carries must be
-  // rejected by the length guard, never allocated for.
-  net::TcpSocket socket =
-      net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
+TEST_F(ProtocolFuzzTest, ListRoundTrip) {
+  // A fragment list is the paper's combined request (§4.2): one write of
+  // scattered fragments, then one read that names them out of order.
+  net::ServerConnection conn =
+      net::ServerConnection::Connect(server_->endpoint()).value();
+  std::vector<net::WriteFragment> fragments;
+  fragments.push_back({1024, Bytes{9, 10, 11, 12, 13, 14, 15, 16}});
+  fragments.push_back({0, Bytes{1, 2, 3, 4}});
+  fragments.push_back({64, Bytes{5, 6, 7, 8}});
+  ASSERT_TRUE(conn.Write("/lst", std::move(fragments)).ok());
+  EXPECT_EQ(conn.Read("/lst", {{64, 4}, {0, 4}, {1024, 8}}).value(),
+            (Bytes{5, 6, 7, 8, 1, 2, 3, 4, 9, 10, 11, 12, 13, 14, 15, 16}));
+}
+
+TEST_F(ProtocolFuzzTest, ReadWithLyingCountGetsErrorReply) {
+  // A count of 2^32 - 1 backed by one fragment gets an error reply, never
+  // a 64 GiB reservation.
   BinaryWriter payload;
-  payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kListRead));
+  payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kRead));
   payload.WriteString("/lst");
-  payload.WriteU32(0xFFFFFFFFu);  // claims 4 billion extents
+  payload.WriteU32(0xFFFFFFFFu);
   payload.WriteU64(0);
-  payload.WriteU64(8);  // ...but carries one
-  ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
-  Bytes reply;
-  ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  EXPECT_EQ(net::DecodeReply(reply).value().status.code(),
+  payload.WriteU64(8);
+  EXPECT_EQ(SendRawRequest(server_->endpoint(), payload).code(),
             StatusCode::kProtocolError);
   ExpectServerAlive();
 }
 
-TEST_F(ProtocolFuzzTest, ListReadOverlappingExtentsRejected) {
-  net::TcpSocket socket =
-      net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
-  BinaryWriter payload;
-  payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kListRead));
-  payload.WriteString("/lst");
-  payload.WriteU32(2);
-  payload.WriteU64(0);
-  payload.WriteU64(16);
-  payload.WriteU64(8);  // starts inside the previous extent
-  payload.WriteU64(16);
-  ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
-  Bytes reply;
-  ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  const net::DecodedReply decoded = net::DecodeReply(reply).value();
-  EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError);
-  ExpectServerAlive();
-}
-
-TEST_F(ProtocolFuzzTest, ListWritePayloadMismatchRejectedAndNothingWritten) {
-  // The payload must equal the extent sum; a short payload is refused at
-  // decode, before any byte reaches the store.
+TEST_F(ProtocolFuzzTest, WriteWithLyingCountRejectedAndNothingWritten) {
   net::ServerConnection conn =
       net::ServerConnection::Connect(server_->endpoint()).value();
   std::vector<net::WriteFragment> seed;
   seed.push_back({0, Bytes(16, 0xAA)});
   ASSERT_TRUE(conn.Write("/lst", std::move(seed)).ok());
 
-  net::TcpSocket socket =
-      net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter payload;
-  payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kListWrite));
+  payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kWrite));
   payload.WriteString("/lst");
-  payload.WriteU8(0);  // sync = false
-  payload.WriteU32(1);
+  payload.WriteBool(false);
+  payload.WriteU32(0xFFFFFFFFu);
   payload.WriteU64(0);
-  payload.WriteU64(8);            // extent wants 8 bytes
-  payload.WriteBytes(Bytes(3, 1));  // payload carries 3
-  ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
-  Bytes reply;
-  ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  EXPECT_EQ(net::DecodeReply(reply).value().status.code(),
+  payload.WriteBytes(Bytes(8, 1));  // one fragment, not 4 billion
+  EXPECT_EQ(SendRawRequest(server_->endpoint(), payload).code(),
             StatusCode::kProtocolError);
+  // Decode fails before any fragment reaches the store.
   EXPECT_EQ(conn.Read("/lst", {{0, 16}}).value(), Bytes(16, 0xAA));
   ExpectServerAlive();
 }
 
+TEST_F(ProtocolFuzzTest, ReadOfOneTebibyteGetsErrorReply) {
+  // More than one reply frame can carry is refused at decode, before the
+  // store sizes a buffer for it.
+  BinaryWriter payload;
+  payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kRead));
+  payload.WriteString("/lst");
+  payload.WriteU32(1);
+  payload.WriteU64(0);
+  payload.WriteU64(1ull << 40);
+  EXPECT_EQ(SendRawRequest(server_->endpoint(), payload).code(),
+            StatusCode::kProtocolError);
+  ExpectServerAlive();
+}
+
+TEST_F(ProtocolFuzzTest, ReadWithWrappingLengthsRejected) {
+  // 2^63 + (2^63 + 16) wraps a u64 sum to 16; the running-sum check
+  // refuses it at decode.
+  BinaryWriter payload;
+  payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kRead));
+  payload.WriteString("/lst");
+  payload.WriteU32(2);
+  payload.WriteU64(0);
+  payload.WriteU64(1ull << 63);
+  payload.WriteU64(0);
+  payload.WriteU64((1ull << 63) + 16);
+  EXPECT_EQ(SendRawRequest(server_->endpoint(), payload).code(),
+            StatusCode::kProtocolError);
+  ExpectServerAlive();
+}
+
 TEST_F(ProtocolFuzzTest, ListOpcodeFrameStorm) {
-  // Random bodies behind the two list opcodes specifically: every frame
-  // must draw an error reply (or a clean drop), never a crash.
+  // Random bodies behind the two fragment-list opcodes, read and write:
+  // every frame draws an error reply (or a clean drop), never a crash.
   SplitMix64 rng(777);
   for (int trial = 0; trial < 30; ++trial) {
     Result<net::TcpSocket> socket =
@@ -540,8 +557,7 @@ TEST_F(ProtocolFuzzTest, ListOpcodeFrameStorm) {
       byte = static_cast<std::uint8_t>(rng.NextU64());
     }
     payload[0] = static_cast<std::uint8_t>(
-        trial % 2 == 0 ? net::MessageType::kListRead
-                       : net::MessageType::kListWrite);
+        trial % 2 == 0 ? net::MessageType::kRead : net::MessageType::kWrite);
     if (!net::SendFrame(socket.value(), payload).ok()) continue;
     Bytes reply;
     (void)net::RecvFrame(socket.value(), reply);
@@ -549,6 +565,23 @@ TEST_F(ProtocolFuzzTest, ListOpcodeFrameStorm) {
   ExpectServerAlive();
 }
 
+TEST(ReadReplyProtocolFuzzTest, ShortReplyIsProtocolError) {
+  // A server whose read reply is shorter than the requested lengths: the
+  // client must refuse it, or the executor's scatter reads past the reply.
+  FrameServer server({.metric_prefix = "io_server",
+                      .opcodes = {net::MessageType::kRead},
+                      .reply_failpoint = "server.before_reply"},
+                     [](net::MessageType, BinaryReader&) {
+                       return net::EncodeReply(Status::Ok(), Bytes{1, 2, 3});
+                     });
+  ASSERT_TRUE(server.Start().ok());
+  net::ServerConnection conn =
+      net::ServerConnection::Connect(server.endpoint()).value();
+  EXPECT_EQ(conn.Read("/f", {{0, 8}}).status().code(),
+            StatusCode::kProtocolError);
+  EXPECT_EQ(conn.Read("/f", {{0, 3}}).value(), (Bytes{1, 2, 3}));
+  server.Stop();
+}
 
 // --- the metadata server under the same storm ------------------------------
 //
@@ -588,12 +621,11 @@ TEST_F(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
 TEST_F(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
-  // The unassigned 8 and 24-26 inside the range draw the same reply.
+  // The unassigned bytes inside the range draw the same reply, and so do
+  // 31 and 32, the retired list_read and list_write past it.
   for (const std::uint8_t bad :
-       {static_cast<std::uint8_t>(net::kMaxMessageType + 1),
-        static_cast<std::uint8_t>(0x7F), static_cast<std::uint8_t>(0),
-        static_cast<std::uint8_t>(8), static_cast<std::uint8_t>(24),
-        static_cast<std::uint8_t>(25), static_cast<std::uint8_t>(26)}) {
+       {net::kMaxMessageType + 1, 0x7F, 0, 4, 6, 8, 9, 15, 18, 24, 25, 26, 31,
+        32}) {
     const std::uint64_t bad_before = Instrument("metad", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, payload).ok());
@@ -642,23 +674,107 @@ TEST_F(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
 }
 
 TEST_F(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
-  // The list I/O opcodes are in range at the envelope layer but metad does
-  // not serve them: same "I/O opcode" refusal as kRead, no metad changes.
+  // List I/O rides on the two fragment-list opcodes, read and write; a
+  // well-formed list body behind either gets the "I/O opcode" refusal from
+  // metad, and no metad changes.
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
-  for (const net::MessageType type :
-       {net::MessageType::kListRead, net::MessageType::kListWrite}) {
-    BinaryWriter payload;
-    payload.WriteU8(static_cast<std::uint8_t>(type));
-    payload.WriteString("/subfile");
-    ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
+  BinaryWriter read;
+  read.WriteU8(static_cast<std::uint8_t>(net::MessageType::kRead));
+  read.WriteString("/subfile");
+  read.WriteU32(2);
+  read.WriteU64(64);
+  read.WriteU64(4);
+  read.WriteU64(0);
+  read.WriteU64(4);
+  BinaryWriter write;
+  write.WriteU8(static_cast<std::uint8_t>(net::MessageType::kWrite));
+  write.WriteString("/subfile");
+  write.WriteBool(false);
+  write.WriteU32(1);
+  write.WriteU64(0);
+  write.WriteBytes(Bytes(4, 1));
+  for (const BinaryWriter* payload : {&read, &write}) {
+    const std::uint64_t bad_before = Instrument("metad", "bad_requests");
+    ASSERT_TRUE(net::SendFrame(socket, payload->buffer()).ok());
     Bytes reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
     const net::DecodedReply decoded = net::DecodeReply(reply).value();
     EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError);
     EXPECT_NE(decoded.status.message().find("I/O opcode"), std::string::npos)
-        << net::MessageTypeName(type);
+        << net::MessageTypeName(
+               static_cast<net::MessageType>(payload->buffer()[0]));
+    EXPECT_EQ(Instrument("metad", "bad_requests"), bad_before + 1);
   }
+  ExpectServiceAlive();
+}
+
+TEST_F(MetadProtocolFuzzTest, CreateFileWithLyingCountsGetsErrorReply) {
+  // meta_create_file bodies whose counts claim 2^32 - 1 entries: one in the
+  // meta's array_shape, one in server_names. Each draws an error reply, not
+  // a reservation sized by the count.
+  client::FileMeta meta;
+  meta.path = "/lying";
+  meta.subfile = "/0123456789abcdef0123456789abcdef";
+  meta.size_bytes = 64;
+  meta.brick_bytes = 64;
+  const auto send = [&](BinaryWriter& payload) {
+    net::TcpSocket socket =
+        net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port)
+            .value();
+    ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
+    Bytes reply;
+    ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
+    EXPECT_EQ(net::DecodeReply(reply).value().status.code(),
+              StatusCode::kProtocolError);
+  };
+
+  BinaryWriter shape;  // FileMeta up to its array_shape count
+  shape.WriteU8(static_cast<std::uint8_t>(net::MessageType::kMetaCreateFile));
+  shape.WriteString(meta.path);
+  shape.WriteString(meta.subfile);
+  shape.WriteString(meta.owner);
+  shape.WriteU32(meta.permission);
+  shape.WriteU64(meta.size_bytes);
+  shape.WriteU8(static_cast<std::uint8_t>(meta.level));
+  shape.WriteU64(meta.element_size);
+  shape.WriteU32(0xFFFFFFFFu);
+  shape.WriteU64(8);  // one dimension behind the count
+  send(shape);
+  ExpectServiceAlive();
+
+  BinaryWriter names;  // a whole FileMeta, then a lying server_names count
+  names.WriteU8(static_cast<std::uint8_t>(net::MessageType::kMetaCreateFile));
+  client::meta_wire::EncodeFileMeta(meta, names);
+  names.WriteU32(0xFFFFFFFFu);
+  names.WriteString("node0");
+  send(names);
+  ExpectServiceAlive();
+  EXPECT_FALSE(
+      client::RemoteMetadataManager::Connect(service_->endpoint())
+          .value()
+          ->FileExists("/lying")
+          .value());
+}
+
+TEST_F(MetadProtocolFuzzTest, CreateFileWithHugeBrickCountGetsErrorReply) {
+  // A well-formed create whose linear meta claims 2^50 one-byte bricks but
+  // lists one: refused before the metad sizes a per-brick table by it.
+  client::meta_wire::CreateFileRequest request;
+  request.meta.path = "/huge";
+  request.meta.subfile = "/0123456789abcdef0123456789abcdef";
+  request.meta.size_bytes = 1ull << 50;
+  request.meta.brick_bytes = 1;
+  request.server_names = {"node0"};
+  request.bricklists = {"0"};
+  BinaryWriter body;
+  request.Encode(body);
+  net::ServerConnection conn =
+      net::ServerConnection::Connect(service_->endpoint()).value();
+  EXPECT_EQ(conn.Call(net::MessageType::kMetaCreateFile, body.buffer())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   ExpectServiceAlive();
 }
 

@@ -262,7 +262,7 @@ MESSAGE_TYPE_ENUM_RE = re.compile(
     r"enum\s+class\s+MessageType[^{]*\{(.*?)\};", re.DOTALL)
 ENUM_ENTRY_RE = re.compile(r"\bk([A-Za-z0-9]+)\s*=\s*(\d+)")
 # A request-table row whose first cell is the opcode number:
-# `| 31 | list_read | body... |`
+# `| 30 | meta_list_directory | body... |`
 OPCODE_ROW_RE = re.compile(r"^\|\s*(\d+)\s*\|\s*([a-z0-9_]+)\s*\|")
 
 

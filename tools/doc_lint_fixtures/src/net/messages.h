@@ -1,6 +1,7 @@
 // Fixture: MessageType enum for the opcode cross-check. kPing and
-// kListRead have matching rows in the fixture wire doc (must stay clean —
-// kListRead also exercises the CamelCase -> snake_case conversion);
+// kMetaListDirectory have matching rows in the fixture wire doc (must stay
+// clean — kMetaListDirectory also exercises the CamelCase -> snake_case
+// conversion);
 // kOrphan has no row and must fire opcode-undocumented. The fixture doc
 // additionally documents opcode 9, which matches no enumerator here and
 // must fire opcode-ghost.
@@ -10,7 +11,7 @@ namespace dpfs::net {
 
 enum class MessageType : unsigned char {
   kPing = 1,
-  kListRead = 2,
+  kMetaListDirectory = 2,
   kOrphan = 3,
 };
 

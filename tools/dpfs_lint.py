@@ -34,6 +34,11 @@ in CLAUDE.md), as a ctest test so every build runs them:
                      label ("jump to case label crosses initialization").
                      The lint reports it as a convention violation with the
                      fix, instead of leaving it to a cryptic compile error.
+  wire-reserve       in src/net/ and src/client/meta_wire.cpp, no
+                     .reserve() sized by a local read off the wire with
+                     ReadU32()/ReadU64(): a lying count would make one small
+                     frame allocate gigabytes. Decode loops are bounded by
+                     the bytes actually received instead.
 
 Usage:
   tools/dpfs_lint.py [--root DIR]   lint the repo (default: repo root)
@@ -66,6 +71,17 @@ LAYOUT_BANNED_SYSTEM = re.compile(
 # Subsystems src/layout may depend on (itself and the pure parts of common).
 LAYOUT_ALLOWED_PREFIXES = ("layout/", "common/status.h", "common/strings.h",
                           "common/bytes.h")
+
+# Files that decode frames from outside the process (wire-reserve rule).
+WIRE_DECODER_PREFIX = "src/net/"
+WIRE_DECODER_FILES = ("src/client/meta_wire.cpp",)
+# `DPFS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.ReadU32())` or
+# `count = reader.ReadU64()...`: the local a wire count lands in.
+WIRE_COUNT_RE = re.compile(
+    r"\bDPFS_ASSIGN_OR_RETURN\s*\(\s*(?:const\s+)?[\w:]+\s+(\w+)\s*,"
+    r"[^;]*?\bRead(?:U32|U64)\s*\(\s*\)"
+    r"|\b(\w+)\s*=\s*[^;=]*?\bRead(?:U32|U64)\s*\(\s*\)")
+RESERVE_RE = re.compile(r"\.reserve\s*\(([^;]*)\)")
 
 RAW_MUTEX_TOKENS = re.compile(
     r"std::(recursive_|timed_|recursive_timed_|shared_|shared_timed_)?mutex\b|"
@@ -204,7 +220,25 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
                 "(required in teardown)"))
 
     out.extend(lint_assign_case(rel, code))
+    if (rel_posix.startswith(WIRE_DECODER_PREFIX)
+            or rel_posix in WIRE_DECODER_FILES):
+        out.extend(lint_wire_reserve(rel, code))
 
+    return out
+
+
+def lint_wire_reserve(rel: Path, code: str) -> list[Violation]:
+    """Flags .reserve(n) where n was read off the wire as a count."""
+    counts = {a or b for a, b in WIRE_COUNT_RE.findall(code)}
+    out: list[Violation] = []
+    for m in RESERVE_RE.finditer(code):
+        sized_by = counts & set(re.findall(r"\w+", m.group(1)))
+        if sized_by:
+            out.append(Violation(
+                rel, code.count("\n", 0, m.start()) + 1, "wire-reserve",
+                f"reserve() sized by the wire count '{min(sized_by)}' — a "
+                "lying count allocates before the body is checked; let the "
+                "decode loop grow the container"))
     return out
 
 
@@ -330,7 +364,7 @@ def run_lint(root: Path) -> list[Violation]:
 ALL_RULES = frozenset({
     "layout-purity", "rooted-includes", "no-exceptions",
     "nodiscard-status", "raw-mutex", "failpoint-disarm",
-    "opcode-names", "assign-or-return-case",
+    "opcode-names", "assign-or-return-case", "wire-reserve",
 })
 
 # rule -> fixture file expected to trigger it (paths inside lint_fixtures/).
@@ -343,6 +377,7 @@ EXPECTED_SELF_TEST = {
     "nodiscard-status": "src/common/status.h",
     "opcode-names": "src/net/messages.cpp",
     "assign-or-return-case": "src/metad/bad_case.cpp",
+    "wire-reserve": "src/net/bad_reserve.cpp",
 }
 
 
