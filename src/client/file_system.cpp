@@ -49,7 +49,7 @@ ClientMetricsT& ClientMetrics() {
 }  // namespace
 
 Result<std::shared_ptr<FileSystem>> FileSystem::Connect(
-    std::shared_ptr<metadb::ShardedDatabase> db) {
+    std::shared_ptr<metadb::Database> db) {
   DPFS_ASSIGN_OR_RETURN(std::unique_ptr<MetadataManager> metadata,
                         MetadataManager::Attach(std::move(db)));
   return std::shared_ptr<FileSystem>(new FileSystem(std::move(metadata)));
@@ -254,38 +254,33 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
         "run it on the host that owns the metadata database");
   }
   FsckReport report;
-  // Expected subfile names, unioned across every shard: each file's
-  // subfile id, plus "<subfile>#r<rank>" for each replica distribution row
-  // (docs/REPLICATION.md). A file's two tables share its home shard.
-  metadb::ShardedDatabase& db = embedded_->sharded_db();
+  // Expected subfile names: each file's subfile id, plus
+  // "<subfile>#r<rank>" for each replica distribution row
+  // (docs/REPLICATION.md).
+  metadb::Database& db = embedded_->db();
   std::set<std::string> expected;
-  for (std::size_t shard = 0; shard < db.num_shards(); ++shard) {
-    DPFS_ASSIGN_OR_RETURN(
-        const metadb::ResultSet attr,
-        db.shard(shard).Execute(
-            "SELECT filename, subfile FROM DPFS_FILE_ATTR"));
-    std::map<std::string, std::string> subfiles;  // filename -> subfile id
-    for (std::size_t row = 0; row < attr.size(); ++row) {
-      DPFS_ASSIGN_OR_RETURN(std::string name, attr.GetText(row, "filename"));
-      DPFS_ASSIGN_OR_RETURN(std::string subfile,
-                            attr.GetText(row, "subfile"));
-      expected.insert(subfile);
-      subfiles.emplace(std::move(name), std::move(subfile));
-    }
-    report.files_checked += attr.size();
-    DPFS_ASSIGN_OR_RETURN(
-        const metadb::ResultSet dist,
-        db.shard(shard).Execute(
-            "SELECT filename, replica FROM DPFS_FILE_DISTRIBUTION"));
-    for (std::size_t row = 0; row < dist.size(); ++row) {
-      DPFS_ASSIGN_OR_RETURN(const std::int64_t rank,
-                            dist.GetInt(row, "replica"));
-      if (rank <= 0) continue;
-      DPFS_ASSIGN_OR_RETURN(const std::string name,
-                            dist.GetText(row, "filename"));
-      expected.insert(layout::ReplicaSubfileName(
-          subfiles[name], static_cast<std::uint32_t>(rank)));
-    }
+  DPFS_ASSIGN_OR_RETURN(
+      const metadb::ResultSet attr,
+      db.Execute("SELECT filename, subfile FROM DPFS_FILE_ATTR"));
+  std::map<std::string, std::string> subfiles;  // filename -> subfile id
+  for (std::size_t row = 0; row < attr.size(); ++row) {
+    DPFS_ASSIGN_OR_RETURN(std::string name, attr.GetText(row, "filename"));
+    DPFS_ASSIGN_OR_RETURN(std::string subfile, attr.GetText(row, "subfile"));
+    expected.insert(subfile);
+    subfiles.emplace(std::move(name), std::move(subfile));
+  }
+  report.files_checked = attr.size();
+  DPFS_ASSIGN_OR_RETURN(
+      const metadb::ResultSet dist,
+      db.Execute("SELECT filename, replica FROM DPFS_FILE_DISTRIBUTION"));
+  for (std::size_t row = 0; row < dist.size(); ++row) {
+    DPFS_ASSIGN_OR_RETURN(const std::int64_t rank,
+                          dist.GetInt(row, "replica"));
+    if (rank <= 0) continue;
+    DPFS_ASSIGN_OR_RETURN(const std::string name,
+                          dist.GetText(row, "filename"));
+    expected.insert(layout::ReplicaSubfileName(
+        subfiles[name], static_cast<std::uint32_t>(rank)));
   }
 
   DPFS_ASSIGN_OR_RETURN(const std::vector<ServerInfo> servers,
@@ -811,33 +806,14 @@ Status FileSystem::ReadRegion(FileHandle& handle, const layout::Region& region,
 // ---------------------------------------------------------------------------
 // Byte and derived-datatype access
 
-Status FileSystem::WriteBytes(FileHandle& handle, std::uint64_t offset,
-                              ByteSpan data, const IoOptions& options,
-                              IoReport* report) {
-  if (offset + data.size() > handle.map.total_bytes()) {
-    return OutOfRangeError("write past end of file (capacity " +
-                           std::to_string(handle.map.total_bytes()) + ")");
-  }
-  std::vector<layout::FileExtent> extents;
-  if (!data.empty()) extents.push_back({offset, data.size()});
-  return ExecuteExtents(handle, extents, data, {}, layout::IoDirection::kWrite,
-                        options, report);
-}
-
-Status FileSystem::ReadBytes(FileHandle& handle, std::uint64_t offset,
-                             MutableByteSpan out, const IoOptions& options,
-                             IoReport* report) {
-  if (offset + out.size() > handle.map.total_bytes()) {
-    return OutOfRangeError("read past end of file (size " +
-                           std::to_string(handle.map.total_bytes()) + ")");
-  }
-  std::vector<layout::FileExtent> extents;
-  if (!out.empty()) extents.push_back({offset, out.size()});
-  return ExecuteExtents(handle, extents, {}, out, layout::IoDirection::kRead,
-                        options, report);
-}
-
 namespace {
+
+/// True when [offset, offset + length) lies inside a file of `total` bytes.
+/// Written without offset + length, which can wrap past 2^64.
+bool FitsInFile(std::uint64_t offset, std::uint64_t length,
+                std::uint64_t total) {
+  return length <= total && offset <= total - length;
+}
 
 std::vector<layout::FileExtent> ShiftExtents(const Datatype& type,
                                              std::uint64_t base_offset) {
@@ -851,6 +827,32 @@ std::vector<layout::FileExtent> ShiftExtents(const Datatype& type,
 
 }  // namespace
 
+Status FileSystem::WriteBytes(FileHandle& handle, std::uint64_t offset,
+                              ByteSpan data, const IoOptions& options,
+                              IoReport* report) {
+  if (!FitsInFile(offset, data.size(), handle.map.total_bytes())) {
+    return OutOfRangeError("write past end of file (capacity " +
+                           std::to_string(handle.map.total_bytes()) + ")");
+  }
+  std::vector<layout::FileExtent> extents;
+  if (!data.empty()) extents.push_back({offset, data.size()});
+  return ExecuteExtents(handle, extents, data, {}, layout::IoDirection::kWrite,
+                        options, report);
+}
+
+Status FileSystem::ReadBytes(FileHandle& handle, std::uint64_t offset,
+                             MutableByteSpan out, const IoOptions& options,
+                             IoReport* report) {
+  if (!FitsInFile(offset, out.size(), handle.map.total_bytes())) {
+    return OutOfRangeError("read past end of file (size " +
+                           std::to_string(handle.map.total_bytes()) + ")");
+  }
+  std::vector<layout::FileExtent> extents;
+  if (!out.empty()) extents.push_back({offset, out.size()});
+  return ExecuteExtents(handle, extents, {}, out, layout::IoDirection::kRead,
+                        options, report);
+}
+
 Status FileSystem::WriteType(FileHandle& handle, std::uint64_t base_offset,
                              const Datatype& type, ByteSpan data,
                              const IoOptions& options, IoReport* report) {
@@ -859,7 +861,7 @@ Status FileSystem::WriteType(FileHandle& handle, std::uint64_t base_offset,
                                 " != datatype payload " +
                                 std::to_string(type.size()));
   }
-  if (base_offset + type.extent() > handle.map.total_bytes()) {
+  if (!FitsInFile(base_offset, type.extent(), handle.map.total_bytes())) {
     return OutOfRangeError("datatype write past end of file");
   }
   return ExecuteExtents(handle, ShiftExtents(type, base_offset), data, {},
@@ -874,7 +876,7 @@ Status FileSystem::ReadType(FileHandle& handle, std::uint64_t base_offset,
                                 " != datatype payload " +
                                 std::to_string(type.size()));
   }
-  if (base_offset + type.extent() > handle.map.total_bytes()) {
+  if (!FitsInFile(base_offset, type.extent(), handle.map.total_bytes())) {
     return OutOfRangeError("datatype read past end of file");
   }
   return ExecuteExtents(handle, ShiftExtents(type, base_offset), {}, out,

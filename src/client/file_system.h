@@ -127,12 +127,10 @@ struct IoReport {
 
 class FileSystem {
  public:
-  /// Binds to (and initializes if needed) the metadata database. One shard
-  /// (ShardedDatabase::Open(dir, 1) or OpenInMemory(1)) is the paper's
-  /// single database; more spread the rows across path-hash shards
-  /// (`metadb_shards` extension).
+  /// Binds to (and initializes if needed) the metadata database
+  /// (Database::Open(dir) or OpenInMemory()): the paper's embedded model.
   static Result<std::shared_ptr<FileSystem>> Connect(
-      std::shared_ptr<metadb::ShardedDatabase> db);
+      std::shared_ptr<metadb::Database> db);
   /// Remote variant (`metadata_endpoint` extension): namespace operations
   /// go to a dpfs-metad service instead of an embedded database, so many
   /// client processes share one mutable namespace. The RemoteMetadataManager

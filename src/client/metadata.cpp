@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/failpoint.h"
 #include "common/strings.h"
 #include "metadb/predicate.h"
 #include "metadb/sql_ast.h"
@@ -19,7 +18,6 @@ constexpr const char* kServerTable = "DPFS_SERVER";
 constexpr const char* kDistTable = "DPFS_FILE_DISTRIBUTION";
 constexpr const char* kDirTable = "DPFS_DIRECTORY";
 constexpr const char* kAttrTable = "DPFS_FILE_ATTR";
-constexpr const char* kIntentTable = "DPFS_INTENT";
 
 // The two file tables' DDL, shared by EnsureTables and the in-place
 // upgrades in Attach (WidenTable).
@@ -39,48 +37,6 @@ constexpr const char* kAttrDdl =
 bool IsSubfileId(std::string_view id) {
   return id.size() == 33 && id[0] == '/' &&
          id.find_first_not_of("0123456789abcdef", 1) == std::string_view::npos;
-}
-
-/// Separator between serialized statements in a rename intent payload;
-/// ASCII record separator, which cannot appear in a normalized path.
-constexpr char kPayloadSep = '\x1e';
-
-/// Fires between the shard commits of a cross-shard mutation
-/// (docs/FAULT_INJECTION.md, site `metadb.shard_commit`): the home shard has
-/// committed its transaction + intent record, follower shards may or may not
-/// have applied. The chaos test kills the protocol here and asserts the
-/// repair pass in Attach rolls the mutation forward.
-#define DPFS_SHARD_COMMIT_GATE() DPFS_FAILPOINT_RETURN("metadb.shard_commit")
-
-/// SQL string literal with '' escaping (intent payloads only; the hot paths
-/// below bypass SQL entirely).
-std::string Quote(std::string_view text) {
-  std::string out = "'";
-  for (const char c : text) {
-    out += c;
-    if (c == '\'') out += '\'';
-  }
-  out += "'";
-  return out;
-}
-
-std::string ValueSqlLiteral(const metadb::Value& value) {
-  switch (value.type()) {
-    case metadb::ValueType::kNull:
-      return "NULL";
-    case metadb::ValueType::kInt:
-      return std::to_string(value.AsInt());
-    case metadb::ValueType::kDouble: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", value.AsDouble());
-      std::string text = buf;
-      if (text.find_first_of(".eE") == std::string::npos) text += ".0";
-      return text;
-    }
-    case metadb::ValueType::kText:
-      return Quote(value.AsText());
-  }
-  return "NULL";
 }
 
 std::string EncodeShape(const layout::Shape& shape) {
@@ -137,14 +93,12 @@ struct HotStatements {
   metadb::ExprPtr filename_col = metadb::MakeColumn("filename");
   metadb::ExprPtr main_dir_col = metadb::MakeColumn("main_dir");
   metadb::ExprPtr server_name_col = metadb::MakeColumn("server_name");
-  metadb::ExprPtr intent_src_col = metadb::MakeColumn("src");
 
   metadb::SelectStmt attr_all = MakeSelect(kAttrTable, {});
   metadb::SelectStmt attr_exists = MakeSelect(kAttrTable, {"filename"});
   metadb::SelectStmt dist_by_file =
       MakeSelect(kDistTable, {"server", "server_index", "bricklist", "replica"},
                  metadb::OrderBy{"server_index", false});
-  metadb::SelectStmt dist_all = MakeSelect(kDistTable, {});
   metadb::SelectStmt server_by_name = MakeSelect(kServerTable, {});
   metadb::SelectStmt servers_ordered =
       MakeSelect(kServerTable, {}, metadb::OrderBy{"server_name", false});
@@ -152,7 +106,6 @@ struct HotStatements {
   metadb::SelectStmt dir_lists = MakeSelect(kDirTable, {"sub_dirs", "files"});
   metadb::SelectStmt dir_files = MakeSelect(kDirTable, {"files"});
   metadb::SelectStmt dir_subdirs = MakeSelect(kDirTable, {"sub_dirs"});
-  metadb::SelectStmt intent_all = MakeSelect(kIntentTable, {});
 };
 
 const HotStatements& Hot() {
@@ -253,53 +206,6 @@ Result<ServerInfo> ServerByName(metadb::Database& db,
   return ServerFromRow(result, 0);
 }
 
-Result<bool> FileExistsIn(metadb::Database& db, const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet result,
-      SelectEq(db, Hot().attr_exists, Hot().filename_col, path));
-  return !result.empty();
-}
-
-Result<bool> DirExistsIn(metadb::Database& db, const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet result,
-      SelectEq(db, Hot().dir_exists, Hot().main_dir_col, path));
-  return !result.empty();
-}
-
-/// Serializes a file's rows on its (old) home shard as INSERT statements
-/// with the filename already rewritten to `dst` — the rename intent payload
-/// applied on the destination home shard.
-Result<std::string> BuildRenamePayload(metadb::Database& db,
-                                       const std::string& src,
-                                       const std::string& dst) {
-  const HotStatements& hot = Hot();
-  struct TableSelect {
-    const char* table;
-    const metadb::SelectStmt* all;
-  };
-  const TableSelect tables[] = {{kAttrTable, &hot.attr_all},
-                                {kDistTable, &hot.dist_all}};
-  std::vector<std::string> statements;
-  for (const TableSelect& t : tables) {
-    DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet rows,
-                          SelectEq(db, *t.all, hot.filename_col, src));
-    for (const metadb::Row& row : rows.rows) {
-      std::string sql = "INSERT INTO ";
-      sql += t.table;
-      sql += " VALUES (";
-      for (std::size_t col = 0; col < row.size(); ++col) {
-        if (col > 0) sql += ", ";
-        // Column 0 is `filename` in both tables.
-        sql += col == 0 ? Quote(dst) : ValueSqlLiteral(row[col]);
-      }
-      sql += ")";
-      statements.push_back(std::move(sql));
-    }
-  }
-  return JoinStrings(statements, std::string(1, kPayloadSep));
-}
-
 }  // namespace
 
 Result<std::string> NewSubfileId() {
@@ -339,88 +245,28 @@ Result<layout::BrickMap> FileMeta::MakeBrickMap() const {
 }
 
 // ---------------------------------------------------------------------------
-// Shard locking
-
-/// Locks the transaction mutex of every involved shard in ascending index
-/// order (a total order, so concurrent multi-shard mutations cannot
-/// deadlock) and releases in reverse. Manual lock()/unlock() because the
-/// shard set is dynamic; the annotations cannot track a runtime-indexed
-/// mutex vector.
-class MetadataManager::ShardLocks {
- public:
-  // dpfs:no-tsa(runtime-indexed mutex vector: the analysis cannot name
-  // shard_mu_[i] capabilities; the sorted ascending acquisition below is
-  // the manual discipline that replaces it)
-  ShardLocks(MetadataManager& manager, std::vector<std::size_t> shards)
-      DPFS_NO_THREAD_SAFETY_ANALYSIS : manager_(manager),
-                                       shards_(std::move(shards)) {
-    std::sort(shards_.begin(), shards_.end());
-    shards_.erase(std::unique(shards_.begin(), shards_.end()),
-                  shards_.end());
-    for (const std::size_t shard : shards_) {
-      // dpfs:lock-order-ok(shard_mu_ instances are taken in ascending
-      // shard index over a sorted deduplicated set — a total order, so
-      // concurrent multi-shard mutations cannot deadlock)
-      manager_.shard_mu_[shard]->lock();
-    }
-  }
-  // dpfs:no-tsa(release-only path of the runtime-indexed acquisition
-  // above, in exact reverse order)
-  ~ShardLocks() DPFS_NO_THREAD_SAFETY_ANALYSIS {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      manager_.shard_mu_[*it]->unlock();
-    }
-  }
-  ShardLocks(const ShardLocks&) = delete;
-  ShardLocks& operator=(const ShardLocks&) = delete;
-
- private:
-  MetadataManager& manager_;
-  std::vector<std::size_t> shards_;
-};
-
-// ---------------------------------------------------------------------------
 // Attach / schema
 
-MetadataManager::MetadataManager(std::shared_ptr<metadb::ShardedDatabase> db)
-    : db_(std::move(db)) {
-  shard_mu_.reserve(db_->num_shards());
-  for (std::size_t i = 0; i < db_->num_shards(); ++i) {
-    shard_mu_.push_back(std::make_unique<Mutex>());
-  }
-}
-
 Result<std::unique_ptr<MetadataManager>> MetadataManager::Attach(
-    std::shared_ptr<metadb::ShardedDatabase> db) {
-  std::unique_ptr<MetadataManager> manager(
-      new MetadataManager(std::move(db)));
+    std::shared_ptr<metadb::Database> db) {
+  std::unique_ptr<MetadataManager> manager(new MetadataManager(db));
   DPFS_RETURN_IF_ERROR(manager->EnsureTables());
-  if (manager->db_->num_shards() > 1) {
-    DPFS_RETURN_IF_ERROR(manager->RepairIntents());
+  // Pre-replication rows become replica rank 0.
+  DPFS_RETURN_IF_ERROR(manager->WidenTable(
+      kDistTable, "replica", kDistDdl, [](const metadb::Row&) {
+        return metadb::Value(static_cast<std::int64_t>(0));
+      }));
+  // Files from before subfile ids keep their path-named subfiles: the id is
+  // the filename, and no server is touched.
+  DPFS_RETURN_IF_ERROR(manager->WidenTable(
+      kAttrTable, "subfile", kAttrDdl,
+      [](const metadb::Row& row) { return row[0]; }));
+  if (db->HasTable("DPFS_ACCESS_LOG")) {
+    DPFS_RETURN_IF_ERROR(db->Execute("DROP TABLE DPFS_ACCESS_LOG").status());
   }
-  // Upgrade older layouts only after the repair pass: a pending rename
-  // intent's payload INSERTs rows in the layout that wrote it (12 values
-  // into DPFS_FILE_ATTR, rows into the retired access-log table).
-  for (std::size_t i = 0; i < manager->db_->num_shards(); ++i) {
-    metadb::Database& shard = manager->Shard(i);
-    // Pre-replication rows become replica rank 0.
-    DPFS_RETURN_IF_ERROR(manager->WidenTable(
-        shard, kDistTable, "replica", kDistDdl, [](const metadb::Row&) {
-          return metadb::Value(static_cast<std::int64_t>(0));
-        }));
-    // Files from before subfile ids keep their path-named subfiles: the
-    // id is the filename, and no server is touched.
-    DPFS_RETURN_IF_ERROR(manager->WidenTable(
-        shard, kAttrTable, "subfile", kAttrDdl,
-        [](const metadb::Row& row) { return row[0]; }));
-    if (shard.HasTable("DPFS_ACCESS_LOG")) {
-      DPFS_RETURN_IF_ERROR(
-          shard.Execute("DROP TABLE DPFS_ACCESS_LOG").status());
-    }
-    // Distribution rows are keyed by filename (one row per server per
-    // file); index them so DPFS-Open's lookup is a probe, not a scan.
-    DPFS_RETURN_IF_ERROR(shard.CreateIndex(kDistTable, "filename"));
-  }
+  // Distribution rows are keyed by filename (one row per server per file);
+  // index them so DPFS-Open's lookup is a probe, not a scan.
+  DPFS_RETURN_IF_ERROR(db->CreateIndex(kDistTable, "filename"));
   return manager;
 }
 
@@ -434,84 +280,67 @@ Status MetadataManager::EnsureTables() {
       "  main_dir TEXT PRIMARY KEY, sub_dirs TEXT, files TEXT)",
       kAttrDdl,
   };
-  // Pending cross-shard mutations (docs/METADATA_SCHEMA.md "Sharding");
-  // only exists on sharded databases so the single-shard on-disk layout
-  // stays byte-identical to the unsharded engine.
-  static constexpr const char* kIntentDdl =
-      "CREATE TABLE IF NOT EXISTS DPFS_INTENT ("
-      "  src TEXT PRIMARY KEY, op TEXT, dst TEXT, payload TEXT)";
-
-  for (std::size_t i = 0; i < db_->num_shards(); ++i) {
-    metadb::Database& shard = Shard(i);
-    for (const char* ddl : kDdl) {
-      DPFS_RETURN_IF_ERROR(shard.Execute(ddl).status());
-    }
-    if (db_->num_shards() > 1) {
-      DPFS_RETURN_IF_ERROR(shard.Execute(kIntentDdl).status());
-    }
+  for (const char* ddl : kDdl) {
+    DPFS_RETURN_IF_ERROR(db_->Execute(ddl).status());
   }
 
-  // The root directory always exists (on its home shard).
-  metadb::Database& root_shard = Shard(ShardOf("/"));
-  DPFS_ASSIGN_OR_RETURN(const bool root_exists,
-                        DirExistsIn(root_shard, "/"));
-  if (!root_exists) {
-    DPFS_RETURN_IF_ERROR(InsertRow(root_shard, kDirTable, {"/", "", ""}));
+  // The root directory always exists.
+  DPFS_ASSIGN_OR_RETURN(
+      const metadb::ResultSet root,
+      SelectEq(*db_, Hot().dir_exists, Hot().main_dir_col, "/"));
+  if (root.empty()) {
+    DPFS_RETURN_IF_ERROR(InsertRow(*db_, kDirTable, {"/", "", ""}));
   }
   return Status::Ok();
 }
 
 Status MetadataManager::WidenTable(
-    metadb::Database& shard, const char* table, std::string_view column,
-    const char* ddl,
+    const char* table, std::string_view column, const char* ddl,
     const std::function<metadb::Value(const metadb::Row&)>& fill) {
   DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet probe,
-                        SelectAll(shard, MakeSelect(table, {})));
+                        SelectAll(*db_, MakeSelect(table, {})));
   for (const std::string& name : probe.columns) {
     if (EqualsIgnoreCase(name, column)) return Status::Ok();
   }
   // DDL participates in transactions (undo restores the dropped table), so
   // a crash mid-upgrade leaves the old schema intact.
-  Transaction txn(shard);
+  Transaction txn(*db_);
   DPFS_RETURN_IF_ERROR(txn.Begin());
   DPFS_RETURN_IF_ERROR(
-      shard.Execute(std::string("DROP TABLE ") + table).status());
-  DPFS_RETURN_IF_ERROR(shard.Execute(ddl).status());
+      db_->Execute(std::string("DROP TABLE ") + table).status());
+  DPFS_RETURN_IF_ERROR(db_->Execute(ddl).status());
   for (const metadb::Row& row : probe.rows) {
     std::vector<metadb::Value> widened = row;
     widened.push_back(fill(row));
-    DPFS_RETURN_IF_ERROR(InsertRow(shard, table, std::move(widened)));
+    DPFS_RETURN_IF_ERROR(InsertRow(*db_, table, std::move(widened)));
   }
   return txn.Commit();
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard intent protocol
+// Locked helpers
 
-Status MetadataManager::UpsertIntent(metadb::Database& home,
-                                     const std::string& op,
-                                     const std::string& src,
-                                     const std::string& dst,
-                                     const std::string& payload) {
-  // Delete-then-insert: a later mutation of the same path supersedes any
-  // stale intent row (the PK is `src`).
-  DPFS_RETURN_IF_ERROR(
-      DeleteEq(home, kIntentTable, Hot().intent_src_col, src).status());
-  return InsertRow(home, kIntentTable, {src, op, dst, payload});
+Result<bool> MetadataManager::HasFile(const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(
+      const metadb::ResultSet result,
+      SelectEq(*db_, Hot().attr_exists, Hot().filename_col, path));
+  return !result.empty();
 }
 
-Status MetadataManager::DeleteIntent(metadb::Database& home,
-                                     const std::string& src) {
-  return DeleteEq(home, kIntentTable, Hot().intent_src_col, src).status();
+Result<bool> MetadataManager::HasDirectory(const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(
+      const metadb::ResultSet result,
+      SelectEq(*db_, Hot().dir_exists, Hot().main_dir_col, path));
+  return !result.empty();
 }
 
-Status MetadataManager::LinkName(metadb::Database& db, const std::string& dir,
+Status MetadataManager::LinkName(const std::string& dir,
                                  const std::string& name, bool file) {
   const HotStatements& hot = Hot();
   const char* column = file ? "files" : "sub_dirs";
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet row,
-      SelectEq(db, file ? hot.dir_files : hot.dir_subdirs, hot.main_dir_col,
+      SelectEq(*db_, file ? hot.dir_files : hot.dir_subdirs, hot.main_dir_col,
                dir));
   if (row.empty()) return Status::Ok();
   DPFS_ASSIGN_OR_RETURN(const std::string list, row.GetText(0, column));
@@ -520,19 +349,18 @@ Status MetadataManager::LinkName(metadb::Database& db, const std::string& dir,
     return Status::Ok();
   }
   names.push_back(name);
-  return UpdateEq(db, kDirTable, {{column, EncodeNameList(names)}},
+  return UpdateEq(*db_, kDirTable, {{column, EncodeNameList(names)}},
                   hot.main_dir_col, dir)
       .status();
 }
 
-Status MetadataManager::UnlinkName(metadb::Database& db,
-                                   const std::string& dir,
+Status MetadataManager::UnlinkName(const std::string& dir,
                                    const std::string& name, bool file) {
   const HotStatements& hot = Hot();
   const char* column = file ? "files" : "sub_dirs";
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet row,
-      SelectEq(db, file ? hot.dir_files : hot.dir_subdirs, hot.main_dir_col,
+      SelectEq(*db_, file ? hot.dir_files : hot.dir_subdirs, hot.main_dir_col,
                dir));
   if (row.empty()) return Status::Ok();
   DPFS_ASSIGN_OR_RETURN(const std::string list, row.GetText(0, column));
@@ -540,124 +368,39 @@ Status MetadataManager::UnlinkName(metadb::Database& db,
   const auto end = std::remove(names.begin(), names.end(), name);
   if (end == names.end()) return Status::Ok();
   names.erase(end, names.end());
-  return UpdateEq(db, kDirTable, {{column, EncodeNameList(names)}},
+  return UpdateEq(*db_, kDirTable, {{column, EncodeNameList(names)}},
                   hot.main_dir_col, dir)
       .status();
 }
 
-Status MetadataManager::ApplyRenamePayload(metadb::Database& db,
-                                           const std::string& dst,
-                                           const std::string& payload) {
-  const HotStatements& hot = Hot();
-  Transaction txn(db);
-  DPFS_RETURN_IF_ERROR(txn.Begin());
-  // Idempotent: clear any rows a partial earlier application left behind,
-  // then re-insert from the payload.
-  DPFS_RETURN_IF_ERROR(
-      DeleteEq(db, kAttrTable, hot.filename_col, dst).status());
-  DPFS_RETURN_IF_ERROR(
-      DeleteEq(db, kDistTable, hot.filename_col, dst).status());
-  for (const std::string& sql : SplitString(payload, kPayloadSep)) {
-    if (sql.empty()) continue;
-    DPFS_RETURN_IF_ERROR(db.Execute(sql).status());
-  }
-  return txn.Commit();
-}
-
-Status MetadataManager::ApplyIntent(const std::string& op,
-                                    const std::string& src,
-                                    const std::string& dst,
-                                    const std::string& payload) {
-  const auto [src_parent, src_name] = SplitPath(src);
-  metadb::Database& src_dir_shard = Shard(ShardOf(src_parent));
-  if (op == "create") return LinkName(src_dir_shard, src_parent, src_name, true);
-  if (op == "delete") {
-    return UnlinkName(src_dir_shard, src_parent, src_name, true);
-  }
-  if (op == "mkdir") return LinkName(src_dir_shard, src_parent, src_name, false);
-  if (op == "rmdir") {
-    return UnlinkName(src_dir_shard, src_parent, src_name, false);
-  }
-  if (op == "rename") {
-    if (!payload.empty()) {
-      DPFS_RETURN_IF_ERROR(ApplyRenamePayload(Shard(ShardOf(dst)), dst,
-                                              payload));
-    }
-    DPFS_RETURN_IF_ERROR(UnlinkName(src_dir_shard, src_parent, src_name, true));
-    const auto [dst_parent, dst_name] = SplitPath(dst);
-    return LinkName(Shard(ShardOf(dst_parent)), dst_parent, dst_name, true);
-  }
-  return InternalError("unknown intent op '" + op + "'");
-}
-
-Status MetadataManager::RepairIntents() {
-  for (std::size_t i = 0; i < db_->num_shards(); ++i) {
-    metadb::Database& shard = Shard(i);
-    DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet intents,
-                          SelectAll(shard, Hot().intent_all));
-    for (std::size_t row = 0; row < intents.size(); ++row) {
-      DPFS_ASSIGN_OR_RETURN(const std::string op, intents.GetText(row, "op"));
-      DPFS_ASSIGN_OR_RETURN(const std::string src,
-                            intents.GetText(row, "src"));
-      DPFS_ASSIGN_OR_RETURN(const std::string dst,
-                            intents.GetText(row, "dst"));
-      DPFS_ASSIGN_OR_RETURN(const std::string payload,
-                            intents.GetText(row, "payload"));
-      DPFS_RETURN_IF_ERROR(ApplyIntent(op, src, dst, payload));
-      DPFS_RETURN_IF_ERROR(DeleteIntent(shard, src));
-    }
-  }
-  return Status::Ok();
-}
-
 // ---------------------------------------------------------------------------
-// Servers (replicated to every shard — lookups stay single-shard)
+// Servers
 
 Status MetadataManager::RegisterServer(const ServerInfo& server) {
-  std::vector<std::size_t> all(db_->num_shards());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  ShardLocks locks(*this, std::move(all));
-
-  const auto row = [&server]() -> std::vector<metadb::Value> {
-    return {server.name, server.endpoint.host,
-            static_cast<std::int64_t>(server.endpoint.port),
-            static_cast<std::int64_t>(server.capacity_bytes),
-            static_cast<std::int64_t>(server.performance)};
-  };
-  // Shard 0 keeps the unsharded contract: a duplicate name is a primary-key
-  // error. The replicas upsert — re-registration repair must be idempotent.
-  DPFS_RETURN_IF_ERROR(InsertRow(Shard(0), kServerTable, row()));
-  for (std::size_t i = 1; i < db_->num_shards(); ++i) {
-    DPFS_RETURN_IF_ERROR(
-        DeleteEq(Shard(i), kServerTable, Hot().server_name_col, server.name)
-            .status());
-    DPFS_RETURN_IF_ERROR(InsertRow(Shard(i), kServerTable, row()));
-  }
-  return Status::Ok();
+  WriterMutexLock lock(mu_);
+  // A duplicate name is a primary-key error.
+  return InsertRow(*db_, kServerTable,
+                   {server.name, server.endpoint.host,
+                    static_cast<std::int64_t>(server.endpoint.port),
+                    static_cast<std::int64_t>(server.capacity_bytes),
+                    static_cast<std::int64_t>(server.performance)});
 }
 
 Status MetadataManager::UnregisterServer(const std::string& name) {
-  std::vector<std::size_t> all(db_->num_shards());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  ShardLocks locks(*this, std::move(all));
-
+  WriterMutexLock lock(mu_);
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet result,
-      DeleteEq(Shard(0), kServerTable, Hot().server_name_col, name));
+      DeleteEq(*db_, kServerTable, Hot().server_name_col, name));
   if (result.affected_rows == 0) {
     return NotFoundError("no server '" + name + "'");
-  }
-  for (std::size_t i = 1; i < db_->num_shards(); ++i) {
-    DPFS_RETURN_IF_ERROR(
-        DeleteEq(Shard(i), kServerTable, Hot().server_name_col, name)
-            .status());
   }
   return Status::Ok();
 }
 
 Result<std::vector<ServerInfo>> MetadataManager::ListServers() {
+  ReaderMutexLock lock(mu_);
   DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet result,
-                        SelectAll(Shard(0), Hot().servers_ordered));
+                        SelectAll(*db_, Hot().servers_ordered));
   std::vector<ServerInfo> servers;
   servers.reserve(result.size());
   for (std::size_t row = 0; row < result.size(); ++row) {
@@ -672,74 +415,50 @@ Result<std::vector<ServerInfo>> MetadataManager::ListServers() {
 
 Result<bool> MetadataManager::DirectoryExists(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  return DirExistsIn(Shard(ShardOf(normalized)), normalized);
+  ReaderMutexLock lock(mu_);
+  return HasDirectory(normalized);
 }
 
 Result<bool> MetadataManager::FileExists(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  return FileExistsIn(Shard(ShardOf(normalized)), normalized);
+  ReaderMutexLock lock(mu_);
+  return HasFile(normalized);
 }
 
 Status MetadataManager::MakeDirectory(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
   if (normalized == "/") return AlreadyExistsError("'/' already exists");
   const auto [parent, name] = SplitPath(normalized);
+  WriterMutexLock lock(mu_);
 
-  const std::size_t home = ShardOf(normalized);
-  const std::size_t parent_shard = ShardOf(parent);
-  ShardLocks locks(*this, {home, parent_shard});
-
-  DPFS_ASSIGN_OR_RETURN(const bool parent_exists,
-                        DirExistsIn(Shard(parent_shard), parent));
+  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(parent));
   if (!parent_exists) {
     return NotFoundError("parent directory '" + parent + "' does not exist");
   }
-  DPFS_ASSIGN_OR_RETURN(const bool exists,
-                        DirExistsIn(Shard(home), normalized));
+  DPFS_ASSIGN_OR_RETURN(const bool exists, HasDirectory(normalized));
   if (exists) {
     return AlreadyExistsError("directory '" + normalized + "' exists");
   }
-  DPFS_ASSIGN_OR_RETURN(const bool file_exists,
-                        FileExistsIn(Shard(home), normalized));
+  DPFS_ASSIGN_OR_RETURN(const bool file_exists, HasFile(normalized));
   if (file_exists) {
     return AlreadyExistsError("'" + normalized + "' exists as a file");
   }
 
-  if (home == parent_shard) {
-    // §5: update the parent row's sub-dirs and insert a new row.
-    Transaction txn(Shard(home));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(LinkName(Shard(parent_shard), parent, name, false));
-    DPFS_RETURN_IF_ERROR(
-        InsertRow(Shard(home), kDirTable, {normalized, "", ""}));
-    return txn.Commit();
-  }
-
-  // Cross-shard: the directory's own row + intent commit on its home shard
-  // first, then the parent link; a crash in between rolls forward on the
-  // next Attach.
-  {
-    Transaction txn(Shard(home));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(
-        InsertRow(Shard(home), kDirTable, {normalized, "", ""}));
-    DPFS_RETURN_IF_ERROR(
-        UpsertIntent(Shard(home), "mkdir", normalized, "", ""));
-    DPFS_RETURN_IF_ERROR(txn.Commit());
-  }
-  DPFS_SHARD_COMMIT_GATE();
-  DPFS_RETURN_IF_ERROR(LinkName(Shard(parent_shard), parent, name, false));
-  DPFS_SHARD_COMMIT_GATE();
-  return DeleteIntent(Shard(home), normalized);
+  // §5: update the parent row's sub-dirs and insert a new row.
+  Transaction txn(*db_);
+  DPFS_RETURN_IF_ERROR(txn.Begin());
+  DPFS_RETURN_IF_ERROR(LinkName(parent, name, false));
+  DPFS_RETURN_IF_ERROR(InsertRow(*db_, kDirTable, {normalized, "", ""}));
+  return txn.Commit();
 }
 
 Result<MetadataManager::Listing> MetadataManager::ListDirectory(
     const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
+  ReaderMutexLock lock(mu_);
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet result,
-      SelectEq(Shard(ShardOf(normalized)), Hot().dir_lists,
-               Hot().main_dir_col, normalized));
+      SelectEq(*db_, Hot().dir_lists, Hot().main_dir_col, normalized));
   if (result.empty()) {
     return NotFoundError("no such directory '" + normalized + "'");
   }
@@ -761,7 +480,7 @@ Status MetadataManager::RemoveDirectory(const std::string& path,
     return InvalidArgumentError("cannot remove the root directory");
   }
   // Recursive deletion runs as an unlocked pre-pass: each child op takes
-  // its own shard locks (the mutexes are not reentrant).
+  // the lock itself (it is not reentrant).
   DPFS_ASSIGN_OR_RETURN(const Listing listing, ListDirectory(normalized));
   if (!recursive && (!listing.directories.empty() || !listing.files.empty())) {
     return InvalidArgumentError("directory '" + normalized +
@@ -777,16 +496,13 @@ Status MetadataManager::RemoveDirectory(const std::string& path,
   }
 
   const auto [parent, name] = SplitPath(normalized);
-  const std::size_t home = ShardOf(normalized);
-  const std::size_t parent_shard = ShardOf(parent);
-  ShardLocks locks(*this, {home, parent_shard});
+  WriterMutexLock lock(mu_);
 
-  // Re-validate under the locks: the directory must still exist and be
+  // Re-validate under the lock: the directory must still exist and be
   // empty (a concurrent create may have raced the unlocked pre-pass).
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet row,
-      SelectEq(Shard(home), Hot().dir_lists, Hot().main_dir_col,
-               normalized));
+      SelectEq(*db_, Hot().dir_lists, Hot().main_dir_col, normalized));
   if (row.empty()) {
     return NotFoundError("no such directory '" + normalized + "'");
   }
@@ -798,36 +514,17 @@ Status MetadataManager::RemoveDirectory(const std::string& path,
                                 "' is not empty");
   }
 
-  DPFS_ASSIGN_OR_RETURN(const bool parent_exists,
-                        DirExistsIn(Shard(parent_shard), parent));
+  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(parent));
   if (!parent_exists) {
     return InternalError("parent row missing for '" + normalized + "'");
   }
 
-  if (home == parent_shard) {
-    Transaction txn(Shard(home));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(UnlinkName(Shard(parent_shard), parent, name, false));
-    DPFS_RETURN_IF_ERROR(
-        DeleteEq(Shard(home), kDirTable, Hot().main_dir_col, normalized)
-            .status());
-    return txn.Commit();
-  }
-
-  {
-    Transaction txn(Shard(home));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(
-        DeleteEq(Shard(home), kDirTable, Hot().main_dir_col, normalized)
-            .status());
-    DPFS_RETURN_IF_ERROR(
-        UpsertIntent(Shard(home), "rmdir", normalized, "", ""));
-    DPFS_RETURN_IF_ERROR(txn.Commit());
-  }
-  DPFS_SHARD_COMMIT_GATE();
-  DPFS_RETURN_IF_ERROR(UnlinkName(Shard(parent_shard), parent, name, false));
-  DPFS_SHARD_COMMIT_GATE();
-  return DeleteIntent(Shard(home), normalized);
+  Transaction txn(*db_);
+  DPFS_RETURN_IF_ERROR(txn.Begin());
+  DPFS_RETURN_IF_ERROR(UnlinkName(parent, name, false));
+  DPFS_RETURN_IF_ERROR(
+      DeleteEq(*db_, kDirTable, Hot().main_dir_col, normalized).status());
+  return txn.Commit();
 }
 
 // ---------------------------------------------------------------------------
@@ -844,18 +541,13 @@ Status MetadataManager::CreateFile(
   if (!IsSubfileId(meta.subfile)) {
     return InvalidArgumentError("bad subfile id '" + meta.subfile + "'");
   }
+  WriterMutexLock lock(mu_);
 
-  const std::size_t home = ShardOf(normalized);
-  const std::size_t parent_shard = ShardOf(parent);
-  ShardLocks locks(*this, {home, parent_shard});
-
-  DPFS_ASSIGN_OR_RETURN(const bool parent_exists,
-                        DirExistsIn(Shard(parent_shard), parent));
+  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(parent));
   if (!parent_exists) {
     return NotFoundError("parent directory '" + parent + "' does not exist");
   }
-  DPFS_ASSIGN_OR_RETURN(const bool exists,
-                        FileExistsIn(Shard(home), normalized));
+  DPFS_ASSIGN_OR_RETURN(const bool exists, HasFile(normalized));
   if (exists) {
     return AlreadyExistsError("file '" + normalized + "' exists");
   }
@@ -887,61 +579,45 @@ Status MetadataManager::CreateFile(
       EncodeShape(meta.chunk_grid),
       meta.subfile};
 
-  const auto insert_file_rows = [&]() -> Status {
-    DPFS_RETURN_IF_ERROR(
-        InsertRow(Shard(home), kAttrTable, std::move(attr_row)));
-    for (std::uint32_t rank = 0; rank <= replicas.size(); ++rank) {
-      const layout::BrickDistribution& rank_dist =
-          rank == 0 ? distribution : replicas[rank - 1];
-      for (std::uint32_t server = 0; server < rank_dist.num_servers();
-           ++server) {
-        DPFS_RETURN_IF_ERROR(InsertRow(
-            Shard(home), kDistTable,
-            {normalized, server_names[server],
-             static_cast<std::int64_t>(server),
-             layout::BrickDistribution::EncodeBrickList(
-                 rank_dist.bricks_on(server)),
-             static_cast<std::int64_t>(rank)}));
-      }
+  // §5: the attribute row, one distribution row per (server, rank), and the
+  // parent directory's link commit as one transaction.
+  Transaction txn(*db_);
+  DPFS_RETURN_IF_ERROR(txn.Begin());
+  DPFS_RETURN_IF_ERROR(InsertRow(*db_, kAttrTable, std::move(attr_row)));
+  for (std::uint32_t rank = 0; rank <= replicas.size(); ++rank) {
+    const layout::BrickDistribution& rank_dist =
+        rank == 0 ? distribution : replicas[rank - 1];
+    for (std::uint32_t server = 0; server < rank_dist.num_servers();
+         ++server) {
+      DPFS_RETURN_IF_ERROR(InsertRow(
+          *db_, kDistTable,
+          {normalized, server_names[server], static_cast<std::int64_t>(server),
+           layout::BrickDistribution::EncodeBrickList(
+               rank_dist.bricks_on(server)),
+           static_cast<std::int64_t>(rank)}));
     }
-    return Status::Ok();
-  };
-
-  if (home == parent_shard) {
-    Transaction txn(Shard(home));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(insert_file_rows());
-    DPFS_RETURN_IF_ERROR(LinkName(Shard(parent_shard), parent, name, true));
-    return txn.Commit();
   }
-
-  {
-    Transaction txn(Shard(home));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(insert_file_rows());
-    DPFS_RETURN_IF_ERROR(
-        UpsertIntent(Shard(home), "create", normalized, "", ""));
-    DPFS_RETURN_IF_ERROR(txn.Commit());
-  }
-  DPFS_SHARD_COMMIT_GATE();
-  DPFS_RETURN_IF_ERROR(LinkName(Shard(parent_shard), parent, name, true));
-  DPFS_SHARD_COMMIT_GATE();
-  return DeleteIntent(Shard(home), normalized);
+  DPFS_RETURN_IF_ERROR(LinkName(parent, name, true));
+  return txn.Commit();
 }
 
 Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  metadb::Database& home = Shard(ShardOf(normalized));
+  ReaderMutexLock lock(mu_);
+  return LookupFileLocked(normalized);
+}
+
+Result<FileRecord> MetadataManager::LookupFileLocked(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet attr,
-      SelectEq(home, Hot().attr_all, Hot().filename_col, normalized));
+      SelectEq(*db_, Hot().attr_all, Hot().filename_col, path));
   if (attr.empty()) {
-    return NotFoundError("no such file '" + normalized + "'");
+    return NotFoundError("no such file '" + path + "'");
   }
 
   FileRecord record;
   FileMeta& meta = record.meta;
-  meta.path = normalized;
+  meta.path = path;
   DPFS_ASSIGN_OR_RETURN(meta.owner, attr.GetText(0, "owner"));
   DPFS_ASSIGN_OR_RETURN(const std::int64_t permission,
                         attr.GetInt(0, "permission"));
@@ -972,14 +648,12 @@ Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(meta.chunk_grid, DecodeShape(grid));
   DPFS_ASSIGN_OR_RETURN(meta.subfile, attr.GetText(0, "subfile"));
 
-  // Distribution rows, ordered by server_index; DPFS_SERVER is replicated,
-  // so the joined server rows come from the same (home) shard.
+  // Distribution rows, ordered by server_index.
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet dist,
-      SelectEq(home, Hot().dist_by_file, Hot().filename_col, normalized));
+      SelectEq(*db_, Hot().dist_by_file, Hot().filename_col, path));
   if (dist.empty()) {
-    return DataLossError("file '" + normalized +
-                         "' has no distribution rows");
+    return DataLossError("file '" + path + "' has no distribution rows");
   }
   // Rows are (server_index, replica rank) keyed; rank 0 is the paper's
   // distribution, higher ranks are replica placements (docs/REPLICATION.md).
@@ -1016,7 +690,7 @@ Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {
       DPFS_ASSIGN_OR_RETURN(const std::string server_name,
                             dist.GetText(row, "server"));
       DPFS_ASSIGN_OR_RETURN(record.servers[index],
-                            ServerByName(home, server_name));
+                            ServerByName(*db_, server_name));
     }
     DPFS_ASSIGN_OR_RETURN(const std::string bricklist,
                           dist.GetText(row, "bricklist"));
@@ -1040,11 +714,10 @@ Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {
 Status MetadataManager::SetPermission(const std::string& path,
                                       std::uint32_t permission) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  const std::size_t home = ShardOf(normalized);
-  ShardLocks locks(*this, {home});
+  WriterMutexLock lock(mu_);
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet result,
-      UpdateEq(Shard(home), kAttrTable,
+      UpdateEq(*db_, kAttrTable,
                {{"permission", static_cast<std::int64_t>(permission)}},
                Hot().filename_col, normalized));
   if (result.affected_rows == 0) {
@@ -1056,12 +729,11 @@ Status MetadataManager::SetPermission(const std::string& path,
 Status MetadataManager::SetOwner(const std::string& path,
                                  const std::string& owner) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  const std::size_t home = ShardOf(normalized);
-  ShardLocks locks(*this, {home});
+  WriterMutexLock lock(mu_);
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet result,
-      UpdateEq(Shard(home), kAttrTable, {{"owner", owner}},
-               Hot().filename_col, normalized));
+      UpdateEq(*db_, kAttrTable, {{"owner", owner}}, Hot().filename_col,
+               normalized));
   if (result.affected_rows == 0) {
     return NotFoundError("no such file '" + normalized + "'");
   }
@@ -1075,140 +747,53 @@ Status MetadataManager::RenameFile(const std::string& from,
   if (src == dst) return Status::Ok();
   const auto [src_parent, src_name] = SplitPath(src);
   const auto [dst_parent, dst_name] = SplitPath(dst);
+  WriterMutexLock lock(mu_);
 
-  const std::size_t hs = ShardOf(src);        // source rows' home
-  const std::size_t hd = ShardOf(dst);        // destination rows' home
-  const std::size_t ds = ShardOf(src_parent);  // source directory row
-  const std::size_t dd = ShardOf(dst_parent);  // destination directory row
-  ShardLocks locks(*this, {hs, hd, ds, dd});
-
-  DPFS_ASSIGN_OR_RETURN(const bool src_exists, FileExistsIn(Shard(hs), src));
+  DPFS_ASSIGN_OR_RETURN(const bool src_exists, HasFile(src));
   if (!src_exists) return NotFoundError("no such file '" + src + "'");
-  DPFS_ASSIGN_OR_RETURN(const bool dst_exists, FileExistsIn(Shard(hd), dst));
+  DPFS_ASSIGN_OR_RETURN(const bool dst_exists, HasFile(dst));
   if (dst_exists) return AlreadyExistsError("file '" + dst + "' exists");
-  DPFS_ASSIGN_OR_RETURN(const bool dst_is_dir, DirExistsIn(Shard(hd), dst));
+  DPFS_ASSIGN_OR_RETURN(const bool dst_is_dir, HasDirectory(dst));
   if (dst_is_dir) return AlreadyExistsError("'" + dst + "' is a directory");
   if (dst_name.empty()) {
     return InvalidArgumentError("rename target must name a file");
   }
-  DPFS_ASSIGN_OR_RETURN(const bool parent_exists,
-                        DirExistsIn(Shard(dd), dst_parent));
+  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(dst_parent));
   if (!parent_exists) {
     return NotFoundError("target directory '" + dst_parent +
                          "' does not exist");
   }
 
-  const auto rename_rows_on = [&](metadb::Database& db) -> Status {
-    DPFS_RETURN_IF_ERROR(UpdateEq(db, kAttrTable, {{"filename", dst}},
-                                  Hot().filename_col, src)
-                             .status());
-    return UpdateEq(db, kDistTable, {{"filename", dst}}, Hot().filename_col,
-                    src)
-        .status();
-  };
-
-  if (hs == hd && hs == ds && hs == dd) {
-    Transaction txn(Shard(hs));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(rename_rows_on(Shard(hs)));
-    DPFS_RETURN_IF_ERROR(UnlinkName(Shard(ds), src_parent, src_name, true));
-    DPFS_RETURN_IF_ERROR(LinkName(Shard(dd), dst_parent, dst_name, true));
-    return txn.Commit();
-  }
-
-  // Cross-shard rename. When the file's home shard moves (hs != hd) the
-  // rows travel inside the intent payload: the home transaction deletes
-  // them and persists their serialized form, the destination shard
-  // re-inserts them. Directory link/unlink roles on the home shard fold
-  // into the same transaction; the rest replay on their own shards.
-  std::string payload;
-  if (hs != hd) {
-    DPFS_ASSIGN_OR_RETURN(payload, BuildRenamePayload(Shard(hs), src, dst));
-  }
-  {
-    Transaction txn(Shard(hs));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    if (hs == hd) {
-      DPFS_RETURN_IF_ERROR(rename_rows_on(Shard(hs)));
-    } else {
-      DPFS_RETURN_IF_ERROR(
-          DeleteEq(Shard(hs), kAttrTable, Hot().filename_col, src).status());
-      DPFS_RETURN_IF_ERROR(
-          DeleteEq(Shard(hs), kDistTable, Hot().filename_col, src).status());
-    }
-    if (ds == hs) {
-      DPFS_RETURN_IF_ERROR(UnlinkName(Shard(hs), src_parent, src_name, true));
-    }
-    if (dd == hs) {
-      DPFS_RETURN_IF_ERROR(LinkName(Shard(hs), dst_parent, dst_name, true));
-    }
-    DPFS_RETURN_IF_ERROR(
-        UpsertIntent(Shard(hs), "rename", src, dst, payload));
-    DPFS_RETURN_IF_ERROR(txn.Commit());
-  }
-
-  std::vector<std::size_t> followers = {hd, ds, dd};
-  std::sort(followers.begin(), followers.end());
-  followers.erase(std::unique(followers.begin(), followers.end()),
-                  followers.end());
-  for (const std::size_t shard : followers) {
-    if (shard == hs) continue;
-    DPFS_SHARD_COMMIT_GATE();
-    if (shard == hd && hs != hd) {
-      DPFS_RETURN_IF_ERROR(ApplyRenamePayload(Shard(shard), dst, payload));
-    }
-    if (shard == ds) {
-      DPFS_RETURN_IF_ERROR(
-          UnlinkName(Shard(shard), src_parent, src_name, true));
-    }
-    if (shard == dd) {
-      DPFS_RETURN_IF_ERROR(LinkName(Shard(shard), dst_parent, dst_name, true));
-    }
-  }
-  DPFS_SHARD_COMMIT_GATE();
-  return DeleteIntent(Shard(hs), src);
+  Transaction txn(*db_);
+  DPFS_RETURN_IF_ERROR(txn.Begin());
+  DPFS_RETURN_IF_ERROR(
+      UpdateEq(*db_, kAttrTable, {{"filename", dst}}, Hot().filename_col, src)
+          .status());
+  DPFS_RETURN_IF_ERROR(
+      UpdateEq(*db_, kDistTable, {{"filename", dst}}, Hot().filename_col, src)
+          .status());
+  DPFS_RETURN_IF_ERROR(UnlinkName(src_parent, src_name, true));
+  DPFS_RETURN_IF_ERROR(LinkName(dst_parent, dst_name, true));
+  return txn.Commit();
 }
 
 Result<FileRecord> MetadataManager::DeleteFile(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
   const auto [parent, name] = SplitPath(normalized);
-  const std::size_t home = ShardOf(normalized);
-  const std::size_t parent_shard = ShardOf(parent);
-  ShardLocks locks(*this, {home, parent_shard});
+  WriterMutexLock lock(mu_);
 
-  // Read under the delete's locks (LookupFile takes none), so the record
-  // returned is exactly the one deleted.
-  DPFS_ASSIGN_OR_RETURN(FileRecord record, LookupFile(normalized));
+  // Read under the delete's lock, so the record returned is exactly the one
+  // deleted.
+  DPFS_ASSIGN_OR_RETURN(FileRecord record, LookupFileLocked(normalized));
 
-  const auto delete_file_rows = [&]() -> Status {
-    DPFS_RETURN_IF_ERROR(
-        DeleteEq(Shard(home), kAttrTable, Hot().filename_col, normalized)
-            .status());
-    return DeleteEq(Shard(home), kDistTable, Hot().filename_col, normalized)
-        .status();
-  };
-
-  if (home == parent_shard) {
-    Transaction txn(Shard(home));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(delete_file_rows());
-    DPFS_RETURN_IF_ERROR(UnlinkName(Shard(parent_shard), parent, name, true));
-    DPFS_RETURN_IF_ERROR(txn.Commit());
-    return record;
-  }
-
-  {
-    Transaction txn(Shard(home));
-    DPFS_RETURN_IF_ERROR(txn.Begin());
-    DPFS_RETURN_IF_ERROR(delete_file_rows());
-    DPFS_RETURN_IF_ERROR(
-        UpsertIntent(Shard(home), "delete", normalized, "", ""));
-    DPFS_RETURN_IF_ERROR(txn.Commit());
-  }
-  DPFS_SHARD_COMMIT_GATE();
-  DPFS_RETURN_IF_ERROR(UnlinkName(Shard(parent_shard), parent, name, true));
-  DPFS_SHARD_COMMIT_GATE();
-  DPFS_RETURN_IF_ERROR(DeleteIntent(Shard(home), normalized));
+  Transaction txn(*db_);
+  DPFS_RETURN_IF_ERROR(txn.Begin());
+  DPFS_RETURN_IF_ERROR(
+      DeleteEq(*db_, kAttrTable, Hot().filename_col, normalized).status());
+  DPFS_RETURN_IF_ERROR(
+      DeleteEq(*db_, kDistTable, Hot().filename_col, normalized).status());
+  DPFS_RETURN_IF_ERROR(UnlinkName(parent, name, true));
+  DPFS_RETURN_IF_ERROR(txn.Commit());
   return record;
 }
 

@@ -18,22 +18,10 @@
 // database transaction, which is the paper's argument for using a database
 // in the first place.
 //
-// Sharding (extension, docs/METADATA_SCHEMA.md "Sharding"): the manager
-// runs on a metadb::ShardedDatabase. A file's DPFS_FILE_ATTR and
-// DPFS_FILE_DISTRIBUTION rows co-locate on its path-hash home shard; a
-// directory's DPFS_DIRECTORY row lives on the directory's own shard;
-// DPFS_SERVER is tiny and read-mostly, so it is replicated to every shard on
-// register (lookups stay single-shard).
-// Mutations spanning shards commit in ascending shard order behind a
-// persisted intent record on the home shard; a crash between shard commits
-// is rolled forward by the idempotent repair pass in Attach. If a
-// cross-shard mutation fails mid-protocol *without* a crash (failpoint,
-// disk error), the error is surfaced and the pending intent likewise waits
-// for the next Attach.
-//
-// Thread safety: reads take no manager-level lock (each shard's SELECT path
-// is reader-shared); mutations serialize per involved shard via the
-// manager's shard transaction mutexes, acquired in ascending index order.
+// Thread safety: one reader/writer lock makes each namespace operation
+// atomic to every other thread. A mutation holds it exclusively from its
+// validation reads through its commit; a read holds it shared, so it sees
+// each transaction whole or not at all.
 #pragma once
 
 #include <cstdint>
@@ -52,22 +40,18 @@
 #include "layout/hpf.h"
 #include "layout/placement.h"
 #include "metadb/database.h"
-#include "metadb/sharded_database.h"
 #include "net/connection.h"
 
 namespace dpfs::client {
 
 class MetadataManager final : public MetadataService {
  public:
-  /// Wraps an open (possibly sharded) database: creates the DPFS tables on
-  /// every shard if missing, rolls forward any cross-shard intent records a
-  /// crash left behind, then upgrades older layouts in place: widens
-  /// DPFS_FILE_DISTRIBUTION by `replica` and DPFS_FILE_ATTR by `subfile`,
-  /// and drops the retired access-log table. The upgrades wait for the
-  /// repair pass because a pending intent's payload INSERTs rows of the
-  /// layout that wrote it.
+  /// Wraps an open database: creates the DPFS tables if missing, then
+  /// upgrades older layouts in place: widens DPFS_FILE_DISTRIBUTION by
+  /// `replica` and DPFS_FILE_ATTR by `subfile`, and drops the retired
+  /// access-log table.
   static Result<std::unique_ptr<MetadataManager>> Attach(
-      std::shared_ptr<metadb::ShardedDatabase> db);
+      std::shared_ptr<metadb::Database> db);
 
   // --- DPFS_SERVER -------------------------------------------------------
   Status RegisterServer(const ServerInfo& server) override;
@@ -93,62 +77,39 @@ class MetadataManager final : public MetadataService {
   Result<bool> DirectoryExists(const std::string& path) override;
   Result<Listing> ListDirectory(const std::string& path) override;
 
-  /// Shard 0 — the whole database when unsharded. Compatibility accessor
-  /// for single-shard consumers (the shell's `sql` command, tests);
-  /// cross-shard consumers iterate sharded_db() instead.
-  [[nodiscard]] metadb::Database& db() noexcept { return db_->shard(0); }
-  [[nodiscard]] metadb::ShardedDatabase& sharded_db() noexcept { return *db_; }
+  /// The database itself (the shell's `sql` command, fsck, tests).
+  [[nodiscard]] metadb::Database& db() noexcept { return *db_; }
 
  private:
-  class ShardLocks;
+  explicit MetadataManager(std::shared_ptr<metadb::Database> db)
+      : db_(std::move(db)) {}
 
-  explicit MetadataManager(std::shared_ptr<metadb::ShardedDatabase> db);
-
-  [[nodiscard]] std::size_t ShardOf(std::string_view path) const {
-    return db_->ShardForPath(path);
-  }
-  [[nodiscard]] metadb::Database& Shard(std::size_t index) {
-    return db_->shard(index);
-  }
-
+  // Attach-time only, before the manager is shared.
   Status EnsureTables();
-  /// Adds `column` as the last column of `table` on one shard unless it is
-  /// already there; each existing row gets fill(row). metadb has no ALTER
-  /// TABLE, so this is a transactional read → drop → recreate from `ddl` →
-  /// re-insert.
+  /// Adds `column` as the last column of `table` unless it is already
+  /// there; each existing row gets fill(row). metadb has no ALTER TABLE, so
+  /// this is a transactional read → drop → recreate from `ddl` → re-insert.
   Status WidenTable(
-      metadb::Database& shard, const char* table, std::string_view column,
-      const char* ddl,
+      const char* table, std::string_view column, const char* ddl,
       const std::function<metadb::Value(const metadb::Row&)>& fill);
-  /// Rolls forward every pending cross-shard intent (idempotent; called
-  /// from Attach before the manager is shared, so it takes no locks).
-  Status RepairIntents();
-  Status ApplyIntent(const std::string& op, const std::string& src,
-                     const std::string& dst, const std::string& payload);
 
-  /// Directory-list edits, idempotent so the repair pass can re-run them:
-  /// link is add-if-absent, unlink is remove-if-present; a missing
-  /// directory row is a silent no-op (the row's mutation already committed
-  /// or the directory is gone). `file` selects the files vs sub_dirs column.
-  Status LinkName(metadb::Database& db, const std::string& dir,
-                  const std::string& name, bool file);
-  Status UnlinkName(metadb::Database& db, const std::string& dir,
-                    const std::string& name, bool file);
+  // Each takes a normalized path.
+  Result<bool> HasFile(const std::string& path) DPFS_REQUIRES_SHARED(mu_);
+  Result<bool> HasDirectory(const std::string& path)
+      DPFS_REQUIRES_SHARED(mu_);
+  Result<FileRecord> LookupFileLocked(const std::string& path)
+      DPFS_REQUIRES_SHARED(mu_);
+  /// Directory-list edits: link is add-if-absent, unlink is
+  /// remove-if-present; a missing directory row is a no-op. `file` selects
+  /// the files vs sub_dirs column.
+  Status LinkName(const std::string& dir, const std::string& name, bool file)
+      DPFS_REQUIRES(mu_);
+  Status UnlinkName(const std::string& dir, const std::string& name,
+                    bool file) DPFS_REQUIRES(mu_);
 
-  Status UpsertIntent(metadb::Database& home, const std::string& op,
-                      const std::string& src, const std::string& dst,
-                      const std::string& payload);
-  Status DeleteIntent(metadb::Database& home, const std::string& src);
-  /// Moves a renamed file's rows onto the destination home shard:
-  /// delete-then-insert from the intent payload, idempotent.
-  Status ApplyRenamePayload(metadb::Database& db, const std::string& dst,
-                            const std::string& payload);
-
-  std::shared_ptr<metadb::ShardedDatabase> db_;
-  /// One transaction mutex per shard: Database allows a single open
-  /// transaction, so writers to a shard must not interleave statements.
-  /// Locked in ascending shard order (total order => no deadlock).
-  std::vector<std::unique_ptr<Mutex>> shard_mu_;
+  const std::shared_ptr<metadb::Database> db_;
+  /// Exclusive for a mutation, shared for a read (see the file comment).
+  SharedMutex mu_;
 };
 
 }  // namespace dpfs::client

@@ -3,8 +3,8 @@
 //
 // Two implementations exist:
 //   MetadataManager       (metadata.h)        — embedded, runs SQL against a
-//                                               metadb::ShardedDatabase in
-//                                               this process. The paper's
+//                                               metadb::Database in this
+//                                               process. The paper's
 //                                               semantics and the default.
 //   RemoteMetadataManager (remote_metadata.h) — speaks the kMeta* wire
 //                                               opcodes to a dpfs-metad
@@ -113,8 +113,8 @@ class MetadataService {
   virtual Status SetOwner(const std::string& path,
                           const std::string& owner) = 0;
   /// Deletes the file's attribute + distribution rows and its directory
-  /// link atomically, and returns the record it deleted, read under the
-  /// same shard locks. The subfiles stay on the servers:
+  /// link atomically, and returns the record it deleted, read in the same
+  /// transaction. The subfiles stay on the servers:
   /// FileSystem::Remove deletes them by the returned record's subfile id.
   virtual Result<FileRecord> DeleteFile(const std::string& path) = 0;
   virtual Result<bool> FileExists(const std::string& path) = 0;

@@ -32,16 +32,10 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
 
   if (options.metadata_endpoint.empty()) {
     if (options.durable_metadata) {
-      DPFS_ASSIGN_OR_RETURN(
-          std::unique_ptr<metadb::ShardedDatabase> db,
-          metadb::ShardedDatabase::Open(cluster->root_ / "metadb",
-                                        options.metadb_shards));
-      cluster->sharded_db_ = std::move(db);
+      DPFS_ASSIGN_OR_RETURN(cluster->db_,
+                            metadb::Database::Open(cluster->root_ / "metadb"));
     } else {
-      DPFS_ASSIGN_OR_RETURN(
-          std::unique_ptr<metadb::ShardedDatabase> db,
-          metadb::ShardedDatabase::OpenInMemory(options.metadb_shards));
-      cluster->sharded_db_ = std::move(db);
+      cluster->db_ = metadb::Database::OpenInMemory();
     }
   }
 
@@ -60,13 +54,13 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
     metad_options.max_sessions = options.max_sessions;
     DPFS_ASSIGN_OR_RETURN(
         cluster->metad_,
-        metad::MetadService::Start(cluster->sharded_db_, metad_options));
+        metad::MetadService::Start(cluster->db_, metad_options));
     DPFS_ASSIGN_OR_RETURN(cluster->fs_,
                           client::FileSystem::ConnectRemote(
                               cluster->metad_->endpoint(), remote_options));
   } else {
     DPFS_ASSIGN_OR_RETURN(cluster->fs_,
-                          client::FileSystem::Connect(cluster->sharded_db_));
+                          client::FileSystem::Connect(cluster->db_));
   }
   for (std::uint32_t i = 0; i < options.num_servers; ++i) {
     server::ServerOptions server_options;
@@ -138,7 +132,7 @@ Status LocalCluster::RestartMetad() {
   options.port = endpoint.port;  // clients redial the endpoint they know
   options.max_sessions = max_sessions_;
   DPFS_ASSIGN_OR_RETURN(metad_,
-                        metad::MetadService::Start(sharded_db_, options));
+                        metad::MetadService::Start(db_, options));
   // Cached records may predate whatever interrupted the old incarnation.
   if (fs_ != nullptr) fs_->remote_metadata()->InvalidateCache();
   return Status::Ok();

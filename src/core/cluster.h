@@ -34,9 +34,6 @@ struct ClusterOptions {
   std::filesystem::path root_dir;
   /// Persist metadata on disk (WAL + snapshot) instead of in memory.
   bool durable_metadata = false;
-  /// Path-hash metadata shards (`metadb_shards` extension). 1 = the paper's
-  /// single database with a byte-identical on-disk layout.
-  std::size_t metadb_shards = 1;
   /// Concurrent session cap per server (0 = unlimited); see
   /// ServerOptions::max_sessions.
   std::size_t max_sessions = 0;
@@ -47,8 +44,8 @@ struct ClusterOptions {
   bool start_metadata_service = false;
   /// host:port of an already-running dpfs-metad to use instead of opening
   /// a database in this process. Mutually exclusive with
-  /// start_metadata_service; db()/sharded_db() return null in this mode
-  /// (the remote process owns the database and its flock).
+  /// start_metadata_service; db() returns null in this mode (the remote
+  /// process owns the database and its flock).
   std::string metadata_endpoint;
   /// LookupFile cache TTL for the remote metadata modes; 0 disables the
   /// cache. Ignored with embedded metadata.
@@ -66,15 +63,10 @@ class LocalCluster {
   [[nodiscard]] std::shared_ptr<client::FileSystem> fs() const noexcept {
     return fs_;
   }
-  /// Shard 0 — the whole database when metadb_shards == 1. Cross-shard
-  /// consumers use sharded_db(). Null when the cluster uses an external
+  /// The metadata database. Null when the cluster uses an external
   /// metadata_endpoint (the remote process owns the database).
   [[nodiscard]] std::shared_ptr<metadb::Database> db() const noexcept {
-    return sharded_db_ == nullptr ? nullptr : sharded_db_->shard_ptr(0);
-  }
-  [[nodiscard]] const std::shared_ptr<metadb::ShardedDatabase>& sharded_db()
-      const noexcept {
-    return sharded_db_;
+    return db_;
   }
   [[nodiscard]] std::size_t num_servers() const noexcept {
     return servers_.size();
@@ -101,9 +93,9 @@ class LocalCluster {
   }
 
   /// Stops the in-process metad and starts a replacement on the same port
-  /// and the same ShardedDatabase, as if the metadata host rebooted —
-  /// Start re-runs intent repair, so chaos tests exercise crash recovery
-  /// over the wire. Error unless start_metadata_service was set.
+  /// and the same database, as if the metadata host rebooted, so chaos
+  /// tests exercise a metad restart over the wire. Error unless
+  /// start_metadata_service was set.
   Status RestartMetad();
 
  private:
@@ -113,7 +105,7 @@ class LocalCluster {
   std::filesystem::path root_;
   std::size_t max_sessions_ = 0;
   std::vector<std::unique_ptr<server::IoServer>> servers_;
-  std::shared_ptr<metadb::ShardedDatabase> sharded_db_;
+  std::shared_ptr<metadb::Database> db_;
   std::unique_ptr<metad::MetadService> metad_;
   std::shared_ptr<client::FileSystem> fs_;
 };

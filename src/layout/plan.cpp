@@ -167,6 +167,14 @@ Result<ClientPlan> PlanListAccess(const BrickMap& map,
     if (extent.length == 0) {
       return InvalidArgumentError("list extents must be non-empty");
     }
+    // Written without offset + length, which can wrap past 2^64.
+    if (extent.length > map.total_bytes() ||
+        extent.offset > map.total_bytes() - extent.length) {
+      return InvalidArgumentError(
+          "extent at " + std::to_string(extent.offset) + " of " +
+          std::to_string(extent.length) + " bytes ends past the file (" +
+          std::to_string(map.total_bytes()) + " bytes)");
+    }
     if (!merged.empty()) {
       const std::uint64_t end = merged.back().offset + merged.back().length;
       if (extent.offset < end) {

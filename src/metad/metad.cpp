@@ -52,25 +52,21 @@ Bytes BodyReply(const Reply& reply) {
 }  // namespace
 
 Result<std::unique_ptr<MetadService>> MetadService::Start(
-    std::shared_ptr<metadb::ShardedDatabase> db, MetadOptions options) {
+    std::shared_ptr<metadb::Database> db, MetadOptions options) {
   if (db == nullptr) {
     return InvalidArgumentError("metad: null database");
   }
-  // Attach creates missing tables and rolls forward any cross-shard intent
-  // a crashed predecessor left behind — the service's recovery pass.
   DPFS_ASSIGN_OR_RETURN(std::unique_ptr<client::MetadataManager> metadata,
-                        client::MetadataManager::Attach(db));
+                        client::MetadataManager::Attach(std::move(db)));
   std::unique_ptr<MetadService> service(
-      new MetadService(options, std::move(db), std::move(metadata)));
+      new MetadService(options, std::move(metadata)));
   DPFS_RETURN_IF_ERROR(service->transport_.Start());
   return service;
 }
 
 MetadService::MetadService(MetadOptions options,
-                           std::shared_ptr<metadb::ShardedDatabase> db,
                            std::unique_ptr<client::MetadataManager> metadata)
-    : db_(std::move(db)),
-      metadata_(std::move(metadata)),
+    : metadata_(std::move(metadata)),
       transport_({.port = options.port,
                   .max_sessions = options.max_sessions,
                   .metrics_port = options.metrics_port,

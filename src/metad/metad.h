@@ -3,7 +3,7 @@
 //
 // The paper embeds metadata access in every client; since metadb::Database
 // holds an advisory flock, that limits a namespace to one process. This
-// service is the unlock (HopsFS-style): it owns the ShardedDatabase and
+// service is the unlock (HopsFS-style): it owns the database and
 // serves the kMeta* namespace opcodes over the same frame envelope as the
 // I/O servers, so any number of client processes share one mutable
 // namespace through their RemoteMetadataManager (client/remote_metadata.h).
@@ -13,9 +13,10 @@
 // own "metad.reply" failpoint site, so chaos schedules target this service
 // specifically.
 //
-// Crash recovery is inherited, not reimplemented: Start attaches a
-// MetadataManager, whose Attach rolls forward any cross-shard intent
-// records a previous incarnation left mid-mutation.
+// Each namespace operation is one MetadataManager transaction under the
+// manager's lock, so clients on different sessions see it whole or not at
+// all, and a successor started on the same database sees exactly the
+// transactions that committed.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,7 @@
 #include "client/metadata.h"
 #include "common/bytes.h"
 #include "common/status.h"
-#include "metadb/sharded_database.h"
+#include "metadb/database.h"
 #include "net/connection.h"
 #include "server/frame_server.h"
 
@@ -43,10 +44,10 @@ struct MetadOptions {
 
 class MetadService {
  public:
-  /// Attaches a MetadataManager to `db` (creating tables and rolling
-  /// forward pending cross-shard intents), binds, and starts serving.
+  /// Attaches a MetadataManager to `db` (creating tables if missing),
+  /// binds, and starts serving.
   static Result<std::unique_ptr<MetadService>> Start(
-      std::shared_ptr<metadb::ShardedDatabase> db, MetadOptions options = {});
+      std::shared_ptr<metadb::Database> db, MetadOptions options = {});
 
   ~MetadService();
   MetadService(const MetadService&) = delete;
@@ -72,14 +73,12 @@ class MetadService {
 
  private:
   MetadService(MetadOptions options,
-               std::shared_ptr<metadb::ShardedDatabase> db,
                std::unique_ptr<client::MetadataManager> metadata);
 
   /// The per-opcode service switch for the kMeta* opcodes; returns the
   /// reply payload.
   Bytes Dispatch(net::MessageType type, BinaryReader& reader);
 
-  std::shared_ptr<metadb::ShardedDatabase> db_;
   std::unique_ptr<client::MetadataManager> metadata_;
   server::FrameServer transport_;
 };

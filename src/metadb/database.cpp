@@ -185,10 +185,36 @@ Result<int> AcquireDirLock(const std::filesystem::path& dir,
   }
 }
 
+/// The "<N>" of a retired sharded layout's "<dir>/shards" manifest
+/// ("shards=<N>"), or nullopt when `dir` has no manifest.
+std::optional<std::string> RetiredShardCount(
+    const std::filesystem::path& dir) {
+  std::FILE* in = std::fopen((dir / "shards").string().c_str(), "rb");
+  if (in == nullptr) return std::nullopt;
+  char buf[64];
+  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, in);
+  std::fclose(in);
+  buf[n] = '\0';
+  constexpr std::string_view kPrefix = "shards=";
+  std::string_view text = TrimWhitespace(buf);
+  if (text.starts_with(kPrefix)) text.remove_prefix(kPrefix.size());
+  return std::string(text);
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Database>> Database::Open(
     const std::filesystem::path& dir, std::chrono::milliseconds lock_wait) {
+  // The retired path-hash-sharded layout kept its tables in per-shard
+  // directories beside a "shards=<N>" manifest. Opening `dir` itself would
+  // start an empty namespace beside them, so refuse before writing anything.
+  if (const std::optional<std::string> shards = RetiredShardCount(dir)) {
+    return InvalidArgumentError(
+        "database '" + dir.string() + "' uses the retired sharded layout (" +
+        *shards +
+        " shards); one database cannot open it, and merging shards into one "
+        "is not supported");
+  }
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return IoError("create db dir '" + dir.string() + "': " + ec.message());
@@ -383,12 +409,6 @@ void Database::SetSyncCommits(bool sync) {
   if (wal_.has_value()) wal_->SetSyncCommits(sync);
 }
 
-void Database::SetMetricsShard(std::size_t shard) {
-  const std::string label = "{shard=" + std::to_string(shard) + "}";
-  shard_statements_ = &metrics::GetCounter("metadb.statements" + label);
-  shard_execute_us_ = &metrics::GetHistogram("metadb.execute_us" + label);
-}
-
 Status Database::CreateIndex(std::string_view table, std::string_view column) {
   WriterMutexLock lock(mu_);
   DPFS_ASSIGN_OR_RETURN(Table * found, FindTable(table));
@@ -405,10 +425,7 @@ Result<ResultSet> Database::Execute(std::string_view sql) {
 
 Result<ResultSet> Database::ExecuteStatement(const Statement& statement) {
   MetadbMetrics().statements.Add();
-  if (shard_statements_ != nullptr) shard_statements_->Add();
   metrics::ScopedTimer timer(MetadbMetrics().execute_us);
-  std::optional<metrics::ScopedTimer> shard_timer;
-  if (shard_execute_us_ != nullptr) shard_timer.emplace(*shard_execute_us_);
 
   // Reader fast path: a SELECT mutates nothing (its auto-commit records no
   // redo/undo and cannot grow the WAL), so concurrent lookups share mu_

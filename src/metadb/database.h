@@ -9,8 +9,9 @@
 // All entry points are thread-safe behind one reader/writer lock: mutations
 // (and transaction control) hold it exclusively; plain SELECTs outside the
 // auto-checkpoint path run under a shared hold, so concurrent lookups no
-// longer serialize. For metadata scaling beyond one writer, see
-// metadb/sharded_database.h.
+// longer serialize. The lock covers one statement: a caller that needs a
+// multi-statement transaction to look atomic to other threads serializes
+// them itself (client::MetadataManager does).
 #pragma once
 
 #include <chrono>
@@ -27,11 +28,6 @@
 #include "metadb/sql_ast.h"
 #include "metadb/table.h"
 #include "metadb/wal.h"
-
-namespace dpfs::metrics {
-class Counter;
-class Histogram;
-}  // namespace dpfs::metrics
 
 namespace dpfs::metadb {
 
@@ -61,7 +57,9 @@ struct ResultSet {
 class Database {
  public:
   /// Durable database rooted at `dir` (created if missing): `snapshot.db`
-  /// plus `wal.log`. Recovers committed state on open.
+  /// plus `wal.log`. Recovers committed state on open. A directory in the
+  /// retired sharded layout (a `shards` manifest beside per-shard
+  /// directories) is refused with kInvalidArgument and left untouched.
   ///
   /// The database is embedded, single-process: Open takes an exclusive
   /// advisory lock (`<dir>/lock`) held until destruction, waiting up to
@@ -116,13 +114,6 @@ class Database {
   [[nodiscard]] bool in_transaction() const;
   [[nodiscard]] std::uint64_t wal_size_bytes() const;
 
-  /// Tags this database as shard `shard` of a ShardedDatabase: statement
-  /// count and execute latency are additionally recorded under
-  /// `metadb.statements{shard=N}` / `metadb.execute_us{shard=N}` so per-shard
-  /// load imbalance is visible (docs/OBSERVABILITY.md). Call once, before
-  /// the database is shared across threads.
-  void SetMetricsShard(std::size_t shard);
-
  private:
   Database() = default;
 
@@ -171,11 +162,6 @@ class Database {
   std::uint64_t next_txn_id_ DPFS_GUARDED_BY(mu_) = 1;
   std::uint64_t auto_checkpoint_wal_bytes_
       DPFS_GUARDED_BY(mu_) = 0;         // 0 = disabled
-
-  // Per-shard labeled instruments (null when not part of a ShardedDatabase).
-  // Set once before the database is shared, then read-only — no lock.
-  metrics::Counter* shard_statements_ = nullptr;
-  metrics::Histogram* shard_execute_us_ = nullptr;
 
   // Active transaction state (empty when not in a transaction).
   bool in_txn_ DPFS_GUARDED_BY(mu_) = false;

@@ -442,9 +442,6 @@ Status Shell::CmdSql(std::string_view line, std::ostream& out) {
         "sql needs embedded metadata; this client talks to a remote "
         "metadata server (run the shell on the metad host instead)");
   }
-  // Runs against shard 0 — the whole database unless metadb_shards > 1
-  // (sharded deployments debug per shard; rows for other shards' paths
-  // won't be visible here).
   DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet result,
                         embedded->db().Execute(line));
   if (!result.columns.empty()) {

@@ -386,6 +386,28 @@ TEST_F(FileSystemTest, DatatypeExtentBoundsChecked) {
   EXPECT_TRUE(fs_->ReadType(handle, 7, type, buf).ok());
 }
 
+TEST_F(FileSystemTest, AccessWhoseEndWrapsU64IsOutOfRange) {
+  // offset + size wraps to 8, inside the file; each call must still see
+  // that the access ends past the file.
+  CreateOptions options;
+  options.total_bytes = 4096;
+  FileHandle handle = fs_->Create("/wrap", options).value();
+  const std::uint64_t near_max = ~std::uint64_t{0} - 7;
+  Bytes buf(16);
+  EXPECT_EQ(fs_->ReadBytes(handle, near_max, buf).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(fs_->WriteBytes(handle, near_max, buf).code(),
+            StatusCode::kOutOfRange);
+  const Datatype type = Datatype::Bytes(16);
+  EXPECT_EQ(fs_->ReadType(handle, near_max, type, buf).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(fs_->WriteType(handle, near_max, type, buf).code(),
+            StatusCode::kOutOfRange);
+  // The file is untouched and still readable in full.
+  Bytes whole(4096);
+  EXPECT_TRUE(fs_->ReadBytes(handle, 0, whole).ok());
+}
+
 TEST_F(FileSystemTest, RemoveDeletesSubfilesAndMetadata) {
   CreateOptions options;
   options.total_bytes = 1024;
@@ -639,8 +661,8 @@ TEST_F(FileSystemTest, RenameMovesMetadataNotBytes) {
 
 TEST_F(FileSystemTest, RenameAndRemoveRunPinnedStatementCounts) {
   // The SQL statements one rename and one remove run on the embedded
-  // 1-shard database, pinned exactly so a statement added to either path
-  // shows up here. Rename is RenameFile alone: four checks (the source
+  // database, pinned exactly so a statement added to either path shows up
+  // here. Rename is RenameFile alone: four checks (the source
   // file, a file or a directory at the target, the target's parent),
   // BEGIN, the row updates in the file's two tables, the unlink and link
   // (a SELECT and an UPDATE each), COMMIT = 12. Remove is DeleteFile: the

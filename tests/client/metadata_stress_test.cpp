@@ -1,10 +1,9 @@
-// Multi-threaded metadata stress: concurrent Create/Lookup/Rename/Delete
-// against one MetadataManager, parameterized over 1 shard (the paper's
-// single database) and 4 shards (the `metadb_shards` extension). Threads
+// Multi-threaded metadata stress against one MetadataManager. Threads
 // mutate disjoint file names but share the directory tree and the read
-// paths, so this exercises the per-shard transaction mutexes, the
-// reader-shared SELECT path, and the cross-shard link protocol under real
-// contention. Runs under the tsan/asan presets like the rest of the suite.
+// paths, so this exercises the manager's lock and the database's
+// reader-shared SELECT path under real contention, and checks that a
+// reader never sees half of a namespace transaction. Runs under the
+// tsan/asan presets like the rest of the suite.
 #include <algorithm>
 #include <atomic>
 #include <string>
@@ -14,18 +13,16 @@
 #include <gtest/gtest.h>
 
 #include "client/metadata.h"
-#include "metadb/sharded_database.h"
+#include "metadb/database.h"
 
 namespace dpfs::client {
 namespace {
 
-class MetadataStressTest : public ::testing::TestWithParam<std::size_t> {
+class MetadataStressTest : public ::testing::Test {
  protected:
   MetadataStressTest() {
-    std::unique_ptr<metadb::ShardedDatabase> db =
-        metadb::ShardedDatabase::OpenInMemory(GetParam()).value();
-    db_ = std::move(db);
-    manager_ = MetadataManager::Attach(db_).value();
+    manager_ =
+        MetadataManager::Attach(metadb::Database::OpenInMemory()).value();
     ServerInfo server;
     server.name = "s0";
     server.endpoint = {"127.0.0.1", 9000};
@@ -53,11 +50,10 @@ class MetadataStressTest : public ::testing::TestWithParam<std::size_t> {
     return manager_->CreateFile(MakeLinearMeta(path), {"s0", "s1"}, dist);
   }
 
-  std::shared_ptr<metadb::ShardedDatabase> db_;
   std::unique_ptr<MetadataManager> manager_;
 };
 
-TEST_P(MetadataStressTest, ConcurrentCreateLookupRenameDelete) {
+TEST_F(MetadataStressTest, ConcurrentCreateLookupRenameDelete) {
   constexpr int kThreads = 4;
   constexpr int kFilesPerThread = 16;
   ASSERT_TRUE(manager_->MakeDirectory("/stress").ok());
@@ -128,11 +124,72 @@ TEST_P(MetadataStressTest, ConcurrentCreateLookupRenameDelete) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, MetadataStressTest,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}),
-                         [](const ::testing::TestParamInfo<std::size_t>& p) {
-                           return "Shards" + std::to_string(p.param);
-                         });
+TEST_F(MetadataStressTest, ReadersSeeWholeTransactions) {
+  // One writer swings a file between /d/a and /d/b and creates and deletes
+  // /d/c; two readers look up all three names and list /d meanwhile. Each
+  // mutation is one transaction, so a reader sees it whole or not at all:
+  // a lookup never finds a file's attribute row without its distribution
+  // rows, and a listing always holds exactly one of a and b.
+  constexpr int kRenames = 2000;
+  constexpr int kReaders = 2;
+  ASSERT_TRUE(manager_->MakeDirectory("/d").ok());
+  ASSERT_TRUE(CreateTestFile("/d/a").ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> writer_errors{0};
+  std::atomic<int> bad_lookups{0};
+  std::atomic<int> bad_listings{0};
+  std::atomic<int> listings{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kRenames; ++i) {
+      const bool at_a = i % 2 == 0;
+      if (!manager_->RenameFile(at_a ? "/d/a" : "/d/b", at_a ? "/d/b" : "/d/a")
+               .ok()) {
+        ++writer_errors;
+      }
+      if (i % 4 == 0) {
+        if (!CreateTestFile("/d/c").ok()) ++writer_errors;
+      } else if (i % 4 == 2) {
+        if (!manager_->DeleteFile("/d/c").ok()) ++writer_errors;
+      }
+    }
+    done = true;
+  });
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!done) {
+        for (const char* path : {"/d/a", "/d/b", "/d/c"}) {
+          const Result<FileRecord> record = manager_->LookupFile(path);
+          if (!record.ok() &&
+              record.status().code() != StatusCode::kNotFound) {
+            ++bad_lookups;
+          }
+        }
+        const Result<MetadataManager::Listing> listing =
+            manager_->ListDirectory("/d");
+        ++listings;
+        if (!listing.ok()) {
+          ++bad_listings;
+          continue;
+        }
+        const std::vector<std::string>& files = listing.value().files;
+        const auto count = [&files](const char* name) {
+          return std::count(files.begin(), files.end(), name);
+        };
+        if (count("a") + count("b") != 1) ++bad_listings;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(writer_errors.load(), 0);
+  EXPECT_EQ(bad_lookups.load(), 0);
+  EXPECT_EQ(bad_listings.load(), 0) << "of " << listings.load() << " listings";
+  EXPECT_GT(listings.load(), 0);
+}
 
 }  // namespace
 }  // namespace dpfs::client

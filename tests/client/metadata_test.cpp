@@ -1,10 +1,13 @@
 #include "client/metadata.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/temp_dir.h"
 
 namespace dpfs::client {
 namespace {
@@ -12,9 +15,8 @@ namespace {
 class MetadataTest : public ::testing::Test {
  protected:
   MetadataTest() {
-    std::shared_ptr<metadb::ShardedDatabase> db =
-        metadb::ShardedDatabase::OpenInMemory(1).value();
-    manager_ = MetadataManager::Attach(db).value();
+    manager_ =
+        MetadataManager::Attach(metadb::Database::OpenInMemory()).value();
   }
 
   ServerInfo MakeServer(const std::string& name, std::uint32_t performance) {
@@ -43,29 +45,48 @@ class MetadataTest : public ::testing::Test {
 };
 
 TEST_F(MetadataTest, TablesCreatedOnAttach) {
-  // Every shard of a fresh database holds exactly the paper's four tables;
-  // a sharded database adds only the cross-shard intent table.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    std::shared_ptr<metadb::ShardedDatabase> db =
-        metadb::ShardedDatabase::OpenInMemory(shards).value();
-    ASSERT_TRUE(MetadataManager::Attach(db).ok());
-    std::vector<std::string> expected = {"DPFS_DIRECTORY", "DPFS_FILE_ATTR",
-                                         "DPFS_FILE_DISTRIBUTION",
-                                         "DPFS_SERVER"};
-    if (shards > 1) expected.push_back("DPFS_INTENT");
-    std::sort(expected.begin(), expected.end());
-    for (std::size_t i = 0; i < shards; ++i) {
-      std::vector<std::string> names = db->shard(i).TableNames();
-      std::sort(names.begin(), names.end());
-      EXPECT_EQ(names, expected) << "shard " << i << " of " << shards;
-    }
+  // A fresh database holds exactly the paper's four tables.
+  std::vector<std::string> names = manager_->db().TableNames();
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"DPFS_DIRECTORY",
+                                             "DPFS_FILE_ATTR",
+                                             "DPFS_FILE_DISTRIBUTION",
+                                             "DPFS_SERVER"}));
+}
+
+TEST_F(MetadataTest, AttachDropsRetiredAccessLog) {
+  // A database from before the access log was retired has a fifth table,
+  // DPFS_ACCESS_LOG. Attach drops it, durably, and the files stay.
+  const TempDir temp = TempDir::Create("metadata-access-log").value();
+  const std::filesystem::path dir = temp.Sub("meta");
+  {
+    std::shared_ptr<metadb::Database> db = metadb::Database::Open(dir).value();
+    auto manager = MetadataManager::Attach(db).value();
+    ASSERT_TRUE(manager->RegisterServer(MakeServer("s0", 1)).ok());
+    ASSERT_TRUE(manager->RegisterServer(MakeServer("s1", 1)).ok());
+    const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
+    ASSERT_TRUE(
+        manager->CreateFile(MakeLinearMeta("/kept"), {"s0", "s1"}, dist).ok());
+    ASSERT_TRUE(db->Execute("CREATE TABLE DPFS_ACCESS_LOG (filename TEXT, "
+                            "direction TEXT, requests INT, transfer INT, "
+                            "useful INT)")
+                    .ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO DPFS_ACCESS_LOG VALUES "
+                            "('/kept', 'read', 1, 64, 64)")
+                    .ok());
+  }
+  for (int attach = 0; attach < 2; ++attach) {
+    std::shared_ptr<metadb::Database> db = metadb::Database::Open(dir).value();
+    auto manager = MetadataManager::Attach(db).value();
+    EXPECT_FALSE(db->HasTable("DPFS_ACCESS_LOG")) << "attach " << attach;
+    EXPECT_EQ(db->TableNames().size(), 4u);
+    EXPECT_TRUE(manager->LookupFile("/kept").ok());
   }
 }
 
 TEST_F(MetadataTest, AttachIsIdempotent) {
   // Re-attach to the same database must not fail on existing tables.
-  std::shared_ptr<metadb::ShardedDatabase> db =
-      metadb::ShardedDatabase::OpenInMemory(1).value();
+  std::shared_ptr<metadb::Database> db = metadb::Database::OpenInMemory();
   auto first = MetadataManager::Attach(db);
   ASSERT_TRUE(first.ok());
   auto second = MetadataManager::Attach(db);

@@ -13,9 +13,8 @@ namespace {
 class ReplicationMetadataTest : public ::testing::Test {
  protected:
   ReplicationMetadataTest()
-      : sharded_(metadb::ShardedDatabase::OpenInMemory(1).value()),
-        db_(&sharded_->shard(0)) {
-    manager_ = MetadataManager::Attach(sharded_).value();
+      : db_(metadb::Database::OpenInMemory()) {
+    manager_ = MetadataManager::Attach(db_).value();
     for (int s = 0; s < 3; ++s) {
       ServerInfo server;
       server.name = "s" + std::to_string(s);
@@ -38,8 +37,7 @@ class ReplicationMetadataTest : public ::testing::Test {
     return meta;
   }
 
-  std::shared_ptr<metadb::ShardedDatabase> sharded_;
-  metadb::Database* db_;  // the single shard: the whole database
+  std::shared_ptr<metadb::Database> db_;
   std::unique_ptr<MetadataManager> manager_;
 };
 
@@ -129,7 +127,7 @@ TEST_F(ReplicationMetadataTest, FourColumnTableIsMigratedOnAttach) {
   }
 
   // Re-attach: EnsureTables must widen the table in place.
-  manager_ = MetadataManager::Attach(sharded_).value();
+  manager_ = MetadataManager::Attach(db_).value();
   const auto widened =
       db_->Execute("SELECT replica FROM DPFS_FILE_DISTRIBUTION").value();
   ASSERT_EQ(widened.size(), 3u);

@@ -144,21 +144,20 @@ TEST(RegistryTest, ServerTransportInstrumentsExposeWithCatalogKinds) {
 }
 
 TEST(RegistryTest, MetadataInstrumentsExposeWithCatalogKinds) {
-  // The sharded-metadb and client-cache instruments (docs/OBSERVABILITY.md):
-  // per-shard statement counts carry a {shard=N} label baked into the
-  // metric name, and the client's metadata record cache counts its hits
-  // and misses.
+  // The metadb and client-cache instruments (docs/OBSERVABILITY.md): the
+  // database counts statements and times them, and the client's metadata
+  // record cache counts its hits and misses.
   Registry registry;
   registry.GetCounter("client.metadata_cache.hits").Add(5);
   registry.GetCounter("client.metadata_cache.misses").Add(2);
-  registry.GetHistogram("metadb.execute_us{shard=1}").Observe(8);
-  registry.GetCounter("metadb.statements{shard=1}").Add(4);
+  registry.GetHistogram("metadb.execute_us").Observe(8);
+  registry.GetCounter("metadb.statements").Add(4);
   EXPECT_EQ(registry.TextSnapshot(),
             "counter client.metadata_cache.hits 5\n"
             "counter client.metadata_cache.misses 2\n"
-            "histogram metadb.execute_us{shard=1} count=1 sum=8 p50=8 p95=8 "
+            "histogram metadb.execute_us count=1 sum=8 p50=8 p95=8 "
             "p99=8 max=8\n"
-            "counter metadb.statements{shard=1} 4\n");
+            "counter metadb.statements 4\n");
 }
 
 TEST(ScopedTimerTest, ObservesOnDestruction) {

@@ -204,13 +204,12 @@ TEST(EndToEndTest, ManyFilesAcrossDirectories) {
   ASSERT_TRUE(fs->ReadBytes(h, 0, read).ok());
   EXPECT_EQ(read, Bytes(512, 7));
 
-  // Recursive removal tears everything down — metadata, the client's
-  // record cache, and the subfiles on every server, named by the file's
-  // subfile id.
+  // Recursive removal tears everything down — metadata and the subfiles
+  // on every server, named by the file's subfile id.
   const auto stored = [&](std::size_t s) {
-    const std::vector<net::SubfileInfo> listing =
+    const std::vector<net::SubfileInfo> subfiles =
         cluster->server(s).store().ListSubfiles().value();
-    return std::any_of(listing.begin(), listing.end(),
+    return std::any_of(subfiles.begin(), subfiles.end(),
                        [&](const net::SubfileInfo& info) {
                          return info.name == h.meta().subfile;
                        });

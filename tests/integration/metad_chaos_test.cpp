@@ -1,9 +1,9 @@
 // Chaos coverage for the standalone metadata service: dropped and faulted
 // replies (`metad.reply`), a deterministic mid-request crash
-// (`metad.crash`), and — the critical sequence — killing the metad between
-// the shard commits of a cross-shard mutation, restarting it on the same
-// database, and verifying the intent-record repair holds the "file listed
-// iff its rows exist" invariant for clients that only ever saw the wire.
+// (`metad.crash`), and a namespace transaction that fails at its commit
+// (`metadb.commit`) inside the metad: clients that only ever saw the wire
+// must find the namespace as it was before the failed mutation, with no
+// restart needed to get there, and a restarted metad must agree.
 //
 // The suite name contains both "Metad" and "Chaos" so the asan-faults /
 // tsan-faults ctest presets pick it up.
@@ -22,15 +22,14 @@ namespace {
 using client::CreateOptions;
 using client::MetadataService;
 
-constexpr std::size_t kShards = 4;
-
 class MetadChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     core::ClusterOptions options;
     options.num_servers = 2;
     options.start_metadata_service = true;
-    options.metadb_shards = kShards;  // cross-shard mutations exist
+    // metadb.commit fires only on a database with a WAL.
+    options.durable_metadata = true;
     // Cache off: every lookup goes to the wire, so each assertion below
     // observes the service, not this client's cache.
     options.metadata_cache_ttl = std::chrono::milliseconds(0);
@@ -47,17 +46,14 @@ class MetadChaosTest : public ::testing::Test {
     return create;
   }
 
-  /// First "/<stem><i>" whose home shard differs from "/"'s shard, forcing
-  /// its creation through the cross-shard intent protocol.
-  std::string CrossShardChild(const std::string& stem) {
-    const std::size_t root_shard =
-        cluster_->sharded_db()->ShardForPath("/");
-    for (int i = 0;; ++i) {
-      const std::string path = "/" + stem + std::to_string(i);
-      if (cluster_->sharded_db()->ShardForPath(path) != root_shard) {
-        return path;
-      }
-    }
+  /// The next metadata commit fails before its WAL append.
+  static void ArmCommitFailure() {
+    failpoint::Spec commit_fault;
+    commit_fault.action = failpoint::Action::kReturnError;
+    commit_fault.code = StatusCode::kUnavailable;
+    commit_fault.message = "injected commit failure";
+    commit_fault.count = 1;
+    failpoint::Arm("metadb.commit", commit_fault);
   }
 
   bool Listed(const std::string& name) {
@@ -68,8 +64,8 @@ class MetadChaosTest : public ::testing::Test {
   }
 
   /// "File listed iff rows exist", checked entirely over the wire: every
-  /// listed file resolves, every probed path agrees between FileExists and
-  /// the directory listing, and no shard still holds an intent record.
+  /// listed file resolves, and every probed path agrees between FileExists,
+  /// the directory listing and LookupFile.
   void ExpectConsistentOverTheWire(const std::vector<std::string>& probes) {
     const MetadataService::Listing root =
         fs_->metadata().ListDirectory("/").value();
@@ -81,15 +77,6 @@ class MetadChaosTest : public ::testing::Test {
       const bool exists = fs_->metadata().FileExists(path).value();
       EXPECT_EQ(exists, Listed(path.substr(1))) << path;
       EXPECT_EQ(exists, fs_->metadata().LookupFile(path).ok()) << path;
-    }
-    for (std::size_t i = 0; i < cluster_->sharded_db()->num_shards(); ++i) {
-      const metadb::ResultSet intents =
-          cluster_->sharded_db()
-              ->shard(i)
-              .Execute("SELECT src FROM DPFS_INTENT")
-              .value();
-      EXPECT_TRUE(intents.empty())
-          << "shard " << i << " still holds " << intents.size() << " intents";
     }
   }
 
@@ -157,71 +144,47 @@ TEST_F(MetadChaosTest, CrashFailpointStopsServiceAndRestartRevives) {
   EXPECT_TRUE(fs_->metadata().FileExists("/crash.bin").value());
 }
 
-TEST_F(MetadChaosTest, CrashBetweenShardCommitsRepairsOnRestart) {
-  // The tentpole sequence: a cross-shard create half-commits inside the
-  // metad (home shard has rows + intent, the directory's shard does not),
-  // the metad is killed, a successor attaches to the same database and
-  // rolls the intent forward. Clients that only ever saw the wire must
-  // then see a coherent namespace — the file fully exists.
-  const std::string victim = CrossShardChild("half");
-
-  failpoint::Spec commit_fault;
-  commit_fault.action = failpoint::Action::kReturnError;
-  commit_fault.code = StatusCode::kUnavailable;
-  commit_fault.message = "injected crash between shard commits";
-  commit_fault.count = 1;
-  failpoint::Arm("metadb.shard_commit", commit_fault);
-
-  const Result<client::FileHandle> torn = fs_->Create(victim, LinearFile());
-  EXPECT_FALSE(torn.ok());
-  EXPECT_GE(failpoint::HitCount("metadb.shard_commit"), 1u);
+TEST_F(MetadChaosTest, CreateFailingAtCommitLeavesNoFile) {
+  // The create's one transaction fails at its commit inside the metad and
+  // rolls back whole: the file is neither listed nor existing, and its name
+  // is free for a retry.
+  ArmCommitFailure();
+  EXPECT_FALSE(fs_->Create("/half", LinearFile()).ok());
+  EXPECT_EQ(failpoint::HitCount("metadb.commit"), 1u);
   failpoint::DisarmAll();
 
-  // The tear, observed over the wire: the attribute rows committed on the
-  // home shard, the directory link did not — a file that "exists" but is
-  // invisible in its directory. This is exactly the state repair removes.
-  EXPECT_TRUE(fs_->metadata().FileExists(victim).value());
-  EXPECT_FALSE(Listed(victim.substr(1)));
-
-  // Kill the metad mid-protocol and bring up a successor on the same
-  // database and port; Start's Attach runs the repair pass.
-  ASSERT_TRUE(cluster_->RestartMetad().ok());
-
-  // Repair rolled the intent forward: rows committed on the home shard win,
-  // so the file exists everywhere — listed, resolvable, openable.
-  EXPECT_TRUE(fs_->metadata().FileExists(victim).value());
-  EXPECT_TRUE(Listed(victim.substr(1)));
-  EXPECT_TRUE(fs_->metadata().LookupFile(victim).ok());
-  EXPECT_TRUE(fs_->Open(victim).ok());
-  ExpectConsistentOverTheWire({victim});
+  for (const bool restarted : {false, true}) {
+    if (restarted) {
+      ASSERT_TRUE(cluster_->RestartMetad().ok());
+    }
+    EXPECT_FALSE(fs_->metadata().FileExists("/half").value()) << restarted;
+    EXPECT_FALSE(Listed("half")) << restarted;
+    EXPECT_EQ(fs_->Open("/half").status().code(), StatusCode::kNotFound)
+        << restarted;
+    ExpectConsistentOverTheWire({"/half"});
+  }
+  EXPECT_TRUE(fs_->Create("/half", LinearFile()).ok());
 }
 
-TEST_F(MetadChaosTest, DeleteTornByCrashRepairsOnRestart) {
-  const std::string victim = CrossShardChild("gone");
-  (void)fs_->Create(victim, LinearFile()).value();
+TEST_F(MetadChaosTest, DeleteFailingAtCommitKeepsTheFile) {
+  // The delete's one transaction fails at its commit and rolls back whole:
+  // the file stays listed, existing and openable.
+  (void)fs_->Create("/kept", LinearFile()).value();
 
-  failpoint::Spec commit_fault;
-  commit_fault.action = failpoint::Action::kReturnError;
-  commit_fault.code = StatusCode::kUnavailable;
-  commit_fault.message = "injected crash between shard commits";
-  commit_fault.count = 1;
-  failpoint::Arm("metadb.shard_commit", commit_fault);
-
-  // The delete half-commits: attr + distribution rows are gone from the
-  // home shard (with the intent), the directory link survives on its own
-  // shard. Without repair, clients would list a file nobody can open.
-  EXPECT_FALSE(fs_->metadata().DeleteFile(victim).ok());
-  EXPECT_GE(failpoint::HitCount("metadb.shard_commit"), 1u);
+  ArmCommitFailure();
+  EXPECT_FALSE(fs_->metadata().DeleteFile("/kept").ok());
+  EXPECT_EQ(failpoint::HitCount("metadb.commit"), 1u);
   failpoint::DisarmAll();
 
-  EXPECT_FALSE(fs_->metadata().FileExists(victim).value());
-  EXPECT_TRUE(Listed(victim.substr(1)));  // the torn state repair removes
-
-  ASSERT_TRUE(cluster_->RestartMetad().ok());
-
-  EXPECT_FALSE(fs_->metadata().FileExists(victim).value());
-  EXPECT_FALSE(Listed(victim.substr(1)));
-  ExpectConsistentOverTheWire({victim});
+  for (const bool restarted : {false, true}) {
+    if (restarted) {
+      ASSERT_TRUE(cluster_->RestartMetad().ok());
+    }
+    EXPECT_TRUE(fs_->metadata().FileExists("/kept").value()) << restarted;
+    EXPECT_TRUE(Listed("kept")) << restarted;
+    EXPECT_TRUE(fs_->Open("/kept").ok()) << restarted;
+    ExpectConsistentOverTheWire({"/kept"});
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -220,6 +221,60 @@ TEST_F(MetadConformanceTest, RenameIsVisibleEverywhere) {
   EXPECT_EQ(handle.meta().path, "/after.bin");
 }
 
+TEST_F(MetadConformanceTest, SecondClientNeverSeesHalfARename) {
+  // Client A swings a file between /d/a and /d/b while client B, with its
+  // cache off, opens both names and lists /d. dpfs-metad serves the two
+  // clients on separate sessions, so B's reads run concurrently with A's
+  // rename transactions and must see each of them whole or not at all.
+  constexpr int kRenames = 1000;
+  ASSERT_TRUE(fs_a_->metadata().MakeDirectory("/d").ok());
+  (void)fs_a_->Create("/d/a", LinearFile()).value();
+  const auto fs_b = SecondClient(std::chrono::milliseconds(0));
+
+  std::atomic<bool> done{false};
+  std::atomic<int> rename_errors{0};
+  std::thread renamer([&] {
+    for (int i = 0; i < kRenames; ++i) {
+      const bool at_a = i % 2 == 0;
+      if (!fs_a_->Rename(at_a ? "/d/a" : "/d/b", at_a ? "/d/b" : "/d/a")
+               .ok()) {
+        ++rename_errors;
+      }
+    }
+    done = true;
+  });
+  int bad_opens = 0;
+  int bad_listings = 0;
+  int listings = 0;
+  while (!done) {
+    for (const char* path : {"/d/a", "/d/b"}) {
+      const Result<FileHandle> handle = fs_b->Open(path);
+      if (!handle.ok() && handle.status().code() != StatusCode::kNotFound) {
+        ++bad_opens;
+      }
+    }
+    const Result<MetadataService::Listing> listing =
+        fs_b->metadata().ListDirectory("/d");
+    ++listings;
+    if (!listing.ok()) {
+      ++bad_listings;
+      continue;
+    }
+    const std::vector<std::string>& files = listing.value().files;
+    if (std::count(files.begin(), files.end(), "a") +
+            std::count(files.begin(), files.end(), "b") !=
+        1) {
+      ++bad_listings;
+    }
+  }
+  renamer.join();
+
+  EXPECT_EQ(rename_errors.load(), 0);
+  EXPECT_EQ(bad_opens, 0);
+  EXPECT_EQ(bad_listings, 0) << "of " << listings << " listings";
+  EXPECT_GT(listings, 0);
+}
+
 TEST_F(MetadConformanceTest, WriteThroughCachedRecordSurvivesOtherRename) {
   // Client C's cached record outlives B's rename (its TTL is longer than
   // the test): C's Open of the old path is served from the cache, and the
@@ -398,8 +453,7 @@ TEST(MetadSessionCapTest, OverCapSessionGetsBusyUnderTheMetadPrefix) {
   metad::MetadOptions options;
   options.max_sessions = 1;
   std::unique_ptr<metad::MetadService> service =
-      metad::MetadService::Start(
-          metadb::ShardedDatabase::OpenInMemory(1).value(), options)
+      metad::MetadService::Start(metadb::Database::OpenInMemory(), options)
           .value();
   const metrics::Counter& metad_busy =
       metrics::GetCounter("metad.busy_rejects");

@@ -3,15 +3,14 @@
 // metadata transaction that touches no server, and a remove commits its
 // metadata before deleting subfiles. These tests pin what that buys: bytes
 // written through a handle opened before a rename reach the new path, a
-// cross-shard rename that stops between shard commits keeps the file's
-// bytes, a remove that cannot reach a server leaves a counted orphan for
+// rename that fails at its commit keeps the file's bytes under the old
+// name, a remove that cannot reach a server leaves a counted orphan for
 // fsck instead of a live file with holes, and a database from before
 // subfile ids attaches with every subfile keeping its path name.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -56,29 +55,12 @@ class SubfileIdTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::DisarmAll(); }
 
-  void StartCluster(std::size_t shards) {
+  void StartCluster(bool durable_metadata = false) {
     core::ClusterOptions options;
     options.num_servers = 4;
-    options.metadb_shards = shards;
+    options.durable_metadata = durable_metadata;
     cluster_ = core::LocalCluster::Start(std::move(options)).value();
     fs_ = cluster_->fs();
-  }
-
-  std::size_t ShardOf(const std::string& path) const {
-    return cluster_->sharded_db()->ShardForPath(path);
-  }
-
-  /// "/<stem><i>" for the first i whose home shard is none of `avoid`'s.
-  std::string PathAvoiding(const std::vector<std::string>& avoid,
-                           const std::string& stem) const {
-    for (int i = 0;; ++i) {
-      const std::string path = "/" + stem + std::to_string(i);
-      bool clash = false;
-      for (const std::string& other : avoid) {
-        clash = clash || ShardOf(path) == ShardOf(other);
-      }
-      if (!clash) return path;
-    }
   }
 
   /// Opens `path`, reads the whole file, and returns its bytes.
@@ -113,45 +95,38 @@ class SubfileIdTest : public ::testing::Test {
 };
 
 TEST_F(SubfileIdTest, WriteThroughHandleOpenedBeforeRenameReachesNewPath) {
-  StartCluster(1);
+  StartCluster();
   RenameThenWriteThroughOldHandle("/src", "/dst");
 }
 
-TEST_F(SubfileIdTest, WriteThroughOldHandleAfterRenameAcrossHomeShards) {
-  StartCluster(4);
-  const std::string src = PathAvoiding({"/"}, "src");
-  const std::string dst = PathAvoiding({"/", src}, "dst");
-  RenameThenWriteThroughOldHandle(src, dst);
-}
-
-TEST_F(SubfileIdTest, CrossShardRenameFailingBetweenCommitsKeepsTheBytes) {
-  // The rename stops after its home-shard commit without a crash; the
-  // pending intent rolls it forward on the next attach, and the bytes must
-  // still be there under the new name.
-  StartCluster(4);
-  const std::string src = PathAvoiding({"/"}, "src");
-  const std::string dst = PathAvoiding({"/", src}, "dst");
-  FileHandle handle = fs_->Create(src, SmallFile()).value();
+TEST_F(SubfileIdTest, RenameFailingAtCommitKeepsTheBytes) {
+  // The rename's one transaction fails at its commit (metadb.commit fires
+  // only on a database with a WAL) and rolls back whole: the bytes are
+  // still there under the old name, and the new name does not exist.
+  StartCluster(/*durable_metadata=*/true);
+  FileHandle handle = fs_->Create("/src", SmallFile()).value();
   ASSERT_TRUE(fs_->WriteBytes(handle, 0, Bytes(kFileBytes, 0x33)).ok());
 
   failpoint::Spec spec;
   spec.action = failpoint::Action::kReturnError;
   spec.code = StatusCode::kUnavailable;
-  spec.message = "injected failure between shard commits";
-  failpoint::Arm("metadb.shard_commit", spec);
-  EXPECT_FALSE(fs_->Rename(src, dst).ok());
+  spec.message = "injected commit failure";
+  spec.count = 1;
+  failpoint::Arm("metadb.commit", spec);
+  EXPECT_FALSE(fs_->Rename("/src", "/dst").ok());
+  EXPECT_EQ(failpoint::HitCount("metadb.commit"), 1u);
   failpoint::DisarmAll();
 
   const std::shared_ptr<FileSystem> fresh =
-      FileSystem::Connect(cluster_->sharded_db()).value();
-  EXPECT_FALSE(fresh->Open(src).ok());
-  EXPECT_EQ(ReadAll(*fresh, dst), Bytes(kFileBytes, 0x33));
+      FileSystem::Connect(cluster_->db()).value();
+  EXPECT_EQ(ReadAll(*fresh, "/src"), Bytes(kFileBytes, 0x33));
+  EXPECT_EQ(fresh->Open("/dst").status().code(), StatusCode::kNotFound);
   const FileSystem::FsckReport report = fresh->Fsck().value();
   EXPECT_TRUE(report.clean()) << report.orphans.size() << " orphans";
 }
 
 TEST_F(SubfileIdTest, RemoveWithServerDownCommitsAndLeavesCountedOrphan) {
-  StartCluster(1);
+  StartCluster();
   FileHandle handle = fs_->Create("/f", SmallFile()).value();
   ASSERT_TRUE(fs_->WriteBytes(handle, 0, Bytes(kFileBytes, 0x44)).ok());
   const std::string server2 = handle.record.servers[2].name;
@@ -178,38 +153,32 @@ TEST_F(SubfileIdTest, RemoveWithServerDownCommitsAndLeavesCountedOrphan) {
   EXPECT_TRUE(fs_->Fsck().value().clean());
 }
 
-TEST_F(SubfileIdTest, AttachUpgradesPathNamedDatabaseAndReplaysRename) {
+TEST_F(SubfileIdTest, AttachUpgradesPathNamedDatabase) {
   // A database in the layout from before subfile ids: a 12-column
-  // DPFS_FILE_ATTR, subfiles named by path, and a cross-shard rename
-  // stopped after its home commit, whose intent payload INSERTs 12 values.
-  // That layout renamed the subfiles on every server before the metadata,
-  // so the renamed file's bytes already sit under the destination path.
-  StartCluster(4);
-  metadb::ShardedDatabase& db = *cluster_->sharded_db();
-  const std::string src = PathAvoiding({"/"}, "src");
-  const std::string dst = PathAvoiding({"/", src}, "dst");
+  // DPFS_FILE_ATTR and subfiles named by path. Attach widens the table with
+  // each file's path as its id, so every file keeps reading its bytes and
+  // no server is touched.
+  StartCluster();
+  metadb::Database& db = *cluster_->db();
   const FileHandle data = fs_->Create("/data", SmallFile()).value();
-  const FileHandle moved = fs_->Create(src, SmallFile()).value();
+  const FileHandle other = fs_->Create("/other", SmallFile()).value();
 
-  for (std::size_t shard = 0; shard < db.num_shards(); ++shard) {
-    metadb::Database& d = db.shard(shard);
-    const metadb::ResultSet rows =
-        d.Execute("SELECT * FROM DPFS_FILE_ATTR").value();
-    ASSERT_TRUE(d.Execute("DROP TABLE DPFS_FILE_ATTR").ok());
-    ASSERT_TRUE(d.Execute("CREATE TABLE DPFS_FILE_ATTR ("
-                          "  filename TEXT PRIMARY KEY, owner TEXT,"
-                          "  permission INT, size INT, filelevel TEXT,"
-                          "  elemsize INT, dims INT, dimsize TEXT,"
-                          "  brickbytes INT, stripe TEXT, pattern TEXT,"
-                          "  grid TEXT)")
-                    .ok());
-    for (metadb::Row row : rows.rows) {
-      row.pop_back();  // the subfile column
-      metadb::InsertStmt insert;
-      insert.table = "DPFS_FILE_ATTR";
-      insert.rows.push_back(std::move(row));
-      ASSERT_TRUE(d.ExecuteStatement(std::move(insert)).ok());
-    }
+  const metadb::ResultSet rows =
+      db.Execute("SELECT * FROM DPFS_FILE_ATTR").value();
+  ASSERT_TRUE(db.Execute("DROP TABLE DPFS_FILE_ATTR").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE DPFS_FILE_ATTR ("
+                         "  filename TEXT PRIMARY KEY, owner TEXT,"
+                         "  permission INT, size INT, filelevel TEXT,"
+                         "  elemsize INT, dims INT, dimsize TEXT,"
+                         "  brickbytes INT, stripe TEXT, pattern TEXT,"
+                         "  grid TEXT)")
+                  .ok());
+  for (metadb::Row row : rows.rows) {
+    row.pop_back();  // the subfile column
+    metadb::InsertStmt insert;
+    insert.table = "DPFS_FILE_ATTR";
+    insert.rows.push_back(std::move(row));
+    ASSERT_TRUE(db.ExecuteStatement(std::move(insert)).ok());
   }
   // Each brick's bytes go to its server's path-named subfile.
   const auto write_path_named = [&](const FileHandle& handle,
@@ -227,36 +196,20 @@ TEST_F(SubfileIdTest, AttachUpgradesPathNamedDatabaseAndReplaysRename) {
     }
   };
   write_path_named(data, "/data", 0x55);
-  write_path_named(moved, dst, 0x66);
-
-  failpoint::Spec spec;
-  spec.action = failpoint::Action::kReturnError;
-  spec.code = StatusCode::kUnavailable;
-  spec.message = "injected crash between shard commits";
-  failpoint::Arm("metadb.shard_commit", spec);
-  EXPECT_FALSE(fs_->metadata().RenameFile(src, dst).ok());
-  failpoint::DisarmAll();
-  const metadb::ResultSet intents =
-      db.shard(ShardOf(src)).Execute("SELECT src FROM DPFS_INTENT").value();
-  ASSERT_EQ(intents.size(), 1u);
+  write_path_named(other, "/other", 0x66);
 
   const std::shared_ptr<FileSystem> upgraded =
-      FileSystem::Connect(cluster_->sharded_db()).value();
-  std::size_t files = 0;
-  for (std::size_t shard = 0; shard < db.num_shards(); ++shard) {
-    const Result<metadb::ResultSet> rows =
-        db.shard(shard).Execute("SELECT filename, subfile FROM DPFS_FILE_ATTR");
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    for (std::size_t row = 0; row < rows.value().size(); ++row) {
-      EXPECT_EQ(rows.value().GetText(row, "subfile").value(),
-                rows.value().GetText(row, "filename").value());
-      ++files;
-    }
+      FileSystem::Connect(cluster_->db()).value();
+  const Result<metadb::ResultSet> upgraded_rows =
+      db.Execute("SELECT filename, subfile FROM DPFS_FILE_ATTR");
+  ASSERT_TRUE(upgraded_rows.ok()) << upgraded_rows.status().ToString();
+  ASSERT_EQ(upgraded_rows.value().size(), 2u);
+  for (std::size_t row = 0; row < upgraded_rows.value().size(); ++row) {
+    EXPECT_EQ(upgraded_rows.value().GetText(row, "subfile").value(),
+              upgraded_rows.value().GetText(row, "filename").value());
   }
-  EXPECT_EQ(files, 2u);
-  EXPECT_FALSE(upgraded->Open(src).ok());
   EXPECT_EQ(ReadAll(*upgraded, "/data"), Bytes(kFileBytes, 0x55));
-  EXPECT_EQ(ReadAll(*upgraded, dst), Bytes(kFileBytes, 0x66));
+  EXPECT_EQ(ReadAll(*upgraded, "/other"), Bytes(kFileBytes, 0x66));
   const FileSystem::FsckReport report = upgraded->Fsck().value();
   EXPECT_TRUE(report.clean()) << report.orphans.size() << " orphans";
 }

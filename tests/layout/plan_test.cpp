@@ -287,6 +287,27 @@ TEST_F(PlanTest, ListAccessValidatesExtents) {
   EXPECT_TRUE(PlanListAccess(map_, dist_, 0, {{0, 4}, {4, 4}}, options).ok());
 }
 
+TEST_F(PlanTest, ExtentEndingPastTheFileIsRejected) {
+  const PlanOptions options = SieveCombined();
+  // The end offset wraps past 2^64: a naive end check would pass it on to
+  // brick 0 and beyond.
+  const std::uint64_t near_max = ~std::uint64_t{0} - 7;
+  EXPECT_EQ(PlanByteAccess(map_, dist_, 0, near_max, 16, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(PlanListAccess(map_, dist_, 0, {{0, 4}, {near_max, 16}}, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Inside the tail brick but past the last byte of the file.
+  const BrickMap tail = BrickMap::Linear(20, 8).value();  // bricks 8,8,4
+  const BrickDistribution dist = BrickDistribution::RoundRobin(3, 2).value();
+  EXPECT_EQ(PlanByteAccess(tail, dist, 0, 16, 5, options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(PlanByteAccess(tail, dist, 0, 16, 4, options).ok());
+}
+
 TEST_F(PlanTest, ListAccessRequiresLinearFile) {
   const BrickMap tiled = BrickMap::Multidim({8, 8}, {4, 4}, 1).value();
   const BrickDistribution dist =

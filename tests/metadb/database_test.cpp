@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/temp_dir.h"
 
@@ -357,6 +362,35 @@ TEST_F(DatabaseTest, PaperMetadataTablesWorkEndToEnd) {
       Exec("SELECT server_name FROM DPFS_SERVER WHERE performance = 1");
   ASSERT_EQ(fastest.size(), 1u);
   EXPECT_EQ(fastest.GetText(0, "server_name").value(), "ccn40.mcs.anl.gov");
+}
+
+TEST_F(DatabaseTest, OpenRefusesShardedLayout) {
+  // A directory in the retired path-hash-sharded layout: a `shards`
+  // manifest beside one database directory per shard. Open must refuse it,
+  // naming the shard count, rather than start an empty namespace beside the
+  // shards, and must leave the directory exactly as it was.
+  const TempDir temp = TempDir::Create("metadb-sharded").value();
+  const std::filesystem::path dir = temp.Sub("meta");
+  std::filesystem::create_directories(dir / "shard-00");
+  {
+    std::FILE* manifest = std::fopen((dir / "shards").c_str(), "wb");
+    ASSERT_NE(manifest, nullptr);
+    std::fputs("shards=4\n", manifest);
+    std::fclose(manifest);
+  }
+
+  const Result<std::unique_ptr<Database>> opened = Database::Open(dir);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("4 shards"), std::string::npos)
+      << opened.status().message();
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  std::sort(entries.begin(), entries.end());
+  EXPECT_EQ(entries, (std::vector<std::string>{"shard-00", "shards"}));
+  EXPECT_TRUE(std::filesystem::is_empty(dir / "shard-00"));
 }
 
 TEST(DatabaseLockTest, TimedOutOpenNamesTheHolderPid) {

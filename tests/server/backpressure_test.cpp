@@ -108,9 +108,8 @@ TEST(BackpressureTest, RetriesExhaustEventually) {
   ASSERT_TRUE(holder.Ping().ok());
 
   // A FileSystem pointed at this server gives up after its retries.
-  std::shared_ptr<metadb::ShardedDatabase> db =
-      metadb::ShardedDatabase::OpenInMemory(1).value();
-  auto fs = client::FileSystem::Connect(db).value();
+  auto fs = client::FileSystem::Connect(metadb::Database::OpenInMemory())
+                .value();
   client::ServerInfo info;
   info.name = "busy";
   info.endpoint = server->endpoint();

@@ -11,7 +11,7 @@
 #include "common/metrics.h"
 #include "common/temp_dir.h"
 #include "metad/metad.h"
-#include "metadb/sharded_database.h"
+#include "metadb/database.h"
 #include "net/socket.h"
 #include "server/io_server.h"
 
@@ -99,8 +99,8 @@ TEST(MetricsHttpServerTest, DisabledByDefault) {
 
 TEST(MetricsHttpServerTest, MetadWiresTheEndpointThroughItsOptions) {
   TempDir dir = TempDir::Create("dpfs-mhttp-metad").value();
-  std::shared_ptr<metadb::ShardedDatabase> db =
-      metadb::ShardedDatabase::Open((dir.path() / "meta").string(), 1).value();
+  std::shared_ptr<metadb::Database> db =
+      metadb::Database::Open(dir.path() / "meta").value();
   metad::MetadOptions options;
   options.metrics_port = kEphemeralMetricsPort;
   auto service = metad::MetadService::Start(db, options).value();

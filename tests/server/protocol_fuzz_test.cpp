@@ -16,7 +16,7 @@
 #include "common/rng.h"
 #include "common/temp_dir.h"
 #include "metad/metad.h"
-#include "metadb/sharded_database.h"
+#include "metadb/database.h"
 #include "net/connection.h"
 #include "net/frame.h"
 #include "net/messages.h"
@@ -592,9 +592,8 @@ TEST(ReadReplyProtocolFuzzTest, ShortReplyIsProtocolError) {
 class MetadProtocolFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::unique_ptr<metadb::ShardedDatabase> db =
-        metadb::ShardedDatabase::OpenInMemory(2).value();
-    service_ = metad::MetadService::Start(std::move(db)).value();
+    service_ = metad::MetadService::Start(metadb::Database::OpenInMemory())
+                   .value();
   }
 
   void TearDown() override { failpoint::DisarmAll(); }

@@ -7,8 +7,6 @@
 //
 // The metadata directory is the one the dpfsd daemons registered into; the
 // CLI discovers the I/O servers from the DPFS_SERVER table.
-// --metadb-shards must match the deployment's shard count (1 = the default
-// unsharded layout; a mismatch fails fast instead of guessing).
 // With --metad the CLI never opens the database: every namespace operation
 // goes over the wire to the dpfs-metad at HOST:PORT, so any number of
 // shells can run concurrently against one namespace.
@@ -25,7 +23,7 @@ int main(int argc, char** argv) {
   const Options opts = Options::Parse(argc, argv).value();
   if (!opts.Has("metadb") && !opts.Has("metad")) {
     std::fprintf(stderr,
-                 "usage: dpfs --metadb DIR [--metadb-shards N] [--c COMMAND]\n"
+                 "usage: dpfs --metadb DIR [--c COMMAND]\n"
                  "       dpfs --metad HOST:PORT [--c COMMAND]\n");
     return 2;
   }
@@ -48,16 +46,13 @@ int main(int argc, char** argv) {
     }
     fs = client::FileSystem::ConnectRemote(endpoint.value());
   } else {
-    Result<std::unique_ptr<metadb::ShardedDatabase>> db =
-        metadb::ShardedDatabase::Open(
-            opts.GetString("metadb", ""),
-            static_cast<std::size_t>(opts.GetInt("metadb-shards", 1)));
+    Result<std::unique_ptr<metadb::Database>> db =
+        metadb::Database::Open(opts.GetString("metadb", ""));
     if (!db.ok()) {
       std::fprintf(stderr, "dpfs: %s\n", db.status().ToString().c_str());
       return 1;
     }
-    std::shared_ptr<metadb::ShardedDatabase> shared = std::move(db).value();
-    fs = client::FileSystem::Connect(shared);
+    fs = client::FileSystem::Connect(std::move(db).value());
   }
   if (!fs.ok()) {
     std::fprintf(stderr, "dpfs: %s\n", fs.status().ToString().c_str());

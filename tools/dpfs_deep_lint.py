@@ -127,11 +127,6 @@ BLOCKING_CALLEES = {
     "CreateIndex": "Database",
     "Open": "Database",
 }
-# ShardedDatabase forwards to Database; its entry points block identically.
-for _name in ("Execute", "ExecuteStatement", "Checkpoint", "CreateIndex",
-              "Open"):
-    BLOCKING_CALLEES.setdefault(_name, "Database")
-BLOCKING_CLASS_ALIASES = {"Database": {"Database", "ShardedDatabase"}}
 
 # RAII lock guards (common/mutex.h): type name -> shared? (reader locks
 # still order against writers, so shared/exclusive feed one graph).
@@ -1155,7 +1150,7 @@ def render_lock_order(model: Model,
 def _blocking_class_match(target_cls: str, required: str | None) -> bool:
     if required is None:
         return True
-    return target_cls in BLOCKING_CLASS_ALIASES.get(required, {required})
+    return target_cls == required
 
 
 def check_reactor_blocking(model: Model, roots: tuple[str, ...]

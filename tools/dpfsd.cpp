@@ -2,7 +2,7 @@
 // Program" that runs on each storage workstation).
 //
 //   dpfsd --root /var/dpfs [--port 7070] [--name host.example]
-//         [--metadb /shared/dpfs-meta] [--metadb-shards 1]
+//         [--metadb /shared/dpfs-meta]
 //         [--metad host:port]
 //         [--capacity 536870912]
 //         [--performance 1]
@@ -35,15 +35,12 @@ std::atomic<bool> g_stop{false};
 void HandleSignal(int) { g_stop.store(true); }
 
 dpfs::Status RegisterSelf(const std::string& metadb_dir,
-                          std::size_t metadb_shards,
                           const dpfs::client::ServerInfo& info) {
   using namespace dpfs;
-  DPFS_ASSIGN_OR_RETURN(std::unique_ptr<metadb::ShardedDatabase> db,
-                        metadb::ShardedDatabase::Open(metadb_dir,
-                                                      metadb_shards));
-  std::shared_ptr<metadb::ShardedDatabase> shared = std::move(db);
+  DPFS_ASSIGN_OR_RETURN(std::unique_ptr<metadb::Database> db,
+                        metadb::Database::Open(metadb_dir));
   DPFS_ASSIGN_OR_RETURN(auto metadata,
-                        client::MetadataManager::Attach(shared));
+                        client::MetadataManager::Attach(std::move(db)));
   // Replace any stale registration for this name (e.g. after a restart on a
   // new ephemeral port).
   (void)metadata->UnregisterServer(info.name);
@@ -73,8 +70,7 @@ int main(int argc, char** argv) {
   if (!opts.Has("root")) {
     std::fprintf(stderr,
                  "usage: dpfsd --root DIR [--port N] [--name NAME]\n"
-                 "             [--metadb DIR] [--metadb-shards N] "
-                 "[--metad HOST:PORT] "
+                 "             [--metadb DIR] [--metad HOST:PORT] "
                  "[--capacity BYTES] [--performance N] [--max-sessions N]\n"
                  "             [--metrics-port N]\n");
     return 2;
@@ -121,10 +117,7 @@ int main(int argc, char** argv) {
     const Status registered =
         opts.Has("metad")
             ? RegisterSelfRemote(opts.GetString("metad", ""), info)
-            : RegisterSelf(
-                  opts.GetString("metadb", ""),
-                  static_cast<std::size_t>(opts.GetInt("metadb-shards", 1)),
-                  info);
+            : RegisterSelf(opts.GetString("metadb", ""), info);
     if (!registered.ok()) {
       std::fprintf(stderr, "dpfsd: registration failed: %s\n",
                    registered.ToString().c_str());

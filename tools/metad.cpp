@@ -1,7 +1,7 @@
 // dpfs-metad — the standalone DPFS metadata server daemon (extension:
 // `metadata_endpoint`; docs/METADATA_SCHEMA.md "Remote access").
 //
-//   dpfs-metad --metadb /shared/dpfs-meta [--metadb-shards 1] [--port 7060]
+//   dpfs-metad --metadb /shared/dpfs-meta [--port 7060]
 //              [--max-sessions 0] [--metrics-port 0]
 //
 // Owns the metadata database (and its advisory flock) and serves the
@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
   const Options opts = Options::Parse(argc, argv).value();
   if (!opts.Has("metadb")) {
     std::fprintf(stderr,
-                 "usage: dpfs-metad --metadb DIR [--metadb-shards N] "
-                 "[--port N]\n"
+                 "usage: dpfs-metad --metadb DIR [--port N]\n"
                  "                  [--max-sessions N] [--metrics-port N]\n");
     return 2;
   }
@@ -51,18 +50,15 @@ int main(int argc, char** argv) {
   options.metrics_port =
       static_cast<std::uint16_t>(opts.GetInt("metrics-port", 0));
 
-  Result<std::unique_ptr<metadb::ShardedDatabase>> db =
-      metadb::ShardedDatabase::Open(
-          opts.GetString("metadb", ""),
-          static_cast<std::size_t>(opts.GetInt("metadb-shards", 1)));
+  Result<std::unique_ptr<metadb::Database>> db =
+      metadb::Database::Open(opts.GetString("metadb", ""));
   if (!db.ok()) {
     std::fprintf(stderr, "dpfs-metad: %s\n", db.status().ToString().c_str());
     return 1;
   }
-  std::shared_ptr<metadb::ShardedDatabase> shared = std::move(db).value();
 
   Result<std::unique_ptr<metad::MetadService>> started =
-      metad::MetadService::Start(shared, options);
+      metad::MetadService::Start(std::move(db).value(), options);
   if (!started.ok()) {
     std::fprintf(stderr, "dpfs-metad: %s\n",
                  started.status().ToString().c_str());
