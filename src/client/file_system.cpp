@@ -531,43 +531,42 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
   DPFS_ASSIGN_OR_RETURN(PooledConnection conn, pool_.Acquire(server.endpoint));
 
   if (is_write) {
-    // Adjacent runs within a brick coalesce into one fragment: a fully
-    // covered brick travels as a single contiguous write even though its
-    // bytes are gathered from many places in the user's buffer.
-    std::vector<net::WriteFragment> fragments;
+    // One piece per run, viewing the caller's buffer. Adjacent runs travel
+    // as one wire fragment (WriteRequest::Encode merges them), so a fully
+    // covered brick is a single contiguous write even though its bytes are
+    // gathered from many places in the buffer; `fragment_bytes` holds each
+    // wire fragment's length and `first_piece` where it starts.
+    std::vector<net::WriteFragment> pieces;
+    std::vector<std::uint64_t> fragment_bytes;
+    std::vector<std::size_t> first_piece;
     for (const layout::BrickRequest& brick : request.bricks) {
       const std::uint64_t slot = dist.slot_for(brick.brick) * slot_bytes;
       const auto it = runs.find(brick.brick);
       if (it == runs.end()) continue;
       for (const layout::BrickRun& run : it->second) {
-        const bool extends =
-            !fragments.empty() &&
-            fragments.back().offset + fragments.back().data.size() ==
-                slot + run.offset_in_brick;
-        if (!extends) {
-          net::WriteFragment fragment;
-          fragment.offset = slot + run.offset_in_brick;
-          fragments.push_back(std::move(fragment));
+        const std::uint64_t offset = slot + run.offset_in_brick;
+        if (pieces.empty() ||
+            pieces.back().offset + pieces.back().data.size() != offset) {
+          fragment_bytes.push_back(0);
+          first_piece.push_back(pieces.size());
         }
-        fragments.back().data.insert(
-            fragments.back().data.end(),
-            write_data.begin() + static_cast<std::ptrdiff_t>(run.buffer_offset),
-            write_data.begin() +
-                static_cast<std::ptrdiff_t>(run.buffer_offset + run.length));
+        pieces.emplace_back(offset,
+                            write_data.subspan(run.buffer_offset, run.length));
+        fragment_bytes.back() += run.length;
       }
     }
     // Ship in batches bounded by max_request_bytes (one frame each).
-    for (std::size_t begin = 0, end = 0; begin < fragments.size();
+    for (std::size_t begin = 0, end = 0; begin < fragment_bytes.size();
          begin = end) {
-      end = BatchEnd(fragments, begin, options.max_request_bytes,
-                     [](const net::WriteFragment& f) { return f.data.size(); });
-      std::vector<net::WriteFragment> batch(
-          std::make_move_iterator(fragments.begin() +
-                                  static_cast<std::ptrdiff_t>(begin)),
-          std::make_move_iterator(fragments.begin() +
-                                  static_cast<std::ptrdiff_t>(end)));
-      const Status written =
-          conn->Write(subfile, std::move(batch), options.sync);
+      end = BatchEnd(fragment_bytes, begin, options.max_request_bytes,
+                     [](std::uint64_t bytes) { return bytes; });
+      const std::size_t piece_end =
+          end < fragment_bytes.size() ? first_piece[end] : pieces.size();
+      const Status written = conn->Write(
+          subfile,
+          std::span(pieces).subspan(first_piece[begin],
+                                    piece_end - first_piece[begin]),
+          options.sync);
       if (!written.ok()) {
         conn.Poison();
         return written.WithContext("write to " + server.name);
@@ -625,22 +624,23 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
     const std::vector<net::ReadFragment> batch(
         fragments.begin() + static_cast<std::ptrdiff_t>(begin),
         fragments.begin() + static_cast<std::ptrdiff_t>(end));
-    const Result<Bytes> data = conn->Read(subfile, batch);
-    if (!data.ok()) {
+    const Result<net::ReplyFrame> reply = conn->Read(subfile, batch);
+    if (!reply.ok()) {
       conn.Poison();
-      return data.status().WithContext("read from " + server.name);
+      return reply.status().WithContext("read from " + server.name);
     }
+    const ByteSpan data = reply.value().body();
     const std::size_t piece_end =
         end < fragments.size() ? first_piece[end] : pieces.size();
     for (std::size_t p = first_piece[begin]; p < piece_end; ++p) {
       const layout::BrickRun& run = *pieces[p].run;
-      std::copy_n(data.value().begin() +
+      std::copy_n(data.begin() +
                       static_cast<std::ptrdiff_t>(pieces[p].at - batch_start),
                   run.length,
                   read_buffer.begin() +
                       static_cast<std::ptrdiff_t>(run.buffer_offset));
     }
-    batch_start += data.value().size();
+    batch_start += data.size();
   }
   return Status::Ok();
 }

@@ -99,7 +99,6 @@ struct HotStatements {
   metadb::SelectStmt dist_by_file =
       MakeSelect(kDistTable, {"server", "server_index", "bricklist", "replica"},
                  metadb::OrderBy{"server_index", false});
-  metadb::SelectStmt server_by_name = MakeSelect(kServerTable, {});
   metadb::SelectStmt servers_ordered =
       MakeSelect(kServerTable, {}, metadb::OrderBy{"server_name", false});
   metadb::SelectStmt dir_exists = MakeSelect(kDirTable, {"main_dir"});
@@ -197,13 +196,17 @@ Result<ServerInfo> ServerFromRow(const metadb::ResultSet& result,
   return server;
 }
 
-Result<ServerInfo> ServerByName(metadb::Database& db,
-                                const std::string& name) {
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet result,
-      SelectEq(db, Hot().server_by_name, Hot().server_name_col, name));
-  if (result.empty()) return NotFoundError("no server '" + name + "'");
-  return ServerFromRow(result, 0);
+/// Every registered server, in name order: one SELECT of the server table.
+Result<std::vector<ServerInfo>> AllServers(metadb::Database& db) {
+  DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet result,
+                        SelectAll(db, Hot().servers_ordered));
+  std::vector<ServerInfo> servers;
+  servers.reserve(result.size());
+  for (std::size_t row = 0; row < result.size(); ++row) {
+    DPFS_ASSIGN_OR_RETURN(ServerInfo server, ServerFromRow(result, row));
+    servers.push_back(std::move(server));
+  }
+  return servers;
 }
 
 }  // namespace
@@ -399,15 +402,7 @@ Status MetadataManager::UnregisterServer(const std::string& name) {
 
 Result<std::vector<ServerInfo>> MetadataManager::ListServers() {
   ReaderMutexLock lock(mu_);
-  DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet result,
-                        SelectAll(*db_, Hot().servers_ordered));
-  std::vector<ServerInfo> servers;
-  servers.reserve(result.size());
-  for (std::size_t row = 0; row < result.size(); ++row) {
-    DPFS_ASSIGN_OR_RETURN(ServerInfo server, ServerFromRow(result, row));
-    servers.push_back(std::move(server));
-  }
-  return servers;
+  return AllServers(*db_);
 }
 
 // ---------------------------------------------------------------------------
@@ -674,6 +669,9 @@ Result<FileRecord> MetadataManager::LookupFileLocked(const std::string& path) {
   std::vector<std::vector<bool>> seen(num_ranks,
                                       std::vector<bool>(num_servers, false));
   record.servers.resize(num_servers);
+  // One read of the server table serves every rank-0 row's name.
+  DPFS_ASSIGN_OR_RETURN(const std::vector<ServerInfo> registered,
+                        AllServers(*db_));
   for (std::size_t row = 0; row < dist.size(); ++row) {
     DPFS_ASSIGN_OR_RETURN(const std::int64_t index,
                           dist.GetInt(row, "server_index"));
@@ -689,8 +687,13 @@ Result<FileRecord> MetadataManager::LookupFileLocked(const std::string& path) {
     if (rank == 0) {
       DPFS_ASSIGN_OR_RETURN(const std::string server_name,
                             dist.GetText(row, "server"));
-      DPFS_ASSIGN_OR_RETURN(record.servers[index],
-                            ServerByName(*db_, server_name));
+      const auto server = std::find_if(
+          registered.begin(), registered.end(),
+          [&](const ServerInfo& info) { return info.name == server_name; });
+      if (server == registered.end()) {
+        return NotFoundError("no server '" + server_name + "'");
+      }
+      record.servers[index] = *server;
     }
     DPFS_ASSIGN_OR_RETURN(const std::string bricklist,
                           dist.GetText(row, "bricklist"));

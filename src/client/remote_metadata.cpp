@@ -37,14 +37,14 @@ Result<std::unique_ptr<RemoteMetadataManager>> RemoteMetadataManager::Connect(
   return manager;
 }
 
-Result<Bytes> RemoteMetadataManager::Call(net::MessageType type,
-                                          ByteSpan body) {
+Result<net::ReplyFrame> RemoteMetadataManager::Call(net::MessageType type,
+                                                    ByteSpan body) {
   MutexLock lock(conn_mu_);
   // Staleness probe + redial shared with the data-path pool
   // (client/conn_pool.h): a metad restart between calls is absorbed here,
   // counted by conn_pool.redials.
   DPFS_RETURN_IF_ERROR(EnsureFreshConnection(conn_, endpoint_));
-  Result<Bytes> reply = conn_->Call(type, body);
+  Result<net::ReplyFrame> reply = conn_->Call(type, body);
   if (!reply.ok() && reply.status().code() == StatusCode::kUnavailable) {
     // Transport failure (or a server refusing service): abandon the
     // connection so the next operation redials — a restarted metad is
@@ -59,9 +59,9 @@ Status RemoteMetadataManager::Ping() {
 }
 
 Result<std::string> RemoteMetadataManager::FetchMetrics() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply,
+  DPFS_ASSIGN_OR_RETURN(const net::ReplyFrame reply,
                         Call(net::MessageType::kMetrics, {}));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   return reader.ReadString();
 }
 
@@ -84,9 +84,9 @@ Status RemoteMetadataManager::UnregisterServer(const std::string& name) {
 }
 
 Result<std::vector<ServerInfo>> RemoteMetadataManager::ListServers() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply,
+  DPFS_ASSIGN_OR_RETURN(const net::ReplyFrame reply,
                         Call(net::MessageType::kMetaListServers, {}));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(meta_wire::ServerListReply decoded,
                         meta_wire::ServerListReply::Decode(reader));
   return std::move(decoded.servers);
@@ -142,9 +142,9 @@ Result<FileRecord> RemoteMetadataManager::LookupFile(const std::string& path) {
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyFrame reply,
       Call(net::MessageType::kMetaLookupFile, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(meta_wire::FileRecordReply decoded,
                         meta_wire::FileRecordReply::Decode(reader));
   if (options_.cache_ttl.count() > 0) {
@@ -187,11 +187,11 @@ Result<FileRecord> RemoteMetadataManager::DeleteFile(
   request.path = path;
   BinaryWriter body;
   request.Encode(body);
-  const Result<Bytes> reply =
+  const Result<net::ReplyFrame> reply =
       Call(net::MessageType::kMetaDeleteFile, body.buffer());
   InvalidateCache(path);
   DPFS_RETURN_IF_ERROR(reply.status());
-  BinaryReader reader(reply.value());
+  BinaryReader reader(reply.value().body());
   DPFS_ASSIGN_OR_RETURN(meta_wire::FileRecordReply decoded,
                         meta_wire::FileRecordReply::Decode(reader));
   return std::move(decoded.record);
@@ -203,9 +203,9 @@ Result<bool> RemoteMetadataManager::FileExists(const std::string& path) {
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyFrame reply,
       Call(net::MessageType::kMetaFileExists, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(const meta_wire::BoolReply decoded,
                         meta_wire::BoolReply::Decode(reader));
   return decoded.value;
@@ -254,9 +254,9 @@ Result<bool> RemoteMetadataManager::DirectoryExists(const std::string& path) {
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyFrame reply,
       Call(net::MessageType::kMetaDirectoryExists, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(const meta_wire::BoolReply decoded,
                         meta_wire::BoolReply::Decode(reader));
   return decoded.value;
@@ -269,9 +269,9 @@ Result<MetadataService::Listing> RemoteMetadataManager::ListDirectory(
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyFrame reply,
       Call(net::MessageType::kMetaListDirectory, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(meta_wire::ListingReply decoded,
                         meta_wire::ListingReply::Decode(reader));
   return std::move(decoded.listing);

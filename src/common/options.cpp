@@ -1,5 +1,7 @@
 #include "common/options.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace dpfs {
@@ -64,6 +66,26 @@ bool Options::GetBool(const std::string& name, bool fallback) const {
   if (it == flags_.end()) return fallback;
   const std::string lower = ToLower(it->second);
   return lower == "true" || lower == "1" || lower == "yes" || lower == "on";
+}
+
+Status Options::CheckFlags(const std::vector<Flag>& known) const {
+  for (const auto& [name, value] : flags_) {
+    const auto flag =
+        std::find_if(known.begin(), known.end(),
+                     [&name = name](const Flag& f) { return f.name == name; });
+    if (flag == known.end()) {
+      return InvalidArgumentError("unknown flag --" + name);
+    }
+    if (!flag->int_max.has_value()) continue;
+    const Result<std::int64_t> parsed = ParseInt64(value);
+    if (!parsed.ok() || parsed.value() < 0 ||
+        parsed.value() > *flag->int_max) {
+      return InvalidArgumentError("--" + name + " '" + value +
+                                  "' is not a whole number in [0, " +
+                                  std::to_string(*flag->int_max) + "]");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace dpfs

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,20 @@ class Options {
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
+
+  /// A flag a program reads. An integer flag names the largest value its
+  /// field holds, and its value must be a whole number in [0, int_max];
+  /// other flags leave int_max unset.
+  struct Flag {
+    std::string name;
+    std::optional<std::int64_t> int_max = std::nullopt;
+  };
+
+  /// kInvalidArgument naming the first flag given that is not in `known`,
+  /// or whose integer value does not parse or does not fit; Ok otherwise.
+  /// The tools call it before they open anything, so a misspelled or
+  /// retired flag stops them instead of being ignored.
+  [[nodiscard]] Status CheckFlags(const std::vector<Flag>& known) const;
 
  private:
   std::map<std::string, std::string> flags_;

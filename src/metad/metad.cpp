@@ -38,15 +38,15 @@ std::vector<net::MessageType> MetaOpcodes() {
   return opcodes;
 }
 
-Bytes StatusReply(const Status& status) {
-  return net::EncodeReply(status, {});
+server::FrameServer::Reply StatusReply(const Status& status) {
+  return {net::EncodeReply(status)};
 }
 
-template <typename Reply>
-Bytes BodyReply(const Reply& reply) {
-  BinaryWriter body;
-  reply.Encode(body);
-  return net::EncodeReply(Status::Ok(), body.buffer());
+template <typename Body>
+server::FrameServer::Reply BodyReply(const Body& body) {
+  BinaryWriter reply(net::EncodeReply(Status::Ok()));
+  body.Encode(reply);
+  return {std::move(reply).TakeBuffer()};
 }
 
 }  // namespace
@@ -73,7 +73,8 @@ MetadService::MetadService(MetadOptions options,
                   .metric_prefix = "metad",
                   .opcodes = MetaOpcodes(),
                   .reply_failpoint = "metad.reply"},
-                 [this](net::MessageType type, BinaryReader& reader) {
+                 [this](net::MessageType type, BinaryReader& reader,
+                        Bytes& /*scratch*/) {
                    return Dispatch(type, reader);
                  }) {}
 
@@ -85,7 +86,8 @@ void MetadService::Stop() { transport_.Stop(); }
 // namespace mutations on the session thread that received them: the WAL
 // commit *is* the service time the client is waiting for, and §3.1
 // serializes metadata ops anyway)
-Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
+server::FrameServer::Reply MetadService::Dispatch(net::MessageType type,
+                                                BinaryReader& reader) {
   if (failpoint::Check("metad.crash")) {
     // The service dies under this request: stop serving and answer
     // kUnavailable so the client's view matches an abrupt process death

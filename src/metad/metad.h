@@ -75,9 +75,9 @@ class MetadService {
   MetadService(MetadOptions options,
                std::unique_ptr<client::MetadataManager> metadata);
 
-  /// The per-opcode service switch for the kMeta* opcodes; returns the
-  /// reply payload.
-  Bytes Dispatch(net::MessageType type, BinaryReader& reader);
+  /// The per-opcode service switch for the kMeta* opcodes.
+  server::FrameServer::Reply Dispatch(net::MessageType type,
+                                      BinaryReader& reader);
 
   std::unique_ptr<client::MetadataManager> metadata_;
   server::FrameServer transport_;

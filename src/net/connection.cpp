@@ -49,11 +49,11 @@ bool ServerConnection::PeerClosed() const noexcept {
   return false;  // unread bytes pending — the next Call will sort it out
 }
 
-Result<Bytes> ServerConnection::Call(MessageType type, ByteSpan body) {
+Result<ReplyFrame> ServerConnection::Call(MessageType type, ByteSpan body) {
   DPFS_FAILPOINT_RETURN("client.call");
-  const Bytes request = EncodeRequest(type, body);
+  const auto type_byte = static_cast<std::uint8_t>(type);
   DPFS_RETURN_IF_ERROR(
-      SendFrame(socket_, request)
+      SendFrame(socket_, {{&type_byte, 1}, body})
           .WithContext("send " + std::string(MessageTypeName(type)) + " to " +
                        endpoint_.ToString()));
   Bytes reply_frame;
@@ -75,44 +75,52 @@ Result<Bytes> ServerConnection::Call(MessageType type, ByteSpan body) {
   }
   DPFS_ASSIGN_OR_RETURN(const DecodedReply reply, DecodeReply(reply_frame));
   if (!reply.status.ok()) return reply.status;
-  return Bytes(reply.body.begin(), reply.body.end());
+  const auto body_offset =
+      static_cast<std::size_t>(reply.body.data() - reply_frame.data());
+  return ReplyFrame(std::move(reply_frame), body_offset);
 }
 
-Result<Bytes> ServerConnection::Read(
+Result<ReplyFrame> ServerConnection::Read(
     const std::string& subfile, const std::vector<ReadFragment>& fragments) {
   ReadRequest request;
   request.subfile = subfile;
   request.fragments = fragments;
   BinaryWriter body;
   request.Encode(body);
-  DPFS_ASSIGN_OR_RETURN(Bytes data, Call(MessageType::kRead, body.buffer()));
+  DPFS_ASSIGN_OR_RETURN(ReplyFrame reply,
+                        Call(MessageType::kRead, body.buffer()));
   // Callers scatter the reply by the requested lengths; a short or long
   // reply must not reach them.
   const std::uint64_t requested = request.total_bytes();
-  if (data.size() != requested) {
+  if (reply.body().size() != requested) {
     return ProtocolError("read reply from " + endpoint_.ToString() +
-                         " carries " + std::to_string(data.size()) +
+                         " carries " + std::to_string(reply.body().size()) +
                          " bytes for " + std::to_string(requested) +
                          " requested");
   }
-  return data;
+  return reply;
 }
 
 Status ServerConnection::Write(const std::string& subfile,
-                               std::vector<WriteFragment> fragments,
+                               std::span<const WriteFragment> fragments,
                                bool sync) {
   WriteRequest request;
   request.subfile = subfile;
   request.sync = sync;
-  request.fragments = std::move(fragments);
-  BinaryWriter body;
-  request.Encode(body);
-  return Call(MessageType::kWrite, body.buffer()).status();
+  request.fragments.assign(fragments.begin(), fragments.end());
+  // Sized up front so that gathering the data copies each byte once.
+  Bytes body;
+  body.reserve(subfile.size() + 9 + 12 * fragments.size() +
+               request.total_bytes());
+  BinaryWriter writer(std::move(body));
+  request.Encode(writer);
+  return Call(MessageType::kWrite, writer.buffer()).status();
 }
 
 Result<std::string> ServerConnection::Metrics() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kMetrics, {}));
-  BinaryReader reader(reply);
+  DPFS_ASSIGN_OR_RETURN(const ReplyFrame reply,
+                        Call(MessageType::kMetrics, {}));
+  BinaryReader reader(reply.body());
   return reader.ReadString();
 }
 
@@ -123,8 +131,8 @@ Status ServerConnection::Delete(const std::string& subfile) {
 }
 
 Result<std::vector<SubfileInfo>> ServerConnection::List() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kList, {}));
-  BinaryReader reader(reply);
+  DPFS_ASSIGN_OR_RETURN(const ReplyFrame reply, Call(MessageType::kList, {}));
+  BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.ReadU32());
   std::vector<SubfileInfo> out;
   for (std::uint32_t i = 0; i < count; ++i) {

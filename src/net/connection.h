@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -29,6 +31,22 @@ struct Endpoint {
   friend bool operator==(const Endpoint&, const Endpoint&) = default;
 };
 
+/// A received reply: the frame it arrived in, with the body behind the
+/// status envelope viewed in place rather than copied out.
+class ReplyFrame {
+ public:
+  ReplyFrame(Bytes frame, std::size_t body_offset)
+      : frame_(std::move(frame)), body_offset_(body_offset) {}
+
+  [[nodiscard]] ByteSpan body() const noexcept {
+    return ByteSpan(frame_).subspan(body_offset_);
+  }
+
+ private:
+  Bytes frame_;
+  std::size_t body_offset_;
+};
+
 class ServerConnection {
  public:
   static Result<ServerConnection> Connect(const Endpoint& endpoint);
@@ -36,16 +54,18 @@ class ServerConnection {
   ServerConnection(ServerConnection&&) noexcept = default;
   ServerConnection& operator=(ServerConnection&&) noexcept = default;
 
-  /// Reads the fragments of `subfile`; returns their bytes concatenated in
-  /// request order. Fragments past EOF read as zeroes (unwritten brick
-  /// slots are holes in the sparse subfile). A reply whose size is not the
-  /// sum of the fragment lengths is a kProtocolError.
-  Result<Bytes> Read(const std::string& subfile,
-                     const std::vector<ReadFragment>& fragments);
+  /// Reads the fragments of `subfile`; the reply's body is their bytes
+  /// concatenated in request order, for the caller to scatter from. Fragments
+  /// past EOF read as zeroes (unwritten brick slots are holes in the sparse
+  /// subfile). A reply whose size is not the sum of the fragment lengths is a
+  /// kProtocolError.
+  Result<ReplyFrame> Read(const std::string& subfile,
+                          const std::vector<ReadFragment>& fragments);
 
-  /// Writes all fragments; `sync` forces fsync before the reply.
+  /// Writes all fragments; `sync` forces fsync before the reply. Their bytes
+  /// are gathered straight into the request frame (WriteRequest::Encode).
   Status Write(const std::string& subfile,
-               std::vector<WriteFragment> fragments, bool sync = false);
+               std::span<const WriteFragment> fragments, bool sync = false);
 
   /// The server process's full metrics text snapshot (docs/OBSERVABILITY.md).
   Result<std::string> Metrics();
@@ -66,12 +86,12 @@ class ServerConnection {
   /// Best-effort: false only means no close had arrived at probe time.
   [[nodiscard]] bool PeerClosed() const noexcept;
 
-  /// Sends one request frame and receives the reply; returns the reply body
-  /// after unwrapping the status envelope. The typed wrappers above cover
-  /// the I/O opcodes; the remote metadata manager drives the kMeta* opcodes
-  /// through this directly (its body codecs live in client/meta_wire.h,
-  /// above net in the build graph).
-  Result<Bytes> Call(MessageType type, ByteSpan body);
+  /// Sends one request frame and receives the reply; an ok reply comes back
+  /// as its frame, the body behind the status envelope. The typed wrappers
+  /// above cover the I/O opcodes; the remote metadata manager drives the
+  /// kMeta* opcodes through this directly (its body codecs live in
+  /// client/meta_wire.h, above net in the build graph).
+  Result<ReplyFrame> Call(MessageType type, ByteSpan body);
 
  private:
   ServerConnection(TcpSocket socket, Endpoint endpoint)

@@ -1,18 +1,27 @@
 #include "net/frame.h"
 
+#include <vector>
+
 #include "common/crc32.h"
 
 namespace dpfs::net {
 
-Status SendFrame(TcpSocket& socket, ByteSpan payload) {
-  if (payload.size() > kMaxFrameBytes) {
+Status SendFrame(TcpSocket& socket, std::initializer_list<ByteSpan> parts) {
+  std::uint64_t size = 0;
+  for (const ByteSpan part : parts) size += part.size();
+  if (size > kMaxFrameBytes) {
     return InvalidArgumentError("frame exceeds maximum size");
   }
+  std::uint32_t crc = 0;
+  for (const ByteSpan part : parts) crc = Crc32cExtend(crc, part);
   BinaryWriter header;
-  header.WriteU32(static_cast<std::uint32_t>(payload.size()));
-  header.WriteU32(Crc32c(payload));
-  DPFS_RETURN_IF_ERROR(socket.SendAll(header.buffer()));
-  return socket.SendAll(payload);
+  header.WriteU32(static_cast<std::uint32_t>(size));
+  header.WriteU32(crc);
+  std::vector<ByteSpan> frame;
+  frame.reserve(parts.size() + 1);
+  frame.push_back(header.buffer());
+  frame.insert(frame.end(), parts.begin(), parts.end());
+  return socket.SendAll(frame);
 }
 
 Status RecvFrame(TcpSocket& socket, Bytes& payload) {

@@ -81,11 +81,24 @@ std::uint64_t WriteRequest::total_bytes() const noexcept {
 void WriteRequest::Encode(BinaryWriter& writer) const {
   writer.WriteString(subfile);
   writer.WriteBool(sync);
-  writer.WriteU32(static_cast<std::uint32_t>(fragments.size()));
+  const std::size_t count_at = writer.size();
+  writer.WriteU32(0);  // the fragment count, patched below
+  std::uint32_t count = 0;
+  std::size_t length_at = 0;  // the open fragment's length field
+  std::uint64_t end = 0;      // the subfile offset the open fragment ends at
   for (const WriteFragment& fragment : fragments) {
-    writer.WriteU64(fragment.offset);
-    writer.WriteBytes(fragment.data);
+    if (count == 0 || fragment.offset != end) {
+      writer.WriteU64(fragment.offset);
+      length_at = writer.size();
+      writer.WriteU32(0);
+      ++count;
+    }
+    writer.WriteRaw(fragment.data);
+    writer.PatchU32(length_at, static_cast<std::uint32_t>(
+                                   writer.size() - length_at - 4));
+    end = fragment.offset + fragment.data.size();
   }
+  writer.PatchU32(count_at, count);
 }
 
 Result<WriteRequest> WriteRequest::Decode(BinaryReader& reader) {
@@ -94,27 +107,17 @@ Result<WriteRequest> WriteRequest::Decode(BinaryReader& reader) {
   DPFS_ASSIGN_OR_RETURN(request.sync, reader.ReadBool());
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.ReadU32());
   for (std::uint32_t i = 0; i < count; ++i) {
-    WriteFragment fragment;
-    DPFS_ASSIGN_OR_RETURN(fragment.offset, reader.ReadU64());
+    DPFS_ASSIGN_OR_RETURN(const std::uint64_t offset, reader.ReadU64());
     DPFS_ASSIGN_OR_RETURN(const ByteSpan data, reader.ReadBytes());
-    fragment.data.assign(data.begin(), data.end());
-    request.fragments.push_back(std::move(fragment));
+    request.fragments.emplace_back(offset, data);
   }
   return request;
 }
 
-Bytes EncodeRequest(MessageType type, ByteSpan body) {
-  BinaryWriter writer;
-  writer.WriteU8(static_cast<std::uint8_t>(type));
-  writer.WriteRaw(body);
-  return std::move(writer).TakeBuffer();
-}
-
-Bytes EncodeReply(const Status& status, ByteSpan body) {
+Bytes EncodeReply(const Status& status) {
   BinaryWriter writer;
   writer.WriteU8(static_cast<std::uint8_t>(status.code()));
   writer.WriteString(status.message());
-  writer.WriteRaw(body);
   return std::move(writer).TakeBuffer();
 }
 

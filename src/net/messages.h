@@ -98,11 +98,16 @@ struct ReadRequest {
   static Result<ReadRequest> Decode(BinaryReader& reader);
 };
 
+/// `data` is a view: of the bytes to send on the client, of the received
+/// frame on the server.
 struct WriteFragment {
   std::uint64_t offset = 0;
-  Bytes data;
+  ByteSpan data;
 
-  friend bool operator==(const WriteFragment&, const WriteFragment&) = default;
+  WriteFragment() = default;
+  WriteFragment(std::uint64_t at, ByteSpan bytes) : offset(at), data(bytes) {}
+  /// A view of a temporary would dangle once the statement ends.
+  WriteFragment(std::uint64_t at, Bytes&& bytes) = delete;
 };
 
 struct WriteRequest {
@@ -111,13 +116,19 @@ struct WriteRequest {
   std::vector<WriteFragment> fragments;
 
   [[nodiscard]] std::uint64_t total_bytes() const noexcept;
+  /// Copies each fragment's bytes into the body, the one copy a written
+  /// byte takes on the client. A fragment that starts where the one before
+  /// it ends extends it on the wire, so a run of the subfile gathered from
+  /// several places in the caller's buffer travels as one fragment.
   void Encode(BinaryWriter& writer) const;
+  /// The fragments view the reader's buffer, which must outlive them.
   static Result<WriteRequest> Decode(BinaryReader& reader);
 };
 
-/// Envelope helpers.
-Bytes EncodeRequest(MessageType type, ByteSpan body);
-Bytes EncodeReply(const Status& status, ByteSpan body);
+/// A reply's status envelope, [u8 StatusCode][string message]. An ok
+/// reply's body follows it in the same frame: write it behind the envelope
+/// (BinaryWriter(EncodeReply(...))) or send it as the next SendFrame part.
+Bytes EncodeReply(const Status& status);
 
 struct DecodedRequest {
   MessageType type;

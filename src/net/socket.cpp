@@ -4,12 +4,15 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 
@@ -84,7 +87,7 @@ Status TcpSocket::SetNoDelay() {
   return Status::Ok();
 }
 
-Status TcpSocket::SendAll(ByteSpan data) {
+Status TcpSocket::SendAll(std::span<const ByteSpan> parts) {
   if (auto fp = failpoint::Check("net.send_all")) {
     switch (fp->action) {
       case failpoint::Action::kReturnError:
@@ -93,9 +96,12 @@ Status TcpSocket::SendAll(ByteSpan data) {
       case failpoint::Action::kDisconnect: {
         // Deliver only the first `arg` bytes, then sever the connection —
         // the peer observes a frame truncated mid-stream.
-        SendBestEffort(fd_, data.first(std::min<std::size_t>(
-                                 static_cast<std::size_t>(fp->arg),
-                                 data.size())));
+        auto budget = static_cast<std::size_t>(fp->arg);
+        for (const ByteSpan part : parts) {
+          const std::size_t n = std::min(budget, part.size());
+          SendBestEffort(fd_, part.first(n));
+          budget -= n;
+        }
         Close();
         return UnavailableError("send: connection reset (" +
                                 fp->status.message() + ")");
@@ -104,15 +110,34 @@ Status TcpSocket::SendAll(ByteSpan data) {
         break;
     }
   }
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  for (const ByteSpan part : parts) {
+    // sendmsg only reads through iov_base.
+    if (!part.empty()) {
+      iov.push_back({const_cast<std::uint8_t*>(part.data()), part.size()});
+    }
+  }
+  std::size_t next = 0;  // first iovec not yet sent in full
+  while (next < iov.size()) {
+    msghdr message{};
+    message.msg_iov = iov.data() + next;
+    message.msg_iovlen = std::min<std::size_t>(iov.size() - next, IOV_MAX);
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return UnavailableError(std::string("send: ") + std::strerror(errno));
     }
-    sent += static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (next < iov.size() && sent >= iov[next].iov_len) {
+      sent -= iov[next].iov_len;
+      ++next;
+    }
+    if (sent > 0) {
+      iov[next].iov_base =
+          static_cast<std::uint8_t*>(iov[next].iov_base) + sent;
+      iov[next].iov_len -= sent;
+    }
   }
   return Status::Ok();
 }

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/bytes.h"
@@ -30,8 +31,12 @@ class TcpSocket {
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
-  /// Writes the full span, looping over partial sends.
-  Status SendAll(ByteSpan data);
+  /// Writes the parts back to back with sendmsg, looping over partial
+  /// sends, so a frame's header and payload leave in one call without being
+  /// copied together. Failpoint site "net.send_all" (fires once per call;
+  /// a short send's byte count runs across the parts).
+  Status SendAll(std::span<const ByteSpan> parts);
+  Status SendAll(ByteSpan data) { return SendAll({&data, 1}); }
 
   /// Reads exactly data.size() bytes, looping over partial receives.
   /// Returns kUnavailable on clean peer close at a message boundary

@@ -149,8 +149,8 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
       // dpfs:unchecked(best-effort courtesy reply before dropping the
       // session; the client treats a vanished connection the same way)
       (void)net::SendFrame(
-          socket, net::EncodeReply(
-                      ResourceExhaustedError("server busy, retry later"), {}));
+          socket, {net::EncodeReply(
+                      ResourceExhaustedError("server busy, retry later"))});
     }
     return;
   }
@@ -163,6 +163,7 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
     ~InflightGuard() { gauge.Sub(1); }
   } inflight_guard{inflight_sessions_};
 
+  Bytes scratch;
   while (!stopping_.load(std::memory_order_relaxed)) {
     const Status received = net::RecvFrame(socket, frame);
     if (!received.ok()) {
@@ -174,7 +175,7 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
       }
       return;
     }
-    Bytes reply = HandleRequest(frame);
+    Reply reply = HandleRequest(frame, scratch);
     if (auto fp = failpoint::Check(options_.reply_failpoint)) {
       if (fp->action == failpoint::Action::kDisconnect) {
         // Drop the session with the reply unsent: the client sees a dead
@@ -184,10 +185,10 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
       }
       if (fp->action == failpoint::Action::kReturnError) {
         errors_.Add();
-        reply = net::EncodeReply(fp->status, {});
+        reply = {net::EncodeReply(fp->status)};
       }
     }
-    const Status sent = net::SendFrame(socket, reply);
+    const Status sent = net::SendFrame(socket, {reply.head, reply.tail});
     if (!sent.ok()) {
       errors_.Add();
       return;
@@ -195,12 +196,13 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
   }
 }
 
-Bytes FrameServer::HandleRequest(ByteSpan frame) {
+FrameServer::Reply FrameServer::HandleRequest(ByteSpan frame,
+                                              Bytes& scratch) {
   const Result<net::DecodedRequest> decoded = net::DecodeRequest(frame);
   if (!decoded.ok()) {
     errors_.Add();
     bad_requests_.Add();
-    return net::EncodeReply(decoded.status(), {});
+    return {net::EncodeReply(decoded.status())};
   }
   const net::MessageType type = decoded.value().type;
   const auto op = static_cast<std::size_t>(type);
@@ -211,30 +213,29 @@ Bytes FrameServer::HandleRequest(ByteSpan frame) {
     bad_requests_.Add();
     const bool meta =
         op >= static_cast<std::size_t>(net::MessageType::kMetaRegisterServer);
-    return net::EncodeReply(
+    return {net::EncodeReply(
         ProtocolError(std::string(net::MessageTypeName(type)) +
                       (meta ? " is a metadata opcode" : " is an I/O opcode") +
-                      "; not served by " + options_.metric_prefix),
-        {});
+                      "; not served by " + options_.metric_prefix))};
   }
   requests_[op]->Add();
   metrics::ScopedTimer timer(*service_time_us_[op]);
   switch (type) {
     case net::MessageType::kPing:
-      return net::EncodeReply(Status::Ok(), {});
+      return {net::EncodeReply(Status::Ok())};
     case net::MessageType::kShutdown:
       StopAccepting();
-      return net::EncodeReply(Status::Ok(), {});
+      return {net::EncodeReply(Status::Ok())};
     case net::MessageType::kMetrics: {
       // The full text exposition of the process-wide registry (every
       // component, not just this server's counters).
-      BinaryWriter body;
-      body.WriteString(metrics::Registry::Global().TextSnapshot());
-      return net::EncodeReply(Status::Ok(), body.buffer());
+      BinaryWriter reply(net::EncodeReply(Status::Ok()));
+      reply.WriteString(metrics::Registry::Global().TextSnapshot());
+      return {std::move(reply).TakeBuffer()};
     }
     default: {
       BinaryReader reader(decoded.value().body);
-      return dispatch_(type, reader);
+      return dispatch_(type, reader, scratch);
     }
   }
 }

@@ -41,10 +41,20 @@ inline constexpr std::uint16_t kEphemeralMetricsPort = 0xffff;
 
 class FrameServer {
  public:
+  /// A reply payload in the two parts one frame sends: `head`, the status
+  /// envelope with any body written behind it, then `tail`.
+  struct Reply {
+    Bytes head;
+    ByteSpan tail = {};
+  };
+
   /// Services one decoded request whose opcode is in Options::opcodes and
-  /// returns the encoded reply payload. Called concurrently from session
-  /// threads.
-  using Dispatch = std::function<Bytes(net::MessageType, BinaryReader&)>;
+  /// returns its reply. Called concurrently from session threads. `scratch`
+  /// is the calling session's own buffer, kept across its requests: a
+  /// handler may fill it and return a view of it as the reply's tail, which
+  /// stays valid until the reply is sent.
+  using Dispatch = std::function<Reply(net::MessageType, BinaryReader& request,
+                                       Bytes& scratch)>;
 
   struct Options {
     std::uint16_t port = 0;  // 0 = ephemeral
@@ -102,7 +112,7 @@ class FrameServer {
   void Session(std::uint64_t id, net::TcpSocket socket, bool reject_busy);
   void Serve(net::TcpSocket& socket, bool reject_busy);
   /// Decodes one request frame, counts and times it, answers it.
-  Bytes HandleRequest(ByteSpan frame);
+  Reply HandleRequest(ByteSpan frame, Bytes& scratch);
 
   const Options options_;
   const Dispatch dispatch_;

@@ -8,10 +8,14 @@ namespace dpfs::server {
 namespace {
 /// A failed store operation's reply; it counts into the transport's
 /// io_server.errors.
-Bytes StoreErrorReply(const Status& status) {
+FrameServer::Reply StoreErrorReply(const Status& status) {
   static metrics::Counter& errors = metrics::GetCounter("io_server.errors");
   errors.Add();
-  return net::EncodeReply(status, {});
+  return {net::EncodeReply(status)};
+}
+
+FrameServer::Reply StatusReply(const Status& status) {
+  return {net::EncodeReply(status)};
 }
 }  // namespace
 
@@ -38,53 +42,59 @@ IoServer::IoServer(const ServerOptions& options)
                        net::MessageType::kDelete, net::MessageType::kList},
            .session_failpoint = "server.session",
            .reply_failpoint = "server.before_reply"},
-          [this](net::MessageType type, BinaryReader& reader) {
-            return Dispatch(type, reader);
-          }) {}
+          [this](net::MessageType type, BinaryReader& reader,
+                 Bytes& scratch) { return Dispatch(type, reader, scratch); }) {}
 
 IoServer::~IoServer() { Stop(); }
 
 void IoServer::Stop() { transport_.Stop(); }
 
-Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
+FrameServer::Reply IoServer::Dispatch(net::MessageType type,
+                                      BinaryReader& reader, Bytes& scratch) {
   switch (type) {
     case net::MessageType::kRead: {
       Result<net::ReadRequest> request = net::ReadRequest::Decode(reader);
-      if (!request.ok()) return net::EncodeReply(request.status(), {});
-      Result<Bytes> data =
-          store_.ReadFragments(request.value().subfile,
-                               request.value().fragments);
-      if (!data.ok()) return StoreErrorReply(data.status());
-      return net::EncodeReply(Status::Ok(), data.value());
+      if (!request.ok()) return StatusReply(request.status());
+      // The scratch buffer only grows, so a read no larger than one this
+      // session served before is neither allocated nor zero-filled: the
+      // store writes every byte of the reply.
+      const std::uint64_t total = request.value().total_bytes();
+      if (scratch.size() < total) scratch.resize(total);
+      const MutableByteSpan data = MutableByteSpan(scratch).first(total);
+      const Status read = store_.ReadFragments(
+          request.value().subfile, request.value().fragments, data);
+      if (!read.ok()) return StoreErrorReply(read);
+      return {net::EncodeReply(Status::Ok()), data};
     }
 
     case net::MessageType::kWrite: {
+      // The fragments view `reader`'s frame, which outlives this call.
       Result<net::WriteRequest> request = net::WriteRequest::Decode(reader);
-      if (!request.ok()) return net::EncodeReply(request.status(), {});
+      if (!request.ok()) return StatusReply(request.status());
       const Status written = store_.WriteFragments(request.value().subfile,
                                                    request.value().fragments,
                                                    request.value().sync);
       if (!written.ok()) return StoreErrorReply(written);
-      return net::EncodeReply(Status::Ok(), {});
+      return StatusReply(Status::Ok());
     }
 
     case net::MessageType::kDelete: {
       const Result<std::string> subfile = reader.ReadString();
-      if (!subfile.ok()) return net::EncodeReply(subfile.status(), {});
-      return net::EncodeReply(store_.Delete(subfile.value()), {});
+      if (!subfile.ok()) return StatusReply(subfile.status());
+      return StatusReply(store_.Delete(subfile.value()));
     }
 
     case net::MessageType::kList: {
       const Result<std::vector<net::SubfileInfo>> listing =
           store_.ListSubfiles();
-      if (!listing.ok()) return net::EncodeReply(listing.status(), {});
-      BinaryWriter body;
-      body.WriteU32(static_cast<std::uint32_t>(listing.value().size()));
+      if (!listing.ok()) return StatusReply(listing.status());
+      BinaryWriter reply(net::EncodeReply(Status::Ok()));
+      reply.WriteU32(static_cast<std::uint32_t>(listing.value().size()));
       for (const net::SubfileInfo& info : listing.value()) {
-        body.WriteString(info.name);
-        body.WriteU64(info.size);
+        reply.WriteString(info.name);
+        reply.WriteU64(info.size);
       }
-      return net::EncodeReply(Status::Ok(), body.buffer());
+      return {std::move(reply).TakeBuffer()};
     }
 
     default:
@@ -92,7 +102,7 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       // must stay total under -Wswitch.
       break;
   }
-  return net::EncodeReply(ProtocolError("unhandled message type"), {});
+  return StatusReply(ProtocolError("unhandled message type"));
 }
 
 }  // namespace dpfs::server

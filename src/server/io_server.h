@@ -58,9 +58,10 @@ class IoServer {
  private:
   explicit IoServer(const ServerOptions& options);
 
-  /// The per-opcode service switch for the I/O opcodes; returns the reply
-  /// payload.
-  Bytes Dispatch(net::MessageType type, BinaryReader& reader);
+  /// The per-opcode service switch for the I/O opcodes. A read's data goes
+  /// into `scratch`, the session's buffer, as the reply's tail.
+  FrameServer::Reply Dispatch(net::MessageType type, BinaryReader& reader,
+                              Bytes& scratch);
 
   SubfileStore store_;
   FrameServer transport_;

@@ -44,14 +44,18 @@ Result<std::filesystem::path> SubfileStore::ResolvePath(
   return root_ / normalized.substr(1);
 }
 
-Result<Bytes> SubfileStore::ReadFragments(
+Status SubfileStore::ReadFragments(
     const std::string& subfile,
-    const std::vector<net::ReadFragment>& fragments) {
+    const std::vector<net::ReadFragment>& fragments, MutableByteSpan out) {
   DPFS_ASSIGN_OR_RETURN(const std::filesystem::path path,
                         ResolvePath(subfile));
   std::uint64_t total = 0;
   for (const net::ReadFragment& fragment : fragments) total += fragment.length;
-  Bytes out(total, 0);
+  if (total != out.size()) {
+    return InvalidArgumentError("read buffer holds " +
+                                std::to_string(out.size()) + " bytes for " +
+                                std::to_string(total) + " requested");
+  }
   Metrics().reads.Add();
 
   const Result<SharedFdPtr> fd = fd_cache_.Acquire(path.string(), false);
@@ -60,7 +64,8 @@ Result<Bytes> SubfileStore::ReadFragments(
       // A never-written subfile is all holes; zeroes are correct.
       Metrics().missing_reads.Add();
       Metrics().bytes_read.Add(total);
-      return out;
+      std::fill(out.begin(), out.end(), std::uint8_t{0});
+      return Status::Ok();
     }
     return fd.status();
   }
@@ -77,13 +82,17 @@ Result<Bytes> SubfileStore::ReadFragments(
         if (errno == EINTR) continue;
         return IoErrnoError("pread subfile", path.string());
       }
-      if (n == 0) break;  // EOF: the rest stays zero (sparse hole semantics)
+      if (n == 0) break;  // EOF: the rest is a sparse hole
       read_so_far += static_cast<std::uint64_t>(n);
     }
+    // Zero only what the file did not cover: the rest of `out` was read.
+    const MutableByteSpan hole = out.subspan(cursor + read_so_far,
+                                             fragment.length - read_so_far);
+    std::fill(hole.begin(), hole.end(), std::uint8_t{0});
     cursor += fragment.length;
   }
   Metrics().bytes_read.Add(total);
-  return out;
+  return Status::Ok();
 }
 
 Status SubfileStore::WriteFragments(

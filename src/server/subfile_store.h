@@ -25,9 +25,12 @@ class SubfileStore {
  public:
   explicit SubfileStore(std::filesystem::path root) : root_(std::move(root)) {}
 
-  /// Reads every fragment, concatenated in order. Bytes past EOF are zero.
-  Result<Bytes> ReadFragments(const std::string& subfile,
-                              const std::vector<net::ReadFragment>& fragments);
+  /// Reads every fragment into `out`, back to back in order; `out` must
+  /// hold exactly their total. Bytes past EOF are zero: only those are
+  /// zeroed, so `out` may come in holding anything.
+  Status ReadFragments(const std::string& subfile,
+                       const std::vector<net::ReadFragment>& fragments,
+                       MutableByteSpan out);
 
   /// Writes every fragment at its offset, creating the subfile (and parent
   /// directories) as needed. `sync` fsyncs before returning.

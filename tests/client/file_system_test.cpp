@@ -666,9 +666,9 @@ TEST_F(FileSystemTest, RenameAndRemoveRunPinnedStatementCounts) {
   // file, a file or a directory at the target, the target's parent),
   // BEGIN, the row updates in the file's two tables, the unlink and link
   // (a SELECT and an UPDATE each), COMMIT = 12. Remove is DeleteFile: the
-  // record read (attribute, distribution and the four servers' rows),
-  // BEGIN, the deletes in the two tables, the unlink's SELECT and UPDATE,
-  // COMMIT = 12.
+  // record read (attribute, distribution and one read of the server
+  // table), BEGIN, the deletes in the two tables, the unlink's SELECT and
+  // UPDATE, COMMIT = 9.
   CreateOptions options;
   options.total_bytes = 2048;
   options.brick_bytes = 256;
@@ -683,7 +683,7 @@ TEST_F(FileSystemTest, RenameAndRemoveRunPinnedStatementCounts) {
 
   before = statements.value();
   ASSERT_TRUE(fs_->Remove("/renamed.bin").ok());
-  EXPECT_EQ(statements.value() - before, 12u);
+  EXPECT_EQ(statements.value() - before, 9u);
 }
 
 TEST_F(FileSystemTest, MissingSubfileReadsAreCounted) {

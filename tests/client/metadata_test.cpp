@@ -166,6 +166,28 @@ TEST_F(MetadataTest, CreateAndLookupFile) {
   EXPECT_EQ(listing.files[0], "data.bin");
 }
 
+TEST_F(MetadataTest, LookupMapsServersByNameAndRefusesAnUnregisteredOne) {
+  // The lookup reads the server table once and maps each distribution
+  // row's name into it: the record keeps the file's server order, not the
+  // table's, and a row naming a server no longer registered is kNotFound.
+  ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
+  ASSERT_TRUE(manager_->RegisterServer(MakeServer("s1", 3)).ok());
+  const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
+  ASSERT_TRUE(
+      manager_->CreateFile(MakeLinearMeta("/data.bin"), {"s1", "s0"}, dist)
+          .ok());
+  const FileRecord record = manager_->LookupFile("/data.bin").value();
+  ASSERT_EQ(record.servers.size(), 2u);
+  EXPECT_EQ(record.servers[0].name, "s1");
+  EXPECT_EQ(record.servers[0].performance, 3u);
+  EXPECT_EQ(record.servers[1].name, "s0");
+
+  ASSERT_TRUE(manager_->UnregisterServer("s0").ok());
+  const Status lookup = manager_->LookupFile("/data.bin").status();
+  EXPECT_EQ(lookup.code(), StatusCode::kNotFound);
+  EXPECT_NE(lookup.message().find("s0"), std::string::npos);
+}
+
 TEST_F(MetadataTest, CreateFileInMissingDirectoryFails) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
   const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();

@@ -54,5 +54,36 @@ TEST(OptionsTest, MalformedNumberFallsBack) {
   EXPECT_EQ(opts.GetInt("count", 42), 42);
 }
 
+TEST(OptionsTest, CheckFlagsAcceptsTheFlagsAProgramReads) {
+  const Options opts = ParseArgs(
+      {"prog", "input", "--metadb", "/m", "--port", "65535", "--verbose"});
+  EXPECT_TRUE(
+      opts.CheckFlags({{"metadb"}, {"port", 65535}, {"verbose"}, {"unused"}})
+          .ok());
+  // Positional arguments are not flags.
+  EXPECT_TRUE(ParseArgs({"prog", "a", "b"}).CheckFlags({}).ok());
+}
+
+TEST(OptionsTest, CheckFlagsNamesAnUnknownFlag) {
+  const Options opts =
+      ParseArgs({"prog", "--metadb", "/m", "--metadb-shards", "4"});
+  const Status status = opts.CheckFlags({{"metadb"}, {"c"}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--metadb-shards"), std::string::npos);
+}
+
+TEST(OptionsTest, CheckFlagsRejectsIntegersThatDoNotParseOrFit) {
+  const std::vector<Options::Flag> known = {{"port", 65535}};
+  for (const char* bad : {"abc", "70000", "-1", "1.5", ""}) {
+    const Options opts = ParseArgs({"prog", "--port", bad});
+    const Status status = opts.CheckFlags(known);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("--port"), std::string::npos) << bad;
+  }
+  // A bare integer flag parses as the boolean "true".
+  EXPECT_FALSE(ParseArgs({"prog", "--port"}).CheckFlags(known).ok());
+  EXPECT_TRUE(ParseArgs({"prog", "--port=0"}).CheckFlags(known).ok());
+}
+
 }  // namespace
 }  // namespace dpfs

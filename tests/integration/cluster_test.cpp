@@ -91,7 +91,8 @@ TEST(LocalClusterTest, ServersShareNothing) {
   // Write through server 0's store directly and confirm server 1 can't see
   // it — each I/O node owns its own subfile root.
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes{1, 2, 3}});
+  const Bytes bytes{1, 2, 3};
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(
       cluster->server(0).store().WriteFragments("/x", writes, false).ok());
   EXPECT_EQ(cluster->server(0).store().ListSubfiles().value(),

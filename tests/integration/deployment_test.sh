@@ -41,6 +41,11 @@ if [ -z "$ready" ]; then
   fail "nodes never registered"
 fi
 
+# A flag no tool reads (here the retired --metadb-shards) is an error, not
+# silently ignored.
+"$DPFS" --metadb "$WORK/meta" --metadb-shards 4 --c "ls /" 2>/dev/null \
+  && fail "dpfs accepted the unknown flag --metadb-shards"
+
 head -c 300000 /dev/urandom > "$WORK/input.bin"
 
 "$DPFS" --metadb "$WORK/meta" --c "mkdir /data" || fail "mkdir"

@@ -64,7 +64,8 @@ TEST_F(FsckTest, DetectsAndRepairsOrphans) {
   MakeFile("/kept", 1024);
   // Manufacture orphans: plant subfiles directly on two servers.
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes(100, 0xAB)});
+  const Bytes bytes(100, 0xAB);
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(
       cluster_->server(0).store().WriteFragments("/ghost", writes, false).ok());
   ASSERT_TRUE(cluster_->server(2)
@@ -108,7 +109,8 @@ TEST_F(FsckTest, InterruptedDeleteLeavesOrphanThatFsckFinds) {
   const FileHandle handle = MakeFile("/doomed", 1024);
   ASSERT_TRUE(fs_->Remove("/doomed").ok());
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes(64, 1)});
+  const Bytes bytes(64, 1);
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(cluster_->server(1)
                   .store()
                   .WriteFragments(handle.meta().subfile, writes, false)

@@ -186,9 +186,9 @@ TEST_F(SubfileIdTest, AttachUpgradesPathNamedDatabase) {
                                     std::uint8_t fill) {
     for (layout::BrickId brick = 0; brick < handle.map.num_bricks(); ++brick) {
       std::vector<net::WriteFragment> fragment;
-      fragment.push_back(
-          {handle.record.distribution.slot_for(brick) * kBrickBytes,
-           Bytes(kBrickBytes, fill)});
+      const Bytes bytes(kBrickBytes, fill);
+      fragment.emplace_back(
+          handle.record.distribution.slot_for(brick) * kBrickBytes, bytes);
       ASSERT_TRUE(cluster_->server(handle.record.distribution.server_for(brick))
                       .store()
                       .WriteFragments(subfile, fragment, false)

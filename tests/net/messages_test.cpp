@@ -11,6 +11,8 @@
 namespace dpfs::net {
 namespace {
 
+Bytes ToBytes(ByteSpan span) { return Bytes(span.begin(), span.end()); }
+
 TEST(ReadRequestTest, EncodeDecodeRoundTrip) {
   ReadRequest request;
   request.subfile = "/home/x/data.dpfs";
@@ -110,11 +112,13 @@ TEST(ReadRequestTest, RejectsLengthsThatWrapTheSum) {
 }
 
 TEST(WriteRequestTest, EncodeDecodeRoundTrip) {
+  const Bytes first = {1, 2, 3, 4};
+  const Bytes second = {9};
   WriteRequest request;
   request.subfile = "/a/b";
   request.sync = true;
-  request.fragments.push_back({128, Bytes{1, 2, 3, 4}});
-  request.fragments.push_back({0, Bytes{9}});
+  request.fragments.emplace_back(128, first);
+  request.fragments.emplace_back(0, second);
   BinaryWriter writer;
   request.Encode(writer);
   BinaryReader reader(writer.buffer());
@@ -123,8 +127,41 @@ TEST(WriteRequestTest, EncodeDecodeRoundTrip) {
   EXPECT_TRUE(decoded.sync);
   ASSERT_EQ(decoded.fragments.size(), 2u);
   EXPECT_EQ(decoded.fragments[0].offset, 128u);
-  EXPECT_EQ(decoded.fragments[0].data, (Bytes{1, 2, 3, 4}));
+  EXPECT_EQ(ToBytes(decoded.fragments[0].data), first);
   EXPECT_EQ(decoded.total_bytes(), 5u);
+  // Decoded fragments view the frame: no byte was copied out of it.
+  EXPECT_GE(decoded.fragments[0].data.data(), writer.buffer().data());
+  EXPECT_LT(decoded.fragments[0].data.data(),
+            writer.buffer().data() + writer.buffer().size());
+}
+
+TEST(WriteRequestTest, AdjacentFragmentsTravelAsOne) {
+  // Pieces gathered from separate buffers, each starting where the last
+  // ends, encode as one wire fragment: the bytes of a single write.
+  const Bytes a = {1, 2};
+  const Bytes b = {3};
+  const Bytes c = {4, 5};
+  const Bytes d = {6};
+  WriteRequest request;
+  request.subfile = "f";
+  request.fragments = {{10, a}, {12, b}, {13, c}, {40, d}};
+  BinaryWriter gathered;
+  request.Encode(gathered);
+
+  const Bytes joined = {1, 2, 3, 4, 5};
+  WriteRequest single;
+  single.subfile = "f";
+  single.fragments = {{10, joined}, {40, d}};
+  BinaryWriter expected;
+  single.Encode(expected);
+  EXPECT_EQ(gathered.buffer(), expected.buffer());
+
+  BinaryReader reader(gathered.buffer());
+  const WriteRequest decoded = WriteRequest::Decode(reader).value();
+  ASSERT_EQ(decoded.fragments.size(), 2u);
+  EXPECT_EQ(decoded.fragments[0].offset, 10u);
+  EXPECT_EQ(ToBytes(decoded.fragments[0].data), joined);
+  EXPECT_EQ(decoded.fragments[1].offset, 40u);
 }
 
 TEST(WriteRequestTest, RejectsLyingCountBeforeAllocating) {
@@ -140,8 +177,11 @@ TEST(WriteRequestTest, RejectsLyingCountBeforeAllocating) {
 }
 
 TEST(EnvelopeTest, RequestRoundTrip) {
+  // A request payload is the type byte followed by the body; senders pass
+  // them to SendFrame as two parts.
   const Bytes body = {10, 20, 30};
-  const Bytes frame = EncodeRequest(MessageType::kRead, body);
+  const Bytes frame = {static_cast<std::uint8_t>(MessageType::kRead), 10, 20,
+                       30};
   const DecodedRequest decoded = DecodeRequest(frame).value();
   EXPECT_EQ(decoded.type, MessageType::kRead);
   EXPECT_EQ(Bytes(decoded.body.begin(), decoded.body.end()), body);
@@ -189,14 +229,17 @@ TEST(EnvelopeTest, FirstTypePastTheRangeRejected) {
 
 TEST(EnvelopeTest, OkReplyRoundTrip) {
   const Bytes body = {1, 2};
-  const Bytes frame = EncodeReply(Status::Ok(), body);
+  BinaryWriter writer(EncodeReply(Status::Ok()));
+  EXPECT_EQ(writer.size(), 5u);  // [u8 code][u32 empty message]
+  writer.WriteRaw(body);
+  const Bytes& frame = writer.buffer();
   const DecodedReply decoded = DecodeReply(frame).value();
   EXPECT_TRUE(decoded.status.ok());
   EXPECT_EQ(Bytes(decoded.body.begin(), decoded.body.end()), body);
 }
 
 TEST(EnvelopeTest, ErrorReplyCarriesCodeAndMessage) {
-  const Bytes frame = EncodeReply(NotFoundError("no subfile"), {});
+  const Bytes frame = EncodeReply(NotFoundError("no subfile"));
   const DecodedReply decoded = DecodeReply(frame).value();
   EXPECT_EQ(decoded.status.code(), StatusCode::kNotFound);
   EXPECT_EQ(decoded.status.message(), "no subfile");
@@ -207,7 +250,7 @@ TEST(EnvelopeTest, AllMessageTypesDecodable) {
        {MessageType::kPing, MessageType::kRead, MessageType::kWrite,
         MessageType::kDelete, MessageType::kShutdown, MessageType::kList,
         MessageType::kMetrics}) {
-    const Bytes frame = EncodeRequest(type, {});
+    const Bytes frame = {static_cast<std::uint8_t>(type)};
     EXPECT_EQ(DecodeRequest(frame).value().type, type);
     EXPECT_NE(MessageTypeName(type), "unknown");
   }

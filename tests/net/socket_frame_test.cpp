@@ -78,10 +78,10 @@ TEST(FrameTest, RoundTripSmallAndLarge) {
   TcpListener listener = TcpListener::Bind(0).value();
   std::thread server([&listener] {
     TcpSocket conn = listener.Accept().value();
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 6; ++i) {
       Bytes payload;
       ASSERT_TRUE(RecvFrame(conn, payload).ok());
-      ASSERT_TRUE(SendFrame(conn, payload).ok());  // echo
+      ASSERT_TRUE(SendFrame(conn, {payload}).ok());  // echo
     }
   });
 
@@ -92,8 +92,17 @@ TEST(FrameTest, RoundTripSmallAndLarge) {
     for (std::size_t i = 0; i < size; ++i) {
       payload[i] = static_cast<std::uint8_t>(i);
     }
-    ASSERT_TRUE(SendFrame(client, payload).ok());
+    ASSERT_TRUE(SendFrame(client, {payload}).ok());
     Bytes echoed;
+    ASSERT_TRUE(RecvFrame(client, echoed).ok());
+    EXPECT_EQ(echoed, payload);
+    // The same payload sent as three parts (one empty) is the same frame:
+    // the receiver's checksum over the concatenation matches.
+    const ByteSpan whole(payload);
+    const std::size_t cut = size / 3;
+    ASSERT_TRUE(SendFrame(client, {whole.first(cut), ByteSpan{},
+                                   whole.subspan(cut)})
+                    .ok());
     ASSERT_TRUE(RecvFrame(client, echoed).ok());
     EXPECT_EQ(echoed, payload);
   }
@@ -202,6 +211,45 @@ TEST_F(NonBlockingFailpointTest, RecvSomeSpuriousWakeupAndError) {
   failpoint::Arm("net.recv_some", error);
   got = served.RecvSome({buf, sizeof(buf)});
   EXPECT_EQ(got.status().code(), StatusCode::kIoError);
+}
+
+TEST_F(NonBlockingFailpointTest, SendFailpointFiresOncePerFrame) {
+  // A frame leaves in one SendAll, so net.send_all fires once for it, and
+  // a short send's byte count runs from the header's first byte across
+  // every part: 8 header bytes + 2 of the first part + 1 of the second.
+  TcpListener listener = TcpListener::Bind(0).value();
+  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
+  TcpSocket served = listener.Accept().value();
+  const Bytes first = {1, 2};
+  const Bytes second = {3, 4, 5};
+
+  ASSERT_TRUE(SendFrame(client, {first, second}).ok());
+  EXPECT_EQ(failpoint::HitCount("net.send_all"), 0u);  // not armed yet
+  Bytes payload;
+  ASSERT_TRUE(RecvFrame(served, payload).ok());
+  EXPECT_EQ(payload, (Bytes{1, 2, 3, 4, 5}));
+
+  failpoint::Spec cut;
+  cut.action = failpoint::Action::kShortIo;
+  cut.arg = 8 + 3;
+  failpoint::Arm("net.send_all", cut);
+  EXPECT_EQ(SendFrame(client, {first, second}).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(failpoint::HitCount("net.send_all"), 1u);
+  failpoint::DisarmAll();
+
+  Bytes received(32);
+  std::size_t got = 0;
+  for (;;) {
+    const Result<TcpSocket::SomeIo> some =
+        served.RecvSome(MutableByteSpan(received).subspan(got));
+    ASSERT_TRUE(some.ok());
+    if (some.value().closed) break;
+    got += some.value().bytes;
+  }
+  ASSERT_EQ(got, 11u);
+  EXPECT_EQ(Bytes(received.begin() + 8, received.begin() + 11),
+            (Bytes{1, 2, 3}));
 }
 
 }  // namespace

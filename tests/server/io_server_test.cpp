@@ -31,6 +31,14 @@ class Delta {
   const std::uint64_t before_;
 };
 
+/// A read's reply body, copied out of its frame for comparison.
+Result<Bytes> ReadBack(net::ServerConnection& conn, const std::string& subfile,
+                       const std::vector<net::ReadFragment>& fragments) {
+  DPFS_ASSIGN_OR_RETURN(const net::ReplyFrame reply,
+                        conn.Read(subfile, fragments));
+  return Bytes(reply.body().begin(), reply.body().end());
+}
+
 bool WaitFor(const std::function<bool()>& pred) {
   for (int i = 0; i < 400; ++i) {
     if (pred()) return true;
@@ -65,25 +73,28 @@ TEST_F(IoServerTest, Ping) {
 TEST_F(IoServerTest, WriteThenRead) {
   net::ServerConnection conn = Connect();
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes{1, 2, 3, 4, 5, 6, 7, 8}});
+  const Bytes bytes{1, 2, 3, 4, 5, 6, 7, 8};
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(conn.Write("/data", std::move(writes)).ok());
-  const Bytes data = conn.Read("/data", {{2, 4}}).value();
+  const Bytes data = ReadBack(conn, "/data", {{2, 4}}).value();
   EXPECT_EQ(data, (Bytes{3, 4, 5, 6}));
 }
 
 TEST_F(IoServerTest, MultiFragmentReadConcatenates) {
   net::ServerConnection conn = Connect();
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes{10, 11, 12, 13, 14, 15}});
+  const Bytes bytes{10, 11, 12, 13, 14, 15};
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(conn.Write("/f", std::move(writes)).ok());
-  const Bytes data = conn.Read("/f", {{4, 2}, {0, 2}}).value();
+  const Bytes data = ReadBack(conn, "/f", {{4, 2}, {0, 2}}).value();
   EXPECT_EQ(data, (Bytes{14, 15, 10, 11}));
 }
 
 TEST_F(IoServerTest, StatAndDelete) {
   net::ServerConnection conn = Connect();
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes{1, 2, 3}});
+  const Bytes bytes{1, 2, 3};
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(conn.Write("/f", std::move(writes)).ok());
   ASSERT_EQ(conn.List().value().size(), 1u);
   EXPECT_TRUE(conn.Delete("/f").ok());
@@ -91,9 +102,30 @@ TEST_F(IoServerTest, StatAndDelete) {
   EXPECT_EQ(conn.Delete("/f").code(), StatusCode::kNotFound);
 }
 
+TEST_F(IoServerTest, ReadPastEofIsZeroAfterALargerRead) {
+  // One session serves both reads, so the second reply can land in memory
+  // the first one filled: every byte past the short subfile's end must
+  // still read as zero.
+  net::ServerConnection conn = Connect();
+  const Bytes big(64 << 10, 0xAB);
+  const Bytes small(100, 0xCD);
+  std::vector<net::WriteFragment> writes;
+  writes.emplace_back(0, big);
+  ASSERT_TRUE(conn.Write("/big", writes).ok());
+  writes = {{0, small}};
+  ASSERT_TRUE(conn.Write("/small", writes).ok());
+
+  EXPECT_EQ(ReadBack(conn, "/big", {{0, 64 << 10}}).value(), big);
+  // A fragment straddling EOF, then one wholly past it.
+  Bytes expected(50, 0xCD);
+  expected.resize(50 + 150 + 64, 0);
+  EXPECT_EQ(ReadBack(conn, "/small", {{50, 200}, {1000, 64}}).value(),
+            expected);
+}
+
 TEST_F(IoServerTest, PathEscapeReturnsErrorNotCrash) {
   net::ServerConnection conn = Connect();
-  const Result<Bytes> data = conn.Read("/../../etc/passwd", {{0, 4}});
+  const Result<Bytes> data = ReadBack(conn, "/../../etc/passwd", {{0, 4}});
   EXPECT_FALSE(data.ok());
   // The connection survives the error reply.
   EXPECT_TRUE(conn.Ping().ok());
@@ -124,7 +156,7 @@ TEST_F(IoServerTest, ConcurrentClients) {
           return;
         }
         const Result<Bytes> read =
-            connection.Read(subfile,
+            ReadBack(connection, subfile,
                             {{static_cast<std::uint64_t>(op) * 256, 256}});
         if (!read.ok() || read.value() != payload) {
           failures.fetch_add(1);
@@ -147,9 +179,10 @@ TEST_F(IoServerTest, StatsCountBytes) {
   const Delta fd_hits("fd_cache.hits");
   net::ServerConnection conn = Connect();
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes(1000, 1)});
+  const Bytes bytes(1000, 1);
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(conn.Write("/f", std::move(writes)).ok());
-  ASSERT_TRUE(conn.Read("/f", {{0, 400}}).ok());
+  ASSERT_TRUE(ReadBack(conn, "/f", {{0, 400}}).ok());
   EXPECT_EQ(bytes_written(), 1000u);
   EXPECT_EQ(bytes_read(), 400u);
   EXPECT_EQ(write_requests(), 1u);
@@ -187,9 +220,10 @@ TEST_F(IoServerTest, AllOpcodesRoundTrip) {
   EXPECT_TRUE(conn.Ping().ok());
 
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes{1, 2, 3, 4, 5, 6, 7, 8}});
+  const Bytes bytes{1, 2, 3, 4, 5, 6, 7, 8};
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(conn.Write("/data", std::move(writes)).ok());
-  EXPECT_EQ(conn.Read("/data", {{2, 4}}).value(), (Bytes{3, 4, 5, 6}));
+  EXPECT_EQ(ReadBack(conn, "/data", {{2, 4}}).value(), (Bytes{3, 4, 5, 6}));
 
   const std::vector<net::SubfileInfo> listing = conn.List().value();
   ASSERT_EQ(listing.size(), 1u);
@@ -231,7 +265,8 @@ TEST_F(IoServerTest, FailpointBusyStormRejectsEverySession) {
 TEST_F(IoServerTest, SubfilesLandUnderServerRoot) {
   net::ServerConnection conn = Connect();
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes{1}});
+  const Bytes bytes{1};
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(conn.Write("/home/user/file.dpfs", std::move(writes)).ok());
   EXPECT_TRUE(
       std::filesystem::exists(dir_.path() / "home/user/file.dpfs"));

@@ -26,9 +26,18 @@
 namespace dpfs::server {
 namespace {
 
+/// A read's reply body, copied out of its frame for comparison.
+Result<Bytes> ReadBack(net::ServerConnection& conn, const std::string& subfile,
+                       const std::vector<net::ReadFragment>& fragments) {
+  DPFS_ASSIGN_OR_RETURN(const net::ReplyFrame reply,
+                        conn.Read(subfile, fragments));
+  return Bytes(reply.body().begin(), reply.body().end());
+}
+
+
 /// One ping request as raw wire bytes: [u32 length][u32 crc32c][payload].
 Bytes PingFrame() {
-  const Bytes payload = net::EncodeRequest(net::MessageType::kPing, {});
+  const Bytes payload = {static_cast<std::uint8_t>(net::MessageType::kPing)};
   BinaryWriter frame;
   frame.WriteU32(static_cast<std::uint32_t>(payload.size()));
   frame.WriteU32(Crc32c(payload));
@@ -106,7 +115,7 @@ TEST_F(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
        {0x7F, 4, 6, 8, 9, 15, 18, 24, 25, 26, 31, 32}) {
     const std::uint64_t bad_before = Instrument("io_server", "bad_requests");
     const Bytes payload = {bad};
-    ASSERT_TRUE(net::SendFrame(socket, payload).ok());
+    ASSERT_TRUE(net::SendFrame(socket, {payload}).ok());
     Bytes reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
     const net::DecodedReply decoded = net::DecodeReply(reply).value();
@@ -125,7 +134,7 @@ TEST_F(ProtocolFuzzTest, TruncatedRequestBodyGetsErrorReply) {
   BinaryWriter payload;
   payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kRead));
   payload.WriteU32(1000);  // string length with no bytes behind it
-  ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
+  ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
   Bytes reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
   EXPECT_FALSE(net::DecodeReply(reply).value().status.ok());
@@ -165,7 +174,7 @@ TEST_F(ProtocolFuzzTest, RandomFrameStorm) {
       // (deliberately unauthenticated) request — steer around it so the
       // storm exercises malformed traffic, not the admin opcode.
       if (!payload.empty() && payload[0] == 7) payload[0] = 0x77;
-      if (!net::SendFrame(socket.value(), payload).ok()) break;
+      if (!net::SendFrame(socket.value(), {payload}).ok()) break;
       Bytes reply;
       session_alive = net::RecvFrame(socket.value(), reply).ok();
     }
@@ -332,9 +341,10 @@ TEST_F(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
   net::ServerConnection conn =
       net::ServerConnection::Connect(server_->endpoint()).value();
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes{1, 2, 3}});
+  const Bytes bytes{1, 2, 3};
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(conn.Write("/m", std::move(writes)).ok());
-  ASSERT_TRUE(conn.Read("/m", {{0, 3}}).ok());
+  ASSERT_TRUE(ReadBack(conn, "/m", {{0, 3}}).ok());
 
   const Result<std::string> snapshot = conn.Metrics();
   ASSERT_TRUE(snapshot.ok());
@@ -358,7 +368,7 @@ TEST_F(ProtocolFuzzTest, MetricsOpcodeIgnoresTrailingBodyBytes) {
   BinaryWriter payload;
   payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kMetrics));
   payload.WriteU32(0xABCD);  // junk the handler never reads
-  ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
+  ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
   Bytes reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
   EXPECT_TRUE(net::DecodeReply(reply).value().status.ok());
@@ -370,14 +380,15 @@ TEST_F(ProtocolFuzzTest, InterleavedGoodAndBadClients) {
   net::ServerConnection good =
       net::ServerConnection::Connect(server_->endpoint()).value();
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes{1, 2, 3}});
+  const Bytes bytes{1, 2, 3};
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(good.Write("/x", std::move(writes)).ok());
 
   net::TcpSocket bad =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   ASSERT_TRUE(bad.SendAll(Bytes(3, 0xFF)).ok());
 
-  EXPECT_EQ(good.Read("/x", {{0, 3}}).value(), (Bytes{1, 2, 3}));
+  EXPECT_EQ(ReadBack(good, "/x", {{0, 3}}).value(), (Bytes{1, 2, 3}));
   bad.Close();
   EXPECT_TRUE(good.Ping().ok());
 }
@@ -439,7 +450,7 @@ TEST_F(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
   BinaryWriter payload;
   payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kMetaLookupFile));
   request.Encode(payload);
-  ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
+  ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
   Bytes reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
   const net::DecodedReply decoded = net::DecodeReply(reply).value();
@@ -457,7 +468,7 @@ Status SendRawRequest(const net::Endpoint& endpoint,
                       const BinaryWriter& payload) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", endpoint.port).value();
-  DPFS_RETURN_IF_ERROR(net::SendFrame(socket, payload.buffer()));
+  DPFS_RETURN_IF_ERROR(net::SendFrame(socket, {payload.buffer()}));
   Bytes reply;
   DPFS_RETURN_IF_ERROR(net::RecvFrame(socket, reply));
   DPFS_ASSIGN_OR_RETURN(const net::DecodedReply decoded,
@@ -471,11 +482,14 @@ TEST_F(ProtocolFuzzTest, ListRoundTrip) {
   net::ServerConnection conn =
       net::ServerConnection::Connect(server_->endpoint()).value();
   std::vector<net::WriteFragment> fragments;
-  fragments.push_back({1024, Bytes{9, 10, 11, 12, 13, 14, 15, 16}});
-  fragments.push_back({0, Bytes{1, 2, 3, 4}});
-  fragments.push_back({64, Bytes{5, 6, 7, 8}});
+  const Bytes bytes{9, 10, 11, 12, 13, 14, 15, 16};
+  fragments.emplace_back(1024, bytes);
+  const Bytes bytes2{1, 2, 3, 4};
+  fragments.emplace_back(0, bytes2);
+  const Bytes bytes3{5, 6, 7, 8};
+  fragments.emplace_back(64, bytes3);
   ASSERT_TRUE(conn.Write("/lst", std::move(fragments)).ok());
-  EXPECT_EQ(conn.Read("/lst", {{64, 4}, {0, 4}, {1024, 8}}).value(),
+  EXPECT_EQ(ReadBack(conn, "/lst", {{64, 4}, {0, 4}, {1024, 8}}).value(),
             (Bytes{5, 6, 7, 8, 1, 2, 3, 4, 9, 10, 11, 12, 13, 14, 15, 16}));
 }
 
@@ -497,7 +511,8 @@ TEST_F(ProtocolFuzzTest, WriteWithLyingCountRejectedAndNothingWritten) {
   net::ServerConnection conn =
       net::ServerConnection::Connect(server_->endpoint()).value();
   std::vector<net::WriteFragment> seed;
-  seed.push_back({0, Bytes(16, 0xAA)});
+  const Bytes bytes(16, 0xAA);
+  seed.emplace_back(0, bytes);
   ASSERT_TRUE(conn.Write("/lst", std::move(seed)).ok());
 
   BinaryWriter payload;
@@ -510,7 +525,7 @@ TEST_F(ProtocolFuzzTest, WriteWithLyingCountRejectedAndNothingWritten) {
   EXPECT_EQ(SendRawRequest(server_->endpoint(), payload).code(),
             StatusCode::kProtocolError);
   // Decode fails before any fragment reaches the store.
-  EXPECT_EQ(conn.Read("/lst", {{0, 16}}).value(), Bytes(16, 0xAA));
+  EXPECT_EQ(ReadBack(conn, "/lst", {{0, 16}}).value(), Bytes(16, 0xAA));
   ExpectServerAlive();
 }
 
@@ -558,7 +573,7 @@ TEST_F(ProtocolFuzzTest, ListOpcodeFrameStorm) {
     }
     payload[0] = static_cast<std::uint8_t>(
         trial % 2 == 0 ? net::MessageType::kRead : net::MessageType::kWrite);
-    if (!net::SendFrame(socket.value(), payload).ok()) continue;
+    if (!net::SendFrame(socket.value(), {payload}).ok()) continue;
     Bytes reply;
     (void)net::RecvFrame(socket.value(), reply);
   }
@@ -571,15 +586,17 @@ TEST(ReadReplyProtocolFuzzTest, ShortReplyIsProtocolError) {
   FrameServer server({.metric_prefix = "io_server",
                       .opcodes = {net::MessageType::kRead},
                       .reply_failpoint = "server.before_reply"},
-                     [](net::MessageType, BinaryReader&) {
-                       return net::EncodeReply(Status::Ok(), Bytes{1, 2, 3});
+                     [](net::MessageType, BinaryReader&, Bytes& scratch) {
+                       scratch = {1, 2, 3};
+                       return FrameServer::Reply{
+                           net::EncodeReply(Status::Ok()), scratch};
                      });
   ASSERT_TRUE(server.Start().ok());
   net::ServerConnection conn =
       net::ServerConnection::Connect(server.endpoint()).value();
-  EXPECT_EQ(conn.Read("/f", {{0, 8}}).status().code(),
+  EXPECT_EQ(ReadBack(conn, "/f", {{0, 8}}).status().code(),
             StatusCode::kProtocolError);
-  EXPECT_EQ(conn.Read("/f", {{0, 3}}).value(), (Bytes{1, 2, 3}));
+  EXPECT_EQ(ReadBack(conn, "/f", {{0, 3}}).value(), (Bytes{1, 2, 3}));
   server.Stop();
 }
 
@@ -627,7 +644,7 @@ TEST_F(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
         32}) {
     const std::uint64_t bad_before = Instrument("metad", "bad_requests");
     const Bytes payload = {bad};
-    ASSERT_TRUE(net::SendFrame(socket, payload).ok());
+    ASSERT_TRUE(net::SendFrame(socket, {payload}).ok());
     Bytes reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
     const net::DecodedReply decoded = net::DecodeReply(reply).value();
@@ -648,7 +665,7 @@ TEST_F(MetadProtocolFuzzTest, TruncatedMetadataBodyGetsErrorReply) {
   payload.WriteU8(
       static_cast<std::uint8_t>(net::MessageType::kMetaLookupFile));
   payload.WriteU32(1000);  // string length with no bytes behind it
-  ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
+  ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
   Bytes reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
   EXPECT_FALSE(net::DecodeReply(reply).value().status.ok());
@@ -663,7 +680,7 @@ TEST_F(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
   BinaryWriter payload;
   payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kRead));
   payload.WriteString("/subfile");
-  ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
+  ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
   Bytes reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
   const net::DecodedReply decoded = net::DecodeReply(reply).value();
@@ -695,7 +712,7 @@ TEST_F(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
   write.WriteBytes(Bytes(4, 1));
   for (const BinaryWriter* payload : {&read, &write}) {
     const std::uint64_t bad_before = Instrument("metad", "bad_requests");
-    ASSERT_TRUE(net::SendFrame(socket, payload->buffer()).ok());
+    ASSERT_TRUE(net::SendFrame(socket, {payload->buffer()}).ok());
     Bytes reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
     const net::DecodedReply decoded = net::DecodeReply(reply).value();
@@ -721,7 +738,7 @@ TEST_F(MetadProtocolFuzzTest, CreateFileWithLyingCountsGetsErrorReply) {
     net::TcpSocket socket =
         net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port)
             .value();
-    ASSERT_TRUE(net::SendFrame(socket, payload.buffer()).ok());
+    ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
     Bytes reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
     EXPECT_EQ(net::DecodeReply(reply).value().status.code(),
@@ -826,7 +843,7 @@ TEST_F(MetadProtocolFuzzTest, RandomFrameStorm) {
       // Steer around kShutdown (7), the valid admin opcode, like the
       // I/O-server storm does.
       if (!payload.empty() && payload[0] == 7) payload[0] = 0x77;
-      if (!net::SendFrame(socket.value(), payload).ok()) break;
+      if (!net::SendFrame(socket.value(), {payload}).ok()) break;
       Bytes reply;
       session_alive = net::RecvFrame(socket.value(), reply).ok();
     }

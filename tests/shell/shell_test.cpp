@@ -235,7 +235,8 @@ TEST_F(ShellTest, FsckDetectsPlantedOrphan) {
 
   // Plant an orphan behind DPFS's back.
   std::vector<net::WriteFragment> writes;
-  writes.push_back({0, Bytes(10, 1)});
+  const Bytes bytes(10, 1);
+  writes.emplace_back(0, bytes);
   ASSERT_TRUE(
       cluster_->server(0).store().WriteFragments("/orphan", writes, false)
           .ok());

@@ -21,7 +21,11 @@
 int main(int argc, char** argv) {
   using namespace dpfs;
   const Options opts = Options::Parse(argc, argv).value();
-  if (!opts.Has("metadb") && !opts.Has("metad")) {
+  const Status flags = opts.CheckFlags({{"metadb"}, {"metad"}, {"c"}});
+  if (!flags.ok() || (!opts.Has("metadb") && !opts.Has("metad"))) {
+    if (!flags.ok()) {
+      std::fprintf(stderr, "dpfs: %s\n", flags.message().c_str());
+    }
     std::fprintf(stderr,
                  "usage: dpfs --metadb DIR [--c COMMAND]\n"
                  "       dpfs --metad HOST:PORT [--c COMMAND]\n");

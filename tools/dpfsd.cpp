@@ -15,6 +15,7 @@
 // block. Runs until SIGINT/SIGTERM, then prints the metrics registry's
 // text snapshot (docs/OBSERVABILITY.md) so the last numbers land in the log.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 
 #include <atomic>
@@ -67,7 +68,15 @@ int main(int argc, char** argv) {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   SetLogLevel(LogLevel::kInfo);
   const Options opts = Options::Parse(argc, argv).value();
-  if (!opts.Has("root")) {
+  constexpr std::int64_t kU16 = 0xFFFF;
+  const Status flags = opts.CheckFlags(
+      {{"root"}, {"port", kU16}, {"name"}, {"metadb"}, {"metad"},
+       {"capacity", INT64_MAX}, {"performance", 0xFFFFFFFF},
+       {"max-sessions", INT64_MAX}, {"metrics-port", kU16}});
+  if (!flags.ok() || !opts.Has("root")) {
+    if (!flags.ok()) {
+      std::fprintf(stderr, "dpfsd: %s\n", flags.message().c_str());
+    }
     std::fprintf(stderr,
                  "usage: dpfsd --root DIR [--port N] [--name NAME]\n"
                  "             [--metadb DIR] [--metad HOST:PORT] "

@@ -10,6 +10,7 @@
 // Runs until SIGINT/SIGTERM, then prints the metrics registry's text
 // snapshot (docs/OBSERVABILITY.md) so the last numbers land in the log.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 
 #include <atomic>
@@ -36,7 +37,14 @@ int main(int argc, char** argv) {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   SetLogLevel(LogLevel::kInfo);
   const Options opts = Options::Parse(argc, argv).value();
-  if (!opts.Has("metadb")) {
+  constexpr std::int64_t kU16 = 0xFFFF;
+  const Status flags =
+      opts.CheckFlags({{"metadb"}, {"port", kU16},
+                       {"max-sessions", INT64_MAX}, {"metrics-port", kU16}});
+  if (!flags.ok() || !opts.Has("metadb")) {
+    if (!flags.ok()) {
+      std::fprintf(stderr, "dpfs-metad: %s\n", flags.message().c_str());
+    }
     std::fprintf(stderr,
                  "usage: dpfs-metad --metadb DIR [--port N]\n"
                  "                  [--max-sessions N] [--metrics-port N]\n");
