@@ -56,7 +56,7 @@ Result<ReplyFrame> ServerConnection::Call(MessageType type, ByteSpan body) {
       SendFrame(socket_, {{&type_byte, 1}, body})
           .WithContext("send " + std::string(MessageTypeName(type)) + " to " +
                        endpoint_.ToString()));
-  Bytes reply_frame;
+  FrameBuffer reply_frame;
   const Status received = RecvFrame(socket_, reply_frame);
   if (!received.ok()) {
     // Any reply-path transport failure — clean close, mid-frame close
@@ -73,10 +73,11 @@ Result<ReplyFrame> ServerConnection::Call(MessageType type, ByteSpan body) {
     }
     return context;
   }
-  DPFS_ASSIGN_OR_RETURN(const DecodedReply reply, DecodeReply(reply_frame));
+  DPFS_ASSIGN_OR_RETURN(const DecodedReply reply,
+                        DecodeReply(reply_frame.bytes()));
   if (!reply.status.ok()) return reply.status;
-  const auto body_offset =
-      static_cast<std::size_t>(reply.body.data() - reply_frame.data());
+  const auto body_offset = static_cast<std::size_t>(
+      reply.body.data() - reply_frame.bytes().data());
   return ReplyFrame(std::move(reply_frame), body_offset);
 }
 

@@ -32,18 +32,19 @@ struct Endpoint {
 };
 
 /// A received reply: the frame it arrived in, with the body behind the
-/// status envelope viewed in place rather than copied out.
+/// status envelope viewed in place rather than copied out. It owns its
+/// frame, so the body stays valid whatever the connection receives next.
 class ReplyFrame {
  public:
-  ReplyFrame(Bytes frame, std::size_t body_offset)
+  ReplyFrame(FrameBuffer frame, std::size_t body_offset)
       : frame_(std::move(frame)), body_offset_(body_offset) {}
 
   [[nodiscard]] ByteSpan body() const noexcept {
-    return ByteSpan(frame_).subspan(body_offset_);
+    return frame_.bytes().subspan(body_offset_);
   }
 
  private:
-  Bytes frame_;
+  FrameBuffer frame_;
   std::size_t body_offset_;
 };
 

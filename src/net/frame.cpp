@@ -24,7 +24,8 @@ Status SendFrame(TcpSocket& socket, std::initializer_list<ByteSpan> parts) {
   return socket.SendAll(frame);
 }
 
-Status RecvFrame(TcpSocket& socket, Bytes& payload) {
+Status RecvFrame(TcpSocket& socket, FrameBuffer& payload) {
+  payload.size_ = 0;
   std::uint8_t header[8];
   DPFS_RETURN_IF_ERROR(socket.RecvExact({header, sizeof(header)}));
   BinaryReader reader(AsBytes(header, sizeof(header)));
@@ -34,13 +35,16 @@ Status RecvFrame(TcpSocket& socket, Bytes& payload) {
     return ProtocolError("frame length " + std::to_string(length) +
                          " exceeds maximum");
   }
-  payload.resize(length);
-  if (length > 0) {
-    DPFS_RETURN_IF_ERROR(socket.RecvExact({payload.data(), payload.size()}));
+  if (length > payload.capacity_) {
+    payload.data_ = std::make_unique_for_overwrite<std::uint8_t[]>(length);
+    payload.capacity_ = length;
   }
-  if (Crc32c(payload) != crc) {
+  const MutableByteSpan bytes(payload.data_.get(), length);
+  if (length > 0) DPFS_RETURN_IF_ERROR(socket.RecvExact(bytes));
+  if (Crc32c(bytes) != crc) {
     return DataLossError("frame checksum mismatch");
   }
+  payload.size_ = length;
   return Status::Ok();
 }
 

@@ -140,7 +140,7 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
       reject_busy = true;
     }
   }
-  Bytes frame;
+  net::FrameBuffer frame;
   if (reject_busy) {
     // §4.2's overloaded server: answer one request with "busy" so the
     // client backs off and retries, then drop the session.
@@ -175,7 +175,7 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
       }
       return;
     }
-    Reply reply = HandleRequest(frame, scratch);
+    Reply reply = HandleRequest(frame.bytes(), scratch);
     if (auto fp = failpoint::Check(options_.reply_failpoint)) {
       if (fp->action == failpoint::Action::kDisconnect) {
         // Drop the session with the reply unsent: the client sees a dead

@@ -68,12 +68,13 @@ FrameServer::Reply IoServer::Dispatch(net::MessageType type,
     }
 
     case net::MessageType::kWrite: {
-      // The fragments view `reader`'s frame, which outlives this call.
+      // The fragments view `reader`'s frame, which outlives this call; a
+      // sieved span is assembled in `scratch`.
       Result<net::WriteRequest> request = net::WriteRequest::Decode(reader);
       if (!request.ok()) return StatusReply(request.status());
-      const Status written = store_.WriteFragments(request.value().subfile,
-                                                   request.value().fragments,
-                                                   request.value().sync);
+      const Status written = store_.WriteFragments(
+          request.value().subfile, request.value().fragments,
+          request.value().sync, scratch);
       if (!written.ok()) return StoreErrorReply(written);
       return StatusReply(Status::Ok());
     }

@@ -4,7 +4,7 @@
 // Concurrency model follows the paper: the server handles concurrent client
 // requests "by spawning multiple processes or threads to handle them" — here
 // one session thread per accepted connection, all sharing the SubfileStore
-// (kernel pread/pwrite make fragment I/O thread-safe).
+// (reads run unlocked; each write holds its subfile's lock).
 #pragma once
 
 #include <cstdint>
@@ -58,8 +58,9 @@ class IoServer {
  private:
   explicit IoServer(const ServerOptions& options);
 
-  /// The per-opcode service switch for the I/O opcodes. A read's data goes
-  /// into `scratch`, the session's buffer, as the reply's tail.
+  /// The per-opcode service switch for the I/O opcodes. `scratch` is the
+  /// session's buffer: a read's data goes into it as the reply's tail, and
+  /// a write assembles its sieved spans in it.
   FrameServer::Reply Dispatch(net::MessageType type, BinaryReader& reader,
                               Bytes& scratch);
 

@@ -3,9 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <functional>
 
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -15,8 +16,10 @@ namespace dpfs::server {
 namespace {
 // Global-registry instruments, resolved once (docs/OBSERVABILITY.md).
 // bytes_read counts bytes returned to clients (zero-filled holes included);
-// bytes_written counts payload bytes put to disk; missing_reads counts the
-// reads of a subfile that does not exist, served as zeroes.
+// bytes_written counts payload bytes put to disk, not the gaps a sieved
+// span rewrites, which sieved_gap_bytes counts; sieved_spans counts the
+// spans written by one read-modify-write; missing_reads counts the reads
+// of a subfile that does not exist, served as zeroes.
 struct StoreMetrics {
   metrics::Counter& reads = metrics::GetCounter("subfile_store.reads");
   metrics::Counter& missing_reads =
@@ -26,11 +29,115 @@ struct StoreMetrics {
       metrics::GetCounter("subfile_store.bytes_read");
   metrics::Counter& bytes_written =
       metrics::GetCounter("subfile_store.bytes_written");
+  metrics::Counter& sieved_spans =
+      metrics::GetCounter("subfile_store.sieved_spans");
+  metrics::Counter& sieved_gap_bytes =
+      metrics::GetCounter("subfile_store.sieved_gap_bytes");
   metrics::Counter& fsyncs = metrics::GetCounter("subfile_store.fsyncs");
 };
 StoreMetrics& Metrics() {
   static StoreMetrics m;
   return m;
+}
+
+/// preads into `out` from `offset` until it is full or the file ends;
+/// returns how many bytes the file held.
+Result<std::uint64_t> PreadUntilEof(int fd, MutableByteSpan out,
+                                    std::uint64_t offset,
+                                    const std::filesystem::path& path) {
+  std::uint64_t done = 0;
+  while (done < out.size()) {
+    const ssize_t n = ::pread(fd, out.data() + done, out.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return IoErrnoError("pread subfile", path.string());
+    }
+    if (n == 0) break;  // EOF: the rest is a sparse hole
+    done += static_cast<std::uint64_t>(n);
+  }
+  return done;
+}
+
+Status PwriteAll(int fd, ByteSpan data, std::uint64_t offset,
+                 const std::filesystem::path& path) {
+  std::uint64_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::pwrite(fd, data.data() + done, data.size() - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return IoErrnoError("pwrite subfile", path.string());
+    }
+    done += static_cast<std::uint64_t>(n);
+  }
+  return Status::Ok();
+}
+
+/// Fragments [first, last) of a write request, written as one pwrite of
+/// `length` bytes at `offset`; `gap_bytes` of them lie between fragments.
+struct Span {
+  std::size_t first = 0;
+  std::size_t last = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+  std::uint64_t gap_bytes = 0;
+};
+
+/// The span that starts at fragments[first]. Offsets are compared relative
+/// to the span's start, so no sum can wrap; a fragment that overlaps or
+/// goes back starts the next span, which keeps request order. An empty
+/// fragment is a span of its own and writes nothing, so it never moves EOF.
+Span NextSpan(std::span<const net::WriteFragment> fragments,
+              std::size_t first) {
+  Span span{first, first + 1, fragments[first].offset,
+            fragments[first].data.size(), 0};
+  if (span.length == 0) return span;
+  for (; span.last < fragments.size(); ++span.last) {
+    const net::WriteFragment& next = fragments[span.last];
+    if (next.data.empty() || next.offset < span.offset) break;
+    const std::uint64_t start = next.offset - span.offset;
+    if (start < span.length ||
+        start - span.length >= SubfileStore::kSieveGapLimit ||
+        start > SubfileStore::kMaxSpanBytes ||
+        next.data.size() > SubfileStore::kMaxSpanBytes - start) {
+      break;
+    }
+    span.gap_bytes += start - span.length;
+    span.length = start + next.data.size();
+  }
+  return span;
+}
+
+/// Writes one span. A span of one fragment goes down from the request's
+/// own bytes; a longer one is assembled in `scratch`, over the file's
+/// current bytes when it has gaps.
+Status WriteSpan(int fd, std::span<const net::WriteFragment> fragments,
+                 const Span& span, Bytes& scratch,
+                 const std::filesystem::path& path) {
+  ByteSpan data = fragments[span.first].data;
+  if (span.last - span.first > 1) {
+    if (scratch.size() < span.length) scratch.resize(span.length);
+    const MutableByteSpan buffer = MutableByteSpan(scratch).first(span.length);
+    if (span.gap_bytes > 0) {
+      DPFS_ASSIGN_OR_RETURN(const std::uint64_t held,
+                            PreadUntilEof(fd, buffer, span.offset, path));
+      // Gaps past EOF were holes, which read as zeroes.
+      std::fill(buffer.begin() + static_cast<std::ptrdiff_t>(held),
+                buffer.end(), std::uint8_t{0});
+      Metrics().sieved_spans.Add();
+      Metrics().sieved_gap_bytes.Add(span.gap_bytes);
+    }
+    for (std::size_t i = span.first; i < span.last; ++i) {
+      const net::WriteFragment& fragment = fragments[i];
+      std::memcpy(buffer.data() + (fragment.offset - span.offset),
+                  fragment.data.data(), fragment.data.size());
+    }
+    data = buffer;
+  }
+  DPFS_RETURN_IF_ERROR(PwriteAll(fd, data, span.offset, path));
+  Metrics().bytes_written.Add(span.length - span.gap_bytes);
+  return Status::Ok();
 }
 }  // namespace
 
@@ -72,23 +179,13 @@ Status SubfileStore::ReadFragments(
 
   std::uint64_t cursor = 0;
   for (const net::ReadFragment& fragment : fragments) {
-    std::uint64_t read_so_far = 0;
-    while (read_so_far < fragment.length) {
-      const ssize_t n = ::pread(
-          fd.value()->get(), out.data() + cursor + read_so_far,
-          fragment.length - read_so_far,
-          static_cast<off_t>(fragment.offset + read_so_far));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return IoErrnoError("pread subfile", path.string());
-      }
-      if (n == 0) break;  // EOF: the rest is a sparse hole
-      read_so_far += static_cast<std::uint64_t>(n);
-    }
+    const MutableByteSpan slot = out.subspan(cursor, fragment.length);
+    DPFS_ASSIGN_OR_RETURN(
+        const std::uint64_t held,
+        PreadUntilEof(fd.value()->get(), slot, fragment.offset, path));
     // Zero only what the file did not cover: the rest of `out` was read.
-    const MutableByteSpan hole = out.subspan(cursor + read_so_far,
-                                             fragment.length - read_so_far);
-    std::fill(hole.begin(), hole.end(), std::uint8_t{0});
+    std::fill(slot.begin() + static_cast<std::ptrdiff_t>(held), slot.end(),
+              std::uint8_t{0});
     cursor += fragment.length;
   }
   Metrics().bytes_read.Add(total);
@@ -96,28 +193,23 @@ Status SubfileStore::ReadFragments(
 }
 
 Status SubfileStore::WriteFragments(
-    const std::string& subfile,
-    const std::vector<net::WriteFragment>& fragments, bool sync) {
+    const std::string& subfile, std::span<const net::WriteFragment> fragments,
+    bool sync, Bytes& scratch) {
   DPFS_ASSIGN_OR_RETURN(const std::filesystem::path path,
                         ResolvePath(subfile));
   DPFS_ASSIGN_OR_RETURN(const SharedFdPtr fd,
                         fd_cache_.Acquire(path.string(), true));
   Metrics().writes.Add();
-
-  for (const net::WriteFragment& fragment : fragments) {
-    std::uint64_t written = 0;
-    while (written < fragment.data.size()) {
-      const ssize_t n = ::pwrite(
-          fd->get(), fragment.data.data() + written,
-          fragment.data.size() - written,
-          static_cast<off_t>(fragment.offset + written));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return IoErrnoError("pwrite subfile", path.string());
-      }
-      written += static_cast<std::uint64_t>(n);
+  {
+    // From a span's read to the last write, no other write may land: the
+    // span would put a gap's old bytes back over it.
+    MutexLock lock(WriteLock(path));
+    for (std::size_t first = 0; first < fragments.size();) {
+      const Span span = NextSpan(fragments, first);
+      DPFS_RETURN_IF_ERROR(
+          WriteSpan(fd->get(), fragments, span, scratch, path));
+      first = span.last;
     }
-    Metrics().bytes_written.Add(fragment.data.size());
   }
   if (sync) {
     Metrics().fsyncs.Add();
@@ -126,6 +218,11 @@ Status SubfileStore::WriteFragments(
     }
   }
   return Status::Ok();
+}
+
+Mutex& SubfileStore::WriteLock(const std::filesystem::path& path) {
+  return write_locks_[std::hash<std::string>{}(path.native()) %
+                      write_locks_.size()];
 }
 
 Status SubfileStore::Delete(const std::string& subfile) {

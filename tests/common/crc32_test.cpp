@@ -71,6 +71,25 @@ TEST(Crc32cTest, DispatchedMatchesTableAtEveryLengthAndOffset) {
   EXPECT_EQ(Crc32c(large), internal::Crc32cExtendTable(0, large));
 }
 
+// The fast path runs three streams over groups of three 8 KiB blocks, then
+// of three 256-byte blocks, then single words, and joins the streams with
+// shift tables; lengths at each edge, from a non-zero CRC, check the joins.
+TEST(Crc32cTest, DispatchedMatchesTableAtTheStreamBlockEdges) {
+  constexpr std::size_t kShort = 3 * 256;
+  constexpr std::size_t kLong = 3 * 8192;
+  const Bytes buffer = RandomBytes(2 * kLong + 16, 25);
+  for (const std::size_t length :
+       {kShort - 1, kShort, kShort + 1, kLong - 1, kLong, kLong + 1,
+        kLong + kShort + 7, 2 * kLong}) {
+    for (std::size_t start = 0; start < 16; ++start) {
+      const ByteSpan span = ByteSpan(buffer).subspan(start, length);
+      ASSERT_EQ(Crc32cExtend(0x9E3779B9u, span),
+                internal::Crc32cExtendTable(0x9E3779B9u, span))
+          << "length " << length << " start " << start;
+    }
+  }
+}
+
 TEST(Crc32cTest, DispatchedExtendMatchesTableAtEverySplit) {
   const Bytes buffer = RandomBytes(1024, 24);
   const std::uint32_t whole = internal::Crc32cExtendTable(0, buffer);

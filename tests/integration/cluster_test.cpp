@@ -93,8 +93,11 @@ TEST(LocalClusterTest, ServersShareNothing) {
   std::vector<net::WriteFragment> writes;
   const Bytes bytes{1, 2, 3};
   writes.emplace_back(0, bytes);
-  ASSERT_TRUE(
-      cluster->server(0).store().WriteFragments("/x", writes, false).ok());
+  Bytes scratch;
+  ASSERT_TRUE(cluster->server(0)
+                  .store()
+                  .WriteFragments("/x", writes, false, scratch)
+                  .ok());
   EXPECT_EQ(cluster->server(0).store().ListSubfiles().value(),
             (std::vector<net::SubfileInfo>{{"/x", 3}}));
   EXPECT_TRUE(cluster->server(1).store().ListSubfiles().value().empty());

@@ -141,9 +141,10 @@ TEST(FailureTest, CorruptedSubfileStillServesReadsByteForByte) {
   std::vector<net::WriteFragment> writes;
   const Bytes bytes{0x55};
   writes.emplace_back(10, bytes);
+  Bytes scratch;
   ASSERT_TRUE(cluster->server(0)
                   .store()
-                  .WriteFragments(handle.meta().subfile, writes, false)
+                  .WriteFragments(handle.meta().subfile, writes, false, scratch)
                   .ok());
 
   Bytes read(64);

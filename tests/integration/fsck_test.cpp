@@ -66,11 +66,14 @@ TEST_F(FsckTest, DetectsAndRepairsOrphans) {
   std::vector<net::WriteFragment> writes;
   const Bytes bytes(100, 0xAB);
   writes.emplace_back(0, bytes);
-  ASSERT_TRUE(
-      cluster_->server(0).store().WriteFragments("/ghost", writes, false).ok());
+  Bytes scratch;
+  ASSERT_TRUE(cluster_->server(0)
+                  .store()
+                  .WriteFragments("/ghost", writes, false, scratch)
+                  .ok());
   ASSERT_TRUE(cluster_->server(2)
                   .store()
-                  .WriteFragments("/dir/zombie", writes, false)
+                  .WriteFragments("/dir/zombie", writes, false, scratch)
                   .ok());
 
   FileSystem::FsckReport report = fs_->Fsck().value();
@@ -111,9 +114,10 @@ TEST_F(FsckTest, InterruptedDeleteLeavesOrphanThatFsckFinds) {
   std::vector<net::WriteFragment> writes;
   const Bytes bytes(64, 1);
   writes.emplace_back(0, bytes);
+  Bytes scratch;
   ASSERT_TRUE(cluster_->server(1)
                   .store()
-                  .WriteFragments(handle.meta().subfile, writes, false)
+                  .WriteFragments(handle.meta().subfile, writes, false, scratch)
                   .ok());
 
   const FileSystem::FsckReport report = fs_->Fsck(true).value();

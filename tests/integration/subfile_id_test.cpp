@@ -189,9 +189,10 @@ TEST_F(SubfileIdTest, AttachUpgradesPathNamedDatabase) {
       const Bytes bytes(kBrickBytes, fill);
       fragment.emplace_back(
           handle.record.distribution.slot_for(brick) * kBrickBytes, bytes);
+      Bytes scratch;
       ASSERT_TRUE(cluster_->server(handle.record.distribution.server_for(brick))
                       .store()
-                      .WriteFragments(subfile, fragment, false)
+                      .WriteFragments(subfile, fragment, false, scratch)
                       .ok());
     }
   };

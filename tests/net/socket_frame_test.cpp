@@ -78,24 +78,26 @@ TEST(FrameTest, RoundTripSmallAndLarge) {
   TcpListener listener = TcpListener::Bind(0).value();
   std::thread server([&listener] {
     TcpSocket conn = listener.Accept().value();
-    for (int i = 0; i < 6; ++i) {
-      Bytes payload;
+    // One buffer for every frame, as a server session keeps: a frame
+    // smaller than the one before must come back alone and exact.
+    FrameBuffer payload;
+    for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(RecvFrame(conn, payload).ok());
-      ASSERT_TRUE(SendFrame(conn, {payload}).ok());  // echo
+      ASSERT_TRUE(SendFrame(conn, {payload.bytes()}).ok());  // echo
     }
   });
 
   TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
   for (const std::size_t size : {std::size_t{0}, std::size_t{17},
-                                 std::size_t{3 << 20}}) {
+                                 std::size_t{3 << 20}, std::size_t{16}}) {
     Bytes payload(size);
     for (std::size_t i = 0; i < size; ++i) {
-      payload[i] = static_cast<std::uint8_t>(i);
+      payload[i] = static_cast<std::uint8_t>(i + size);
     }
     ASSERT_TRUE(SendFrame(client, {payload}).ok());
-    Bytes echoed;
+    FrameBuffer echoed;
     ASSERT_TRUE(RecvFrame(client, echoed).ok());
-    EXPECT_EQ(echoed, payload);
+    EXPECT_EQ(Bytes(echoed.bytes().begin(), echoed.bytes().end()), payload);
     // The same payload sent as three parts (one empty) is the same frame:
     // the receiver's checksum over the concatenation matches.
     const ByteSpan whole(payload);
@@ -104,7 +106,7 @@ TEST(FrameTest, RoundTripSmallAndLarge) {
                                    whole.subspan(cut)})
                     .ok());
     ASSERT_TRUE(RecvFrame(client, echoed).ok());
-    EXPECT_EQ(echoed, payload);
+    EXPECT_EQ(Bytes(echoed.bytes().begin(), echoed.bytes().end()), payload);
   }
   server.join();
 }
@@ -121,10 +123,11 @@ TEST(FrameTest, CorruptedPayloadDetected) {
     ASSERT_TRUE(conn.SendAll(writer.buffer()).ok());
   });
   TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
-  Bytes payload;
+  FrameBuffer payload;
   const Status received = RecvFrame(client, payload);
   EXPECT_FALSE(received.ok());
   EXPECT_EQ(received.code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(payload.bytes().empty());
   server.join();
 }
 
@@ -140,7 +143,7 @@ TEST(FrameTest, OversizeFrameRejectedOnSendAndRecv) {
     ASSERT_TRUE(conn.SendAll(writer.buffer()).ok());
   });
   TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
-  Bytes payload;
+  FrameBuffer payload;
   const Status received = RecvFrame(client, payload);
   EXPECT_FALSE(received.ok());
   EXPECT_EQ(received.code(), StatusCode::kProtocolError);
@@ -225,9 +228,10 @@ TEST_F(NonBlockingFailpointTest, SendFailpointFiresOncePerFrame) {
 
   ASSERT_TRUE(SendFrame(client, {first, second}).ok());
   EXPECT_EQ(failpoint::HitCount("net.send_all"), 0u);  // not armed yet
-  Bytes payload;
+  FrameBuffer payload;
   ASSERT_TRUE(RecvFrame(served, payload).ok());
-  EXPECT_EQ(payload, (Bytes{1, 2, 3, 4, 5}));
+  EXPECT_EQ(Bytes(payload.bytes().begin(), payload.bytes().end()),
+            (Bytes{1, 2, 3, 4, 5}));
 
   failpoint::Spec cut;
   cut.action = failpoint::Action::kShortIo;

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <functional>
+#include <latch>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -121,6 +126,153 @@ TEST_F(IoServerTest, ReadPastEofIsZeroAfterALargerRead) {
   expected.resize(50 + 150 + 64, 0);
   EXPECT_EQ(ReadBack(conn, "/small", {{50, 200}, {1000, 64}}).value(),
             expected);
+}
+
+// Each reply arrives in storage that is not zero-filled first, so a reply
+// must hold exactly its own bytes whatever the one before it held.
+TEST_F(IoServerTest, ReadsOfMixedSizesOnOneConnectionReturnEachExactly) {
+  net::ServerConnection conn = Connect();
+  constexpr std::uint64_t kMiB = 1 << 20;
+  Bytes first(kMiB);
+  Bytes second(kMiB);
+  for (std::size_t i = 0; i < kMiB; ++i) {
+    first[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    second[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  std::vector<net::WriteFragment> writes;
+  writes.emplace_back(0, first);
+  ASSERT_TRUE(conn.Write("/first", writes).ok());
+  writes = {{0, second}};
+  ASSERT_TRUE(conn.Write("/second", writes).ok());
+
+  EXPECT_EQ(ReadBack(conn, "/first", {{0, kMiB}}).value(), first);
+  EXPECT_EQ(ReadBack(conn, "/second", {{100, 16}}).value(),
+            Bytes(second.begin() + 100, second.begin() + 116));
+  EXPECT_EQ(ReadBack(conn, "/second", {{0, kMiB}}).value(), second);
+}
+
+// The sieve race. Eight writers put 256-byte runs at a 2048-byte stride
+// into the same 16 slots of one subfile: writers 0-3 send one request per
+// 4-slot brick, writers 4-7 one combined request, and each request is a
+// sieved span, its runs 1792 bytes apart. A ninth writer meanwhile fills
+// the gaps between the runs, one single-fragment request each, round after
+// round. Each slot must end as one writer's whole run, and each gap as the
+// ninth writer's last value: a gap write landing between a span's read and
+// its write would be overwritten with the gap's old bytes.
+constexpr std::size_t kRaceWriters = 8;
+constexpr std::uint64_t kRaceSlots = 16;
+constexpr std::uint64_t kRaceStride = 2048;
+constexpr std::uint64_t kRaceRun = 256;
+constexpr int kRaceGapRounds = 4;
+constexpr int kRaceRepeats = 50;
+
+using RaceWrite = std::function<Status(
+    std::size_t writer, std::span<const net::WriteFragment> fragments)>;
+
+/// Runs the nine writers once; the gap writer is number kRaceWriters.
+Status RunSieveRace(const RaceWrite& write) {
+  std::array<Status, kRaceWriters + 1> results;
+  std::atomic<bool> gaps_done{false};
+  std::latch start(kRaceWriters + 1);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < kRaceWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const Bytes run(kRaceRun, static_cast<std::uint8_t>(w + 1));
+      const std::uint64_t slots_per_request = w < 4 ? 4 : kRaceSlots;
+      std::vector<std::vector<net::WriteFragment>> requests;
+      for (std::uint64_t slot = 0; slot < kRaceSlots; ++slot) {
+        if (slot % slots_per_request == 0) requests.emplace_back();
+        requests.back().emplace_back(slot * kRaceStride, run);
+      }
+      start.arrive_and_wait();
+      do {
+        for (const std::vector<net::WriteFragment>& request : requests) {
+          results[w] = write(w, request);
+          if (!results[w].ok()) return;
+        }
+      } while (!gaps_done.load());
+    });
+  }
+  threads.emplace_back([&] {
+    std::vector<Bytes> fills;
+    for (int round = 0; round < kRaceGapRounds; ++round) {
+      fills.emplace_back(kRaceStride - kRaceRun,
+                         static_cast<std::uint8_t>(0x80 + round));
+    }
+    start.arrive_and_wait();
+    for (const Bytes& fill : fills) {
+      for (std::uint64_t slot = 0;
+           slot < kRaceSlots && results[kRaceWriters].ok(); ++slot) {
+        const net::WriteFragment gap(slot * kRaceStride + kRaceRun, fill);
+        results[kRaceWriters] = write(kRaceWriters, {&gap, 1});
+      }
+    }
+    gaps_done.store(true);
+  });
+  for (std::thread& thread : threads) thread.join();
+  for (const Status& result : results) DPFS_RETURN_IF_ERROR(result);
+  return Status::Ok();
+}
+
+/// How many bytes of a raced subfile differ from their last writer's.
+std::uint64_t CountLostBytes(ByteSpan data) {
+  std::uint64_t lost = 0;
+  const auto last_gap_value =
+      static_cast<std::uint8_t>(0x80 + kRaceGapRounds - 1);
+  for (std::uint64_t slot = 0; slot < kRaceSlots; ++slot) {
+    const ByteSpan run = data.subspan(slot * kRaceStride, kRaceRun);
+    const ByteSpan gap =
+        data.subspan(slot * kRaceStride + kRaceRun, kRaceStride - kRaceRun);
+    const std::uint8_t owner = run.front();
+    if (owner < 1 || owner > kRaceWriters) ++lost;
+    lost += static_cast<std::uint64_t>(
+        std::count_if(run.begin(), run.end(),
+                      [&](std::uint8_t byte) { return byte != owner; }));
+    lost += static_cast<std::uint64_t>(
+        std::count_if(gap.begin(), gap.end(), [&](std::uint8_t byte) {
+          return byte != last_gap_value;
+        }));
+  }
+  return lost;
+}
+
+TEST_F(IoServerTest, SievedWriteRaceInTheStore) {
+  SubfileStore& store = server_->store();
+  int failed_repeats = 0;
+  for (int repeat = 0; repeat < kRaceRepeats; ++repeat) {
+    const std::string subfile = "/race" + std::to_string(repeat);
+    // One span buffer per writer, as each session has its own.
+    std::array<Bytes, kRaceWriters + 1> scratch;
+    const RaceWrite write = [&](std::size_t writer,
+                                std::span<const net::WriteFragment> fragments) {
+      return store.WriteFragments(subfile, fragments, false, scratch[writer]);
+    };
+    ASSERT_TRUE(RunSieveRace(write).ok());
+    Bytes data(kRaceSlots * kRaceStride);
+    ASSERT_TRUE(
+        store.ReadFragments(subfile, {{0, kRaceSlots * kRaceStride}}, data)
+            .ok());
+    if (CountLostBytes(data) != 0) ++failed_repeats;
+  }
+  EXPECT_EQ(failed_repeats, 0) << "of " << kRaceRepeats << " repeats";
+}
+
+TEST_F(IoServerTest, SievedWriteRaceOverTheWire) {
+  std::vector<net::ServerConnection> conns;
+  for (std::size_t i = 0; i <= kRaceWriters; ++i) conns.push_back(Connect());
+  int failed_repeats = 0;
+  for (int repeat = 0; repeat < kRaceRepeats; ++repeat) {
+    const std::string subfile = "/race" + std::to_string(repeat);
+    const RaceWrite write = [&](std::size_t writer,
+                                std::span<const net::WriteFragment> fragments) {
+      return conns[writer].Write(subfile, fragments);
+    };
+    ASSERT_TRUE(RunSieveRace(write).ok());
+    const Bytes data =
+        ReadBack(conns[0], subfile, {{0, kRaceSlots * kRaceStride}}).value();
+    if (CountLostBytes(data) != 0) ++failed_repeats;
+  }
+  EXPECT_EQ(failed_repeats, 0) << "of " << kRaceRepeats << " repeats";
 }
 
 TEST_F(IoServerTest, PathEscapeReturnsErrorNotCrash) {

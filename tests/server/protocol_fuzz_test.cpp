@@ -116,9 +116,9 @@ TEST_F(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
     const std::uint64_t bad_before = Instrument("io_server", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, {payload}).ok());
-    Bytes reply;
+    net::FrameBuffer reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-    const net::DecodedReply decoded = net::DecodeReply(reply).value();
+    const net::DecodedReply decoded = net::DecodeReply(reply.bytes()).value();
     EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError);
     EXPECT_EQ(decoded.status.message(),
               "bad message type " + std::to_string(bad));
@@ -135,9 +135,9 @@ TEST_F(ProtocolFuzzTest, TruncatedRequestBodyGetsErrorReply) {
   payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kRead));
   payload.WriteU32(1000);  // string length with no bytes behind it
   ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
-  Bytes reply;
+  net::FrameBuffer reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  EXPECT_FALSE(net::DecodeReply(reply).value().status.ok());
+  EXPECT_FALSE(net::DecodeReply(reply.bytes()).value().status.ok());
   ExpectServerAlive();
 }
 
@@ -175,7 +175,7 @@ TEST_F(ProtocolFuzzTest, RandomFrameStorm) {
       // storm exercises malformed traffic, not the admin opcode.
       if (!payload.empty() && payload[0] == 7) payload[0] = 0x77;
       if (!net::SendFrame(socket.value(), {payload}).ok()) break;
-      Bytes reply;
+      net::FrameBuffer reply;
       session_alive = net::RecvFrame(socket.value(), reply).ok();
     }
   }
@@ -242,7 +242,7 @@ TEST_F(ProtocolFuzzTest, OversizedLengthJustPastTheCapDropsSession) {
   writer.WriteU32(0);
   ASSERT_TRUE(socket.SendAll(writer.buffer()).ok());
   // The length check fails before any payload is read; session dropped.
-  Bytes reply;
+  net::FrameBuffer reply;
   EXPECT_FALSE(net::RecvFrame(socket, reply).ok());
   ExpectServerAlive();
 }
@@ -369,9 +369,9 @@ TEST_F(ProtocolFuzzTest, MetricsOpcodeIgnoresTrailingBodyBytes) {
   payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kMetrics));
   payload.WriteU32(0xABCD);  // junk the handler never reads
   ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
-  Bytes reply;
+  net::FrameBuffer reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  EXPECT_TRUE(net::DecodeReply(reply).value().status.ok());
+  EXPECT_TRUE(net::DecodeReply(reply.bytes()).value().status.ok());
   ExpectServerAlive();
 }
 
@@ -402,9 +402,9 @@ TEST_F(ProtocolFuzzTest, ByteAtATimeDelivery) {
   for (const std::uint8_t byte : frame) {
     ASSERT_TRUE(socket.SendAll({&byte, 1}).ok());
   }
-  Bytes reply;
+  net::FrameBuffer reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  EXPECT_TRUE(net::DecodeReply(reply).value().status.ok());
+  EXPECT_TRUE(net::DecodeReply(reply.bytes()).value().status.ok());
   ExpectServerAlive();
 }
 
@@ -430,10 +430,10 @@ TEST_F(ProtocolFuzzTest, TwoFramesSplitAtEveryBoundary) {
       ASSERT_TRUE(socket.SendAll(ByteSpan(wire).subspan(split)).ok());
     }
     for (int i = 0; i < 2; ++i) {
-      Bytes reply;
+      net::FrameBuffer reply;
       ASSERT_TRUE(net::RecvFrame(socket, reply).ok())
           << "split=" << split << " reply " << i;
-      EXPECT_TRUE(net::DecodeReply(reply).value().status.ok());
+      EXPECT_TRUE(net::DecodeReply(reply.bytes()).value().status.ok());
     }
   }
   ExpectServerAlive();
@@ -451,9 +451,9 @@ TEST_F(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
   payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kMetaLookupFile));
   request.Encode(payload);
   ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
-  Bytes reply;
+  net::FrameBuffer reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  const net::DecodedReply decoded = net::DecodeReply(reply).value();
+  const net::DecodedReply decoded = net::DecodeReply(reply.bytes()).value();
   EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError);
   EXPECT_NE(decoded.status.message().find("metadata opcode"),
             std::string::npos);
@@ -469,10 +469,10 @@ Status SendRawRequest(const net::Endpoint& endpoint,
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", endpoint.port).value();
   DPFS_RETURN_IF_ERROR(net::SendFrame(socket, {payload.buffer()}));
-  Bytes reply;
+  net::FrameBuffer reply;
   DPFS_RETURN_IF_ERROR(net::RecvFrame(socket, reply));
   DPFS_ASSIGN_OR_RETURN(const net::DecodedReply decoded,
-                        net::DecodeReply(reply));
+                        net::DecodeReply(reply.bytes()));
   return decoded.status;
 }
 
@@ -574,7 +574,7 @@ TEST_F(ProtocolFuzzTest, ListOpcodeFrameStorm) {
     payload[0] = static_cast<std::uint8_t>(
         trial % 2 == 0 ? net::MessageType::kRead : net::MessageType::kWrite);
     if (!net::SendFrame(socket.value(), {payload}).ok()) continue;
-    Bytes reply;
+    net::FrameBuffer reply;
     (void)net::RecvFrame(socket.value(), reply);
   }
   ExpectServerAlive();
@@ -645,9 +645,9 @@ TEST_F(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
     const std::uint64_t bad_before = Instrument("metad", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, {payload}).ok());
-    Bytes reply;
+    net::FrameBuffer reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-    const net::DecodedReply decoded = net::DecodeReply(reply).value();
+    const net::DecodedReply decoded = net::DecodeReply(reply.bytes()).value();
     EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError)
         << static_cast<int>(bad);
     EXPECT_EQ(decoded.status.message(),
@@ -666,9 +666,9 @@ TEST_F(MetadProtocolFuzzTest, TruncatedMetadataBodyGetsErrorReply) {
       static_cast<std::uint8_t>(net::MessageType::kMetaLookupFile));
   payload.WriteU32(1000);  // string length with no bytes behind it
   ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
-  Bytes reply;
+  net::FrameBuffer reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  EXPECT_FALSE(net::DecodeReply(reply).value().status.ok());
+  EXPECT_FALSE(net::DecodeReply(reply.bytes()).value().status.ok());
   ExpectServiceAlive();
 }
 
@@ -681,9 +681,9 @@ TEST_F(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
   payload.WriteU8(static_cast<std::uint8_t>(net::MessageType::kRead));
   payload.WriteString("/subfile");
   ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
-  Bytes reply;
+  net::FrameBuffer reply;
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-  const net::DecodedReply decoded = net::DecodeReply(reply).value();
+  const net::DecodedReply decoded = net::DecodeReply(reply.bytes()).value();
   EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError);
   EXPECT_NE(decoded.status.message().find("I/O opcode"), std::string::npos);
   ExpectServiceAlive();
@@ -713,9 +713,9 @@ TEST_F(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
   for (const BinaryWriter* payload : {&read, &write}) {
     const std::uint64_t bad_before = Instrument("metad", "bad_requests");
     ASSERT_TRUE(net::SendFrame(socket, {payload->buffer()}).ok());
-    Bytes reply;
+    net::FrameBuffer reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-    const net::DecodedReply decoded = net::DecodeReply(reply).value();
+    const net::DecodedReply decoded = net::DecodeReply(reply.bytes()).value();
     EXPECT_EQ(decoded.status.code(), StatusCode::kProtocolError);
     EXPECT_NE(decoded.status.message().find("I/O opcode"), std::string::npos)
         << net::MessageTypeName(
@@ -739,9 +739,9 @@ TEST_F(MetadProtocolFuzzTest, CreateFileWithLyingCountsGetsErrorReply) {
         net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port)
             .value();
     ASSERT_TRUE(net::SendFrame(socket, {payload.buffer()}).ok());
-    Bytes reply;
+    net::FrameBuffer reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
-    EXPECT_EQ(net::DecodeReply(reply).value().status.code(),
+    EXPECT_EQ(net::DecodeReply(reply.bytes()).value().status.code(),
               StatusCode::kProtocolError);
   };
 
@@ -818,9 +818,9 @@ TEST_F(MetadProtocolFuzzTest, TwoFramesSplitInsideTheHeader) {
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ASSERT_TRUE(socket.SendAll(ByteSpan(wire).subspan(2)).ok());
   for (int i = 0; i < 2; ++i) {
-    Bytes reply;
+    net::FrameBuffer reply;
     ASSERT_TRUE(net::RecvFrame(socket, reply).ok()) << "reply " << i;
-    EXPECT_TRUE(net::DecodeReply(reply).value().status.ok());
+    EXPECT_TRUE(net::DecodeReply(reply.bytes()).value().status.ok());
   }
   ExpectServiceAlive();
 }
@@ -844,7 +844,7 @@ TEST_F(MetadProtocolFuzzTest, RandomFrameStorm) {
       // I/O-server storm does.
       if (!payload.empty() && payload[0] == 7) payload[0] = 0x77;
       if (!net::SendFrame(socket.value(), {payload}).ok()) break;
-      Bytes reply;
+      net::FrameBuffer reply;
       session_alive = net::RecvFrame(socket.value(), reply).ok();
     }
   }

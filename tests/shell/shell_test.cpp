@@ -237,9 +237,11 @@ TEST_F(ShellTest, FsckDetectsPlantedOrphan) {
   std::vector<net::WriteFragment> writes;
   const Bytes bytes(10, 1);
   writes.emplace_back(0, bytes);
-  ASSERT_TRUE(
-      cluster_->server(0).store().WriteFragments("/orphan", writes, false)
-          .ok());
+  Bytes scratch;
+  ASSERT_TRUE(cluster_->server(0)
+                  .store()
+                  .WriteFragments("/orphan", writes, false, scratch)
+                  .ok());
   const std::string found = Run("fsck");
   EXPECT_NE(found.find("orphan subfile /orphan"), std::string::npos) << found;
   EXPECT_NE(found.find("issues found"), std::string::npos);
