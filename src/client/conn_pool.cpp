@@ -29,18 +29,6 @@ PoolMetrics& Metrics() {
 }
 }  // namespace
 
-Status EnsureFreshConnection(std::optional<net::ServerConnection>& conn,
-                             const net::Endpoint& endpoint) {
-  if (conn.has_value() && conn->PeerClosed()) {
-    conn.reset();
-    Metrics().redials.Add();
-  }
-  if (!conn.has_value()) {
-    DPFS_ASSIGN_OR_RETURN(conn, net::ServerConnection::Connect(endpoint));
-  }
-  return Status::Ok();
-}
-
 PooledConnection::~PooledConnection() {
   if (pool_ != nullptr && conn_ != nullptr) {
     if (poisoned_) {
@@ -68,8 +56,7 @@ Result<PooledConnection> ConnectionPool::Acquire(
       it->second.pop_back();
       if (conn->PeerClosed()) {
         // Stale pooled stream (the server restarted while it sat idle):
-        // drop it and keep probing — the same redial semantics
-        // EnsureFreshConnection gives long-held connections.
+        // drop it and keep probing.
         Metrics().redials.Add();
         continue;
       }

@@ -1,12 +1,13 @@
-// Thread-safe pool of server connections shared by all file handles of one
-// FileSystem. Each "compute node" thread checks a connection out per
-// request burst and returns it, so concurrent clients get independent TCP
-// streams (the paper's servers handle each connection in its own thread).
+// Thread-safe pool of server connections: one holds a FileSystem's I/O
+// server connections for all its file handles, and one a
+// RemoteMetadataManager's metad connections. Each "compute node" thread
+// checks a connection out per request burst and returns it, so concurrent
+// clients get independent TCP streams (the paper's servers handle each
+// connection in its own thread).
 #pragma once
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -44,15 +45,6 @@ class PooledConnection {
   bool poisoned_ = false;
 };
 
-/// Staleness probe + redial shared by the pool and by long-held
-/// connections (RemoteMetadataManager): drops `conn` when its peer has
-/// closed — counting a `conn_pool.redials` — then dials a fresh connection
-/// if none is held. Nothing has been sent on a probed-stale stream, so the
-/// drop-and-redial is always safe, unlike a reply-path failure whose
-/// fate-unknown outcome must surface to the caller.
-Status EnsureFreshConnection(std::optional<net::ServerConnection>& conn,
-                             const net::Endpoint& endpoint);
-
 class ConnectionPool {
  public:
   ConnectionPool() = default;
@@ -60,7 +52,10 @@ class ConnectionPool {
   ConnectionPool& operator=(const ConnectionPool&) = delete;
 
   /// Checks out an idle connection to `endpoint`, dialing a new one if none
-  /// is pooled.
+  /// is pooled. An idle connection whose peer has closed (the server
+  /// restarted) is dropped and counted in `conn_pool.redials`: nothing was
+  /// sent on it, so replacing it is always safe, unlike a reply-path
+  /// failure whose fate-unknown outcome must surface to the caller.
   Result<PooledConnection> Acquire(const net::Endpoint& endpoint);
 
   /// Drops all idle connections.

@@ -240,7 +240,7 @@ Status FileSystem::RemoveDirectory(const std::string& path, bool recursive) {
       DPFS_RETURN_IF_ERROR(RemoveDirectory(prefix + "/" + dir, true));
     }
   }
-  return metadata_->RemoveDirectory(normalized, /*recursive=*/false);
+  return metadata_->RemoveDirectory(normalized);
 }
 
 Status FileSystem::Rename(const std::string& from, const std::string& to) {

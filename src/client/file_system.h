@@ -170,8 +170,8 @@ class FileSystem {
   /// reclaims it.
   Status Remove(const std::string& path);
   /// Removes a directory; with `recursive`, removes contained files (with
-  /// their subfiles) and subdirectories first. Prefer this over
-  /// MetadataManager::RemoveDirectory, which touches metadata only.
+  /// their subfiles) and subdirectories first. The metadata service's
+  /// RemoveDirectory removes only an empty directory.
   Status RemoveDirectory(const std::string& path, bool recursive);
   /// Renames a file: one metadata transaction (RenameFile). Subfiles are
   /// named by the file's immutable subfile id, so no server is involved and

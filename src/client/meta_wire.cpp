@@ -206,19 +206,6 @@ Result<RenameRequest> RenameRequest::Decode(BinaryReader& reader) {
   return request;
 }
 
-void RemoveDirectoryRequest::Encode(BinaryWriter& writer) const {
-  writer.WriteString(path);
-  writer.WriteBool(recursive);
-}
-
-Result<RemoveDirectoryRequest> RemoveDirectoryRequest::Decode(
-    BinaryReader& reader) {
-  RemoveDirectoryRequest request;
-  DPFS_ASSIGN_OR_RETURN(request.path, reader.ReadString());
-  DPFS_ASSIGN_OR_RETURN(request.recursive, reader.ReadBool());
-  return request;
-}
-
 void ServerListReply::Encode(BinaryWriter& writer) const {
   writer.WriteU32(static_cast<std::uint32_t>(servers.size()));
   for (const ServerInfo& server : servers) EncodeServerInfo(server, writer);

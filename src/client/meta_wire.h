@@ -51,8 +51,8 @@ struct NameRequest {
 };
 
 /// kMetaLookupFile / kMetaDeleteFile / kMetaFileExists /
-/// kMetaMakeDirectory / kMetaDirectoryExists / kMetaListDirectory (body: the
-/// DPFS path).
+/// kMetaMakeDirectory / kMetaRemoveDirectory / kMetaDirectoryExists /
+/// kMetaListDirectory (body: the DPFS path).
 struct PathRequest {
   std::string path;
 
@@ -100,15 +100,6 @@ struct RenameRequest {
 
   void Encode(BinaryWriter& writer) const;
   static Result<RenameRequest> Decode(BinaryReader& reader);
-};
-
-/// kMetaRemoveDirectory.
-struct RemoveDirectoryRequest {
-  std::string path;
-  bool recursive = false;
-
-  void Encode(BinaryWriter& writer) const;
-  static Result<RemoveDirectoryRequest> Decode(BinaryReader& reader);
 };
 
 // --- replies --------------------------------------------------------------

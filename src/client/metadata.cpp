@@ -468,33 +468,15 @@ Result<MetadataManager::Listing> MetadataManager::ListDirectory(
   return listing;
 }
 
-Status MetadataManager::RemoveDirectory(const std::string& path,
-                                        bool recursive) {
+Status MetadataManager::RemoveDirectory(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
   if (normalized == "/") {
     return InvalidArgumentError("cannot remove the root directory");
   }
-  // Recursive deletion runs as an unlocked pre-pass: each child op takes
-  // the lock itself (it is not reentrant).
-  DPFS_ASSIGN_OR_RETURN(const Listing listing, ListDirectory(normalized));
-  if (!recursive && (!listing.directories.empty() || !listing.files.empty())) {
-    return InvalidArgumentError("directory '" + normalized +
-                                "' is not empty");
-  }
-  if (recursive) {
-    for (const std::string& file : listing.files) {
-      DPFS_RETURN_IF_ERROR(DeleteFile(normalized + "/" + file).status());
-    }
-    for (const std::string& dir : listing.directories) {
-      DPFS_RETURN_IF_ERROR(RemoveDirectory(normalized + "/" + dir, true));
-    }
-  }
-
   const auto [parent, name] = SplitPath(normalized);
   WriterMutexLock lock(mu_);
 
-  // Re-validate under the lock: the directory must still exist and be
-  // empty (a concurrent create may have raced the unlocked pre-pass).
+  // The directory must exist and be empty.
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet row,
       SelectEq(*db_, Hot().dir_lists, Hot().main_dir_col, normalized));

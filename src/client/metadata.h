@@ -73,7 +73,7 @@ class MetadataManager final : public MetadataService {
 
   // --- directories -------------------------------------------------------
   Status MakeDirectory(const std::string& path) override;
-  Status RemoveDirectory(const std::string& path, bool recursive) override;
+  Status RemoveDirectory(const std::string& path) override;
   Result<bool> DirectoryExists(const std::string& path) override;
   Result<Listing> ListDirectory(const std::string& path) override;
 

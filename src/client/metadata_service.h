@@ -125,8 +125,9 @@ class MetadataService {
 
   // --- directories -------------------------------------------------------
   virtual Status MakeDirectory(const std::string& path) = 0;
-  /// Fails on non-empty directories unless `recursive`.
-  virtual Status RemoveDirectory(const std::string& path, bool recursive) = 0;
+  /// Fails on a non-empty directory: FileSystem::RemoveDirectory is the
+  /// recursive delete, since only it can delete the files' subfiles.
+  virtual Status RemoveDirectory(const std::string& path) = 0;
   virtual Result<bool> DirectoryExists(const std::string& path) = 0;
   struct Listing {
     std::vector<std::string> directories;  // names, not full paths

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "client/conn_pool.h"
 #include "client/meta_wire.h"
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -39,17 +38,12 @@ Result<std::unique_ptr<RemoteMetadataManager>> RemoteMetadataManager::Connect(
 
 Result<net::ReplyFrame> RemoteMetadataManager::Call(net::MessageType type,
                                                     ByteSpan body) {
-  MutexLock lock(conn_mu_);
-  // Staleness probe + redial shared with the data-path pool
-  // (client/conn_pool.h): a metad restart between calls is absorbed here,
-  // counted by conn_pool.redials.
-  DPFS_RETURN_IF_ERROR(EnsureFreshConnection(conn_, endpoint_));
-  Result<net::ReplyFrame> reply = conn_->Call(type, body);
+  DPFS_ASSIGN_OR_RETURN(PooledConnection conn, pool_.Acquire(endpoint_));
+  Result<net::ReplyFrame> reply = conn->Call(type, body);
   if (!reply.ok() && reply.status().code() == StatusCode::kUnavailable) {
-    // Transport failure (or a server refusing service): abandon the
-    // connection so the next operation redials — a restarted metad is
-    // picked up without caller involvement.
-    conn_.reset();
+    // Transport failure (or a server refusing service): drop the
+    // connection so the next operation dials afresh.
+    conn.Poison();
   }
   return reply;
 }
@@ -235,17 +229,12 @@ Status RemoteMetadataManager::MakeDirectory(const std::string& path) {
   return Call(net::MessageType::kMetaMakeDirectory, body.buffer()).status();
 }
 
-Status RemoteMetadataManager::RemoveDirectory(const std::string& path,
-                                              bool recursive) {
-  meta_wire::RemoveDirectoryRequest request;
+Status RemoteMetadataManager::RemoveDirectory(const std::string& path) {
+  meta_wire::PathRequest request;
   request.path = path;
-  request.recursive = recursive;
   BinaryWriter body;
   request.Encode(body);
-  const Status removed =
-      Call(net::MessageType::kMetaRemoveDirectory, body.buffer()).status();
-  if (recursive) InvalidateCache();  // may have deleted cached files
-  return removed;
+  return Call(net::MessageType::kMetaRemoveDirectory, body.buffer()).status();
 }
 
 Result<bool> RemoteMetadataManager::DirectoryExists(const std::string& path) {

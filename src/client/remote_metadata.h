@@ -2,11 +2,13 @@
 // process (extension: `metadata_endpoint`; docs/METADATA_SCHEMA.md "Remote
 // access").
 //
-// Connection model: one lazily-(re)dialed connection, serialized by a
-// mutex — metadata operations are small and infrequent next to data I/O,
-// so one in-flight RPC at a time keeps the failure model simple. A
-// transport failure abandons the connection and surfaces kUnavailable;
-// the next call redials, so a restarted metad is picked up transparently.
+// Connection model: a ConnectionPool (client/conn_pool.h), the one way a
+// client holds a daemon connection. Each RPC checks a connection out, so
+// concurrent callers get their own streams, and the pool's staleness probe
+// replaces an idle connection whose metad restarted (conn_pool.redials).
+// A kUnavailable outcome poisons its connection and surfaces to the
+// caller; the next call dials afresh, so a restarted metad is picked up
+// transparently.
 //
 // Caching: LookupFile results are cached with a TTL and invalidated by this
 // manager's own mutations (create/delete/rename/resize/chmod/chown). Writes
@@ -20,10 +22,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "client/conn_pool.h"
 #include "client/metadata_service.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -63,7 +65,7 @@ class RemoteMetadataManager final : public MetadataService {
   Status RenameFile(const std::string& from, const std::string& to) override;
 
   Status MakeDirectory(const std::string& path) override;
-  Status RemoveDirectory(const std::string& path, bool recursive) override;
+  Status RemoveDirectory(const std::string& path) override;
   Result<bool> DirectoryExists(const std::string& path) override;
   Result<Listing> ListDirectory(const std::string& path) override;
 
@@ -84,15 +86,13 @@ class RemoteMetadataManager final : public MetadataService {
   RemoteMetadataManager(net::Endpoint endpoint, RemoteMetadataOptions options)
       : endpoint_(std::move(endpoint)), options_(options) {}
 
-  /// One RPC: (re)dials if needed, sends, receives. On a transport-level
-  /// failure the connection is abandoned so the next call redials.
+  /// One RPC on a pooled connection. A kUnavailable outcome poisons the
+  /// connection, so the next call dials afresh.
   Result<net::ReplyFrame> Call(net::MessageType type, ByteSpan body);
 
   net::Endpoint endpoint_;
   RemoteMetadataOptions options_;
-
-  Mutex conn_mu_;
-  std::optional<net::ServerConnection> conn_ DPFS_GUARDED_BY(conn_mu_);
+  ConnectionPool pool_;
 
   struct CacheEntry {
     FileRecord record;

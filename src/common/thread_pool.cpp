@@ -8,8 +8,8 @@ namespace dpfs {
 
 namespace {
 // Global-registry instruments, resolved once (docs/OBSERVABILITY.md).
-// queue_depth aggregates across every pool in the process (server request
-// pools + the client dispatch pool).
+// queue_depth aggregates across every pool in the process (the client
+// dispatch pools, one per FileSystem).
 struct PoolMetrics {
   metrics::Counter& submitted =
       metrics::GetCounter("thread_pool.tasks_submitted");

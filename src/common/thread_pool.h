@@ -1,9 +1,10 @@
 // Fixed-size worker pool.
 //
-// DPFS uses one pool per server for request handling (the paper's "spawning
-// multiple processes or threads") and one in the client to issue per-server
-// requests in parallel. Tasks are type-erased std::function<void()>; use
-// ParallelFor for bulk fan-out with automatic joining.
+// DPFS uses one in the client, FileSystem's dispatch pool, to issue
+// per-server requests in parallel; the servers run a thread per connection
+// instead (server/frame_server.h). Tasks are type-erased
+// std::function<void()>; use ParallelFor for bulk fan-out with automatic
+// joining.
 #pragma once
 
 #include <chrono>

@@ -20,7 +20,6 @@ using client::meta_wire::FileRecordReply;
 using client::meta_wire::ListingReply;
 using client::meta_wire::NameRequest;
 using client::meta_wire::PathRequest;
-using client::meta_wire::RemoveDirectoryRequest;
 using client::meta_wire::RenameRequest;
 using client::meta_wire::ServerListReply;
 using client::meta_wire::ServerRequest;
@@ -69,7 +68,6 @@ MetadService::MetadService(MetadOptions options,
     : metadata_(std::move(metadata)),
       transport_({.port = options.port,
                   .max_sessions = options.max_sessions,
-                  .metrics_port = options.metrics_port,
                   .metric_prefix = "metad",
                   .opcodes = MetaOpcodes(),
                   .reply_failpoint = "metad.reply"},
@@ -222,11 +220,9 @@ server::FrameServer::Reply MetadService::Dispatch(net::MessageType type,
     }
 
     case net::MessageType::kMetaRemoveDirectory: {
-      const Result<RemoveDirectoryRequest> request =
-          RemoveDirectoryRequest::Decode(reader);
+      const Result<PathRequest> request = PathRequest::Decode(reader);
       if (!request.ok()) return StatusReply(request.status());
-      return StatusReply(metadata_->RemoveDirectory(
-          request.value().path, request.value().recursive));
+      return StatusReply(metadata_->RemoveDirectory(request.value().path));
     }
 
     case net::MessageType::kMetaDirectoryExists: {

@@ -36,10 +36,6 @@ struct MetadOptions {
   /// Concurrent session cap; sessions beyond it get a "server busy" reply
   /// like the I/O server's. 0 = unlimited.
   std::size_t max_sessions = 0;
-  /// != 0: serve `GET /metrics` over plain HTTP on this port
-  /// (server/metrics_http.h); 0 = no HTTP endpoint;
-  /// server::kEphemeralMetricsPort = ephemeral.
-  std::uint16_t metrics_port = 0;
 };
 
 class MetadService {
@@ -55,10 +51,6 @@ class MetadService {
 
   [[nodiscard]] net::Endpoint endpoint() const noexcept {
     return transport_.endpoint();
-  }
-  /// Bound HTTP scrape port (metrics_port != 0 only); 0 when disabled.
-  [[nodiscard]] std::uint16_t metrics_http_port() const noexcept {
-    return transport_.metrics_http_port();
   }
   /// The embedded manager actually serving requests (tests reach through
   /// this to inspect the database the service owns).

@@ -149,8 +149,4 @@ Status ServerConnection::Ping() {
   return Call(MessageType::kPing, {}).status();
 }
 
-Status ServerConnection::Shutdown() {
-  return Call(MessageType::kShutdown, {}).status();
-}
-
 }  // namespace dpfs::net

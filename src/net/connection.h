@@ -74,9 +74,6 @@ class ServerConnection {
   /// Every subfile the server stores (fsck's ground truth).
   Result<std::vector<SubfileInfo>> List();
   Status Ping();
-  /// Asks the server process to stop accepting and drain (used by tests and
-  /// the in-process cluster bootstrap).
-  Status Shutdown();
 
   [[nodiscard]] const Endpoint& endpoint() const noexcept { return endpoint_; }
 

@@ -10,7 +10,6 @@ std::string_view MessageTypeName(MessageType type) noexcept {
     case MessageType::kRead: return "read";
     case MessageType::kWrite: return "write";
     case MessageType::kDelete: return "delete";
-    case MessageType::kShutdown: return "shutdown";
     case MessageType::kList: return "list";
     case MessageType::kMetrics: return "metrics";
     case MessageType::kMetaRegisterServer: return "meta_register_server";

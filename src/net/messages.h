@@ -25,10 +25,9 @@ enum class MessageType : std::uint8_t {
   kPing = 1,
   kRead = 2,
   kWrite = 3,
-  // 4, 6, 8 and 9 are unassigned (retired opcodes, never renumbered):
+  // 4, 6, 7, 8 and 9 are unassigned (retired opcodes, never renumbered):
   // DecodeRequest rejects them like any byte with no enumerator.
   kDelete = 5,
-  kShutdown = 7,
   kList = 10,    // list all subfiles (fsck support)
   kMetrics = 11, // full metrics text snapshot (docs/OBSERVABILITY.md)
 
@@ -40,7 +39,7 @@ enum class MessageType : std::uint8_t {
   kMetaRegisterServer = 12,
   kMetaUnregisterServer = 13,
   kMetaListServers = 14,
-  // 15 and 18 are unassigned, like 4, 6, 8 and 9.
+  // 15 and 18 are unassigned, like 4, 6, 7, 8 and 9.
   kMetaCreateFile = 16,
   kMetaLookupFile = 17,
   kMetaSetPermission = 19,
@@ -48,7 +47,7 @@ enum class MessageType : std::uint8_t {
   kMetaDeleteFile = 21,
   kMetaFileExists = 22,
   kMetaRenameFile = 23,
-  // 24-26 are unassigned, like 4, 6, 8 and 9.
+  // 24-26 are unassigned, like 4, 6, 7, 8 and 9.
   kMetaMakeDirectory = 27,
   kMetaRemoveDirectory = 28,
   kMetaDirectoryExists = 29,
@@ -60,8 +59,8 @@ enum class MessageType : std::uint8_t {
 
 /// Highest MessageType value; DecodeRequest rejects anything above. The
 /// kMeta* block ends the range: the metadata server serves the assigned
-/// types in [kMetaRegisterServer, kMaxMessageType] (plus
-/// ping/shutdown/metrics) and refuses everything else as an I/O opcode.
+/// types in [kMetaRegisterServer, kMaxMessageType] (plus ping and metrics)
+/// and refuses everything else as an I/O opcode.
 inline constexpr std::uint8_t kMaxMessageType =
     static_cast<std::uint8_t>(MessageType::kMetaListDirectory);
 

@@ -182,41 +182,6 @@ Status TcpSocket::RecvExact(MutableByteSpan data) {
   return Status::Ok();
 }
 
-Result<TcpSocket::SomeIo> TcpSocket::RecvSome(MutableByteSpan data) {
-  std::size_t limit = data.size();
-  if (auto fp = failpoint::Check("net.recv_some")) {
-    switch (fp->action) {
-      case failpoint::Action::kReturnError:
-        return fp->status;
-      case failpoint::Action::kShortIo:
-        // Deliver at most `arg` bytes this call; arg=0 is a spurious
-        // wakeup. Either way the caller must cope with less data than the
-        // kernel actually has queued.
-        if (fp->arg == 0) return SomeIo{0, false};
-        limit = std::min<std::size_t>(limit,
-                                      static_cast<std::size_t>(fp->arg));
-        break;
-      case failpoint::Action::kDisconnect:
-        Close();
-        return UnavailableError("recv: connection reset (" +
-                                fp->status.message() + ")");
-      default:
-        break;
-    }
-  }
-  for (;;) {
-    // dpfs:blocking-ok(only the metrics HTTP endpoint calls RecvSome, on
-    // its own thread, off every request path)
-    const ssize_t n = ::recv(fd_, data.data(), limit, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return UnavailableError(std::string("recv: ") + std::strerror(errno));
-    }
-    if (n == 0) return SomeIo{0, true};
-    return SomeIo{static_cast<std::size_t>(n), false};
-  }
-}
-
 TcpListener::TcpListener(TcpListener&& other) noexcept
     : fd_(other.fd_.exchange(-1, std::memory_order_acq_rel)),
       port_(other.port_) {}

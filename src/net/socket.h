@@ -43,18 +43,6 @@ class TcpSocket {
   /// (0 bytes read so far) and kProtocolError on mid-message close.
   Status RecvExact(MutableByteSpan data);
 
-  /// Outcome of one receive (RecvSome).
-  struct SomeIo {
-    std::size_t bytes = 0;  // bytes actually transferred this call
-    bool closed = false;    // the peer closed the stream (recv returned 0)
-  };
-
-  /// One recv: transfers whatever the kernel has, up to data.size(),
-  /// waiting for at least one byte. {0, true} means the peer closed;
-  /// {0, false} (a failpoint's spurious wakeup) means nothing arrived.
-  /// Failpoint site "net.recv_some" (docs/FAULT_INJECTION.md).
-  Result<SomeIo> RecvSome(MutableByteSpan data);
-
   /// Disables Nagle; our request/response protocol is latency-sensitive.
   Status SetNoDelay();
 
@@ -93,7 +81,8 @@ class TcpListener {
 
   /// Unblocks Accept() from another thread. Idempotent and race-free: the
   /// fd is claimed with an atomic exchange, so concurrent Close() calls
-  /// (server Stop racing a Shutdown request) close it exactly once.
+  /// (server Stop racing a session thread's StopAccepting) close it
+  /// exactly once.
   void Close() noexcept;
 
  private:

@@ -7,7 +7,6 @@
 #include "common/failpoint.h"
 #include "common/log.h"
 #include "net/frame.h"
-#include "server/metrics_http.h"
 
 namespace dpfs::server {
 
@@ -24,7 +23,6 @@ FrameServer::FrameServer(Options options, Dispatch dispatch)
       inflight_sessions_(
           metrics::GetGauge(options_.metric_prefix + ".inflight_sessions")) {
   std::vector<net::MessageType> served = {net::MessageType::kPing,
-                                          net::MessageType::kShutdown,
                                           net::MessageType::kMetrics};
   served.insert(served.end(), options_.opcodes.begin(),
                 options_.opcodes.end());
@@ -43,19 +41,8 @@ FrameServer::~FrameServer() { Stop(); }
 Status FrameServer::Start() {
   DPFS_ASSIGN_OR_RETURN(listener_, net::TcpListener::Bind(options_.port));
   endpoint_ = {"127.0.0.1", listener_.port()};
-  if (options_.metrics_port != 0) {
-    DPFS_ASSIGN_OR_RETURN(
-        metrics_http_,
-        MetricsHttpServer::Start(options_.metrics_port == kEphemeralMetricsPort
-                                     ? 0
-                                     : options_.metrics_port));
-  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
-}
-
-std::uint16_t FrameServer::metrics_http_port() const noexcept {
-  return metrics_http_ == nullptr ? 0 : metrics_http_->port();
 }
 
 void FrameServer::StopAccepting() {
@@ -65,7 +52,6 @@ void FrameServer::StopAccepting() {
 
 void FrameServer::Stop() {
   StopAccepting();
-  if (metrics_http_) metrics_http_->Stop();
   if (accept_thread_.joinable()) accept_thread_.join();
   // No session starts from here on. Unblock the live ones and take every
   // joinable handle; a session ending meanwhile files an empty one.
@@ -222,9 +208,6 @@ FrameServer::Reply FrameServer::HandleRequest(ByteSpan frame,
   metrics::ScopedTimer timer(*service_time_us_[op]);
   switch (type) {
     case net::MessageType::kPing:
-      return {net::EncodeReply(Status::Ok())};
-    case net::MessageType::kShutdown:
-      StopAccepting();
       return {net::EncodeReply(Status::Ok())};
     case net::MessageType::kMetrics: {
       // The full text exposition of the process-wide registry (every

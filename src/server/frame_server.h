@@ -6,10 +6,11 @@
 // session thread per accepted connection, each looping
 // RecvFrame → decode → dispatch → SendFrame. Everything the two servers
 // share lives here: accepting, the max_sessions "server busy" reply (§4.2),
-// the session and reply failpoints, kPing / kShutdown / kMetrics,
-// per-opcode request and service-time metrics and the session and error
-// counters under the owner's prefix, the /metrics HTTP endpoint, and Stop.
-// The owner supplies the dispatch for its own opcodes.
+// the session and reply failpoints, kPing / kMetrics, per-opcode request
+// and service-time metrics and the session and error counters under the
+// owner's prefix, and Stop. This is a daemon's one listener, and no opcode
+// stops it: its owner does. The owner supplies the dispatch for its own
+// opcodes.
 #pragma once
 
 #include <array>
@@ -17,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,12 +32,6 @@
 #include "net/socket.h"
 
 namespace dpfs::server {
-
-class MetricsHttpServer;
-
-/// Sentinel for ServerOptions/MetadOptions::metrics_port: start the HTTP
-/// endpoint on an ephemeral port (query it via metrics_http_port()).
-inline constexpr std::uint16_t kEphemeralMetricsPort = 0xffff;
 
 class FrameServer {
  public:
@@ -61,14 +55,11 @@ class FrameServer {
     /// Concurrent session cap; a session beyond it gets one "server busy"
     /// reply and is dropped. 0 = unlimited.
     std::size_t max_sessions = 0;
-    /// != 0: serve `GET /metrics` over HTTP on this port
-    /// (kEphemeralMetricsPort = ephemeral).
-    std::uint16_t metrics_port = 0;
     /// Instruments are "<metric_prefix>.requests.<op>", ".bad_requests", ...
     /// (docs/OBSERVABILITY.md).
     std::string metric_prefix;
-    /// Opcodes handed to Dispatch. kPing, kShutdown and kMetrics are
-    /// answered here; any other opcode gets a kProtocolError reply.
+    /// Opcodes handed to Dispatch. kPing and kMetrics are answered here;
+    /// any other opcode gets a kProtocolError reply.
     std::vector<net::MessageType> opcodes;
     /// Failpoint sites (docs/FAULT_INJECTION.md). A kBusy hit on
     /// session_failpoint turns a new session away as if over max_sessions
@@ -83,21 +74,20 @@ class FrameServer {
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  /// Binds options.port and starts the accept thread and, if configured,
-  /// the HTTP endpoint.
+  /// Binds options.port and starts the accept thread.
   Status Start();
 
   /// Stops accepting, unblocks live sessions, joins every thread.
   /// Idempotent.
   void Stop();
 
-  /// kShutdown's "stop taking connections": closes the listener and lets
-  /// each session end after its current request. Safe on a session thread.
+  /// Closes the listener and lets each session end after its current
+  /// request, joining nothing, so it is safe on a session thread: the
+  /// metad.crash failpoint kills the metadata service this way. Stop()
+  /// still joins afterwards.
   void StopAccepting();
 
   [[nodiscard]] net::Endpoint endpoint() const noexcept { return endpoint_; }
-  /// Bound HTTP scrape port (metrics_port != 0 only); 0 when disabled.
-  [[nodiscard]] std::uint16_t metrics_http_port() const noexcept;
 
  private:
   struct LiveSession {
@@ -138,7 +128,6 @@ class FrameServer {
   // Threads of ended sessions, joined by the accept loop or Stop().
   std::vector<std::thread> finished_ DPFS_GUARDED_BY(mu_);
 
-  std::unique_ptr<MetricsHttpServer> metrics_http_;
   std::thread accept_thread_;
 };
 

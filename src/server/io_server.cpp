@@ -36,7 +36,6 @@ IoServer::IoServer(const ServerOptions& options)
       transport_(
           {.port = options.port,
            .max_sessions = options.max_sessions,
-           .metrics_port = options.metrics_port,
            .metric_prefix = "io_server",
            .opcodes = {net::MessageType::kRead, net::MessageType::kWrite,
                        net::MessageType::kDelete, net::MessageType::kList},

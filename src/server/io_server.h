@@ -26,11 +26,6 @@ struct ServerOptions {
   /// reply and are dropped, and the client "has to try again later" (§4.2).
   /// 0 = unlimited.
   std::size_t max_sessions = 0;
-  /// != 0: also serve the metrics snapshot over plain HTTP on this port
-  /// (`GET /metrics`, server/metrics_http.h) so external scrapers can pull
-  /// without speaking the DPFS protocol. 0 = no HTTP endpoint. Use
-  /// kEphemeralMetricsPort to bind an ephemeral port (tests).
-  std::uint16_t metrics_port = 0;
 };
 
 class IoServer {
@@ -46,10 +41,6 @@ class IoServer {
     return transport_.endpoint();
   }
   [[nodiscard]] SubfileStore& store() noexcept { return store_; }
-  /// Bound HTTP scrape port (metrics_port != 0 only); 0 when disabled.
-  [[nodiscard]] std::uint16_t metrics_http_port() const noexcept {
-    return transport_.metrics_http_port();
-  }
 
   /// Stops accepting, unblocks in-flight sessions, joins all threads.
   /// Idempotent.

@@ -16,6 +16,18 @@ Status NeedArgs(const std::vector<std::string>& args, std::size_t n,
   return Status::Ok();
 }
 
+/// Calls `rpc` on a pooled connection to one I/O server. A failed call
+/// poisons the connection, so the next command dials afresh.
+template <typename T>
+Result<T> CallServer(client::ConnectionPool& pool,
+                     const net::Endpoint& endpoint,
+                     Result<T> (net::ServerConnection::*rpc)()) {
+  DPFS_ASSIGN_OR_RETURN(client::PooledConnection conn, pool.Acquire(endpoint));
+  Result<T> result = ((*conn).*rpc)();
+  if (!result.ok()) conn.Poison();
+  return result;
+}
+
 }  // namespace
 
 Result<std::string> Shell::Resolve(std::string_view path) const {
@@ -47,6 +59,7 @@ Status Shell::Execute(std::string_view line, std::ostream& out) {
   if (cmd == "rm") return CmdRm(args);
   if (cmd == "stat") return CmdStat(args, out);
   if (cmd == "df") return CmdDf(out);
+  if (cmd == "metrics") return CmdMetrics(out);
   if (cmd == "servers") return CmdServers(out);
   if (cmd == "cp") return CmdCp(args, out);
   if (cmd == "import") return CmdImport(args, out);
@@ -75,8 +88,8 @@ Status Shell::Execute(std::string_view line, std::ostream& out) {
     return Status::Ok();
   }
   if (cmd == "help") {
-    out << "commands: pwd cd ls mkdir rmdir rm mv stat du df servers cp "
-           "import export cat chmod chown fsck sql help\n";
+    out << "commands: pwd cd ls mkdir rmdir rm mv stat du df metrics "
+           "servers cp import export cat chmod chown fsck sql help\n";
     return Status::Ok();
   }
   return InvalidArgumentError("unknown command '" + cmd +
@@ -207,22 +220,33 @@ Status Shell::CmdDf(std::ostream& out) {
         << "  " << server.performance;
     // Live usage: the sizes of the server's own subfile listing; unreachable
     // servers degrade gracefully.
-    auto conn = fs_->connections().Acquire(server.endpoint);
-    if (conn.ok()) {
-      auto pooled = std::move(conn).value();
-      const auto listing = pooled->List();
-      if (listing.ok()) {
-        std::uint64_t used = 0;
-        for (const net::SubfileInfo& info : listing.value()) used += info.size;
-        out << "  " << FormatByteSize(used);
-      } else {
-        pooled.Poison();
-        out << "  <unreachable>";
-      }
+    const Result<std::vector<net::SubfileInfo>> listing = CallServer(
+        fs_->connections(), server.endpoint, &net::ServerConnection::List);
+    if (listing.ok()) {
+      std::uint64_t used = 0;
+      for (const net::SubfileInfo& info : listing.value()) used += info.size;
+      out << "  " << FormatByteSize(used) << "\n";
     } else {
-      out << "  <unreachable>";
+      out << "  <unreachable>\n";
     }
-    out << "\n";
+  }
+  return Status::Ok();
+}
+
+Status Shell::CmdMetrics(std::ostream& out) {
+  // Each daemon's own registry, read with the `metrics` opcode: the metad's
+  // first when there is one, then every I/O server's.
+  if (client::RemoteMetadataManager* remote = fs_->remote_metadata()) {
+    DPFS_ASSIGN_OR_RETURN(const std::string text, remote->FetchMetrics());
+    out << "== metad " << remote->endpoint().ToString() << "\n" << text;
+  }
+  DPFS_ASSIGN_OR_RETURN(const std::vector<client::ServerInfo> servers,
+                        fs_->metadata().ListServers());
+  for (const client::ServerInfo& server : servers) {
+    const Result<std::string> text = CallServer(
+        fs_->connections(), server.endpoint, &net::ServerConnection::Metrics);
+    out << "== " << server.name << " " << server.endpoint.ToString() << "\n"
+        << (text.ok() ? text.value() : "<unreachable>\n");
   }
   return Status::Ok();
 }

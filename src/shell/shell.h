@@ -1,13 +1,16 @@
 // The DPFS user interface (§7): UNIX-style commands over a live file system.
 //
 // Commands: pwd, cd, ls [-l] [path], mkdir <path>, rmdir [-r] <path>,
-// rm <path>, mv <src> <dst>, stat <path>, du [path], df, servers,
+// rm <path>, mv <src> <dst>, stat <path>, du [path], df, metrics, servers,
 // cp <src> <dst>, import <local> <dpfs>, export <dpfs> <local>, cat <path>,
 // sql <statement>, help. Relative paths resolve against the shell's working
 // directory. `import`/`export` move data between the sequential local file
 // system and DPFS, the convenience the paper calls out for post-processing
 // workflows; `sql` exposes the metadata database directly (§5's "standard
-// SQL" access path).
+// SQL" access path). `metrics` prints each live daemon's metrics snapshot:
+// the metad's (remote metadata only), then every registered server's under
+// a `== <name> <host:port>` header, with `<unreachable>` for a server that
+// does not answer.
 #pragma once
 
 #include <memory>
@@ -40,6 +43,7 @@ class Shell {
   Status CmdRm(const std::vector<std::string>& args);
   Status CmdStat(const std::vector<std::string>& args, std::ostream& out);
   Status CmdDf(std::ostream& out);
+  Status CmdMetrics(std::ostream& out);
   Status CmdServers(std::ostream& out);
   Status CmdCp(const std::vector<std::string>& args, std::ostream& out);
   Status CmdImport(const std::vector<std::string>& args, std::ostream& out);

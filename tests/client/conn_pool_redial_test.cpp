@@ -1,8 +1,8 @@
 // Pool eviction × retry/backoff across a server restart: idle pooled
-// connections to a restarted server are stale, Acquire must probe and
+// connections to a restarted server are stale, and Acquire must probe and
 // redial (counting `conn_pool.redials`) instead of handing the dead stream
-// to a caller, and EnsureFreshConnection gives long-held connections the
-// same probe.
+// to a caller. The metadata client's pool is covered across a metad restart
+// in tests/integration/metad_chaos_test.cpp.
 #include "client/conn_pool.h"
 
 #include <gtest/gtest.h>
@@ -84,26 +84,6 @@ TEST_F(ConnPoolRedialTest, HealthyPooledConnectionIsNotRedialed) {
   EXPECT_TRUE(conn->Ping().ok());
   EXPECT_EQ(Redials().value(), redials_before);
   EXPECT_EQ(SessionsAccepted().value() - accepted_before, 1u);  // pool hit
-}
-
-TEST_F(ConnPoolRedialTest, EnsureFreshConnectionRedialsAcrossRestart) {
-  const std::uint64_t accepted_before = SessionsAccepted().value();
-  std::optional<net::ServerConnection> conn;
-  ASSERT_TRUE(EnsureFreshConnection(conn, server_->endpoint()).ok());
-  ASSERT_TRUE(conn.has_value());
-  ASSERT_TRUE(conn->Ping().ok());
-
-  // While the peer is up, the probe is a no-op on the held connection.
-  const std::uint64_t redials_before = Redials().value();
-  ASSERT_TRUE(EnsureFreshConnection(conn, server_->endpoint()).ok());
-  EXPECT_EQ(Redials().value(), redials_before);
-  EXPECT_EQ(SessionsAccepted().value() - accepted_before, 1u);
-
-  RestartServer();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(EnsureFreshConnection(conn, server_->endpoint()).ok());
-  EXPECT_TRUE(conn->Ping().ok());
-  EXPECT_EQ(Redials().value() - redials_before, 1u);
 }
 
 // Retry/backoff composed with pool eviction, through the full client: a

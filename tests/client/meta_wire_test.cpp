@@ -213,19 +213,6 @@ TEST(MetaWireRequests, RenameRequestRoundTrip) {
   EXPECT_EQ(decoded.to, request.to);
 }
 
-TEST(MetaWireRequests, RemoveDirectoryRequestRoundTrip) {
-  RemoveDirectoryRequest request;
-  request.path = "/dir";
-  request.recursive = true;
-  BinaryWriter writer;
-  request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  const RemoveDirectoryRequest decoded =
-      RemoveDirectoryRequest::Decode(reader).value();
-  EXPECT_EQ(decoded.path, request.path);
-  EXPECT_EQ(decoded.recursive, request.recursive);
-}
-
 TEST(MetaWireReplies, ServerListReplyRoundTrip) {
   ServerListReply reply;
   reply.servers.push_back(MakeServer("a", 1));

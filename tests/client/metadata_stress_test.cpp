@@ -99,7 +99,7 @@ TEST_F(MetadataStressTest, ConcurrentCreateLookupRenameDelete) {
         // Per-thread directory churn alongside the file ops.
         const std::string dir = base + ".d";
         if (!manager_->MakeDirectory(dir).ok() ||
-            !manager_->RemoveDirectory(dir, false).ok()) {
+            !manager_->RemoveDirectory(dir).ok()) {
           ++errors;
         }
       }

@@ -133,13 +133,13 @@ TEST_F(MetadataTest, DirectoryTree) {
 TEST_F(MetadataTest, RemoveDirectory) {
   ASSERT_TRUE(manager_->MakeDirectory("/a").ok());
   ASSERT_TRUE(manager_->MakeDirectory("/a/b").ok());
-  // Non-empty without recursive fails.
-  EXPECT_FALSE(manager_->RemoveDirectory("/a", false).ok());
-  EXPECT_TRUE(manager_->RemoveDirectory("/a/b", false).ok());
-  EXPECT_TRUE(manager_->RemoveDirectory("/a", false).ok());
+  // Non-empty fails.
+  EXPECT_FALSE(manager_->RemoveDirectory("/a").ok());
+  EXPECT_TRUE(manager_->RemoveDirectory("/a/b").ok());
+  EXPECT_TRUE(manager_->RemoveDirectory("/a").ok());
   EXPECT_FALSE(manager_->DirectoryExists("/a").value());
   // Root cannot be removed.
-  EXPECT_FALSE(manager_->RemoveDirectory("/", true).ok());
+  EXPECT_FALSE(manager_->RemoveDirectory("/").ok());
 }
 
 TEST_F(MetadataTest, CreateAndLookupFile) {
@@ -276,21 +276,6 @@ TEST_F(MetadataTest, DeleteFileCleansAllTables) {
                         .Execute("SELECT * FROM DPFS_FILE_DISTRIBUTION")
                         .value();
   EXPECT_TRUE(rows.empty());
-}
-
-TEST_F(MetadataTest, RecursiveRemoveDirectoryDeletesFiles) {
-  ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
-  ASSERT_TRUE(manager_->MakeDirectory("/proj").ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();
-  ASSERT_TRUE(
-      manager_->CreateFile(MakeLinearMeta("/proj/f1"), {"s0"}, dist).ok());
-  ASSERT_TRUE(manager_->MakeDirectory("/proj/sub").ok());
-  ASSERT_TRUE(
-      manager_->CreateFile(MakeLinearMeta("/proj/sub/f2"), {"s0"}, dist).ok());
-  ASSERT_TRUE(manager_->RemoveDirectory("/proj", true).ok());
-  EXPECT_FALSE(manager_->DirectoryExists("/proj").value());
-  EXPECT_FALSE(manager_->FileExists("/proj/f1").value());
-  EXPECT_FALSE(manager_->FileExists("/proj/sub/f2").value());
 }
 
 TEST_F(MetadataTest, MetadataRenameUpdatesAllTables) {

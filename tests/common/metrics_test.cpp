@@ -124,8 +124,8 @@ TEST(RegistryTest, EmptySnapshotIsEmpty) {
 
 TEST(RegistryTest, ServerTransportInstrumentsExposeWithCatalogKinds) {
   // The server transport's session instruments (docs/OBSERVABILITY.md)
-  // render with the kinds the catalog declares; the `metrics` opcode and
-  // the HTTP endpoint both carry exactly these lines.
+  // render with the kinds the catalog declares; the `metrics` opcode
+  // carries exactly these lines.
   Registry registry;
   registry.GetGauge("io_server.inflight_sessions").Add(2);
   registry.GetCounter("io_server.busy_rejects").Add(9);

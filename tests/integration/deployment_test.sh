@@ -16,6 +16,13 @@ fail() {
   exit 1
 }
 
+# The lines of `metrics` output under the header that starts with $1, up to
+# the next header.
+section() {
+  awk -v h="$1" 'substr($0, 1, 3) == "== " {
+    on = substr($0, 1, length(h)) == h; next } on'
+}
+
 "$DPFSD" --root "$WORK/s0" --name node0 --metadb "$WORK/meta" \
          --performance 1 > "$WORK/d0.log" 2>&1 &
 PIDS="$!"
@@ -41,10 +48,13 @@ if [ -z "$ready" ]; then
   fail "nodes never registered"
 fi
 
-# A flag no tool reads (here the retired --metadb-shards) is an error, not
-# silently ignored.
+# A flag no tool reads (here the retired --metadb-shards and
+# --metrics-port) is an error, not silently ignored. A dpfsd that took the
+# flag would serve until killed, hence the timeout.
 "$DPFS" --metadb "$WORK/meta" --metadb-shards 4 --c "ls /" 2>/dev/null \
   && fail "dpfs accepted the unknown flag --metadb-shards"
+timeout 10 "$DPFSD" --root "$WORK/s9" --metrics-port 9100 >/dev/null 2>&1
+[ $? -eq 2 ] || fail "dpfsd did not refuse the retired flag --metrics-port"
 
 head -c 300000 /dev/urandom > "$WORK/input.bin"
 
@@ -53,6 +63,14 @@ head -c 300000 /dev/urandom > "$WORK/input.bin"
   || fail "import"
 "$DPFS" --metadb "$WORK/meta" --c "stat /data/blob" | grep -q "size:       300000" \
   || fail "stat size"
+# `metrics` prints each dpfsd's own registry under its header: two
+# processes, two registries, and each server stored part of the import.
+METRICS="$("$DPFS" --metadb "$WORK/meta" --c metrics)" || fail "metrics"
+for node in node0 node1; do
+  echo "$METRICS" | section "== $node " \
+    | grep -Eq '^counter subfile_store.bytes_written [1-9]' \
+    || fail "metrics shows no bytes written under $node: $METRICS"
+done
 "$DPFS" --metadb "$WORK/meta" --c "mv /data/blob /data/renamed" || fail "mv"
 # Subfiles are named by the file's immutable id, not its path: no file under
 # either server root is named after the old or the new path, because the

@@ -1,19 +1,23 @@
 // Chaos coverage for the standalone metadata service: dropped and faulted
 // replies (`metad.reply`), a deterministic mid-request crash
-// (`metad.crash`), and a namespace transaction that fails at its commit
-// (`metadb.commit`) inside the metad: clients that only ever saw the wire
-// must find the namespace as it was before the failed mutation, with no
-// restart needed to get there, and a restarted metad must agree.
+// (`metad.crash`), a restart under an idle client connection, and a
+// namespace transaction that fails at its commit (`metadb.commit`) inside
+// the metad: clients that only ever saw the wire must find the namespace
+// as it was before the failed mutation, with no restart needed to get
+// there, and a restarted metad must agree.
 //
 // The suite name contains both "Metad" and "Chaos" so the asan-faults /
 // tsan-faults ctest presets pick it up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "core/cluster.h"
 
 namespace dpfs {
@@ -142,6 +146,21 @@ TEST_F(MetadChaosTest, CrashFailpointStopsServiceAndRestartRevives) {
 
   ASSERT_TRUE(cluster_->RestartMetad().ok());
   EXPECT_TRUE(fs_->metadata().FileExists("/crash.bin").value());
+}
+
+TEST_F(MetadChaosTest, RestartedMetadIsRedialedOnTheNextCall) {
+  // The metadata client's pooled connection goes stale when the metad
+  // restarts; the next call's acquire probes it, redials once, and the
+  // call succeeds without surfacing an error.
+  ASSERT_TRUE(fs_->metadata().MakeDirectory("/kept").ok());
+  const metrics::Counter& redials = metrics::GetCounter("conn_pool.redials");
+  const std::uint64_t redials_before = redials.value();
+  ASSERT_TRUE(cluster_->RestartMetad().ok());
+  // Give the stopped metad's FIN time to reach the pooled socket.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  EXPECT_TRUE(fs_->metadata().DirectoryExists("/kept").value());
+  EXPECT_EQ(redials.value() - redials_before, 1u);
 }
 
 TEST_F(MetadChaosTest, CreateFailingAtCommitLeavesNoFile) {

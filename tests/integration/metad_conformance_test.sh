@@ -23,6 +23,13 @@ fail() {
   exit 1
 }
 
+# The lines of `metrics` output under the header that starts with $1, up to
+# the next header.
+section() {
+  awk -v h="$1" 'substr($0, 1, 3) == "== " {
+    on = substr($0, 1, length(h)) == h; next } on'
+}
+
 # No --port: the metad binds a free port itself and prints it on its
 # (line-buffered) "serving" line, so parallel tests cannot collide on one.
 "$METAD" --metadb "$WORK/meta" > "$WORK/metad.log" 2>&1 &
@@ -95,6 +102,21 @@ cmp -s "$WORK/input.bin" "$WORK/output.bin" || fail "round-trip mismatch"
 # The sql escape hatch needs the database and must say so over the wire.
 SQL_ERR="$("$DPFS" --metad "127.0.0.1:$PORT" --c "sql SELECT 1" 2>&1)"
 echo "$SQL_ERR" | grep -qi "embedded" || fail "sql should ask for embedded"
+
+# `metrics` reads the metad's registry first, then each dpfsd's.
+METRICS="$("$DPFS" --metad "127.0.0.1:$PORT" --c metrics)" || fail "metrics"
+echo "$METRICS" | section "== metad 127.0.0.1:$PORT" \
+  | grep -q '^counter metad.requests.meta_' \
+  || fail "metrics shows no metad snapshot: $METRICS"
+for node in node0 node1; do
+  echo "$METRICS" | grep -q "^== $node 127.0.0.1:" \
+    || fail "metrics has no header for $node: $METRICS"
+done
+
+# A retired flag is refused; a metad that took it would serve until killed.
+timeout 10 "$METAD" --metadb "$WORK/meta9" --metrics-port 9100 \
+  >/dev/null 2>&1
+[ $? -eq 2 ] || fail "dpfs-metad did not refuse the retired flag --metrics-port"
 
 kill $PIDS 2>/dev/null
 wait $PIDS 2>/dev/null

@@ -188,9 +188,9 @@ TEST(EnvelopeTest, RequestRoundTrip) {
 }
 
 /// Type bytes inside [1, kMaxMessageType] with no enumerator: retired
-/// opcodes, never renumbered (4 stat, 6 truncate, 9 rename, 15
+/// opcodes, never renumbered (4 stat, 6 truncate, 7 shutdown, 9 rename, 15
 /// meta_lookup_server and 18 meta_update_size among them).
-constexpr std::uint8_t kUnassignedTypes[] = {4, 6, 8, 9, 15, 18, 24, 25, 26};
+constexpr std::uint8_t kUnassignedTypes[] = {4, 6, 7, 8, 9, 15, 18, 24, 25, 26};
 
 TEST(EnvelopeTest, BadTypeRejected) {
   Bytes frame = {0x7F};
@@ -199,7 +199,7 @@ TEST(EnvelopeTest, BadTypeRejected) {
   EXPECT_FALSE(DecodeRequest(empty).ok());
   // Inside the range but with no enumerator, and the retired list_read and
   // list_write (31, 32) just past it.
-  for (const std::uint8_t type : {4, 6, 8, 9, 15, 18, 24, 25, 26, 31, 32}) {
+  for (const std::uint8_t type : {4, 6, 7, 8, 9, 15, 18, 24, 25, 26, 31, 32}) {
     Bytes unassigned = {type};
     const Status status = DecodeRequest(unassigned).status();
     EXPECT_EQ(status.code(), StatusCode::kProtocolError);
@@ -248,8 +248,7 @@ TEST(EnvelopeTest, ErrorReplyCarriesCodeAndMessage) {
 TEST(EnvelopeTest, AllMessageTypesDecodable) {
   for (const MessageType type :
        {MessageType::kPing, MessageType::kRead, MessageType::kWrite,
-        MessageType::kDelete, MessageType::kShutdown, MessageType::kList,
-        MessageType::kMetrics}) {
+        MessageType::kDelete, MessageType::kList, MessageType::kMetrics}) {
     const Bytes frame = {static_cast<std::uint8_t>(type)};
     EXPECT_EQ(DecodeRequest(frame).value().type, type);
     EXPECT_NE(MessageTypeName(type), "unknown");

@@ -167,54 +167,12 @@ TEST(EndpointTest, ToStringFormat) {
 }
 
 // ---------------------------------------------------------------------------
-// RecvSome (the metrics HTTP endpoint's read) and its failpoint.
+// The send failpoint against a frame sent in parts.
 
 class NonBlockingFailpointTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::DisarmAll(); }
 };
-
-TEST_F(NonBlockingFailpointTest, RecvSomeShortIoClampsTransfer) {
-  TcpListener listener = TcpListener::Bind(0).value();
-  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
-  TcpSocket served = listener.Accept().value();
-  ASSERT_TRUE(client.SendAll(Bytes(32, 0xEE)).ok());
-
-  failpoint::Spec spec;
-  spec.action = failpoint::Action::kShortIo;
-  spec.arg = 5;
-  failpoint::Arm("net.recv_some", spec);
-  std::uint8_t buf[32];
-  const Result<TcpSocket::SomeIo> got = served.RecvSome({buf, sizeof(buf)});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().bytes, 5u);  // kernel has 32 queued; site honors arg
-  EXPECT_GE(failpoint::HitCount("net.recv_some"), 1u);
-}
-
-TEST_F(NonBlockingFailpointTest, RecvSomeSpuriousWakeupAndError) {
-  TcpListener listener = TcpListener::Bind(0).value();
-  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
-  TcpSocket served = listener.Accept().value();
-  ASSERT_TRUE(client.SendAll(Bytes(8, 1)).ok());
-
-  failpoint::Spec spurious;
-  spurious.action = failpoint::Action::kShortIo;
-  spurious.arg = 0;  // arg=0: a spurious wakeup despite queued bytes
-  spurious.count = 1;
-  failpoint::Arm("net.recv_some", spurious);
-  std::uint8_t buf[8];
-  Result<TcpSocket::SomeIo> got = served.RecvSome({buf, sizeof(buf)});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().bytes, 0u);
-  EXPECT_FALSE(got.value().closed);
-
-  failpoint::Spec error;
-  error.action = failpoint::Action::kReturnError;
-  error.code = StatusCode::kIoError;
-  failpoint::Arm("net.recv_some", error);
-  got = served.RecvSome({buf, sizeof(buf)});
-  EXPECT_EQ(got.status().code(), StatusCode::kIoError);
-}
 
 TEST_F(NonBlockingFailpointTest, SendFailpointFiresOncePerFrame) {
   // A frame leaves in one SendAll, so net.send_all fires once for it, and
@@ -242,18 +200,13 @@ TEST_F(NonBlockingFailpointTest, SendFailpointFiresOncePerFrame) {
   EXPECT_EQ(failpoint::HitCount("net.send_all"), 1u);
   failpoint::DisarmAll();
 
-  Bytes received(32);
-  std::size_t got = 0;
-  for (;;) {
-    const Result<TcpSocket::SomeIo> some =
-        served.RecvSome(MutableByteSpan(received).subspan(got));
-    ASSERT_TRUE(some.ok());
-    if (some.value().closed) break;
-    got += some.value().bytes;
-  }
-  ASSERT_EQ(got, 11u);
-  EXPECT_EQ(Bytes(received.begin() + 8, received.begin() + 11),
-            (Bytes{1, 2, 3}));
+  // The cut stream holds exactly 11 bytes, then the close.
+  Bytes received(11);
+  ASSERT_TRUE(served.RecvExact(MutableByteSpan(received)).ok());
+  EXPECT_EQ(Bytes(received.begin() + 8, received.end()), (Bytes{1, 2, 3}));
+  std::uint8_t past_the_cut = 0;
+  EXPECT_EQ(served.RecvExact({&past_the_cut, 1}).code(),
+            StatusCode::kUnavailable);
 }
 
 }  // namespace

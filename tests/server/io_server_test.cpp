@@ -354,14 +354,6 @@ TEST_F(IoServerTest, StopIsIdempotentAndUnblocksClients) {
   EXPECT_FALSE(net::ServerConnection::Connect(server_->endpoint()).ok());
 }
 
-TEST_F(IoServerTest, ShutdownMessageStopsAccepting) {
-  net::ServerConnection conn = Connect();
-  EXPECT_TRUE(conn.Shutdown().ok());
-  // Give the accept loop a moment to wind down.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(net::ServerConnection::Connect(server_->endpoint()).ok());
-}
-
 TEST_F(IoServerTest, AllOpcodesRoundTrip) {
   const Delta accepted("io_server.sessions_accepted");
   std::vector<std::pair<std::string, Delta>> served;

@@ -107,12 +107,12 @@ TEST_F(ProtocolFuzzTest, FrameWithAbsurdLength) {
 TEST_F(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
-  // None is a MessageType: 0x7F is past the range, 8 is unassigned, 4, 6
-  // and 9 are the retired stat, truncate and rename, 15 and 18 the retired
-  // meta_lookup_server and meta_update_size, and 31 and 32 the retired
-  // list_read and list_write.
+  // None is a MessageType: 0x7F is past the range, 8 is unassigned, 4, 6,
+  // 7 and 9 are the retired stat, truncate, shutdown and rename, 15 and 18
+  // the retired meta_lookup_server and meta_update_size, and 31 and 32 the
+  // retired list_read and list_write.
   for (const std::uint8_t bad :
-       {0x7F, 4, 6, 8, 9, 15, 18, 24, 25, 26, 31, 32}) {
+       {0x7F, 4, 6, 7, 8, 9, 15, 18, 24, 25, 26, 31, 32}) {
     const std::uint64_t bad_before = Instrument("io_server", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, {payload}).ok());
@@ -170,10 +170,6 @@ TEST_F(ProtocolFuzzTest, RandomFrameStorm) {
       for (std::uint8_t& byte : payload) {
         byte = static_cast<std::uint8_t>(rng.NextU64());
       }
-      // Byte 0 is the message type; 7 is kShutdown, which is a *valid*
-      // (deliberately unauthenticated) request — steer around it so the
-      // storm exercises malformed traffic, not the admin opcode.
-      if (!payload.empty() && payload[0] == 7) payload[0] = 0x77;
       if (!net::SendFrame(socket.value(), {payload}).ok()) break;
       net::FrameBuffer reply;
       session_alive = net::RecvFrame(socket.value(), reply).ok();
@@ -640,8 +636,8 @@ TEST_F(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
   // The unassigned bytes inside the range draw the same reply, and so do
   // 31 and 32, the retired list_read and list_write past it.
   for (const std::uint8_t bad :
-       {net::kMaxMessageType + 1, 0x7F, 0, 4, 6, 8, 9, 15, 18, 24, 25, 26, 31,
-        32}) {
+       {net::kMaxMessageType + 1, 0x7F, 0, 4, 6, 7, 8, 9, 15, 18, 24, 25, 26,
+        31, 32}) {
     const std::uint64_t bad_before = Instrument("metad", "bad_requests");
     const Bytes payload = {bad};
     ASSERT_TRUE(net::SendFrame(socket, {payload}).ok());
@@ -840,9 +836,6 @@ TEST_F(MetadProtocolFuzzTest, RandomFrameStorm) {
       for (std::uint8_t& byte : payload) {
         byte = static_cast<std::uint8_t>(rng.NextU64());
       }
-      // Steer around kShutdown (7), the valid admin opcode, like the
-      // I/O-server storm does.
-      if (!payload.empty() && payload[0] == 7) payload[0] = 0x77;
       if (!net::SendFrame(socket.value(), {payload}).ok()) break;
       net::FrameBuffer reply;
       session_alive = net::RecvFrame(socket.value(), reply).ok();
@@ -853,22 +846,29 @@ TEST_F(MetadProtocolFuzzTest, RandomFrameStorm) {
 }
 
 TEST_F(MetadProtocolFuzzTest, StopJoinsSessionsWithClientsMidRecv) {
-  // Idle sessions blocked in RecvFrame must not wedge Stop().
+  // Idle sessions blocked in RecvFrame must not wedge Stop(), and neither
+  // must one blocked inside a frame: its header promises 100 bytes and only
+  // 10 arrive.
   const std::uint64_t accepted_before =
       Instrument("metad", "sessions_accepted");
   std::vector<net::TcpSocket> idle;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 5; ++i) {
     idle.push_back(
         net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port)
             .value());
   }
+  BinaryWriter half_frame;
+  half_frame.WriteU32(100);
+  half_frame.WriteU32(0);
+  half_frame.WriteRaw(Bytes(10, 0));
+  ASSERT_TRUE(idle.back().SendAll(half_frame.buffer()).ok());
   const auto accepted = [&] {
     return Instrument("metad", "sessions_accepted") - accepted_before;
   };
-  for (int i = 0; i < 200 && accepted() < 4u; ++i) {
+  for (int i = 0; i < 200 && accepted() < 5u; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_GE(accepted(), 4u);
+  ASSERT_GE(accepted(), 5u);
   service_->Stop();  // joins every session thread or the test times out
 }
 

@@ -49,6 +49,7 @@ TEST_F(ShellTest, HelpListsCommands) {
   const std::string out = Run("help");
   EXPECT_NE(out.find("mkdir"), std::string::npos);
   EXPECT_NE(out.find("import"), std::string::npos);
+  EXPECT_NE(out.find("metrics"), std::string::npos);
 }
 
 TEST_F(ShellTest, MkdirCdPwd) {
@@ -186,6 +187,55 @@ TEST_F(ShellTest, DfAndServersListRegisteredNodes) {
   EXPECT_NE(df.find("  0 B\n"), std::string::npos) << df;
   const std::string servers = Run("servers");
   EXPECT_NE(servers.find("127.0.0.1:"), std::string::npos);
+}
+
+TEST_F(ShellTest, MetricsPrintsEveryServer) {
+  // In-process servers share one registry, so each prints the same
+  // snapshot; the header names the server the text came from.
+  const auto header = [&](std::size_t s) {
+    return "== ionode00" + std::to_string(s) + ".dpfs.local " +
+           cluster_->server(s).endpoint().ToString() + "\n";
+  };
+  // The lines under server s's header, up to the next header.
+  const auto section = [&](const std::string& out, std::size_t s) {
+    const std::size_t at = out.find(header(s));
+    if (at == std::string::npos) return std::string("<no header>");
+    EXPECT_EQ(out.find(header(s), at + 1), std::string::npos) << out;
+    const std::size_t body = at + header(s).size();
+    return out.substr(body, out.find("== ", body) - body);
+  };
+  const std::string metrics = Run("metrics");
+  for (std::size_t s = 0; s < cluster_->num_servers(); ++s) {
+    EXPECT_NE(section(metrics, s).find("counter io_server.requests.metrics "),
+              std::string::npos)
+        << metrics;
+  }
+
+  // A stopped server is reported, and the command still succeeds.
+  cluster_->server(1).Stop();
+  const std::string partial = Run("metrics");
+  EXPECT_EQ(section(partial, 1), "<unreachable>\n") << partial;
+  EXPECT_NE(section(partial, 0).find("counter io_server.requests.metrics "),
+            std::string::npos)
+      << partial;
+}
+
+TEST(ShellMetadTest, MetricsPrintsTheMetadFirst) {
+  core::ClusterOptions options;
+  options.num_servers = 2;
+  options.start_metadata_service = true;
+  const auto cluster = core::LocalCluster::Start(std::move(options)).value();
+  Shell shell(cluster->fs());
+  std::ostringstream out;
+  ASSERT_TRUE(shell.Execute("metrics", out).ok());
+  const std::string metrics = out.str();
+  const std::string header =
+      "== metad " + cluster->metad()->endpoint().ToString() + "\n";
+  EXPECT_EQ(metrics.rfind(header, 0), 0u) << metrics;
+  EXPECT_NE(metrics.find("counter metad.requests.meta_list_servers "),
+            std::string::npos);
+  EXPECT_NE(metrics.find("== ionode000.dpfs.local "), std::string::npos);
+  EXPECT_NE(metrics.find("== ionode001.dpfs.local "), std::string::npos);
 }
 
 TEST_F(ShellTest, MvRenamesFile) {

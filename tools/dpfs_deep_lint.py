@@ -105,8 +105,7 @@ BLOCKING_CALLEES = {
     "nanosleep": None,
     "poll": None,
     "select": None,
-    # Blocking socket surface (RecvSome, which only the metrics HTTP
-    # endpoint calls, is not listed).
+    # Blocking socket surface.
     "Connect": "TcpSocket",
     "SendAll": "TcpSocket",
     "RecvExact": "TcpSocket",

@@ -6,7 +6,6 @@
 //         [--metad host:port]
 //         [--capacity 536870912]
 //         [--performance 1]
-//         [--metrics-port 0]
 //
 // With --metadb, the server registers itself in the DPFS_SERVER table so
 // clients can find it (re-registering replaces a stale row). With --metad,
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
   const Status flags = opts.CheckFlags(
       {{"root"}, {"port", kU16}, {"name"}, {"metadb"}, {"metad"},
        {"capacity", INT64_MAX}, {"performance", 0xFFFFFFFF},
-       {"max-sessions", INT64_MAX}, {"metrics-port", kU16}});
+       {"max-sessions", INT64_MAX}});
   if (!flags.ok() || !opts.Has("root")) {
     if (!flags.ok()) {
       std::fprintf(stderr, "dpfsd: %s\n", flags.message().c_str());
@@ -80,8 +79,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: dpfsd --root DIR [--port N] [--name NAME]\n"
                  "             [--metadb DIR] [--metad HOST:PORT] "
-                 "[--capacity BYTES] [--performance N] [--max-sessions N]\n"
-                 "             [--metrics-port N]\n");
+                 "[--capacity BYTES] [--performance N] [--max-sessions N]\n");
     return 2;
   }
   if (opts.Has("metadb") && opts.Has("metad")) {
@@ -96,8 +94,6 @@ int main(int argc, char** argv) {
   server_options.port = static_cast<std::uint16_t>(opts.GetInt("port", 0));
   server_options.max_sessions =
       static_cast<std::size_t>(opts.GetInt("max-sessions", 0));
-  server_options.metrics_port =
-      static_cast<std::uint16_t>(opts.GetInt("metrics-port", 0));
 
   Result<std::unique_ptr<server::IoServer>> started =
       server::IoServer::Start(std::move(server_options));
@@ -109,10 +105,6 @@ int main(int argc, char** argv) {
   std::printf("dpfsd: serving %s on %s\n",
               opts.GetString("root", "").c_str(),
               io_server->endpoint().ToString().c_str());
-  if (io_server->metrics_http_port() != 0) {
-    std::printf("dpfsd: metrics at http://127.0.0.1:%u/metrics\n",
-                static_cast<unsigned>(io_server->metrics_http_port()));
-  }
 
   if (opts.Has("metadb") || opts.Has("metad")) {
     client::ServerInfo info;

@@ -2,7 +2,7 @@
 // `metadata_endpoint`; docs/METADATA_SCHEMA.md "Remote access").
 //
 //   dpfs-metad --metadb /shared/dpfs-meta [--port 7060]
-//              [--max-sessions 0] [--metrics-port 0]
+//              [--max-sessions 0]
 //
 // Owns the metadata database (and its advisory flock) and serves the
 // kMeta* namespace opcodes; dpfsd registers through it with --metad, and
@@ -38,16 +38,15 @@ int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kInfo);
   const Options opts = Options::Parse(argc, argv).value();
   constexpr std::int64_t kU16 = 0xFFFF;
-  const Status flags =
-      opts.CheckFlags({{"metadb"}, {"port", kU16},
-                       {"max-sessions", INT64_MAX}, {"metrics-port", kU16}});
+  const Status flags = opts.CheckFlags(
+      {{"metadb"}, {"port", kU16}, {"max-sessions", INT64_MAX}});
   if (!flags.ok() || !opts.Has("metadb")) {
     if (!flags.ok()) {
       std::fprintf(stderr, "dpfs-metad: %s\n", flags.message().c_str());
     }
     std::fprintf(stderr,
-                 "usage: dpfs-metad --metadb DIR [--port N]\n"
-                 "                  [--max-sessions N] [--metrics-port N]\n");
+                 "usage: dpfs-metad --metadb DIR [--port N] "
+                 "[--max-sessions N]\n");
     return 2;
   }
 
@@ -55,8 +54,6 @@ int main(int argc, char** argv) {
   options.port = static_cast<std::uint16_t>(opts.GetInt("port", 0));
   options.max_sessions =
       static_cast<std::size_t>(opts.GetInt("max-sessions", 0));
-  options.metrics_port =
-      static_cast<std::uint16_t>(opts.GetInt("metrics-port", 0));
 
   Result<std::unique_ptr<metadb::Database>> db =
       metadb::Database::Open(opts.GetString("metadb", ""));
@@ -76,10 +73,6 @@ int main(int argc, char** argv) {
   std::printf("dpfs-metad: serving %s on %s\n",
               opts.GetString("metadb", "").c_str(),
               service->endpoint().ToString().c_str());
-  if (service->metrics_http_port() != 0) {
-    std::printf("dpfs-metad: metrics at http://127.0.0.1:%u/metrics\n",
-                static_cast<unsigned>(service->metrics_http_port()));
-  }
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
