@@ -32,7 +32,7 @@ struct ClusterOptions {
   /// Root for server storage and the metadata db; a TempDir is created when
   /// empty.
   std::filesystem::path root_dir;
-  /// Persist metadata on disk (WAL + snapshot) instead of in memory.
+  /// Persist metadata on disk (the metadb WAL) instead of in memory.
   bool durable_metadata = false;
   /// Concurrent session cap per server (0 = unlimited); see
   /// ServerOptions::max_sessions.

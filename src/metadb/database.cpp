@@ -9,8 +9,8 @@
 #include <cstdio>
 #include <ctime>
 
-#include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/log.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "metadb/sql_parser.h"
@@ -32,13 +32,15 @@ Result<std::size_t> FindColumn(const std::vector<std::string>& columns,
 
 // Global-registry instruments, resolved once (docs/OBSERVABILITY.md).
 // execute_us times the whole statement (lock wait included); commit_us
-// times CommitLocked, which is dominated by the WAL append.
+// times CommitLocked, which is dominated by the WAL append; compact_us
+// times each completed compaction, so its count is theirs.
 struct MetadbMetricsT {
   metrics::Counter& statements = metrics::GetCounter("metadb.statements");
   metrics::Counter& commits = metrics::GetCounter("metadb.commits");
   metrics::Counter& rollbacks = metrics::GetCounter("metadb.rollbacks");
   metrics::Histogram& execute_us = metrics::GetHistogram("metadb.execute_us");
   metrics::Histogram& commit_us = metrics::GetHistogram("metadb.commit_us");
+  metrics::Histogram& compact_us = metrics::GetHistogram("metadb.compact_us");
 };
 MetadbMetricsT& MetadbMetrics() {
   static MetadbMetricsT m;
@@ -215,27 +217,33 @@ Result<std::unique_ptr<Database>> Database::Open(
         " shards); one database cannot open it, and merging shards into one "
         "is not supported");
   }
+  // Only the retired snapshot checkpoint wrote snapshot.db, and it left the
+  // state split between that file and wal.log; replaying wal.log alone
+  // would open a namespace missing the snapshot's rows.
+  if (std::filesystem::exists(dir / "snapshot.db")) {
+    return InvalidArgumentError(
+        "database '" + dir.string() +
+        "' holds a snapshot.db, written by the retired snapshot checkpoint; "
+        "this version keeps the database in wal.log alone and cannot read it");
+  }
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return IoError("create db dir '" + dir.string() + "': " + ec.message());
 
   std::unique_ptr<Database> db(new Database());
   DPFS_ASSIGN_OR_RETURN(db->lock_fd_, AcquireDirLock(dir, lock_wait));
-  db->dir_ = dir;
-  // The database is not shared yet, but recovery touches mu_-guarded state;
-  // holding the (uncontended) lock keeps the analysis sound here.
-  WriterMutexLock lock(db->mu_);
-  const std::filesystem::path snapshot = dir / "snapshot.db";
-  if (std::filesystem::exists(snapshot)) {
-    DPFS_RETURN_IF_ERROR(db->LoadSnapshot(snapshot));
-  }
-  std::uint64_t max_txn_id = db->next_txn_id_ - 1;
+  // Replay runs on this thread before the database is shared, so it takes
+  // no lock (ApplyWalRecord is exempt from the analysis for that reason).
+  std::uint64_t max_txn_id = 0;
   DPFS_ASSIGN_OR_RETURN(
       WriteAheadLog wal,
       WriteAheadLog::Open(
           dir / "wal.log",
           [&db](const WalRecord& record) { return db->ApplyWalRecord(record); },
           &max_txn_id));
+  // The remaining mu_-guarded fields are set under the (uncontended) lock,
+  // which keeps the analysis sound here.
+  WriterMutexLock lock(db->mu_);
   db->wal_.emplace(std::move(wal));
   db->next_txn_id_ = max_txn_id + 1;
   return db;
@@ -287,105 +295,29 @@ Status Database::ApplyWalRecord(const WalRecord& record) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot format: "DPFSMDB1" magic, then a CRC-protected body.
-
-namespace {
-constexpr char kSnapshotMagic[8] = {'D', 'P', 'F', 'S', 'M', 'D', 'B', '1'};
-}  // namespace
-
-Status Database::WriteSnapshot(const std::filesystem::path& file) const {
-  BinaryWriter body;
-  body.WriteU64(next_txn_id_);
-  body.WriteU32(static_cast<std::uint32_t>(tables_.size()));
+Status Database::CompactLocked() {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<WalRecord> base;
   for (const auto& [key, table] : tables_) {
-    body.WriteString(table->name());
-    table->schema().Serialize(body);
-    body.WriteU64(table->next_row_id());
-    body.WriteU64(table->rows().size());
+    WalRecord create;
+    create.kind = WalRecordKind::kCreateTable;
+    create.table = table->name();
+    create.schema = table->schema();
+    base.push_back(std::move(create));
     for (const auto& [row_id, row] : table->rows()) {
-      body.WriteU64(row_id);
-      body.WriteU32(static_cast<std::uint32_t>(row.size()));
-      for (const Value& v : row) v.Serialize(body);
+      WalRecord insert;
+      insert.kind = WalRecordKind::kInsert;
+      insert.table = table->name();
+      insert.row_id = row_id;
+      insert.row = row;
+      base.push_back(std::move(insert));
     }
   }
-  const Bytes& payload = body.buffer();
-
-  const std::filesystem::path tmp = file.string() + ".tmp";
-  std::FILE* out = std::fopen(tmp.string().c_str(), "wb");
-  if (out == nullptr) return IoErrnoError("open snapshot", tmp.string());
-  bool write_ok = std::fwrite(kSnapshotMagic, 1, 8, out) == 8;
-  BinaryWriter header;
-  header.WriteU32(static_cast<std::uint32_t>(payload.size()));
-  header.WriteU32(Crc32c(payload));
-  write_ok = write_ok &&
-             std::fwrite(header.buffer().data(), 1, header.size(), out) ==
-                 header.size();
-  write_ok =
-      write_ok && std::fwrite(payload.data(), 1, payload.size(), out) ==
-                      payload.size();
-  write_ok = write_ok && std::fflush(out) == 0;
-  std::fclose(out);
-  if (!write_ok) return IoErrnoError("write snapshot", tmp.string());
-
-  std::error_code ec;
-  std::filesystem::rename(tmp, file, ec);
-  if (ec) return IoError("rename snapshot: " + ec.message());
-  return Status::Ok();
-}
-
-Status Database::LoadSnapshot(const std::filesystem::path& file) {
-  std::FILE* in = std::fopen(file.string().c_str(), "rb");
-  if (in == nullptr) return IoErrnoError("open snapshot", file.string());
-  struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{in};
-
-  char magic[8];
-  if (std::fread(magic, 1, 8, in) != 8 ||
-      std::memcmp(magic, kSnapshotMagic, 8) != 0) {
-    return DataLossError("snapshot: bad magic in " + file.string());
-  }
-  std::uint8_t header[8];
-  if (std::fread(header, 1, 8, in) != 8) {
-    return DataLossError("snapshot: truncated header");
-  }
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  std::memcpy(&len, header, 4);
-  std::memcpy(&crc, header + 4, 4);
-  Bytes payload(len);
-  if (len > 0 && std::fread(payload.data(), 1, len, in) != len) {
-    return DataLossError("snapshot: truncated body");
-  }
-  if (Crc32c(payload) != crc) {
-    return DataLossError("snapshot: checksum mismatch");
-  }
-
-  BinaryReader reader(payload);
-  DPFS_ASSIGN_OR_RETURN(next_txn_id_, reader.ReadU64());
-  DPFS_ASSIGN_OR_RETURN(const std::uint32_t table_count, reader.ReadU32());
-  for (std::uint32_t t = 0; t < table_count; ++t) {
-    DPFS_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
-    DPFS_ASSIGN_OR_RETURN(Schema schema, Schema::Deserialize(reader));
-    DPFS_ASSIGN_OR_RETURN(const std::uint64_t next_row_id, reader.ReadU64());
-    DPFS_ASSIGN_OR_RETURN(const std::uint64_t row_count, reader.ReadU64());
-    auto table = std::make_unique<Table>(name, std::move(schema));
-    for (std::uint64_t r = 0; r < row_count; ++r) {
-      DPFS_ASSIGN_OR_RETURN(const std::uint64_t row_id, reader.ReadU64());
-      DPFS_ASSIGN_OR_RETURN(const std::uint32_t value_count, reader.ReadU32());
-      Row row;
-      row.reserve(value_count);
-      for (std::uint32_t v = 0; v < value_count; ++v) {
-        DPFS_ASSIGN_OR_RETURN(Value value, Value::Deserialize(reader));
-        row.push_back(std::move(value));
-      }
-      DPFS_RETURN_IF_ERROR(table->InsertWithId(row_id, std::move(row)));
-    }
-    table->set_next_row_id(next_row_id);
-    tables_[ToLower(name)] = std::move(table);
-  }
+  DPFS_RETURN_IF_ERROR(wal_->Rewrite(base));
+  MetadbMetrics().compact_us.Observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
   return Status::Ok();
 }
 
@@ -395,13 +327,7 @@ Status Database::Checkpoint() {
     return AbortedError("cannot checkpoint inside a transaction");
   }
   if (!wal_.has_value()) return Status::Ok();  // in-memory
-  DPFS_RETURN_IF_ERROR(WriteSnapshot(dir_ / "snapshot.db"));
-  return wal_->Reset();
-}
-
-void Database::SetAutoCheckpoint(std::uint64_t wal_bytes) {
-  WriterMutexLock lock(mu_);
-  auto_checkpoint_wal_bytes_ = wal_bytes;
+  return CompactLocked();
 }
 
 void Database::SetSyncCommits(bool sync) {
@@ -439,15 +365,14 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& statement) {
 
   WriterMutexLock lock(mu_);
   Result<ResultSet> result = ExecuteLocked(statement);
-  // Auto-checkpoint outside transactions once the WAL outgrows the bound.
+  // Compact outside transactions once the log outgrows its floor and twice
+  // its base. The statement has committed either way, and a failed
+  // compaction leaves a log that holds it; the next commit retries.
   if (result.ok() && !in_txn_ && wal_.has_value() &&
-      auto_checkpoint_wal_bytes_ > 0 &&
-      wal_->size_bytes() > auto_checkpoint_wal_bytes_) {
-    const Status snapshotted = WriteSnapshot(dir_ / "snapshot.db");
-    if (snapshotted.ok()) {
-      // dpfs:unchecked(a failed truncate leaves the WAL intact — replay
-      // over the new snapshot is idempotent, so nothing is lost)
-      (void)wal_->Reset();
+      wal_->size_bytes() > kMinCompactBytes &&
+      wal_->size_bytes() > 2 * wal_->base_bytes()) {
+    if (const Status compacted = CompactLocked(); !compacted.ok()) {
+      DPFS_LOG_WARN << "metadb compaction failed: " << compacted.ToString();
     }
   }
   return result;
@@ -834,81 +759,6 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt) {
 
 // ---------------------------------------------------------------------------
 // Introspection
-
-namespace {
-
-std::string SqlLiteral(const Value& value) {
-  switch (value.type()) {
-    case ValueType::kNull:
-      return "NULL";
-    case ValueType::kInt:
-      return std::to_string(value.AsInt());
-    case ValueType::kDouble: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", value.AsDouble());
-      // Ensure the literal parses back as a double, not an int.
-      std::string text(buf);
-      if (text.find('.') == std::string::npos &&
-          text.find('e') == std::string::npos &&
-          text.find("inf") == std::string::npos &&
-          text.find("nan") == std::string::npos) {
-        text += ".0";
-      }
-      return text;
-    }
-    case ValueType::kText: {
-      std::string out = "'";
-      for (const char c : value.AsText()) {
-        out += c;
-        if (c == '\'') out += '\'';
-      }
-      out += "'";
-      return out;
-    }
-  }
-  return "NULL";
-}
-
-std::string_view SqlTypeName(ValueType type) {
-  switch (type) {
-    case ValueType::kInt: return "INT";
-    case ValueType::kDouble: return "DOUBLE";
-    case ValueType::kText: return "TEXT";
-    default: return "TEXT";
-  }
-}
-
-}  // namespace
-
-std::vector<std::string> Database::DumpSql() const {
-  ReaderMutexLock lock(mu_);
-  std::vector<std::string> statements;
-  for (const auto& [key, table] : tables_) {
-    std::string ddl = "CREATE TABLE " + table->name() + " (";
-    const Schema& schema = table->schema();
-    for (std::size_t c = 0; c < schema.num_columns(); ++c) {
-      const ColumnDef& col = schema.columns()[c];
-      if (c > 0) ddl += ", ";
-      ddl += col.name;
-      ddl += ' ';
-      ddl += SqlTypeName(col.type);
-      if (col.primary_key) ddl += " PRIMARY KEY";
-    }
-    ddl += ")";
-    statements.push_back(std::move(ddl));
-
-    for (const auto& [row_id, row] : table->rows()) {
-      std::string insert = "INSERT INTO " + table->name() + " VALUES (";
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        if (c > 0) insert += ", ";
-        insert += SqlLiteral(row[c]);
-      }
-      insert += ")";
-      statements.push_back(std::move(insert));
-    }
-  }
-  return statements;
-}
 
 std::vector<std::string> Database::TableNames() const {
   ReaderMutexLock lock(mu_);

@@ -4,12 +4,12 @@
 // owns a set of tables, executes the SQL subset in sql_ast.h, and provides:
 //   * atomic multi-statement transactions (BEGIN/COMMIT/ROLLBACK) with
 //     in-memory undo and WAL-backed redo,
-//   * crash recovery (snapshot + committed-WAL replay, torn tails discarded),
-//   * checkpointing (snapshot rewrite + WAL truncation).
+//   * crash recovery (committed-WAL replay, torn tails discarded),
+//   * compaction (the WAL rewritten as one base transaction, atomically).
 // All entry points are thread-safe behind one reader/writer lock: mutations
-// (and transaction control) hold it exclusively; plain SELECTs outside the
-// auto-checkpoint path run under a shared hold, so concurrent lookups no
-// longer serialize. The lock covers one statement: a caller that needs a
+// (and transaction control) hold it exclusively; plain SELECTs, which never
+// compact, run under a shared hold, so concurrent lookups no longer
+// serialize. The lock covers one statement: a caller that needs a
 // multi-statement transaction to look atomic to other threads serializes
 // them itself (client::MetadataManager does).
 #pragma once
@@ -56,9 +56,13 @@ struct ResultSet {
 
 class Database {
  public:
-  /// Durable database rooted at `dir` (created if missing): `snapshot.db`
-  /// plus `wal.log`. Recovers committed state on open. A directory in the
-  /// retired sharded layout (a `shards` manifest beside per-shard
+  /// Durable database rooted at `dir` (created if missing), kept in one
+  /// file, `wal.log` (wal.h), beside the `lock` file. Recovers committed
+  /// state on open by replaying the log: its base whole (kDataLoss, with
+  /// nothing written, when the base is damaged), then the committed
+  /// appends, with a torn tail discarded. A directory holding a
+  /// `snapshot.db` (written only by the retired snapshot checkpoint) or in
+  /// the retired sharded layout (a `shards` manifest beside per-shard
   /// directories) is refused with kInvalidArgument and left untouched.
   ///
   /// The database is embedded, single-process: Open takes an exclusive
@@ -69,11 +73,6 @@ class Database {
   static Result<std::unique_ptr<Database>> Open(
       const std::filesystem::path& dir,
       std::chrono::milliseconds lock_wait = std::chrono::milliseconds(5000));
-
-  /// Enables automatic checkpointing: after any auto-commit or COMMIT that
-  /// leaves the WAL larger than `wal_bytes`, the database snapshots and
-  /// truncates the log (bounding recovery time). 0 disables (default).
-  void SetAutoCheckpoint(std::uint64_t wal_bytes);
 
   /// Power-failure durability: fdatasync the WAL on every commit. Default
   /// off (process-crash durable only). No-op on in-memory databases.
@@ -93,20 +92,20 @@ class Database {
   /// Pre-parsed execution (skips the parser; used by hot metadata paths).
   Result<ResultSet> ExecuteStatement(const Statement& statement);
 
-  /// Serializes all tables to the snapshot file and truncates the WAL.
-  /// No-op (Ok) for in-memory databases.
+  /// Compacts the WAL: rewrites it as one base transaction holding every
+  /// table and row (WriteAheadLog::Rewrite), timed in metadb.compact_us.
+  /// Refused inside a transaction; no-op (Ok) for in-memory databases. The
+  /// database also compacts by itself after a statement outside an explicit
+  /// transaction (every COMMIT included) once the log is larger than
+  /// kMinCompactBytes and than twice its base, so each byte of state is
+  /// rewritten O(1) times and a reopen replays a bounded log.
   Status Checkpoint();
+  static constexpr std::uint64_t kMinCompactBytes = std::uint64_t{4} << 20;
 
   /// Builds a non-unique secondary index on `table.column` to accelerate
   /// equality predicates. Indexes are in-memory acceleration (derived
   /// state): re-create them after reopening a durable database.
   Status CreateIndex(std::string_view table, std::string_view column);
-
-  /// Serializes the whole database as replayable SQL: one CREATE TABLE plus
-  /// one INSERT per row, in a deterministic order. Feeding every statement
-  /// back through Execute() on an empty database reproduces the state —
-  /// the ops/migration escape hatch.
-  [[nodiscard]] std::vector<std::string> DumpSql() const;
 
   /// Introspection.
   [[nodiscard]] std::vector<std::string> TableNames() const;
@@ -143,12 +142,7 @@ class Database {
   // database, before it is shared, so no lock is held)
   Status ApplyWalRecord(const WalRecord& record)
       DPFS_NO_THREAD_SAFETY_ANALYSIS;
-  // dpfs:no-tsa(open-time only, same single-thread recovery path as
-  // ApplyWalRecord)
-  Status LoadSnapshot(const std::filesystem::path& file)
-      DPFS_NO_THREAD_SAFETY_ANALYSIS;
-  Status WriteSnapshot(const std::filesystem::path& file) const
-      DPFS_REQUIRES(mu_);
+  Status CompactLocked() DPFS_REQUIRES(mu_);
   void RecordRedo(WalRecord record) DPFS_REQUIRES(mu_);
   void RecordUndo(UndoOp op) DPFS_REQUIRES(mu_);
 
@@ -158,10 +152,7 @@ class Database {
   std::optional<WriteAheadLog> wal_
       DPFS_GUARDED_BY(mu_);             // nullopt for in-memory
   int lock_fd_ = -1;                    // exclusive cross-process lock
-  std::filesystem::path dir_;           // immutable after Open
   std::uint64_t next_txn_id_ DPFS_GUARDED_BY(mu_) = 1;
-  std::uint64_t auto_checkpoint_wal_bytes_
-      DPFS_GUARDED_BY(mu_) = 0;         // 0 = disabled
 
   // Active transaction state (empty when not in a transaction).
   bool in_txn_ DPFS_GUARDED_BY(mu_) = false;

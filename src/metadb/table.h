@@ -1,8 +1,10 @@
 // In-memory table with stable row identities and an optional unique
 // primary-key index.
 //
-// Row identities (RowId) are never reused, which lets the transaction layer
-// record precise undo information and the WAL replay deterministic mutations.
+// Row identities (RowId) are never reused while the table is open, which
+// lets the transaction layer record precise undo information and the WAL
+// replay deterministic mutations. A compacted log keeps the live rows' ids,
+// so a reopened table may reissue only ids that no record names any more.
 #pragma once
 
 #include <cstdint>
@@ -59,12 +61,10 @@ class Table {
   [[nodiscard]] Result<std::vector<std::pair<RowId, Row>>> Scan(
       const Expr* filter) const;
 
-  /// Iteration support for snapshots.
+  /// Iteration support for WAL compaction.
   [[nodiscard]] const std::map<RowId, Row>& rows() const noexcept {
     return rows_;
   }
-  [[nodiscard]] RowId next_row_id() const noexcept { return next_row_id_; }
-  void set_next_row_id(RowId id) noexcept { next_row_id_ = id; }
 
  private:
   /// Canonical byte encoding used as the PK map key.

@@ -1,5 +1,6 @@
 #include "metadb/wal.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/log.h"
+#include "common/metrics.h"
 
 namespace dpfs::metadb {
 
@@ -86,60 +88,150 @@ Result<WalRecord> WalRecord::Decode(ByteSpan payload) {
 
 namespace {
 
-/// Reads the whole file; returns decoded records of the committed prefix.
-Result<std::vector<WalRecord>> ReadCommittedRecords(
-    const std::filesystem::path& path, std::uint64_t* valid_size) {
-  *valid_size = 0;
-  std::vector<WalRecord> committed;
+/// The base's txn id. Real transactions start at 1.
+constexpr std::uint64_t kBaseTxnId = 0;
+/// A frame's header: [u32 payload_len][u32 crc32c].
+constexpr std::uint64_t kHeaderBytes = 8;
+/// A framed BEGIN, the record every log starts with.
+constexpr std::uint64_t kBeginFrameBytes = kHeaderBytes + 9;
+
+std::filesystem::path TmpPath(const std::filesystem::path& log) {
+  return log.string() + ".tmp";
+}
+
+void AppendFramed(BinaryWriter& frame, const WalRecord& record) {
+  const Bytes payload = record.Encode();
+  frame.WriteU32(static_cast<std::uint32_t>(payload.size()));
+  frame.WriteU32(Crc32c(payload));
+  frame.WriteRaw(payload);
+}
+
+/// BEGIN, `ops` stamped with `txn_id`, COMMIT: the bytes one commit appends
+/// and, with txn id 0, the whole file a rewrite writes.
+Bytes FrameTransaction(std::uint64_t txn_id,
+                       const std::vector<WalRecord>& ops) {
+  BinaryWriter frame;
+  WalRecord marker;
+  marker.kind = WalRecordKind::kBegin;
+  marker.txn_id = txn_id;
+  AppendFramed(frame, marker);
+  for (const WalRecord& op : ops) {
+    WalRecord stamped = op;  // ops carry the owning transaction's id
+    stamped.txn_id = txn_id;
+    AppendFramed(frame, stamped);
+  }
+  marker.kind = WalRecordKind::kCommit;
+  AppendFramed(frame, marker);
+  return std::move(frame).TakeBuffer();
+}
+
+/// Reads the record at the file's position into `record`, and its size
+/// with the header into `framed_bytes`. False at the end of the file, for a
+/// record the file ends inside, and for one whose length, checksum or
+/// decoding fails.
+bool ReadRecord(std::FILE* file, WalRecord* record,
+                std::uint64_t* framed_bytes) {
+  std::uint8_t header[kHeaderBytes];
+  if (std::fread(header, 1, sizeof(header), file) != sizeof(header)) {
+    return false;
+  }
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+  std::memcpy(&len, header, 4);
+  std::memcpy(&crc, header + 4, 4);
+  if (len > (64u << 20)) return false;  // corrupt length
+  Bytes payload(len);
+  if (len > 0 && std::fread(payload.data(), 1, len, file) != len) {
+    return false;
+  }
+  if (Crc32c(payload) != crc) return false;
+  Result<WalRecord> decoded = WalRecord::Decode(payload);
+  if (!decoded.ok()) return false;
+  *record = std::move(decoded).value();
+  *framed_bytes = kHeaderBytes + len;
+  return true;
+}
+
+/// What Open finds in a log file.
+struct LogContents {
+  std::vector<WalRecord> committed;  // op records of committed txns, in order
+  std::uint64_t file_bytes = 0;
+  std::uint64_t valid_bytes = 0;     // through the last intact COMMIT
+  std::uint64_t base_bytes = 0;      // the leading base; 0 when none
+};
+
+/// Reads the whole file: the base whole, then the committed prefix of the
+/// appends after it.
+Result<LogContents> ReadLog(const std::filesystem::path& path) {
+  LogContents log;
   std::FILE* file = std::fopen(path.string().c_str(), "rb");
-  if (file == nullptr) return committed;  // no log yet
+  if (file == nullptr) return log;  // no log yet
   struct Closer {
     std::FILE* f;
     ~Closer() { std::fclose(f); }
   } closer{file};
+  std::error_code ec;
+  log.file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return IoError("wal size '" + path.string() + "': " + ec.message());
+  const auto data_loss = [&path](std::uint64_t offset, const char* what) {
+    return DataLossError("wal '" + path.string() + "': " + what +
+                         " at offset " + std::to_string(offset) +
+                         "; the log was left as it is");
+  };
 
-  std::vector<WalRecord> pending;   // ops of the in-flight txn
+  std::vector<WalRecord> pending;  // ops of the in-flight txn
   bool in_txn = false;
+  bool in_base = false;
   std::uint64_t offset = 0;
-
   while (true) {
-    std::uint8_t header[8];
-    if (std::fread(header, 1, sizeof(header), file) != sizeof(header)) break;
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&len, header, 4);
-    std::memcpy(&crc, header + 4, 4);
-    if (len > (64u << 20)) break;  // corrupt length; treat as torn tail
-    Bytes payload(len);
-    if (len > 0 && std::fread(payload.data(), 1, len, file) != len) break;
-    if (Crc32c(payload) != crc) break;  // torn/corrupt tail
-    const Result<WalRecord> decoded = WalRecord::Decode(payload);
-    if (!decoded.ok()) break;
-    const WalRecord& record = decoded.value();
-
+    WalRecord record;
+    std::uint64_t framed = 0;
+    const bool intact = ReadRecord(file, &record, &framed);
+    if (offset == 0 && log.file_bytes >= kBeginFrameBytes &&
+        (!intact || record.kind != WalRecordKind::kBegin)) {
+      // A torn first append is shorter than its BEGIN; a longer log that
+      // does not start with one may have lost its base's mark.
+      return data_loss(0, "the first record is not an intact BEGIN");
+    }
+    if (!intact) {
+      if (in_base) return data_loss(offset, "the base is damaged or cut short");
+      break;  // the tail: discarded by Open
+    }
     switch (record.kind) {
       case WalRecordKind::kBegin:
+        if (in_base) return data_loss(offset, "the base has no COMMIT");
+        in_base = offset == 0 && record.txn_id == kBaseTxnId;
         pending.clear();
         in_txn = true;
         break;
       case WalRecordKind::kCommit:
         if (in_txn) {
-          for (WalRecord& op : pending) committed.push_back(std::move(op));
+          for (WalRecord& op : pending) log.committed.push_back(std::move(op));
           pending.clear();
           in_txn = false;
           // Everything up to and including this record is durable.
-          offset += 8 + len;
-          *valid_size = offset;
-          continue;
+          log.valid_bytes = offset + framed;
+          if (in_base) log.base_bytes = log.valid_bytes;
+          in_base = false;
         }
         break;
       default:
-        if (in_txn) pending.push_back(record);
+        if (in_txn) pending.push_back(std::move(record));
         break;
     }
-    offset += 8 + len;
+    offset += framed;
   }
-  return committed;
+  return log;
+}
+
+Status SyncDirectory(const std::filesystem::path& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return IoErrnoError("open wal directory", dir.string());
+  const Status synced = ::fsync(fd) == 0
+                            ? Status::Ok()
+                            : IoErrnoError("fsync wal directory", dir.string());
+  ::close(fd);
+  return synced;
 }
 
 }  // namespace
@@ -148,31 +240,38 @@ Result<WriteAheadLog> WriteAheadLog::Open(
     const std::filesystem::path& path,
     const std::function<Status(const WalRecord&)>& apply,
     std::uint64_t* max_txn_id) {
-  std::uint64_t valid_size = 0;
-  DPFS_ASSIGN_OR_RETURN(const std::vector<WalRecord> committed,
-                        ReadCommittedRecords(path, &valid_size));
-  for (const WalRecord& record : committed) {
+  DPFS_ASSIGN_OR_RETURN(const LogContents log, ReadLog(path));
+  for (const WalRecord& record : log.committed) {
     DPFS_RETURN_IF_ERROR(
         apply(record).WithContext("wal replay of table '" + record.table + "'"));
     if (max_txn_id != nullptr && record.txn_id > *max_txn_id) {
       *max_txn_id = record.txn_id;
     }
   }
-  // Truncate any torn tail so new appends start at a clean boundary.
+  // A rewrite that crashed before its rename; the log is whole without it.
   std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    std::filesystem::resize_file(path, valid_size, ec);
+  std::filesystem::remove(TmpPath(path), ec);
+  if (ec) return IoError("remove stale wal rewrite: " + ec.message());
+  // Truncate the torn tail so new appends start at a clean boundary.
+  if (log.file_bytes > log.valid_bytes) {
+    const std::uint64_t dropped = log.file_bytes - log.valid_bytes;
+    DPFS_LOG_WARN << "wal '" << path.string() << "': discarding " << dropped
+                  << " bytes after the last intact COMMIT at offset "
+                  << log.valid_bytes;
+    metrics::GetCounter("metadb.wal_discarded_bytes").Add(dropped);
+    std::filesystem::resize_file(path, log.valid_bytes, ec);
     if (ec) return IoError("wal truncate: " + ec.message());
   }
   std::FILE* file = std::fopen(path.string().c_str(), "ab");
   if (file == nullptr) return IoErrnoError("open wal", path.string());
-  return WriteAheadLog(file, path, valid_size);
+  return WriteAheadLog(file, path, log.valid_bytes, log.base_bytes);
 }
 
 WriteAheadLog::WriteAheadLog(WriteAheadLog&& other) noexcept
     : file_(other.file_),
       path_(std::move(other.path_)),
       size_(other.size_),
+      base_bytes_(other.base_bytes_),
       sync_commits_(other.sync_commits_) {
   other.file_ = nullptr;
 }
@@ -183,6 +282,7 @@ WriteAheadLog& WriteAheadLog::operator=(WriteAheadLog&& other) noexcept {
     file_ = other.file_;
     path_ = std::move(other.path_);
     size_ = other.size_;
+    base_bytes_ = other.base_bytes_;
     sync_commits_ = other.sync_commits_;
     other.file_ = nullptr;
   }
@@ -201,28 +301,7 @@ void WriteAheadLog::Close() noexcept {
 Status WriteAheadLog::AppendTransaction(std::uint64_t txn_id,
                                         const std::vector<WalRecord>& ops) {
   if (file_ == nullptr) return InternalError("wal: closed");
-  BinaryWriter frame;
-  const auto append_record = [&frame](const WalRecord& record) {
-    const Bytes payload = record.Encode();
-    frame.WriteU32(static_cast<std::uint32_t>(payload.size()));
-    frame.WriteU32(Crc32c(payload));
-    frame.WriteRaw(payload);
-  };
-  WalRecord begin;
-  begin.kind = WalRecordKind::kBegin;
-  begin.txn_id = txn_id;
-  append_record(begin);
-  for (const WalRecord& op : ops) {
-    WalRecord stamped = op;  // ops carry the owning transaction's id
-    stamped.txn_id = txn_id;
-    append_record(stamped);
-  }
-  WalRecord commit;
-  commit.kind = WalRecordKind::kCommit;
-  commit.txn_id = txn_id;
-  append_record(commit);
-
-  const Bytes& data = frame.buffer();
+  const Bytes data = FrameTransaction(txn_id, ops);
   if (auto fp = failpoint::Check("wal.append")) {
     switch (fp->action) {
       case failpoint::Action::kReturnError:
@@ -264,15 +343,34 @@ Status WriteAheadLog::AppendTransaction(std::uint64_t txn_id,
   return Status::Ok();
 }
 
-Status WriteAheadLog::Reset() {
-  Close();
+Status WriteAheadLog::Rewrite(const std::vector<WalRecord>& base) {
+  if (file_ == nullptr) return InternalError("wal: closed");
+  const Bytes data = FrameTransaction(kBaseTxnId, base);
+  const std::filesystem::path tmp = TmpPath(path_);
+  std::FILE* out = std::fopen(tmp.string().c_str(), "wb");
+  if (out == nullptr) return IoErrnoError("open wal rewrite", tmp.string());
   std::error_code ec;
-  std::filesystem::resize_file(path_, 0, ec);
-  if (ec) return IoError("wal reset: " + ec.message());
-  file_ = std::fopen(path_.string().c_str(), "ab");
-  if (file_ == nullptr) return IoErrnoError("reopen wal", path_.string());
-  size_ = 0;
-  return Status::Ok();
+  if (std::fwrite(data.data(), 1, data.size(), out) != data.size() ||
+      std::fflush(out) != 0 || ::fsync(fileno(out)) != 0) {
+    const Status failed = IoErrnoError("write wal rewrite", tmp.string());
+    std::fclose(out);
+    std::filesystem::remove(tmp, ec);
+    return failed;
+  }
+  std::filesystem::rename(tmp, path_, ec);
+  if (ec) {
+    std::fclose(out);
+    std::filesystem::remove(tmp, ec);
+    return IoError("rename wal rewrite: " + ec.message());
+  }
+  // The renamed file is the log now: appends continue on the handle that
+  // wrote it, which sits at its end.
+  Close();
+  file_ = out;
+  size_ = data.size();
+  base_bytes_ = data.size();
+  const std::filesystem::path dir = path_.parent_path();
+  return SyncDirectory(dir.empty() ? std::filesystem::path(".") : dir);
 }
 
 }  // namespace dpfs::metadb

@@ -1,13 +1,20 @@
-// Write-ahead log for the metadata database.
+// Write-ahead log for the metadata database, and its only file.
 //
 // Record stream layout (all little-endian):
 //   [u32 payload_len][u32 crc32c(payload)][payload]
 // payload = [u8 kind][u64 txn_id][kind-specific body]
 //
 // Mutations are buffered per transaction and appended as
-// BEGIN, op..., COMMIT at commit time, followed by one fsync, so a torn tail
-// (crash mid-append) never exposes a half-applied transaction: replay applies
-// only transactions whose COMMIT record survived intact.
+// BEGIN, op..., COMMIT at commit time in one write (fdatasync'd only with
+// sync commits), so a torn tail (crash mid-append) never exposes a
+// half-applied transaction: replay applies only transactions whose COMMIT
+// record survived intact.
+//
+// Rewrite compacts the log into a base: one transaction with txn id 0
+// (real transactions start at 1) holding a CREATE TABLE per table and an
+// INSERT per row. A base is written whole to "<log>.tmp", fsync'd and
+// renamed over the log, so it is never torn; a damaged base is data loss,
+// not a tail to discard.
 #pragma once
 
 #include <cstdio>
@@ -50,8 +57,16 @@ class WriteAheadLog {
  public:
   /// Opens (creating if needed) and replays existing committed transactions
   /// through `apply`, which is invoked once per operation record (never for
-  /// kBegin/kCommit) in commit order. A torn tail is silently discarded.
-  /// Returns the WAL positioned for appending, plus the highest txn id seen.
+  /// kBegin/kCommit) in commit order. Returns the WAL positioned for
+  /// appending, plus the highest txn id seen.
+  ///
+  /// A damaged base, a base without its COMMIT, or a first record that is
+  /// all there but is no intact BEGIN (so the log cannot say whether it
+  /// starts with a base) fails with kDataLoss, and nothing is written.
+  /// Otherwise the incomplete or damaged tail after the last intact COMMIT
+  /// is truncated away, logged and counted in metadb.wal_discarded_bytes,
+  /// and a "<path>.tmp" left by a rewrite that crashed before its rename is
+  /// deleted.
   static Result<WriteAheadLog> Open(
       const std::filesystem::path& path,
       const std::function<Status(const WalRecord&)>& apply,
@@ -73,20 +88,33 @@ class WriteAheadLog {
   void SetSyncCommits(bool sync) noexcept { sync_commits_ = sync; }
   [[nodiscard]] bool sync_commits() const noexcept { return sync_commits_; }
 
-  /// Truncates the log after a successful snapshot.
-  Status Reset();
+  /// Replaces the log with `base` framed as one committed transaction with
+  /// txn id 0, atomically: written to "<path>.tmp", fsync'd, renamed over
+  /// the log, and the directory fsync'd, whatever SetSyncCommits says (a
+  /// rename whose data is not on disk can leave an empty log after a power
+  /// failure). Appends then continue on the new file. On an error before
+  /// the rename the old log stays in place and in use.
+  Status Rewrite(const std::vector<WalRecord>& base);
 
   [[nodiscard]] std::uint64_t size_bytes() const noexcept { return size_; }
+  /// Size of the base the log starts with; 0 for a log never rewritten.
+  [[nodiscard]] std::uint64_t base_bytes() const noexcept {
+    return base_bytes_;
+  }
 
  private:
-  explicit WriteAheadLog(std::FILE* file, std::filesystem::path path,
-                         std::uint64_t size)
-      : file_(file), path_(std::move(path)), size_(size) {}
+  WriteAheadLog(std::FILE* file, std::filesystem::path path,
+                std::uint64_t size, std::uint64_t base_bytes)
+      : file_(file),
+        path_(std::move(path)),
+        size_(size),
+        base_bytes_(base_bytes) {}
   void Close() noexcept;
 
   std::FILE* file_ = nullptr;
   std::filesystem::path path_;
   std::uint64_t size_ = 0;
+  std::uint64_t base_bytes_ = 0;
   bool sync_commits_ = false;
 };
 

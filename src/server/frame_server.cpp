@@ -161,6 +161,9 @@ void FrameServer::Serve(net::TcpSocket& socket, bool reject_busy) {
       }
       return;
     }
+    // Stopped while this session waited: end it with the request
+    // unanswered, as a dead process would.
+    if (stopping_.load(std::memory_order_relaxed)) return;
     Reply reply = HandleRequest(frame.bytes(), scratch);
     if (auto fp = failpoint::Check(options_.reply_failpoint)) {
       if (fp->action == failpoint::Action::kDisconnect) {

@@ -81,10 +81,11 @@ class FrameServer {
   /// Idempotent.
   void Stop();
 
-  /// Closes the listener and lets each session end after its current
-  /// request, joining nothing, so it is safe on a session thread: the
-  /// metad.crash failpoint kills the metadata service this way. Stop()
-  /// still joins afterwards.
+  /// Closes the listener, and every session ends without answering the
+  /// next request it receives, so nothing is served after the call but the
+  /// replies already being handled. Joins nothing, so it is safe on a
+  /// session thread: the metad.crash failpoint kills the metadata service
+  /// this way. Stop() still joins afterwards.
   void StopAccepting();
 
   [[nodiscard]] net::Endpoint endpoint() const noexcept { return endpoint_; }

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/temp_dir.h"
 
 namespace dpfs::client {
@@ -312,6 +316,81 @@ TEST_F(MetadataTest, FileNamesWithQuotesAreSafe) {
   EXPECT_TRUE(manager_->FileExists("/it's a file").value());
   const FileRecord record = manager_->LookupFile("/it's a file").value();
   EXPECT_EQ(record.meta.path, "/it's a file");
+}
+
+TEST_F(MetadataTest, NamespaceChurnKeepsTheLogBounded) {
+  // About 10k namespace mutations (creates, renames and removes, as a
+  // dpfs-metad serves them) on a durable database: the log compacts itself
+  // along the way, and a reopen lists exactly what a shadow copy holds.
+  const TempDir temp = TempDir::Create("metadata-churn").value();
+  const std::filesystem::path dir = temp.Sub("meta");
+  const std::uint64_t compactions_before =
+      metrics::GetHistogram("metadb.compact_us").GetSnapshot().count;
+  constexpr int kDirs = 8;
+  constexpr std::size_t kFilesPerDir = 64;
+  std::map<std::string, std::set<std::string>> shadow;
+  {
+    std::shared_ptr<metadb::Database> db = metadb::Database::Open(dir).value();
+    auto manager = MetadataManager::Attach(db).value();
+    ASSERT_TRUE(manager->RegisterServer(MakeServer("s0", 1)).ok());
+    ASSERT_TRUE(manager->RegisterServer(MakeServer("s1", 1)).ok());
+    const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
+    for (int d = 0; d < kDirs; ++d) {
+      const std::string name = "/d" + std::to_string(d);
+      ASSERT_TRUE(manager->MakeDirectory(name).ok());
+      shadow[name];
+    }
+    std::mt19937 rng(25);
+    std::uint64_t largest_log = 0;
+    int next_file = 0;
+    for (int op = 0; op < 10'000; ++op) {
+      const std::string from_dir = "/d" + std::to_string(rng() % kDirs);
+      std::set<std::string>& files = shadow[from_dir];
+      if (files.size() < kFilesPerDir / 2 ||
+          (files.size() < kFilesPerDir && rng() % 3 == 0)) {
+        const std::string name = "file-" + std::to_string(next_file++);
+        ASSERT_TRUE(manager
+                        ->CreateFile(MakeLinearMeta(from_dir + "/" + name),
+                                     {"s0", "s1"}, dist)
+                        .ok());
+        files.insert(name);
+      } else {
+        auto victim = files.begin();
+        std::advance(victim, static_cast<long>(rng() % files.size()));
+        const std::string name = *victim;
+        files.erase(victim);
+        if (rng() % 2 == 0) {
+          ASSERT_TRUE(manager->DeleteFile(from_dir + "/" + name).ok());
+        } else {
+          const std::string to_dir = "/d" + std::to_string(rng() % kDirs);
+          const std::string to_name = "file-" + std::to_string(next_file++);
+          ASSERT_TRUE(manager
+                          ->RenameFile(from_dir + "/" + name,
+                                       to_dir + "/" + to_name)
+                          .ok());
+          shadow[to_dir].insert(to_name);
+        }
+      }
+      largest_log = std::max(largest_log, db->wal_size_bytes());
+    }
+    EXPECT_LT(largest_log, std::uint64_t{8} << 20);
+    EXPECT_LT(std::filesystem::file_size(dir / "wal.log"),
+              std::uint64_t{8} << 20);
+    EXPECT_GE(metrics::GetHistogram("metadb.compact_us").GetSnapshot().count -
+                  compactions_before,
+              1u);
+  }
+  std::shared_ptr<metadb::Database> db = metadb::Database::Open(dir).value();
+  auto manager = MetadataManager::Attach(db).value();
+  for (const auto& [path, files] : shadow) {
+    const MetadataService::Listing listing =
+        manager->ListDirectory(path).value();
+    EXPECT_TRUE(listing.directories.empty()) << path;
+    EXPECT_EQ(std::set<std::string>(listing.files.begin(), listing.files.end()),
+              files)
+        << path;
+    EXPECT_EQ(listing.files.size(), files.size()) << path;
+  }
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(DurabilityTest, FullClusterRestartPreservesFiles) {
     auto cluster = core::LocalCluster::Start(DurableOptions(root.path())).value();
     auto fs = cluster->fs();
 
-    // Directory tree and attributes recovered through WAL/snapshot replay.
+    // Directory tree and attributes recovered through WAL replay.
     const auto listing = fs->metadata().ListDirectory("/data").value();
     ASSERT_EQ(listing.files.size(), 2u);
 

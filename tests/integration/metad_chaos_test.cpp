@@ -19,6 +19,7 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "core/cluster.h"
+#include "net/connection.h"
 
 namespace dpfs {
 namespace {
@@ -146,6 +147,34 @@ TEST_F(MetadChaosTest, CrashFailpointStopsServiceAndRestartRevives) {
 
   ASSERT_TRUE(cluster_->RestartMetad().ok());
   EXPECT_TRUE(fs_->metadata().FileExists("/crash.bin").value());
+}
+
+TEST_F(MetadChaosTest, CrashServesNoEarlierSession) {
+  // Two sessions opened before the crash: the one whose request hits the
+  // failpoint gets the crash reply, and the other one's next request goes
+  // unanswered, as it would from a dead process.
+  const net::Endpoint endpoint = cluster_->metad()->endpoint();
+  net::ServerConnection a = net::ServerConnection::Connect(endpoint).value();
+  net::ServerConnection b = net::ServerConnection::Connect(endpoint).value();
+  ASSERT_TRUE(a.Ping().ok());
+  ASSERT_TRUE(b.Ping().ok());
+
+  failpoint::Spec spec;
+  spec.action = failpoint::Action::kReturnError;  // action is ignored
+  spec.count = 1;
+  failpoint::Arm("metad.crash", spec);
+  const Result<net::ReplyFrame> crashed =
+      a.Call(net::MessageType::kMetaListServers, {});
+  ASSERT_FALSE(crashed.ok());
+  EXPECT_EQ(crashed.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(failpoint::HitCount("metad.crash"), 1u);
+
+  const Result<net::ReplyFrame> after =
+      b.Call(net::MessageType::kMetaListServers, {});
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kUnavailable)
+      << after.status().ToString();
+  EXPECT_FALSE(net::ServerConnection::Connect(endpoint).ok());
 }
 
 TEST_F(MetadChaosTest, RestartedMetadIsRedialedOnTheNextCall) {

@@ -262,50 +262,6 @@ TEST_F(DatabaseTest, CountStarMalformedRejected) {
   EXPECT_FALSE(db_->Execute("SELECT COUNT(* FROM t").ok());
 }
 
-TEST_F(DatabaseTest, DumpSqlReproducesState) {
-  Exec("CREATE TABLE servers (name TEXT PRIMARY KEY, perf INT, load DOUBLE)");
-  Exec("INSERT INTO servers VALUES ('a''quoted', 1, 2.5)");
-  Exec("INSERT INTO servers (name, perf) VALUES ('partial', 3)");
-  Exec("CREATE TABLE empty_table (x INT)");
-
-  auto restored = Database::OpenInMemory();
-  for (const std::string& sql : db_->DumpSql()) {
-    ASSERT_TRUE(restored->Execute(sql).ok()) << sql;
-  }
-  const ResultSet original =
-      Exec("SELECT * FROM servers ORDER BY name");
-  const ResultSet copy =
-      restored->Execute("SELECT * FROM servers ORDER BY name").value();
-  ASSERT_EQ(copy.size(), original.size());
-  for (std::size_t row = 0; row < original.size(); ++row) {
-    EXPECT_EQ(copy.GetText(row, "name").value(),
-              original.GetText(row, "name").value());
-    EXPECT_EQ(copy.GetInt(row, "perf").value(),
-              original.GetInt(row, "perf").value());
-    EXPECT_EQ(copy.GetValue(row, "load").value().is_null(),
-              original.GetValue(row, "load").value().is_null());
-  }
-  EXPECT_TRUE(restored->HasTable("empty_table"));
-  // Primary key constraint restored too.
-  EXPECT_FALSE(
-      restored->Execute("INSERT INTO servers VALUES ('partial', 9, 0.0)")
-          .ok());
-}
-
-TEST_F(DatabaseTest, DumpSqlPreservesDoubles) {
-  Exec("CREATE TABLE t (v DOUBLE)");
-  Exec("INSERT INTO t VALUES (0.1)");
-  Exec("INSERT INTO t VALUES (3.0)");
-  auto restored = Database::OpenInMemory();
-  for (const std::string& sql : db_->DumpSql()) {
-    ASSERT_TRUE(restored->Execute(sql).ok()) << sql;
-  }
-  const ResultSet copy = restored->Execute("SELECT * FROM t").value();
-  EXPECT_DOUBLE_EQ(copy.GetDouble(0, "v").value(), 0.1);
-  EXPECT_DOUBLE_EQ(copy.GetDouble(1, "v").value(), 3.0);
-  EXPECT_EQ(copy.GetValue(1, "v").value().type(), ValueType::kDouble);
-}
-
 TEST_F(DatabaseTest, ConcurrentAutoCommitStatementsAreSerialized) {
   Exec("CREATE TABLE t (id INT PRIMARY KEY, who INT)");
   constexpr int kThreads = 6;

@@ -130,18 +130,45 @@ TEST_F(WalFileTest, EmptyTransactionIsReplayableNoise) {
   EXPECT_TRUE(replayed.empty());
 }
 
-TEST_F(WalFileTest, ResetTruncates) {
+TEST_F(WalFileTest, RewriteReplacesTheLogWithItsBase) {
+  WalRecord create;
+  create.kind = WalRecordKind::kCreateTable;
+  create.table = "t";
+  create.schema = Schema::Create({{"a", ValueType::kText, false}}).value();
+  {
+    std::vector<WalRecord> replayed;
+    WriteAheadLog wal = OpenCollecting(&replayed).value();
+    EXPECT_EQ(wal.base_bytes(), 0u);
+    for (std::uint64_t txn = 1; txn <= 20; ++txn) {
+      ASSERT_TRUE(
+          wal.AppendTransaction(txn, {InsertRecord("t", txn, {Value("v")})})
+              .ok());
+    }
+    const std::uint64_t appended = wal.size_bytes();
+    ASSERT_TRUE(wal.Rewrite({create, InsertRecord("t", 7, {Value("base")})})
+                    .ok());
+    EXPECT_EQ(wal.size_bytes(), wal.base_bytes());
+    EXPECT_LT(wal.size_bytes(), appended);
+    EXPECT_EQ(std::filesystem::file_size(LogPath()), wal.base_bytes());
+    EXPECT_FALSE(std::filesystem::exists(dir_.path() / "wal.log.tmp"));
+    // Appending still works after the rewrite, behind the base.
+    ASSERT_TRUE(
+        wal.AppendTransaction(21, {InsertRecord("t", 8, {Value("w")})}).ok());
+    EXPECT_EQ(std::filesystem::file_size(LogPath()), wal.size_bytes());
+  }
+  // A reopen replays the base, then the appends.
   std::vector<WalRecord> replayed;
-  WriteAheadLog wal = OpenCollecting(&replayed).value();
-  ASSERT_TRUE(
-      wal.AppendTransaction(1, {InsertRecord("t", 1, {Value("v")})}).ok());
-  ASSERT_GT(wal.size_bytes(), 0u);
-  ASSERT_TRUE(wal.Reset().ok());
-  EXPECT_EQ(wal.size_bytes(), 0u);
-  EXPECT_EQ(std::filesystem::file_size(LogPath()), 0u);
-  // Appending still works after the reset.
-  EXPECT_TRUE(
-      wal.AppendTransaction(2, {InsertRecord("t", 2, {Value("w")})}).ok());
+  std::uint64_t max_txn = 0;
+  WriteAheadLog wal = OpenCollecting(&replayed, &max_txn).value();
+  ASSERT_EQ(replayed.size(), 3u);
+  EXPECT_EQ(replayed[0].kind, WalRecordKind::kCreateTable);
+  EXPECT_EQ(replayed[0].txn_id, 0u);
+  EXPECT_EQ(replayed[1].row_id, 7u);
+  EXPECT_EQ(replayed[1].row[0].AsText(), "base");
+  EXPECT_EQ(replayed[2].row_id, 8u);
+  EXPECT_EQ(max_txn, 21u);
+  EXPECT_GT(wal.base_bytes(), 0u);
+  EXPECT_LT(wal.base_bytes(), wal.size_bytes());
 }
 
 TEST_F(WalFileTest, ReplayErrorPropagates) {
