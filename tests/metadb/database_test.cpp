@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,6 +262,92 @@ TEST_F(DatabaseTest, CountStarMalformedRejected) {
   Exec("CREATE TABLE t (a INT)");
   EXPECT_FALSE(db_->Execute("SELECT COUNT(a) FROM t").ok());
   EXPECT_FALSE(db_->Execute("SELECT COUNT(* FROM t").ok());
+}
+
+/// Compacts `db`'s log, closes it and opens `dir` again: the reopened
+/// database holds only what the log's base carried.
+std::unique_ptr<Database> CheckpointAndReopen(std::unique_ptr<Database> db,
+                                              const std::filesystem::path& dir) {
+  EXPECT_TRUE(db->Checkpoint().ok());
+  db.reset();
+  return Database::Open(dir).value();
+}
+
+TEST_F(DatabaseTest, CheckpointReproducesState) {
+  // Text with quotes, commas and a NUL, NULL columns, the int64 extremes,
+  // an empty table and the primary key come back from the base. Rows go in
+  // through a pre-parsed InsertStmt, so no SQL literal is involved.
+  const TempDir temp = TempDir::Create("metadb-base-state").value();
+  const std::string text("it's a, \"quoted\"\0text", 21);
+  const std::vector<Row> rows = {
+      {Value("null"), Value::Null(), Value::Null()},
+      {Value("min"), Value(std::numeric_limits<std::int64_t>::min()),
+       Value(text)},
+      {Value("max"), Value(std::numeric_limits<std::int64_t>::max()),
+       Value("")},
+      {Value("quote"), Value(std::int64_t{-1}), Value("'")},
+      {Value("comma"), Value(std::int64_t{3}), Value(",")},
+  };
+  std::unique_ptr<Database> db = Database::Open(temp.path()).value();
+  ASSERT_TRUE(
+      db->Execute("CREATE TABLE v (k TEXT PRIMARY KEY, i INT, s TEXT)").ok());
+  ASSERT_TRUE(db->Execute("CREATE TABLE empty_table (x INT)").ok());
+  InsertStmt insert;
+  insert.table = "v";
+  insert.rows = rows;
+  ASSERT_TRUE(db->ExecuteStatement(insert).ok());
+  db = CheckpointAndReopen(std::move(db), temp.path());
+
+  EXPECT_TRUE(db->HasTable("empty_table"));
+  const ResultSet copy = db->Execute("SELECT * FROM v").value();
+  ASSERT_EQ(copy.size(), rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t c = 0; c < rows[r].size(); ++c) {
+      const Value& want = rows[r][c];
+      const Value& got = copy.rows[r][c];
+      ASSERT_EQ(got.type(), want.type()) << "row " << r << " col " << c;
+      if (want.type() == ValueType::kInt) {
+        EXPECT_EQ(got.AsInt(), want.AsInt()) << "row " << r;
+      } else if (want.type() == ValueType::kText) {
+        EXPECT_EQ(got.AsText(), want.AsText()) << "row " << r;
+      }
+    }
+  }
+  // The primary key came back with the rows: a duplicate still fails.
+  EXPECT_EQ(db->Execute("INSERT INTO v VALUES ('min', 0, 'dup')")
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(db->Execute("INSERT INTO v VALUES ('new', 0, 'fresh')").ok());
+  EXPECT_EQ(db->Execute("SELECT * FROM v").value().size(), rows.size() + 1);
+}
+
+TEST_F(DatabaseTest, CheckpointPreservesDoubles) {
+  // Bit-exact through the base: 0.1 stays 0.1, -0.0 keeps its sign, 1e300
+  // its exponent, 3.0 stays a DOUBLE and a NULL stays NULL.
+  const TempDir temp = TempDir::Create("metadb-base-doubles").value();
+  const std::vector<Value> values = {Value(0.1), Value(-0.0), Value(1e300),
+                                     Value(3.0), Value::Null()};
+  std::unique_ptr<Database> db = Database::Open(temp.path()).value();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (v DOUBLE)").ok());
+  InsertStmt insert;
+  insert.table = "t";
+  for (const Value& value : values) insert.rows.push_back({value});
+  ASSERT_TRUE(db->ExecuteStatement(insert).ok());
+  db = CheckpointAndReopen(std::move(db), temp.path());
+
+  const ResultSet copy = db->Execute("SELECT * FROM t").value();
+  ASSERT_EQ(copy.size(), values.size());
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    const Value& want = values[r];
+    const Value& got = copy.rows[r][0];
+    ASSERT_EQ(got.type(), want.type()) << "row " << r;
+    if (want.type() == ValueType::kDouble) {
+      EXPECT_EQ(std::signbit(got.AsDouble()), std::signbit(want.AsDouble()))
+          << "row " << r;
+      EXPECT_EQ(got.AsDouble(), want.AsDouble()) << "row " << r;
+    }
+  }
 }
 
 TEST_F(DatabaseTest, ConcurrentAutoCommitStatementsAreSerialized) {

@@ -2,10 +2,8 @@
 // rule), torn-tail recovery, and the crash images a compaction can leave.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <set>
 #include <thread>
 
@@ -430,58 +428,6 @@ TEST_F(RecoveryTest, SnapshotDirectoryIsRefusedUntouched) {
       << reopened.status().ToString();
   EXPECT_EQ(ReadFile(snapshot), snapshot_image);
   EXPECT_EQ(ReadFile(LogPath()), log_image);
-}
-
-TEST_F(RecoveryTest, CheckpointRoundTripsEveryValueType) {
-  // Every value type survives a compaction and a reopen bit for bit,
-  // through the base's INSERT records.
-  const std::string text("it's a, \"quoted\"\0text", 21);
-  const std::vector<Row> rows = {
-      {Value("null"), Value::Null(), Value::Null(), Value::Null()},
-      {Value("min"), Value(std::numeric_limits<std::int64_t>::min()),
-       Value(0.1), Value(text)},
-      {Value("max"), Value(std::numeric_limits<std::int64_t>::max()),
-       Value(-0.0), Value("")},
-      {Value("big"), Value(std::int64_t{-1}), Value(1e300), Value("'")},
-      {Value("three"), Value(std::int64_t{3}), Value(3.0), Value(",")},
-  };
-  {
-    auto db = Open();
-    Exec(*db, "CREATE TABLE v (k TEXT PRIMARY KEY, i INT, d DOUBLE, s TEXT)");
-    Exec(*db, "CREATE TABLE empty_table (x INT)");
-    InsertStmt insert;
-    insert.table = "v";
-    insert.rows = rows;
-    ASSERT_TRUE(db->ExecuteStatement(insert).ok());
-    ASSERT_TRUE(db->Checkpoint().ok());
-  }
-  auto db = Open();
-  EXPECT_TRUE(db->HasTable("empty_table"));
-  const ResultSet copy = db->Execute("SELECT * FROM v").value();
-  ASSERT_EQ(copy.size(), rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < rows[r].size(); ++c) {
-      const Value& want = rows[r][c];
-      const Value& got = copy.rows[r][c];
-      ASSERT_EQ(got.type(), want.type()) << "row " << r << " col " << c;
-      if (want.type() == ValueType::kDouble) {
-        // Bit-exact: 0.1 stays 0.1 and -0.0 keeps its sign.
-        EXPECT_EQ(std::signbit(got.AsDouble()), std::signbit(want.AsDouble()));
-        EXPECT_EQ(got.AsDouble(), want.AsDouble()) << "row " << r;
-      } else if (want.type() == ValueType::kInt) {
-        EXPECT_EQ(got.AsInt(), want.AsInt()) << "row " << r;
-      } else if (want.type() == ValueType::kText) {
-        EXPECT_EQ(got.AsText(), want.AsText()) << "row " << r;
-      }
-    }
-  }
-  // The primary key came back with the rows: a duplicate still fails.
-  EXPECT_EQ(db->Execute("INSERT INTO v VALUES ('min', 0, 0.0, 'dup')")
-                .status()
-                .code(),
-            StatusCode::kAlreadyExists);
-  Exec(*db, "INSERT INTO v VALUES ('new', 0, 0.0, 'fresh')");
-  EXPECT_EQ(db->Execute("SELECT * FROM v").value().size(), rows.size() + 1);
 }
 
 TEST_F(RecoveryTest, DroppedTableStaysDroppedAfterReopen) {
