@@ -71,7 +71,6 @@ Result<FileMeta> BuildMeta(const std::string& path,
                            const CreateOptions& options) {
   FileMeta meta;
   DPFS_ASSIGN_OR_RETURN(meta.path, NormalizePath(path));
-  DPFS_ASSIGN_OR_RETURN(meta.subfile, NewSubfileId());
   meta.owner = options.owner;
   meta.permission = options.permission;
   meta.level = options.level;
@@ -125,77 +124,32 @@ Result<FileMeta> BuildMeta(const std::string& path,
   return meta;
 }
 
-}  // namespace
-
-Result<FileHandle> FileSystem::Create(const std::string& path,
-                                      const CreateOptions& options) {
-  DPFS_ASSIGN_OR_RETURN(FileMeta meta, BuildMeta(path, options));
-  DPFS_ASSIGN_OR_RETURN(layout::BrickMap map, meta.MakeBrickMap());
-
-  DPFS_ASSIGN_OR_RETURN(std::vector<ServerInfo> servers,
-                        metadata_->ListServers());
-  if (servers.empty()) {
-    return UnavailableError("no I/O servers registered in DPFS_SERVER");
-  }
-  if (options.suggested_io_nodes > 0 &&
-      options.suggested_io_nodes < servers.size()) {
-    servers.resize(options.suggested_io_nodes);
-  }
-
-  std::vector<std::uint32_t> performance;
-  std::vector<std::uint64_t> capacity_bricks;
-  std::vector<std::string> names;
-  performance.reserve(servers.size());
-  for (const ServerInfo& server : servers) {
-    performance.push_back(server.performance);
-    names.push_back(server.name);
-    // How many full brick slots the server's advertised capacity can hold
-    // (only consulted by the capacity-aware policy).
-    capacity_bricks.push_back(map.brick_bytes() == 0
-                                  ? 0
-                                  : server.capacity_bytes / map.brick_bytes());
-  }
-  // Replication (extension, docs/REPLICATION.md): R > 1 stacks R - 1
-  // replica ranks on top of the primary. R = 1 keeps the original code
-  // path, so unreplicated layouts stay byte-identical to the paper's.
-  std::vector<layout::BrickDistribution> ranks;
-  if (options.replication > 1) {
-    layout::ReplicationSpec spec;
-    spec.factor = options.replication;
-    spec.domains = options.failure_domains;
-    DPFS_ASSIGN_OR_RETURN(
-        const layout::ReplicatedDistribution replicated,
-        layout::ReplicatedDistribution::Create(options.placement,
-                                               map.num_bricks(), performance,
-                                               spec, capacity_bricks));
-    ranks = replicated.ranks();
-  } else {
-    DPFS_ASSIGN_OR_RETURN(
-        layout::BrickDistribution distribution,
-        layout::BrickDistribution::Create(options.placement, map.num_bricks(),
-                                          performance, capacity_bricks));
-    ranks.push_back(std::move(distribution));
-  }
-  std::vector<layout::BrickDistribution> replicas(ranks.begin() + 1,
-                                                  ranks.end());
-  DPFS_RETURN_IF_ERROR(metadata_->CreateFile(meta, names, ranks[0], replicas));
-
-  FileHandle handle;
-  handle.record.meta = std::move(meta);
-  handle.record.servers = std::move(servers);
-  handle.record.distribution = std::move(ranks[0]);
-  handle.record.replicas = std::move(replicas);
-  handle.map = std::move(map);
-  return handle;
-}
-
-Result<FileHandle> FileSystem::Open(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(FileRecord record, metadata_->LookupFile(path));
+/// A handle on `record`: its brick map rebuilt from the record's meta.
+Result<FileHandle> HandleFor(FileRecord record) {
   DPFS_ASSIGN_OR_RETURN(layout::BrickMap map, record.meta.MakeBrickMap());
   FileHandle handle;
   handle.record = std::move(record);
   handle.map = std::move(map);
   return handle;
+}
+
+}  // namespace
+
+Result<FileHandle> FileSystem::Create(const std::string& path,
+                                      const CreateOptions& options) {
+  DPFS_ASSIGN_OR_RETURN(const FileMeta meta, BuildMeta(path, options));
+  PlacementHints hints;
+  hints.policy = options.placement;
+  hints.suggested_io_nodes = options.suggested_io_nodes;
+  hints.replication.factor = options.replication;
+  hints.replication.domains = options.failure_domains;
+  DPFS_ASSIGN_OR_RETURN(FileRecord record, metadata_->CreateFile(meta, hints));
+  return HandleFor(std::move(record));
+}
+
+Result<FileHandle> FileSystem::Open(const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(FileRecord record, metadata_->LookupFile(path));
+  return HandleFor(std::move(record));
 }
 
 Status FileSystem::Remove(const std::string& path) {

@@ -59,12 +59,13 @@ struct CreateOptions {
 
   /// Extension (`replication`, docs/REPLICATION.md): total copies of every
   /// brick, primary included. 1 (the default) is the paper's semantics —
-  /// layout, metadata rows, and wire frames stay byte-identical to the
-  /// unreplicated system.
+  /// layout, metadata rows, I/O frames and file records stay byte-identical
+  /// to the unreplicated system. 0 is refused.
   std::uint32_t replication = 1;
   /// Failure domain of each server used by the file, in ListServers order
   /// (after suggested_io_nodes truncation). Empty = every server is its own
-  /// domain. A brick's `replication` copies land in distinct domains.
+  /// domain; any other size than the server count is refused. A brick's
+  /// `replication` copies land in distinct domains.
   std::vector<std::uint32_t> failure_domains;
 };
 
@@ -131,7 +132,7 @@ class FileSystem {
   /// (Database::Open(dir) or OpenInMemory()): the paper's embedded model.
   static Result<std::shared_ptr<FileSystem>> Connect(
       std::shared_ptr<metadb::Database> db);
-  /// Remote variant (`metadata_endpoint` extension): namespace operations
+  /// Remote variant (the dpfs-metad extension): namespace operations
   /// go to a dpfs-metad service instead of an embedded database, so many
   /// client processes share one mutable namespace. The RemoteMetadataManager
   /// caches lookups (TTL + invalidate-on-own-write); embedded connects are
@@ -153,6 +154,9 @@ class FileSystem {
   }
 
   // --- lifecycle (§6 API) -------------------------------------------------
+  /// One metadata call, CreateFile: the metadata service places the file
+  /// from `options`' hints and returns its record. No I/O server is
+  /// contacted until the first write.
   Result<FileHandle> Create(const std::string& path,
                             const CreateOptions& options);
   /// DPFS-Open (§6): one LookupFile for the file's rows, then its brick

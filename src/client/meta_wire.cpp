@@ -130,41 +130,30 @@ Result<PathRequest> PathRequest::Decode(BinaryReader& reader) {
 
 void CreateFileRequest::Encode(BinaryWriter& writer) const {
   EncodeFileMeta(meta, writer);
-  EncodeStrings(server_names, writer);
-  EncodeStrings(bricklists, writer);
-  // Trailing replica section, present only for replicated files so R=1
-  // frames stay byte-identical to the pre-replication format.
-  if (!replica_bricklists.empty()) {
-    writer.WriteU32(static_cast<std::uint32_t>(replica_bricklists.size()));
-    for (const std::vector<std::string>& rank : replica_bricklists) {
-      EncodeStrings(rank, writer);
-    }
+  writer.WriteU8(static_cast<std::uint8_t>(hints.policy));
+  writer.WriteU32(hints.suggested_io_nodes);
+  writer.WriteU32(hints.replication.factor);
+  writer.WriteU32(static_cast<std::uint32_t>(hints.replication.domains.size()));
+  for (const std::uint32_t domain : hints.replication.domains) {
+    writer.WriteU32(domain);
   }
 }
 
 Result<CreateFileRequest> CreateFileRequest::Decode(BinaryReader& reader) {
   CreateFileRequest request;
   DPFS_ASSIGN_OR_RETURN(request.meta, DecodeFileMeta(reader));
-  DPFS_ASSIGN_OR_RETURN(request.server_names, DecodeStrings(reader));
-  DPFS_ASSIGN_OR_RETURN(request.bricklists, DecodeStrings(reader));
-  if (request.server_names.size() != request.bricklists.size()) {
-    return ProtocolError("create_file: " +
-                         std::to_string(request.server_names.size()) +
-                         " server names vs " +
-                         std::to_string(request.bricklists.size()) +
-                         " bricklists");
+  DPFS_ASSIGN_OR_RETURN(const std::uint8_t policy, reader.ReadU8());
+  if (policy > static_cast<std::uint8_t>(
+                   layout::PlacementPolicy::kCapacityAware)) {
+    return ProtocolError("bad placement policy " + std::to_string(policy));
   }
-  if (!reader.AtEnd()) {
-    DPFS_ASSIGN_OR_RETURN(const std::uint32_t ranks, reader.ReadU32());
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-      DPFS_ASSIGN_OR_RETURN(std::vector<std::string> rank,
-                            DecodeStrings(reader));
-      if (rank.size() != request.server_names.size()) {
-        return ProtocolError(
-            "create_file: replica rank bricklist count mismatch");
-      }
-      request.replica_bricklists.push_back(std::move(rank));
-    }
+  request.hints.policy = static_cast<layout::PlacementPolicy>(policy);
+  DPFS_ASSIGN_OR_RETURN(request.hints.suggested_io_nodes, reader.ReadU32());
+  DPFS_ASSIGN_OR_RETURN(request.hints.replication.factor, reader.ReadU32());
+  DPFS_ASSIGN_OR_RETURN(const std::uint32_t domains, reader.ReadU32());
+  for (std::uint32_t i = 0; i < domains; ++i) {
+    DPFS_ASSIGN_OR_RETURN(const std::uint32_t domain, reader.ReadU32());
+    request.hints.replication.domains.push_back(domain);
   }
   return request;
 }

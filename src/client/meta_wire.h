@@ -60,16 +60,12 @@ struct PathRequest {
   static Result<PathRequest> Decode(BinaryReader& reader);
 };
 
-/// kMetaCreateFile. `bricklists[i]` belongs to `server_names[i]`, in the
-/// table's text encoding. `replica_bricklists[r-1][i]` is replica rank r's
-/// bricklist for server i (replication extension); it travels as a
-/// trailing section that unreplicated requests omit entirely, so their
-/// frames stay byte-identical to the pre-replication wire format.
+/// kMetaCreateFile: the file's geometry and the placement hints. The metad
+/// draws the subfile id and places the bricks; the reply is a
+/// FileRecordReply.
 struct CreateFileRequest {
   FileMeta meta;
-  std::vector<std::string> server_names;
-  std::vector<std::string> bricklists;
-  std::vector<std::vector<std::string>> replica_bricklists;
+  PlacementHints hints;
 
   void Encode(BinaryWriter& writer) const;
   static Result<CreateFileRequest> Decode(BinaryReader& reader);
@@ -112,7 +108,8 @@ struct ServerListReply {
   static Result<ServerListReply> Decode(BinaryReader& reader);
 };
 
-/// kMetaLookupFile and kMetaDeleteFile reply (the deleted file's record).
+/// kMetaCreateFile, kMetaLookupFile and kMetaDeleteFile reply (the created,
+/// found or deleted file's record).
 /// `num_bricks` travels explicitly so the decoder
 /// rebuilds the exact BrickDistribution without re-deriving the brick map.
 /// Replica ranks (record.replicas) ride in a trailing section that

@@ -8,8 +8,10 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "layout/replication.h"
 #include "metadb/predicate.h"
 #include "metadb/sql_ast.h"
+#include "net/frame.h"
 
 namespace dpfs::client {
 namespace {
@@ -30,14 +32,6 @@ constexpr const char* kAttrDdl =
     "  filename TEXT PRIMARY KEY, owner TEXT, permission INT, size INT,"
     "  filelevel TEXT, elemsize INT, dims INT, dimsize TEXT,"
     "  brickbytes INT, stripe TEXT, pattern TEXT, grid TEXT, subfile TEXT)";
-
-/// The NewSubfileId shape: "/" and 32 lowercase hex digits. The id arrives
-/// over the wire through dpfs-metad and becomes a file name on every
-/// server, so no other shape is stored.
-bool IsSubfileId(std::string_view id) {
-  return id.size() == 33 && id[0] == '/' &&
-         id.find_first_not_of("0123456789abcdef", 1) == std::string_view::npos;
-}
 
 std::string EncodeShape(const layout::Shape& shape) {
   std::string out;
@@ -209,8 +203,8 @@ Result<std::vector<ServerInfo>> AllServers(metadb::Database& db) {
   return servers;
 }
 
-}  // namespace
-
+/// A fresh subfile id: "/" and 32 lowercase hex digits, 128 bits drawn from
+/// the OS (getrandom), so ids do not repeat across processes.
 Result<std::string> NewSubfileId() {
   // Up to 256 bytes, getrandom fills the buffer in one call.
   std::uint64_t bits[2];
@@ -222,6 +216,8 @@ Result<std::string> NewSubfileId() {
                 bits[1]);
   return std::string(id);
 }
+
+}  // namespace
 
 Result<layout::BrickMap> FileMeta::MakeBrickMap() const {
   switch (level) {
@@ -507,16 +503,22 @@ Status MetadataManager::RemoveDirectory(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Files
 
-Status MetadataManager::CreateFile(
-    const FileMeta& meta, const std::vector<std::string>& server_names,
-    const layout::BrickDistribution& distribution,
-    const std::vector<layout::BrickDistribution>& replicas) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized,
-                        NormalizePath(meta.path));
+Result<FileRecord> MetadataManager::CreateFile(const FileMeta& meta,
+                                               const PlacementHints& hints) {
+  FileRecord record;
+  record.meta = meta;
+  DPFS_ASSIGN_OR_RETURN(record.meta.path, NormalizePath(meta.path));
+  const std::string& normalized = record.meta.path;
   const auto [parent, name] = SplitPath(normalized);
   if (name.empty()) return InvalidArgumentError("file path must name a file");
-  if (!IsSubfileId(meta.subfile)) {
-    return InvalidArgumentError("bad subfile id '" + meta.subfile + "'");
+  DPFS_ASSIGN_OR_RETURN(const layout::BrickMap map, meta.MakeBrickMap());
+  // Every rank's bricklist must fit in the one file_record reply LookupFile
+  // sends: a brick id below this bound and its comma take at most 10 bytes.
+  const std::uint64_t ranks = std::max(hints.replication.factor, 1u);
+  if (map.num_bricks() > net::kMaxFrameBytes / 10 / ranks) {
+    return InvalidArgumentError(
+        "file of " + std::to_string(map.num_bricks()) + " bricks x " +
+        std::to_string(ranks) + " ranks: its bricklists exceed one frame");
   }
   WriterMutexLock lock(mu_);
 
@@ -528,17 +530,31 @@ Status MetadataManager::CreateFile(
   if (exists) {
     return AlreadyExistsError("file '" + normalized + "' exists");
   }
-  if (server_names.size() != distribution.num_servers()) {
-    return InvalidArgumentError(
-        "server name count does not match distribution");
+
+  // §4.1: the placement reads each server's performance number (and, for
+  // kCapacityAware, how many whole bricks its advertised capacity holds).
+  DPFS_ASSIGN_OR_RETURN(record.servers, AllServers(*db_));
+  if (record.servers.empty()) {
+    return UnavailableError("no I/O servers registered in DPFS_SERVER");
   }
-  for (const layout::BrickDistribution& replica : replicas) {
-    if (replica.num_servers() != distribution.num_servers() ||
-        replica.num_bricks() != distribution.num_bricks()) {
-      return InvalidArgumentError(
-          "replica rank disagrees with the primary distribution");
-    }
+  if (hints.suggested_io_nodes > 0 &&
+      hints.suggested_io_nodes < record.servers.size()) {
+    record.servers.resize(hints.suggested_io_nodes);
   }
+  DPFS_ASSIGN_OR_RETURN(record.meta.subfile, NewSubfileId());
+  std::vector<std::uint32_t> performance;
+  std::vector<std::uint64_t> capacity_bricks;
+  for (const ServerInfo& server : record.servers) {
+    performance.push_back(server.performance);
+    capacity_bricks.push_back(server.capacity_bytes / map.brick_bytes());
+  }
+  DPFS_ASSIGN_OR_RETURN(
+      const layout::ReplicatedDistribution placed,
+      layout::ReplicatedDistribution::Create(hints.policy, map.num_bricks(),
+                                             performance, hints.replication,
+                                             capacity_bricks));
+  record.distribution = placed.primary();
+  record.replicas.assign(placed.ranks().begin() + 1, placed.ranks().end());
 
   std::vector<metadb::Value> attr_row = {
       normalized,
@@ -554,28 +570,30 @@ Status MetadataManager::CreateFile(
       meta.pattern.has_value() ? metadb::Value(meta.pattern->ToString())
                                : metadb::Value::Null(),
       EncodeShape(meta.chunk_grid),
-      meta.subfile};
+      record.meta.subfile};
 
   // §5: the attribute row, one distribution row per (server, rank), and the
   // parent directory's link commit as one transaction.
   Transaction txn(*db_);
   DPFS_RETURN_IF_ERROR(txn.Begin());
   DPFS_RETURN_IF_ERROR(InsertRow(*db_, kAttrTable, std::move(attr_row)));
-  for (std::uint32_t rank = 0; rank <= replicas.size(); ++rank) {
+  for (std::uint32_t rank = 0; rank < record.replication(); ++rank) {
     const layout::BrickDistribution& rank_dist =
-        rank == 0 ? distribution : replicas[rank - 1];
+        record.rank_distribution(rank);
     for (std::uint32_t server = 0; server < rank_dist.num_servers();
          ++server) {
       DPFS_RETURN_IF_ERROR(InsertRow(
           *db_, kDistTable,
-          {normalized, server_names[server], static_cast<std::int64_t>(server),
+          {normalized, record.servers[server].name,
+           static_cast<std::int64_t>(server),
            layout::BrickDistribution::EncodeBrickList(
                rank_dist.bricks_on(server)),
            static_cast<std::int64_t>(rank)}));
     }
   }
   DPFS_RETURN_IF_ERROR(LinkName(parent, name, true));
-  return txn.Commit();
+  DPFS_RETURN_IF_ERROR(txn.Commit());
+  return record;
 }
 
 Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {

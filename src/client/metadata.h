@@ -59,10 +59,8 @@ class MetadataManager final : public MetadataService {
   Result<std::vector<ServerInfo>> ListServers() override;
 
   // --- files -------------------------------------------------------------
-  Status CreateFile(
-      const FileMeta& meta, const std::vector<std::string>& server_names,
-      const layout::BrickDistribution& distribution,
-      const std::vector<layout::BrickDistribution>& replicas = {}) override;
+  Result<FileRecord> CreateFile(const FileMeta& meta,
+                                const PlacementHints& hints) override;
   Result<FileRecord> LookupFile(const std::string& path) override;
   Status SetPermission(const std::string& path,
                        std::uint32_t permission) override;

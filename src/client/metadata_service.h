@@ -9,8 +9,8 @@
 //   RemoteMetadataManager (remote_metadata.h) — speaks the kMeta* wire
 //                                               opcodes to a dpfs-metad
 //                                               process that owns the
-//                                               database (extension:
-//                                               `metadata_endpoint`).
+//                                               database (the
+//                                               dpfs-metad extension).
 //
 // FileSystem consumes only this interface, so the choice is a connect-time
 // decision, invisible to everything above it.
@@ -25,6 +25,7 @@
 #include "layout/brick_map.h"
 #include "layout/hpf.h"
 #include "layout/placement.h"
+#include "layout/replication.h"
 #include "net/connection.h"
 
 namespace dpfs::client {
@@ -39,11 +40,11 @@ struct ServerInfo {
 /// Everything needed to address a file's bricks.
 struct FileMeta {
   std::string path;  // normalized DPFS path, e.g. "/home/xhshen/dpfs.test"
-  /// The file's subfile id, drawn once at create and never changed: every
-  /// server stores the file's bricks under
+  /// The file's subfile id, drawn by the metadata service at create and
+  /// never changed: every server stores the file's bricks under
   /// layout::ReplicaSubfileName(subfile, rank), so a rename touches no
-  /// server. "/" and 32 lowercase hex digits (NewSubfileId); files from a
-  /// database that named subfiles by path keep that path here.
+  /// server. "/" and 32 lowercase hex digits; files from a database that
+  /// named subfiles by path keep that path here.
   std::string subfile;
   std::string owner;
   std::uint32_t permission = 0644;
@@ -60,9 +61,15 @@ struct FileMeta {
   [[nodiscard]] Result<layout::BrickMap> MakeBrickMap() const;
 };
 
-/// A fresh subfile id: "/" and 32 lowercase hex digits, 128 bits drawn from
-/// the OS (getrandom), so ids do not repeat across processes.
-Result<std::string> NewSubfileId();
+/// Where a new file's bricks go: CreateOptions' placement hints (§6).
+struct PlacementHints {
+  layout::PlacementPolicy policy = layout::PlacementPolicy::kRoundRobin;
+  /// Place on the first this-many servers of ListServers; 0 = every
+  /// registered server.
+  std::uint32_t suggested_io_nodes = 0;
+  /// Copies of every brick and their failure domains (docs/REPLICATION.md).
+  layout::ReplicationSpec replication;
+};
 
 /// A file's metadata joined with its brick placement and server info,
 /// everything DPFS-Open() needs.
@@ -94,16 +101,15 @@ class MetadataService {
   virtual Result<std::vector<ServerInfo>> ListServers() = 0;
 
   // --- files -------------------------------------------------------------
-  /// Creates attribute + distribution rows and links the file into its
-  /// parent directory, atomically. `meta.subfile` must be a NewSubfileId
-  /// shape (kInvalidArgument otherwise). `server_names[i]` is the server
-  /// holding distribution bricklist i. `replicas` carries replica ranks
-  /// 1..R-1 (replication extension); each rank stores one distribution row
-  /// per server, exactly like the primary.
-  virtual Status CreateFile(
-      const FileMeta& meta, const std::vector<std::string>& server_names,
-      const layout::BrickDistribution& distribution,
-      const std::vector<layout::BrickDistribution>& replicas = {}) = 0;
+  /// Creates a file with `meta`'s geometry in one transaction: reads
+  /// DPFS_SERVER, draws the subfile id (`meta.subfile` is ignored), places
+  /// every rank with layout::ReplicatedDistribution::Create, writes the
+  /// attribute and distribution rows and links the file into its parent
+  /// directory. Returns the record LookupFile returns next. A file whose
+  /// ranks' bricklists could not travel in one reply frame is refused with
+  /// kInvalidArgument before anything is placed.
+  virtual Result<FileRecord> CreateFile(const FileMeta& meta,
+                                        const PlacementHints& hints) = 0;
   /// The file's rows — all FileSystem::Open reads. MetadataManager queries
   /// the database on every call; RemoteMetadataManager may answer from its
   /// TTL cache, the client's only record cache.

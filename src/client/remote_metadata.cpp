@@ -5,7 +5,6 @@
 #include "client/meta_wire.h"
 #include "common/metrics.h"
 #include "common/strings.h"
-#include "layout/placement.h"
 #include "net/messages.h"
 
 namespace dpfs::client {
@@ -88,35 +87,22 @@ Result<std::vector<ServerInfo>> RemoteMetadataManager::ListServers() {
 
 // --- files -----------------------------------------------------------------
 
-Status RemoteMetadataManager::CreateFile(
-    const FileMeta& meta, const std::vector<std::string>& server_names,
-    const layout::BrickDistribution& distribution,
-    const std::vector<layout::BrickDistribution>& replicas) {
+Result<FileRecord> RemoteMetadataManager::CreateFile(
+    const FileMeta& meta, const PlacementHints& hints) {
   meta_wire::CreateFileRequest request;
   request.meta = meta;
-  request.server_names = server_names;
-  request.bricklists.reserve(distribution.num_servers());
-  for (std::uint32_t i = 0; i < distribution.num_servers(); ++i) {
-    request.bricklists.push_back(
-        layout::BrickDistribution::EncodeBrickList(distribution.bricks_on(i)));
-  }
-  request.replica_bricklists.reserve(replicas.size());
-  for (const layout::BrickDistribution& rank : replicas) {
-    std::vector<std::string> lists;
-    lists.reserve(rank.num_servers());
-    for (std::uint32_t i = 0; i < rank.num_servers(); ++i) {
-      lists.push_back(
-          layout::BrickDistribution::EncodeBrickList(rank.bricks_on(i)));
-    }
-    request.replica_bricklists.push_back(std::move(lists));
-  }
+  request.hints = hints;
   BinaryWriter body;
   request.Encode(body);
-  const Status created =
-      Call(net::MessageType::kMetaCreateFile, body.buffer()).status();
+  const Result<net::ReplyFrame> reply =
+      Call(net::MessageType::kMetaCreateFile, body.buffer());
   // Invalidate even on failure: a lost reply may have committed server-side.
   InvalidateCache(meta.path);
-  return created;
+  DPFS_RETURN_IF_ERROR(reply.status());
+  BinaryReader reader(reply.value().body());
+  DPFS_ASSIGN_OR_RETURN(meta_wire::FileRecordReply decoded,
+                        meta_wire::FileRecordReply::Decode(reader));
+  return std::move(decoded.record);
 }
 
 Result<FileRecord> RemoteMetadataManager::LookupFile(const std::string& path) {

@@ -1,5 +1,5 @@
 // MetadataService over the wire: speaks the kMeta* opcodes to a dpfs-metad
-// process (extension: `metadata_endpoint`; docs/METADATA_SCHEMA.md "Remote
+// process (the dpfs-metad extension; docs/METADATA_SCHEMA.md "Remote
 // access").
 //
 // Connection model: a ConnectionPool (client/conn_pool.h), the one way a
@@ -52,10 +52,8 @@ class RemoteMetadataManager final : public MetadataService {
   Status UnregisterServer(const std::string& name) override;
   Result<std::vector<ServerInfo>> ListServers() override;
 
-  Status CreateFile(
-      const FileMeta& meta, const std::vector<std::string>& server_names,
-      const layout::BrickDistribution& distribution,
-      const std::vector<layout::BrickDistribution>& replicas = {}) override;
+  Result<FileRecord> CreateFile(const FileMeta& meta,
+                                const PlacementHints& hints) override;
   Result<FileRecord> LookupFile(const std::string& path) override;
   Status SetPermission(const std::string& path,
                        std::uint32_t permission) override;

@@ -12,11 +12,6 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
     return InvalidArgumentError(
         "performance vector must match num_servers or be empty");
   }
-  if (options.start_metadata_service && !options.metadata_endpoint.empty()) {
-    return InvalidArgumentError(
-        "start_metadata_service and metadata_endpoint are mutually "
-        "exclusive: either this cluster runs the metad or it dials one");
-  }
 
   std::unique_ptr<LocalCluster> cluster(new LocalCluster());
   if (options.root_dir.empty()) {
@@ -30,26 +25,18 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
     if (ec) return IoError("create cluster root: " + ec.message());
   }
 
-  if (options.metadata_endpoint.empty()) {
-    if (options.durable_metadata) {
-      DPFS_ASSIGN_OR_RETURN(cluster->db_,
-                            metadb::Database::Open(cluster->root_ / "metadb"));
-    } else {
-      cluster->db_ = metadb::Database::OpenInMemory();
-    }
+  if (options.durable_metadata) {
+    DPFS_ASSIGN_OR_RETURN(cluster->db_,
+                          metadb::Database::Open(cluster->root_ / "metadb"));
+  } else {
+    cluster->db_ = metadb::Database::OpenInMemory();
   }
 
   cluster->max_sessions_ = options.max_sessions;
 
-  client::RemoteMetadataOptions remote_options;
-  remote_options.cache_ttl = options.metadata_cache_ttl;
-  if (!options.metadata_endpoint.empty()) {
-    DPFS_ASSIGN_OR_RETURN(const net::Endpoint endpoint,
-                          net::Endpoint::Parse(options.metadata_endpoint));
-    DPFS_ASSIGN_OR_RETURN(
-        cluster->fs_,
-        client::FileSystem::ConnectRemote(endpoint, remote_options));
-  } else if (options.start_metadata_service) {
+  if (options.start_metadata_service) {
+    client::RemoteMetadataOptions remote_options;
+    remote_options.cache_ttl = options.metadata_cache_ttl;
     metad::MetadOptions metad_options;
     metad_options.max_sessions = options.max_sessions;
     DPFS_ASSIGN_OR_RETURN(

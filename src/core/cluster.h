@@ -38,16 +38,11 @@ struct ClusterOptions {
   /// ServerOptions::max_sessions.
   std::size_t max_sessions = 0;
   /// Run an in-process dpfs-metad owning the metadata database; the
-  /// cluster's FileSystem then talks to it over the wire (extension:
-  /// `metadata_endpoint`). Default off — embedded metadata, byte-identical
-  /// to the paper's model.
+  /// cluster's FileSystem then talks to it over the wire (the dpfs-metad
+  /// extension). Default off — embedded metadata, byte-identical to the
+  /// paper's model.
   bool start_metadata_service = false;
-  /// host:port of an already-running dpfs-metad to use instead of opening
-  /// a database in this process. Mutually exclusive with
-  /// start_metadata_service; db() returns null in this mode (the remote
-  /// process owns the database and its flock).
-  std::string metadata_endpoint;
-  /// LookupFile cache TTL for the remote metadata modes; 0 disables the
+  /// LookupFile cache TTL with start_metadata_service; 0 disables the
   /// cache. Ignored with embedded metadata.
   std::chrono::milliseconds metadata_cache_ttl{250};
 };
@@ -63,8 +58,8 @@ class LocalCluster {
   [[nodiscard]] std::shared_ptr<client::FileSystem> fs() const noexcept {
     return fs_;
   }
-  /// The metadata database. Null when the cluster uses an external
-  /// metadata_endpoint (the remote process owns the database).
+  /// The metadata database, owned by this process (by its in-process metad
+  /// with start_metadata_service).
   [[nodiscard]] std::shared_ptr<metadb::Database> db() const noexcept {
     return db_;
   }

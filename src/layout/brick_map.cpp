@@ -29,11 +29,45 @@ Result<FileLevel> ParseFileLevel(std::string_view name) {
 // ---------------------------------------------------------------------------
 // Factories
 
+namespace {
+
+/// a * b, or kInvalidArgument naming `what` when the product overflows u64.
+Result<std::uint64_t> CheckedMul(std::uint64_t a, std::uint64_t b,
+                                 std::string_view what) {
+  std::uint64_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product)) {
+    return InvalidArgumentError(std::string(what) +
+                                " does not fit in 64 bits");
+  }
+  return product;
+}
+
+/// NumElements(shape), or kInvalidArgument when it overflows u64.
+Result<std::uint64_t> CheckedElements(const Shape& shape,
+                                      std::string_view what) {
+  std::uint64_t elements = 1;
+  for (const std::uint64_t extent : shape) {
+    DPFS_ASSIGN_OR_RETURN(elements, CheckedMul(elements, extent, what));
+  }
+  return elements;
+}
+
+/// Every brick slot of `num_bricks` bricks must be addressable: the last
+/// one ends at num_bricks * brick_bytes.
+Status CheckSlots(std::uint64_t num_bricks, std::uint64_t brick_bytes) {
+  return CheckedMul(num_bricks, brick_bytes, "the file's brick slots")
+      .status();
+}
+
+}  // namespace
+
 Result<BrickMap> BrickMap::Linear(std::uint64_t total_bytes,
                                   std::uint64_t brick_bytes) {
   if (brick_bytes == 0) {
     return InvalidArgumentError("brick size must be >= 1 byte");
   }
+  DPFS_RETURN_IF_ERROR(
+      CheckSlots(CeilDiv(total_bytes, brick_bytes), brick_bytes));
   BrickMap map;
   map.level_ = FileLevel::kLinear;
   map.total_bytes_ = total_bytes;
@@ -48,10 +82,16 @@ Result<BrickMap> BrickMap::LinearArray(Shape array_shape,
   DPFS_RETURN_IF_ERROR(ValidateShape(array_shape));
   if (element_size == 0) return InvalidArgumentError("element size must be >= 1");
   if (brick_bytes == 0) return InvalidArgumentError("brick size must be >= 1");
+  DPFS_ASSIGN_OR_RETURN(const std::uint64_t elements,
+                        CheckedElements(array_shape, "array element count"));
+  DPFS_ASSIGN_OR_RETURN(const std::uint64_t total_bytes,
+                        CheckedMul(elements, element_size, "array size"));
+  DPFS_RETURN_IF_ERROR(
+      CheckSlots(CeilDiv(total_bytes, brick_bytes), brick_bytes));
   BrickMap map;
   map.level_ = FileLevel::kLinear;
   map.element_size_ = element_size;
-  map.total_bytes_ = NumElements(array_shape) * element_size;
+  map.total_bytes_ = total_bytes;
   map.brick_bytes_ = brick_bytes;
   map.array_shape_ = std::move(array_shape);
   return map;
@@ -77,12 +117,22 @@ Result<BrickMap> BrickMap::Multidim(Shape array_shape, Shape brick_shape,
   BrickMap map;
   map.level_ = FileLevel::kMultidim;
   map.element_size_ = element_size;
-  map.total_bytes_ = NumElements(array_shape) * element_size;
-  map.brick_bytes_ = NumElements(brick_shape) * element_size;
+  DPFS_ASSIGN_OR_RETURN(const std::uint64_t elements,
+                        CheckedElements(array_shape, "array element count"));
+  DPFS_ASSIGN_OR_RETURN(map.total_bytes_,
+                        CheckedMul(elements, element_size, "array size"));
+  DPFS_ASSIGN_OR_RETURN(
+      const std::uint64_t brick_elements,
+      CheckedElements(brick_shape, "brick element count"));
+  DPFS_ASSIGN_OR_RETURN(
+      map.brick_bytes_, CheckedMul(brick_elements, element_size, "brick size"));
   map.brick_grid_.resize(array_shape.size());
   for (std::size_t d = 0; d < array_shape.size(); ++d) {
     map.brick_grid_[d] = CeilDiv(array_shape[d], brick_shape[d]);
   }
+  DPFS_ASSIGN_OR_RETURN(const std::uint64_t num_bricks,
+                        CheckedElements(map.brick_grid_, "brick count"));
+  DPFS_RETURN_IF_ERROR(CheckSlots(num_bricks, map.brick_bytes_));
   map.array_shape_ = std::move(array_shape);
   map.brick_shape_ = std::move(brick_shape);
   return map;

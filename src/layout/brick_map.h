@@ -58,6 +58,9 @@ struct BrickUsage {
 class BrickMap {
  public:
   /// A default BrickMap is an empty linear file; use the factories below.
+  /// Each factory refuses with kInvalidArgument a geometry whose element
+  /// count, byte size, brick size, brick count or brick slots (num_bricks
+  /// x brick_bytes) do not fit in 64 bits.
   BrickMap() = default;
 
   /// Linear level over a raw byte stream (Fig 4). `total_bytes` may be 0 for

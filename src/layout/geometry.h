@@ -32,9 +32,9 @@ std::uint64_t LinearIndex(const Shape& shape, const Coords& coords) noexcept;
 /// Inverse of LinearIndex.
 Coords CoordsFromLinear(const Shape& shape, std::uint64_t index);
 
-/// ceil(a / b) for b > 0.
+/// ceil(a / b) for b > 0, without overflow for any a.
 constexpr std::uint64_t CeilDiv(std::uint64_t a, std::uint64_t b) noexcept {
-  return (a + b - 1) / b;
+  return a / b + (a % b != 0 ? 1 : 0);
 }
 
 /// An axis-aligned hyper-rectangle: [lower, lower + extent) per dimension.

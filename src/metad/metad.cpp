@@ -7,7 +7,6 @@
 #include "client/meta_wire.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "layout/placement.h"
 #include "net/messages.h"
 
 namespace dpfs::metad {
@@ -121,42 +120,12 @@ server::FrameServer::Reply MetadService::Dispatch(net::MessageType type,
       const Result<CreateFileRequest> request =
           CreateFileRequest::Decode(reader);
       if (!request.ok()) return StatusReply(request.status());
-      const Result<layout::BrickMap> map = request.value().meta.MakeBrickMap();
-      if (!map.ok()) return StatusReply(map.status());
-      std::vector<std::vector<layout::BrickId>> bricklists;
-      bricklists.reserve(request.value().bricklists.size());
-      for (const std::string& text : request.value().bricklists) {
-        Result<std::vector<layout::BrickId>> bricks =
-            layout::BrickDistribution::DecodeBrickList(text);
-        if (!bricks.ok()) return StatusReply(bricks.status());
-        bricklists.push_back(std::move(bricks).value());
-      }
-      Result<layout::BrickDistribution> distribution =
-          layout::BrickDistribution::FromBrickLists(map.value().num_bricks(),
-                                                    std::move(bricklists));
-      if (!distribution.ok()) return StatusReply(distribution.status());
-      std::vector<layout::BrickDistribution> replicas;
-      replicas.reserve(request.value().replica_bricklists.size());
-      for (const std::vector<std::string>& rank :
-           request.value().replica_bricklists) {
-        std::vector<std::vector<layout::BrickId>> rank_lists;
-        rank_lists.reserve(rank.size());
-        for (const std::string& text : rank) {
-          Result<std::vector<layout::BrickId>> bricks =
-              layout::BrickDistribution::DecodeBrickList(text);
-          if (!bricks.ok()) return StatusReply(bricks.status());
-          rank_lists.push_back(std::move(bricks).value());
-        }
-        Result<layout::BrickDistribution> rank_dist =
-            layout::BrickDistribution::FromBrickLists(
-                map.value().num_bricks(), std::move(rank_lists));
-        if (!rank_dist.ok()) return StatusReply(rank_dist.status());
-        replicas.push_back(std::move(rank_dist).value());
-      }
-      return StatusReply(metadata_->CreateFile(request.value().meta,
-                                               request.value().server_names,
-                                               distribution.value(),
-                                               replicas));
+      Result<client::FileRecord> record = metadata_->CreateFile(
+          request.value().meta, request.value().hints);
+      if (!record.ok()) return StatusReply(record.status());
+      FileRecordReply reply;
+      reply.record = std::move(record).value();
+      return BodyReply(reply);
     }
 
     case net::MessageType::kMetaLookupFile: {

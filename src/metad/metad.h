@@ -1,5 +1,5 @@
-// dpfs-metad — the standalone DPFS metadata server (extension:
-// `metadata_endpoint`, docs/METADATA_SCHEMA.md "Remote access").
+// dpfs-metad — the standalone DPFS metadata server (an
+// extension; docs/METADATA_SCHEMA.md "Remote access").
 //
 // The paper embeds metadata access in every client; since metadb::Database
 // holds an advisory flock, that limits a namespace to one process. This

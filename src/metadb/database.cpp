@@ -426,8 +426,9 @@ Status Database::CommitLocked() {
     }
     const Status appended = wal_->AppendTransaction(next_txn_id_, redo_);
     if (!appended.ok()) {
-      // Durability failed: roll the in-memory state back so memory and disk
-      // stay consistent, then surface the error.
+      // Durability failed: roll the in-memory state back and surface the
+      // error. The log now refuses every later commit until a reopen, so
+      // none is acknowledged behind a partial or unsynced frame.
       // dpfs:unchecked(the WAL append error is the one to report; the
       // in-memory undo cannot fail)
       (void)RollbackLocked();

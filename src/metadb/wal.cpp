@@ -272,7 +272,8 @@ WriteAheadLog::WriteAheadLog(WriteAheadLog&& other) noexcept
       path_(std::move(other.path_)),
       size_(other.size_),
       base_bytes_(other.base_bytes_),
-      sync_commits_(other.sync_commits_) {
+      sync_commits_(other.sync_commits_),
+      failed_(std::move(other.failed_)) {
   other.file_ = nullptr;
 }
 
@@ -284,6 +285,7 @@ WriteAheadLog& WriteAheadLog::operator=(WriteAheadLog&& other) noexcept {
     size_ = other.size_;
     base_bytes_ = other.base_bytes_;
     sync_commits_ = other.sync_commits_;
+    failed_ = std::move(other.failed_);
     other.file_ = nullptr;
   }
   return *this;
@@ -298,10 +300,21 @@ void WriteAheadLog::Close() noexcept {
   }
 }
 
+Status WriteAheadLog::CheckWritable() const {
+  if (file_ == nullptr) return InternalError("wal: closed");
+  return failed_.WithContext(
+      "wal refuses writes until the database is reopened, after");
+}
+
 Status WriteAheadLog::AppendTransaction(std::uint64_t txn_id,
                                         const std::vector<WalRecord>& ops) {
-  if (file_ == nullptr) return InternalError("wal: closed");
-  const Bytes data = FrameTransaction(txn_id, ops);
+  DPFS_RETURN_IF_ERROR(CheckWritable());
+  const Status appended = Append(FrameTransaction(txn_id, ops));
+  if (!appended.ok()) failed_ = appended;
+  return appended;
+}
+
+Status WriteAheadLog::Append(const Bytes& data) {
   if (auto fp = failpoint::Check("wal.append")) {
     switch (fp->action) {
       case failpoint::Action::kReturnError:
@@ -309,9 +322,8 @@ Status WriteAheadLog::AppendTransaction(std::uint64_t txn_id,
       case failpoint::Action::kTornWrite:
       case failpoint::Action::kShortIo: {
         // Persist only the first `arg` bytes of the transaction's frame —
-        // the on-disk image a crash mid-append leaves behind. The caller
-        // must treat this WAL as dead (close and recover), exactly as after
-        // a real torn write.
+        // the on-disk image a crash mid-append leaves behind, after which
+        // the log refuses writes, exactly as after a real torn write.
         const std::size_t torn =
             std::min<std::size_t>(static_cast<std::size_t>(fp->arg),
                                   data.size());
@@ -344,7 +356,7 @@ Status WriteAheadLog::AppendTransaction(std::uint64_t txn_id,
 }
 
 Status WriteAheadLog::Rewrite(const std::vector<WalRecord>& base) {
-  if (file_ == nullptr) return InternalError("wal: closed");
+  DPFS_RETURN_IF_ERROR(CheckWritable());
   const Bytes data = FrameTransaction(kBaseTxnId, base);
   const std::filesystem::path tmp = TmpPath(path_);
   std::FILE* out = std::fopen(tmp.string().c_str(), "wb");

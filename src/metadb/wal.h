@@ -79,6 +79,9 @@ class WriteAheadLog {
   ~WriteAheadLog();
 
   /// Appends a full transaction (BEGIN + ops + COMMIT) and flushes to disk.
+  /// After a failed append the log may end in a partial frame, or hold a
+  /// frame whose durability is unknown, so it refuses every later append
+  /// and Rewrite, naming the first failure, until it is reopened.
   Status AppendTransaction(std::uint64_t txn_id,
                            const std::vector<WalRecord>& ops);
 
@@ -110,12 +113,18 @@ class WriteAheadLog {
         size_(size),
         base_bytes_(base_bytes) {}
   void Close() noexcept;
+  /// Ok unless the log is closed or an append failed.
+  Status CheckWritable() const;
+  /// Writes one framed transaction: AppendTransaction's body.
+  Status Append(const Bytes& data);
 
   std::FILE* file_ = nullptr;
   std::filesystem::path path_;
   std::uint64_t size_ = 0;
   std::uint64_t base_bytes_ = 0;
   bool sync_commits_ = false;
+  /// The first failed append; the log takes no writes after it.
+  Status failed_;
 };
 
 }  // namespace dpfs::metadb

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "client/metadata_service.h"
 #include "common/bytes.h"
 #include "layout/hpf.h"
@@ -152,28 +154,33 @@ TEST(MetaWireRequests, PathRequestRoundTrip) {
 TEST(MetaWireRequests, CreateFileRequestRoundTrip) {
   CreateFileRequest request;
   request.meta = MakeArrayMeta();
-  request.server_names = {"s0", "s1", "s2"};
-  request.bricklists = {"0,3,6,9", "1,4,7,10", "2,5,8,11"};
+  request.hints.policy = layout::PlacementPolicy::kCapacityAware;
+  request.hints.suggested_io_nodes = 3;
   BinaryWriter writer;
   request.Encode(writer);
   BinaryReader reader(writer.buffer());
   const CreateFileRequest decoded = CreateFileRequest::Decode(reader).value();
   ExpectFileMetaEq(decoded.meta, request.meta);
-  EXPECT_EQ(decoded.server_names, request.server_names);
-  EXPECT_EQ(decoded.bricklists, request.bricklists);
+  EXPECT_EQ(decoded.hints.policy, request.hints.policy);
+  EXPECT_EQ(decoded.hints.suggested_io_nodes, 3u);
+  EXPECT_EQ(decoded.hints.replication, layout::ReplicationSpec{});
+  EXPECT_TRUE(reader.AtEnd());
 }
 
-TEST(MetaWireRequests, CreateFileRequestMismatchedListsRejected) {
-  // server_names and bricklists must pair 1:1; a decoder that accepted a
-  // mismatch would feed CreateFile rows with dangling server references.
+TEST(MetaWireRequests, CreateFileRequestBadPolicyRejected) {
+  // The policy byte follows the FileMeta; a value past kCapacityAware is
+  // a protocol error, not a placement the service has to guess at.
   CreateFileRequest request;
   request.meta = MakeArrayMeta();
-  request.server_names = {"s0", "s1"};
-  request.bricklists = {"0,1,2"};
   BinaryWriter writer;
   request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(CreateFileRequest::Decode(reader).ok());
+  Bytes body = writer.buffer();
+  BinaryWriter meta_only;
+  EncodeFileMeta(request.meta, meta_only);
+  body[meta_only.buffer().size()] = 3;
+  BinaryReader reader(body);
+  EXPECT_EQ(CreateFileRequest::Decode(reader).status().code(),
+            StatusCode::kProtocolError);
 }
 
 TEST(MetaWireRequests, SetPermissionRequestRoundTrip) {
@@ -281,45 +288,54 @@ TEST(MetaWireReplies, ListingReplyRoundTrip) {
   EXPECT_EQ(decoded.listing.files, reply.listing.files);
 }
 
-TEST(MetaWireReplication, CreateFileRequestReplicaSectionRoundTrips) {
+TEST(MetaWireReplication, CreateFileRequestReplicationHintsRoundTrip) {
   CreateFileRequest request;
   request.meta = MakeArrayMeta();
-  request.server_names = {"s0", "s1", "s2"};
-  request.bricklists = {"0,3,6,9", "1,4,7,10", "2,5,8,11"};
-  request.replica_bricklists = {{"1,4,7,10", "2,5,8,11", "0,3,6,9"}};
+  request.hints.replication.factor = 2;
+  request.hints.replication.domains = {0, 0, 1, 1};
   BinaryWriter writer;
   request.Encode(writer);
   BinaryReader reader(writer.buffer());
   const CreateFileRequest decoded = CreateFileRequest::Decode(reader).value();
-  EXPECT_EQ(decoded.replica_bricklists, request.replica_bricklists);
+  EXPECT_EQ(decoded.hints.replication, request.hints.replication);
 }
 
-TEST(MetaWireReplication, UnreplicatedCreateFrameIsPreReplicationBytes) {
-  // Backward compatibility pin: an R=1 request omits the trailing replica
-  // section entirely, so old decoders read the frame unchanged — and old
-  // frames (no trailing bytes) decode with no replicas.
-  CreateFileRequest request;
-  request.meta = MakeArrayMeta();
-  request.server_names = {"s0", "s1"};
-  request.bricklists = {"0,2", "1,3"};
-  BinaryWriter with_field;
-  request.Encode(with_field);
-  BinaryReader reader(with_field.buffer());
-  const CreateFileRequest decoded = CreateFileRequest::Decode(reader).value();
-  EXPECT_TRUE(decoded.replica_bricklists.empty());
+TEST(MetaWireReplication, UnreplicatedRecordFrameHasNoReplicaSection) {
+  // An R = 1 record omits the trailing replica section, so its frame is
+  // the pre-replication format: exactly the prefix of the same record with
+  // a replica rank, and it decodes with no replicas.
+  FileRecordReply reply;
+  reply.record.meta = MakeArrayMeta();
+  reply.record.servers = {MakeServer("s0", 10), MakeServer("s1", 11)};
+  reply.record.distribution =
+      layout::BrickDistribution::FromBrickLists(4, {{0, 2}, {1, 3}}).value();
+  BinaryWriter unreplicated;
+  reply.Encode(unreplicated);
+  reply.record.replicas = {
+      layout::BrickDistribution::FromBrickLists(4, {{1, 3}, {0, 2}}).value()};
+  BinaryWriter replicated;
+  reply.Encode(replicated);
+  ASSERT_LT(unreplicated.buffer().size(), replicated.buffer().size());
+  EXPECT_TRUE(std::equal(unreplicated.buffer().begin(),
+                         unreplicated.buffer().end(),
+                         replicated.buffer().begin()));
+  BinaryReader reader(unreplicated.buffer());
+  EXPECT_TRUE(FileRecordReply::Decode(reader).value().record.replicas.empty());
 }
 
-TEST(MetaWireReplication, CreateFileRequestMisSizedReplicaRankRejected) {
-  // Every replica rank must carry one bricklist per server.
+TEST(MetaWireReplication, CreateFileRequestTruncatedDomainListRejected) {
+  // The failure-domain count must be backed by the body: a list cut short
+  // is truncated input.
   CreateFileRequest request;
   request.meta = MakeArrayMeta();
-  request.server_names = {"s0", "s1"};
-  request.bricklists = {"0,2", "1,3"};
-  request.replica_bricklists = {{"1,3"}};  // one list for two servers
+  request.hints.replication.factor = 2;
+  request.hints.replication.domains = {0, 1};
   BinaryWriter writer;
   request.Encode(writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(CreateFileRequest::Decode(reader).ok());
+  const Bytes body(writer.buffer().begin(), writer.buffer().end() - 4);
+  BinaryReader reader(body);
+  EXPECT_EQ(CreateFileRequest::Decode(reader).status().code(),
+            StatusCode::kProtocolError);
 }
 
 TEST(MetaWireReplication, FileRecordReplyReplicasRoundTrip) {
@@ -358,9 +374,8 @@ TEST(MetaWireRobustness, TruncatedBodiesNeverCrash) {
     BinaryWriter w;
     CreateFileRequest r;
     r.meta = MakeArrayMeta();
-    r.server_names = {"s0"};
-    r.bricklists = {"0,1"};
-    r.replica_bricklists = {{"0,1"}};
+    r.hints.replication.factor = 2;
+    r.hints.replication.domains = {0, 1};
     r.Encode(w);
     bodies.push_back(w.buffer());
   }

@@ -36,7 +36,6 @@ class MetadataStressTest : public ::testing::Test {
   FileMeta MakeLinearMeta(const std::string& path) {
     FileMeta meta;
     meta.path = path;
-    meta.subfile = NewSubfileId().value();
     meta.owner = "xhshen";
     meta.permission = 0744;
     meta.level = layout::FileLevel::kLinear;
@@ -46,8 +45,7 @@ class MetadataStressTest : public ::testing::Test {
   }
 
   Status CreateTestFile(const std::string& path) {
-    const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
-    return manager_->CreateFile(MakeLinearMeta(path), {"s0", "s1"}, dist);
+    return manager_->CreateFile(MakeLinearMeta(path), {}).status();
   }
 
   std::unique_ptr<MetadataManager> manager_;

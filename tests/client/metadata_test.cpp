@@ -32,11 +32,10 @@ class MetadataTest : public ::testing::Test {
     return server;
   }
 
-  /// A 2-brick linear file on the given servers.
+  /// A 2-brick linear file.
   FileMeta MakeLinearMeta(const std::string& path) {
     FileMeta meta;
     meta.path = path;
-    meta.subfile = NewSubfileId().value();
     meta.owner = "xhshen";
     meta.permission = 0744;
     meta.level = layout::FileLevel::kLinear;
@@ -68,9 +67,7 @@ TEST_F(MetadataTest, AttachDropsRetiredAccessLog) {
     auto manager = MetadataManager::Attach(db).value();
     ASSERT_TRUE(manager->RegisterServer(MakeServer("s0", 1)).ok());
     ASSERT_TRUE(manager->RegisterServer(MakeServer("s1", 1)).ok());
-    const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
-    ASSERT_TRUE(
-        manager->CreateFile(MakeLinearMeta("/kept"), {"s0", "s1"}, dist).ok());
+    ASSERT_TRUE(manager->CreateFile(MakeLinearMeta("/kept"), {}).ok());
     ASSERT_TRUE(db->Execute("CREATE TABLE DPFS_ACCESS_LOG (filename TEXT, "
                             "direction TEXT, requests INT, transfer INT, "
                             "useful INT)")
@@ -149,12 +146,11 @@ TEST_F(MetadataTest, RemoveDirectory) {
 TEST_F(MetadataTest, CreateAndLookupFile) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s1", 1)).ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
-  ASSERT_TRUE(
-      manager_->CreateFile(MakeLinearMeta("/data.bin"), {"s0", "s1"}, dist)
-          .ok());
+  const FileRecord created =
+      manager_->CreateFile(MakeLinearMeta("/data.bin"), {}).value();
 
   const FileRecord record = manager_->LookupFile("/data.bin").value();
+  EXPECT_EQ(record.meta.subfile, created.meta.subfile);
   EXPECT_EQ(record.meta.owner, "xhshen");
   EXPECT_EQ(record.meta.level, layout::FileLevel::kLinear);
   EXPECT_EQ(record.meta.size_bytes, 128u);
@@ -170,21 +166,46 @@ TEST_F(MetadataTest, CreateAndLookupFile) {
   EXPECT_EQ(listing.files[0], "data.bin");
 }
 
+TEST_F(MetadataTest, CreateNeedsARegisteredServer) {
+  EXPECT_EQ(manager_->CreateFile(MakeLinearMeta("/f"), {}).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_FALSE(manager_->FileExists("/f").value());
+}
+
+TEST_F(MetadataTest, CreateRefusesReplicationZeroAndMisSizedDomains) {
+  // Every rank, R = 1 included, is placed by ReplicatedDistribution::Create:
+  // a factor of 0, and failure domains that do not match the server count,
+  // are refused, and nothing is written.
+  ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
+  ASSERT_TRUE(manager_->RegisterServer(MakeServer("s1", 1)).ok());
+  PlacementHints zero;
+  zero.replication.factor = 0;
+  EXPECT_EQ(manager_->CreateFile(MakeLinearMeta("/zero"), zero).status().code(),
+            StatusCode::kInvalidArgument);
+  PlacementHints domains;
+  domains.replication.domains = {0, 1, 2};
+  EXPECT_EQ(
+      manager_->CreateFile(MakeLinearMeta("/domains"), domains).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(manager_->ListDirectory("/").value().files.empty());
+  EXPECT_TRUE(
+      manager_->db().Execute("SELECT * FROM DPFS_FILE_ATTR").value().empty());
+}
+
 TEST_F(MetadataTest, LookupMapsServersByNameAndRefusesAnUnregisteredOne) {
   // The lookup reads the server table once and maps each distribution
   // row's name into it: the record keeps the file's server order, not the
   // table's, and a row naming a server no longer registered is kNotFound.
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s1", 3)).ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
-  ASSERT_TRUE(
-      manager_->CreateFile(MakeLinearMeta("/data.bin"), {"s1", "s0"}, dist)
-          .ok());
+  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/data.bin"), {}).ok());
+  // "a0" sorts first, so the table's order is now a0, s0, s1.
+  ASSERT_TRUE(manager_->RegisterServer(MakeServer("a0", 1)).ok());
   const FileRecord record = manager_->LookupFile("/data.bin").value();
   ASSERT_EQ(record.servers.size(), 2u);
-  EXPECT_EQ(record.servers[0].name, "s1");
-  EXPECT_EQ(record.servers[0].performance, 3u);
-  EXPECT_EQ(record.servers[1].name, "s0");
+  EXPECT_EQ(record.servers[0].name, "s0");
+  EXPECT_EQ(record.servers[1].name, "s1");
+  EXPECT_EQ(record.servers[1].performance, 3u);
 
   ASSERT_TRUE(manager_->UnregisterServer("s0").ok());
   const Status lookup = manager_->LookupFile("/data.bin").status();
@@ -194,25 +215,23 @@ TEST_F(MetadataTest, LookupMapsServersByNameAndRefusesAnUnregisteredOne) {
 
 TEST_F(MetadataTest, CreateFileInMissingDirectoryFails) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();
-  EXPECT_FALSE(
-      manager_->CreateFile(MakeLinearMeta("/no/dir/f"), {"s0"}, dist).ok());
+  EXPECT_EQ(manager_->CreateFile(MakeLinearMeta("/no/dir/f"), {}).status().code(),
+            StatusCode::kNotFound);
   // The failed transaction must leave no attribute row behind.
   EXPECT_FALSE(manager_->FileExists("/no/dir/f").value());
 }
 
 TEST_F(MetadataTest, DuplicateFileRejected) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();
-  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/f"), {"s0"}, dist).ok());
-  EXPECT_FALSE(manager_->CreateFile(MakeLinearMeta("/f"), {"s0"}, dist).ok());
+  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/f"), {}).ok());
+  EXPECT_EQ(manager_->CreateFile(MakeLinearMeta("/f"), {}).status().code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST_F(MetadataTest, MultidimFileRoundTrip) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
   FileMeta meta;
   meta.path = "/array.dpfs";
-  meta.subfile = NewSubfileId().value();
   meta.owner = "me";
   meta.level = layout::FileLevel::kMultidim;
   meta.element_size = 8;
@@ -221,8 +240,7 @@ TEST_F(MetadataTest, MultidimFileRoundTrip) {
   meta.size_bytes = 256 * 256 * 8;
   const auto map = meta.MakeBrickMap().value();
   EXPECT_EQ(map.num_bricks(), 16u);
-  const auto dist = layout::BrickDistribution::RoundRobin(16, 1).value();
-  ASSERT_TRUE(manager_->CreateFile(meta, {"s0"}, dist).ok());
+  ASSERT_TRUE(manager_->CreateFile(meta, {}).ok());
 
   const FileRecord record = manager_->LookupFile("/array.dpfs").value();
   EXPECT_EQ(record.meta.level, layout::FileLevel::kMultidim);
@@ -236,7 +254,6 @@ TEST_F(MetadataTest, ArrayFileRoundTripWithPattern) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
   FileMeta meta;
   meta.path = "/chunked.dpfs";
-  meta.subfile = NewSubfileId().value();
   meta.owner = "me";
   meta.level = layout::FileLevel::kArray;
   meta.element_size = 1;
@@ -244,8 +261,7 @@ TEST_F(MetadataTest, ArrayFileRoundTripWithPattern) {
   meta.pattern = layout::HpfPattern::Parse("(BLOCK,BLOCK)").value();
   meta.chunk_grid = {2, 2};
   meta.size_bytes = 64 * 64;
-  const auto dist = layout::BrickDistribution::RoundRobin(4, 1).value();
-  ASSERT_TRUE(manager_->CreateFile(meta, {"s0"}, dist).ok());
+  ASSERT_TRUE(manager_->CreateFile(meta, {}).ok());
 
   const FileRecord record = manager_->LookupFile("/chunked.dpfs").value();
   ASSERT_TRUE(record.meta.pattern.has_value());
@@ -259,7 +275,9 @@ TEST_F(MetadataTest, GreedyDistributionBricklistSurvivesRoundTrip) {
   FileMeta meta = MakeLinearMeta("/g");
   meta.size_bytes = 32 * 64;
   const auto dist = layout::BrickDistribution::Greedy(32, {1, 3}).value();
-  ASSERT_TRUE(manager_->CreateFile(meta, {"fast", "slow"}, dist).ok());
+  PlacementHints greedy;
+  greedy.policy = layout::PlacementPolicy::kGreedy;
+  ASSERT_TRUE(manager_->CreateFile(meta, greedy).ok());
   const FileRecord record = manager_->LookupFile("/g").value();
   for (layout::BrickId brick = 0; brick < 32; ++brick) {
     EXPECT_EQ(record.distribution.server_for(brick), dist.server_for(brick));
@@ -269,8 +287,7 @@ TEST_F(MetadataTest, GreedyDistributionBricklistSurvivesRoundTrip) {
 
 TEST_F(MetadataTest, DeleteFileCleansAllTables) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();
-  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/f"), {"s0"}, dist).ok());
+  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/f"), {}).ok());
   ASSERT_TRUE(manager_->DeleteFile("/f").ok());
   EXPECT_FALSE(manager_->FileExists("/f").value());
   EXPECT_FALSE(manager_->LookupFile("/f").ok());
@@ -285,9 +302,7 @@ TEST_F(MetadataTest, DeleteFileCleansAllTables) {
 TEST_F(MetadataTest, MetadataRenameUpdatesAllTables) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
   ASSERT_TRUE(manager_->MakeDirectory("/dst").ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();
-  ASSERT_TRUE(
-      manager_->CreateFile(MakeLinearMeta("/orig"), {"s0"}, dist).ok());
+  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/orig"), {}).ok());
   ASSERT_TRUE(manager_->RenameFile("/orig", "/dst/moved").ok());
   EXPECT_FALSE(manager_->FileExists("/orig").value());
   const client::FileRecord record =
@@ -310,9 +325,7 @@ TEST_F(MetadataTest, PathsAreNormalized) {
 
 TEST_F(MetadataTest, FileNamesWithQuotesAreSafe) {
   ASSERT_TRUE(manager_->RegisterServer(MakeServer("s0", 1)).ok());
-  const auto dist = layout::BrickDistribution::RoundRobin(2, 1).value();
-  FileMeta meta = MakeLinearMeta("/it's a file");
-  ASSERT_TRUE(manager_->CreateFile(meta, {"s0"}, dist).ok());
+  ASSERT_TRUE(manager_->CreateFile(MakeLinearMeta("/it's a file"), {}).ok());
   EXPECT_TRUE(manager_->FileExists("/it's a file").value());
   const FileRecord record = manager_->LookupFile("/it's a file").value();
   EXPECT_EQ(record.meta.path, "/it's a file");
@@ -334,7 +347,6 @@ TEST_F(MetadataTest, NamespaceChurnKeepsTheLogBounded) {
     auto manager = MetadataManager::Attach(db).value();
     ASSERT_TRUE(manager->RegisterServer(MakeServer("s0", 1)).ok());
     ASSERT_TRUE(manager->RegisterServer(MakeServer("s1", 1)).ok());
-    const auto dist = layout::BrickDistribution::RoundRobin(2, 2).value();
     for (int d = 0; d < kDirs; ++d) {
       const std::string name = "/d" + std::to_string(d);
       ASSERT_TRUE(manager->MakeDirectory(name).ok());
@@ -349,10 +361,9 @@ TEST_F(MetadataTest, NamespaceChurnKeepsTheLogBounded) {
       if (files.size() < kFilesPerDir / 2 ||
           (files.size() < kFilesPerDir && rng() % 3 == 0)) {
         const std::string name = "file-" + std::to_string(next_file++);
-        ASSERT_TRUE(manager
-                        ->CreateFile(MakeLinearMeta(from_dir + "/" + name),
-                                     {"s0", "s1"}, dist)
-                        .ok());
+        ASSERT_TRUE(
+            manager->CreateFile(MakeLinearMeta(from_dir + "/" + name), {})
+                .ok());
         files.insert(name);
       } else {
         auto victim = files.begin();

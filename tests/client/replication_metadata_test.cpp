@@ -1,7 +1,7 @@
 // Replica ranks in DPFS-FILE-DISTRIBUTION (docs/METADATA_SCHEMA.md): rows
-// carry a `replica` column, CreateFile/LookupFile round-trip per-rank
-// distributions, and a pre-replication 4-column table is migrated in place
-// on Attach with every existing row becoming rank 0.
+// carry a `replica` column, CreateFile places every rank and LookupFile
+// reads them back, and a pre-replication 4-column table is migrated in
+// place on Attach with every existing row becoming rank 0.
 #include <gtest/gtest.h>
 
 #include "client/metadata.h"
@@ -28,13 +28,20 @@ class ReplicationMetadataTest : public ::testing::Test {
   FileMeta MakeMeta(const std::string& path) {
     FileMeta meta;
     meta.path = path;
-    meta.subfile = NewSubfileId().value();
     meta.owner = "xhshen";
     meta.permission = 0644;
     meta.level = layout::FileLevel::kLinear;
     meta.size_bytes = 6 * 64;
     meta.brick_bytes = 64;
     return meta;
+  }
+
+  static PlacementHints Replicated(layout::PlacementPolicy policy,
+                                   std::uint32_t factor) {
+    PlacementHints hints;
+    hints.policy = policy;
+    hints.replication.factor = factor;
+    return hints;
   }
 
   std::shared_ptr<metadb::Database> db_;
@@ -48,10 +55,11 @@ TEST_F(ReplicationMetadataTest, ReplicaRanksRoundTripThroughLookup) {
       layout::ReplicatedDistribution::Create(layout::PlacementPolicy::kGreedy,
                                              6, {1, 1, 1}, spec)
           .value();
-  ASSERT_TRUE(manager_
-                  ->CreateFile(MakeMeta("/r2"), {"s0", "s1", "s2"},
-                               dist.primary(), {dist.rank(1)})
-                  .ok());
+  ASSERT_TRUE(
+      manager_
+          ->CreateFile(MakeMeta("/r2"),
+                       Replicated(layout::PlacementPolicy::kGreedy, 2))
+          .ok());
   const FileRecord record = manager_->LookupFile("/r2").value();
   EXPECT_EQ(record.replication(), 2u);
   ASSERT_EQ(record.replicas.size(), 1u);
@@ -65,9 +73,7 @@ TEST_F(ReplicationMetadataTest, ReplicaRanksRoundTripThroughLookup) {
 }
 
 TEST_F(ReplicationMetadataTest, UnreplicatedFilesHaveNoReplicaRows) {
-  const auto dist = layout::BrickDistribution::RoundRobin(6, 3).value();
-  ASSERT_TRUE(
-      manager_->CreateFile(MakeMeta("/r1"), {"s0", "s1", "s2"}, dist).ok());
+  ASSERT_TRUE(manager_->CreateFile(MakeMeta("/r1"), {}).ok());
   const FileRecord record = manager_->LookupFile("/r1").value();
   EXPECT_EQ(record.replication(), 1u);
   EXPECT_TRUE(record.replicas.empty());
@@ -87,13 +93,18 @@ TEST_F(ReplicationMetadataTest, DeleteAndRenameCoverReplicaRows) {
       layout::ReplicatedDistribution::Create(
           layout::PlacementPolicy::kRoundRobin, 6, {1, 1, 1}, spec)
           .value();
-  ASSERT_TRUE(manager_
-                  ->CreateFile(MakeMeta("/f"), {"s0", "s1", "s2"},
-                               dist.primary(), {dist.rank(1), dist.rank(2)})
-                  .ok());
+  ASSERT_TRUE(
+      manager_
+          ->CreateFile(MakeMeta("/f"),
+                       Replicated(layout::PlacementPolicy::kRoundRobin, 3))
+          .ok());
   ASSERT_TRUE(manager_->RenameFile("/f", "/g").ok());
   const FileRecord renamed = manager_->LookupFile("/g").value();
   EXPECT_EQ(renamed.replication(), 3u);
+  for (layout::BrickId b = 0; b < 6; ++b) {
+    EXPECT_EQ(renamed.rank_distribution(2).server_for(b),
+              dist.rank(2).server_for(b));
+  }
   ASSERT_TRUE(manager_->DeleteFile("/g").ok());
   const auto rows =
       manager_->db().Execute("SELECT * FROM DPFS_FILE_DISTRIBUTION").value();
@@ -104,8 +115,7 @@ TEST_F(ReplicationMetadataTest, FourColumnTableIsMigratedOnAttach) {
   // Simulate a database written before the replica column existed: rebuild
   // DPFS_FILE_DISTRIBUTION with the old 4-column shape, keeping the rows.
   const auto dist = layout::BrickDistribution::RoundRobin(6, 3).value();
-  ASSERT_TRUE(
-      manager_->CreateFile(MakeMeta("/old"), {"s0", "s1", "s2"}, dist).ok());
+  ASSERT_TRUE(manager_->CreateFile(MakeMeta("/old"), {}).ok());
   const auto saved =
       db_->Execute("SELECT filename, server, server_index, bricklist "
                    "FROM DPFS_FILE_DISTRIBUTION")

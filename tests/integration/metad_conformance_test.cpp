@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -299,28 +300,79 @@ TEST_F(MetadConformanceTest, WriteThroughCachedRecordSurvivesOtherRename) {
   EXPECT_EQ(read, Bytes(kBytes, 0x22));
 }
 
-TEST_F(MetadConformanceTest, CreateWithMalformedSubfileIdIsRejected) {
+TEST_F(MetadConformanceTest, CreateDrawsItsOwnSubfileId) {
   // The subfile id becomes a file name on every I/O server, so dpfs-metad
-  // refuses a create_file whose id is not "/" and 32 lowercase hex digits.
+  // draws it: whatever meta.subfile a create carries is ignored, each file
+  // gets a fresh "/" and 32 hex digits, and no server ever sees the id the
+  // request carried.
+  const std::vector<std::string> carried = {"", "/", "/../x",
+                                            "/" + std::string(31, 'a')};
   client::FileMeta meta;
-  meta.path = "/bad-id.bin";
   meta.size_bytes = 256;
   meta.brick_bytes = 64;
-  const layout::BrickDistribution dist =
-      layout::BrickDistribution::RoundRobin(4, 1).value();
-  const std::string server =
-      fs_a_->metadata().ListServers().value().front().name;
-  for (const std::string& id :
-       {std::string(), std::string("/"), std::string("/../x"),
-        "/" + std::string(31, 'a')}) {
-    meta.subfile = id;
-    EXPECT_EQ(fs_a_->metadata().CreateFile(meta, {server}, dist).code(),
-              StatusCode::kInvalidArgument)
-        << "'" << id << "'";
+  std::set<std::string> drawn;
+  for (std::size_t i = 0; i < carried.size(); ++i) {
+    meta.path = "/id-" + std::to_string(i) + ".bin";
+    meta.subfile = carried[i];
+    const client::FileRecord record =
+        fs_a_->metadata().CreateFile(meta, {}).value();
+    const std::string& id = record.meta.subfile;
+    EXPECT_EQ(id.size(), 33u) << "'" << carried[i] << "'";
+    EXPECT_EQ(id.front(), '/');
+    EXPECT_EQ(id.find_first_not_of("0123456789abcdef", 1), std::string::npos)
+        << id;
+    drawn.insert(id);
+    FileHandle handle = fs_b_->Open(meta.path).value();
+    EXPECT_EQ(handle.meta().subfile, id);
+    ASSERT_TRUE(fs_b_->WriteBytes(handle, 0, Bytes(256, 0x33)).ok());
   }
-  EXPECT_FALSE(fs_a_->metadata().FileExists("/bad-id.bin").value());
-  meta.subfile = client::NewSubfileId().value();
-  EXPECT_TRUE(fs_a_->metadata().CreateFile(meta, {server}, dist).ok());
+  EXPECT_EQ(drawn.size(), carried.size());
+  const std::vector<client::ServerInfo> servers =
+      fs_a_->metadata().ListServers().value();
+  for (const client::ServerInfo& server : servers) {
+    net::ServerConnection conn =
+        net::ServerConnection::Connect(server.endpoint).value();
+    const std::vector<net::SubfileInfo> subfiles = conn.List().value();
+    for (const net::SubfileInfo& subfile : subfiles) {
+      EXPECT_TRUE(drawn.contains(subfile.name))
+          << server.name << " holds " << subfile.name;
+    }
+  }
+}
+
+TEST_F(MetadConformanceTest, CreateNeverReusesALiveFilesSubfileId) {
+  // A create that carries a live file's subfile id gets a fresh one, so
+  // removing the new file leaves the old file's bytes where they were.
+  constexpr std::uint64_t kBytes = 4096;
+  FileHandle a = fs_a_->Create("/a", LinearFile(kBytes)).value();
+  ASSERT_TRUE(fs_a_->WriteBytes(a, 0, Bytes(kBytes, 0x5a)).ok());
+  client::FileMeta meta = a.meta();
+  meta.path = "/b";
+  const client::FileRecord b = fs_b_->metadata().CreateFile(meta, {}).value();
+  EXPECT_NE(b.meta.subfile, a.meta().subfile);
+  ASSERT_TRUE(fs_b_->Remove("/b").ok());
+  FileHandle reopened = fs_b_->Open("/a").value();
+  Bytes read(kBytes);
+  ASSERT_TRUE(fs_b_->ReadBytes(reopened, 0, read).ok());
+  EXPECT_EQ(read, Bytes(kBytes, 0x5a));
+}
+
+TEST_F(MetadConformanceTest, CreateIsOneRoundTrip) {
+  // The metad reads the server table and places the file itself, so a
+  // FileSystem::Create is one meta_create_file and no meta_list_servers.
+  const metrics::Counter& creates =
+      metrics::GetCounter("metad.requests.meta_create_file");
+  const metrics::Counter& lists =
+      metrics::GetCounter("metad.requests.meta_list_servers");
+  const std::uint64_t creates_before = creates.value();
+  const std::uint64_t lists_before = lists.value();
+  constexpr std::uint64_t kCreates = 20;
+  for (std::uint64_t i = 0; i < kCreates; ++i) {
+    ASSERT_TRUE(
+        fs_a_->Create("/trip-" + std::to_string(i), LinearFile()).ok());
+  }
+  EXPECT_EQ(creates.value() - creates_before, kCreates);
+  EXPECT_EQ(lists.value() - lists_before, 0u);
 }
 
 TEST_F(MetadConformanceTest, CacheCountersMove) {

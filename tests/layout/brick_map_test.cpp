@@ -29,6 +29,27 @@ TEST(LinearMapTest, RejectsZeroBrick) {
   EXPECT_FALSE(BrickMap::Linear(100, 0).ok());
 }
 
+TEST(LinearMapTest, RejectsBrickSlotsPast64Bits) {
+  // UINT64_MAX bytes in 3-byte bricks end exactly at 2^64 - 1; in 2^63-byte
+  // bricks the second slot would end at 2^64.
+  constexpr std::uint64_t kMax = UINT64_MAX;
+  EXPECT_EQ(BrickMap::Linear(kMax, 3).value().num_bricks(), kMax / 3);
+  EXPECT_EQ(BrickMap::Linear(kMax, std::uint64_t{1} << 63).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(LinearMapTest, ArrayShapeOverflowRejected) {
+  // 2^33 x 2^33 elements, or 2^60 elements of 32 bytes: neither the element
+  // count nor the byte size fits in 64 bits.
+  const std::uint64_t big = std::uint64_t{1} << 33;
+  EXPECT_EQ(BrickMap::LinearArray({big, big}, 1, 64).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      BrickMap::LinearArray({std::uint64_t{1} << 60}, 32, 64).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(BrickMap::LinearArray({big, 1}, 8, 64).ok());
+}
+
 TEST(LinearMapTest, TailBrickValidBytes) {
   const BrickMap map = BrickMap::Linear(100, 32).value();
   EXPECT_EQ(map.brick_valid_bytes(0), 32u);
@@ -216,6 +237,23 @@ TEST(MultidimMapTest, InvalidConstructions) {
   EXPECT_FALSE(BrickMap::Multidim({}, {}, 1).ok());
 }
 
+TEST(MultidimMapTest, GeometryPast64BitsRejected) {
+  const std::uint64_t big = std::uint64_t{1} << 33;
+  // The element count, and so the brick count of 1x1 bricks, is 2^66.
+  EXPECT_EQ(BrickMap::Multidim({big, big}, {1, 1}, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  // 2^62 elements fit, their 8-byte size does not.
+  EXPECT_EQ(BrickMap::Multidim({std::uint64_t{1} << 31, std::uint64_t{1} << 31},
+                               {1, 1}, 8)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // 2^63 + 1 elements fit, but two padded bricks of 2^63 bytes do not.
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  EXPECT_EQ(BrickMap::Multidim({half + 1}, {half}, 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(MultidimMapTest, OutOfBoundsRegionRejected) {
   const BrickMap map = BrickMap::Multidim({8, 8}, {2, 2}, 1).value();
   EXPECT_FALSE(map.SummarizeRegion({{0, 0}, {9, 1}}).ok());
@@ -256,6 +294,18 @@ TEST(ArrayMapTest, StarBlockChunks) {
   const BrickMap map = BrickMap::Array({8, 8}, pattern, grid, 1).value();
   EXPECT_EQ(map.num_bricks(), 4u);
   EXPECT_EQ(map.brick_shape(), (Shape{8, 2}));
+}
+
+TEST(ArrayMapTest, GeometryPast64BitsRejected) {
+  const std::uint64_t big = std::uint64_t{1} << 33;
+  ProcessGrid grid;
+  grid.grid = {big, big};
+  EXPECT_EQ(BrickMap::Array({big, big},
+                            HpfPattern::Parse("(BLOCK,BLOCK)").value(), grid,
+                            1)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ArrayMapTest, NonDivisibleRejected) {

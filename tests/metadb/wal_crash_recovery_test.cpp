@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/temp_dir.h"
@@ -94,6 +95,96 @@ TEST_F(WalCrashRecoveryTest, TornAppendRollsBackInMemoryStateImmediately) {
   ASSERT_FALSE(db->Execute("INSERT INTO t VALUES (2)").ok());
   // The failed commit must not be visible in memory either.
   EXPECT_EQ(Count(*db, "t"), 1u);
+}
+
+TEST_F(WalCrashRecoveryTest, NoCommitIsAcknowledgedAfterATornAppend) {
+  // A torn append leaves a partial frame at the log's end, and a commit
+  // appended behind it would be discarded with that tail at the next open.
+  // So the log refuses every later commit, naming the first failure, until
+  // a reopen; reads keep working, and every row acknowledged before the
+  // reopen is there after it.
+  const TempDir dir = TempDir::Create("dpfs-waldead").value();
+  std::vector<std::int64_t> acknowledged = {1};
+  {
+    auto db = Open(dir.path());
+    Exec(*db, "CREATE TABLE t (a INT)");
+    Exec(*db, "INSERT INTO t VALUES (1)");
+
+    failpoint::Spec spec;
+    spec.action = failpoint::Action::kTornWrite;
+    spec.arg = 5;  // mid-BEGIN-record
+    spec.count = 1;
+    failpoint::Arm("wal.append", spec);
+    ASSERT_FALSE(db->Execute("INSERT INTO t VALUES (2)").ok());
+    for (const std::int64_t row : {3, 4}) {
+      const Result<ResultSet> later =
+          db->Execute("INSERT INTO t VALUES (" + std::to_string(row) + ")");
+      if (later.ok()) {
+        acknowledged.push_back(row);
+        continue;
+      }
+      EXPECT_EQ(later.status().code(), StatusCode::kIoError);
+      EXPECT_NE(later.status().message().find("torn after 5 bytes"),
+                std::string::npos)
+          << later.status().ToString();
+    }
+    EXPECT_EQ(acknowledged, std::vector<std::int64_t>{1});
+    EXPECT_EQ(Count(*db, "t"), 1u);
+  }
+  auto db = Open(dir.path());
+  const ResultSet rows = db->Execute("SELECT a FROM t ORDER BY a").value();
+  std::vector<std::int64_t> survived;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    survived.push_back(rows.GetInt(i, "a").value());
+  }
+  EXPECT_EQ(survived, acknowledged);
+  Exec(*db, "INSERT INTO t VALUES (5)");
+  EXPECT_EQ(Count(*db, "t"), 2u);
+}
+
+TEST_F(WalCrashRecoveryTest, AnyFailedAppendRefusesWritesUntilReopen) {
+  // Whether the append failed before writing, tore its frame or failed its
+  // fdatasync, the log's durable end is unknown: every later commit and
+  // compaction is refused, reads go on, and a reopen recovers.
+  struct Case {
+    const char* site;
+    failpoint::Action action;
+  };
+  for (const Case& failure :
+       {Case{"wal.append", failpoint::Action::kReturnError},
+        Case{"wal.append", failpoint::Action::kTornWrite},
+        Case{"wal.sync", failpoint::Action::kReturnError}}) {
+    const std::string label =
+        std::string(failure.site) + " action " +
+        std::to_string(static_cast<int>(failure.action));
+    const TempDir dir = TempDir::Create("dpfs-walrefuse").value();
+    {
+      auto db = Open(dir.path());
+      db->SetSyncCommits(true);
+      Exec(*db, "CREATE TABLE t (a INT)");
+      Exec(*db, "INSERT INTO t VALUES (1)");
+      failpoint::Spec spec;
+      spec.action = failure.action;
+      spec.arg = 5;
+      spec.count = 1;
+      failpoint::Arm(failure.site, spec);
+      ASSERT_FALSE(db->Execute("INSERT INTO t VALUES (2)").ok()) << label;
+      const Status later = db->Execute("INSERT INTO t VALUES (3)").status();
+      EXPECT_FALSE(later.ok()) << label;
+      EXPECT_NE(later.message().find("until the database is reopened"),
+                std::string::npos)
+          << label << ": " << later.ToString();
+      EXPECT_FALSE(db->Checkpoint().ok()) << label;
+      EXPECT_EQ(Count(*db, "t"), 1u) << label;
+    }
+    auto db = Open(dir.path());
+    Exec(*db, "INSERT INTO t VALUES (4)");
+    const ResultSet rows = db->Execute("SELECT a FROM t ORDER BY a").value();
+    EXPECT_EQ(rows.GetInt(0, "a").value(), 1) << label;
+    EXPECT_EQ(rows.GetInt(rows.size() - 1, "a").value(), 4) << label;
+    EXPECT_EQ(db->Execute("SELECT a FROM t WHERE a = 3").value().size(), 0u)
+        << label;
+  }
 }
 
 TEST_F(WalCrashRecoveryTest, CrashBeforeSyncLeavesFlushedCommitAmbiguous) {

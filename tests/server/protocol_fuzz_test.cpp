@@ -723,11 +723,10 @@ TEST_F(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
 
 TEST_F(MetadProtocolFuzzTest, CreateFileWithLyingCountsGetsErrorReply) {
   // meta_create_file bodies whose counts claim 2^32 - 1 entries: one in the
-  // meta's array_shape, one in server_names. Each draws an error reply, not
-  // a reservation sized by the count.
+  // meta's array_shape, one in the failure-domain list. Each draws an error
+  // reply, not a reservation sized by the count.
   client::FileMeta meta;
   meta.path = "/lying";
-  meta.subfile = "/0123456789abcdef0123456789abcdef";
   meta.size_bytes = 64;
   meta.brick_bytes = 64;
   const auto send = [&](BinaryWriter& payload) {
@@ -755,12 +754,16 @@ TEST_F(MetadProtocolFuzzTest, CreateFileWithLyingCountsGetsErrorReply) {
   send(shape);
   ExpectServiceAlive();
 
-  BinaryWriter names;  // a whole FileMeta, then a lying server_names count
-  names.WriteU8(static_cast<std::uint8_t>(net::MessageType::kMetaCreateFile));
-  client::meta_wire::EncodeFileMeta(meta, names);
-  names.WriteU32(0xFFFFFFFFu);
-  names.WriteString("node0");
-  send(names);
+  BinaryWriter domains;  // a whole FileMeta and hints, then a lying count
+  domains.WriteU8(
+      static_cast<std::uint8_t>(net::MessageType::kMetaCreateFile));
+  client::meta_wire::EncodeFileMeta(meta, domains);
+  domains.WriteU8(0);   // round-robin
+  domains.WriteU32(0);  // every server
+  domains.WriteU32(2);  // two copies
+  domains.WriteU32(0xFFFFFFFFu);
+  domains.WriteU32(0);  // one domain behind the count
+  send(domains);
   ExpectServiceAlive();
   EXPECT_FALSE(
       client::RemoteMetadataManager::Connect(service_->endpoint())
@@ -769,25 +772,69 @@ TEST_F(MetadProtocolFuzzTest, CreateFileWithLyingCountsGetsErrorReply) {
           .value());
 }
 
-TEST_F(MetadProtocolFuzzTest, CreateFileWithHugeBrickCountGetsErrorReply) {
-  // A well-formed create whose linear meta claims 2^50 one-byte bricks but
-  // lists one: refused before the metad sizes a per-brick table by it.
+/// One meta_create_file for `meta` and `hints` on a fresh connection; the
+/// status the metad answers.
+Status CreateThroughTheWire(const net::Endpoint& endpoint,
+                            const client::FileMeta& meta,
+                            const client::PlacementHints& hints = {}) {
   client::meta_wire::CreateFileRequest request;
-  request.meta.path = "/huge";
-  request.meta.subfile = "/0123456789abcdef0123456789abcdef";
-  request.meta.size_bytes = 1ull << 50;
-  request.meta.brick_bytes = 1;
-  request.server_names = {"node0"};
-  request.bricklists = {"0"};
+  request.meta = meta;
+  request.hints = hints;
   BinaryWriter body;
   request.Encode(body);
-  net::ServerConnection conn =
-      net::ServerConnection::Connect(service_->endpoint()).value();
-  EXPECT_EQ(conn.Call(net::MessageType::kMetaCreateFile, body.buffer())
-                .status()
-                .code(),
+  net::ServerConnection conn = net::ServerConnection::Connect(endpoint).value();
+  return conn.Call(net::MessageType::kMetaCreateFile, body.buffer()).status();
+}
+
+TEST_F(MetadProtocolFuzzTest, CreateFileWithHugeBrickCountGetsErrorReply) {
+  // A well-formed create whose linear meta claims 2^50 one-byte bricks:
+  // refused before the metad sizes a per-brick table by it.
+  client::FileMeta meta;
+  meta.path = "/huge";
+  meta.size_bytes = 1ull << 50;
+  meta.brick_bytes = 1;
+  EXPECT_EQ(CreateThroughTheWire(service_->endpoint(), meta).code(),
             StatusCode::kInvalidArgument);
   ExpectServiceAlive();
+}
+
+TEST_F(MetadProtocolFuzzTest, CreateOneBrickPastTheBoundGetsErrorReply) {
+  // The largest file whose R ranks' bricklists still fit in one
+  // file_record reply has kMaxFrameBytes / 10 / R bricks. One brick more is
+  // refused before anything is read or placed: this metad has no server
+  // registered, so a placement attempt would answer kUnavailable instead.
+  for (const std::uint32_t factor : {1u, 2u}) {
+    client::FileMeta meta;
+    meta.path = "/past-the-bound";
+    meta.size_bytes = net::kMaxFrameBytes / 10 / factor + 1;
+    meta.brick_bytes = 1;
+    client::PlacementHints hints;
+    hints.replication.factor = factor;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(CreateThroughTheWire(service_->endpoint(), meta, hints).code(),
+              StatusCode::kInvalidArgument)
+        << "R = " << factor;
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5))
+        << "R = " << factor;
+  }
+  ExpectServiceAlive();
+}
+
+TEST_F(MetadProtocolFuzzTest, CreateWithOverflowingShapeGetsErrorReply) {
+  // 2^33 x 2^33 one-byte elements in 1x1 bricks: 2^66 bricks, which a
+  // 64-bit count would wrap to 0. Refused, and the metad keeps serving.
+  client::FileMeta meta;
+  meta.path = "/wrapped";
+  meta.level = layout::FileLevel::kMultidim;
+  meta.array_shape = {std::uint64_t{1} << 33, std::uint64_t{1} << 33};
+  meta.brick_shape = {1, 1};
+  EXPECT_EQ(CreateThroughTheWire(service_->endpoint(), meta).code(),
+            StatusCode::kInvalidArgument);
+  ExpectServiceAlive();
+  EXPECT_FALSE(client::RemoteMetadataManager::Connect(service_->endpoint())
+                   .value()
+                   ->FileExists("/wrapped")
+                   .value());
 }
 
 TEST_F(MetadProtocolFuzzTest, MidFrameDisconnect) {

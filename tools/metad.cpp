@@ -1,5 +1,5 @@
-// dpfs-metad — the standalone DPFS metadata server daemon (extension:
-// `metadata_endpoint`; docs/METADATA_SCHEMA.md "Remote access").
+// dpfs-metad — the standalone DPFS metadata server daemon (an
+// extension; docs/METADATA_SCHEMA.md "Remote access").
 //
 //   dpfs-metad --metadb /shared/dpfs-meta [--port 7060]
 //              [--max-sessions 0]
