@@ -35,12 +35,12 @@ Result<std::unique_ptr<CollectiveFile>> CollectiveFile::Open(
   if (num_ranks == 0) {
     return InvalidArgumentError("collective file needs at least one rank");
   }
-  std::vector<FileHandle> handles;
-  handles.reserve(num_ranks);
+  // One lookup: every rank gets a copy of the same record, so no rank can
+  // see another client's rename or remove that a peer did not.
+  DPFS_ASSIGN_OR_RETURN(const FileHandle opened, fs->Open(path));
+  std::vector<FileHandle> handles(num_ranks, opened);
   for (std::uint32_t rank = 0; rank < num_ranks; ++rank) {
-    DPFS_ASSIGN_OR_RETURN(FileHandle handle, fs->Open(path));
-    handle.client_id = rank;
-    handles.push_back(std::move(handle));
+    handles[rank].client_id = rank;
   }
   return std::unique_ptr<CollectiveFile>(
       new CollectiveFile(std::move(fs), std::move(handles)));

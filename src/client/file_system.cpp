@@ -56,9 +56,9 @@ Result<std::shared_ptr<FileSystem>> FileSystem::Connect(
 }
 
 Result<std::shared_ptr<FileSystem>> FileSystem::ConnectRemote(
-    const net::Endpoint& endpoint, RemoteMetadataOptions options) {
+    const net::Endpoint& endpoint) {
   DPFS_ASSIGN_OR_RETURN(std::unique_ptr<RemoteMetadataManager> metadata,
-                        RemoteMetadataManager::Connect(endpoint, options));
+                        RemoteMetadataManager::Connect(endpoint));
   return std::shared_ptr<FileSystem>(new FileSystem(std::move(metadata)));
 }
 
@@ -208,6 +208,36 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
         "run it on the host that owns the metadata database");
   }
   FsckReport report;
+  // Every server's listing first, then the subfile names the metadata
+  // expects. A subfile exists only after its file's create committed, so
+  // every live file whose subfile a listing holds has its rows below, even
+  // one created and written while the servers were listed.
+  struct Listing {
+    std::string server;
+    PooledConnection conn;
+    std::vector<net::SubfileInfo> subfiles;
+  };
+  std::vector<Listing> listings;
+  DPFS_ASSIGN_OR_RETURN(const std::vector<ServerInfo> servers,
+                        metadata_->ListServers());
+  for (const ServerInfo& server : servers) {
+    Result<PooledConnection> conn = pool_.Acquire(server.endpoint);
+    if (!conn.ok()) {
+      report.unreachable_servers.push_back(server.name);
+      continue;
+    }
+    PooledConnection pooled = std::move(conn).value();
+    Result<std::vector<net::SubfileInfo>> subfiles = pooled->List();
+    if (!subfiles.ok()) {
+      pooled.Poison();
+      report.unreachable_servers.push_back(server.name);
+      continue;
+    }
+    listings.push_back(
+        {server.name, std::move(pooled), std::move(subfiles).value()});
+  }
+  report.servers_checked = listings.size();
+
   // Expected subfile names: each file's subfile id, plus
   // "<subfile>#r<rank>" for each replica distribution row
   // (docs/REPLICATION.md).
@@ -237,29 +267,11 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
         subfiles[name], static_cast<std::uint32_t>(rank)));
   }
 
-  DPFS_ASSIGN_OR_RETURN(const std::vector<ServerInfo> servers,
-                        metadata_->ListServers());
-  for (const ServerInfo& server : servers) {
-    Result<PooledConnection> conn = pool_.Acquire(server.endpoint);
-    if (!conn.ok()) {
-      report.unreachable_servers.push_back(server.name);
-      continue;
-    }
-    PooledConnection pooled = std::move(conn).value();
-    const Result<std::vector<net::SubfileInfo>> listing = pooled->List();
-    if (!listing.ok()) {
-      pooled.Poison();
-      report.unreachable_servers.push_back(server.name);
-      continue;
-    }
-    ++report.servers_checked;
-    for (const net::SubfileInfo& info : listing.value()) {
+  for (Listing& listing : listings) {
+    for (const net::SubfileInfo& info : listing.subfiles) {
       if (expected.contains(info.name)) continue;
-      report.orphans.push_back({server.name, info.name, info.size});
-      if (repair) {
-        const Status deleted = pooled->Delete(info.name);
-        if (deleted.ok()) ++report.repaired;
-      }
+      report.orphans.push_back({listing.server, info.name, info.size});
+      if (repair && listing.conn->Delete(info.name).ok()) ++report.repaired;
     }
   }
   return report;

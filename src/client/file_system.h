@@ -134,11 +134,11 @@ class FileSystem {
       std::shared_ptr<metadb::Database> db);
   /// Remote variant (the dpfs-metad extension): namespace operations
   /// go to a dpfs-metad service instead of an embedded database, so many
-  /// client processes share one mutable namespace. The RemoteMetadataManager
-  /// caches lookups (TTL + invalidate-on-own-write); embedded connects are
-  /// byte-identical to before this extension existed.
+  /// client processes share one mutable namespace. Each is one round trip
+  /// that the metad answers from the database at call time, so a remote
+  /// client sees what an embedded one would.
   static Result<std::shared_ptr<FileSystem>> ConnectRemote(
-      const net::Endpoint& endpoint, RemoteMetadataOptions options = {});
+      const net::Endpoint& endpoint);
 
   [[nodiscard]] MetadataService& metadata() noexcept { return *metadata_; }
   /// The embedded manager, or nullptr when connected to a remote metad.
@@ -147,8 +147,8 @@ class FileSystem {
   [[nodiscard]] MetadataManager* embedded_metadata() noexcept {
     return embedded_;
   }
-  /// The remote manager, or nullptr with embedded metadata. Owns the
-  /// client's only record cache (InvalidateCache).
+  /// The remote manager, or nullptr with embedded metadata. The shell's
+  /// `metrics` command reads the metad's snapshot through it.
   [[nodiscard]] RemoteMetadataManager* remote_metadata() noexcept {
     return remote_;
   }
@@ -160,8 +160,8 @@ class FileSystem {
   Result<FileHandle> Create(const std::string& path,
                             const CreateOptions& options);
   /// DPFS-Open (§6): one LookupFile for the file's rows, then its brick
-  /// map. Embedded metadata reads the database every time; a remote client
-  /// may be served from its lookup cache (see remote_metadata.h).
+  /// map. The rows are the database's at call time, embedded or through
+  /// dpfs-metad (one meta_lookup_file round trip).
   Result<FileHandle> Open(const std::string& path);
   /// DPFS-Close (§6). Handles are RAII values, so this only resets the
   /// handle; provided for API parity with the paper and for making the end
@@ -214,8 +214,10 @@ class FileSystem {
   /// Consistency check between the metadata database and the servers'
   /// actual subfiles. Orphans (subfiles no DPFS_FILE_ATTR row names —
   /// left by a Remove that could not reach a server) are reported and, with
-  /// `repair`, removed. A missing subfile is NOT an error: never-written
-  /// files are legitimately absent (sparse semantics).
+  /// `repair`, removed. Every server is listed before the rows are read,
+  /// so a file created during the check is never an orphan. A missing
+  /// subfile is NOT an error: never-written files are legitimately absent
+  /// (sparse semantics).
   struct FsckReport {
     struct Orphan {
       std::string server;

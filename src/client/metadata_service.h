@@ -110,9 +110,10 @@ class MetadataService {
   /// kInvalidArgument before anything is placed.
   virtual Result<FileRecord> CreateFile(const FileMeta& meta,
                                         const PlacementHints& hints) = 0;
-  /// The file's rows — all FileSystem::Open reads. MetadataManager queries
-  /// the database on every call; RemoteMetadataManager may answer from its
-  /// TTL cache, the client's only record cache.
+  /// The file's rows — all FileSystem::Open reads. Every call reads the
+  /// database: MetadataManager in this process, RemoteMetadataManager
+  /// through one meta_lookup_file round trip, whose metad normalizes the
+  /// path.
   virtual Result<FileRecord> LookupFile(const std::string& path) = 0;
   virtual Status SetPermission(const std::string& path,
                                std::uint32_t permission) = 0;

@@ -3,32 +3,14 @@
 #include <utility>
 
 #include "client/meta_wire.h"
-#include "common/metrics.h"
-#include "common/strings.h"
 #include "net/messages.h"
 
 namespace dpfs::client {
 
-namespace {
-
-// The process-wide hit/miss pair of the client's one record cache, summed
-// over every RemoteMetadataManager.
-struct CacheMetricsT {
-  metrics::Counter& hits = metrics::GetCounter("client.metadata_cache.hits");
-  metrics::Counter& misses =
-      metrics::GetCounter("client.metadata_cache.misses");
-};
-CacheMetricsT& CacheMetrics() {
-  static CacheMetricsT m;
-  return m;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<RemoteMetadataManager>> RemoteMetadataManager::Connect(
-    const net::Endpoint& endpoint, RemoteMetadataOptions options) {
+    const net::Endpoint& endpoint) {
   std::unique_ptr<RemoteMetadataManager> manager(
-      new RemoteMetadataManager(endpoint, options));
+      new RemoteMetadataManager(endpoint));
   DPFS_RETURN_IF_ERROR(
       manager->Ping().WithContext("connect to metadata server at " +
                                   endpoint.ToString()));
@@ -94,31 +76,18 @@ Result<FileRecord> RemoteMetadataManager::CreateFile(
   request.hints = hints;
   BinaryWriter body;
   request.Encode(body);
-  const Result<net::ReplyFrame> reply =
-      Call(net::MessageType::kMetaCreateFile, body.buffer());
-  // Invalidate even on failure: a lost reply may have committed server-side.
-  InvalidateCache(meta.path);
-  DPFS_RETURN_IF_ERROR(reply.status());
-  BinaryReader reader(reply.value().body());
+  DPFS_ASSIGN_OR_RETURN(
+      const net::ReplyFrame reply,
+      Call(net::MessageType::kMetaCreateFile, body.buffer()));
+  BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(meta_wire::FileRecordReply decoded,
                         meta_wire::FileRecordReply::Decode(reader));
   return std::move(decoded.record);
 }
 
 Result<FileRecord> RemoteMetadataManager::LookupFile(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  if (options_.cache_ttl.count() > 0) {
-    MutexLock lock(cache_mu_);
-    const auto it = cache_.find(normalized);
-    if (it != cache_.end() &&
-        std::chrono::steady_clock::now() < it->second.expires) {
-      CacheMetrics().hits.Add();
-      return it->second.record;
-    }
-    CacheMetrics().misses.Add();
-  }
   meta_wire::PathRequest request;
-  request.path = normalized;
+  request.path = path;
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
@@ -127,11 +96,6 @@ Result<FileRecord> RemoteMetadataManager::LookupFile(const std::string& path) {
   BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(meta_wire::FileRecordReply decoded,
                         meta_wire::FileRecordReply::Decode(reader));
-  if (options_.cache_ttl.count() > 0) {
-    MutexLock lock(cache_mu_);
-    cache_[normalized] = CacheEntry{
-        decoded.record, std::chrono::steady_clock::now() + options_.cache_ttl};
-  }
   return std::move(decoded.record);
 }
 
@@ -142,10 +106,7 @@ Status RemoteMetadataManager::SetPermission(const std::string& path,
   request.permission = permission;
   BinaryWriter body;
   request.Encode(body);
-  const Status set =
-      Call(net::MessageType::kMetaSetPermission, body.buffer()).status();
-  InvalidateCache(path);
-  return set;
+  return Call(net::MessageType::kMetaSetPermission, body.buffer()).status();
 }
 
 Status RemoteMetadataManager::SetOwner(const std::string& path,
@@ -155,10 +116,7 @@ Status RemoteMetadataManager::SetOwner(const std::string& path,
   request.owner = owner;
   BinaryWriter body;
   request.Encode(body);
-  const Status set =
-      Call(net::MessageType::kMetaSetOwner, body.buffer()).status();
-  InvalidateCache(path);
-  return set;
+  return Call(net::MessageType::kMetaSetOwner, body.buffer()).status();
 }
 
 Result<FileRecord> RemoteMetadataManager::DeleteFile(
@@ -167,11 +125,10 @@ Result<FileRecord> RemoteMetadataManager::DeleteFile(
   request.path = path;
   BinaryWriter body;
   request.Encode(body);
-  const Result<net::ReplyFrame> reply =
-      Call(net::MessageType::kMetaDeleteFile, body.buffer());
-  InvalidateCache(path);
-  DPFS_RETURN_IF_ERROR(reply.status());
-  BinaryReader reader(reply.value().body());
+  DPFS_ASSIGN_OR_RETURN(
+      const net::ReplyFrame reply,
+      Call(net::MessageType::kMetaDeleteFile, body.buffer()));
+  BinaryReader reader(reply.body());
   DPFS_ASSIGN_OR_RETURN(meta_wire::FileRecordReply decoded,
                         meta_wire::FileRecordReply::Decode(reader));
   return std::move(decoded.record);
@@ -198,11 +155,7 @@ Status RemoteMetadataManager::RenameFile(const std::string& from,
   request.to = to;
   BinaryWriter body;
   request.Encode(body);
-  const Status renamed =
-      Call(net::MessageType::kMetaRenameFile, body.buffer()).status();
-  InvalidateCache(from);
-  InvalidateCache(to);
-  return renamed;
+  return Call(net::MessageType::kMetaRenameFile, body.buffer()).status();
 }
 
 // --- directories -----------------------------------------------------------
@@ -250,20 +203,6 @@ Result<MetadataService::Listing> RemoteMetadataManager::ListDirectory(
   DPFS_ASSIGN_OR_RETURN(meta_wire::ListingReply decoded,
                         meta_wire::ListingReply::Decode(reader));
   return std::move(decoded.listing);
-}
-
-// --- cache -----------------------------------------------------------------
-
-void RemoteMetadataManager::InvalidateCache() {
-  MutexLock lock(cache_mu_);
-  cache_.clear();
-}
-
-void RemoteMetadataManager::InvalidateCache(const std::string& path) {
-  const Result<std::string> normalized = NormalizePath(path);
-  if (!normalized.ok()) return;
-  MutexLock lock(cache_mu_);
-  cache_.erase(normalized.value());
 }
 
 }  // namespace dpfs::client

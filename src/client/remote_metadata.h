@@ -10,43 +10,29 @@
 // caller; the next call dials afresh, so a restarted metad is picked up
 // transparently.
 //
-// Caching: LookupFile results are cached with a TTL and invalidated by this
-// manager's own mutations (create/delete/rename/resize/chmod/chown). Writes
-// from *other* clients surface after at most cache_ttl — the staleness
-// window the conformance suite pins. This is the client's only record
-// cache: embedded metadata reads the database on every lookup. Hits and
-// misses feed client.metadata_cache.hits/misses.
+// No caching: every call is one round trip, and the metad answers it from
+// the database at call time, as embedded metadata does. So one client's
+// committed mutation is what every other client's next call sees.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "client/conn_pool.h"
 #include "client/metadata_service.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "net/connection.h"
 
 namespace dpfs::client {
-
-struct RemoteMetadataOptions {
-  /// How long a cached LookupFile record may serve before re-fetching.
-  /// Zero disables the cache: every lookup goes to the wire (strongest
-  /// consistency, highest latency).
-  std::chrono::milliseconds cache_ttl{250};
-};
 
 class RemoteMetadataManager final : public MetadataService {
  public:
   /// Dials the metadata server and verifies it answers a ping — connect
   /// failures surface here, not on the first namespace operation.
   static Result<std::unique_ptr<RemoteMetadataManager>> Connect(
-      const net::Endpoint& endpoint, RemoteMetadataOptions options = {});
+      const net::Endpoint& endpoint);
 
   Status RegisterServer(const ServerInfo& server) override;
   Status UnregisterServer(const std::string& name) override;
@@ -71,33 +57,20 @@ class RemoteMetadataManager final : public MetadataService {
   Result<std::string> FetchMetrics();
   Status Ping();
 
-  /// Drops every cached file record (or one path's) — for out-of-band
-  /// events such as a metad restart (LocalCluster::RestartMetad).
-  void InvalidateCache();
-  void InvalidateCache(const std::string& path);
-
   [[nodiscard]] const net::Endpoint& endpoint() const noexcept {
     return endpoint_;
   }
 
  private:
-  RemoteMetadataManager(net::Endpoint endpoint, RemoteMetadataOptions options)
-      : endpoint_(std::move(endpoint)), options_(options) {}
+  explicit RemoteMetadataManager(net::Endpoint endpoint)
+      : endpoint_(std::move(endpoint)) {}
 
   /// One RPC on a pooled connection. A kUnavailable outcome poisons the
   /// connection, so the next call dials afresh.
   Result<net::ReplyFrame> Call(net::MessageType type, ByteSpan body);
 
   net::Endpoint endpoint_;
-  RemoteMetadataOptions options_;
   ConnectionPool pool_;
-
-  struct CacheEntry {
-    FileRecord record;
-    std::chrono::steady_clock::time_point expires;
-  };
-  Mutex cache_mu_;
-  std::map<std::string, CacheEntry> cache_ DPFS_GUARDED_BY(cache_mu_);
 };
 
 }  // namespace dpfs::client

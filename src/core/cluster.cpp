@@ -12,6 +12,10 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
     return InvalidArgumentError(
         "performance vector must match num_servers or be empty");
   }
+  if (options.metadata_cache_ttl.count() != 0) {
+    return InvalidArgumentError(
+        "metadata_cache_ttl is retired: the client keeps no lookup cache");
+  }
 
   std::unique_ptr<LocalCluster> cluster(new LocalCluster());
   if (options.root_dir.empty()) {
@@ -35,16 +39,14 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
   cluster->max_sessions_ = options.max_sessions;
 
   if (options.start_metadata_service) {
-    client::RemoteMetadataOptions remote_options;
-    remote_options.cache_ttl = options.metadata_cache_ttl;
     metad::MetadOptions metad_options;
     metad_options.max_sessions = options.max_sessions;
     DPFS_ASSIGN_OR_RETURN(
         cluster->metad_,
         metad::MetadService::Start(cluster->db_, metad_options));
-    DPFS_ASSIGN_OR_RETURN(cluster->fs_,
-                          client::FileSystem::ConnectRemote(
-                              cluster->metad_->endpoint(), remote_options));
+    DPFS_ASSIGN_OR_RETURN(
+        cluster->fs_,
+        client::FileSystem::ConnectRemote(cluster->metad_->endpoint()));
   } else {
     DPFS_ASSIGN_OR_RETURN(cluster->fs_,
                           client::FileSystem::Connect(cluster->db_));
@@ -120,8 +122,6 @@ Status LocalCluster::RestartMetad() {
   options.max_sessions = max_sessions_;
   DPFS_ASSIGN_OR_RETURN(metad_,
                         metad::MetadService::Start(db_, options));
-  // Cached records may predate whatever interrupted the old incarnation.
-  if (fs_ != nullptr) fs_->remote_metadata()->InvalidateCache();
   return Status::Ok();
 }
 

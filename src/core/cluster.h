@@ -42,9 +42,10 @@ struct ClusterOptions {
   /// extension). Default off — embedded metadata, byte-identical to the
   /// paper's model.
   bool start_metadata_service = false;
-  /// LookupFile cache TTL with start_metadata_service; 0 disables the
-  /// cache. Ignored with embedded metadata.
-  std::chrono::milliseconds metadata_cache_ttl{250};
+  /// Retired: the client keeps no lookup cache. Start refuses any value
+  /// but 0 with kInvalidArgument; the field stays only for callers that
+  /// still set it to 0.
+  std::chrono::milliseconds metadata_cache_ttl{0};
 };
 
 class LocalCluster {

@@ -231,5 +231,62 @@ TEST_F(CollectiveTest, GridMismatchRejected) {
   EXPECT_FALSE(file->SetHpfViews(pattern, grid).ok());
 }
 
+TEST(CollectiveOpenTest, EveryRankGetsTheOneLookedUpRecord) {
+  // Through dpfs-metad an 8-rank open is one meta_lookup_file, and every
+  // rank addresses the file that lookup found: B opens the file, A removes
+  // and re-creates it, and the ranks B then opens write the new file.
+  constexpr std::uint32_t kRanks = 8;
+  constexpr std::uint64_t kDim = 64;
+  core::ClusterOptions options;
+  options.num_servers = 4;
+  options.start_metadata_service = true;
+  const auto cluster = core::LocalCluster::Start(std::move(options)).value();
+  const std::shared_ptr<FileSystem> a = cluster->fs();
+  const std::shared_ptr<FileSystem> b =
+      FileSystem::ConnectRemote(cluster->metad()->endpoint()).value();
+  CreateOptions create;
+  create.level = layout::FileLevel::kMultidim;
+  create.array_shape = {kDim, kDim};
+  create.brick_shape = {kDim / 4, kDim / 4};
+  ASSERT_TRUE(a->Create("/coll.dpfs", create).ok());
+  ASSERT_TRUE(b->Open("/coll.dpfs").ok());
+  ASSERT_TRUE(a->Remove("/coll.dpfs").ok());
+  FileHandle current = a->Create("/coll.dpfs", create).value();
+
+  const metrics::Counter& lookups =
+      metrics::GetCounter("metad.requests.meta_lookup_file");
+  const std::uint64_t lookups_before = lookups.value();
+  auto file = CollectiveFile::Open(b, "/coll.dpfs", kRanks).value();
+  EXPECT_EQ(lookups.value() - lookups_before, 1u);
+  EXPECT_EQ(file->meta().subfile, current.meta().subfile);
+
+  // (*,BLOCK): rank r holds columns [8r, 8r + 8) and fills them with r + 1.
+  layout::ProcessGrid grid;
+  grid.grid = {kRanks};
+  ASSERT_TRUE(
+      file->SetHpfViews(layout::HpfPattern::Parse("(*,BLOCK)").value(), grid)
+          .ok());
+  std::vector<Status> statuses(kRanks);
+  std::vector<std::thread> threads;
+  for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
+    threads.emplace_back([&, rank] {
+      const Bytes data(file->view(rank).value().num_elements(),
+                       static_cast<std::uint8_t>(rank + 1));
+      statuses[rank] = file->WriteAll(rank, data);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
+    EXPECT_TRUE(statuses[rank].ok()) << "rank " << rank;
+  }
+  Bytes read(kDim * kDim);
+  ASSERT_TRUE(a->ReadRegion(current, {{0, 0}, {kDim, kDim}}, read).ok());
+  std::size_t misplaced = 0;
+  for (std::uint64_t i = 0; i < kDim * kDim; ++i) {
+    misplaced += read[i] != (i % kDim) / (kDim / kRanks) + 1;
+  }
+  EXPECT_EQ(misplaced, 0u);
+}
+
 }  // namespace
 }  // namespace dpfs::client

@@ -144,17 +144,14 @@ TEST(RegistryTest, ServerTransportInstrumentsExposeWithCatalogKinds) {
 }
 
 TEST(RegistryTest, MetadataInstrumentsExposeWithCatalogKinds) {
-  // The metadb and client-cache instruments (docs/OBSERVABILITY.md): the
-  // database counts statements and times them, and the client's metadata
-  // record cache counts its hits and misses.
+  // The metadata instruments (docs/OBSERVABILITY.md): the metad counts each
+  // request by opcode, and the database counts statements and times them.
   Registry registry;
-  registry.GetCounter("client.metadata_cache.hits").Add(5);
-  registry.GetCounter("client.metadata_cache.misses").Add(2);
+  registry.GetCounter("metad.requests.meta_lookup_file").Add(5);
   registry.GetHistogram("metadb.execute_us").Observe(8);
   registry.GetCounter("metadb.statements").Add(4);
   EXPECT_EQ(registry.TextSnapshot(),
-            "counter client.metadata_cache.hits 5\n"
-            "counter client.metadata_cache.misses 2\n"
+            "counter metad.requests.meta_lookup_file 5\n"
             "histogram metadb.execute_us count=1 sum=8 p50=8 p95=8 "
             "p99=8 max=8\n"
             "counter metadb.statements 4\n");

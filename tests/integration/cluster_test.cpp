@@ -40,6 +40,20 @@ TEST(LocalClusterTest, ZeroServersRejected) {
   EXPECT_FALSE(LocalCluster::Start(std::move(options)).ok());
 }
 
+TEST(LocalClusterTest, RetiredLookupCacheTtlRejected) {
+  // The client keeps no lookup cache, so a TTL other than 0 is refused
+  // rather than ignored, with embedded metadata and with a metad.
+  for (const bool metad : {false, true}) {
+    ClusterOptions options;
+    options.num_servers = 1;
+    options.start_metadata_service = metad;
+    options.metadata_cache_ttl = std::chrono::milliseconds(250);
+    const auto cluster = LocalCluster::Start(std::move(options));
+    ASSERT_FALSE(cluster.ok()) << "metad " << metad;
+    EXPECT_EQ(cluster.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(LocalClusterTest, StopIsIdempotent) {
   ClusterOptions options;
   options.num_servers = 2;

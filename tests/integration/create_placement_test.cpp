@@ -78,7 +78,6 @@ class CreatePlacementTest : public ::testing::TestWithParam<bool> {
     // bricks (72 of 80 slots) cannot follow the greedy costs alone.
     options.capacity_bytes = 20 * kBrickBytes;
     options.start_metadata_service = GetParam();
-    options.metadata_cache_ttl = std::chrono::milliseconds(0);
     cluster_ = core::LocalCluster::Start(std::move(options)).value();
   }
 

@@ -1,0 +1,109 @@
+// Two clients of one namespace: an embedded pair (two FileSystem::Connect on
+// one Database) and a metad pair (two clients of one in-process dpfs-metad).
+// The client keeps no record cache, so every Open and LookupFile is the
+// database's answer at call time: once one client's remove, re-create or
+// chmod has committed, the other client's next call sees it, whichever way
+// the clients reach the metadata.
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "core/cluster.h"
+
+namespace dpfs {
+namespace {
+
+using client::CreateOptions;
+using client::FileHandle;
+using client::FileSystem;
+
+constexpr std::uint64_t kFileBytes = 4096;
+
+CreateOptions FourBricks() {
+  CreateOptions create;
+  create.total_bytes = kFileBytes;
+  create.brick_bytes = kFileBytes / 4;
+  return create;
+}
+
+/// How many of `read`'s bytes are `fill`.
+std::size_t CountOf(const Bytes& read, std::uint8_t fill) {
+  std::size_t count = 0;
+  for (const std::uint8_t byte : read) count += byte == fill;
+  return count;
+}
+
+/// Parameter: true = both clients talk to an in-process dpfs-metad, false =
+/// both attach the cluster's database.
+class CrossClientTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    core::ClusterOptions options;
+    options.num_servers = 4;
+    options.start_metadata_service = GetParam();
+    cluster_ = core::LocalCluster::Start(std::move(options)).value();
+    a_ = cluster_->fs();
+    b_ = GetParam()
+             ? FileSystem::ConnectRemote(cluster_->metad()->endpoint()).value()
+             : FileSystem::Connect(cluster_->db()).value();
+  }
+
+  /// Reads all of `handle`'s file through `fs`.
+  static Bytes ReadAll(FileSystem& fs, FileHandle& handle) {
+    Bytes read(kFileBytes);
+    EXPECT_TRUE(fs.ReadBytes(handle, 0, read).ok());
+    return read;
+  }
+
+  std::unique_ptr<core::LocalCluster> cluster_;
+  std::shared_ptr<FileSystem> a_;
+  std::shared_ptr<FileSystem> b_;
+};
+
+TEST_P(CrossClientTest, OpenAfterRemoveAndRecreateReachesTheNewFile) {
+  // B opens /f, A removes it and creates /f again. B's next Open must name
+  // the new file's subfiles: B reads the new bytes, and the write B is
+  // acknowledged is what A reads.
+  FileHandle first = a_->Create("/f", FourBricks()).value();
+  ASSERT_TRUE(a_->WriteBytes(first, 0, Bytes(kFileBytes, 0x11)).ok());
+  FileHandle before = b_->Open("/f").value();
+  ASSERT_EQ(CountOf(ReadAll(*b_, before), 0x11), kFileBytes);
+
+  ASSERT_TRUE(a_->Remove("/f").ok());
+  FileHandle second = a_->Create("/f", FourBricks()).value();
+  ASSERT_TRUE(a_->WriteBytes(second, 0, Bytes(kFileBytes, 0x22)).ok());
+
+  FileHandle after = b_->Open("/f").value();
+  EXPECT_EQ(after.meta().subfile, second.meta().subfile);
+  EXPECT_EQ(CountOf(ReadAll(*b_, after), 0x22), kFileBytes);
+  ASSERT_TRUE(b_->WriteBytes(after, 0, Bytes(kFileBytes, 0x33)).ok());
+  EXPECT_EQ(CountOf(ReadAll(*a_, second), 0x33), kFileBytes);
+}
+
+TEST_P(CrossClientTest, OpenAfterRemoveIsNotFound) {
+  ASSERT_TRUE(a_->Create("/gone", FourBricks()).ok());
+  ASSERT_TRUE(b_->Open("/gone").ok());
+  ASSERT_TRUE(a_->Remove("/gone").ok());
+  const Result<FileHandle> reopened = b_->Open("/gone");
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kNotFound);
+}
+
+TEST_P(CrossClientTest, ChmodIsSeenAtOnce) {
+  ASSERT_TRUE(a_->Create("/perm", FourBricks()).ok());
+  EXPECT_EQ(b_->metadata().LookupFile("/perm").value().meta.permission,
+            0644u);
+  ASSERT_TRUE(a_->metadata().SetPermission("/perm", 0600).ok());
+  EXPECT_EQ(b_->metadata().LookupFile("/perm").value().meta.permission,
+            0600u);
+  // The metadata service normalizes the path, so an alias opens the file.
+  EXPECT_EQ(b_->Open("//perm").value().meta().permission, 0600u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pairs, CrossClientTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Metad" : "Embedded";
+                         });
+
+}  // namespace
+}  // namespace dpfs

@@ -1,8 +1,11 @@
 // Fsck: metadata vs server-side reality, with orphan repair.
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "core/cluster.h"
 
 namespace dpfs {
@@ -20,6 +23,8 @@ class FsckTest : public ::testing::Test {
     cluster_ = core::LocalCluster::Start(std::move(options)).value();
     fs_ = cluster_->fs();
   }
+
+  void TearDown() override { failpoint::DisarmAll(); }
 
   FileHandle MakeFile(const std::string& path, std::uint64_t bytes) {
     CreateOptions create;
@@ -124,6 +129,35 @@ TEST_F(FsckTest, InterruptedDeleteLeavesOrphanThatFsckFinds) {
   ASSERT_EQ(report.orphans.size(), 1u);
   EXPECT_EQ(report.orphans[0].subfile, handle.meta().subfile);
   EXPECT_EQ(report.repaired, 1u);
+}
+
+TEST_F(FsckTest, RepairDuringAWriteKeepsTheFile) {
+  // A file created and written while fsck lists the servers is no orphan:
+  // a subfile exists only after its file's create committed, and fsck reads
+  // which subfiles the metadata names only after it listed every server.
+  // The first reply fsck waits for is held until the file is written.
+  failpoint::Spec hold;
+  hold.action = failpoint::Action::kDelay;
+  hold.arg = 300;
+  hold.count = 1;
+  failpoint::Arm("server.before_reply", hold);
+  Result<FileSystem::FsckReport> report = InternalError("fsck did not run");
+  std::thread fsck([&] { report = fs_->Fsck(/*repair=*/true); });
+  while (failpoint::HitCount("server.before_reply") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  constexpr std::uint64_t kBytes = 3 * 1024;  // 12 bricks on 3 servers
+  FileHandle live = MakeFile("/live", kBytes);
+  fsck.join();
+
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().orphans.empty())
+      << report.value().orphans.size() << " orphans";
+  EXPECT_EQ(report.value().repaired, 0u);
+  Bytes read(kBytes);
+  ASSERT_TRUE(fs_->ReadBytes(live, 0, read).ok());
+  const auto kept = std::count(read.begin(), read.end(), std::uint8_t{0x11});
+  EXPECT_EQ(static_cast<std::uint64_t>(kept), kBytes);
 }
 
 }  // namespace

