@@ -13,6 +13,7 @@ namespace {
 
 using dpfs::TempDir;
 using dpfs::metadb::Database;
+using dpfs::metadb::Transaction;
 
 void SeedServers(Database& db, int count) {
   (void)db.Execute(
@@ -82,14 +83,14 @@ void BM_FileCreateTransaction(benchmark::State& state) {
   std::int64_t next = 0;
   for (auto _ : state) {
     const std::string name = "'/f" + std::to_string(next++) + "'";
-    (void)db->Execute("BEGIN");
-    (void)db->Execute("INSERT INTO attr VALUES (" + name + ", 1048576)");
-    (void)db->Execute("INSERT INTO dist VALUES (" + name +
+    Transaction txn(*db);
+    (void)txn.Execute("INSERT INTO attr VALUES (" + name + ", 1048576)");
+    (void)txn.Execute("INSERT INTO dist VALUES (" + name +
                       ", 'node0', '0,4,8,12')");
-    (void)db->Execute("INSERT INTO dist VALUES (" + name +
+    (void)txn.Execute("INSERT INTO dist VALUES (" + name +
                       ", 'node1', '1,5,9,13')");
-    (void)db->Execute("UPDATE dir SET files = 'f' WHERE main_dir = '/'");
-    (void)db->Execute("COMMIT");
+    (void)txn.Execute("UPDATE dir SET files = 'f' WHERE main_dir = '/'");
+    benchmark::DoNotOptimize(txn.Commit());
   }
 }
 BENCHMARK(BM_FileCreateTransaction);

@@ -19,6 +19,13 @@ CollectiveMetrics& Metrics() {
   static CollectiveMetrics m;
   return m;
 }
+
+Status CheckRanks(std::uint32_t num_ranks) {
+  if (num_ranks == 0) {
+    return InvalidArgumentError("collective file needs at least one rank");
+  }
+  return Status::Ok();
+}
 }  // namespace
 
 CollectiveFile::CollectiveFile(std::shared_ptr<FileSystem> fs,
@@ -32,25 +39,30 @@ CollectiveFile::CollectiveFile(std::shared_ptr<FileSystem> fs,
 Result<std::unique_ptr<CollectiveFile>> CollectiveFile::Open(
     std::shared_ptr<FileSystem> fs, const std::string& path,
     std::uint32_t num_ranks) {
-  if (num_ranks == 0) {
-    return InvalidArgumentError("collective file needs at least one rank");
-  }
+  DPFS_RETURN_IF_ERROR(CheckRanks(num_ranks));
   // One lookup: every rank gets a copy of the same record, so no rank can
   // see another client's rename or remove that a peer did not.
   DPFS_ASSIGN_OR_RETURN(const FileHandle opened, fs->Open(path));
-  std::vector<FileHandle> handles(num_ranks, opened);
-  for (std::uint32_t rank = 0; rank < num_ranks; ++rank) {
-    handles[rank].client_id = rank;
-  }
-  return std::unique_ptr<CollectiveFile>(
-      new CollectiveFile(std::move(fs), std::move(handles)));
+  return ForRanks(std::move(fs), opened, num_ranks);
 }
 
 Result<std::unique_ptr<CollectiveFile>> CollectiveFile::Create(
     std::shared_ptr<FileSystem> fs, const std::string& path,
     const CreateOptions& options, std::uint32_t num_ranks) {
-  DPFS_RETURN_IF_ERROR(fs->Create(path, options).status());
-  return Open(std::move(fs), path, num_ranks);
+  DPFS_RETURN_IF_ERROR(CheckRanks(num_ranks));
+  DPFS_ASSIGN_OR_RETURN(const FileHandle created, fs->Create(path, options));
+  return ForRanks(std::move(fs), created, num_ranks);
+}
+
+std::unique_ptr<CollectiveFile> CollectiveFile::ForRanks(
+    std::shared_ptr<FileSystem> fs, const FileHandle& handle,
+    std::uint32_t num_ranks) {
+  std::vector<FileHandle> handles(num_ranks, handle);
+  for (std::uint32_t rank = 0; rank < num_ranks; ++rank) {
+    handles[rank].client_id = rank;
+  }
+  return std::unique_ptr<CollectiveFile>(
+      new CollectiveFile(std::move(fs), std::move(handles)));
 }
 
 Status CollectiveFile::SetView(std::uint32_t rank,

@@ -29,8 +29,8 @@ class CollectiveFile {
       std::shared_ptr<FileSystem> fs, const std::string& path,
       std::uint32_t num_ranks);
 
-  /// Creates the file first (the hint structure decides its level), then
-  /// opens it collectively.
+  /// Creates the file (the hint structure decides its level) and gives
+  /// every rank the created record; a zero `num_ranks` creates nothing.
   static Result<std::unique_ptr<CollectiveFile>> Create(
       std::shared_ptr<FileSystem> fs, const std::string& path,
       const CreateOptions& options, std::uint32_t num_ranks);
@@ -68,6 +68,12 @@ class CollectiveFile {
  private:
   CollectiveFile(std::shared_ptr<FileSystem> fs,
                  std::vector<FileHandle> handles);
+
+  /// The collective file whose `num_ranks` ranks each hold a copy of
+  /// `handle` with client_id = rank.
+  static std::unique_ptr<CollectiveFile> ForRanks(
+      std::shared_ptr<FileSystem> fs, const FileHandle& handle,
+      std::uint32_t num_ranks);
 
   Status Transfer(std::uint32_t rank, ByteSpan write_data,
                   MutableByteSpan read_buffer, const IoOptions& options);

@@ -240,12 +240,20 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
 
   // Expected subfile names: each file's subfile id, plus
   // "<subfile>#r<rank>" for each replica distribution row
-  // (docs/REPLICATION.md).
-  metadb::Database& db = embedded_->db();
+  // (docs/REPLICATION.md). Both tables are read in one read transaction: a
+  // rename committed between two reads would leave a replica row's file
+  // unmatched, and the repair would delete that live replica subfile.
+  metadb::ResultSet attr;
+  metadb::ResultSet dist;
+  {
+    const metadb::ReadTransaction read(embedded_->db());
+    DPFS_ASSIGN_OR_RETURN(
+        attr, read.Execute("SELECT filename, subfile FROM DPFS_FILE_ATTR"));
+    DPFS_ASSIGN_OR_RETURN(
+        dist,
+        read.Execute("SELECT filename, replica FROM DPFS_FILE_DISTRIBUTION"));
+  }
   std::set<std::string> expected;
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet attr,
-      db.Execute("SELECT filename, subfile FROM DPFS_FILE_ATTR"));
   std::map<std::string, std::string> subfiles;  // filename -> subfile id
   for (std::size_t row = 0; row < attr.size(); ++row) {
     DPFS_ASSIGN_OR_RETURN(std::string name, attr.GetText(row, "filename"));
@@ -254,9 +262,6 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
     subfiles.emplace(std::move(name), std::move(subfile));
   }
   report.files_checked = attr.size();
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet dist,
-      db.Execute("SELECT filename, replica FROM DPFS_FILE_DISTRIBUTION"));
   for (std::size_t row = 0; row < dist.size(); ++row) {
     DPFS_ASSIGN_OR_RETURN(const std::int64_t rank,
                           dist.GetInt(row, "replica"));

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <utility>
 
 #include "common/strings.h"
@@ -106,41 +107,43 @@ const HotStatements& Hot() {
   return hot;
 }
 
-Result<metadb::ResultSet> SelectEq(metadb::Database& db,
-                                   const metadb::SelectStmt& tpl,
+// Statement helpers. Each runs through `scope`: the operation's
+// metadb::Transaction or metadb::ReadTransaction when it runs several
+// statements, or the metadb::Database itself when it runs one.
+
+template <typename Scope>
+Result<metadb::ResultSet> SelectEq(Scope& scope, const metadb::SelectStmt& tpl,
                                    const metadb::ExprPtr& column,
                                    std::string_view key) {
   metadb::SelectStmt stmt = tpl;
   stmt.where = metadb::MakeCompare(metadb::CompareOp::kEq, column,
                                    metadb::MakeLiteral(std::string(key)));
-  return db.ExecuteStatement(std::move(stmt));
+  return scope.ExecuteStatement(std::move(stmt));
 }
 
-Result<metadb::ResultSet> SelectAll(metadb::Database& db,
-                                    const metadb::SelectStmt& tpl) {
-  return db.ExecuteStatement(tpl);
-}
-
-Status InsertRow(metadb::Database& db, const char* table,
+template <typename Scope>
+Status InsertRow(Scope& scope, const char* table,
                  std::vector<metadb::Value> row) {
   metadb::InsertStmt stmt;
   stmt.table = table;
   stmt.rows.push_back(std::move(row));
-  return db.ExecuteStatement(std::move(stmt)).status();
+  return scope.ExecuteStatement(std::move(stmt)).status();
 }
 
-Result<metadb::ResultSet> DeleteEq(metadb::Database& db, const char* table,
+template <typename Scope>
+Result<metadb::ResultSet> DeleteEq(Scope& scope, const char* table,
                                    const metadb::ExprPtr& column,
                                    std::string_view key) {
   metadb::DeleteStmt stmt;
   stmt.table = table;
   stmt.where = metadb::MakeCompare(metadb::CompareOp::kEq, column,
                                    metadb::MakeLiteral(std::string(key)));
-  return db.ExecuteStatement(std::move(stmt));
+  return scope.ExecuteStatement(std::move(stmt));
 }
 
+template <typename Scope>
 Result<metadb::ResultSet> UpdateEq(
-    metadb::Database& db, const char* table,
+    Scope& scope, const char* table,
     std::vector<std::pair<std::string, metadb::Value>> assignments,
     const metadb::ExprPtr& column, std::string_view key) {
   metadb::UpdateStmt stmt;
@@ -148,31 +151,8 @@ Result<metadb::ResultSet> UpdateEq(
   stmt.assignments = std::move(assignments);
   stmt.where = metadb::MakeCompare(metadb::CompareOp::kEq, column,
                                    metadb::MakeLiteral(std::string(key)));
-  return db.ExecuteStatement(std::move(stmt));
+  return scope.ExecuteStatement(std::move(stmt));
 }
-
-/// RAII transaction guard: rolls back unless Commit() succeeded.
-class Transaction {
- public:
-  explicit Transaction(metadb::Database& db) : db_(db) {}
-  Status Begin() {
-    return db_.ExecuteStatement(metadb::BeginStmt{}).status();
-  }
-  Status Commit() {
-    committed_ = true;
-    return db_.ExecuteStatement(metadb::CommitStmt{}).status();
-  }
-  ~Transaction() {
-    // dpfs:unchecked(destructor rollback on the error path: the statement
-    // failure already propagated; rollback of an open txn cannot fail in
-    // metadb and a throw/return is impossible here anyway)
-    if (!committed_) (void)db_.ExecuteStatement(metadb::RollbackStmt{});
-  }
-
- private:
-  metadb::Database& db_;
-  bool committed_ = false;
-};
 
 Result<ServerInfo> ServerFromRow(const metadb::ResultSet& result,
                                  std::size_t row) {
@@ -191,9 +171,10 @@ Result<ServerInfo> ServerFromRow(const metadb::ResultSet& result,
 }
 
 /// Every registered server, in name order: one SELECT of the server table.
-Result<std::vector<ServerInfo>> AllServers(metadb::Database& db) {
+template <typename Scope>
+Result<std::vector<ServerInfo>> AllServers(Scope& scope) {
   DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet result,
-                        SelectAll(db, Hot().servers_ordered));
+                        scope.ExecuteStatement(Hot().servers_ordered));
   std::vector<ServerInfo> servers;
   servers.reserve(result.size());
   for (std::size_t row = 0; row < result.size(); ++row) {
@@ -217,129 +198,33 @@ Result<std::string> NewSubfileId() {
   return std::string(id);
 }
 
-}  // namespace
-
-Result<layout::BrickMap> FileMeta::MakeBrickMap() const {
-  switch (level) {
-    case layout::FileLevel::kLinear:
-      if (!array_shape.empty()) {
-        return layout::BrickMap::LinearArray(array_shape, element_size,
-                                             brick_bytes);
-      }
-      return layout::BrickMap::Linear(size_bytes, brick_bytes);
-    case layout::FileLevel::kMultidim:
-      return layout::BrickMap::Multidim(array_shape, brick_shape,
-                                        element_size);
-    case layout::FileLevel::kArray: {
-      if (!pattern.has_value()) {
-        return InternalError("array-level file missing HPF pattern");
-      }
-      layout::ProcessGrid grid;
-      grid.grid = chunk_grid;
-      return layout::BrickMap::Array(array_shape, *pattern, grid,
-                                     element_size);
-    }
-  }
-  return InternalError("bad file level in metadata");
-}
-
-// ---------------------------------------------------------------------------
-// Attach / schema
-
-Result<std::unique_ptr<MetadataManager>> MetadataManager::Attach(
-    std::shared_ptr<metadb::Database> db) {
-  std::unique_ptr<MetadataManager> manager(new MetadataManager(db));
-  DPFS_RETURN_IF_ERROR(manager->EnsureTables());
-  // Pre-replication rows become replica rank 0.
-  DPFS_RETURN_IF_ERROR(manager->WidenTable(
-      kDistTable, "replica", kDistDdl, [](const metadb::Row&) {
-        return metadb::Value(static_cast<std::int64_t>(0));
-      }));
-  // Files from before subfile ids keep their path-named subfiles: the id is
-  // the filename, and no server is touched.
-  DPFS_RETURN_IF_ERROR(manager->WidenTable(
-      kAttrTable, "subfile", kAttrDdl,
-      [](const metadb::Row& row) { return row[0]; }));
-  if (db->HasTable("DPFS_ACCESS_LOG")) {
-    DPFS_RETURN_IF_ERROR(db->Execute("DROP TABLE DPFS_ACCESS_LOG").status());
-  }
-  // Distribution rows are keyed by filename (one row per server per file);
-  // index them so DPFS-Open's lookup is a probe, not a scan.
-  DPFS_RETURN_IF_ERROR(db->CreateIndex(kDistTable, "filename"));
-  return manager;
-}
-
-Status MetadataManager::EnsureTables() {
-  static constexpr const char* kDdl[] = {
-      "CREATE TABLE IF NOT EXISTS DPFS_SERVER ("
-      "  server_name TEXT PRIMARY KEY, host TEXT, port INT,"
-      "  capacity INT, performance INT)",
-      kDistDdl,
-      "CREATE TABLE IF NOT EXISTS DPFS_DIRECTORY ("
-      "  main_dir TEXT PRIMARY KEY, sub_dirs TEXT, files TEXT)",
-      kAttrDdl,
-  };
-  for (const char* ddl : kDdl) {
-    DPFS_RETURN_IF_ERROR(db_->Execute(ddl).status());
-  }
-
-  // The root directory always exists.
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet root,
-      SelectEq(*db_, Hot().dir_exists, Hot().main_dir_col, "/"));
-  if (root.empty()) {
-    DPFS_RETURN_IF_ERROR(InsertRow(*db_, kDirTable, {"/", "", ""}));
-  }
-  return Status::Ok();
-}
-
-Status MetadataManager::WidenTable(
-    const char* table, std::string_view column, const char* ddl,
-    const std::function<metadb::Value(const metadb::Row&)>& fill) {
-  DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet probe,
-                        SelectAll(*db_, MakeSelect(table, {})));
-  for (const std::string& name : probe.columns) {
-    if (EqualsIgnoreCase(name, column)) return Status::Ok();
-  }
-  // DDL participates in transactions (undo restores the dropped table), so
-  // a crash mid-upgrade leaves the old schema intact.
-  Transaction txn(*db_);
-  DPFS_RETURN_IF_ERROR(txn.Begin());
-  DPFS_RETURN_IF_ERROR(
-      db_->Execute(std::string("DROP TABLE ") + table).status());
-  DPFS_RETURN_IF_ERROR(db_->Execute(ddl).status());
-  for (const metadb::Row& row : probe.rows) {
-    std::vector<metadb::Value> widened = row;
-    widened.push_back(fill(row));
-    DPFS_RETURN_IF_ERROR(InsertRow(*db_, table, std::move(widened)));
-  }
-  return txn.Commit();
-}
-
-// ---------------------------------------------------------------------------
-// Locked helpers
-
-Result<bool> MetadataManager::HasFile(const std::string& path) {
+// Each takes a normalized path.
+template <typename Scope>
+Result<bool> HasFile(Scope& scope, const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet result,
-      SelectEq(*db_, Hot().attr_exists, Hot().filename_col, path));
+      SelectEq(scope, Hot().attr_exists, Hot().filename_col, path));
   return !result.empty();
 }
 
-Result<bool> MetadataManager::HasDirectory(const std::string& path) {
+template <typename Scope>
+Result<bool> HasDirectory(Scope& scope, const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet result,
-      SelectEq(*db_, Hot().dir_exists, Hot().main_dir_col, path));
+      SelectEq(scope, Hot().dir_exists, Hot().main_dir_col, path));
   return !result.empty();
 }
 
-Status MetadataManager::LinkName(const std::string& dir,
-                                 const std::string& name, bool file) {
+/// Directory-list edits: link is add-if-absent, unlink is
+/// remove-if-present; a missing directory row is a no-op. `file` selects
+/// the files vs sub_dirs column.
+Status LinkName(metadb::Transaction& txn, const std::string& dir,
+                const std::string& name, bool file) {
   const HotStatements& hot = Hot();
   const char* column = file ? "files" : "sub_dirs";
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet row,
-      SelectEq(*db_, file ? hot.dir_files : hot.dir_subdirs, hot.main_dir_col,
+      SelectEq(txn, file ? hot.dir_files : hot.dir_subdirs, hot.main_dir_col,
                dir));
   if (row.empty()) return Status::Ok();
   DPFS_ASSIGN_OR_RETURN(const std::string list, row.GetText(0, column));
@@ -348,18 +233,18 @@ Status MetadataManager::LinkName(const std::string& dir,
     return Status::Ok();
   }
   names.push_back(name);
-  return UpdateEq(*db_, kDirTable, {{column, EncodeNameList(names)}},
+  return UpdateEq(txn, kDirTable, {{column, EncodeNameList(names)}},
                   hot.main_dir_col, dir)
       .status();
 }
 
-Status MetadataManager::UnlinkName(const std::string& dir,
-                                   const std::string& name, bool file) {
+Status UnlinkName(metadb::Transaction& txn, const std::string& dir,
+                  const std::string& name, bool file) {
   const HotStatements& hot = Hot();
   const char* column = file ? "files" : "sub_dirs";
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet row,
-      SelectEq(*db_, file ? hot.dir_files : hot.dir_subdirs, hot.main_dir_col,
+      SelectEq(txn, file ? hot.dir_files : hot.dir_subdirs, hot.main_dir_col,
                dir));
   if (row.empty()) return Status::Ok();
   DPFS_ASSIGN_OR_RETURN(const std::string list, row.GetText(0, column));
@@ -367,245 +252,18 @@ Status MetadataManager::UnlinkName(const std::string& dir,
   const auto end = std::remove(names.begin(), names.end(), name);
   if (end == names.end()) return Status::Ok();
   names.erase(end, names.end());
-  return UpdateEq(*db_, kDirTable, {{column, EncodeNameList(names)}},
+  return UpdateEq(txn, kDirTable, {{column, EncodeNameList(names)}},
                   hot.main_dir_col, dir)
       .status();
 }
 
-// ---------------------------------------------------------------------------
-// Servers
-
-Status MetadataManager::RegisterServer(const ServerInfo& server) {
-  WriterMutexLock lock(mu_);
-  // A duplicate name is a primary-key error.
-  return InsertRow(*db_, kServerTable,
-                   {server.name, server.endpoint.host,
-                    static_cast<std::int64_t>(server.endpoint.port),
-                    static_cast<std::int64_t>(server.capacity_bytes),
-                    static_cast<std::int64_t>(server.performance)});
-}
-
-Status MetadataManager::UnregisterServer(const std::string& name) {
-  WriterMutexLock lock(mu_);
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet result,
-      DeleteEq(*db_, kServerTable, Hot().server_name_col, name));
-  if (result.affected_rows == 0) {
-    return NotFoundError("no server '" + name + "'");
-  }
-  return Status::Ok();
-}
-
-Result<std::vector<ServerInfo>> MetadataManager::ListServers() {
-  ReaderMutexLock lock(mu_);
-  return AllServers(*db_);
-}
-
-// ---------------------------------------------------------------------------
-// Directories
-
-Result<bool> MetadataManager::DirectoryExists(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  ReaderMutexLock lock(mu_);
-  return HasDirectory(normalized);
-}
-
-Result<bool> MetadataManager::FileExists(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  ReaderMutexLock lock(mu_);
-  return HasFile(normalized);
-}
-
-Status MetadataManager::MakeDirectory(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  if (normalized == "/") return AlreadyExistsError("'/' already exists");
-  const auto [parent, name] = SplitPath(normalized);
-  WriterMutexLock lock(mu_);
-
-  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(parent));
-  if (!parent_exists) {
-    return NotFoundError("parent directory '" + parent + "' does not exist");
-  }
-  DPFS_ASSIGN_OR_RETURN(const bool exists, HasDirectory(normalized));
-  if (exists) {
-    return AlreadyExistsError("directory '" + normalized + "' exists");
-  }
-  DPFS_ASSIGN_OR_RETURN(const bool file_exists, HasFile(normalized));
-  if (file_exists) {
-    return AlreadyExistsError("'" + normalized + "' exists as a file");
-  }
-
-  // §5: update the parent row's sub-dirs and insert a new row.
-  Transaction txn(*db_);
-  DPFS_RETURN_IF_ERROR(txn.Begin());
-  DPFS_RETURN_IF_ERROR(LinkName(parent, name, false));
-  DPFS_RETURN_IF_ERROR(InsertRow(*db_, kDirTable, {normalized, "", ""}));
-  return txn.Commit();
-}
-
-Result<MetadataManager::Listing> MetadataManager::ListDirectory(
-    const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  ReaderMutexLock lock(mu_);
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet result,
-      SelectEq(*db_, Hot().dir_lists, Hot().main_dir_col, normalized));
-  if (result.empty()) {
-    return NotFoundError("no such directory '" + normalized + "'");
-  }
-  Listing listing;
-  DPFS_ASSIGN_OR_RETURN(const std::string sub_dirs,
-                        result.GetText(0, "sub_dirs"));
-  DPFS_ASSIGN_OR_RETURN(const std::string files, result.GetText(0, "files"));
-  listing.directories = DecodeNameList(sub_dirs);
-  listing.files = DecodeNameList(files);
-  std::sort(listing.directories.begin(), listing.directories.end());
-  std::sort(listing.files.begin(), listing.files.end());
-  return listing;
-}
-
-Status MetadataManager::RemoveDirectory(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  if (normalized == "/") {
-    return InvalidArgumentError("cannot remove the root directory");
-  }
-  const auto [parent, name] = SplitPath(normalized);
-  WriterMutexLock lock(mu_);
-
-  // The directory must exist and be empty.
-  DPFS_ASSIGN_OR_RETURN(
-      const metadb::ResultSet row,
-      SelectEq(*db_, Hot().dir_lists, Hot().main_dir_col, normalized));
-  if (row.empty()) {
-    return NotFoundError("no such directory '" + normalized + "'");
-  }
-  DPFS_ASSIGN_OR_RETURN(const std::string sub_dirs,
-                        row.GetText(0, "sub_dirs"));
-  DPFS_ASSIGN_OR_RETURN(const std::string files, row.GetText(0, "files"));
-  if (!DecodeNameList(sub_dirs).empty() || !DecodeNameList(files).empty()) {
-    return InvalidArgumentError("directory '" + normalized +
-                                "' is not empty");
-  }
-
-  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(parent));
-  if (!parent_exists) {
-    return InternalError("parent row missing for '" + normalized + "'");
-  }
-
-  Transaction txn(*db_);
-  DPFS_RETURN_IF_ERROR(txn.Begin());
-  DPFS_RETURN_IF_ERROR(UnlinkName(parent, name, false));
-  DPFS_RETURN_IF_ERROR(
-      DeleteEq(*db_, kDirTable, Hot().main_dir_col, normalized).status());
-  return txn.Commit();
-}
-
-// ---------------------------------------------------------------------------
-// Files
-
-Result<FileRecord> MetadataManager::CreateFile(const FileMeta& meta,
-                                               const PlacementHints& hints) {
-  FileRecord record;
-  record.meta = meta;
-  DPFS_ASSIGN_OR_RETURN(record.meta.path, NormalizePath(meta.path));
-  const std::string& normalized = record.meta.path;
-  const auto [parent, name] = SplitPath(normalized);
-  if (name.empty()) return InvalidArgumentError("file path must name a file");
-  DPFS_ASSIGN_OR_RETURN(const layout::BrickMap map, meta.MakeBrickMap());
-  // Every rank's bricklist must fit in the one file_record reply LookupFile
-  // sends: a brick id below this bound and its comma take at most 10 bytes.
-  const std::uint64_t ranks = std::max(hints.replication.factor, 1u);
-  if (map.num_bricks() > net::kMaxFrameBytes / 10 / ranks) {
-    return InvalidArgumentError(
-        "file of " + std::to_string(map.num_bricks()) + " bricks x " +
-        std::to_string(ranks) + " ranks: its bricklists exceed one frame");
-  }
-  WriterMutexLock lock(mu_);
-
-  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(parent));
-  if (!parent_exists) {
-    return NotFoundError("parent directory '" + parent + "' does not exist");
-  }
-  DPFS_ASSIGN_OR_RETURN(const bool exists, HasFile(normalized));
-  if (exists) {
-    return AlreadyExistsError("file '" + normalized + "' exists");
-  }
-
-  // §4.1: the placement reads each server's performance number (and, for
-  // kCapacityAware, how many whole bricks its advertised capacity holds).
-  DPFS_ASSIGN_OR_RETURN(record.servers, AllServers(*db_));
-  if (record.servers.empty()) {
-    return UnavailableError("no I/O servers registered in DPFS_SERVER");
-  }
-  if (hints.suggested_io_nodes > 0 &&
-      hints.suggested_io_nodes < record.servers.size()) {
-    record.servers.resize(hints.suggested_io_nodes);
-  }
-  DPFS_ASSIGN_OR_RETURN(record.meta.subfile, NewSubfileId());
-  std::vector<std::uint32_t> performance;
-  std::vector<std::uint64_t> capacity_bricks;
-  for (const ServerInfo& server : record.servers) {
-    performance.push_back(server.performance);
-    capacity_bricks.push_back(server.capacity_bytes / map.brick_bytes());
-  }
-  DPFS_ASSIGN_OR_RETURN(
-      const layout::ReplicatedDistribution placed,
-      layout::ReplicatedDistribution::Create(hints.policy, map.num_bricks(),
-                                             performance, hints.replication,
-                                             capacity_bricks));
-  record.distribution = placed.primary();
-  record.replicas.assign(placed.ranks().begin() + 1, placed.ranks().end());
-
-  std::vector<metadb::Value> attr_row = {
-      normalized,
-      meta.owner,
-      static_cast<std::int64_t>(meta.permission),
-      static_cast<std::int64_t>(meta.size_bytes),
-      std::string(layout::FileLevelName(meta.level)),
-      static_cast<std::int64_t>(meta.element_size),
-      static_cast<std::int64_t>(meta.array_shape.size()),
-      EncodeShape(meta.array_shape),
-      static_cast<std::int64_t>(meta.brick_bytes),
-      EncodeShape(meta.brick_shape),
-      meta.pattern.has_value() ? metadb::Value(meta.pattern->ToString())
-                               : metadb::Value::Null(),
-      EncodeShape(meta.chunk_grid),
-      record.meta.subfile};
-
-  // §5: the attribute row, one distribution row per (server, rank), and the
-  // parent directory's link commit as one transaction.
-  Transaction txn(*db_);
-  DPFS_RETURN_IF_ERROR(txn.Begin());
-  DPFS_RETURN_IF_ERROR(InsertRow(*db_, kAttrTable, std::move(attr_row)));
-  for (std::uint32_t rank = 0; rank < record.replication(); ++rank) {
-    const layout::BrickDistribution& rank_dist =
-        record.rank_distribution(rank);
-    for (std::uint32_t server = 0; server < rank_dist.num_servers();
-         ++server) {
-      DPFS_RETURN_IF_ERROR(InsertRow(
-          *db_, kDistTable,
-          {normalized, record.servers[server].name,
-           static_cast<std::int64_t>(server),
-           layout::BrickDistribution::EncodeBrickList(
-               rank_dist.bricks_on(server)),
-           static_cast<std::int64_t>(rank)}));
-    }
-  }
-  DPFS_RETURN_IF_ERROR(LinkName(parent, name, true));
-  DPFS_RETURN_IF_ERROR(txn.Commit());
-  return record;
-}
-
-Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {
-  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  ReaderMutexLock lock(mu_);
-  return LookupFileLocked(normalized);
-}
-
-Result<FileRecord> MetadataManager::LookupFileLocked(const std::string& path) {
+/// The file's record at `path` (normalized): its attribute row, its
+/// distribution rows and one read of the server table, all through `scope`.
+template <typename Scope>
+Result<FileRecord> ReadRecord(Scope& scope, const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet attr,
-      SelectEq(*db_, Hot().attr_all, Hot().filename_col, path));
+      SelectEq(scope, Hot().attr_all, Hot().filename_col, path));
   if (attr.empty()) {
     return NotFoundError("no such file '" + path + "'");
   }
@@ -646,7 +304,7 @@ Result<FileRecord> MetadataManager::LookupFileLocked(const std::string& path) {
   // Distribution rows, ordered by server_index.
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet dist,
-      SelectEq(*db_, Hot().dist_by_file, Hot().filename_col, path));
+      SelectEq(scope, Hot().dist_by_file, Hot().filename_col, path));
   if (dist.empty()) {
     return DataLossError("file '" + path + "' has no distribution rows");
   }
@@ -671,7 +329,7 @@ Result<FileRecord> MetadataManager::LookupFileLocked(const std::string& path) {
   record.servers.resize(num_servers);
   // One read of the server table serves every rank-0 row's name.
   DPFS_ASSIGN_OR_RETURN(const std::vector<ServerInfo> registered,
-                        AllServers(*db_));
+                        AllServers(scope));
   for (std::size_t row = 0; row < dist.size(); ++row) {
     DPFS_ASSIGN_OR_RETURN(const std::int64_t index,
                           dist.GetInt(row, "server_index"));
@@ -714,10 +372,325 @@ Result<FileRecord> MetadataManager::LookupFileLocked(const std::string& path) {
   return record;
 }
 
+Status EnsureTables(metadb::Transaction& txn) {
+  static constexpr const char* kDdl[] = {
+      "CREATE TABLE IF NOT EXISTS DPFS_SERVER ("
+      "  server_name TEXT PRIMARY KEY, host TEXT, port INT,"
+      "  capacity INT, performance INT)",
+      kDistDdl,
+      "CREATE TABLE IF NOT EXISTS DPFS_DIRECTORY ("
+      "  main_dir TEXT PRIMARY KEY, sub_dirs TEXT, files TEXT)",
+      kAttrDdl,
+  };
+  for (const char* ddl : kDdl) {
+    DPFS_RETURN_IF_ERROR(txn.Execute(ddl).status());
+  }
+  // The root directory always exists.
+  DPFS_ASSIGN_OR_RETURN(const bool root_exists, HasDirectory(txn, "/"));
+  if (root_exists) return Status::Ok();
+  return InsertRow(txn, kDirTable, {"/", "", ""});
+}
+
+/// Adds `column` as the last column of `table` unless it is already there;
+/// each existing row gets fill(row). metadb has no ALTER TABLE, so this is a
+/// read, drop, recreate from `ddl` and re-insert inside `txn`. DDL takes
+/// part in transactions (undo restores the dropped table), so a crash
+/// mid-upgrade leaves the old schema intact.
+Status WidenTable(
+    metadb::Transaction& txn, const char* table, std::string_view column,
+    const char* ddl,
+    const std::function<metadb::Value(const metadb::Row&)>& fill) {
+  DPFS_ASSIGN_OR_RETURN(const metadb::ResultSet probe,
+                        txn.ExecuteStatement(MakeSelect(table, {})));
+  for (const std::string& name : probe.columns) {
+    if (EqualsIgnoreCase(name, column)) return Status::Ok();
+  }
+  DPFS_RETURN_IF_ERROR(
+      txn.Execute(std::string("DROP TABLE ") + table).status());
+  DPFS_RETURN_IF_ERROR(txn.Execute(ddl).status());
+  for (const metadb::Row& row : probe.rows) {
+    std::vector<metadb::Value> widened = row;
+    widened.push_back(fill(row));
+    DPFS_RETURN_IF_ERROR(InsertRow(txn, table, std::move(widened)));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<layout::BrickMap> FileMeta::MakeBrickMap() const {
+  switch (level) {
+    case layout::FileLevel::kLinear:
+      if (!array_shape.empty()) {
+        return layout::BrickMap::LinearArray(array_shape, element_size,
+                                             brick_bytes);
+      }
+      return layout::BrickMap::Linear(size_bytes, brick_bytes);
+    case layout::FileLevel::kMultidim:
+      return layout::BrickMap::Multidim(array_shape, brick_shape,
+                                        element_size);
+    case layout::FileLevel::kArray: {
+      if (!pattern.has_value()) {
+        return InternalError("array-level file missing HPF pattern");
+      }
+      layout::ProcessGrid grid;
+      grid.grid = chunk_grid;
+      return layout::BrickMap::Array(array_shape, *pattern, grid,
+                                     element_size);
+    }
+  }
+  return InternalError("bad file level in metadata");
+}
+
+// ---------------------------------------------------------------------------
+// Attach
+
+Result<std::unique_ptr<MetadataManager>> MetadataManager::Attach(
+    std::shared_ptr<metadb::Database> db) {
+  {
+    metadb::Transaction txn(*db);
+    DPFS_RETURN_IF_ERROR(EnsureTables(txn));
+    // Pre-replication rows become replica rank 0.
+    DPFS_RETURN_IF_ERROR(WidenTable(
+        txn, kDistTable, "replica", kDistDdl, [](const metadb::Row&) {
+          return metadb::Value(static_cast<std::int64_t>(0));
+        }));
+    // Files from before subfile ids keep their path-named subfiles: the id
+    // is the filename, and no server is touched.
+    DPFS_RETURN_IF_ERROR(
+        WidenTable(txn, kAttrTable, "subfile", kAttrDdl,
+                   [](const metadb::Row& row) { return row[0]; }));
+    DPFS_RETURN_IF_ERROR(
+        txn.Execute("DROP TABLE IF EXISTS DPFS_ACCESS_LOG").status());
+    DPFS_RETURN_IF_ERROR(txn.Commit());
+  }
+  // Distribution rows are keyed by filename (one row per server per file);
+  // index them so DPFS-Open's lookup is a probe, not a scan.
+  DPFS_RETURN_IF_ERROR(db->CreateIndex(kDistTable, "filename"));
+  return std::unique_ptr<MetadataManager>(new MetadataManager(std::move(db)));
+}
+
+// ---------------------------------------------------------------------------
+// Servers
+
+Status MetadataManager::RegisterServer(const ServerInfo& server) {
+  // A duplicate name is a primary-key error.
+  return InsertRow(*db_, kServerTable,
+                   {server.name, server.endpoint.host,
+                    static_cast<std::int64_t>(server.endpoint.port),
+                    static_cast<std::int64_t>(server.capacity_bytes),
+                    static_cast<std::int64_t>(server.performance)});
+}
+
+Status MetadataManager::UnregisterServer(const std::string& name) {
+  DPFS_ASSIGN_OR_RETURN(
+      const metadb::ResultSet result,
+      DeleteEq(*db_, kServerTable, Hot().server_name_col, name));
+  if (result.affected_rows == 0) {
+    return NotFoundError("no server '" + name + "'");
+  }
+  return Status::Ok();
+}
+
+Result<std::vector<ServerInfo>> MetadataManager::ListServers() {
+  return AllServers(*db_);
+}
+
+// ---------------------------------------------------------------------------
+// Directories
+
+Result<bool> MetadataManager::DirectoryExists(const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
+  return HasDirectory(*db_, normalized);
+}
+
+Result<bool> MetadataManager::FileExists(const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
+  return HasFile(*db_, normalized);
+}
+
+Status MetadataManager::MakeDirectory(const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
+  if (normalized == "/") return AlreadyExistsError("'/' already exists");
+  const auto [parent, name] = SplitPath(normalized);
+  metadb::Transaction txn(*db_);
+
+  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(txn, parent));
+  if (!parent_exists) {
+    return NotFoundError("parent directory '" + parent + "' does not exist");
+  }
+  DPFS_ASSIGN_OR_RETURN(const bool exists, HasDirectory(txn, normalized));
+  if (exists) {
+    return AlreadyExistsError("directory '" + normalized + "' exists");
+  }
+  DPFS_ASSIGN_OR_RETURN(const bool file_exists, HasFile(txn, normalized));
+  if (file_exists) {
+    return AlreadyExistsError("'" + normalized + "' exists as a file");
+  }
+
+  // §5: update the parent row's sub-dirs and insert a new row.
+  DPFS_RETURN_IF_ERROR(LinkName(txn, parent, name, false));
+  DPFS_RETURN_IF_ERROR(InsertRow(txn, kDirTable, {normalized, "", ""}));
+  return txn.Commit();
+}
+
+Result<MetadataManager::Listing> MetadataManager::ListDirectory(
+    const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
+  DPFS_ASSIGN_OR_RETURN(
+      const metadb::ResultSet result,
+      SelectEq(*db_, Hot().dir_lists, Hot().main_dir_col, normalized));
+  if (result.empty()) {
+    return NotFoundError("no such directory '" + normalized + "'");
+  }
+  Listing listing;
+  DPFS_ASSIGN_OR_RETURN(const std::string sub_dirs,
+                        result.GetText(0, "sub_dirs"));
+  DPFS_ASSIGN_OR_RETURN(const std::string files, result.GetText(0, "files"));
+  listing.directories = DecodeNameList(sub_dirs);
+  listing.files = DecodeNameList(files);
+  std::sort(listing.directories.begin(), listing.directories.end());
+  std::sort(listing.files.begin(), listing.files.end());
+  return listing;
+}
+
+Status MetadataManager::RemoveDirectory(const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
+  if (normalized == "/") {
+    return InvalidArgumentError("cannot remove the root directory");
+  }
+  const auto [parent, name] = SplitPath(normalized);
+  metadb::Transaction txn(*db_);
+
+  // The directory must exist and be empty.
+  DPFS_ASSIGN_OR_RETURN(
+      const metadb::ResultSet row,
+      SelectEq(txn, Hot().dir_lists, Hot().main_dir_col, normalized));
+  if (row.empty()) {
+    return NotFoundError("no such directory '" + normalized + "'");
+  }
+  DPFS_ASSIGN_OR_RETURN(const std::string sub_dirs,
+                        row.GetText(0, "sub_dirs"));
+  DPFS_ASSIGN_OR_RETURN(const std::string files, row.GetText(0, "files"));
+  if (!DecodeNameList(sub_dirs).empty() || !DecodeNameList(files).empty()) {
+    return InvalidArgumentError("directory '" + normalized +
+                                "' is not empty");
+  }
+
+  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(txn, parent));
+  if (!parent_exists) {
+    return InternalError("parent row missing for '" + normalized + "'");
+  }
+
+  DPFS_RETURN_IF_ERROR(UnlinkName(txn, parent, name, false));
+  DPFS_RETURN_IF_ERROR(
+      DeleteEq(txn, kDirTable, Hot().main_dir_col, normalized).status());
+  return txn.Commit();
+}
+
+// ---------------------------------------------------------------------------
+// Files
+
+Result<FileRecord> MetadataManager::CreateFile(const FileMeta& meta,
+                                               const PlacementHints& hints) {
+  FileRecord record;
+  record.meta = meta;
+  DPFS_ASSIGN_OR_RETURN(record.meta.path, NormalizePath(meta.path));
+  const std::string& normalized = record.meta.path;
+  const auto [parent, name] = SplitPath(normalized);
+  if (name.empty()) return InvalidArgumentError("file path must name a file");
+  DPFS_ASSIGN_OR_RETURN(const layout::BrickMap map, meta.MakeBrickMap());
+  // Every rank's bricklist must fit in the one file_record reply LookupFile
+  // sends: a brick id below this bound and its comma take at most 10 bytes.
+  const std::uint64_t ranks = std::max(hints.replication.factor, 1u);
+  if (map.num_bricks() > net::kMaxFrameBytes / 10 / ranks) {
+    return InvalidArgumentError(
+        "file of " + std::to_string(map.num_bricks()) + " bricks x " +
+        std::to_string(ranks) + " ranks: its bricklists exceed one frame");
+  }
+  metadb::Transaction txn(*db_);
+
+  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(txn, parent));
+  if (!parent_exists) {
+    return NotFoundError("parent directory '" + parent + "' does not exist");
+  }
+  DPFS_ASSIGN_OR_RETURN(const bool exists, HasFile(txn, normalized));
+  if (exists) {
+    return AlreadyExistsError("file '" + normalized + "' exists");
+  }
+
+  // §4.1: the placement reads each server's performance number (and, for
+  // kCapacityAware, how many whole bricks its advertised capacity holds).
+  DPFS_ASSIGN_OR_RETURN(record.servers, AllServers(txn));
+  if (record.servers.empty()) {
+    return UnavailableError("no I/O servers registered in DPFS_SERVER");
+  }
+  if (hints.suggested_io_nodes > 0 &&
+      hints.suggested_io_nodes < record.servers.size()) {
+    record.servers.resize(hints.suggested_io_nodes);
+  }
+  DPFS_ASSIGN_OR_RETURN(record.meta.subfile, NewSubfileId());
+  std::vector<std::uint32_t> performance;
+  std::vector<std::uint64_t> capacity_bricks;
+  for (const ServerInfo& server : record.servers) {
+    performance.push_back(server.performance);
+    capacity_bricks.push_back(server.capacity_bytes / map.brick_bytes());
+  }
+  DPFS_ASSIGN_OR_RETURN(
+      const layout::ReplicatedDistribution placed,
+      layout::ReplicatedDistribution::Create(hints.policy, map.num_bricks(),
+                                             performance, hints.replication,
+                                             capacity_bricks));
+  record.distribution = placed.primary();
+  record.replicas.assign(placed.ranks().begin() + 1, placed.ranks().end());
+
+  std::vector<metadb::Value> attr_row = {
+      normalized,
+      meta.owner,
+      static_cast<std::int64_t>(meta.permission),
+      static_cast<std::int64_t>(meta.size_bytes),
+      std::string(layout::FileLevelName(meta.level)),
+      static_cast<std::int64_t>(meta.element_size),
+      static_cast<std::int64_t>(meta.array_shape.size()),
+      EncodeShape(meta.array_shape),
+      static_cast<std::int64_t>(meta.brick_bytes),
+      EncodeShape(meta.brick_shape),
+      meta.pattern.has_value() ? metadb::Value(meta.pattern->ToString())
+                               : metadb::Value::Null(),
+      EncodeShape(meta.chunk_grid),
+      record.meta.subfile};
+
+  // §5: the attribute row, one distribution row per (server, rank), and the
+  // parent directory's link commit in the transaction of the checks above.
+  DPFS_RETURN_IF_ERROR(InsertRow(txn, kAttrTable, std::move(attr_row)));
+  for (std::uint32_t rank = 0; rank < record.replication(); ++rank) {
+    const layout::BrickDistribution& rank_dist =
+        record.rank_distribution(rank);
+    for (std::uint32_t server = 0; server < rank_dist.num_servers();
+         ++server) {
+      DPFS_RETURN_IF_ERROR(InsertRow(
+          txn, kDistTable,
+          {normalized, record.servers[server].name,
+           static_cast<std::int64_t>(server),
+           layout::BrickDistribution::EncodeBrickList(
+               rank_dist.bricks_on(server)),
+           static_cast<std::int64_t>(rank)}));
+    }
+  }
+  DPFS_RETURN_IF_ERROR(LinkName(txn, parent, name, true));
+  DPFS_RETURN_IF_ERROR(txn.Commit());
+  return record;
+}
+
+Result<FileRecord> MetadataManager::LookupFile(const std::string& path) {
+  DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
+  const metadb::ReadTransaction read(*db_);
+  return ReadRecord(read, normalized);
+}
+
 Status MetadataManager::SetPermission(const std::string& path,
                                       std::uint32_t permission) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  WriterMutexLock lock(mu_);
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet result,
       UpdateEq(*db_, kAttrTable,
@@ -732,7 +705,6 @@ Status MetadataManager::SetPermission(const std::string& path,
 Status MetadataManager::SetOwner(const std::string& path,
                                  const std::string& owner) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
-  WriterMutexLock lock(mu_);
   DPFS_ASSIGN_OR_RETURN(
       const metadb::ResultSet result,
       UpdateEq(*db_, kAttrTable, {{"owner", owner}}, Hot().filename_col,
@@ -750,52 +722,48 @@ Status MetadataManager::RenameFile(const std::string& from,
   if (src == dst) return Status::Ok();
   const auto [src_parent, src_name] = SplitPath(src);
   const auto [dst_parent, dst_name] = SplitPath(dst);
-  WriterMutexLock lock(mu_);
+  metadb::Transaction txn(*db_);
 
-  DPFS_ASSIGN_OR_RETURN(const bool src_exists, HasFile(src));
+  DPFS_ASSIGN_OR_RETURN(const bool src_exists, HasFile(txn, src));
   if (!src_exists) return NotFoundError("no such file '" + src + "'");
-  DPFS_ASSIGN_OR_RETURN(const bool dst_exists, HasFile(dst));
+  DPFS_ASSIGN_OR_RETURN(const bool dst_exists, HasFile(txn, dst));
   if (dst_exists) return AlreadyExistsError("file '" + dst + "' exists");
-  DPFS_ASSIGN_OR_RETURN(const bool dst_is_dir, HasDirectory(dst));
+  DPFS_ASSIGN_OR_RETURN(const bool dst_is_dir, HasDirectory(txn, dst));
   if (dst_is_dir) return AlreadyExistsError("'" + dst + "' is a directory");
   if (dst_name.empty()) {
     return InvalidArgumentError("rename target must name a file");
   }
-  DPFS_ASSIGN_OR_RETURN(const bool parent_exists, HasDirectory(dst_parent));
+  DPFS_ASSIGN_OR_RETURN(const bool parent_exists,
+                        HasDirectory(txn, dst_parent));
   if (!parent_exists) {
     return NotFoundError("target directory '" + dst_parent +
                          "' does not exist");
   }
 
-  Transaction txn(*db_);
-  DPFS_RETURN_IF_ERROR(txn.Begin());
   DPFS_RETURN_IF_ERROR(
-      UpdateEq(*db_, kAttrTable, {{"filename", dst}}, Hot().filename_col, src)
+      UpdateEq(txn, kAttrTable, {{"filename", dst}}, Hot().filename_col, src)
           .status());
   DPFS_RETURN_IF_ERROR(
-      UpdateEq(*db_, kDistTable, {{"filename", dst}}, Hot().filename_col, src)
+      UpdateEq(txn, kDistTable, {{"filename", dst}}, Hot().filename_col, src)
           .status());
-  DPFS_RETURN_IF_ERROR(UnlinkName(src_parent, src_name, true));
-  DPFS_RETURN_IF_ERROR(LinkName(dst_parent, dst_name, true));
+  DPFS_RETURN_IF_ERROR(UnlinkName(txn, src_parent, src_name, true));
+  DPFS_RETURN_IF_ERROR(LinkName(txn, dst_parent, dst_name, true));
   return txn.Commit();
 }
 
 Result<FileRecord> MetadataManager::DeleteFile(const std::string& path) {
   DPFS_ASSIGN_OR_RETURN(const std::string normalized, NormalizePath(path));
   const auto [parent, name] = SplitPath(normalized);
-  WriterMutexLock lock(mu_);
+  metadb::Transaction txn(*db_);
 
-  // Read under the delete's lock, so the record returned is exactly the one
-  // deleted.
-  DPFS_ASSIGN_OR_RETURN(FileRecord record, LookupFileLocked(normalized));
-
-  Transaction txn(*db_);
-  DPFS_RETURN_IF_ERROR(txn.Begin());
+  // Read in the delete's transaction, so the record returned is exactly the
+  // one deleted.
+  DPFS_ASSIGN_OR_RETURN(FileRecord record, ReadRecord(txn, normalized));
   DPFS_RETURN_IF_ERROR(
-      DeleteEq(*db_, kAttrTable, Hot().filename_col, normalized).status());
+      DeleteEq(txn, kAttrTable, Hot().filename_col, normalized).status());
   DPFS_RETURN_IF_ERROR(
-      DeleteEq(*db_, kDistTable, Hot().filename_col, normalized).status());
-  DPFS_RETURN_IF_ERROR(UnlinkName(parent, name, true));
+      DeleteEq(txn, kDistTable, Hot().filename_col, normalized).status());
+  DPFS_RETURN_IF_ERROR(UnlinkName(txn, parent, name, true));
   DPFS_RETURN_IF_ERROR(txn.Commit());
   return record;
 }

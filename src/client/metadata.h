@@ -14,18 +14,19 @@
 //                            filelevel, striping geometry, HPF pattern, and
 //                            the subfile id that names its subfiles.
 //
-// All multi-row mutations (file creation touches three tables) run inside a
-// database transaction, which is the paper's argument for using a database
-// in the first place.
+// Every namespace mutation (file creation touches three tables) is one
+// database transaction, from its validation reads to its commit, which is
+// the paper's argument for using a database in the first place.
 //
-// Thread safety: one reader/writer lock makes each namespace operation
-// atomic to every other thread. A mutation holds it exclusively from its
-// validation reads through its commit; a read holds it shared, so it sees
-// each transaction whole or not at all.
+// Thread safety: the manager keeps no lock of its own. A mutation runs in a
+// metadb::Transaction and a multi-statement read (LookupFile) in a
+// metadb::ReadTransaction, which hold the database's one lock, so every
+// other thread, through this manager or another on the same database, sees
+// each operation whole or not at all. A call that is one statement runs as
+// one.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,9 +34,7 @@
 #include <vector>
 
 #include "client/metadata_service.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "layout/brick_map.h"
 #include "layout/hpf.h"
 #include "layout/placement.h"
@@ -49,7 +48,7 @@ class MetadataManager final : public MetadataService {
   /// Wraps an open database: creates the DPFS tables if missing, then
   /// upgrades older layouts in place: widens DPFS_FILE_DISTRIBUTION by
   /// `replica` and DPFS_FILE_ATTR by `subfile`, and drops the retired
-  /// access-log table.
+  /// access-log table, all in one transaction.
   static Result<std::unique_ptr<MetadataManager>> Attach(
       std::shared_ptr<metadb::Database> db);
 
@@ -82,32 +81,7 @@ class MetadataManager final : public MetadataService {
   explicit MetadataManager(std::shared_ptr<metadb::Database> db)
       : db_(std::move(db)) {}
 
-  // Attach-time only, before the manager is shared.
-  Status EnsureTables();
-  /// Adds `column` as the last column of `table` unless it is already
-  /// there; each existing row gets fill(row). metadb has no ALTER TABLE, so
-  /// this is a transactional read → drop → recreate from `ddl` → re-insert.
-  Status WidenTable(
-      const char* table, std::string_view column, const char* ddl,
-      const std::function<metadb::Value(const metadb::Row&)>& fill);
-
-  // Each takes a normalized path.
-  Result<bool> HasFile(const std::string& path) DPFS_REQUIRES_SHARED(mu_);
-  Result<bool> HasDirectory(const std::string& path)
-      DPFS_REQUIRES_SHARED(mu_);
-  Result<FileRecord> LookupFileLocked(const std::string& path)
-      DPFS_REQUIRES_SHARED(mu_);
-  /// Directory-list edits: link is add-if-absent, unlink is
-  /// remove-if-present; a missing directory row is a no-op. `file` selects
-  /// the files vs sub_dirs column.
-  Status LinkName(const std::string& dir, const std::string& name, bool file)
-      DPFS_REQUIRES(mu_);
-  Status UnlinkName(const std::string& dir, const std::string& name,
-                    bool file) DPFS_REQUIRES(mu_);
-
   const std::shared_ptr<metadb::Database> db_;
-  /// Exclusive for a mutation, shared for a read (see the file comment).
-  SharedMutex mu_;
 };
 
 }  // namespace dpfs::client

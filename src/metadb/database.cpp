@@ -31,9 +31,10 @@ Result<std::size_t> FindColumn(const std::vector<std::string>& columns,
 }
 
 // Global-registry instruments, resolved once (docs/OBSERVABILITY.md).
-// execute_us times the whole statement (lock wait included); commit_us
-// times CommitLocked, which is dominated by the WAL append; compact_us
-// times each completed compaction, so its count is theirs.
+// execute_us times each statement under the lock (a transaction waits for
+// the lock when it begins); commit_us times CommitLocked, which is
+// dominated by the WAL append; compact_us times each completed compaction,
+// so its count is theirs.
 struct MetadbMetricsT {
   metrics::Counter& statements = metrics::GetCounter("metadb.statements");
   metrics::Counter& commits = metrics::GetCounter("metadb.commits");
@@ -323,9 +324,6 @@ Status Database::CompactLocked() {
 
 Status Database::Checkpoint() {
   WriterMutexLock lock(mu_);
-  if (in_txn_) {
-    return AbortedError("cannot checkpoint inside a transaction");
-  }
   if (!wal_.has_value()) return Status::Ok();  // in-memory
   return CompactLocked();
 }
@@ -350,31 +348,14 @@ Result<ResultSet> Database::Execute(std::string_view sql) {
 }
 
 Result<ResultSet> Database::ExecuteStatement(const Statement& statement) {
-  MetadbMetrics().statements.Add();
-  metrics::ScopedTimer timer(MetadbMetrics().execute_us);
-
-  // Reader fast path: a SELECT mutates nothing (its auto-commit records no
-  // redo/undo and cannot grow the WAL), so concurrent lookups share mu_
-  // instead of serializing. SELECTs inside an explicit transaction see the
-  // same state either way: statements from other threads could always
-  // interleave between this transaction's statements.
+  // A SELECT mutates nothing, so it shares the lock with other readers.
   if (const auto* select = std::get_if<SelectStmt>(&statement)) {
-    ReaderMutexLock lock(mu_);
-    return ExecuteSelect(*select);
+    const ReadTransaction read(*this);
+    return read.ExecuteStatement(*select);
   }
-
-  WriterMutexLock lock(mu_);
-  Result<ResultSet> result = ExecuteLocked(statement);
-  // Compact outside transactions once the log outgrows its floor and twice
-  // its base. The statement has committed either way, and a failed
-  // compaction leaves a log that holds it; the next commit retries.
-  if (result.ok() && !in_txn_ && wal_.has_value() &&
-      wal_->size_bytes() > kMinCompactBytes &&
-      wal_->size_bytes() > 2 * wal_->base_bytes()) {
-    if (const Status compacted = CompactLocked(); !compacted.ok()) {
-      DPFS_LOG_WARN << "metadb compaction failed: " << compacted.ToString();
-    }
-  }
+  Transaction txn(*this);
+  DPFS_ASSIGN_OR_RETURN(ResultSet result, txn.ExecuteStatement(statement));
+  DPFS_RETURN_IF_ERROR(txn.Commit());
   return result;
 }
 
@@ -401,49 +382,44 @@ void Database::RecordRedo(WalRecord record) {
 
 void Database::RecordUndo(UndoOp op) { undo_.push_back(std::move(op)); }
 
-Status Database::BeginLocked() {
-  if (in_txn_) return AbortedError("nested BEGIN");
-  in_txn_ = true;
-  implicit_txn_ = false;
-  redo_.clear();
-  undo_.clear();
-  return Status::Ok();
-}
-
 Status Database::CommitLocked() {
-  if (!in_txn_) return AbortedError("COMMIT outside transaction");
   MetadbMetrics().commits.Add();
-  metrics::ScopedTimer timer(MetadbMetrics().commit_us);
-  if (wal_.has_value() && !redo_.empty()) {
-    // Refused durability before any WAL byte is written: the commit fails
-    // cleanly and the in-memory state rolls back.
-    if (const auto fp = failpoint::Check("metadb.commit");
-        fp.has_value() && fp->action == failpoint::Action::kReturnError) {
-      // dpfs:unchecked(the injected commit failure is the status to
-      // surface; in-memory undo cannot fail)
-      (void)RollbackLocked();
-      return fp->status;
+  {
+    metrics::ScopedTimer timer(MetadbMetrics().commit_us);
+    if (wal_.has_value() && !redo_.empty()) {
+      // Refused durability before any WAL byte is written: the commit fails
+      // cleanly and the in-memory state rolls back.
+      if (const auto fp = failpoint::Check("metadb.commit");
+          fp.has_value() && fp->action == failpoint::Action::kReturnError) {
+        RollbackLocked();
+        return fp->status;
+      }
+      const Status appended = wal_->AppendTransaction(next_txn_id_, redo_);
+      if (!appended.ok()) {
+        // Durability failed: roll the in-memory state back and surface the
+        // error. The log now refuses every later commit until a reopen, so
+        // none is acknowledged behind a partial or unsynced frame.
+        RollbackLocked();
+        return appended;
+      }
     }
-    const Status appended = wal_->AppendTransaction(next_txn_id_, redo_);
-    if (!appended.ok()) {
-      // Durability failed: roll the in-memory state back and surface the
-      // error. The log now refuses every later commit until a reopen, so
-      // none is acknowledged behind a partial or unsynced frame.
-      // dpfs:unchecked(the WAL append error is the one to report; the
-      // in-memory undo cannot fail)
-      (void)RollbackLocked();
-      return appended;
+    ++next_txn_id_;
+    redo_.clear();
+    undo_.clear();
+  }
+  // Compact once the log outgrows its floor and twice its base. The
+  // transaction has committed either way, and a failed compaction leaves a
+  // log that holds it; the next commit retries.
+  if (wal_.has_value() && wal_->size_bytes() > kMinCompactBytes &&
+      wal_->size_bytes() > 2 * wal_->base_bytes()) {
+    if (const Status compacted = CompactLocked(); !compacted.ok()) {
+      DPFS_LOG_WARN << "metadb compaction failed: " << compacted.ToString();
     }
   }
-  ++next_txn_id_;
-  in_txn_ = false;
-  redo_.clear();
-  undo_.clear();
   return Status::Ok();
 }
 
-Status Database::RollbackLocked() {
-  if (!in_txn_) return AbortedError("ROLLBACK outside transaction");
+void Database::RollbackLocked() {
   MetadbMetrics().rollbacks.Add();
   // Undo in reverse order.
   for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
@@ -473,69 +449,30 @@ Status Database::RollbackLocked() {
         break;
     }
   }
-  in_txn_ = false;
   redo_.clear();
   undo_.clear();
-  return Status::Ok();
 }
 
 Result<ResultSet> Database::ExecuteLocked(const Statement& statement) {
-  // Transaction control statements.
-  if (std::holds_alternative<BeginStmt>(statement)) {
-    DPFS_RETURN_IF_ERROR(BeginLocked());
-    return ResultSet{};
+  if (const auto* stmt = std::get_if<CreateTableStmt>(&statement)) {
+    return ExecuteCreateTable(*stmt);
   }
-  if (std::holds_alternative<CommitStmt>(statement)) {
-    DPFS_RETURN_IF_ERROR(CommitLocked());
-    return ResultSet{};
+  if (const auto* stmt = std::get_if<DropTableStmt>(&statement)) {
+    return ExecuteDropTable(*stmt);
   }
-  if (std::holds_alternative<RollbackStmt>(statement)) {
-    DPFS_RETURN_IF_ERROR(RollbackLocked());
-    return ResultSet{};
+  if (const auto* stmt = std::get_if<InsertStmt>(&statement)) {
+    return ExecuteInsert(*stmt);
   }
-
-  const bool auto_commit = !in_txn_;
-  if (auto_commit) {
-    DPFS_RETURN_IF_ERROR(BeginLocked());
-    implicit_txn_ = true;
+  if (const auto* stmt = std::get_if<SelectStmt>(&statement)) {
+    return ExecuteSelect(*stmt);
   }
-
-  Result<ResultSet> result = [&]() -> Result<ResultSet> {
-    if (const auto* stmt = std::get_if<CreateTableStmt>(&statement)) {
-      return ExecuteCreateTable(*stmt);
-    }
-    if (const auto* stmt = std::get_if<DropTableStmt>(&statement)) {
-      return ExecuteDropTable(*stmt);
-    }
-    if (const auto* stmt = std::get_if<InsertStmt>(&statement)) {
-      return ExecuteInsert(*stmt);
-    }
-    if (const auto* stmt = std::get_if<SelectStmt>(&statement)) {
-      return ExecuteSelect(*stmt);
-    }
-    if (const auto* stmt = std::get_if<UpdateStmt>(&statement)) {
-      return ExecuteUpdate(*stmt);
-    }
-    if (const auto* stmt = std::get_if<DeleteStmt>(&statement)) {
-      return ExecuteDelete(*stmt);
-    }
-    return InternalError("unhandled statement kind");
-  }();
-
-  if (auto_commit) {
-    if (result.ok()) {
-      DPFS_RETURN_IF_ERROR(CommitLocked());
-    } else {
-      // dpfs:unchecked(the statement error propagates below; rollback of
-      // the implicit txn is in-memory and cannot fail)
-      (void)RollbackLocked();
-    }
-  } else if (!result.ok()) {
-    // Statement-level atomicity inside explicit transactions is provided by
-    // executing each statement against a consistent state: a failed statement
-    // has already rolled back its partial effects (see ExecuteInsert/Update).
+  if (const auto* stmt = std::get_if<UpdateStmt>(&statement)) {
+    return ExecuteUpdate(*stmt);
   }
-  return result;
+  if (const auto* stmt = std::get_if<DeleteStmt>(&statement)) {
+    return ExecuteDelete(*stmt);
+  }
+  return InternalError("unhandled statement kind");
 }
 
 Result<ResultSet> Database::ExecuteCreateTable(const CreateTableStmt& stmt) {
@@ -774,14 +711,59 @@ bool Database::HasTable(std::string_view name) const {
   return tables_.contains(ToLower(name));
 }
 
-bool Database::in_transaction() const {
-  ReaderMutexLock lock(mu_);
-  return in_txn_;
-}
-
 std::uint64_t Database::wal_size_bytes() const {
   ReaderMutexLock lock(mu_);
   return wal_.has_value() ? wal_->size_bytes() : 0;
+}
+
+// ---------------------------------------------------------------------------
+// Transaction scopes
+
+Transaction::Transaction(Database& db) : db_(db) { db_.mu_.lock(); }
+
+Transaction::~Transaction() {
+  if (!ended_) db_.RollbackLocked();
+  db_.mu_.unlock();
+}
+
+Result<ResultSet> Transaction::Execute(std::string_view sql) {
+  DPFS_ASSIGN_OR_RETURN(const Statement statement, ParseStatement(sql));
+  return ExecuteStatement(statement);
+}
+
+Result<ResultSet> Transaction::ExecuteStatement(const Statement& statement) {
+  if (ended_) return InternalError("statement after the transaction ended");
+  MetadbMetrics().statements.Add();
+  metrics::ScopedTimer timer(MetadbMetrics().execute_us);
+  return db_.ExecuteLocked(statement);
+}
+
+Status Transaction::Commit() {
+  if (ended_) return InternalError("the transaction has already ended");
+  ended_ = true;
+  return db_.CommitLocked();
+}
+
+ReadTransaction::ReadTransaction(const Database& db) : db_(db) {
+  db_.mu_.lock_shared();
+}
+
+ReadTransaction::~ReadTransaction() { db_.mu_.unlock_shared(); }
+
+Result<ResultSet> ReadTransaction::Execute(std::string_view sql) const {
+  DPFS_ASSIGN_OR_RETURN(const Statement statement, ParseStatement(sql));
+  const auto* select = std::get_if<SelectStmt>(&statement);
+  if (select == nullptr) {
+    return InvalidArgumentError("a read transaction runs only SELECT");
+  }
+  return ExecuteStatement(*select);
+}
+
+Result<ResultSet> ReadTransaction::ExecuteStatement(
+    const SelectStmt& select) const {
+  MetadbMetrics().statements.Add();
+  metrics::ScopedTimer timer(MetadbMetrics().execute_us);
+  return db_.ExecuteSelect(select);
 }
 
 }  // namespace dpfs::metadb

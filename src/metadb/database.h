@@ -2,16 +2,17 @@
 //
 // This is DPFS's substitute for the paper's POSTGRES instance. One Database
 // owns a set of tables, executes the SQL subset in sql_ast.h, and provides:
-//   * atomic multi-statement transactions (BEGIN/COMMIT/ROLLBACK) with
+//   * atomic multi-statement transactions (Transaction below) with
 //     in-memory undo and WAL-backed redo,
 //   * crash recovery (committed-WAL replay, torn tails discarded),
 //   * compaction (the WAL rewritten as one base transaction, atomically).
-// All entry points are thread-safe behind one reader/writer lock: mutations
-// (and transaction control) hold it exclusively; plain SELECTs, which never
-// compact, run under a shared hold, so concurrent lookups no longer
-// serialize. The lock covers one statement: a caller that needs a
-// multi-statement transaction to look atomic to other threads serializes
-// them itself (client::MetadataManager does).
+// One reader/writer lock, mu_, isolates everything. A Transaction holds it
+// exclusively from its begin to its commit or rollback, and a
+// ReadTransaction holds it shared across its SELECTs, so every other thread,
+// whichever client it serves, sees a transaction whole or not at all.
+// Execute and ExecuteStatement run one statement as a transaction of its
+// own. The lock is not reentrant: a thread inside a transaction runs its
+// statements through it, never through the Database.
 #pragma once
 
 #include <chrono>
@@ -85,40 +86,47 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Parses and executes one statement. BEGIN/COMMIT/ROLLBACK control the
-  /// explicit transaction; other statements auto-commit when outside one.
-  Result<ResultSet> Execute(std::string_view sql);
+  /// Parses and executes one statement as a transaction of its own: a
+  /// SELECT under a shared hold of the lock, any other statement under the
+  /// exclusive hold through its commit.
+  Result<ResultSet> Execute(std::string_view sql) DPFS_EXCLUDES(mu_);
 
   /// Pre-parsed execution (skips the parser; used by hot metadata paths).
-  Result<ResultSet> ExecuteStatement(const Statement& statement);
+  Result<ResultSet> ExecuteStatement(const Statement& statement)
+      DPFS_EXCLUDES(mu_);
 
   /// Compacts the WAL: rewrites it as one base transaction holding every
   /// table and row (WriteAheadLog::Rewrite), timed in metadb.compact_us.
-  /// Refused inside a transaction; no-op (Ok) for in-memory databases. The
-  /// database also compacts by itself after a statement outside an explicit
-  /// transaction (every COMMIT included) once the log is larger than
-  /// kMinCompactBytes and than twice its base, so each byte of state is
-  /// rewritten O(1) times and a reopen replays a bounded log.
-  Status Checkpoint();
+  /// Waits for an open transaction to end; no-op (Ok) for in-memory
+  /// databases. The database also compacts by itself after each commit once
+  /// the log is larger than kMinCompactBytes and than twice its base, so
+  /// each byte of state is rewritten O(1) times and a reopen replays a
+  /// bounded log.
+  Status Checkpoint() DPFS_EXCLUDES(mu_);
   static constexpr std::uint64_t kMinCompactBytes = std::uint64_t{4} << 20;
 
   /// Builds a non-unique secondary index on `table.column` to accelerate
   /// equality predicates. Indexes are in-memory acceleration (derived
   /// state): re-create them after reopening a durable database.
-  Status CreateIndex(std::string_view table, std::string_view column);
+  Status CreateIndex(std::string_view table, std::string_view column)
+      DPFS_EXCLUDES(mu_);
 
   /// Introspection.
-  [[nodiscard]] std::vector<std::string> TableNames() const;
-  [[nodiscard]] bool HasTable(std::string_view name) const;
-  [[nodiscard]] bool in_transaction() const;
-  [[nodiscard]] std::uint64_t wal_size_bytes() const;
+  [[nodiscard]] std::vector<std::string> TableNames() const DPFS_EXCLUDES(mu_);
+  [[nodiscard]] bool HasTable(std::string_view name) const DPFS_EXCLUDES(mu_);
+  [[nodiscard]] std::uint64_t wal_size_bytes() const DPFS_EXCLUDES(mu_);
 
  private:
+  friend class Transaction;
+  friend class ReadTransaction;
+
   Database() = default;
 
   struct UndoOp;
 
   // All require the caller to hold mu_ (checked by the analysis).
+  // ExecuteLocked runs one statement inside the open transaction; a failed
+  // statement has already undone its own partial effects.
   Result<ResultSet> ExecuteLocked(const Statement& statement)
       DPFS_REQUIRES(mu_);
   Result<ResultSet> ExecuteCreateTable(const CreateTableStmt& stmt)
@@ -132,9 +140,10 @@ class Database {
       DPFS_REQUIRES_SHARED(mu_);
   Result<ResultSet> ExecuteUpdate(const UpdateStmt& stmt) DPFS_REQUIRES(mu_);
   Result<ResultSet> ExecuteDelete(const DeleteStmt& stmt) DPFS_REQUIRES(mu_);
-  Status BeginLocked() DPFS_REQUIRES(mu_);
+  // Appends the transaction's redo to the WAL (rolling back if that fails)
+  // and compacts when the log has outgrown its base; ends the transaction.
   Status CommitLocked() DPFS_REQUIRES(mu_);
-  Status RollbackLocked() DPFS_REQUIRES(mu_);
+  void RollbackLocked() DPFS_REQUIRES(mu_);
   Result<Table*> FindTable(std::string_view name) DPFS_REQUIRES(mu_);
   Result<const Table*> FindTable(std::string_view name) const
       DPFS_REQUIRES_SHARED(mu_);
@@ -154,11 +163,61 @@ class Database {
   int lock_fd_ = -1;                    // exclusive cross-process lock
   std::uint64_t next_txn_id_ DPFS_GUARDED_BY(mu_) = 1;
 
-  // Active transaction state (empty when not in a transaction).
-  bool in_txn_ DPFS_GUARDED_BY(mu_) = false;
-  bool implicit_txn_ DPFS_GUARDED_BY(mu_) = false;
+  // The open transaction's redo and undo (empty between transactions).
   std::vector<WalRecord> redo_ DPFS_GUARDED_BY(mu_);
   std::vector<UndoOp> undo_ DPFS_GUARDED_BY(mu_);
+};
+
+/// One write transaction: a scope that holds the database's lock
+/// exclusively from construction to destruction, so no other thread reads
+/// or writes between its statements. Its statements run through it.
+/// Commit() makes them durable and ends the transaction; destroyed
+/// uncommitted, it rolls them back. A statement that fails leaves the
+/// transaction open with that statement undone; the caller commits or,
+/// usually, returns and so rolls back.
+class DPFS_SCOPED_CAPABILITY Transaction {
+ public:
+  explicit Transaction(Database& db) DPFS_ACQUIRE(db.mu_);
+  ~Transaction() DPFS_RELEASE();
+  Transaction(const Transaction&) = delete;
+  Transaction& operator=(const Transaction&) = delete;
+
+  /// Parses and runs one statement inside the transaction.
+  Result<ResultSet> Execute(std::string_view sql);
+  // dpfs:no-tsa(a Transaction holds db_.mu_ exclusively for its whole
+  // life, so its members run under it; the analysis sees a scope's hold
+  // only in the function that declares the scope)
+  Result<ResultSet> ExecuteStatement(const Statement& statement)
+      DPFS_NO_THREAD_SAFETY_ANALYSIS;
+  /// Appends the transaction to the WAL in one frame. On failure nothing
+  /// is written and the transaction is rolled back. Either way it has
+  /// ended: a statement after it fails with kInternal.
+  // dpfs:no-tsa(as ExecuteStatement: the transaction holds db_.mu_)
+  Status Commit() DPFS_NO_THREAD_SAFETY_ANALYSIS;
+
+ private:
+  Database& db_;
+  bool ended_ = false;
+};
+
+/// One read: a scope that holds the database's lock shared from
+/// construction to destruction, so its SELECTs all see one committed state.
+class DPFS_SCOPED_CAPABILITY ReadTransaction {
+ public:
+  explicit ReadTransaction(const Database& db) DPFS_ACQUIRE_SHARED(db.mu_);
+  ~ReadTransaction() DPFS_RELEASE_GENERIC();
+  ReadTransaction(const ReadTransaction&) = delete;
+  ReadTransaction& operator=(const ReadTransaction&) = delete;
+
+  /// Parses and runs one SELECT; any other statement is kInvalidArgument.
+  Result<ResultSet> Execute(std::string_view sql) const;
+  // dpfs:no-tsa(a ReadTransaction holds db_.mu_ shared for its whole life,
+  // so its members run under it)
+  Result<ResultSet> ExecuteStatement(const SelectStmt& select) const
+      DPFS_NO_THREAD_SAFETY_ANALYSIS;
+
+ private:
+  const Database& db_;
 };
 
 }  // namespace dpfs::metadb

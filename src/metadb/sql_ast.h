@@ -1,14 +1,13 @@
 // Parsed statement forms for the DPFS SQL subset.
 //
 // Supported statements (enough to express everything the paper does with
-// POSTGRES, plus transactions):
+// POSTGRES; a transaction is a scope, metadb::Transaction, not a statement):
 //   CREATE TABLE [IF NOT EXISTS] t (col TYPE [PRIMARY KEY], ...)
 //   DROP TABLE [IF EXISTS] t
 //   INSERT INTO t [(cols)] VALUES (v, ...) [, (v, ...) ...]
 //   SELECT cols|* FROM t [WHERE expr] [ORDER BY col [ASC|DESC]] [LIMIT n]
 //   UPDATE t SET col = literal, ... [WHERE expr]
 //   DELETE FROM t [WHERE expr]
-//   BEGIN | COMMIT | ROLLBACK
 #pragma once
 
 #include <optional>
@@ -63,12 +62,7 @@ struct DeleteStmt {
   ExprPtr where;  // may be null
 };
 
-struct BeginStmt {};
-struct CommitStmt {};
-struct RollbackStmt {};
-
-using Statement =
-    std::variant<CreateTableStmt, DropTableStmt, InsertStmt, SelectStmt,
-                 UpdateStmt, DeleteStmt, BeginStmt, CommitStmt, RollbackStmt>;
+using Statement = std::variant<CreateTableStmt, DropTableStmt, InsertStmt,
+                               SelectStmt, UpdateStmt, DeleteStmt>;
 
 }  // namespace dpfs::metadb

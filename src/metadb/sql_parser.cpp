@@ -63,18 +63,6 @@ class Parser {
     if (head.IsKeyword("SELECT")) return ParseSelect();
     if (head.IsKeyword("UPDATE")) return ParseUpdate();
     if (head.IsKeyword("DELETE")) return ParseDelete();
-    if (head.IsKeyword("BEGIN")) {
-      Advance();
-      return Statement(BeginStmt{});
-    }
-    if (head.IsKeyword("COMMIT")) {
-      Advance();
-      return Statement(CommitStmt{});
-    }
-    if (head.IsKeyword("ROLLBACK")) {
-      Advance();
-      return Statement(RollbackStmt{});
-    }
     return Error("unknown statement");
   }
 

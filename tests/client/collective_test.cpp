@@ -53,6 +53,15 @@ TEST_F(CollectiveTest, ZeroRanksRejected) {
   EXPECT_FALSE(CollectiveFile::Open(fs_, "/f", 0).ok());
 }
 
+TEST_F(CollectiveTest, ZeroRankCreateCreatesNothing) {
+  CreateOptions create;
+  create.total_bytes = 64;
+  const auto file = CollectiveFile::Create(fs_, "/z", create, 0);
+  ASSERT_FALSE(file.ok());
+  EXPECT_EQ(file.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(fs_->metadata().FileExists("/z").value());
+}
+
 TEST_F(CollectiveTest, ViewValidation) {
   auto file = MakeFile(2);
   EXPECT_FALSE(file->SetView(5, {{0, 0}, {1, 1}}).ok());  // bad rank
@@ -286,6 +295,34 @@ TEST(CollectiveOpenTest, EveryRankGetsTheOneLookedUpRecord) {
     misplaced += read[i] != (i % kDim) / (kDim / kRanks) + 1;
   }
   EXPECT_EQ(misplaced, 0u);
+}
+
+TEST(CollectiveOpenTest, CreateHandsEveryRankTheCreatedRecord) {
+  // Through dpfs-metad an 8-rank create is one meta_create_file and no
+  // lookup: every rank gets the record the create returned.
+  constexpr std::uint32_t kRanks = 8;
+  core::ClusterOptions options;
+  options.num_servers = 4;
+  options.start_metadata_service = true;
+  const auto cluster = core::LocalCluster::Start(std::move(options)).value();
+  CreateOptions create;
+  create.level = layout::FileLevel::kMultidim;
+  create.array_shape = {64, 64};
+  create.brick_shape = {16, 16};
+  const metrics::Counter& creates =
+      metrics::GetCounter("metad.requests.meta_create_file");
+  const metrics::Counter& lookups =
+      metrics::GetCounter("metad.requests.meta_lookup_file");
+  const std::uint64_t creates_before = creates.value();
+  const std::uint64_t lookups_before = lookups.value();
+  const auto file =
+      CollectiveFile::Create(cluster->fs(), "/coll.dpfs", create, kRanks)
+          .value();
+  EXPECT_EQ(creates.value() - creates_before, 1u);
+  EXPECT_EQ(lookups.value() - lookups_before, 0u);
+  EXPECT_EQ(file->num_ranks(), kRanks);
+  EXPECT_EQ(file->meta().subfile,
+            cluster->fs()->Open("/coll.dpfs").value().meta().subfile);
 }
 
 }  // namespace

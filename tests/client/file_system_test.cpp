@@ -662,13 +662,13 @@ TEST_F(FileSystemTest, RenameMovesMetadataNotBytes) {
 TEST_F(FileSystemTest, RenameAndRemoveRunPinnedStatementCounts) {
   // The SQL statements one rename and one remove run on the embedded
   // database, pinned exactly so a statement added to either path shows up
-  // here. Rename is RenameFile alone: four checks (the source
-  // file, a file or a directory at the target, the target's parent),
-  // BEGIN, the row updates in the file's two tables, the unlink and link
-  // (a SELECT and an UPDATE each), COMMIT = 12. Remove is DeleteFile: the
-  // record read (attribute, distribution and one read of the server
-  // table), BEGIN, the deletes in the two tables, the unlink's SELECT and
-  // UPDATE, COMMIT = 9.
+  // here. Each is one transaction, whose begin and commit are not
+  // statements. Rename is RenameFile alone: four checks (the source
+  // file, a file or a directory at the target, the target's parent), the
+  // row updates in the file's two tables, the unlink and link (a SELECT
+  // and an UPDATE each) = 10. Remove is DeleteFile: the record read
+  // (attribute, distribution and one read of the server table), the
+  // deletes in the two tables, the unlink's SELECT and UPDATE = 7.
   CreateOptions options;
   options.total_bytes = 2048;
   options.brick_bytes = 256;
@@ -679,11 +679,11 @@ TEST_F(FileSystemTest, RenameAndRemoveRunPinnedStatementCounts) {
 
   std::uint64_t before = statements.value();
   ASSERT_TRUE(fs_->Rename("/counted.bin", "/renamed.bin").ok());
-  EXPECT_EQ(statements.value() - before, 12u);
+  EXPECT_EQ(statements.value() - before, 10u);
 
   before = statements.value();
   ASSERT_TRUE(fs_->Remove("/renamed.bin").ok());
-  EXPECT_EQ(statements.value() - before, 9u);
+  EXPECT_EQ(statements.value() - before, 7u);
 }
 
 TEST_F(FileSystemTest, MissingSubfileReadsAreCounted) {

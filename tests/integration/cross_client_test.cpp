@@ -3,10 +3,17 @@
 // The client keeps no record cache, so every Open and LookupFile is the
 // database's answer at call time: once one client's remove, re-create or
 // chmod has committed, the other client's next call sees it, whichever way
-// the clients reach the metadata.
+// the clients reach the metadata. Each namespace operation is one database
+// transaction, so the two clients' concurrent operations are isolated from
+// each other too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/cluster.h"
 
@@ -98,6 +105,86 @@ TEST_P(CrossClientTest, ChmodIsSeenAtOnce) {
             0600u);
   // The metadata service normalizes the path, so an alias opens the file.
   EXPECT_EQ(b_->Open("//perm").value().meta().permission, 0600u);
+}
+
+TEST_P(CrossClientTest, ConcurrentRenameAndCreateKeepTheNamespace) {
+  // A swings /d/a and /d/b 2000 times while B lists /d and creates one file
+  // per listing. No operation fails, every listing names exactly one of a
+  // and b, and afterwards /d lists every create B was acknowledged, each
+  // opens, and the listing is exactly the files DPFS_FILE_ATTR holds.
+  constexpr int kRenames = 2000;
+  ASSERT_TRUE(a_->metadata().MakeDirectory("/d").ok());
+  ASSERT_TRUE(a_->Create("/d/a", FourBricks()).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failed_renames{0};
+  std::thread renamer([&] {
+    for (int i = 0; i < kRenames; ++i) {
+      const bool at_a = i % 2 == 0;
+      if (!a_->Rename(at_a ? "/d/a" : "/d/b", at_a ? "/d/b" : "/d/a").ok()) {
+        ++failed_renames;
+      }
+    }
+    done = true;
+  });
+  int failed_listings = 0;
+  int half_renames = 0;
+  int listings = 0;
+  int failed_creates = 0;
+  std::vector<std::string> created;
+  while (!done) {
+    const Result<client::MetadataService::Listing> listing =
+        b_->metadata().ListDirectory("/d");
+    ++listings;
+    if (!listing.ok()) {
+      ++failed_listings;
+      continue;
+    }
+    const std::vector<std::string>& files = listing.value().files;
+    if (std::count(files.begin(), files.end(), "a") +
+            std::count(files.begin(), files.end(), "b") !=
+        1) {
+      ++half_renames;
+    }
+    const std::string name = "c" + std::to_string(created.size() +
+                                                  failed_creates);
+    if (b_->Create("/d/" + name, FourBricks()).ok()) {
+      created.push_back(name);
+    } else {
+      ++failed_creates;
+    }
+  }
+  renamer.join();
+  EXPECT_EQ(failed_renames.load(), 0);
+  EXPECT_EQ(failed_listings, 0);
+  EXPECT_EQ(failed_creates, 0);
+  EXPECT_EQ(half_renames, 0) << "of " << listings << " listings";
+  ASSERT_FALSE(created.empty());
+
+  const std::vector<std::string> listed =
+      a_->metadata().ListDirectory("/d").value().files;
+  const std::set<std::string> listed_set(listed.begin(), listed.end());
+  int unlisted = 0;
+  int unopenable = 0;
+  for (const std::string& name : created) {
+    unlisted += listed_set.contains(name) ? 0 : 1;
+    unopenable += a_->Open("/d/" + name).ok() ? 0 : 1;
+  }
+  EXPECT_EQ(unlisted, 0) << "of " << created.size() << " creates";
+  EXPECT_EQ(unopenable, 0) << "of " << created.size() << " creates";
+
+  const metadb::ResultSet rows =
+      cluster_->db()
+          ->Execute("SELECT filename FROM DPFS_FILE_ATTR WHERE filename LIKE "
+                    "'/d/%'")
+          .value();
+  std::set<std::string> stored;
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    stored.insert(rows.GetText(row, "filename").value());
+  }
+  std::set<std::string> listed_paths;
+  for (const std::string& name : listed) listed_paths.insert("/d/" + name);
+  EXPECT_EQ(listed_paths, stored);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pairs, CrossClientTest, ::testing::Bool(),

@@ -29,6 +29,13 @@ class DatabaseTest : public ::testing::Test {
     return result.ok() ? std::move(result).value() : ResultSet{};
   }
 
+  /// Runs `sql` inside `txn`, expecting success.
+  static ResultSet TxnExec(Transaction& txn, std::string_view sql) {
+    Result<ResultSet> result = txn.Execute(sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString() << " for: " << sql;
+    return result.ok() ? std::move(result).value() : ResultSet{};
+  }
+
   std::unique_ptr<Database> db_;
 };
 
@@ -132,21 +139,23 @@ TEST_F(DatabaseTest, DeleteRows) {
 
 TEST_F(DatabaseTest, TransactionCommit) {
   Exec("CREATE TABLE t (a INT)");
-  Exec("BEGIN");
-  EXPECT_TRUE(db_->in_transaction());
-  Exec("INSERT INTO t VALUES (1)");
-  Exec("INSERT INTO t VALUES (2)");
-  Exec("COMMIT");
-  EXPECT_FALSE(db_->in_transaction());
+  {
+    Transaction txn(*db_);
+    TxnExec(txn, "INSERT INTO t VALUES (1)");
+    TxnExec(txn, "INSERT INTO t VALUES (2)");
+    EXPECT_EQ(TxnExec(txn, "SELECT * FROM t").size(), 2u);
+    ASSERT_TRUE(txn.Commit().ok());
+  }
   EXPECT_EQ(Exec("SELECT * FROM t").size(), 2u);
 }
 
 TEST_F(DatabaseTest, TransactionRollbackRestoresInserts) {
   Exec("CREATE TABLE t (a INT)");
   Exec("INSERT INTO t VALUES (1)");
-  Exec("BEGIN");
-  Exec("INSERT INTO t VALUES (2)");
-  Exec("ROLLBACK");
+  {
+    Transaction txn(*db_);
+    TxnExec(txn, "INSERT INTO t VALUES (2)");
+  }  // destroyed uncommitted: rolled back
   const ResultSet result = Exec("SELECT * FROM t");
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result.GetInt(0, "a").value(), 1);
@@ -155,11 +164,12 @@ TEST_F(DatabaseTest, TransactionRollbackRestoresInserts) {
 TEST_F(DatabaseTest, TransactionRollbackRestoresUpdatesAndDeletes) {
   Exec("CREATE TABLE t (a INT, b TEXT)");
   Exec("INSERT INTO t VALUES (1, 'one'), (2, 'two')");
-  Exec("BEGIN");
-  Exec("UPDATE t SET b = 'changed' WHERE a = 1");
-  Exec("DELETE FROM t WHERE a = 2");
-  EXPECT_EQ(Exec("SELECT * FROM t").size(), 1u);
-  Exec("ROLLBACK");
+  {
+    Transaction txn(*db_);
+    TxnExec(txn, "UPDATE t SET b = 'changed' WHERE a = 1");
+    TxnExec(txn, "DELETE FROM t WHERE a = 2");
+    EXPECT_EQ(TxnExec(txn, "SELECT * FROM t").size(), 1u);
+  }
   const ResultSet result = Exec("SELECT * FROM t ORDER BY a");
   ASSERT_EQ(result.size(), 2u);
   EXPECT_EQ(result.GetText(0, "b").value(), "one");
@@ -169,32 +179,77 @@ TEST_F(DatabaseTest, TransactionRollbackRestoresUpdatesAndDeletes) {
 TEST_F(DatabaseTest, TransactionRollbackRestoresDdl) {
   Exec("CREATE TABLE keep (a INT)");
   Exec("INSERT INTO keep VALUES (42)");
-  Exec("BEGIN");
-  Exec("CREATE TABLE fresh (b INT)");
-  Exec("DROP TABLE keep");
-  Exec("ROLLBACK");
+  {
+    Transaction txn(*db_);
+    TxnExec(txn, "CREATE TABLE fresh (b INT)");
+    TxnExec(txn, "DROP TABLE keep");
+  }
   EXPECT_FALSE(db_->HasTable("fresh"));
   ASSERT_TRUE(db_->HasTable("keep"));
   EXPECT_EQ(Exec("SELECT * FROM keep").GetInt(0, "a").value(), 42);
 }
 
-TEST_F(DatabaseTest, NestedBeginFails) {
-  Exec("BEGIN");
-  EXPECT_FALSE(db_->Execute("BEGIN").ok());
-  Exec("ROLLBACK");
+TEST_F(DatabaseTest, OtherThreadsWaitForAnOpenTransaction) {
+  // A reader and a writer on other threads start while a transaction holds
+  // an uncommitted row: both wait until it ends, so the reader never counts
+  // the table between the transaction's statements.
+  Exec("CREATE TABLE t (a INT)");
+  std::atomic<bool> read_done{false};
+  std::atomic<bool> write_done{false};
+  std::int64_t counted = -1;
+  std::thread reader;
+  std::thread writer;
+  {
+    Transaction txn(*db_);
+    TxnExec(txn, "INSERT INTO t VALUES (1)");
+    reader = std::thread([&] {
+      counted = db_->Execute("SELECT COUNT(*) FROM t")
+                    .value()
+                    .GetInt(0, "count")
+                    .value();
+      read_done = true;
+    });
+    writer = std::thread([&] {
+      EXPECT_TRUE(db_->Execute("INSERT INTO t VALUES (2)").ok());
+      write_done = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(read_done.load());
+    EXPECT_FALSE(write_done.load());
+    TxnExec(txn, "INSERT INTO t VALUES (3)");
+    EXPECT_TRUE(txn.Commit().ok());
+  }
+  reader.join();
+  writer.join();
+  EXPECT_GE(counted, 2);  // both of the transaction's rows, or all three
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").GetInt(0, "count").value(), 3);
 }
 
 TEST_F(DatabaseTest, CommitOutsideTransactionFails) {
-  EXPECT_FALSE(db_->Execute("COMMIT").ok());
-  EXPECT_FALSE(db_->Execute("ROLLBACK").ok());
+  // Commit ends the transaction: a second Commit, or a statement after it,
+  // fails and changes nothing.
+  Exec("CREATE TABLE t (a INT)");
+  {
+    Transaction txn(*db_);
+    TxnExec(txn, "INSERT INTO t VALUES (1)");
+    ASSERT_TRUE(txn.Commit().ok());
+    EXPECT_EQ(txn.Commit().code(), StatusCode::kInternal);
+    EXPECT_EQ(txn.Execute("INSERT INTO t VALUES (2)").status().code(),
+              StatusCode::kInternal);
+  }
+  const ResultSet result = Exec("SELECT * FROM t");
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result.GetInt(0, "a").value(), 1);
 }
 
 TEST_F(DatabaseTest, FailedAutoCommitStatementLeavesNoTrace) {
   Exec("CREATE TABLE t (a INT PRIMARY KEY)");
   Exec("INSERT INTO t VALUES (1)");
   EXPECT_FALSE(db_->Execute("INSERT INTO t VALUES (1)").ok());
-  EXPECT_FALSE(db_->in_transaction());
   EXPECT_EQ(Exec("SELECT * FROM t").size(), 1u);
+  // The failed statement's transaction has ended: the next one commits.
+  Exec("INSERT INTO t VALUES (2)");
+  EXPECT_EQ(Exec("SELECT * FROM t").size(), 2u);
 }
 
 TEST_F(DatabaseTest, SelectIsNull) {

@@ -2,6 +2,7 @@
 // rule), torn-tail recovery, and the crash images a compaction can leave.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -42,8 +43,10 @@ class RecoveryTest : public ::testing::Test {
     return std::move(db).value();
   }
 
-  static void Exec(Database& db, std::string_view sql) {
-    const Result<ResultSet> result = db.Execute(sql);
+  /// Runs `sql` on the database, or inside a transaction on it.
+  template <typename Scope>
+  static void Exec(Scope& scope, std::string_view sql) {
+    const Result<ResultSet> result = scope.Execute(sql);
     ASSERT_TRUE(result.ok()) << result.status().ToString() << " for: " << sql;
   }
 
@@ -51,12 +54,12 @@ class RecoveryTest : public ::testing::Test {
   /// text, written in one transaction.
   static void FillLargeRows(Database& db, int rows, std::size_t bytes) {
     Exec(db, "CREATE TABLE t (k INT PRIMARY KEY, v TEXT)");
-    Exec(db, "BEGIN");
+    Transaction txn(db);
     for (int k = 0; k < rows; ++k) {
-      Exec(db, "INSERT INTO t VALUES (" + std::to_string(k) + ", '" +
-                   std::string(bytes, 'a') + "')");
+      Exec(txn, "INSERT INTO t VALUES (" + std::to_string(k) + ", '" +
+                    std::string(bytes, 'a') + "')");
     }
-    Exec(db, "COMMIT");
+    ASSERT_TRUE(txn.Commit().ok());
   }
 
   /// Every name in the database directory.
@@ -104,10 +107,10 @@ TEST_F(RecoveryTest, ExplicitTransactionSurvivesReopen) {
   {
     auto db = Open();
     Exec(*db, "CREATE TABLE t (a INT)");
-    Exec(*db, "BEGIN");
-    Exec(*db, "INSERT INTO t VALUES (1)");
-    Exec(*db, "INSERT INTO t VALUES (2)");
-    Exec(*db, "COMMIT");
+    Transaction txn(*db);
+    Exec(txn, "INSERT INTO t VALUES (1)");
+    Exec(txn, "INSERT INTO t VALUES (2)");
+    ASSERT_TRUE(txn.Commit().ok());
   }
   auto db = Open();
   EXPECT_EQ(db->Execute("SELECT * FROM t").value().size(), 2u);
@@ -117,22 +120,25 @@ TEST_F(RecoveryTest, RolledBackTransactionLeavesNoTrace) {
   {
     auto db = Open();
     Exec(*db, "CREATE TABLE t (a INT)");
-    Exec(*db, "BEGIN");
-    Exec(*db, "INSERT INTO t VALUES (1)");
-    Exec(*db, "ROLLBACK");
-  }
+    Transaction txn(*db);
+    Exec(txn, "INSERT INTO t VALUES (1)");
+  }  // destroyed uncommitted: rolled back
   auto db = Open();
   EXPECT_EQ(db->Execute("SELECT * FROM t").value().size(), 0u);
 }
 
 TEST_F(RecoveryTest, UncommittedTransactionAtCrashIsDiscarded) {
+  // "Crash" while a transaction is open: the log as it stands then holds
+  // none of the transaction.
+  std::string crash_image;
   {
     auto db = Open();
     Exec(*db, "CREATE TABLE t (a INT)");
-    Exec(*db, "BEGIN");
-    Exec(*db, "INSERT INTO t VALUES (99)");
-    // "Crash": destroy without COMMIT. Nothing of this txn hit the WAL.
+    Transaction txn(*db);
+    Exec(txn, "INSERT INTO t VALUES (99)");
+    crash_image = ReadFile(LogPath());
   }
+  WriteFile(LogPath(), crash_image);
   auto db = Open();
   EXPECT_TRUE(db->HasTable("t"));
   EXPECT_EQ(db->Execute("SELECT * FROM t").value().size(), 0u);
@@ -233,13 +239,30 @@ TEST_F(RecoveryTest, CheckpointThenMoreWritesThenReopen) {
   EXPECT_FALSE(db->Execute("INSERT INTO t VALUES (1, 'dup')").ok());
 }
 
-TEST_F(RecoveryTest, CheckpointInsideTransactionRejected) {
+TEST_F(RecoveryTest, CheckpointWaitsForAnOpenTransaction) {
+  // A checkpoint started on another thread while a transaction holds an
+  // uncommitted row waits for it to end, so the rewritten log never holds
+  // that row.
+  {
+    auto db = Open();
+    Exec(*db, "CREATE TABLE t (a INT)");
+    std::atomic<bool> checkpointed{false};
+    std::thread checkpoint;
+    {
+      Transaction txn(*db);
+      Exec(txn, "INSERT INTO t VALUES (1)");
+      checkpoint = std::thread([&] {
+        EXPECT_TRUE(db->Checkpoint().ok());
+        checkpointed = true;
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      EXPECT_FALSE(checkpointed.load());
+    }  // rolled back
+    checkpoint.join();
+  }
   auto db = Open();
-  Exec(*db, "CREATE TABLE t (a INT)");
-  Exec(*db, "BEGIN");
-  EXPECT_FALSE(db->Checkpoint().ok());
-  Exec(*db, "ROLLBACK");
-  EXPECT_TRUE(db->Checkpoint().ok());
+  EXPECT_TRUE(db->HasTable("t"));
+  EXPECT_EQ(db->Execute("SELECT * FROM t").value().size(), 0u);
 }
 
 TEST_F(RecoveryTest, SyncCommitsStillRecover) {
@@ -248,9 +271,9 @@ TEST_F(RecoveryTest, SyncCommitsStillRecover) {
     db->SetSyncCommits(true);
     Exec(*db, "CREATE TABLE t (a INT)");
     Exec(*db, "INSERT INTO t VALUES (1), (2)");
-    Exec(*db, "BEGIN");
-    Exec(*db, "INSERT INTO t VALUES (3)");
-    Exec(*db, "COMMIT");
+    Transaction txn(*db);
+    Exec(txn, "INSERT INTO t VALUES (3)");
+    ASSERT_TRUE(txn.Commit().ok());
   }
   auto db = Open();
   EXPECT_EQ(db->Execute("SELECT COUNT(*) FROM t")
@@ -297,16 +320,19 @@ TEST_F(RecoveryTest, AutoCheckpointDefersInsideTransactions) {
   FillLargeRows(*db, 4, kRowBytes);
   const std::uint64_t compactions_before = Compactions();
   const std::uint64_t size_before = db->wal_size_bytes();
-  Exec(*db, "BEGIN");
-  for (int round = 0; round < 80; ++round) {
-    Exec(*db, "UPDATE t SET v = '" + std::string(kRowBytes, 'z') +
-                  "' WHERE k = " + std::to_string(round % 4));
+  {
+    Transaction txn(*db);
+    for (int round = 0; round < 80; ++round) {
+      Exec(txn, "UPDATE t SET v = '" + std::string(kRowBytes, 'z') +
+                    "' WHERE k = " + std::to_string(round % 4));
+    }
+    // Statements inside the txn never append or compact (the log file is
+    // read from disk: the transaction holds the database's lock)...
+    EXPECT_EQ(std::filesystem::file_size(LogPath()), size_before);
+    EXPECT_EQ(Compactions(), compactions_before);
+    // ...but the commit appends about 5 MiB, and compacts.
+    ASSERT_TRUE(txn.Commit().ok());
   }
-  // Statements inside the txn never append or compact...
-  EXPECT_EQ(db->wal_size_bytes(), size_before);
-  EXPECT_EQ(Compactions(), compactions_before);
-  // ...but the COMMIT appends about 5 MiB, and its boundary compacts.
-  Exec(*db, "COMMIT");
   EXPECT_EQ(Compactions() - compactions_before, 1u);
   EXPECT_LT(db->wal_size_bytes(), Database::kMinCompactBytes);
   EXPECT_EQ(db->Execute("SELECT COUNT(*) FROM t WHERE v = '" +

@@ -53,6 +53,7 @@ TEST_P(SqlFuzzTest, RandomStatementsAgainstEngineNeverCrash) {
   SplitMix64 rng(GetParam() * 15485863 + 11);
   auto db = Database::OpenInMemory();
   (void)db->Execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT, v DOUBLE)");
+  std::optional<Transaction> txn;  // the open transaction, if any
   for (int trial = 0; trial < 300; ++trial) {
     const std::uint64_t id = rng.NextBelow(40);
     std::string sql;
@@ -73,18 +74,27 @@ TEST_P(SqlFuzzTest, RandomStatementsAgainstEngineNeverCrash) {
               "' OR v < " + std::to_string(id);
         break;
       case 4:
-        sql = rng.NextBelow(2) == 0 ? "BEGIN" : "ROLLBACK";
-        break;
+        // Begin a transaction, or roll the open one back.
+        if (rng.NextBelow(2) == 0) {
+          if (!txn.has_value()) txn.emplace(*db);
+        } else {
+          txn.reset();
+        }
+        continue;
       case 5:
-        sql = rng.NextBelow(2) == 0 ? "COMMIT"
-                                    : "SELECT id FROM t ORDER BY id DESC "
-                                      "LIMIT 5";
+        if (rng.NextBelow(2) == 0) {
+          if (txn.has_value()) (void)txn->Commit();
+          txn.reset();
+          continue;
+        }
+        sql = "SELECT id FROM t ORDER BY id DESC LIMIT 5";
         break;
     }
-    (void)db->Execute(sql);  // errors fine, crashes not
+    // Errors fine, crashes not.
+    (void)(txn.has_value() ? txn->Execute(sql) : db->Execute(sql));
   }
   // Engine still sane afterwards.
-  if (db->in_transaction()) (void)db->Execute("ROLLBACK");
+  txn.reset();
   EXPECT_TRUE(db->Execute("SELECT * FROM t").ok());
 }
 
@@ -146,66 +156,68 @@ TEST_P(SqlFuzzTest, TransactionalShadowModel) {
   (void)db->Execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)");
   std::map<std::int64_t, std::int64_t> shadow;
 
-  for (int txn = 0; txn < 40; ++txn) {
-    ASSERT_TRUE(db->Execute("BEGIN").ok());
-    std::map<std::int64_t, std::optional<std::int64_t>> pending;  // nullopt=del
-    const auto effective = [&](std::int64_t key) -> std::optional<std::int64_t> {
-      const auto it = pending.find(key);
-      if (it != pending.end()) return it->second;
-      const auto base = shadow.find(key);
-      if (base != shadow.end()) return base->second;
-      return std::nullopt;
-    };
-    const int ops = 1 + static_cast<int>(rng.NextBelow(8));
-    for (int op = 0; op < ops; ++op) {
-      const std::int64_t key = static_cast<std::int64_t>(rng.NextBelow(20));
-      const std::int64_t value =
-          static_cast<std::int64_t>(rng.NextBelow(1000));
-      switch (rng.NextBelow(3)) {
-        case 0: {
-          const bool ok =
-              db->Execute("INSERT INTO kv VALUES (" + std::to_string(key) +
-                          ", " + std::to_string(value) + ")")
-                  .ok();
-          ASSERT_EQ(ok, !effective(key).has_value()) << "txn " << txn;
-          if (ok) pending[key] = value;
-          break;
-        }
-        case 1: {
-          const auto result = db->Execute("DELETE FROM kv WHERE k = " +
-                                          std::to_string(key));
-          ASSERT_TRUE(result.ok());
-          ASSERT_EQ(result.value().affected_rows,
-                    effective(key).has_value() ? 1u : 0u);
-          pending[key] = std::nullopt;
-          break;
-        }
-        case 2: {
-          const auto result =
-              db->Execute("UPDATE kv SET v = " + std::to_string(value) +
-                          " WHERE k = " + std::to_string(key));
-          ASSERT_TRUE(result.ok());
-          if (effective(key).has_value()) pending[key] = value;
-          break;
-        }
-      }
-    }
-    if (rng.NextBelow(2) == 0) {
-      ASSERT_TRUE(db->Execute("COMMIT").ok());
-      for (const auto& [key, value] : pending) {
-        if (value.has_value()) {
-          shadow[key] = *value;
-        } else {
-          shadow.erase(key);
+  for (int round = 0; round < 40; ++round) {
+    {
+      Transaction txn(*db);
+      // nullopt = deleted
+      std::map<std::int64_t, std::optional<std::int64_t>> pending;
+      const auto effective =
+          [&](std::int64_t key) -> std::optional<std::int64_t> {
+        const auto it = pending.find(key);
+        if (it != pending.end()) return it->second;
+        const auto base = shadow.find(key);
+        if (base != shadow.end()) return base->second;
+        return std::nullopt;
+      };
+      const int ops = 1 + static_cast<int>(rng.NextBelow(8));
+      for (int op = 0; op < ops; ++op) {
+        const std::int64_t key = static_cast<std::int64_t>(rng.NextBelow(20));
+        const std::int64_t value =
+            static_cast<std::int64_t>(rng.NextBelow(1000));
+        switch (rng.NextBelow(3)) {
+          case 0: {
+            const bool ok =
+                txn.Execute("INSERT INTO kv VALUES (" + std::to_string(key) +
+                            ", " + std::to_string(value) + ")")
+                    .ok();
+            ASSERT_EQ(ok, !effective(key).has_value()) << "round " << round;
+            if (ok) pending[key] = value;
+            break;
+          }
+          case 1: {
+            const auto result = txn.Execute("DELETE FROM kv WHERE k = " +
+                                            std::to_string(key));
+            ASSERT_TRUE(result.ok());
+            ASSERT_EQ(result.value().affected_rows,
+                      effective(key).has_value() ? 1u : 0u);
+            pending[key] = std::nullopt;
+            break;
+          }
+          case 2: {
+            const auto result =
+                txn.Execute("UPDATE kv SET v = " + std::to_string(value) +
+                            " WHERE k = " + std::to_string(key));
+            ASSERT_TRUE(result.ok());
+            if (effective(key).has_value()) pending[key] = value;
+            break;
+          }
         }
       }
-    } else {
-      ASSERT_TRUE(db->Execute("ROLLBACK").ok());
-    }
+      if (rng.NextBelow(2) == 0) {
+        ASSERT_TRUE(txn.Commit().ok());
+        for (const auto& [key, value] : pending) {
+          if (value.has_value()) {
+            shadow[key] = *value;
+          } else {
+            shadow.erase(key);
+          }
+        }
+      }
+    }  // an uncommitted transaction rolls back here
 
     // After every transaction boundary the table must equal the shadow.
     const auto all = db->Execute("SELECT k, v FROM kv ORDER BY k").value();
-    ASSERT_EQ(all.size(), shadow.size()) << "txn " << txn;
+    ASSERT_EQ(all.size(), shadow.size()) << "round " << round;
     std::size_t row = 0;
     for (const auto& [key, value] : shadow) {
       ASSERT_EQ(all.GetInt(row, "k").value(), key);

@@ -152,9 +152,12 @@ TEST(SqlParserTest, Delete) {
 }
 
 TEST(SqlParserTest, TransactionStatements) {
-  EXPECT_TRUE(std::holds_alternative<BeginStmt>(Parse("BEGIN")));
-  EXPECT_TRUE(std::holds_alternative<CommitStmt>(Parse("COMMIT;")));
-  EXPECT_TRUE(std::holds_alternative<RollbackStmt>(Parse("rollback")));
+  // A transaction is a scope (metadb::Transaction), not a statement.
+  for (const char* sql : {"BEGIN", "COMMIT;", "rollback"}) {
+    const Result<Statement> parsed = ParseStatement(sql);
+    ASSERT_FALSE(parsed.ok()) << sql;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
 }
 
 TEST(SqlParserTest, TrailingSemicolonAllowed) {

@@ -25,8 +25,10 @@ class WalCrashRecoveryTest : public ::testing::Test {
     return std::move(db).value();
   }
 
-  static void Exec(Database& db, std::string_view sql) {
-    const Result<ResultSet> result = db.Execute(sql);
+  /// Runs `sql` on the database, or inside a transaction on it.
+  template <typename Scope>
+  static void Exec(Scope& scope, std::string_view sql) {
+    const Result<ResultSet> result = scope.Execute(sql);
     ASSERT_TRUE(result.ok()) << result.status().ToString() << " for: " << sql;
   }
 
@@ -231,19 +233,21 @@ TEST_F(WalCrashRecoveryTest, CommitFailpointRollsBackAndDatabaseKeepsWorking) {
 }
 
 TEST_F(WalCrashRecoveryTest, ExplicitMultiOpTransactionTornMidFrame) {
-  // A BEGIN..COMMIT batch is one WAL frame; tearing it mid-way must lose
-  // the whole batch, never a prefix of its operations.
+  // A multi-statement transaction is one WAL frame; tearing it mid-way must
+  // lose the whole batch, never a prefix of its operations.
   std::uint64_t frame_size = 0;
   {
     const TempDir dir = TempDir::Create("dpfs-walbatch").value();
     auto db = Open(dir.path());
     Exec(*db, "CREATE TABLE t (a INT)");
     const std::uint64_t before = db->wal_size_bytes();
-    Exec(*db, "BEGIN");
-    Exec(*db, "INSERT INTO t VALUES (1)");
-    Exec(*db, "INSERT INTO t VALUES (2)");
-    Exec(*db, "INSERT INTO t VALUES (3)");
-    Exec(*db, "COMMIT");
+    {
+      Transaction txn(*db);
+      Exec(txn, "INSERT INTO t VALUES (1)");
+      Exec(txn, "INSERT INTO t VALUES (2)");
+      Exec(txn, "INSERT INTO t VALUES (3)");
+      ASSERT_TRUE(txn.Commit().ok());
+    }
     frame_size = db->wal_size_bytes() - before;
   }
   ASSERT_GT(frame_size, 0u);
@@ -257,17 +261,17 @@ TEST_F(WalCrashRecoveryTest, ExplicitMultiOpTransactionTornMidFrame) {
     {
       auto db = Open(dir.path());
       Exec(*db, "CREATE TABLE t (a INT)");
-      Exec(*db, "BEGIN");
-      Exec(*db, "INSERT INTO t VALUES (1)");
-      Exec(*db, "INSERT INTO t VALUES (2)");
-      Exec(*db, "INSERT INTO t VALUES (3)");
+      Transaction txn(*db);
+      Exec(txn, "INSERT INTO t VALUES (1)");
+      Exec(txn, "INSERT INTO t VALUES (2)");
+      Exec(txn, "INSERT INTO t VALUES (3)");
 
       failpoint::Spec spec;
       spec.action = failpoint::Action::kTornWrite;
       spec.arg = cut;
       spec.count = 1;
       failpoint::Arm("wal.append", spec);
-      ASSERT_FALSE(db->Execute("COMMIT").ok()) << "cut=" << cut;
+      ASSERT_FALSE(txn.Commit().ok()) << "cut=" << cut;
     }
     auto db = Open(dir.path());
     EXPECT_EQ(Count(*db, "t"), 0u) << "cut=" << cut;  // all or nothing

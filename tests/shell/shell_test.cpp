@@ -274,6 +274,9 @@ TEST_F(ShellTest, SqlCommandQueriesMetadata) {
   EXPECT_NE(count.find("2"), std::string::npos);  // two cluster servers
   EXPECT_FALSE(RunStatus("sql DELETE FROM missing_table").ok());
   EXPECT_FALSE(RunStatus("sql").ok());
+  // Each `sql` is one statement; a transaction is not a statement.
+  EXPECT_FALSE(RunStatus("sql BEGIN").ok());
+  EXPECT_FALSE(RunStatus("sql COMMIT").ok());
 }
 
 TEST_F(ShellTest, FsckDetectsPlantedOrphan) {

@@ -19,7 +19,8 @@ sets, call edges) and enforces three invariants on it:
                         handlers the servers' transport invokes) may reach
                         a cataloged blocking primitive (flock, sleep_for,
                         blocking connect/accept/recv/send, CondVar::Wait,
-                        metadb::Database mutation entry points) without a
+                        metadb::Database entry points, a metadb transaction
+                        scope's begin and commit) without a
                         dpfs:blocking-ok waiver, so a handler blocks only
                         where a waiver says why.
   unchecked-status      Every `(void)`-discard of a Status/Result-returning
@@ -118,19 +119,30 @@ BLOCKING_CALLEES = {
     # Lock waits park the thread until another thread signals.
     "Wait": "CondVar",
     "WaitFor": "CondVar",
-    # metadb mutation entry points commit through a WAL fsync; Open can
+    # metadb mutation entry points commit through a WAL fsync; a
+    # transaction scope waits for the database's lock when it begins (behind
+    # a writer's commit) and appends to the WAL when it commits; Open can
     # spin on the advisory flock of a concurrently-held directory.
     "Execute": "Database",
     "ExecuteStatement": "Database",
+    "Transaction": "Transaction",
+    "ReadTransaction": "ReadTransaction",
+    "Commit": "Transaction",
     "Checkpoint": "Database",
     "CreateIndex": "Database",
     "Open": "Database",
 }
 
-# RAII lock guards (common/mutex.h): type name -> shared? (reader locks
-# still order against writers, so shared/exclusive feed one graph).
+# RAII lock guards (common/mutex.h, and metadb's transaction scopes): type
+# name -> shared? (reader locks still order against writers, so
+# shared/exclusive feed one graph).
 GUARD_TYPES = {"MutexLock": False, "WriterMutexLock": False,
-               "ReaderMutexLock": True}
+               "ReaderMutexLock": True, "Transaction": False,
+               "ReadTransaction": True}
+# Guards constructed on the object that owns the lock rather than on the
+# lock: the lock each takes (a transaction scope holds its Database's mu_).
+GUARD_LOCKS = {"Transaction": "Database::mu_",
+               "ReadTransaction": "Database::mu_"}
 MANUAL_LOCK_METHODS = {"lock", "lock_shared"}
 MANUAL_UNLOCK_METHODS = {"unlock", "unlock_shared"}
 LOCK_MEMBER_TYPES = {"Mutex", "SharedMutex"}
@@ -685,8 +697,16 @@ class TextualFrontend:
                 arg_start = text.find("(", guard.start())
                 arg = text[arg_start + 1:text.rfind(")")] \
                     if arg_start >= 0 else ""
-                lock = self._lock_id(arg, fn.cls, fn)
+                lock = GUARD_LOCKS.get(guard.group(1)) or \
+                    self._lock_id(arg, fn.cls, fn)
                 scope_holder = stack[-1] if stack else None
+                if guard.group(1) in BLOCKING_CALLEES:
+                    # The guard's constructor is a cataloged blocking call.
+                    fn.calls.append(CallSite(
+                        callee=guard.group(1), qualifier=guard.group(1),
+                        receiver="", line=lineno, held=tuple(held),
+                        blocking_waiver=self._waiver_near(
+                            "blocking", comments, lineno, 2)))
             else:
                 lineno = line_at(manual.start())
                 expr, method = manual.group(1), manual.group(2)
@@ -865,7 +885,8 @@ class LibclangFrontend:
                     _last_name(child.type.spelling) in GUARD_TYPES:
                 arg = " ".join(t.spelling for t in child.get_tokens())
                 arg = arg[arg.find("(") + 1:arg.rfind(")")]
-                lock = textual._lock_id(arg, fn.cls)
+                lock = GUARD_LOCKS.get(_last_name(child.type.spelling)) or \
+                    textual._lock_id(arg, fn.cls)
                 if lock:
                     fn.acquisitions.append(Acquisition(
                         lock=lock, line=line, held=tuple(held),
@@ -1298,12 +1319,14 @@ ALL_CHECKS = frozenset({
     "no-tsa-justification",
 })
 
-# check -> fixture file expected to trigger it (inside deep_lint_fixtures/).
+# check -> fixture files expected to trigger it (inside deep_lint_fixtures/).
 EXPECTED_SELF_TEST = {
-    "lock-order-cycle": "src/core/lock_cycle.cpp",
-    "reactor-blocking": "src/server/reactor_block.cpp",
-    "unchecked-status": "src/metadb/bad_discard.cpp",
-    "no-tsa-justification": "src/metadb/bad_discard.cpp",
+    "lock-order-cycle": ("src/core/lock_cycle.cpp",
+                         "src/metadb/scope_guards.cpp"),
+    "reactor-blocking": ("src/server/reactor_block.cpp",
+                         "src/metadb/scope_guards.cpp"),
+    "unchecked-status": ("src/metadb/bad_discard.cpp",),
+    "no-tsa-justification": ("src/metadb/bad_discard.cpp",),
 }
 CLEAN_FIXTURE = "src/core/clean_waived.cpp"
 
@@ -1325,10 +1348,11 @@ def run_self_test(fixtures: Path) -> int:
         if v.check not in ALL_CHECKS:
             failures.append(
                 f"self-test: check '{v.check}' missing from ALL_CHECKS")
-    for check, path in EXPECTED_SELF_TEST.items():
-        if (check, path) not in found:
-            failures.append(
-                f"self-test: check '{check}' did not fire on {path}")
+    for check, paths in EXPECTED_SELF_TEST.items():
+        for path in paths:
+            if (check, path) not in found:
+                failures.append(
+                    f"self-test: check '{check}' did not fire on {path}")
     for v in violations:
         if v.path.as_posix() == CLEAN_FIXTURE:
             failures.append(
