@@ -139,15 +139,7 @@ Status CollectiveFile::Transfer(std::uint32_t rank, ByteSpan write_data,
     Metrics().combined_requests.Add(report.combined_requests);
     Metrics().retries.Add(report.retries);
     MutexLock lock(mu_);
-    total_report_.requests += report.requests;
-    total_report_.combined_requests += report.combined_requests;
-    total_report_.transfer_bytes += report.transfer_bytes;
-    total_report_.useful_bytes += report.useful_bytes;
-    total_report_.retries += report.retries;
-    total_report_.busy_retries += report.busy_retries;
-    total_report_.backoff_ms += report.backoff_ms;
-    total_report_.failover_reads += report.failover_reads;
-    total_report_.replica_write_failures += report.replica_write_failures;
+    total_report_ += report;
   }
   if (!my_status.ok()) phase_failed_[rank] = 1;
 

@@ -1,7 +1,6 @@
 #include "client/file_system.h"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <chrono>
 #include <thread>
@@ -285,21 +284,18 @@ Result<FileSystem::FsckReport> FileSystem::Fsck(bool repair) {
 // ---------------------------------------------------------------------------
 // Plan execution
 
-ThreadPool& FileSystem::DispatchPool() {
-  MutexLock lock(dispatch_mu_);
-  if (dispatch_pool_ == nullptr) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    dispatch_pool_ = std::make_unique<ThreadPool>(std::max(4u, hw / 2));
-  }
-  return *dispatch_pool_;
+IoReport& IoReport::operator+=(const IoReport& other) noexcept {
+  requests += other.requests;
+  combined_requests += other.combined_requests;
+  transfer_bytes += other.transfer_bytes;
+  useful_bytes += other.useful_bytes;
+  retries += other.retries;
+  busy_retries += other.busy_retries;
+  backoff_ms += other.backoff_ms;
+  failover_reads += other.failover_reads;
+  replica_write_failures += other.replica_write_failures;
+  return *this;
 }
-
-struct FileSystem::RetryTally {
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> busy_retries{0};
-  std::atomic<std::uint64_t> backoff_ms{0};
-  std::atomic<std::uint64_t> failover_reads{0};
-};
 
 Status FileSystem::ExecutePlan(const FileHandle& handle,
                                const layout::ClientPlan& plan_in,
@@ -335,101 +331,56 @@ Status FileSystem::ExecutePlan(const FileHandle& handle,
     }
   }
 
-  RetryTally tally;
-  const auto run_one = [&](const layout::ServerRequest& request) -> Status {
-    if (!is_write && factor > 1) {
-      return ExecuteReadWithFailover(handle, request, runs, read_buffer,
-                                     options, tally);
-    }
-    return ExecuteOneRequest(handle, request, runs, write_data, read_buffer,
-                             is_write, options, tally);
-  };
-
-  // Per-request outcomes: a replicated write keeps dispatching after a
-  // failure (a lost replica is degradation, not data loss), so every
-  // request's status is needed for the durability accounting below.
-  std::vector<Status> statuses(plan.requests.size());
+  // The first failed request ends the access, except in a replicated
+  // write: a lost replica is degradation, not data loss, so the loop goes
+  // on and the access fails only when every rank's write of some brick
+  // failed. Failed servers are marked suspect so that later reads prefer
+  // the surviving copies.
+  IoReport access;
   Status status;
-  if (options.parallel_dispatch && plan.requests.size() > 1) {
-    // Dispatch threads write disjoint runs of the shared buffer, so no
-    // synchronization is needed beyond collecting the per-slot statuses.
-    ParallelFor(DispatchPool(), plan.requests.size(), [&](std::size_t i) {
-      statuses[i] = run_one(plan.requests[i]);
-    });
-    for (const Status& request_status : statuses) {
-      if (!request_status.ok()) {
-        status = request_status;
-        break;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < plan.requests.size(); ++i) {
-      statuses[i] = run_one(plan.requests[i]);
-      if (!statuses[i].ok()) {
-        if (status.ok()) status = statuses[i];
-        if (!replicated_write) break;
-      }
-    }
-  }
-
-  std::size_t replica_write_failures = 0;
-  if (replicated_write && !status.ok()) {
-    // A brick's bytes are lost only when *every* rank's write of it
-    // failed; otherwise the access succeeded degraded. Failed servers are
-    // marked suspect so subsequent reads prefer the surviving copies.
-    std::map<layout::BrickId, std::uint32_t> failed_copies;
-    Status lost;
-    for (std::size_t i = 0; i < plan.requests.size(); ++i) {
-      if (statuses[i].ok()) continue;
-      ++replica_write_failures;
-      MarkSuspect(
-          handle.record.servers[plan.requests[i].server].endpoint.ToString());
-      for (const layout::BrickRequest& brick : plan.requests[i].bricks) {
-        if (++failed_copies[brick.brick] == factor) lost = statuses[i];
-      }
-    }
-    status = lost;
-  }
-
-  // Retry counters are reported even for failed accesses, so callers can
-  // observe retry exhaustion, not just recovery.
-  const std::uint64_t retries =
-      tally.retries.load(std::memory_order_relaxed);
-  const std::uint64_t busy_retries =
-      tally.busy_retries.load(std::memory_order_relaxed);
-  const std::uint64_t failover_reads =
-      tally.failover_reads.load(std::memory_order_relaxed);
-  ClientMetrics().retries.Add(retries);
-  ClientMetrics().busy_retries.Add(busy_retries);
-  ClientMetrics().failover_reads.Add(failover_reads);
-  ClientMetrics().replica_write_failures.Add(replica_write_failures);
-  if (report != nullptr) {
-    report->retries += static_cast<std::size_t>(retries);
-    report->busy_retries += static_cast<std::size_t>(busy_retries);
-    report->backoff_ms += tally.backoff_ms.load(std::memory_order_relaxed);
-    report->failover_reads += static_cast<std::size_t>(failover_reads);
-    report->replica_write_failures += replica_write_failures;
-  }
-  if (!status.ok()) {
-    ClientMetrics().failed_accesses.Add();
-    return status;
-  }
-
-  std::size_t combined = 0;
+  std::map<layout::BrickId, std::uint32_t> failed_copies;
   for (const layout::ServerRequest& request : plan.requests) {
-    if (request.bricks.size() > 1) ++combined;
+    const Status request_status =
+        !is_write && factor > 1
+            ? ExecuteReadWithFailover(handle, request, runs, read_buffer,
+                                      options, access)
+            : ExecuteOneRequest(handle, request, runs, write_data,
+                                read_buffer, is_write, options, access);
+    if (request_status.ok()) continue;
+    if (!replicated_write) {
+      status = request_status;
+      break;
+    }
+    ++access.replica_write_failures;
+    MarkSuspect(handle.record.servers[request.server].endpoint.ToString());
+    for (const layout::BrickRequest& brick : request.bricks) {
+      if (++failed_copies[brick.brick] == factor) status = request_status;
+    }
   }
-  ClientMetrics().requests.Add(plan.num_requests());
-  ClientMetrics().combined_requests.Add(combined);
-  ClientMetrics().transfer_bytes.Add(plan.transfer_bytes());
-  ClientMetrics().useful_bytes.Add(plan.useful_bytes());
-  if (report != nullptr) {
-    report->requests += plan.num_requests();
-    report->combined_requests += combined;
-    report->transfer_bytes += plan.transfer_bytes();
-    report->useful_bytes += plan.useful_bytes();
+
+  // The plan's counts are reported for a completed access only; the retry
+  // counts always, so callers can observe retry exhaustion, not just
+  // recovery.
+  if (status.ok()) {
+    access.requests = plan.num_requests();
+    for (const layout::ServerRequest& request : plan.requests) {
+      if (request.bricks.size() > 1) ++access.combined_requests;
+    }
+    access.transfer_bytes = plan.transfer_bytes();
+    access.useful_bytes = plan.useful_bytes();
+  } else {
+    ClientMetrics().failed_accesses.Add();
   }
-  return Status::Ok();
+  ClientMetrics().requests.Add(access.requests);
+  ClientMetrics().combined_requests.Add(access.combined_requests);
+  ClientMetrics().transfer_bytes.Add(access.transfer_bytes);
+  ClientMetrics().useful_bytes.Add(access.useful_bytes);
+  ClientMetrics().retries.Add(access.retries);
+  ClientMetrics().busy_retries.Add(access.busy_retries);
+  ClientMetrics().failover_reads.Add(access.failover_reads);
+  ClientMetrics().replica_write_failures.Add(access.replica_write_failures);
+  if (report != nullptr) *report += access;
+  return status;
 }
 
 Status FileSystem::ExecuteOneRequest(const FileHandle& handle,
@@ -438,17 +389,17 @@ Status FileSystem::ExecuteOneRequest(const FileHandle& handle,
                                      ByteSpan write_data,
                                      MutableByteSpan read_buffer,
                                      bool is_write, const IoOptions& options,
-                                     RetryTally& tally) {
+                                     IoReport& access) {
   Status last;
   const int attempts = 1 + std::max(0, options.max_retries);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      tally.retries.fetch_add(1, std::memory_order_relaxed);
+      ++access.retries;
       if (last.code() == StatusCode::kResourceExhausted) {
-        tally.busy_retries.fetch_add(1, std::memory_order_relaxed);
+        ++access.busy_retries;
       }
       const std::uint64_t backoff = 2ull * static_cast<std::uint64_t>(attempt);
-      tally.backoff_ms.fetch_add(backoff, std::memory_order_relaxed);
+      access.backoff_ms += backoff;
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
     }
     last = TryOneRequest(handle, request, runs, write_data, read_buffer,
@@ -643,7 +594,7 @@ Status FileSystem::ExecuteReadWithFailover(const FileHandle& handle,
                                            const RunsByBrick& runs,
                                            MutableByteSpan read_buffer,
                                            const IoOptions& options,
-                                           RetryTally& tally) {
+                                           IoReport& access) {
   const FileRecord& record = handle.record;
   const std::uint32_t factor = record.replication();
   // Materialize every rank's request(s) up front, then order the ranks so
@@ -687,13 +638,11 @@ Status FileSystem::ExecuteReadWithFailover(const FileHandle& handle,
     for (const layout::ServerRequest& sub : rank_plan.requests) {
       rank_status = ExecuteOneRequest(handle, sub, runs, /*write_data=*/{},
                                       read_buffer, /*is_write=*/false, options,
-                                      tally);
+                                      access);
       if (!rank_status.ok()) break;
     }
     if (rank_status.ok()) {
-      if (rank_plan.rank != 0) {
-        tally.failover_reads.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (rank_plan.rank != 0) ++access.failover_reads;
       return Status::Ok();
     }
     last = rank_status;
@@ -722,7 +671,6 @@ layout::PlanOptions ToPlanOptions(const IoOptions& options,
   plan_options.combine = options.combine;
   plan_options.rotate_start = options.rotate_start;
   plan_options.whole_brick_reads = options.whole_brick_reads;
-  plan_options.parallel_dispatch = options.parallel_dispatch;
   return plan_options;
 }
 

@@ -26,7 +26,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "layout/plan.h"
 
 namespace dpfs::client {
@@ -78,10 +77,6 @@ struct IoOptions {
   /// rest). false = sieve reads, a DPFS extension that fetches only the
   /// useful runs — fewer wire bytes, more fragments per request.
   bool whole_brick_reads = true;
-  /// Extension: issue this access's per-server requests from concurrent
-  /// dispatch threads instead of the paper's sequential loop. Most useful
-  /// with combine=true, where one client talks to every server.
-  bool parallel_dispatch = false;
   /// Transient-failure retries per request ("the un-handled requests have
   /// to try again later", §4.2): busy servers and refused connections are
   /// retried with linear backoff; other errors are not.
@@ -124,6 +119,9 @@ struct IoReport {
   /// least one other rank (the access still succeeds; the file is degraded).
   std::size_t failover_reads = 0;
   std::size_t replica_write_failures = 0;
+
+  /// Adds every counter of `other`: a caller's total over its accesses.
+  IoReport& operator+=(const IoReport& other) noexcept;
 };
 
 class FileSystem {
@@ -247,24 +245,20 @@ class FileSystem {
   using RunsByBrick =
       std::unordered_map<layout::BrickId, std::vector<layout::BrickRun>>;
 
-  /// Retry counters shared by concurrent dispatch threads, folded into the
-  /// caller's IoReport when the plan finishes (defined in file_system.cpp).
-  struct RetryTally;
-
-  /// Issues the plan's requests (sequentially, or concurrently with
-  /// parallel_dispatch). Exactly one of write_data / read_buffer is used,
+  /// Issues the plan's requests one at a time, in plan order (the paper's
+  /// client loop, §4.2). Exactly one of write_data / read_buffer is used,
   /// per plan.direction.
   Status ExecutePlan(const FileHandle& handle, const layout::ClientPlan& plan,
                      const RunsByBrick& runs, ByteSpan write_data,
                      MutableByteSpan read_buffer, const IoOptions& options,
                      IoReport* report);
   /// One client→server request with transient-failure retries (the body of
-  /// the dispatch loop).
+  /// the dispatch loop). Adds its retries and backoff to `access`.
   Status ExecuteOneRequest(const FileHandle& handle,
                            const layout::ServerRequest& request,
                            const RunsByBrick& runs, ByteSpan write_data,
                            MutableByteSpan read_buffer, bool is_write,
-                           const IoOptions& options, RetryTally& tally);
+                           const IoOptions& options, IoReport& access);
   /// A single attempt of the above.
   Status TryOneRequest(const FileHandle& handle,
                        const layout::ServerRequest& request,
@@ -273,13 +267,13 @@ class FileSystem {
                        const IoOptions& options);
   /// Replication extension: executes one read request against the first
   /// rank that answers — non-suspect ranks first, retry-exhausting each,
-  /// marking failed ranks' servers suspect. Counts a failover read when a
-  /// rank > 0 serves the bytes.
+  /// marking failed ranks' servers suspect. Counts a failover read in
+  /// `access` when a rank > 0 serves the bytes.
   Status ExecuteReadWithFailover(const FileHandle& handle,
                                  const layout::ServerRequest& request,
                                  const RunsByBrick& runs,
                                  MutableByteSpan read_buffer,
-                                 const IoOptions& options, RetryTally& tally);
+                                 const IoOptions& options, IoReport& access);
   /// Suspect bookkeeping for read failover: a server that failed a request
   /// is deprioritized (not excluded) for kSuspectTtl.
   void MarkSuspect(const std::string& endpoint_key);
@@ -292,17 +286,12 @@ class FileSystem {
                         ByteSpan write_data, MutableByteSpan read_buffer,
                         layout::IoDirection direction,
                         const IoOptions& options, IoReport* report);
-  ThreadPool& DispatchPool();
 
   std::unique_ptr<MetadataService> metadata_;
   /// Exactly one of these aliases metadata_ (the other is nullptr).
   MetadataManager* embedded_ = nullptr;
   RemoteMetadataManager* remote_ = nullptr;
   ConnectionPool pool_;
-  Mutex dispatch_mu_;
-  // Created once under dispatch_mu_, never reset; the returned reference
-  // outlives the lock because the pointee is immutable after creation.
-  std::unique_ptr<ThreadPool> dispatch_pool_ DPFS_GUARDED_BY(dispatch_mu_);
 
   Mutex suspect_mu_;
   /// endpoint key ("host:port") → when the suspicion expires.

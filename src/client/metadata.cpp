@@ -618,6 +618,10 @@ Result<FileRecord> MetadataManager::CreateFile(const FileMeta& meta,
   if (exists) {
     return AlreadyExistsError("file '" + normalized + "' exists");
   }
+  DPFS_ASSIGN_OR_RETURN(const bool dir_exists, HasDirectory(txn, normalized));
+  if (dir_exists) {
+    return AlreadyExistsError("'" + normalized + "' exists as a directory");
+  }
 
   // §4.1: the placement reads each server's performance number (and, for
   // kCapacityAware, how many whole bricks its advertised capacity holds).
@@ -719,13 +723,13 @@ Status MetadataManager::RenameFile(const std::string& from,
                                    const std::string& to) {
   DPFS_ASSIGN_OR_RETURN(const std::string src, NormalizePath(from));
   DPFS_ASSIGN_OR_RETURN(const std::string dst, NormalizePath(to));
-  if (src == dst) return Status::Ok();
   const auto [src_parent, src_name] = SplitPath(src);
   const auto [dst_parent, dst_name] = SplitPath(dst);
   metadb::Transaction txn(*db_);
 
   DPFS_ASSIGN_OR_RETURN(const bool src_exists, HasFile(txn, src));
   if (!src_exists) return NotFoundError("no such file '" + src + "'");
+  if (src == dst) return Status::Ok();
   DPFS_ASSIGN_OR_RETURN(const bool dst_exists, HasFile(txn, dst));
   if (dst_exists) return AlreadyExistsError("file '" + dst + "' exists");
   DPFS_ASSIGN_OR_RETURN(const bool dst_is_dir, HasDirectory(txn, dst));

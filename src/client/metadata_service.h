@@ -105,9 +105,10 @@ class MetadataService {
   /// DPFS_SERVER, draws the subfile id (`meta.subfile` is ignored), places
   /// every rank with layout::ReplicatedDistribution::Create, writes the
   /// attribute and distribution rows and links the file into its parent
-  /// directory. Returns the record LookupFile returns next. A file whose
-  /// ranks' bricklists could not travel in one reply frame is refused with
-  /// kInvalidArgument before anything is placed.
+  /// directory. Returns the record LookupFile returns next. A path that
+  /// names a file or a directory is refused with kAlreadyExists. A file
+  /// whose ranks' bricklists could not travel in one reply frame is refused
+  /// with kInvalidArgument before anything is placed.
   virtual Result<FileRecord> CreateFile(const FileMeta& meta,
                                         const PlacementHints& hints) = 0;
   /// The file's rows — all FileSystem::Open reads. Every call reads the
@@ -127,7 +128,9 @@ class MetadataService {
   virtual Result<bool> FileExists(const std::string& path) = 0;
   /// Renames a file (attribute + distribution rows + directory links)
   /// atomically. Subfiles are named by the file's immutable subfile id, so
-  /// this is the whole rename: no server is involved.
+  /// this is the whole rename: no server is involved. A missing source is
+  /// kNotFound, even when `to` names it too; renaming a file onto itself
+  /// changes nothing.
   virtual Status RenameFile(const std::string& from, const std::string& to) = 0;
 
   // --- directories -------------------------------------------------------

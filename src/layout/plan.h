@@ -66,8 +66,9 @@ struct ClientPlan {
   IoDirection direction = IoDirection::kRead;
   /// Read fetch granularity this plan was built with (see PlanOptions).
   bool whole_brick_reads = true;
-  /// Extension: issue every request concurrently (one dispatch thread per
-  /// server) instead of the paper's sequential client loop.
+  /// Simulator only: replay every request concurrently (one dispatch
+  /// thread per server) instead of the paper's sequential client loop. The
+  /// TCP client always sends them one at a time.
   bool parallel_dispatch = false;
   std::vector<ServerRequest> requests;
 
@@ -101,8 +102,9 @@ struct PlanOptions {
   /// transfers only the useful runs — trading per-fragment overhead for
   /// wire efficiency (see bench/ablation_sieve_reads).
   bool whole_brick_reads = true;
-  /// Extension: dispatch the client's requests concurrently rather than
-  /// sequentially (see bench/ablation_parallel_dispatch).
+  /// Simulator only: the design alternative of dispatching the client's
+  /// requests concurrently (see bench/ablation_parallel_dispatch). No client
+  /// path reads it.
   bool parallel_dispatch = false;
 };
 

@@ -46,7 +46,7 @@ class FdCache {
   /// returns kNotFound so readers can synthesize zeroes.
   Result<SharedFdPtr> Acquire(const std::string& path, bool create);
 
-  /// Drops the cache entry (delete/truncate paths call this).
+  /// Drops the cache entry (SubfileStore::Delete calls this).
   void Invalidate(const std::string& path);
 
   void Clear();

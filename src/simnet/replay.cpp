@@ -140,8 +140,10 @@ Result<ReplayResult> Replay(const layout::IoPlan& plan,
     const layout::ClientPlan& client = plan.clients[c];
     if (client.requests.empty()) continue;
     if (client.parallel_dispatch) {
-      // Extension: the client hands every (combined) request to a dispatch
-      // thread at once instead of walking them sequentially.
+      // The design alternative that bench/ablation_parallel_dispatch models
+      // (the TCP client has no such mode): the client hands every
+      // (combined) request to a dispatch thread at once instead of walking
+      // them sequentially.
       for (std::size_t r = 0; r < client.requests.size(); ++r) {
         issue(c, r, 0.0);
       }

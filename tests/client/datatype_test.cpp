@@ -1,5 +1,7 @@
 #include "client/datatype.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace dpfs::client {
@@ -152,6 +154,96 @@ TEST(DatatypeTest, SubarrayValidation) {
   EXPECT_FALSE(Datatype::Subarray({8, 8}, {4, 4}, {5, 1}, 1).ok());  // bounds
   EXPECT_FALSE(Datatype::Subarray({8, 8}, {0, 0}, {0, 1}, 1).ok());  // empty
   EXPECT_FALSE(Datatype::Subarray({8, 8}, {0, 0}, {1, 1}, 0).ok());  // elem
+}
+
+// Compositions past 64 bits. A guard count that wrapped would let a
+// constructor loop about 2^64 times; an offset that wrapped would put the
+// type's bytes outside the extent it reports. The count is refused with
+// kResourceExhausted, the offset or end with kInvalidArgument.
+Datatype FourExtents() {
+  return Datatype::Vector(4, 1, 2, Datatype::Bytes(1)).value();
+}
+
+TEST(DatatypeTest, ContiguousRefusesACountPast64Bits) {
+  // 2^62 copies of a four-extent base: 2^64 extents, 0 once wrapped.
+  EXPECT_EQ(Datatype::Contiguous(1ull << 62, FourExtents()).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(DatatypeTest, ContiguousRefusesAnExtentPast64Bits) {
+  // The second copy of a 2^63-byte base would end at 2^64.
+  EXPECT_EQ(
+      Datatype::Contiguous(2, Datatype::Bytes(1ull << 63)).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(DatatypeTest, VectorRefusesACountPast64Bits) {
+  // 2^32 blocks of 2^32 one-byte elements: the extent count wraps to 0.
+  EXPECT_EQ(Datatype::Vector(1ull << 32, 1ull << 32, 1ull << 32,
+                             Datatype::Bytes(1))
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(DatatypeTest, VectorRefusesAnOffsetPast64Bits) {
+  // The second block would start 2^63 strides of 2 bytes in, at 2^64,
+  // which wraps onto the first block.
+  EXPECT_EQ(
+      Datatype::Vector(2, 1, 1ull << 63, Datatype::Bytes(2)).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(DatatypeTest, IndexedRefusesACountPast64Bits) {
+  // Two blocks of 2^63 elements: the block total wraps to 0.
+  EXPECT_EQ(Datatype::Indexed({{0, 1ull << 63}, {1ull << 63, 1ull << 63}},
+                              Datatype::Bytes(1))
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+  // 2^62 elements of a four-extent base: 2^64 extents.
+  EXPECT_EQ(Datatype::Indexed({{0, 1ull << 62}}, FourExtents()).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(DatatypeTest, IndexedRefusesAnOffsetPast64Bits) {
+  // A block at displacement 2^63 of a 2-byte base would start at 2^64.
+  EXPECT_EQ(
+      Datatype::Indexed({{1ull << 63, 1}}, Datatype::Bytes(2)).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(DatatypeTest, SubarrayRefusesARowCountPast64Bits) {
+  // 2^32 x 2^32 rows of one element: the row count wraps to 0.
+  EXPECT_EQ(Datatype::Subarray({1ull << 32, 1ull << 32, 1}, {0, 0, 0},
+                               {1ull << 32, 1ull << 32, 1}, 1)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(DatatypeTest, SubarrayRefusesAnOffsetPast64Bits) {
+  // lower + extent wraps to 1, inside the array, and the region would
+  // start at byte 2^64 - 1.
+  EXPECT_EQ(Datatype::Subarray({4}, {UINT64_MAX}, {2}, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  // An array of 2^62 x 8 one-byte elements ends at 2^65.
+  EXPECT_EQ(
+      Datatype::Subarray({1ull << 62, 8}, {0, 0}, {1, 8}, 1).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(DatatypeTest, EmptyCompositionsReturnAtOnce) {
+  // No extents at all: the constructors skip their loops instead of
+  // counting 2^62 empty blocks.
+  const Datatype vector =
+      Datatype::Vector(1ull << 62, 0, 0, Datatype::Bytes(1)).value();
+  EXPECT_EQ(vector.size(), 0u);
+  EXPECT_EQ(vector.extent(), 0u);
+  const Datatype indexed =
+      Datatype::Indexed({{0, 1ull << 62}}, Datatype::Bytes(0)).value();
+  EXPECT_EQ(indexed.size(), 0u);
+  EXPECT_EQ(indexed.num_extents(), 0u);
 }
 
 TEST(CoalesceExtentsTest, SortsAndMerges) {

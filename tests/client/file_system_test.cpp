@@ -549,45 +549,43 @@ TEST_F(FileSystemTest, SuggestedIoNodesLimitsServers) {
   EXPECT_EQ(handle.record.distribution.num_servers(), 2u);
 }
 
-TEST_F(FileSystemTest, ParallelDispatchMatchesSequential) {
-  CreateOptions options;
-  options.level = layout::FileLevel::kMultidim;
-  options.array_shape = {64, 64};
-  options.brick_shape = {8, 8};
-  FileHandle handle = fs_->Create("/pd.dpfs", options).value();
-  const Bytes all = PatternBytes(64 * 64, 77);
-
-  IoOptions parallel;
-  parallel.parallel_dispatch = true;
-  ASSERT_TRUE(fs_->WriteRegion(handle, {{0, 0}, {64, 64}}, all, parallel).ok());
-
-  Bytes sequential_read(64 * 64);
-  Bytes parallel_read(64 * 64);
-  ASSERT_TRUE(
-      fs_->ReadRegion(handle, {{0, 0}, {64, 64}}, sequential_read).ok());
-  IoReport report;
-  ASSERT_TRUE(fs_->ReadRegion(handle, {{0, 0}, {64, 64}}, parallel_read,
-                              parallel, &report)
-                  .ok());
-  EXPECT_EQ(sequential_read, all);
-  EXPECT_EQ(parallel_read, all);
-  EXPECT_EQ(report.requests, 4u);  // one combined request per server
-}
-
-TEST_F(FileSystemTest, ParallelDispatchSurfacesErrors) {
+TEST_F(FileSystemTest, ReadWithAStoppedServerFailsUnavailable) {
   CreateOptions options;
   options.total_bytes = 4096;
   options.brick_bytes = 256;
-  FileHandle handle = fs_->Create("/pd-err", options).value();
+  FileHandle handle = fs_->Create("/stopped", options).value();
   ASSERT_TRUE(fs_->WriteBytes(handle, 0, Bytes(4096, 1)).ok());
   cluster_->server(2).Stop();
   fs_->connections().Clear();
-  IoOptions parallel;
-  parallel.parallel_dispatch = true;
   Bytes read(4096);
-  const Status status = fs_->ReadBytes(handle, 0, read, parallel);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(fs_->ReadBytes(handle, 0, read).code(), StatusCode::kUnavailable);
+}
+
+TEST_F(FileSystemTest, SyncedWritesFsyncOncePerWireWrite) {
+  CreateOptions options;
+  options.total_bytes = 4096;
+  options.brick_bytes = 256;
+  FileHandle handle = fs_->Create("/synced", options).value();
+  const metrics::Counter& fsyncs = metrics::GetCounter("subfile_store.fsyncs");
+  const metrics::Counter& wire_writes =
+      metrics::GetCounter("io_server.requests.write");
+
+  std::uint64_t fsyncs_before = fsyncs.value();
+  ASSERT_TRUE(fs_->WriteBytes(handle, 0, PatternBytes(4096, 3)).ok());
+  EXPECT_EQ(fsyncs.value(), fsyncs_before);
+
+  IoOptions synced;
+  synced.sync = true;
+  const Bytes data = PatternBytes(4096, 4);
+  fsyncs_before = fsyncs.value();
+  const std::uint64_t writes_before = wire_writes.value();
+  ASSERT_TRUE(fs_->WriteBytes(handle, 0, data, synced).ok());
+  const std::uint64_t sent = wire_writes.value() - writes_before;
+  EXPECT_EQ(sent, 4u);  // one combined request per server
+  EXPECT_EQ(fsyncs.value() - fsyncs_before, sent);
+  Bytes read(4096);
+  ASSERT_TRUE(fs_->ReadBytes(handle, 0, read).ok());
+  EXPECT_EQ(read, data);
 }
 
 TEST_F(FileSystemTest, CloseResetsHandle) {

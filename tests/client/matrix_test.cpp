@@ -1,6 +1,6 @@
 // The full options matrix: every file level × combination × read fetch
-// granularity × dispatch mode, each doing a real write/read round trip over
-// TCP. Catches interactions between independently-tested features.
+// granularity, each doing a real write/read round trip over TCP. Catches
+// interactions between independently-tested features.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -11,8 +11,8 @@
 namespace dpfs::client {
 namespace {
 
-// (level, combine, whole_brick_reads, parallel_dispatch)
-using MatrixParam = std::tuple<int, bool, bool, bool>;
+// (level, combine, whole_brick_reads)
+using MatrixParam = std::tuple<int, bool, bool>;
 
 class OptionsMatrixTest : public ::testing::TestWithParam<MatrixParam> {
  protected:
@@ -35,7 +35,7 @@ core::LocalCluster* OptionsMatrixTest::cluster_ = nullptr;
 int OptionsMatrixTest::file_counter_ = 0;
 
 TEST_P(OptionsMatrixTest, RoundTripAndCrossCheck) {
-  const auto [level, combine, whole_brick, parallel] = GetParam();
+  const auto [level, combine, whole_brick] = GetParam();
   auto fs = cluster_->fs();
 
   CreateOptions create;
@@ -62,9 +62,8 @@ TEST_P(OptionsMatrixTest, RoundTripAndCrossCheck) {
   IoOptions io;
   io.combine = combine;
   io.whole_brick_reads = whole_brick;
-  io.parallel_dispatch = parallel;
 
-  SplitMix64 rng(level * 1000 + combine * 100 + whole_brick * 10 + parallel);
+  SplitMix64 rng(level * 1000 + combine * 100 + whole_brick * 10);
   const std::uint64_t total = 24 * 36 * 3;
   Bytes truth(total);
   for (std::uint8_t& b : truth) b = static_cast<std::uint8_t>(rng.NextU64());
@@ -96,7 +95,6 @@ TEST_P(OptionsMatrixTest, RoundTripAndCrossCheck) {
   IoOptions opposite;
   opposite.combine = !combine;
   opposite.whole_brick_reads = !whole_brick;
-  opposite.parallel_dispatch = !parallel;
   Bytes with_opposite(total);
   ASSERT_TRUE(
       fs->ReadRegion(handle, {{0, 0}, {24, 36}}, with_opposite, opposite)
@@ -106,17 +104,16 @@ TEST_P(OptionsMatrixTest, RoundTripAndCrossCheck) {
 
 std::string MatrixName(const ::testing::TestParamInfo<MatrixParam>& info) {
   static constexpr const char* kLevels[] = {"Linear", "Multidim", "Array"};
-  const auto [level, combine, whole_brick, parallel] = info.param;
+  const auto [level, combine, whole_brick] = info.param;
   std::string name = kLevels[level];
   name += combine ? "Combined" : "PerBrick";
   name += whole_brick ? "Whole" : "Sieve";
-  name += parallel ? "Par" : "Seq";
+  name += "Seq";  // each case runs the client's sequential dispatch (§4.2)
   return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOptions, OptionsMatrixTest,
                          ::testing::Combine(::testing::Values(0, 1, 2),
-                                            ::testing::Bool(),
                                             ::testing::Bool(),
                                             ::testing::Bool()),
                          MatrixName);

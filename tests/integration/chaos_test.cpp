@@ -100,7 +100,6 @@ TEST(ChaosTest, AllFeaturesConcurrently) {
         buffer.resize(length);
         IoOptions io;
         io.whole_brick_reads = rng.NextBelow(2) == 0;
-        io.parallel_dispatch = rng.NextBelow(2) == 0;
         if (!fs->ReadBytes(handle, offset, buffer, io).ok()) {
           failures.fetch_add(1);
           return;

@@ -107,6 +107,28 @@ TEST_P(CrossClientTest, ChmodIsSeenAtOnce) {
   EXPECT_EQ(b_->Open("//perm").value().meta().permission, 0600u);
 }
 
+TEST_P(CrossClientTest, CreateOverADirectoryIsRefused) {
+  // A's directory holds the name, so B's create of it fails, and the root
+  // lists `d` once, as a directory.
+  ASSERT_TRUE(a_->metadata().MakeDirectory("/d").ok());
+  EXPECT_EQ(b_->Create("/d", FourBricks()).status().code(),
+            StatusCode::kAlreadyExists);
+  const client::MetadataService::Listing root =
+      b_->metadata().ListDirectory("/").value();
+  EXPECT_EQ(root.directories, std::vector<std::string>{"d"});
+  EXPECT_TRUE(root.files.empty());
+}
+
+TEST_P(CrossClientTest, RenameOntoItselfNeedsTheFile) {
+  EXPECT_EQ(b_->Rename("/missing", "/missing").code(), StatusCode::kNotFound);
+  // An existing file renamed onto itself stays where it was.
+  ASSERT_TRUE(a_->Create("/same", FourBricks()).ok());
+  EXPECT_TRUE(b_->Rename("/same", "//same").ok());
+  EXPECT_TRUE(a_->Open("/same").ok());
+  EXPECT_EQ(a_->metadata().ListDirectory("/").value().files,
+            std::vector<std::string>{"same"});
+}
+
 TEST_P(CrossClientTest, ConcurrentRenameAndCreateKeepTheNamespace) {
   // A swings /d/a and /d/b 2000 times while B lists /d and creates one file
   // per listing. No operation fails, every listing names exactly one of a

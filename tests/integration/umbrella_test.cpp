@@ -27,12 +27,11 @@ TEST(UmbrellaTest, PublicTypesAreReachable) {
 
 TEST(UmbrellaTest, DefaultsMatchPaperSemantics) {
   // The out-of-the-box behaviour is the paper's: combination on, rotation
-  // on, whole-brick reads, sequential dispatch, round-robin placement.
+  // on, whole-brick reads, round-robin placement.
   const client::IoOptions io;
   EXPECT_TRUE(io.combine);
   EXPECT_TRUE(io.rotate_start);
   EXPECT_TRUE(io.whole_brick_reads);
-  EXPECT_FALSE(io.parallel_dispatch);
   const client::CreateOptions create;
   EXPECT_EQ(create.placement, layout::PlacementPolicy::kRoundRobin);
   EXPECT_EQ(create.brick_bytes, 64u * 1024);  // the paper's brick size
